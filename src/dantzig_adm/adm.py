@@ -4,6 +4,12 @@ Each iteration updates z in closed form (a box clamp), asks the inner
 nonmonotone gradient method for an approximate beta, then takes a multiplier
 ascent step on lambda.  Termination uses the relative duality gap together
 with primal and dual infeasibility ratios.
+
+The product G beta (G = X^T X) is formed once per outer iteration, fresh after
+the inner solve, and shared by the multiplier step, the primal stopping term,
+the next z update and the next inner warm start.  With the stopping test's
+own product (X lambda, then X^T) and the inner start-up gradient, an outer
+iteration costs three Gram products plus two per inner iteration.
 """
 
 from __future__ import annotations
@@ -100,14 +106,33 @@ def augmented_lagrangian(
     return float(np.abs(beta).sum()) + float(lam @ r) + 0.5 * mu * float(r @ r)
 
 
-def update_z(inst: Instance, beta: np.ndarray, lam: np.ndarray, mu: float) -> np.ndarray:
-    """Exact minimizer of the augmented Lagrangian over the box ||D^-1 z||_inf <= delta."""
+def _gram(inst: Instance, beta: np.ndarray, gram_beta: np.ndarray | None) -> np.ndarray:
+    """gram_beta when the caller already holds X^T X beta, else one fresh product."""
+    if gram_beta is None:
+        return apply_gram(inst, beta)
+    gram_beta = np.asarray(gram_beta, dtype=np.float64)
+    if gram_beta.shape != (inst.p,):
+        raise ValueError(f"gram_beta must have length {inst.p}, got {gram_beta.shape}")
+    return gram_beta
+
+
+def update_z(
+    inst: Instance,
+    beta: np.ndarray,
+    lam: np.ndarray,
+    mu: float,
+    gram_beta: np.ndarray | None = None,
+) -> np.ndarray:
+    """Exact minimizer of the augmented Lagrangian over the box ||D^-1 z||_inf <= delta.
+
+    ``gram_beta`` is X^T X beta when the caller already has it.
+    """
     if not mu > 0:
         raise ValueError(f"mu must be positive, got {mu}")
     lam = np.asarray(lam, dtype=np.float64)
     if lam.shape != (inst.p,):
         raise ValueError(f"lambda must have length {inst.p}, got {lam.shape}")
-    w = apply_gram(inst, beta) - inst.xty + lam / mu
+    w = _gram(inst, beta, gram_beta) - inst.xty + lam / mu
     return box_clamp(w, inst.delta * inst.d)
 
 
@@ -124,8 +149,14 @@ def dual_infeasibility(inst: Instance, lam: np.ndarray) -> float:
     return float(np.abs(apply_gram(inst, lam)).max()) - 1.0
 
 
-def _criterion_terms(inst: Instance, beta: np.ndarray, lam: np.ndarray):
-    """The three stopping ratios plus the dual objective (shares matvecs)."""
+def _criterion_terms(
+    inst: Instance, beta: np.ndarray, lam: np.ndarray, gram_beta: np.ndarray | None = None
+):
+    """The three stopping ratios plus the dual objective (shares matvecs).
+
+    The primal term uses X^T X beta - X^T y; pass ``gram_beta`` to reuse a
+    held X^T X beta.  The dual terms cost one Gram product, X lam then X^T.
+    """
     beta = np.asarray(beta, dtype=np.float64)
     lam = np.asarray(lam, dtype=np.float64)
     if beta.shape != (inst.p,) or lam.shape != (inst.p,):
@@ -133,7 +164,7 @@ def _criterion_terms(inst: Instance, beta: np.ndarray, lam: np.ndarray):
             f"beta and lambda must have length {inst.p}, got {beta.shape} and {lam.shape}"
         )
     beta_l1 = float(np.abs(beta).sum())
-    corr = inst.X.T @ (inst.X @ beta - inst.y)
+    corr = _gram(inst, beta, gram_beta) - inst.xty
     primal = (float(np.abs(corr / inst.d).max()) - inst.delta) / max(
         float(np.linalg.norm(beta)), 1.0
     )
@@ -156,9 +187,17 @@ def stopping_metric(inst: Instance, beta: np.ndarray, lam: np.ndarray) -> float:
 
 
 def update_lambda(
-    inst: Instance, lam: np.ndarray, beta_next: np.ndarray, z_next: np.ndarray, mu: float
+    inst: Instance,
+    lam: np.ndarray,
+    beta_next: np.ndarray,
+    z_next: np.ndarray,
+    mu: float,
+    gram_beta: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Multiplier step lam + mu * (X^T X beta_next - X^T y - z_next)."""
+    """Multiplier step lam + mu * (X^T X beta_next - X^T y - z_next).
+
+    ``gram_beta`` is X^T X beta_next when the caller already has it.
+    """
     if not mu > 0:
         raise ValueError(f"mu must be positive, got {mu}")
     lam = np.asarray(lam, dtype=np.float64)
@@ -167,7 +206,7 @@ def update_lambda(
         raise ValueError(
             f"lambda and z must have length {inst.p}, got {lam.shape} and {z_next.shape}"
         )
-    return lam + mu * (apply_gram(inst, beta_next) - inst.xty - z_next)
+    return lam + mu * (_gram(inst, beta_next, gram_beta) - inst.xty - z_next)
 
 
 def solve(
@@ -180,7 +219,9 @@ def solve(
     """Run the alternating direction method from (beta0, lambda0), default zeros.
 
     Per iteration: closed-form z update, inner solve for beta warm-started at
-    the previous beta, multiplier step, then the stopping test.  A subsolver
+    the previous beta, multiplier step, then the stopping test.  X^T X beta is
+    computed once after each inner solve and shared by the steps that need it
+    (see the module docstring for the cost per iteration).  A subsolver
     that misses its tolerance contributes its best iterate and is counted in
     the report.  Non-finite values end the run with status numerical_failure,
     returning the state at failure.
@@ -194,7 +235,8 @@ def solve(
 
     t_start = time.perf_counter()
     state = AdmState(beta=beta, z=np.zeros(p), lam=lam)
-    gap, primal, dual, dual_value = _criterion_terms(inst, state.beta, state.lam)
+    gram_beta = apply_gram(inst, state.beta)
+    gap, primal, dual, dual_value = _criterion_terms(inst, state.beta, state.lam, gram_beta)
     metric = max(gap, primal, dual)
     metric_history = [metric]
     dual_history = [dual_value]
@@ -204,14 +246,15 @@ def solve(
 
     while status == STATUS_MAX_ITER and state.iteration < config.max_outer_iter:
         lam_prev = state.lam
-        state.z = update_z(inst, state.beta, state.lam, config.mu)
-        objective = SubproblemObjective(inst, state.z, state.lam, config.mu)
+        state.z = update_z(inst, state.beta, state.lam, config.mu, gram_beta)
+        objective = SubproblemObjective(inst, state.z, state.lam, config.mu, gram_u0=gram_beta)
         result = solve_subproblem(objective, state.beta, sub_config)
         inner_total += result.iterations
         if not result.succeeded:
             sub_failures += 1
         state.beta = result.u
-        state.lam = update_lambda(inst, state.lam, state.beta, state.z, config.mu)
+        gram_beta = apply_gram(inst, state.beta)
+        state.lam = update_lambda(inst, state.lam, state.beta, state.z, config.mu, gram_beta)
         state.iteration += 1
 
         if not (
@@ -221,7 +264,7 @@ def solve(
         ):
             status = STATUS_NUMERICAL_FAILURE
             break
-        gap, primal, dual, dual_value = _criterion_terms(inst, state.beta, state.lam)
+        gap, primal, dual, dual_value = _criterion_terms(inst, state.beta, state.lam, gram_beta)
         metric = max(gap, primal, dual)
         metric_history.append(metric)
         dual_history.append(dual_value)

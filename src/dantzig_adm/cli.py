@@ -1,6 +1,8 @@
 """Command-line front end: instance generation, solves, benchmark tables, figure data.
 
-Exit codes: 0 success, 1 usage error, 2 I/O error, 3 solver failure.
+Exit codes: 0 success, 1 usage error, 2 I/O error (missing or malformed input
+files), 3 solver failure, 4 not converged (``solve`` hit its outer iteration
+cap; outputs are still written).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_SOLVER = 3
+EXIT_NOT_CONVERGED = 4
 
 WORKERS_ENV = "DANTZIG_ADM_WORKERS"
 BENCH_HEADER = "design,sigma,n,p,s,instances,iter_mean,cpu_mean_s,rho2_mean,rho2_orig_mean,failures"
@@ -172,10 +175,19 @@ def _cmd_gen(args) -> int:
 
 
 def _load_instance(instance_dir: Path, delta_override: float | None):
-    manifest = fileio.read_manifest(instance_dir / "manifest.txt")
+    manifest_path = instance_dir / "manifest.txt"
+    manifest = fileio.read_manifest(manifest_path)
     X = fileio.read_matrix(instance_dir / "X.mtx")
     y = fileio.read_vector(instance_dir / "y.mtx")
-    delta = delta_override if delta_override is not None else float(manifest["delta"])
+    if delta_override is not None:
+        delta = delta_override
+    else:
+        try:
+            delta = float(manifest["delta"])
+        except (KeyError, ValueError):
+            raise fileio.FileFormatError(
+                f"{manifest_path} has no numeric delta entry; pass --delta"
+            ) from None
     return Instance(X=X, y=y, delta=delta), manifest
 
 
@@ -228,6 +240,9 @@ def _cmd_solve(args) -> int:
     if report.status == adm.STATUS_NUMERICAL_FAILURE:
         _err("solver hit non-finite values; partial outputs written")
         return EXIT_SOLVER
+    if report.status == adm.STATUS_MAX_ITER:
+        _err(f"not converged within {config.max_outer_iter} outer iterations; outputs written")
+        return EXIT_NOT_CONVERGED
     return EXIT_OK
 
 
@@ -402,6 +417,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
+    except fileio.FileFormatError as exc:
+        _err(str(exc))
+        return EXIT_IO
     except ValueError as exc:
         _err(str(exc))
         return EXIT_USAGE

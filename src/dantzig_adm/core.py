@@ -23,9 +23,12 @@ class Instance:
 
     D is the diagonal matrix of column norms of X; only its diagonal ``d`` is
     stored.  The p x p Gram matrix X^T X is never formed (at n=7200, p=25600 it
-    would need about 5 GB); all solver math goes through :func:`apply_gram`.
-    Instances are immutable after construction and safe to share across
-    concurrent solves.
+    would need about 5 GB); the solver applies it as two matrix-vector
+    products, through :func:`apply_gram` or, in the stopping test, with X
+    directly.  One such Gram product is the solver's cost unit: an outer
+    iteration costs 3 and an inner iteration 2, however many line-search
+    backtracks it takes.  Instances are immutable after construction and safe
+    to share across concurrent solves.
     """
 
     X: np.ndarray

@@ -3,6 +3,7 @@
 Matrices and vectors are stored in Matrix Market array format (real, general),
 vectors as single-column matrices.  Manifests are plain ``key = value`` text
 files; float values are written with repr so they read back bit-exactly.
+A file that exists but does not parse raises :class:`FileFormatError`.
 """
 
 from __future__ import annotations
@@ -11,6 +12,10 @@ from pathlib import Path
 
 import numpy as np
 from scipy import io as spio
+
+
+class FileFormatError(ValueError):
+    """An input file exists but its contents are not what the reader expects."""
 
 
 def write_matrix(path, a: np.ndarray) -> None:
@@ -23,9 +28,12 @@ def write_matrix(path, a: np.ndarray) -> None:
 def read_matrix(path) -> np.ndarray:
     if not Path(path).is_file():
         raise FileNotFoundError(f"no such file: {path}")
-    a = np.asarray(spio.mmread(str(path)), dtype=np.float64)
+    try:
+        a = np.asarray(spio.mmread(str(path)), dtype=np.float64)
+    except ValueError as exc:
+        raise FileFormatError(f"{path} is not a Matrix Market array file: {exc}") from exc
     if a.ndim != 2:
-        raise ValueError(f"{path} does not hold a 2-d array")
+        raise FileFormatError(f"{path} does not hold a 2-d array")
     return a
 
 
@@ -39,7 +47,7 @@ def write_vector(path, v: np.ndarray) -> None:
 def read_vector(path) -> np.ndarray:
     a = read_matrix(path)
     if a.shape[1] != 1:
-        raise ValueError(f"{path} holds a {a.shape} matrix, not a column vector")
+        raise FileFormatError(f"{path} holds a {a.shape} matrix, not a column vector")
     return a[:, 0].copy()
 
 
@@ -60,6 +68,6 @@ def read_manifest(path) -> dict[str, str]:
             continue
         key, sep, value = line.partition("=")
         if not sep:
-            raise ValueError(f"malformed manifest line: {raw!r}")
+            raise FileFormatError(f"{path}: malformed manifest line: {raw!r}")
         entries[key.strip()] = value.strip()
     return entries

@@ -8,6 +8,12 @@ Search directions come from a soft-threshold (prox-gradient) step at the
 current spectral steplength, acceptance uses an Armijo test against the worst
 objective over a short memory window, and the steplength is a safeguarded
 Barzilai-Borwein update.
+
+The residual r(u) = X^T X u - c is linear in u, so r(u + a d) = r(u) + a G d
+with G = X^T X.  Each iteration forms G d once and gets every line-search
+trial residual by an axpy; the gradient at the accepted point is one more
+Gram product.  An iteration therefore costs two Gram products however many
+backtracks it takes.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Instance, apply_gram, soft_thresh
+from .core import Instance, _as_vector, apply_gram, soft_thresh
 
 STATIONARY_RTOL = 1e-15  # |Delta| below this (times objective scale) means a fixed point
 
@@ -31,13 +37,16 @@ class SubproblemObjective:
     """Smooth part of one inner problem, with (z, lambda, mu) frozen.
 
     Stores the constant c = X^T y + z - lambda/mu so that
-    f(u) = (mu/2) ||gram(u) - c||^2.
+    f(u) = (mu/2) ||gram(u) - c||^2.  ``gram_u0`` optionally carries
+    X^T X u0 for the warm start u0 later handed to :func:`solve_subproblem`,
+    so the start-up residual costs no Gram product.
     """
 
     inst: Instance
     z_fixed: np.ndarray
     lambda_fixed: np.ndarray
     mu: float
+    gram_u0: np.ndarray | None = field(default=None, repr=False)
     c: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -55,6 +64,8 @@ class SubproblemObjective:
         object.__setattr__(self, "lambda_fixed", lam)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "c", self.inst.xty + z - lam / mu)
+        if self.gram_u0 is not None:
+            object.__setattr__(self, "gram_u0", _as_vector(self.gram_u0, p, "gram_u0"))
 
     def residual(self, u: np.ndarray) -> np.ndarray:
         """gram(u) - c; one apply_gram call, shared by value and gradient."""
@@ -180,20 +191,26 @@ def line_search(
     d: np.ndarray,
     delta: float,
     config: SubsolverConfig,
+    residuals: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[float, TrialPoint]:
     """Largest alpha in {1, eta, eta^2, ...} passing the nonmonotone Armijo test.
 
     Acceptance compares the trial objective against the maximum penalized value
-    over the memory window plus sigma_ls * alpha * delta.  Raises
-    LineSearchError after max_backtracks rejected powers.
+    over the memory window plus sigma_ls * alpha * delta.  ``residuals`` is
+    the pair (r(state.u), G d); each trial residual is then r + alpha * G d,
+    with no Gram product.  Without it the pair is computed here (two
+    products).  Raises LineSearchError after max_backtracks rejected powers.
     """
     if not delta < 0:
         raise ValueError(f"line search needs a strict descent prediction, got Delta={delta}")
+    if residuals is None:
+        residuals = (obj.residual(state.u), apply_gram(obj.inst, d))
+    r, gd = residuals
     reference = max(state.window)
     alpha = 1.0
     for _ in range(config.max_backtracks):
         u_trial = state.u + alpha * d
-        r_trial = obj.residual(u_trial)
+        r_trial = r + alpha * gd
         f_trial = obj.value_from_residual(r_trial)
         penalized = f_trial + float(np.abs(u_trial).sum())
         if penalized <= reference + config.sigma_ls * alpha * delta:
@@ -250,11 +267,15 @@ def solve_subproblem(
     line-search failure or cap exhaustion the best iterate seen (by penalized
     objective) is returned with a flagged status; the caller decides whether
     to accept it.
+
+    Start-up costs one Gram product (the gradient) when ``obj.gram_u0`` holds
+    X^T X u0, two otherwise; each iteration then costs two (G d and the new
+    gradient).
     """
     if config.tol_sub is None:
         raise ValueError("config.tol_sub must be set for a standalone subproblem solve")
     u = np.array(u0, dtype=np.float64)
-    r = obj.residual(u)
+    r = obj.residual(u) if obj.gram_u0 is None else obj.gram_u0 - obj.c
     f = obj.value_from_residual(r)
     g = obj.grad_from_residual(r)
     penalized = f + float(np.abs(u).sum())
@@ -270,8 +291,9 @@ def solve_subproblem(
         if delta > -STATIONARY_RTOL * max(1.0, penalized):
             return SubsolverResult(state.u, state.iteration, "stationary")
         window_max = max(state.window)
+        gd = apply_gram(obj.inst, d)
         try:
-            alpha, trial = line_search(obj, state, d, delta, config)
+            alpha, trial = line_search(obj, state, d, delta, config, residuals=(r, gd))
         except LineSearchError:
             status = "line_search_failure"
             break
@@ -281,6 +303,7 @@ def solve_subproblem(
         state.iteration += 1
         state.window.append(trial.penalized)
         g = g_new
+        r = trial.residual
         penalized = trial.penalized
         if callback is not None:
             callback(

@@ -14,7 +14,7 @@ from dantzig_adm.adm import (
     update_lambda,
     update_z,
 )
-from dantzig_adm.core import Instance
+from dantzig_adm.core import Instance, apply_gram
 from dantzig_adm.subsolver import SubsolverConfig, SubsolverResult
 
 from oracles import (
@@ -250,6 +250,105 @@ class TestUpdateLambda:
         out = update_lambda(inst, lam, beta, z, mu)
         expected = lam + mu * (dense_gram(inst.X) @ beta - inst.X.T @ inst.y - z)
         assert np.allclose(out, expected, rtol=1e-9, atol=1e-9)
+
+
+class TestPrecomputedGram:
+    """The outer steps give the same answer with a held X^T X beta as with a fresh one."""
+
+    def _case(self, seed):
+        rng = np.random.default_rng(seed)
+        inst = _instance(rng, n=6, p=10)
+        beta = rng.standard_normal(inst.p)
+        lam = rng.standard_normal(inst.p)
+        z = rng.standard_normal(inst.p)
+        return inst, beta, lam, z
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_same_result_as_fresh_product(self, seed):
+        inst, beta, lam, z = self._case(seed)
+        held = apply_gram(inst, beta)
+        assert np.array_equal(update_z(inst, beta, lam, 1.3, held), update_z(inst, beta, lam, 1.3))
+        assert np.array_equal(
+            update_lambda(inst, lam, beta, z, 1.3, held), update_lambda(inst, lam, beta, z, 1.3)
+        )
+        assert adm_module._criterion_terms(inst, beta, lam, held) == adm_module._criterion_terms(
+            inst, beta, lam
+        )
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_dense_gram_product_agrees(self, seed):
+        inst, beta, lam, z = self._case(seed)
+        dense = dense_gram(inst.X) @ beta
+        np.testing.assert_allclose(
+            update_z(inst, beta, lam, 1.3, dense), update_z(inst, beta, lam, 1.3),
+            rtol=1e-10, atol=1e-12,
+        )
+        np.testing.assert_allclose(
+            update_lambda(inst, lam, beta, z, 1.3, dense), update_lambda(inst, lam, beta, z, 1.3),
+            rtol=1e-10, atol=1e-12,
+        )
+        np.testing.assert_allclose(
+            adm_module._criterion_terms(inst, beta, lam, dense),
+            adm_module._criterion_terms(inst, beta, lam),
+            rtol=1e-10, atol=1e-12,
+        )
+
+    def test_wrong_length_rejected(self):
+        inst, beta, lam, z = self._case(0)
+        bad = np.zeros(inst.p + 1)
+        with pytest.raises(ValueError):
+            update_z(inst, beta, lam, 1.0, bad)
+        with pytest.raises(ValueError):
+            update_lambda(inst, lam, beta, z, 1.0, bad)
+        with pytest.raises(ValueError):
+            adm_module._criterion_terms(inst, beta, lam, bad)
+
+
+class _CountingDesign(np.ndarray):
+    """A view of X that counts the matrix-vector products made with it."""
+
+    products = [0]
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = tuple(np.asarray(x) if isinstance(x, _CountingDesign) else x for x in inputs)
+        if ufunc is np.matmul and method == "__call__":
+            self.products[0] += 1
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+class TestOuterCost:
+    def test_three_products_plus_two_per_inner_iteration(self, gram_calls, monkeypatch):
+        rng = np.random.default_rng(29)
+        inst = _instance(rng, n=8, p=20)
+        inst.xty  # cache X^T y before counting
+        products = _CountingDesign.products
+        object.__setattr__(inst, "X", inst.X.view(_CountingDesign))
+        inner = []
+        original = adm_module.solve_subproblem
+
+        def recording(obj, u0, config, callback=None):
+            result = original(obj, u0, config, callback)
+            inner.append(result.iterations)
+            return result
+
+        monkeypatch.setattr(adm_module, "solve_subproblem", recording)
+        products[0] = gram_calls[0] = 0
+        seen = []
+        _, _, report = solve(
+            inst,
+            AdmConfig(mu=1.0, tol=1e-5, max_outer_iter=40),
+            beta0=rng.standard_normal(inst.p),
+            callback=lambda rec: seen.append((gram_calls[0], products[0])),
+        )
+        assert report.outer_iterations == len(seen) == len(inner) > 5
+        # start-up: G beta0 and the first stopping test
+        calls_before, products_before = 1, 2 * 2
+        for (calls, prods), inner_iters in zip(seen, inner):
+            # apply_gram: G beta and the inner start-up gradient; the stopping
+            # test's own product goes through X directly
+            assert calls - calls_before == 2 + 2 * inner_iters
+            assert prods - products_before == 2 * (3 + 2 * inner_iters)
+            calls_before, products_before = calls, prods
 
 
 class TestAdmConfig:

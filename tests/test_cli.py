@@ -115,6 +115,37 @@ class TestSolve:
         monkeypatch.setattr(cli.adm, "solve", failing)
         assert cli.main(["solve", str(out)]) == 3
 
+    def test_iteration_cap_is_not_converged_and_writes_outputs(self, tmp_path, capsys):
+        out = tmp_path / "inst"
+        assert cli.main(_gen_args(out)) == 0
+        assert cli.main(["solve", str(out), "--max-outer", "1", "--tol", "1e-12"]) == 4
+        assert "not converged" in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        assert report["status"] == "max_iter"
+        assert report["outer_iterations"] == 1
+        assert fileio.read_vector(out / "beta_tilde.mtx").shape == (90,)
+        assert fileio.read_vector(out / "lambda.mtx").shape == (90,)
+        assert fileio.read_manifest(out / "run_manifest.txt")["status"] == "max_iter"
+
+    def test_manifest_without_delta_is_io_error(self, tmp_path, capsys):
+        out = tmp_path / "inst"
+        assert cli.main(_gen_args(out)) == 0
+        manifest = out / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("\n".join(l for l in lines if not l.startswith("delta")) + "\n")
+        assert cli.main(["solve", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "delta" in err and "Traceback" not in err
+        assert cli.main(["solve", str(out), "--delta", "0.1"]) == 0
+
+    @pytest.mark.parametrize("name", ["X.mtx", "y.mtx"])
+    def test_malformed_matrix_market_file_is_io_error(self, tmp_path, capsys, name):
+        out = tmp_path / "inst"
+        assert cli.main(_gen_args(out)) == 0
+        (out / name).write_text("not a matrix market file\n")
+        assert cli.main(["solve", str(out)]) == 2
+        assert name in capsys.readouterr().err
+
 
 class TestBench:
     def test_deterministic_csv_with_fixed_seed(self, tmp_path):

@@ -4,7 +4,7 @@ from collections import deque
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dantzig_adm.core import Instance, soft_thresh
+from dantzig_adm.core import Instance, apply_gram, soft_thresh
 from dantzig_adm.subsolver import (
     InnerState,
     LineSearchError,
@@ -158,6 +158,47 @@ def _armijo_accepts(obj, u, window_vals, d, delta, alpha, sigma_ls):
     return value <= max(window_vals) + sigma_ls * alpha * delta
 
 
+def _curvature_rejections(mu):
+    """How many powers of eta an independent Armijo check rejects at curvature mu."""
+    obj = _scalar_objective(x_entry=1.0, y_val=1.0, mu=mu)
+    u = np.array([1.5])
+    config = SubsolverConfig(tol_sub=1e-8, memory=0)
+    g = grad_fk(obj, u)
+    d, delta = search_direction(obj, u, 1.0, grad=g)
+    window = [
+        penalized_value_dense(obj.inst.X, obj.inst.y, obj.z_fixed, obj.lambda_fixed, obj.mu, u)
+    ]
+    rejections = 0
+    alpha = 1.0
+    while not _armijo_accepts(obj, u, window, d, delta, alpha, config.sigma_ls):
+        rejections += 1
+        alpha *= config.eta
+        if rejections > 50:
+            break
+    return rejections, (obj, u, d, delta, config)
+
+
+def _steep_quadratic_case():
+    """(obj, u, d, delta, config) whose first step the Armijo oracle rejects exactly twice.
+
+    Bisects the curvature of a scalar quadratic until the independent
+    predicate rejects alpha = 1 and alpha = eta but accepts eta^2.
+    """
+    lo, hi = 1.0, 4096.0
+    assert _curvature_rejections(lo)[0] <= 2
+    assert _curvature_rejections(hi)[0] > 2
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        rejections, case = _curvature_rejections(mid)
+        if rejections == 2:
+            return case
+        if rejections < 2:
+            lo = mid
+        else:
+            hi = mid
+    raise AssertionError("no curvature with exactly two rejections found")
+
+
 class TestLineSearch:
     def _state(self, obj, u, memory):
         value = penalized_value_dense(
@@ -185,44 +226,10 @@ class TestLineSearch:
         with pytest.raises(ValueError):
             line_search(obj, state, np.array([-1.0]), 0.0, config)
 
-    def _curvature_rejections(self, mu):
-        """How many powers of eta an independent Armijo check rejects at curvature mu."""
-        obj = _scalar_objective(x_entry=1.0, y_val=1.0, mu=mu)
-        u = np.array([1.5])
-        config = SubsolverConfig(tol_sub=1e-8, memory=0)
-        g = grad_fk(obj, u)
-        d, delta = search_direction(obj, u, 1.0, grad=g)
-        window = [
-            penalized_value_dense(obj.inst.X, obj.inst.y, obj.z_fixed, obj.lambda_fixed, obj.mu, u)
-        ]
-        rejections = 0
-        alpha = 1.0
-        while not _armijo_accepts(obj, u, window, d, delta, alpha, config.sigma_ls):
-            rejections += 1
-            alpha *= config.eta
-            if rejections > 50:
-                break
-        return rejections, (obj, u, d, delta, config)
-
     def test_exactly_two_backtracks_on_steep_quadratic(self):
-        # bisect the curvature until the independent predicate rejects exactly
-        # alpha = 1 and alpha = eta, then check the implementation agrees
-        lo, hi = 1.0, 4096.0
-        assert self._curvature_rejections(lo)[0] <= 2
-        assert self._curvature_rejections(hi)[0] > 2
-        mu = None
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            rejections, _ = self._curvature_rejections(mid)
-            if rejections == 2:
-                mu = mid
-                break
-            if rejections < 2:
-                lo = mid
-            else:
-                hi = mid
-        assert mu is not None, "no curvature with exactly two rejections found"
-        _, (obj, u, d, delta, config) = self._curvature_rejections(mu)
+        # the independent predicate rejects exactly alpha = 1 and alpha = eta
+        # here; check the implementation agrees
+        obj, u, d, delta, config = _steep_quadratic_case()
         state = self._state(obj, u, config.memory)
         alpha, _ = line_search(obj, state, d, delta, config)
         assert alpha == pytest.approx(config.eta**2)
@@ -262,12 +269,55 @@ class TestLineSearch:
         assert found, "no curvature exhibiting nonmonotone acceptance found"
 
     def test_backtrack_budget_exhaustion_raises(self):
-        rejections, (obj, u, d, delta, config) = self._curvature_rejections(4096.0)
+        rejections, (obj, u, d, delta, config) = _curvature_rejections(4096.0)
         assert rejections > 3
         tight = SubsolverConfig(tol_sub=1e-8, memory=0, max_backtracks=3)
         state = self._state(obj, u, tight.memory)
         with pytest.raises(LineSearchError):
             line_search(obj, state, d, delta, tight)
+
+    def test_given_residuals_cost_no_gram_product(self, gram_calls):
+        obj, u, d, delta, config = _steep_quadratic_case()
+        state = self._state(obj, u, config.memory)
+        residuals = (obj.residual(u), apply_gram(obj.inst, d))
+        gram_calls[0] = 0
+        alpha, _ = line_search(obj, state, d, delta, config, residuals=residuals)
+        assert alpha == pytest.approx(config.eta**2)
+        assert gram_calls[0] == 0
+        line_search(obj, state, d, delta, config)
+        assert gram_calls[0] == 2
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_reused_residual_matches_fresh_evaluation(self, seed):
+        # unit spectral step on a random problem, so many searches backtrack
+        rng = np.random.default_rng(100 + seed)
+        obj = _objective(rng, n=6, p=10, mu=float(rng.uniform(0.5, 20.0)))
+        u = rng.standard_normal(10)
+        d, delta = search_direction(obj, u, 1.0)
+        config = SubsolverConfig(tol_sub=1e-8, memory=0)
+        state = self._state(obj, u, config.memory)
+        residuals = (obj.residual(u), apply_gram(obj.inst, d))
+        _, trial = line_search(obj, state, d, delta, config, residuals=residuals)
+        fresh = obj.residual(trial.u)
+        assert np.linalg.norm(trial.residual - fresh) <= 1e-12 * np.linalg.norm(fresh)
+        dense = penalized_value_dense(
+            obj.inst.X, obj.inst.y, obj.z_fixed, obj.lambda_fixed, obj.mu, trial.u
+        )
+        assert trial.penalized == pytest.approx(dense, rel=1e-10, abs=1e-12)
+        assert trial.smooth == pytest.approx(obj.value(trial.u), rel=1e-10, abs=1e-12)
+
+    def test_reused_residual_matches_fresh_after_backtracks(self):
+        obj, u, d, delta, config = _steep_quadratic_case()
+        state = self._state(obj, u, config.memory)
+        residuals = (obj.residual(u), apply_gram(obj.inst, d))
+        alpha, trial = line_search(obj, state, d, delta, config, residuals=residuals)
+        assert alpha < 1.0
+        fresh = obj.residual(trial.u)
+        assert np.linalg.norm(trial.residual - fresh) <= 1e-12 * np.linalg.norm(fresh)
+        dense = penalized_value_dense(
+            obj.inst.X, obj.inst.y, obj.z_fixed, obj.lambda_fixed, obj.mu, trial.u
+        )
+        assert trial.penalized == pytest.approx(dense, rel=1e-10, abs=1e-12)
 
 
 class TestBBStep:
@@ -330,6 +380,52 @@ class TestInnerTerminationMetric:
         fval = 0.5 * obj.mu * float((G @ u - c) @ (G @ u - c))
         expected = np.linalg.norm(moved - u) / max(fval + np.abs(u).sum(), 1.0)
         assert got == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+
+class TestGramCost:
+    """Cost model: start-up, then two Gram products per iteration whatever the backtracks."""
+
+    def _run(self, obj, u0, config):
+        alphas = []
+        result = solve_subproblem(obj, u0, config, callback=lambda rec: alphas.append(rec.alpha))
+        return result, alphas
+
+    def test_two_products_per_iteration_with_backtracks(self, gram_calls):
+        obj, u, _, _, config = _steep_quadratic_case()
+        gram_calls[0] = 0
+        result, alphas = self._run(obj, u, config)
+        assert result.succeeded
+        assert result.iterations >= 1
+        assert alphas[0] == pytest.approx(config.eta**2)  # two backtracks, one iteration
+        assert gram_calls[0] == 2 + 2 * result.iterations
+
+    def test_warm_start_gram_saves_one_product(self, gram_calls):
+        obj, u, _, _, config = _steep_quadratic_case()
+        gram_calls[0] = 0
+        cold, _ = self._run(obj, u, config)
+        assert gram_calls[0] == 2 + 2 * cold.iterations
+        warm_obj = SubproblemObjective(
+            obj.inst, obj.z_fixed, obj.lambda_fixed, obj.mu, gram_u0=apply_gram(obj.inst, u)
+        )
+        gram_calls[0] = 0
+        warm, _ = self._run(warm_obj, u, config)
+        assert gram_calls[0] == 1 + 2 * warm.iterations
+        assert warm.iterations == cold.iterations
+        assert np.array_equal(warm.u, cold.u)
+
+    def test_backtracks_cost_nothing_on_random_problem(self, gram_calls):
+        rng = np.random.default_rng(17)
+        obj = _objective(rng, n=8, p=14, mu=6.0)
+        config = SubsolverConfig(tol_sub=1e-9, memory=0)
+        result, alphas = self._run(obj, np.zeros(14), config)
+        assert result.succeeded
+        assert any(alpha < 1.0 for alpha in alphas)
+        assert gram_calls[0] == 2 + 2 * result.iterations
+
+    def test_gram_u0_length_checked(self):
+        inst = Instance(X=np.eye(3), y=np.zeros(3), delta=1.0)
+        with pytest.raises(ValueError):
+            SubproblemObjective(inst, np.zeros(3), np.zeros(3), 1.0, gram_u0=np.zeros(4))
 
 
 class TestSolveSubproblem:
