@@ -5,11 +5,17 @@ nonmonotone gradient method for an approximate beta, then takes a multiplier
 ascent step on lambda.  Termination uses the relative duality gap together
 with primal and dual infeasibility ratios.
 
-The product G beta (G = X^T X) is formed once per outer iteration, fresh after
-the inner solve, and shared by the multiplier step, the primal stopping term,
-the next z update and the next inner warm start.  With the stopping test's
-own product (X lambda, then X^T) and the inner start-up gradient, an outer
-iteration costs three Gram products plus two per inner iteration.
+The outer step is read off the inner solver.  With G = X^T X and
+c = X^T y + z - lambda/mu, the inner solver returns beta together with the
+residual r = G beta - c and the gradient g = mu G r it already holds.  So
+G beta = r + c, the multiplier step lambda + mu (G beta - X^T y - z) equals
+mu r, and X^T X lambda_next = g.  G beta serves the multiplier step, the
+primal stopping term, the next z update and the next inner warm start; g
+serves the dual stopping term; and the dual objective uses the cached X^T y.
+An outer iteration therefore costs one Gram product (the inner start-up
+gradient) plus two per inner iteration.  When the inner solver returns its
+best earlier iterate instead of its final one, G beta and X^T X lambda are
+formed fresh, two more products.
 """
 
 from __future__ import annotations
@@ -137,11 +143,11 @@ def update_z(
 
 
 def dual_objective(inst: Instance, lam: np.ndarray) -> float:
-    """d(lambda) = -y^T X lambda - delta * sum_j d_j |lambda_j|."""
+    """d(lambda) = -y^T X lambda - delta * sum_j d_j |lambda_j|, from the cached X^T y."""
     lam = np.asarray(lam, dtype=np.float64)
     if lam.shape != (inst.p,):
         raise ValueError(f"lambda must have length {inst.p}, got {lam.shape}")
-    return -float(inst.y @ (inst.X @ lam)) - inst.delta * float(inst.d @ np.abs(lam))
+    return -float(inst.xty @ lam) - inst.delta * float(inst.d @ np.abs(lam))
 
 
 def dual_infeasibility(inst: Instance, lam: np.ndarray) -> float:
@@ -150,12 +156,17 @@ def dual_infeasibility(inst: Instance, lam: np.ndarray) -> float:
 
 
 def _criterion_terms(
-    inst: Instance, beta: np.ndarray, lam: np.ndarray, gram_beta: np.ndarray | None = None
+    inst: Instance,
+    beta: np.ndarray,
+    lam: np.ndarray,
+    gram_beta: np.ndarray | None = None,
+    gram_lam: np.ndarray | None = None,
 ):
-    """The three stopping ratios plus the dual objective (shares matvecs).
+    """The three stopping ratios plus the dual objective.
 
-    The primal term uses X^T X beta - X^T y; pass ``gram_beta`` to reuse a
-    held X^T X beta.  The dual terms cost one Gram product, X lam then X^T.
+    The primal term uses X^T X beta - X^T y and the dual term X^T X lam; pass
+    ``gram_beta`` and ``gram_lam`` to reuse held products, else each costs
+    one Gram product.  The dual objective uses the cached X^T y.
     """
     beta = np.asarray(beta, dtype=np.float64)
     lam = np.asarray(lam, dtype=np.float64)
@@ -168,9 +179,10 @@ def _criterion_terms(
     primal = (float(np.abs(corr / inst.d).max()) - inst.delta) / max(
         float(np.linalg.norm(beta)), 1.0
     )
-    x_lam = inst.X @ lam
-    dual_value = -float(inst.y @ x_lam) - inst.delta * float(inst.d @ np.abs(lam))
-    dual = (float(np.abs(inst.X.T @ x_lam).max()) - 1.0) / max(float(np.linalg.norm(lam)), 1.0)
+    dual_value = dual_objective(inst, lam)
+    dual = (float(np.abs(_gram(inst, lam, gram_lam)).max()) - 1.0) / max(
+        float(np.linalg.norm(lam)), 1.0
+    )
     gap = abs(beta_l1 - dual_value) / max(beta_l1, 1.0)
     return gap, primal, dual, dual_value
 
@@ -219,11 +231,11 @@ def solve(
     """Run the alternating direction method from (beta0, lambda0), default zeros.
 
     Per iteration: closed-form z update, inner solve for beta warm-started at
-    the previous beta, multiplier step, then the stopping test.  X^T X beta is
-    computed once after each inner solve and shared by the steps that need it
-    (see the module docstring for the cost per iteration).  A subsolver
-    that misses its tolerance contributes its best iterate and is counted in
-    the report.  Non-finite values end the run with status numerical_failure,
+    the previous beta, multiplier step, then the stopping test.  X^T X beta
+    and X^T X lambda come from the inner solver's residual and gradient (see
+    the module docstring for the identities and the cost per iteration).  A
+    subsolver that misses its tolerance contributes its best iterate and is
+    counted in the report.  Non-finite values end the run with status numerical_failure,
     returning the state at failure.
     """
     p = inst.p
@@ -253,7 +265,12 @@ def solve(
         if not result.succeeded:
             sub_failures += 1
         state.beta = result.u
-        gram_beta = apply_gram(inst, state.beta)
+        if result.residual is None:  # the best earlier iterate: nothing held for it
+            gram_beta = apply_gram(inst, state.beta)
+            gram_lam = None
+        else:  # G beta = r + c; the multiplier step is mu r, so X^T X lambda = g
+            gram_beta = result.residual + objective.c
+            gram_lam = result.gradient
         state.lam = update_lambda(inst, state.lam, state.beta, state.z, config.mu, gram_beta)
         state.iteration += 1
 
@@ -264,7 +281,9 @@ def solve(
         ):
             status = STATUS_NUMERICAL_FAILURE
             break
-        gap, primal, dual, dual_value = _criterion_terms(inst, state.beta, state.lam, gram_beta)
+        gap, primal, dual, dual_value = _criterion_terms(
+            inst, state.beta, state.lam, gram_beta, gram_lam
+        )
         metric = max(gap, primal, dual)
         metric_history.append(metric)
         dual_history.append(dual_value)

@@ -22,7 +22,7 @@ from . import __version__, adm, fileio
 from .adm import AdmConfig
 from .core import Instance
 from .datagen import GenSpec, make_instance, mu_rule, tol_rule
-from .evaluation import evaluate_solution, two_stage
+from .evaluation import evaluate_solution, feasibility_report, two_stage
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -209,7 +209,10 @@ def _cmd_solve(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     fileio.write_vector(out / "beta_tilde.mtx", beta_tilde)
     fileio.write_vector(out / "lambda.mtx", lam)
-    (out / "report.json").write_text(json.dumps(dataclasses.asdict(report), indent=2) + "\n")
+    certificate = feasibility_report(inst, beta_tilde, lam)._asdict()
+    (out / "report.json").write_text(
+        json.dumps({**dataclasses.asdict(report), "certificate": certificate}, indent=2) + "\n"
+    )
     fileio.write_manifest(
         out / "run_manifest.txt",
         {

@@ -7,6 +7,25 @@ from functools import cached_property
 
 import numpy as np
 
+# Below this many entries X stays in cache, and a dense X v takes less time
+# than building the one-row sparse matrix of the restricted product (~20 us).
+RESTRICTED_MIN_ENTRIES = 1 << 18
+
+
+def _column_major(X: np.ndarray) -> np.ndarray:
+    """X in Fortran order, copied in blocks of 64 rows when it is not already.
+
+    A block reads 64 whole rows and writes 64 contiguous entries of each
+    column, so both sides stay in cache; np.asfortranarray copies in element
+    order and takes about twice as long on a large X.
+    """
+    if X.flags.f_contiguous:
+        return X
+    out = np.empty(X.shape[::-1])
+    for start in range(0, X.shape[0], 64):
+        out[:, start : start + 64] = X[start : start + 64].T
+    return out.T
+
 
 def _as_vector(v, length: int | None, name: str) -> np.ndarray:
     arr = np.asarray(v, dtype=np.float64)
@@ -22,13 +41,19 @@ class Instance:
     """Problem data (X, y, delta) for min ||beta||_1 s.t. ||D^-1 X^T(X beta - y)||_inf <= delta.
 
     D is the diagonal matrix of column norms of X; only its diagonal ``d`` is
-    stored.  The p x p Gram matrix X^T X is never formed (at n=7200, p=25600 it
-    would need about 5 GB); the solver applies it as two matrix-vector
-    products, through :func:`apply_gram` or, in the stopping test, with X
-    directly.  One such Gram product is the solver's cost unit: an outer
-    iteration costs 3 and an inner iteration 2, however many line-search
-    backtracks it takes.  Instances are immutable after construction and safe
-    to share across concurrent solves.
+    stored.  ``X`` is held in column-major (Fortran) order, so each column is
+    contiguous and ``X.T`` is a C-contiguous p x n array.  The column norms
+    and the finiteness checks run on the input as given (``d`` is always
+    summed in row-major order, so it does not depend on the input's layout);
+    a row-major input is then converted once, and no second copy is kept.
+
+    The p x p Gram matrix X^T X is never formed (at n=7200, p=25600 it would
+    need about 5 GB); :func:`apply_gram` applies it as two matrix-vector
+    products, and on a large X forms X v from the nonzero columns of v alone
+    when at most half of v is nonzero.  One Gram product is the solver's cost
+    unit: an outer iteration costs 1 and an inner iteration 2, however many
+    line-search backtracks it takes.  Instances are immutable after
+    construction and safe to share across concurrent solves.
     """
 
     X: np.ndarray
@@ -37,7 +62,7 @@ class Instance:
     d: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        X = np.ascontiguousarray(self.X, dtype=np.float64)
+        X = np.asarray(self.X, dtype=np.float64)
         if X.ndim != 2:
             raise ValueError(f"X must be a 2-d matrix, got shape {X.shape}")
         y = _as_vector(self.y, X.shape[0], "y")
@@ -48,10 +73,11 @@ class Instance:
             raise ValueError("y contains non-finite entries")
         if not np.isfinite(delta) or delta <= 0:
             raise ValueError(f"delta must be a positive finite scalar, got {delta}")
-        d = np.linalg.norm(X, axis=0)
+        # summed in row-major order whatever the layout, so d never depends on it
+        d = np.linalg.norm(np.ascontiguousarray(X), axis=0)
         if np.any(d <= 0):
             raise ValueError("X has a zero column; every column norm must be positive")
-        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "X", _column_major(X))
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "d", d)
@@ -71,8 +97,24 @@ class Instance:
 
 
 def apply_gram(inst: Instance, v: np.ndarray) -> np.ndarray:
-    """Apply the Gram operator v -> X^T (X v) as two matrix-vector products."""
+    """Apply the Gram operator v -> X^T (X v) as two matrix-vector products.
+
+    When at most half of v is nonzero and X has at least
+    RESTRICTED_MIN_ENTRIES entries, X v is formed from the nonzero columns
+    only, as a one-row sparse matrix times the C-contiguous X^T: this reads
+    just those rows of X^T and builds no n x |S| temporary.
+    """
     v = _as_vector(v, inst.p, "v")
+    if inst.X.size >= RESTRICTED_MIN_ENTRIES:
+        support = np.flatnonzero(v)
+        if 2 * support.size <= inst.p:
+            # Imported on first use: at module level, ahead of the scipy.io
+            # import in fileio, it made a fresh `import dantzig_adm.cli`
+            # about 30 ms slower.
+            from scipy.sparse import csr_array
+
+            row = csr_array((v[support], support, [0, support.size]), shape=(1, inst.p))
+            return inst.X.T @ (row @ inst.X.T)[0]
     return inst.X.T @ (inst.X @ v)
 
 

@@ -81,7 +81,8 @@ def gen_design(spec: GenSpec) -> np.ndarray:
         norms = np.linalg.norm(g, axis=0)
         if np.any(norms == 0):
             raise np.linalg.LinAlgError("drew a zero column (probability-zero event)")
-        return g / norms
+        g /= norms
+        return g
     # orthogonal_rows: retry on (probability ~0) rank deficiency, then give up
     last_error = None
     for _ in range(4):
@@ -148,14 +149,6 @@ def tol_rule(design_kind: str) -> float:
     if design_kind not in DESIGN_KINDS:
         raise ValueError(f"design_kind must be one of {DESIGN_KINDS}, got {design_kind!r}")
     return 1e-3 if design_kind == "unit_columns" else 2e-4
-
-
-def default_mu(spec: GenSpec, delta: float) -> float:
-    return mu_rule(spec.design_kind, spec.p, delta)
-
-
-def default_tol(spec: GenSpec) -> float:
-    return tol_rule(spec.design_kind)
 
 
 def make_instance(spec: GenSpec, delta: float | None = None) -> tuple[Instance, GroundTruth]:

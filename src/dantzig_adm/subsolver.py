@@ -13,7 +13,13 @@ The residual r(u) = X^T X u - c is linear in u, so r(u + a d) = r(u) + a G d
 with G = X^T X.  Each iteration forms G d once and gets every line-search
 trial residual by an axpy; the gradient at the accepted point is one more
 Gram product.  An iteration therefore costs two Gram products however many
-backtracks it takes.
+backtracks it takes.  The direction d is sparse (it is nonzero only where
+u or its prox step is), so G d is the cheaper, support-restricted product of
+:func:`~dantzig_adm.core.apply_gram`.
+
+When the returned u is the final iterate, the result also carries r(u) and
+the gradient mu G r(u).  The outer loop reads G u = r + c, its multiplier
+step and the multiplier's Gram product off these, with no product of its own.
 """
 
 from __future__ import annotations
@@ -155,9 +161,18 @@ class InnerIterationRecord:
 
 @dataclass(frozen=True, eq=False)
 class SubsolverResult:
+    """Returned iterate and how the run ended.
+
+    ``residual`` is r(u) = X^T X u - c and ``gradient`` is mu X^T X r(u), both
+    as held by the solver, when u is its final iterate; both are None when
+    the best earlier iterate is returned instead.
+    """
+
     u: np.ndarray
     iterations: int
     status: str  # converged | stationary | max_iter | line_search_failure
+    residual: np.ndarray | None = field(default=None, repr=False)
+    gradient: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def succeeded(self) -> bool:
@@ -266,7 +281,7 @@ def solve_subproblem(
     predicted decrease vanishes (fixed point), or at the iteration cap.  On
     line-search failure or cap exhaustion the best iterate seen (by penalized
     objective) is returned with a flagged status; the caller decides whether
-    to accept it.
+    to accept it.  Only a final iterate comes with its residual and gradient.
 
     Start-up costs one Gram product (the gradient) when ``obj.gram_u0`` holds
     X^T X u0, two otherwise; each iteration then costs two (G d and the new
@@ -286,10 +301,10 @@ def solve_subproblem(
 
     while state.iteration < config.max_inner_iter:
         if inner_termination_metric(obj, state.u, grad=g, penalized=penalized) <= config.tol_sub:
-            return SubsolverResult(state.u, state.iteration, "converged")
+            return SubsolverResult(state.u, state.iteration, "converged", r, g)
         d, delta = search_direction(obj, state.u, state.bar_alpha, grad=g)
         if delta > -STATIONARY_RTOL * max(1.0, penalized):
-            return SubsolverResult(state.u, state.iteration, "stationary")
+            return SubsolverResult(state.u, state.iteration, "stationary", r, g)
         window_max = max(state.window)
         gd = apply_gram(obj.inst, d)
         try:
@@ -323,5 +338,5 @@ def solve_subproblem(
             best_u, best_penalized = trial.u, trial.penalized
 
     if status == "max_iter" and inner_termination_metric(obj, state.u, grad=g, penalized=penalized) <= config.tol_sub:
-        return SubsolverResult(state.u, state.iteration, "converged")
+        return SubsolverResult(state.u, state.iteration, "converged", r, g)
     return SubsolverResult(best_u, state.iteration, status)

@@ -200,6 +200,27 @@ def ista_reference(X, y, z, lam, mu, u0, tol=1e-12, max_iter=2_000_000):
     return u, objective(u), converged
 
 
+def certificate_dense(X, y, delta, beta, lam) -> dict:
+    """Primal violation, dual violation and duality gap from dense X^T X.
+
+    The positive parts of max_j |(X^T X beta - X^T y)_j| / ||x_j|| - delta and
+    max_j |(X^T X lam)_j| - 1, and | ||beta||_1 - d(lam) | with the dual objective
+    d(lam) = -y^T X lam - delta * sum_j ||x_j|| |lam_j|.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    G = dense_gram(X)
+    h = X.T @ np.asarray(y, dtype=np.float64)
+    d = np.sqrt((X * X).sum(axis=0))
+    beta = np.asarray(beta, dtype=np.float64)
+    lam = np.asarray(lam, dtype=np.float64)
+    dual_value = -float(h @ lam) - delta * float(d @ np.abs(lam))
+    return {
+        "primal_violation": max(float(np.abs((G @ beta - h) / d).max()) - delta, 0.0),
+        "dual_violation": max(float(np.abs(G @ lam).max()) - 1.0, 0.0),
+        "gap": abs(float(np.abs(beta).sum()) - dual_value),
+    }
+
+
 def random_instance_arrays(rng, n, p, delta_scale=0.5):
     """Random dense (X, y, delta) with delta a fraction of ||D^-1 X^T y||_inf."""
     X = rng.standard_normal((n, p))

@@ -57,6 +57,7 @@ def _benchmark_statistics(design_kind: str, sigma: float, seeds=range(10)):
     )
 
 
+@pytest.mark.slow
 class TestStatisticalBenchmarks:
     def test_criterion_1_unit_design_sigma_005(self):
         iter_mean, iter_max, rho2, rho2_orig, statuses = _benchmark_statistics(

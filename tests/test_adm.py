@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dantzig_adm.adm as adm_module
+import dantzig_adm.core as core_module
+import dantzig_adm.subsolver as subsolver_module
 from dantzig_adm.adm import (
     AdmConfig,
     augmented_lagrangian,
@@ -317,38 +319,110 @@ class _CountingDesign(np.ndarray):
 
 
 class TestOuterCost:
-    def test_three_products_plus_two_per_inner_iteration(self, gram_calls, monkeypatch):
-        rng = np.random.default_rng(29)
-        inst = _instance(rng, n=8, p=20)
-        inst.xty  # cache X^T y before counting
+    def _count(self, monkeypatch, inst):
+        """Count apply_gram calls and the X products made outside apply_gram."""
         products = _CountingDesign.products
         object.__setattr__(inst, "X", inst.X.view(_CountingDesign))
+        calls, inside = [0], [0]
+        original = core_module.apply_gram
+
+        def counting(inst_, v):
+            calls[0] += 1
+            before = products[0]
+            result = original(inst_, v)
+            inside[0] += products[0] - before
+            return result
+
+        monkeypatch.setattr(subsolver_module, "apply_gram", counting)
+        monkeypatch.setattr(adm_module, "apply_gram", counting)
+        products[0] = 0
+
+        def direct():
+            return products[0] - inside[0]
+
+        return calls, direct
+
+    def _record_inner(self, monkeypatch, strip_first=False):
+        """Record inner iteration counts; optionally drop the first result's residual."""
         inner = []
         original = adm_module.solve_subproblem
 
         def recording(obj, u0, config, callback=None):
             result = original(obj, u0, config, callback)
+            if strip_first and not inner:
+                result = SubsolverResult(u=result.u, iterations=result.iterations,
+                                         status=result.status)
             inner.append(result.iterations)
             return result
 
         monkeypatch.setattr(adm_module, "solve_subproblem", recording)
-        products[0] = gram_calls[0] = 0
+        return inner
+
+    @pytest.mark.parametrize("n, p", [(8, 20), (30, 12)])
+    def test_one_product_plus_two_per_inner_iteration(self, monkeypatch, n, p):
+        rng = np.random.default_rng(29)
+        inst = _instance(rng, n=n, p=p)
+        inst.xty  # cache X^T y before counting
+        calls, direct = self._count(monkeypatch, inst)
+        inner = self._record_inner(monkeypatch)
         seen = []
         _, _, report = solve(
             inst,
             AdmConfig(mu=1.0, tol=1e-5, max_outer_iter=40),
             beta0=rng.standard_normal(inst.p),
-            callback=lambda rec: seen.append((gram_calls[0], products[0])),
+            callback=lambda rec: seen.append((calls[0], direct())),
         )
         assert report.outer_iterations == len(seen) == len(inner) > 5
-        # start-up: G beta0 and the first stopping test
-        calls_before, products_before = 1, 2 * 2
-        for (calls, prods), inner_iters in zip(seen, inner):
-            # apply_gram: G beta and the inner start-up gradient; the stopping
-            # test's own product goes through X directly
-            assert calls - calls_before == 2 + 2 * inner_iters
-            assert prods - products_before == 2 * (3 + 2 * inner_iters)
-            calls_before, products_before = calls, prods
+        # start-up: G beta0 and G lambda0 for the first stopping test
+        calls_before = 2
+        for (count, direct_products), inner_iters in zip(seen, inner):
+            # only the inner start-up gradient and the inner iterations
+            assert count - calls_before == 1 + 2 * inner_iters
+            # z clamp, multiplier step and stopping test make no X product
+            assert direct_products == 0
+            calls_before = count
+
+    def test_best_iterate_gets_fresh_products(self, monkeypatch):
+        rng = np.random.default_rng(30)
+        inst = _instance(rng, n=8, p=20)
+        inst.xty  # cache X^T y before counting
+        calls, direct = self._count(monkeypatch, inst)
+        inner = self._record_inner(monkeypatch, strip_first=True)
+        seen = []
+        _, _, report = solve(
+            inst,
+            AdmConfig(mu=1.0, tol=1e-5, max_outer_iter=5),
+            callback=lambda rec: seen.append((calls[0], rec)),
+        )
+        assert len(seen) == len(inner) > 2
+        calls_before = 2
+        for k, ((count, rec), inner_iters) in enumerate(zip(seen, inner)):
+            fresh = 2 if k == 0 else 0  # G beta and G lambda, with no residual held
+            assert count - calls_before == 1 + 2 * inner_iters + fresh
+            calls_before = count
+        assert direct() == 0
+        rec = seen[0][1]
+        assert rec.metric == stopping_metric(inst, rec.beta, rec.lam)
+
+
+class TestOuterIdentity:
+    """The outer step read off the inner solver equals the step formed afresh."""
+
+    @pytest.mark.parametrize("seed, n, p, mu", [(31, 8, 20, 1.0), (32, 6, 9, 1.4), (33, 25, 10, 0.7)])
+    def test_multiplier_step_and_metric_match_fresh_products(self, seed, n, p, mu):
+        rng = np.random.default_rng(seed)
+        inst = _instance(rng, n=n, p=p)
+        G = dense_gram(inst.X)
+        h = inst.X.T @ inst.y
+        records = []
+        _, _, report = solve(inst, AdmConfig(mu=mu, tol=1e-6, max_outer_iter=3000),
+                             callback=records.append)
+        assert report.status == "converged" and len(records) > 3
+        for rec in records:
+            expected = rec.lam_prev + mu * (G @ rec.beta - h - rec.z)
+            scale = max(np.abs(expected).max(), np.abs(rec.lam_prev).max())
+            assert np.abs(rec.lam - expected).max() <= 1e-10 * scale
+            assert rec.metric == pytest.approx(stopping_metric(inst, rec.beta, rec.lam), rel=1e-10)
 
 
 class TestAdmConfig:

@@ -2,10 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from scipy import io as spio
 
 import dantzig_adm.cli as cli
 from dantzig_adm import fileio
 from dantzig_adm.adm import RunReport
+from dantzig_adm.datagen import GenSpec, gen_design
+
+from oracles import certificate_dense
 
 
 def _gen_args(out, n=30, p=90, s=4, sigma=0.05, design="unit", seed=1, extra=()):
@@ -44,6 +48,15 @@ class TestGen:
         assert np.array_equal(X, inst.X)
         assert np.array_equal(y, inst.y)
         assert np.array_equal(beta_true, truth.beta_true)
+
+    @pytest.mark.parametrize("design, kind", [("unit", "unit_columns"), ("ortho", "orthogonal_rows")])
+    def test_matrix_file_is_that_of_the_row_major_design(self, tmp_path, design, kind):
+        out = tmp_path / "inst"
+        assert cli.main(_gen_args(out, design=design)) == 0
+        X = gen_design(GenSpec(n=30, p=90, s=4, sigma_noise=0.05, design_kind=kind, seed=1))
+        assert X.flags.c_contiguous
+        spio.mmwrite(str(tmp_path / "expected.mtx"), X)
+        assert (out / "X.mtx").read_bytes() == (tmp_path / "expected.mtx").read_bytes()
 
     def test_orthogonal_design_row_identity(self, tmp_path):
         out = tmp_path / "ortho"
@@ -85,6 +98,23 @@ class TestSolve:
         assert evaluation["rho2"] <= evaluation["rho2_orig"]
         run_manifest = fileio.read_manifest(out / "run_manifest.txt")
         assert run_manifest["status"] == "converged"
+
+    @pytest.mark.parametrize("extra", [(), ("--max-outer", "2")])
+    def test_report_certificate_matches_dense_recomputation(self, tmp_path, extra):
+        out = tmp_path / "inst"
+        assert cli.main(_gen_args(out)) == 0
+        cli.main(["solve", str(out), *extra])
+        certificate = json.loads((out / "report.json").read_text())["certificate"]
+        expected = certificate_dense(
+            fileio.read_matrix(out / "X.mtx"),
+            fileio.read_vector(out / "y.mtx"),
+            float(fileio.read_manifest(out / "manifest.txt")["delta"]),
+            fileio.read_vector(out / "beta_tilde.mtx"),
+            fileio.read_vector(out / "lambda.mtx"),
+        )
+        assert set(certificate) == set(expected)
+        for name, value in expected.items():
+            assert certificate[name] == pytest.approx(value, rel=1e-9, abs=1e-12), name
 
     def test_zero_response_instance(self, tmp_path):
         out = tmp_path / "zero"

@@ -1,9 +1,14 @@
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import dantzig_adm.core as core_module
 from dantzig_adm.core import Instance, apply_gram, box_clamp, soft_thresh
 
 from oracles import box_project_scalar, dense_gram, prox_l1_scalar
@@ -105,6 +110,143 @@ class TestApplyGram:
         left = u @ apply_gram(inst, v)
         right = v @ apply_gram(inst, u)
         assert left == pytest.approx(right, rel=1e-10, abs=1e-10)
+
+
+
+def _support_vector(rng, p, k):
+    v = np.zeros(p)
+    support = rng.choice(p, size=k, replace=False)
+    v[support] = rng.standard_normal(k)
+    return v
+
+
+def _assert_gram_matches_dense(inst, X, v):
+    """apply_gram against X^T (X v) to 1e-12, relative to the entrywise error scale."""
+    got = apply_gram(inst, v)
+    dense = X.T @ (X @ v)
+    scale = float((np.abs(X).T @ (np.abs(X) @ np.abs(v))).max())
+    assert np.abs(got - dense).max() <= 1e-12 * max(scale, np.finfo(float).tiny)
+
+
+@contextmanager
+def _restricted_products(min_entries=None):
+    """Count the restricted products; optionally lower the size from which they are used."""
+    made = [0]
+    original = scipy.sparse.csr_array
+
+    def counting(*args, **kwargs):
+        made[0] += 1
+        return original(*args, **kwargs)
+
+    with mock.patch.object(scipy.sparse, "csr_array", counting):
+        if min_entries is None:
+            yield made
+        else:
+            with mock.patch.object(core_module, "RESTRICTED_MIN_ENTRIES", min_entries):
+                yield made
+
+
+_SUPPORT_SIZES = {
+    "zero": lambda p: 0,
+    "one": lambda p: min(1, p),
+    "half": lambda p: p // 2,
+    "half_plus_one": lambda p: min(p // 2 + 1, p),
+    "full": lambda p: p,
+}
+
+
+class TestRestrictedGram:
+    """X v from the nonzero columns only (at most half of v nonzero) matches the dense product."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 30),
+        p=st.integers(1, 30),
+        size=st.sampled_from(sorted(_SUPPORT_SIZES)),
+    )
+    def test_agrees_with_dense_product(self, seed, n, p, size):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, p))
+        inst = Instance(X=X, y=rng.standard_normal(n), delta=1.0)
+        k = _SUPPORT_SIZES[size](p)
+        with _restricted_products(min_entries=0) as made:
+            _assert_gram_matches_dense(inst, X, _support_vector(rng, p, k))
+        assert made[0] == (2 * k <= p)
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 6, 12])
+    def test_duplicate_columns(self, k):
+        rng = np.random.default_rng(40 + k)
+        X = rng.standard_normal((7, 12))
+        X[:, 3] = X[:, 8]
+        X[:, 0] = X[:, 11]
+        inst = Instance(X=X, y=np.zeros(7), delta=1.0)
+        v = _support_vector(rng, 12, k)
+        v[[3, 8]] = rng.standard_normal(2)
+        with _restricted_products(min_entries=0):
+            _assert_gram_matches_dense(inst, X, v)
+
+    @pytest.mark.parametrize("k", [0, 1, 3, 4, 8])
+    def test_more_rows_than_columns(self, k):
+        rng = np.random.default_rng(50 + k)
+        X = rng.standard_normal((40, 8))
+        inst = Instance(X=X, y=rng.standard_normal(40), delta=1.0)
+        with _restricted_products(min_entries=0):
+            _assert_gram_matches_dense(inst, X, _support_vector(rng, 8, k))
+
+    @pytest.mark.parametrize("size", sorted(_SUPPORT_SIZES))
+    def test_large_design_switches_at_half_support(self, size):
+        rng = np.random.default_rng(44)
+        n, p = 450, 600  # 270000 entries, above RESTRICTED_MIN_ENTRIES
+        X = rng.standard_normal((n, p))
+        inst = Instance(X=X, y=np.zeros(n), delta=1.0)
+        k = _SUPPORT_SIZES[size](p)
+        with _restricted_products() as made:
+            _assert_gram_matches_dense(inst, X, _support_vector(rng, p, k))
+        assert made[0] == (2 * k <= p)
+
+    def test_small_design_uses_the_dense_product(self):
+        rng = np.random.default_rng(45)
+        inst = _random_instance(rng, n=9, p=16)
+        with _restricted_products() as made:
+            apply_gram(inst, _support_vector(rng, 16, 2))
+        assert made[0] == 0
+
+    def test_empty_support_is_exact_zero(self):
+        inst = _random_instance(np.random.default_rng(41), n=9, p=16)
+        with _restricted_products(min_entries=0) as made:
+            assert np.array_equal(apply_gram(inst, np.zeros(16)), np.zeros(16))
+        assert made[0] == 1
+
+
+class TestStorageOrder:
+    def test_column_major_from_either_layout(self):
+        rng = np.random.default_rng(42)
+        X = rng.standard_normal((300, 40))  # long columns: the sum order shows in d
+        y = rng.standard_normal(300)
+        from_c = Instance(X=X, y=y, delta=1.0)
+        from_f = Instance(X=np.asfortranarray(X), y=y, delta=1.0)
+        for inst in (from_c, from_f):
+            assert inst.X.flags.f_contiguous
+            assert inst.X.T.flags.c_contiguous
+        assert np.array_equal(from_c.X, from_f.X)
+        assert np.array_equal(from_c.X, X)
+        assert np.array_equal(from_c.d, from_f.d)
+        assert np.array_equal(from_c.d, np.linalg.norm(X, axis=0))
+
+    def test_strided_input(self):
+        rng = np.random.default_rng(46)
+        wide = rng.standard_normal((150, 90))
+        view = wide[1::2, ::3]  # neither C- nor F-contiguous
+        inst = Instance(X=view, y=np.zeros(75), delta=1.0)
+        assert inst.X.flags.f_contiguous
+        assert np.array_equal(inst.X, view)
+        assert np.array_equal(inst.d, np.linalg.norm(np.ascontiguousarray(view), axis=0))
+
+    def test_fortran_input_is_not_copied(self):
+        rng = np.random.default_rng(43)
+        X = np.asfortranarray(rng.standard_normal((6, 9)))
+        assert Instance(X=X, y=np.zeros(6), delta=1.0).X is X
 
 
 class TestSoftThresh:

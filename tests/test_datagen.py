@@ -6,8 +6,6 @@ import pytest
 from dantzig_adm.datagen import (
     GenSpec,
     default_delta,
-    default_mu,
-    default_tol,
     gen_design,
     gen_response,
     gen_signal,
@@ -161,11 +159,9 @@ class TestDefaultRules:
             2 * mu_rule(design, 640, 0.1), rel=1e-12
         )
 
-    def test_spec_wrappers_match_rules(self):
-        spec = _spec(design_kind="orthogonal_rows")
-        assert default_mu(spec, 0.25) == mu_rule("orthogonal_rows", spec.p, 0.25)
-        assert default_tol(spec) == tol_rule("orthogonal_rows") == 2e-4
-        assert default_tol(_spec()) == tol_rule("unit_columns") == 1e-3
+    def test_tol_rule_per_design(self):
+        assert tol_rule("orthogonal_rows") == 2e-4
+        assert tol_rule("unit_columns") == 1e-3
 
 
 class TestMakeInstance:

@@ -504,3 +504,18 @@ class TestSolveSubproblem:
         assert result.status == "max_iter"
         assert result.iterations == 3
         assert np.isfinite(result.u).all()
+        assert result.residual is None and result.gradient is None
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_final_iterate_carries_its_residual_and_gradient(self, seed):
+        rng = np.random.default_rng(60 + seed)
+        obj = _objective(rng, n=8, p=14, mu=1.5)
+        result = solve_subproblem(obj, np.zeros(14), SubsolverConfig(tol_sub=1e-9))
+        assert result.succeeded and result.iterations > 0
+        G = dense_gram(obj.inst.X)
+        c = obj.inst.X.T @ obj.inst.y + obj.z_fixed - obj.lambda_fixed / obj.mu
+        r = G @ result.u - c
+        np.testing.assert_allclose(result.residual, r, rtol=0, atol=1e-10 * np.abs(c).max())
+        np.testing.assert_allclose(
+            result.gradient, obj.mu * (G @ r), rtol=0, atol=1e-10 * obj.mu * np.abs(G @ c).max()
+        )
