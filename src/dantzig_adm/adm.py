@@ -12,10 +12,16 @@ G beta = r + c, the multiplier step lambda + mu (G beta - X^T y - z) equals
 mu r, and X^T X lambda_next = g.  G beta serves the multiplier step, the
 primal stopping term, the next z update and the next inner warm start; g
 serves the dual stopping term; and the dual objective uses the cached X^T y.
-An outer iteration therefore costs one Gram product (the inner start-up
-gradient) plus two per inner iteration.  When the inner solver returns its
-best earlier iterate instead of its final one, G beta and X^T X lambda are
-formed fresh, two more products.
+
+The z clamp, the multiplier step and the stopping test therefore make no
+product with X.  An outer iteration costs what its inner solve costs: three
+n x p products (X r0, X^T q0, X^T E), plus two n x p and one n x n product
+per inner iteration.  When the inner solver returns its best earlier iterate
+instead of its final one, G beta and X^T X lambda are formed fresh, two more
+Gram products.  One design operator serves every inner solve of a solve, so
+the n x n kernel K = X X^T is formed at most once per solve (about
+n^2 p / 2 multiply-adds) and dropped when the solve returns.  The default
+zero start costs no product: X^T X 0 = 0.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import Instance, apply_gram, box_clamp
+from .core import DesignOperator, Instance, apply_gram, box_clamp
 from .subsolver import SubproblemObjective, SubsolverConfig, solve_subproblem
 
 STATUS_CONVERGED = "converged"
@@ -233,8 +239,9 @@ def solve(
     Per iteration: closed-form z update, inner solve for beta warm-started at
     the previous beta, multiplier step, then the stopping test.  X^T X beta
     and X^T X lambda come from the inner solver's residual and gradient (see
-    the module docstring for the identities and the cost per iteration).  A
-    subsolver that misses its tolerance contributes its best iterate and is
+    the module docstring for the identities and the cost per iteration).  The
+    products go through one DesignOperator built here and dropped on return.
+    A subsolver that misses its tolerance contributes its best iterate and is
     counted in the report.  Non-finite values end the run with status numerical_failure,
     returning the state at failure.
     """
@@ -246,9 +253,12 @@ def solve(
     sub_config = config.resolved_subsolver()
 
     t_start = time.perf_counter()
+    design = DesignOperator(inst.X)
     state = AdmState(beta=beta, z=np.zeros(p), lam=lam)
-    gram_beta = apply_gram(inst, state.beta)
-    gap, primal, dual, dual_value = _criterion_terms(inst, state.beta, state.lam, gram_beta)
+    # a zero start (the default) needs no product: X^T X 0 = 0
+    gram_beta = apply_gram(inst, beta) if beta.any() else np.zeros(p)
+    gram_lam = None if lam.any() else np.zeros(p)
+    gap, primal, dual, dual_value = _criterion_terms(inst, beta, lam, gram_beta, gram_lam)
     metric = max(gap, primal, dual)
     metric_history = [metric]
     dual_history = [dual_value]
@@ -259,7 +269,9 @@ def solve(
     while status == STATUS_MAX_ITER and state.iteration < config.max_outer_iter:
         lam_prev = state.lam
         state.z = update_z(inst, state.beta, state.lam, config.mu, gram_beta)
-        objective = SubproblemObjective(inst, state.z, state.lam, config.mu, gram_u0=gram_beta)
+        objective = SubproblemObjective(
+            inst, state.z, state.lam, config.mu, gram_u0=gram_beta, design=design
+        )
         result = solve_subproblem(objective, state.beta, sub_config)
         inner_total += result.iterations
         if not result.succeeded:

@@ -9,17 +9,33 @@ current spectral steplength, acceptance uses an Armijo test against the worst
 objective over a short memory window, and the steplength is a safeguarded
 Barzilai-Borwein update.
 
-The residual r(u) = X^T X u - c is linear in u, so r(u + a d) = r(u) + a G d
-with G = X^T X.  Each iteration forms G d once and gets every line-search
-trial residual by an axpy; the gradient at the accepted point is one more
-Gram product.  An iteration therefore costs two Gram products however many
-backtracks it takes.  The direction d is sparse (it is nonzero only where
-u or its prox step is), so G d is the cheaper, support-restricted product of
-:func:`~dantzig_adm.core.apply_gram`.
+The iteration runs in n-space.  Let r(u) = X^T X u - c be the residual,
+r0 = r(u0) at the warm start u0, q0 = X r0, and E = X (u - u0) the shift of
+the iterate.  With the n x n kernel K = X X^T,
+
+    r(u) = r0 + X^T E,    grad f(u) = mu X^T X r(u) = mu X^T (q0 + K E).
+
+An iteration forms e = X d for the search direction d and then K e.  The
+smooth part f is quadratic, so along d
+
+    f(u + a d) = f(u) + a mu (q0 + K E).e + (a^2/2) mu e.K e,
+
+and each line-search trial costs O(n + p) operations.  f is carried from
+iterate to iterate this way, with an error relative to f itself.  Formed
+afresh as (mu/2) (r0.r0 + 2 q0.E + E.K E) it would lose, to cancellation,
+every digit by which f has fallen below f(u0), and a tightly converged
+solve cannot afford that.  The gradient at the accepted point is one dense
+X^T product.  So an iteration costs two n x p products (X d and X^T) and one
+n x n product, however many backtracks it takes.  The direction d is sparse
+(it is nonzero only where u or its prox step is), so X d is the
+support-restricted product of :meth:`~dantzig_adm.core.DesignOperator.matvec`.
+A solve costs three more n x p products: X r0 and X^T q0 for the start-up
+gradient, and X^T E for the residual of the returned iterate.
 
 When the returned u is the final iterate, the result also carries r(u) and
-the gradient mu G r(u).  The outer loop reads G u = r + c, its multiplier
-step and the multiplier's Gram product off these, with no product of its own.
+the gradient mu G r(u), G = X^T X.  The outer loop reads G u = r + c, its
+multiplier step and the multiplier's Gram product off these, with no product
+of its own.
 """
 
 from __future__ import annotations
@@ -29,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Instance, _as_vector, apply_gram, soft_thresh
+from .core import DesignOperator, Instance, _as_vector, apply_gram, soft_thresh
 
 STATIONARY_RTOL = 1e-15  # |Delta| below this (times objective scale) means a fixed point
 
@@ -45,7 +61,9 @@ class SubproblemObjective:
     Stores the constant c = X^T y + z - lambda/mu so that
     f(u) = (mu/2) ||gram(u) - c||^2.  ``gram_u0`` optionally carries
     X^T X u0 for the warm start u0 later handed to :func:`solve_subproblem`,
-    so the start-up residual costs no Gram product.
+    so the start-up residual costs no Gram product.  ``design`` makes the
+    inner solver's products; pass one to share its kernel across the inner
+    problems of a solve, else a new one is made for X.
     """
 
     inst: Instance
@@ -53,6 +71,7 @@ class SubproblemObjective:
     lambda_fixed: np.ndarray
     mu: float
     gram_u0: np.ndarray | None = field(default=None, repr=False)
+    design: DesignOperator | None = field(default=None, repr=False)
     c: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -72,24 +91,21 @@ class SubproblemObjective:
         object.__setattr__(self, "c", self.inst.xty + z - lam / mu)
         if self.gram_u0 is not None:
             object.__setattr__(self, "gram_u0", _as_vector(self.gram_u0, p, "gram_u0"))
+        if self.design is None:
+            object.__setattr__(self, "design", DesignOperator(self.inst.X))
 
     def residual(self, u: np.ndarray) -> np.ndarray:
-        """gram(u) - c; one apply_gram call, shared by value and gradient."""
+        """gram(u) - c; one apply_gram call."""
         return apply_gram(self.inst, u) - self.c
 
-    def value_from_residual(self, r: np.ndarray) -> float:
-        return 0.5 * self.mu * float(r @ r)
-
     def value(self, u: np.ndarray) -> float:
-        return self.value_from_residual(self.residual(u))
-
-    def grad_from_residual(self, r: np.ndarray) -> np.ndarray:
-        return self.mu * apply_gram(self.inst, r)
+        r = self.residual(u)
+        return 0.5 * self.mu * float(r @ r)
 
 
 def grad_fk(obj: SubproblemObjective, u: np.ndarray) -> np.ndarray:
     """Gradient mu * X^T X (X^T X u - X^T y - z + lambda/mu); two apply_gram calls."""
-    return obj.grad_from_residual(obj.residual(u))
+    return obj.mu * apply_gram(obj.inst, obj.residual(u))
 
 
 @dataclass
@@ -125,11 +141,42 @@ class SubsolverConfig:
             raise ValueError("iteration limits must be positive")
 
 
+@dataclass(frozen=True, eq=False)
+class WarmStart:
+    """One inner problem seen from its warm start u0, in n-space.
+
+    Holds r0 = r(u0) and q0 = X r0.  An iterate u is then known by its shift
+    E = X (u - u0) and by K E, K = X X^T (see the module docstring for the
+    identities).
+    """
+
+    obj: SubproblemObjective
+    r0: np.ndarray
+    q0: np.ndarray
+
+    @classmethod
+    def at(cls, obj: SubproblemObjective, u0: np.ndarray) -> "WarmStart":
+        """Costs X r0, plus one Gram product for r0 unless ``obj.gram_u0`` is set."""
+        r0 = obj.residual(u0) if obj.gram_u0 is None else obj.gram_u0 - obj.c
+        return cls(obj, r0, obj.design.matvec(r0))
+
+    def gradient(self, kshift: np.ndarray) -> np.ndarray:
+        """grad f(u) = mu X^T (q0 + K E); one X^T product."""
+        return self.obj.mu * self.obj.design.rmatvec(self.q0 + kshift)
+
+    def residual(self, shift: np.ndarray) -> np.ndarray:
+        """r(u) = r0 + X^T E; one X^T product."""
+        return self.r0 + self.obj.design.rmatvec(shift)
+
+
 @dataclass
 class InnerState:
-    """Current iterate, spectral step, and the nonmonotone objective window."""
+    """Current iterate with its shift and value, spectral step, and the nonmonotone window."""
 
     u: np.ndarray
+    shift: np.ndarray  # E = X (u - u0)
+    kshift: np.ndarray  # K E
+    smooth: float  # f(u)
     bar_alpha: float = 1.0
     window: deque = None  # last memory+1 penalized objective values
     iteration: int = 0
@@ -140,7 +187,8 @@ class TrialPoint:
     """Accepted line-search point with the evaluations already paid for."""
 
     u: np.ndarray
-    residual: np.ndarray
+    shift: np.ndarray
+    kshift: np.ndarray
     smooth: float
     penalized: float
 
@@ -163,9 +211,9 @@ class InnerIterationRecord:
 class SubsolverResult:
     """Returned iterate and how the run ended.
 
-    ``residual`` is r(u) = X^T X u - c and ``gradient`` is mu X^T X r(u), both
-    as held by the solver, when u is its final iterate; both are None when
-    the best earlier iterate is returned instead.
+    ``residual`` is r(u) = X^T X u - c, formed once as r0 + X^T E, and
+    ``gradient`` is mu X^T X r(u) as held by the solver, when u is its final
+    iterate; both are None when the best earlier iterate is returned instead.
     """
 
     u: np.ndarray
@@ -201,35 +249,39 @@ def search_direction(
 
 
 def line_search(
-    obj: SubproblemObjective,
+    start: WarmStart,
     state: InnerState,
     d: np.ndarray,
     delta: float,
     config: SubsolverConfig,
-    residuals: tuple[np.ndarray, np.ndarray] | None = None,
+    e: np.ndarray,
+    ke: np.ndarray,
 ) -> tuple[float, TrialPoint]:
     """Largest alpha in {1, eta, eta^2, ...} passing the nonmonotone Armijo test.
 
     Acceptance compares the trial objective against the maximum penalized value
-    over the memory window plus sigma_ls * alpha * delta.  ``residuals`` is
-    the pair (r(state.u), G d); each trial residual is then r + alpha * G d,
-    with no Gram product.  Without it the pair is computed here (two
-    products).  Raises LineSearchError after max_backtracks rejected powers.
+    over the memory window plus sigma_ls * alpha * delta.  ``e`` is X d and
+    ``ke`` is K e.  The smooth value of a trial is the quadratic
+    f(u) + alpha grad f(u).d + (alpha^2/2) mu e.K e, with the slope
+    grad f(u).d = mu (q0 + K E).e, so a trial makes no product with X.
+    Raises LineSearchError after max_backtracks rejected powers.
     """
     if not delta < 0:
         raise ValueError(f"line search needs a strict descent prediction, got Delta={delta}")
-    if residuals is None:
-        residuals = (obj.residual(state.u), apply_gram(obj.inst, d))
-    r, gd = residuals
+    mu = start.obj.mu
+    slope = mu * float((start.q0 + state.kshift) @ e)
+    curvature = mu * float(e @ ke)
     reference = max(state.window)
     alpha = 1.0
     for _ in range(config.max_backtracks):
         u_trial = state.u + alpha * d
-        r_trial = r + alpha * gd
-        f_trial = obj.value_from_residual(r_trial)
+        f_trial = state.smooth + alpha * (slope + 0.5 * alpha * curvature)
         penalized = f_trial + float(np.abs(u_trial).sum())
         if penalized <= reference + config.sigma_ls * alpha * delta:
-            return alpha, TrialPoint(u_trial, r_trial, f_trial, penalized)
+            trial = TrialPoint(
+                u_trial, state.shift + alpha * e, state.kshift + alpha * ke, f_trial, penalized
+            )
+            return alpha, trial
         alpha *= config.eta
     raise LineSearchError(
         f"no acceptable steplength within {config.max_backtracks} backtracks"
@@ -283,42 +335,49 @@ def solve_subproblem(
     objective) is returned with a flagged status; the caller decides whether
     to accept it.  Only a final iterate comes with its residual and gradient.
 
-    Start-up costs one Gram product (the gradient) when ``obj.gram_u0`` holds
-    X^T X u0, two otherwise; each iteration then costs two (G d and the new
-    gradient).
+    Start-up costs X r0 and X^T q0 (the gradient), plus one Gram product for
+    r0 unless ``obj.gram_u0`` holds X^T X u0; each iteration then costs X d,
+    K (X d) and X^T for the new gradient; a final iterate's residual costs
+    one more X^T product.
     """
     if config.tol_sub is None:
         raise ValueError("config.tol_sub must be set for a standalone subproblem solve")
     u = np.array(u0, dtype=np.float64)
-    r = obj.residual(u) if obj.gram_u0 is None else obj.gram_u0 - obj.c
-    f = obj.value_from_residual(r)
-    g = obj.grad_from_residual(r)
-    penalized = f + float(np.abs(u).sum())
+    start = WarmStart.at(obj, u)
+    origin = np.zeros(obj.inst.n)
+    g = start.gradient(origin)
+    smooth = 0.5 * obj.mu * float(start.r0 @ start.r0)
+    penalized = smooth + float(np.abs(u).sum())
 
-    state = InnerState(u=u, bar_alpha=1.0, window=deque([penalized], maxlen=config.memory + 1))
+    state = InnerState(
+        u=u, shift=origin, kshift=origin, smooth=smooth, bar_alpha=1.0,
+        window=deque([penalized], maxlen=config.memory + 1),
+    )
     best_u, best_penalized = u, penalized
     status = "max_iter"
 
     while state.iteration < config.max_inner_iter:
         if inner_termination_metric(obj, state.u, grad=g, penalized=penalized) <= config.tol_sub:
-            return SubsolverResult(state.u, state.iteration, "converged", r, g)
+            return _final(start, state, g, "converged")
         d, delta = search_direction(obj, state.u, state.bar_alpha, grad=g)
         if delta > -STATIONARY_RTOL * max(1.0, penalized):
-            return SubsolverResult(state.u, state.iteration, "stationary", r, g)
+            return _final(start, state, g, "stationary")
         window_max = max(state.window)
-        gd = apply_gram(obj.inst, d)
+        e = obj.design.matvec(d)
         try:
-            alpha, trial = line_search(obj, state, d, delta, config, residuals=(r, gd))
+            alpha, trial = line_search(
+                start, state, d, delta, config, e, obj.design.kernel_matvec(e)
+            )
         except LineSearchError:
             status = "line_search_failure"
             break
-        g_new = obj.grad_from_residual(trial.residual)
+        g_new = start.gradient(trial.kshift)
         bar_alpha_next = bb_step(trial.u - state.u, g_new - g, config)
-        state.u = trial.u
+        state.u, state.shift, state.kshift = trial.u, trial.shift, trial.kshift
+        state.smooth = trial.smooth
         state.iteration += 1
         state.window.append(trial.penalized)
         g = g_new
-        r = trial.residual
         penalized = trial.penalized
         if callback is not None:
             callback(
@@ -338,5 +397,10 @@ def solve_subproblem(
             best_u, best_penalized = trial.u, trial.penalized
 
     if status == "max_iter" and inner_termination_metric(obj, state.u, grad=g, penalized=penalized) <= config.tol_sub:
-        return SubsolverResult(state.u, state.iteration, "converged", r, g)
+        return _final(start, state, g, "converged")
     return SubsolverResult(best_u, state.iteration, status)
+
+
+def _final(start: WarmStart, state: InnerState, g: np.ndarray, status: str) -> SubsolverResult:
+    """The final iterate with its residual r0 + X^T E and its gradient g."""
+    return SubsolverResult(state.u, state.iteration, status, start.residual(state.shift), g)

@@ -140,6 +140,7 @@ class TestOptimalityOracle:
         assert ok
 
 
+@pytest.mark.slow
 class TestSubsolverOracle:
     def test_criterion_5_matches_reference_and_closed_form(self):
         rng = np.random.default_rng(31415)
@@ -222,6 +223,7 @@ class TestGradientCheck:
         assert ok
 
 
+@pytest.mark.slow
 class TestInvariantSuite:
     def test_criterion_7_invariants_over_randomized_trials(self):
         rng = np.random.default_rng(9)

@@ -4,8 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dantzig_adm.adm as adm_module
-import dantzig_adm.core as core_module
-import dantzig_adm.subsolver as subsolver_module
 from dantzig_adm.adm import (
     AdmConfig,
     augmented_lagrangian,
@@ -16,11 +14,17 @@ from dantzig_adm.adm import (
     update_lambda,
     update_z,
 )
-from dantzig_adm.core import Instance, apply_gram
-from dantzig_adm.subsolver import SubsolverConfig, SubsolverResult
+from dantzig_adm.core import DesignOperator, Instance, apply_gram
+from dantzig_adm.subsolver import (
+    SubproblemObjective,
+    SubsolverConfig,
+    SubsolverResult,
+    solve_subproblem,
+)
 
 from oracles import (
     box_lagrangian_scalar,
+    certificate_dense,
     dense_gram,
     lp_dual_enumeration,
     lp_primal_enumeration,
@@ -306,41 +310,16 @@ class TestPrecomputedGram:
             adm_module._criterion_terms(inst, beta, lam, bad)
 
 
-class _CountingDesign(np.ndarray):
-    """A view of X that counts the matrix-vector products made with it."""
-
-    products = [0]
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        plain = tuple(np.asarray(x) if isinstance(x, _CountingDesign) else x for x in inputs)
-        if ufunc is np.matmul and method == "__call__":
-            self.products[0] += 1
-        return getattr(ufunc, method)(*plain, **kwargs)
+_PRODUCTS = ("matvec", "rmatvec", "kernel_matvec")
 
 
 class TestOuterCost:
-    def _count(self, monkeypatch, inst):
-        """Count apply_gram calls and the X products made outside apply_gram."""
-        products = _CountingDesign.products
-        object.__setattr__(inst, "X", inst.X.view(_CountingDesign))
-        calls, inside = [0], [0]
-        original = core_module.apply_gram
+    """Products per outer iteration, counted through a counting view of X.
 
-        def counting(inst_, v):
-            calls[0] += 1
-            before = products[0]
-            result = original(inst_, v)
-            inside[0] += products[0] - before
-            return result
-
-        monkeypatch.setattr(subsolver_module, "apply_gram", counting)
-        monkeypatch.setattr(adm_module, "apply_gram", counting)
-        products[0] = 0
-
-        def direct():
-            return products[0] - inside[0]
-
-        return calls, direct
+    An outer iteration costs its inner solve: X r0, X^T q0 and X^T E, plus
+    X d, K (X d) and X^T per inner iteration.  The z clamp, the multiplier
+    step and the stopping test make no product with X.
+    """
 
     def _record_inner(self, monkeypatch, strip_first=False):
         """Record inner iteration counts; optionally drop the first result's residual."""
@@ -359,48 +338,60 @@ class TestOuterCost:
         return inner
 
     @pytest.mark.parametrize("n, p", [(8, 20), (30, 12)])
-    def test_one_product_plus_two_per_inner_iteration(self, monkeypatch, n, p):
+    def test_three_products_plus_three_per_inner_iteration(self, monkeypatch, products, n, p):
         rng = np.random.default_rng(29)
         inst = _instance(rng, n=n, p=p)
         inst.xty  # cache X^T y before counting
-        calls, direct = self._count(monkeypatch, inst)
+        products.watch(inst)
         inner = self._record_inner(monkeypatch)
         seen = []
         _, _, report = solve(
             inst,
             AdmConfig(mu=1.0, tol=1e-5, max_outer_iter=40),
             beta0=rng.standard_normal(inst.p),
-            callback=lambda rec: seen.append((calls[0], direct())),
+            callback=lambda rec: seen.append((dict(products.calls), products.x_products)),
         )
         assert report.outer_iterations == len(seen) == len(inner) > 5
-        # start-up: G beta0 and G lambda0 for the first stopping test
-        calls_before = 2
-        for (count, direct_products), inner_iters in zip(seen, inner):
-            # only the inner start-up gradient and the inner iterations
-            assert count - calls_before == 1 + 2 * inner_iters
-            # z clamp, multiplier step and stopping test make no X product
-            assert direct_products == 0
-            calls_before = count
+        # start-up: G beta0 (X, X^T); lambda0 = 0 needs no product
+        before, x_before = {"matvec": 1, "rmatvec": 1}, 2
+        kernel_x = 1 if n <= p else 0  # forming K takes one X product per 64 rows
+        per_kernel = 0 if n <= p else 2  # X (X^T w) when no K is formed
+        for (calls, x_products), inner_iters in zip(seen, inner):
+            step = {name: calls.get(name, 0) - before.get(name, 0) for name in _PRODUCTS}
+            assert step == {
+                "matvec": 1 + inner_iters,
+                "rmatvec": 2 + inner_iters,
+                "kernel_matvec": inner_iters,
+            }
+            assert x_products - x_before == 3 + (2 + per_kernel) * inner_iters + kernel_x
+            kernel_x = 0
+            before, x_before = calls, x_products
+        assert products.outside == 0
 
-    def test_best_iterate_gets_fresh_products(self, monkeypatch):
+    def test_best_iterate_gets_fresh_products(self, monkeypatch, products):
         rng = np.random.default_rng(30)
         inst = _instance(rng, n=8, p=20)
         inst.xty  # cache X^T y before counting
-        calls, direct = self._count(monkeypatch, inst)
+        products.watch(inst)
         inner = self._record_inner(monkeypatch, strip_first=True)
         seen = []
         _, _, report = solve(
             inst,
             AdmConfig(mu=1.0, tol=1e-5, max_outer_iter=5),
-            callback=lambda rec: seen.append((calls[0], rec)),
+            callback=lambda rec: seen.append((dict(products.calls), rec)),
         )
         assert len(seen) == len(inner) > 2
-        calls_before = 2
-        for k, ((count, rec), inner_iters) in enumerate(zip(seen, inner)):
+        before = {}  # the zero start needs no product
+        for k, ((calls, rec), inner_iters) in enumerate(zip(seen, inner)):
             fresh = 2 if k == 0 else 0  # G beta and G lambda, with no residual held
-            assert count - calls_before == 1 + 2 * inner_iters + fresh
-            calls_before = count
-        assert direct() == 0
+            step = {name: calls.get(name, 0) - before.get(name, 0) for name in _PRODUCTS}
+            assert step == {
+                "matvec": 1 + inner_iters + fresh,
+                "rmatvec": 2 + inner_iters + fresh,
+                "kernel_matvec": inner_iters,
+            }
+            before = calls
+        assert products.outside == 0
         rec = seen[0][1]
         assert rec.metric == stopping_metric(inst, rec.beta, rec.lam)
 
@@ -423,6 +414,90 @@ class TestOuterIdentity:
             scale = max(np.abs(expected).max(), np.abs(rec.lam_prev).max())
             assert np.abs(rec.lam - expected).max() <= 1e-10 * scale
             assert rec.metric == pytest.approx(stopping_metric(inst, rec.beta, rec.lam), rel=1e-10)
+
+
+class _NoKernel(DesignOperator):
+    """A design operator that takes the n > p path, K w = X (X^T w), at any shape."""
+
+    kernel = None
+
+
+class TestKernelPaths:
+    """The formed kernel (n <= p) and X (X^T w) give the same inner solve."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_iterations_and_iterates(self, seed):
+        # unit columns and a sparse signal, as in the benchmark designs: a
+        # well-conditioned solve, so rounding does not decide the counts
+        rng = np.random.default_rng(70 + seed)
+        n, p = 12, 30
+        X = rng.standard_normal((n, p))
+        X /= np.linalg.norm(X, axis=0)
+        signal = np.where(rng.random(p) < 0.2, rng.standard_normal(p), 0.0)
+        inst = Instance(X=X, y=X @ signal + 0.05 * rng.standard_normal(n), delta=1.0)
+        z = 0.1 * rng.standard_normal(p)
+        lam = 0.1 * rng.standard_normal(p)
+        runs = []
+        for design in (DesignOperator(inst.X), _NoKernel(inst.X)):
+            obj = SubproblemObjective(inst, z, lam, 0.5, design=design)
+            records = []
+            result = solve_subproblem(
+                obj, np.zeros(inst.p), SubsolverConfig(tol_sub=1e-6), callback=records.append
+            )
+            runs.append((result, records))
+        (result, records), (result_nk, records_nk) = runs
+        assert result.succeeded and records
+        assert result.iterations == result_nk.iterations == len(records) == len(records_nk)
+        for rec, rec_nk in zip(records, records_nk):
+            assert np.abs(rec.u - rec_nk.u).max() <= 1e-10 * max(1.0, np.abs(rec.u).max())
+        assert np.abs(result.u - result_nk.u).max() <= 1e-10 * max(1.0, np.abs(result.u).max())
+
+
+class TestDegenerateInstances:
+    """beta = 0 is optimal: y = 0, or delta at least ||D^-1 X^T y||_inf."""
+
+    TOL = 1e-3
+
+    @staticmethod
+    def _design(rng, tall, n, p):
+        shape = (max(n, p) + 1, min(n, p)) if tall else (min(n, p), max(n, p))
+        return rng.standard_normal(shape)
+
+    def _check(self, X, y, delta):
+        inst = Instance(X=X, y=y, delta=delta)
+        beta, lam, report = solve(inst, AdmConfig(mu=1.0, tol=self.TOL))
+        assert report.status == "converged"
+        assert not beta.any()
+        certificate = certificate_dense(X, y, delta, beta, lam)
+        assert max(certificate.values()) <= self.TOL
+
+    @pytest.mark.parametrize("tall", [False, True])
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 12),
+        p=st.integers(1, 12),
+        delta=st.floats(1e-3, 10.0),
+    )
+    def test_zero_response(self, tall, seed, n, p, delta):
+        rng = np.random.default_rng(seed)
+        X = self._design(rng, tall, n, p)
+        self._check(X, np.zeros(X.shape[0]), delta)
+
+    @pytest.mark.parametrize("tall", [False, True])
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 12),
+        p=st.integers(1, 12),
+        factor=st.one_of(st.just(1.0), st.floats(1.0, 10.0)),
+    )
+    def test_delta_at_or_above_the_zero_threshold(self, tall, seed, n, p, factor):
+        rng = np.random.default_rng(seed)
+        X = self._design(rng, tall, n, p)
+        y = rng.standard_normal(X.shape[0])
+        level = float(np.abs((X.T @ y) / np.linalg.norm(X, axis=0)).max())
+        self._check(X, y, factor * level)
 
 
 class TestAdmConfig:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import dantzig_adm.core as core_module
-from dantzig_adm.core import Instance, apply_gram, box_clamp, soft_thresh
+from dantzig_adm.core import DesignOperator, Instance, apply_gram, box_clamp, soft_thresh
 
 from oracles import box_project_scalar, dense_gram, prox_l1_scalar
 
@@ -217,6 +217,39 @@ class TestRestrictedGram:
         with _restricted_products(min_entries=0) as made:
             assert np.array_equal(apply_gram(inst, np.zeros(16)), np.zeros(16))
         assert made[0] == 1
+
+
+class TestDesignOperator:
+    @pytest.mark.parametrize("n, p", [(1, 5), (64, 64), (65, 90), (150, 200)])
+    def test_kernel_is_x_xt_and_exactly_symmetric(self, n, p):
+        # 65 and 150 rows leave a partial last block of 64
+        rng = np.random.default_rng(n)
+        X = rng.standard_normal((n, p))
+        K = DesignOperator(Instance(X=X, y=np.zeros(n), delta=1.0).X).kernel
+        expected = X @ X.T
+        assert np.abs(K - expected).max() <= 1e-13 * np.abs(expected).max()
+        assert np.array_equal(K, K.T)
+
+    def test_kernel_is_formed_once(self):
+        rng = np.random.default_rng(3)
+        design = DesignOperator(rng.standard_normal((5, 9)))
+        first = design.kernel
+        design.kernel_matvec(np.ones(5))
+        assert design.kernel is first
+
+    @pytest.mark.parametrize("n, p", [(6, 10), (10, 10), (14, 6)])
+    def test_products_match_dense(self, n, p):
+        rng = np.random.default_rng(60 + n)
+        X = rng.standard_normal((n, p))
+        design = DesignOperator(Instance(X=X, y=np.zeros(n), delta=1.0).X)
+        v = rng.standard_normal(p)
+        w = rng.standard_normal(n)
+        np.testing.assert_allclose(design.matvec(v), X @ v, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(design.rmatvec(w), X.T @ w, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(
+            design.kernel_matvec(w), X @ (X.T @ w), rtol=1e-12, atol=1e-12
+        )
+        assert (design.kernel is None) == (n > p)
 
 
 class TestStorageOrder:

@@ -10,6 +10,7 @@ from dantzig_adm.subsolver import (
     LineSearchError,
     SubproblemObjective,
     SubsolverConfig,
+    WarmStart,
     bb_step,
     grad_fk,
     inner_termination_metric,
@@ -199,13 +200,56 @@ def _steep_quadratic_case():
     raise AssertionError("no curvature with exactly two rejections found")
 
 
-class TestLineSearch:
-    def _state(self, obj, u, memory):
-        value = penalized_value_dense(
-            obj.inst.X, obj.inst.y, obj.z_fixed, obj.lambda_fixed, obj.mu, u
-        )
-        return InnerState(u=u, bar_alpha=1.0, window=deque([value], maxlen=memory + 1))
+def _watched(products, obj):
+    """obj rebuilt on a counted view of its X, so its design operator counts too."""
+    products.watch(obj.inst)
+    products.reset()
+    return SubproblemObjective(obj.inst, obj.z_fixed, obj.lambda_fixed, obj.mu)
 
+
+def _line_search(obj, u, d, delta, config, window=None, u0=None):
+    """line_search from u, with the solver seen from warm start u0 (default u).
+
+    The state at u holds its n-space shift X (u - u0), K times it, and its
+    smooth value from the dense oracle; ``window`` defaults to u's own
+    penalized value.
+    """
+    u0 = u if u0 is None else u0
+    dense = (obj.inst.X, obj.inst.y, obj.z_fixed, obj.lambda_fixed, obj.mu)
+    if window is None:
+        window = [penalized_value_dense(*dense, u)]
+    shift = obj.design.matvec(u - u0)
+    state = InnerState(
+        u=u,
+        shift=shift,
+        kshift=obj.design.kernel_matvec(shift),
+        smooth=smooth_value_dense(*dense, u),
+        window=deque(window, maxlen=len(window)),
+    )
+    e = obj.design.matvec(d)
+    start = WarmStart.at(obj, u0)
+    return line_search(start, state, d, delta, config, e, obj.design.kernel_matvec(e))
+
+
+class _RejectingReference:
+    """A window value that rejects every trial and records the trial's penalized value.
+
+    ``penalized <= reference + sigma_ls * alpha * delta`` reaches __ge__ with
+    the penalized value the line search computed for that trial.
+    """
+
+    def __init__(self):
+        self.seen = []
+
+    def __add__(self, other):
+        return self
+
+    def __ge__(self, penalized):
+        self.seen.append(penalized)
+        return False
+
+
+class TestLineSearch:
     def test_full_step_accepted_on_gentle_quadratic(self):
         # f(u) = u^2 / 2; from u = 1 along d = -1 the full step ends at the origin
         obj = _scalar_objective(mu=1.0)
@@ -214,24 +258,21 @@ class TestLineSearch:
         g = grad_fk(obj, u)
         delta = float(g @ d) + abs(u[0] + d[0]) - abs(u[0])
         config = SubsolverConfig(tol_sub=1e-8)
-        state = self._state(obj, u, config.memory)
-        alpha, trial = line_search(obj, state, d, delta, config)
+        alpha, trial = _line_search(obj, u, d, delta, config)
         assert alpha == 1.0
         assert trial.penalized == pytest.approx(0.0, abs=1e-12)
 
     def test_requires_negative_delta(self):
         obj = _scalar_objective()
         config = SubsolverConfig(tol_sub=1e-8)
-        state = self._state(obj, np.array([1.0]), config.memory)
         with pytest.raises(ValueError):
-            line_search(obj, state, np.array([-1.0]), 0.0, config)
+            _line_search(obj, np.array([1.0]), np.array([-1.0]), 0.0, config)
 
     def test_exactly_two_backtracks_on_steep_quadratic(self):
         # the independent predicate rejects exactly alpha = 1 and alpha = eta
         # here; check the implementation agrees
         obj, u, d, delta, config = _steep_quadratic_case()
-        state = self._state(obj, u, config.memory)
-        alpha, _ = line_search(obj, state, d, delta, config)
+        alpha, _ = _line_search(obj, u, d, delta, config)
         assert alpha == pytest.approx(config.eta**2)
 
     def test_memory_enables_nonmonotone_acceptance(self):
@@ -257,12 +298,8 @@ class TestLineSearch:
             if not (rejects_monotone and accepts_windowed):
                 continue
             found = True
-            state_mono = InnerState(u=u, bar_alpha=1.0, window=deque([current], maxlen=1))
-            alpha_mono, _ = line_search(obj, state_mono, d, delta, config)
-            state_window = InnerState(
-                u=u, bar_alpha=1.0, window=deque([stale, current], maxlen=2)
-            )
-            alpha_window, _ = line_search(obj, state_window, d, delta, config)
+            alpha_mono, _ = _line_search(obj, u, d, delta, config, window=[current])
+            alpha_window, _ = _line_search(obj, u, d, delta, config, window=[stale, current])
             assert alpha_window == 1.0
             assert alpha_mono < 1.0
             break
@@ -272,48 +309,56 @@ class TestLineSearch:
         rejections, (obj, u, d, delta, config) = _curvature_rejections(4096.0)
         assert rejections > 3
         tight = SubsolverConfig(tol_sub=1e-8, memory=0, max_backtracks=3)
-        state = self._state(obj, u, tight.memory)
         with pytest.raises(LineSearchError):
-            line_search(obj, state, d, delta, tight)
+            _line_search(obj, u, d, delta, tight)
 
-    def test_given_residuals_cost_no_gram_product(self, gram_calls):
+    def test_given_residuals_cost_no_gram_product(self, products):
+        # given the warm start's residual and X d, K X d, the search makes no product
         obj, u, d, delta, config = _steep_quadratic_case()
-        state = self._state(obj, u, config.memory)
-        residuals = (obj.residual(u), apply_gram(obj.inst, d))
-        gram_calls[0] = 0
-        alpha, _ = line_search(obj, state, d, delta, config, residuals=residuals)
+        obj = _watched(products, obj)
+        dense = (obj.inst.X, obj.inst.y, obj.z_fixed, obj.lambda_fixed, obj.mu)
+        start = WarmStart.at(obj, u)
+        e = obj.design.matvec(d)
+        ke = obj.design.kernel_matvec(e)
+        state = InnerState(
+            u=u, shift=np.zeros(1), kshift=np.zeros(1), smooth=smooth_value_dense(*dense, u),
+            window=deque([penalized_value_dense(*dense, u)], maxlen=1),
+        )
+        calls, x_products = sum(products.calls.values()), products.x_products
+        alpha, _ = line_search(start, state, d, delta, config, e, ke)
         assert alpha == pytest.approx(config.eta**2)
-        assert gram_calls[0] == 0
-        line_search(obj, state, d, delta, config)
-        assert gram_calls[0] == 2
+        assert sum(products.calls.values()) == calls
+        assert products.x_products == x_products
 
     @pytest.mark.parametrize("seed", range(12))
     def test_reused_residual_matches_fresh_evaluation(self, seed):
-        # unit spectral step on a random problem, so many searches backtrack
+        # every trial value, from an iterate away from the warm start, against
+        # a dense evaluation
         rng = np.random.default_rng(100 + seed)
         obj = _objective(rng, n=6, p=10, mu=float(rng.uniform(0.5, 20.0)))
-        u = rng.standard_normal(10)
+        u0 = rng.standard_normal(10)
+        u = u0 + rng.standard_normal(10)
         d, delta = search_direction(obj, u, 1.0)
-        config = SubsolverConfig(tol_sub=1e-8, memory=0)
-        state = self._state(obj, u, config.memory)
-        residuals = (obj.residual(u), apply_gram(obj.inst, d))
-        _, trial = line_search(obj, state, d, delta, config, residuals=residuals)
-        fresh = obj.residual(trial.u)
-        assert np.linalg.norm(trial.residual - fresh) <= 1e-12 * np.linalg.norm(fresh)
-        dense = penalized_value_dense(
-            obj.inst.X, obj.inst.y, obj.z_fixed, obj.lambda_fixed, obj.mu, trial.u
-        )
-        assert trial.penalized == pytest.approx(dense, rel=1e-10, abs=1e-12)
-        assert trial.smooth == pytest.approx(obj.value(trial.u), rel=1e-10, abs=1e-12)
+        config = SubsolverConfig(tol_sub=1e-8, max_backtracks=12)
+        reference = _RejectingReference()
+        with pytest.raises(LineSearchError):
+            _line_search(obj, u, d, delta, config, window=[reference], u0=u0)
+        assert len(reference.seen) == config.max_backtracks
+        for k, value in enumerate(reference.seen):
+            dense = penalized_value_dense(
+                obj.inst.X, obj.inst.y, obj.z_fixed, obj.lambda_fixed, obj.mu,
+                u + config.eta**k * d,
+            )
+            assert abs(value - dense) <= 1e-12 * max(1.0, abs(dense))
 
     def test_reused_residual_matches_fresh_after_backtracks(self):
         obj, u, d, delta, config = _steep_quadratic_case()
-        state = self._state(obj, u, config.memory)
-        residuals = (obj.residual(u), apply_gram(obj.inst, d))
-        alpha, trial = line_search(obj, state, d, delta, config, residuals=residuals)
+        u0 = u - 0.25
+        alpha, trial = _line_search(obj, u, d, delta, config, u0=u0)
         assert alpha < 1.0
         fresh = obj.residual(trial.u)
-        assert np.linalg.norm(trial.residual - fresh) <= 1e-12 * np.linalg.norm(fresh)
+        residual = WarmStart.at(obj, u0).residual(trial.shift)
+        assert np.linalg.norm(residual - fresh) <= 1e-12 * np.linalg.norm(fresh)
         dense = penalized_value_dense(
             obj.inst.X, obj.inst.y, obj.z_fixed, obj.lambda_fixed, obj.mu, trial.u
         )
@@ -383,44 +428,77 @@ class TestInnerTerminationMetric:
 
 
 class TestGramCost:
-    """Cost model: start-up, then two Gram products per iteration whatever the backtracks."""
+    """Cost model, counted through a counting view of X.
+
+    Start-up: X r0 and X^T q0, plus one Gram product (X u0, X^T) for r0 unless
+    gram_u0 is given.  Each iteration: X d, K (X d) and one X^T, whatever the
+    backtracks.  A final iterate's residual: one more X^T.
+    """
 
     def _run(self, obj, u0, config):
         alphas = []
         result = solve_subproblem(obj, u0, config, callback=lambda rec: alphas.append(rec.alpha))
         return result, alphas
 
-    def test_two_products_per_iteration_with_backtracks(self, gram_calls):
+    @staticmethod
+    def _expected(iterations, cold=True):
+        gram = 1 if cold else 0
+        return {
+            "matvec": gram + 1 + iterations,
+            "rmatvec": gram + 2 + iterations,
+            "kernel_matvec": iterations,
+        }
+
+    @staticmethod
+    def _x_products(counts, inst):
+        """Every X product is one of the counted calls, or forms K (once, when n <= p)."""
+        kernel = -(-inst.n // 64) if inst.n <= inst.p else 2 * counts.calls["kernel_matvec"]
+        assert counts.outside == 0
+        assert counts.x_products == counts.calls["matvec"] + counts.calls["rmatvec"] + kernel
+
+    def test_two_products_per_iteration_with_backtracks(self, products):
         obj, u, _, _, config = _steep_quadratic_case()
-        gram_calls[0] = 0
+        obj = _watched(products, obj)
         result, alphas = self._run(obj, u, config)
         assert result.succeeded
         assert result.iterations >= 1
         assert alphas[0] == pytest.approx(config.eta**2)  # two backtracks, one iteration
-        assert gram_calls[0] == 2 + 2 * result.iterations
+        assert products.calls == self._expected(result.iterations)
+        self._x_products(products, obj.inst)
 
-    def test_warm_start_gram_saves_one_product(self, gram_calls):
+    def test_warm_start_gram_saves_one_product(self, products):
         obj, u, _, _, config = _steep_quadratic_case()
-        gram_calls[0] = 0
+        products.reset()
         cold, _ = self._run(obj, u, config)
-        assert gram_calls[0] == 2 + 2 * cold.iterations
+        assert products.calls == self._expected(cold.iterations)
         warm_obj = SubproblemObjective(
             obj.inst, obj.z_fixed, obj.lambda_fixed, obj.mu, gram_u0=apply_gram(obj.inst, u)
         )
-        gram_calls[0] = 0
+        products.reset()
         warm, _ = self._run(warm_obj, u, config)
-        assert gram_calls[0] == 1 + 2 * warm.iterations
+        assert products.calls == self._expected(warm.iterations, cold=False)
         assert warm.iterations == cold.iterations
         assert np.array_equal(warm.u, cold.u)
 
-    def test_backtracks_cost_nothing_on_random_problem(self, gram_calls):
+    def test_backtracks_cost_nothing_on_random_problem(self, products):
         rng = np.random.default_rng(17)
-        obj = _objective(rng, n=8, p=14, mu=6.0)
+        obj = _watched(products, _objective(rng, n=8, p=14, mu=6.0))
         config = SubsolverConfig(tol_sub=1e-9, memory=0)
         result, alphas = self._run(obj, np.zeros(14), config)
         assert result.succeeded
         assert any(alpha < 1.0 for alpha in alphas)
-        assert gram_calls[0] == 2 + 2 * result.iterations
+        assert products.calls == self._expected(result.iterations)
+        self._x_products(products, obj.inst)
+
+    def test_more_rows_than_columns_forms_no_kernel(self, products):
+        # n > p: each K product is X (X^T w), two X products, and no K is formed
+        rng = np.random.default_rng(18)
+        obj = _watched(products, _objective(rng, n=14, p=8, mu=6.0))
+        result, _ = self._run(obj, np.zeros(8), SubsolverConfig(tol_sub=1e-9))
+        assert result.succeeded and result.iterations > 0
+        assert obj.design.kernel is None
+        assert products.calls == self._expected(result.iterations)
+        self._x_products(products, obj.inst)
 
     def test_gram_u0_length_checked(self):
         inst = Instance(X=np.eye(3), y=np.zeros(3), delta=1.0)
