@@ -1,93 +1,32 @@
 """Dantzig selector solver: alternating direction method with a nonmonotone
-spectral-gradient inner solver, plus simulation and benchmark tooling."""
+spectral-gradient inner solver, plus simulation and benchmark tooling.
+
+The names below are the quickstart surface; the building blocks (the design
+operator, the inner solver's steps, the outer steps) stay importable from
+their submodules.
+"""
 
 __version__ = "0.1.0"
 
-from .core import Instance, apply_gram, box_clamp, soft_thresh
-from .adm import (
-    AdmConfig,
-    AdmState,
-    RunReport,
-    augmented_lagrangian,
-    dual_infeasibility,
-    dual_objective,
-    solve,
-    stopping_metric,
-    update_lambda,
-    update_z,
-)
-from .subsolver import (
-    InnerState,
-    LineSearchError,
-    SubproblemObjective,
-    SubsolverConfig,
-    SubsolverResult,
-    bb_step,
-    grad_fk,
-    inner_termination_metric,
-    line_search,
-    search_direction,
-    solve_subproblem,
-)
-from .datagen import (
-    GenSpec,
-    GroundTruth,
-    default_delta,
-    gen_design,
-    gen_response,
-    gen_signal,
-    make_instance,
-    mu_rule,
-    tol_rule,
-)
-from .evaluation import (
-    EvalResult,
-    FeasibilityReport,
-    evaluate_solution,
-    feasibility_report,
-    rho_metrics,
-    two_stage,
-)
+from .core import Instance
+from .adm import AdmConfig, RunReport, solve
+from .subsolver import SubsolverConfig
+from .datagen import GenSpec, default_delta, make_instance, mu_rule, tol_rule
+from .evaluation import EvalResult, FeasibilityReport, evaluate_solution, feasibility_report
 
 __all__ = [
     "AdmConfig",
-    "AdmState",
     "EvalResult",
     "FeasibilityReport",
     "GenSpec",
-    "GroundTruth",
-    "InnerState",
     "Instance",
-    "LineSearchError",
     "RunReport",
-    "SubproblemObjective",
     "SubsolverConfig",
-    "SubsolverResult",
-    "apply_gram",
-    "augmented_lagrangian",
-    "bb_step",
-    "box_clamp",
     "default_delta",
-    "dual_infeasibility",
-    "dual_objective",
     "evaluate_solution",
     "feasibility_report",
-    "gen_design",
-    "gen_response",
-    "gen_signal",
-    "grad_fk",
-    "inner_termination_metric",
-    "line_search",
     "make_instance",
     "mu_rule",
-    "rho_metrics",
-    "search_direction",
-    "soft_thresh",
     "solve",
-    "solve_subproblem",
-    "stopping_metric",
     "tol_rule",
-    "two_stage",
-    "update_lambda",
-    "update_z",
 ]

@@ -3,7 +3,10 @@
 Each iteration updates z in closed form (a box clamp), asks the inner
 nonmonotone gradient method for an approximate beta, then takes a multiplier
 ascent step on lambda.  Termination uses the relative duality gap together
-with primal and dual infeasibility ratios.
+with primal and dual infeasibility ratios, built from the terms of
+:func:`_criterion_terms`, the one routine that computes them (the
+certificate of :func:`~dantzig_adm.evaluation.feasibility_report` uses it
+too).
 
 The outer step is read off the inner solver.  With G = X^T X and
 c = X^T y + z - lambda/mu, the inner solver returns beta together with the
@@ -69,16 +72,6 @@ class AdmConfig:
         return replace(self.subsolver, tol_sub=self.sub_tol_factor * self.tol)
 
 
-@dataclass
-class AdmState:
-    """Current (beta, z, lambda) triple of the outer iteration."""
-
-    beta: np.ndarray
-    z: np.ndarray
-    lam: np.ndarray
-    iteration: int = 0
-
-
 @dataclass(frozen=True, eq=False)
 class OuterIterationRecord:
     """Diagnostics handed to an optional per-iteration callback."""
@@ -104,117 +97,60 @@ class RunReport:
     subsolver_failures: int = 0
 
 
-def augmented_lagrangian(
-    inst: Instance, z: np.ndarray, beta: np.ndarray, lam: np.ndarray, mu: float
-) -> float:
-    """||beta||_1 + lam . r + (mu/2) ||r||^2 with r = X^T X beta - X^T y - z."""
-    if not mu > 0:
-        raise ValueError(f"mu must be positive, got {mu}")
-    z = np.asarray(z, dtype=np.float64)
-    lam = np.asarray(lam, dtype=np.float64)
-    if z.shape != (inst.p,) or lam.shape != (inst.p,):
-        raise ValueError(f"z and lambda must have length {inst.p}, got {z.shape} and {lam.shape}")
-    r = apply_gram(inst, beta) - inst.xty - z
-    return float(np.abs(beta).sum()) + float(lam @ r) + 0.5 * mu * float(r @ r)
-
-
-def _gram(inst: Instance, beta: np.ndarray, gram_beta: np.ndarray | None) -> np.ndarray:
-    """gram_beta when the caller already holds X^T X beta, else one fresh product."""
-    if gram_beta is None:
-        return apply_gram(inst, beta)
-    gram_beta = np.asarray(gram_beta, dtype=np.float64)
-    if gram_beta.shape != (inst.p,):
-        raise ValueError(f"gram_beta must have length {inst.p}, got {gram_beta.shape}")
-    return gram_beta
-
-
-def update_z(
-    inst: Instance,
-    beta: np.ndarray,
-    lam: np.ndarray,
-    mu: float,
-    gram_beta: np.ndarray | None = None,
-) -> np.ndarray:
+def update_z(inst: Instance, lam: np.ndarray, mu: float, gram_beta: np.ndarray) -> np.ndarray:
     """Exact minimizer of the augmented Lagrangian over the box ||D^-1 z||_inf <= delta.
 
-    ``gram_beta`` is X^T X beta when the caller already has it.
+    ``gram_beta`` is X^T X beta at the current beta.
     """
     if not mu > 0:
         raise ValueError(f"mu must be positive, got {mu}")
     lam = np.asarray(lam, dtype=np.float64)
     if lam.shape != (inst.p,):
         raise ValueError(f"lambda must have length {inst.p}, got {lam.shape}")
-    w = _gram(inst, beta, gram_beta) - inst.xty + lam / mu
+    w = gram_beta - inst.xty + lam / mu
     return box_clamp(w, inst.delta * inst.d)
-
-
-def dual_objective(inst: Instance, lam: np.ndarray) -> float:
-    """d(lambda) = -y^T X lambda - delta * sum_j d_j |lambda_j|, from the cached X^T y."""
-    lam = np.asarray(lam, dtype=np.float64)
-    if lam.shape != (inst.p,):
-        raise ValueError(f"lambda must have length {inst.p}, got {lam.shape}")
-    return -float(inst.xty @ lam) - inst.delta * float(inst.d @ np.abs(lam))
-
-
-def dual_infeasibility(inst: Instance, lam: np.ndarray) -> float:
-    """||X^T X lambda||_inf - 1; negative when lambda is strictly dual-feasible."""
-    return float(np.abs(apply_gram(inst, lam)).max()) - 1.0
 
 
 def _criterion_terms(
     inst: Instance,
     beta: np.ndarray,
     lam: np.ndarray,
-    gram_beta: np.ndarray | None = None,
-    gram_lam: np.ndarray | None = None,
-):
-    """The three stopping ratios plus the dual objective.
+    gram_beta: np.ndarray,
+    gram_lam: np.ndarray,
+) -> tuple[float, float, float, float]:
+    """The unnormalised stopping and certificate terms at (beta, lambda).
 
-    The primal term uses X^T X beta - X^T y and the dual term X^T X lam; pass
-    ``gram_beta`` and ``gram_lam`` to reuse held products, else each costs
-    one Gram product.  The dual objective uses the cached X^T y.
+    With G = X^T X, ``gram_beta`` = G beta and ``gram_lam`` = G lambda,
+    returns
+
+    - the primal excess max_j |(G beta - X^T y)_j| / d_j - delta,
+    - the dual excess ||G lambda||_inf - 1,
+    - ||beta||_1,
+    - the dual objective -y^T X lambda - delta * sum_j d_j |lambda_j|, from the
+      cached X^T y.
+
+    Both excesses are negative when their constraint holds strictly.  The
+    stopping test of :func:`solve` divides them into ratios, and
+    :func:`~dantzig_adm.evaluation.feasibility_report` takes their positive
+    parts; neither makes a product of its own here.
     """
-    beta = np.asarray(beta, dtype=np.float64)
-    lam = np.asarray(lam, dtype=np.float64)
-    if beta.shape != (inst.p,) or lam.shape != (inst.p,):
-        raise ValueError(
-            f"beta and lambda must have length {inst.p}, got {beta.shape} and {lam.shape}"
-        )
+    primal = float(np.abs((gram_beta - inst.xty) / inst.d).max()) - inst.delta
+    dual = float(np.abs(gram_lam).max()) - 1.0
     beta_l1 = float(np.abs(beta).sum())
-    corr = _gram(inst, beta, gram_beta) - inst.xty
-    primal = (float(np.abs(corr / inst.d).max()) - inst.delta) / max(
-        float(np.linalg.norm(beta)), 1.0
-    )
-    dual_value = dual_objective(inst, lam)
-    dual = (float(np.abs(_gram(inst, lam, gram_lam)).max()) - 1.0) / max(
-        float(np.linalg.norm(lam)), 1.0
-    )
-    gap = abs(beta_l1 - dual_value) / max(beta_l1, 1.0)
-    return gap, primal, dual, dual_value
-
-
-def stopping_metric(inst: Instance, beta: np.ndarray, lam: np.ndarray) -> float:
-    """max of the relative duality gap and the primal/dual infeasibility ratios.
-
-    The last two ratios may be negative; the gap term is nonnegative, so the
-    max is as well.  The dual objective is used as-is even when lambda is
-    dual-infeasible.
-    """
-    gap, primal, dual, _ = _criterion_terms(inst, beta, lam)
-    return max(gap, primal, dual)
+    dual_value = -float(inst.xty @ lam) - inst.delta * float(inst.d @ np.abs(lam))
+    return primal, dual, beta_l1, dual_value
 
 
 def update_lambda(
     inst: Instance,
     lam: np.ndarray,
-    beta_next: np.ndarray,
     z_next: np.ndarray,
     mu: float,
-    gram_beta: np.ndarray | None = None,
+    gram_beta: np.ndarray,
 ) -> np.ndarray:
     """Multiplier step lam + mu * (X^T X beta_next - X^T y - z_next).
 
-    ``gram_beta`` is X^T X beta_next when the caller already has it.
+    ``gram_beta`` is X^T X beta_next for the new iterate beta_next.
     """
     if not mu > 0:
         raise ValueError(f"mu must be positive, got {mu}")
@@ -224,7 +160,7 @@ def update_lambda(
         raise ValueError(
             f"lambda and z must have length {inst.p}, got {lam.shape} and {z_next.shape}"
         )
-    return lam + mu * (_gram(inst, beta_next, gram_beta) - inst.xty - z_next)
+    return lam + mu * (gram_beta - inst.xty - z_next)
 
 
 def solve(
@@ -237,7 +173,13 @@ def solve(
     """Run the alternating direction method from (beta0, lambda0), default zeros.
 
     Per iteration: closed-form z update, inner solve for beta warm-started at
-    the previous beta, multiplier step, then the stopping test.  X^T X beta
+    the previous beta, multiplier step, then the stopping test.  Its metric
+    is the max of the relative duality gap | ||beta||_1 - d(lambda) | /
+    max(||beta||_1, 1) and the primal and dual excesses of
+    :func:`_criterion_terms` over max(||beta||_2, 1) and max(||lambda||_2, 1).
+    The two ratios may be negative; the gap is not, so neither is the metric.
+    The dual objective d is used as-is even when lambda is dual-infeasible.
+    The metric at (beta0, lambda0) is the first entry of the history.  X^T X beta
     and X^T X lambda come from the inner solver's residual and gradient (see
     the module docstring for the identities and the cost per iteration).  The
     products go through one DesignOperator built here and dropped on return.
@@ -254,67 +196,65 @@ def solve(
 
     t_start = time.perf_counter()
     design = DesignOperator(inst.X)
-    state = AdmState(beta=beta, z=np.zeros(p), lam=lam)
     # a zero start (the default) needs no product: X^T X 0 = 0
     gram_beta = apply_gram(inst, beta) if beta.any() else np.zeros(p)
-    gram_lam = None if lam.any() else np.zeros(p)
-    gap, primal, dual, dual_value = _criterion_terms(inst, beta, lam, gram_beta, gram_lam)
-    metric = max(gap, primal, dual)
-    metric_history = [metric]
-    dual_history = [dual_value]
-    inner_total = 0
-    sub_failures = 0
-    status = STATUS_MAX_ITER if metric > config.tol else STATUS_CONVERGED
+    gram_lam = apply_gram(inst, lam) if lam.any() else np.zeros(p)
+    metric_history: list[float] = []
+    dual_history: list[float] = []
+    iteration = inner_total = sub_failures = 0
 
-    while status == STATUS_MAX_ITER and state.iteration < config.max_outer_iter:
-        lam_prev = state.lam
-        state.z = update_z(inst, state.beta, state.lam, config.mu, gram_beta)
-        objective = SubproblemObjective(
-            inst, state.z, state.lam, config.mu, gram_u0=gram_beta, design=design
+    while True:
+        primal, dual, beta_l1, dual_value = _criterion_terms(inst, beta, lam, gram_beta, gram_lam)
+        metric = max(
+            abs(beta_l1 - dual_value) / max(beta_l1, 1.0),
+            primal / max(float(np.linalg.norm(beta)), 1.0),
+            dual / max(float(np.linalg.norm(lam)), 1.0),
         )
-        result = solve_subproblem(objective, state.beta, sub_config)
-        inner_total += result.iterations
-        if not result.succeeded:
-            sub_failures += 1
-        state.beta = result.u
-        if result.residual is None:  # the best earlier iterate: nothing held for it
-            gram_beta = apply_gram(inst, state.beta)
-            gram_lam = None
-        else:  # G beta = r + c; the multiplier step is mu r, so X^T X lambda = g
-            gram_beta = result.residual + objective.c
-            gram_lam = result.gradient
-        state.lam = update_lambda(inst, state.lam, state.beta, state.z, config.mu, gram_beta)
-        state.iteration += 1
-
-        if not (
-            np.isfinite(state.beta).all()
-            and np.isfinite(state.lam).all()
-            and np.isfinite(state.z).all()
-        ):
-            status = STATUS_NUMERICAL_FAILURE
-            break
-        gap, primal, dual, dual_value = _criterion_terms(
-            inst, state.beta, state.lam, gram_beta, gram_lam
-        )
-        metric = max(gap, primal, dual)
         metric_history.append(metric)
         dual_history.append(dual_value)
-        if callback is not None:
+        if callback is not None and iteration > 0:
             callback(
                 OuterIterationRecord(
-                    iteration=state.iteration,
-                    z=state.z.copy(),
-                    beta=state.beta.copy(),
-                    lam=state.lam.copy(),
+                    iteration=iteration,
+                    z=z.copy(),
+                    beta=beta.copy(),
+                    lam=lam.copy(),
                     lam_prev=lam_prev.copy(),
                     metric=metric,
                 )
             )
         if metric <= config.tol:
             status = STATUS_CONVERGED
+            break
+        if iteration == config.max_outer_iter:
+            status = STATUS_MAX_ITER
+            break
+
+        lam_prev = lam
+        z = update_z(inst, lam, config.mu, gram_beta)
+        objective = SubproblemObjective(inst, z, lam, config.mu, gram_u0=gram_beta, design=design)
+        result = solve_subproblem(objective, beta, sub_config)
+        inner_total += result.iterations
+        if not result.succeeded:
+            sub_failures += 1
+        beta = result.u
+        if result.residual is None:  # the best earlier iterate: nothing held for it
+            gram_beta = apply_gram(inst, beta)
+        else:  # G beta = r + c; the multiplier step is mu r, so X^T X lambda = g
+            gram_beta = result.residual + objective.c
+        lam = update_lambda(inst, lam, z, config.mu, gram_beta)
+        gram_lam = apply_gram(inst, lam) if result.residual is None else result.gradient
+        iteration += 1
+        if not (
+            np.isfinite(beta).all()
+            and np.isfinite(lam).all()
+            and np.isfinite(z).all()
+        ):
+            status = STATUS_NUMERICAL_FAILURE
+            break
 
     report = RunReport(
-        outer_iterations=state.iteration,
+        outer_iterations=iteration,
         inner_iteration_total=inner_total,
         stopping_metric_history=metric_history,
         dual_objective_history=dual_history,
@@ -322,4 +262,4 @@ def solve(
         status=status,
         subsolver_failures=sub_failures,
     )
-    return state.beta, state.lam, report
+    return beta, lam, report

@@ -175,30 +175,48 @@ def _cmd_gen(args) -> int:
 
 
 def _load_instance(instance_dir: Path, delta_override: float | None):
+    """The instance, design kind and noise level of an instance directory.
+
+    A manifest value that does not parse, a manifest delta that is not a
+    positive number, and X and y of different row counts are malformed input
+    files (FileFormatError); a bad --delta stays a usage error.
+    """
     manifest_path = instance_dir / "manifest.txt"
     manifest = fileio.read_manifest(manifest_path)
     X = fileio.read_matrix(instance_dir / "X.mtx")
     y = fileio.read_vector(instance_dir / "y.mtx")
+    if y.shape[0] != X.shape[0]:
+        raise fileio.FileFormatError(
+            f"{instance_dir / 'y.mtx'} has {y.shape[0]} rows but "
+            f"{instance_dir / 'X.mtx'} has {X.shape[0]}"
+        )
+    design = _DESIGNS.get(manifest.get("design", "unit_columns"))
+    if design is None:
+        raise fileio.FileFormatError(f"{manifest_path}: unknown design kind {manifest['design']!r}")
+    sigma = _manifest_float(manifest_path, "sigma", manifest.get("sigma", "0"))
     if delta_override is not None:
         delta = delta_override
+    elif "delta" not in manifest:
+        raise fileio.FileFormatError(f"{manifest_path} has no delta entry; pass --delta")
     else:
-        try:
-            delta = float(manifest["delta"])
-        except (KeyError, ValueError):
+        delta = _manifest_float(manifest_path, "delta", manifest["delta"])
+        if not (math.isfinite(delta) and delta > 0):
             raise fileio.FileFormatError(
-                f"{manifest_path} has no numeric delta entry; pass --delta"
-            ) from None
-    return Instance(X=X, y=y, delta=delta), manifest
+                f"{manifest_path}: delta must be a positive finite number, got {delta}"
+            )
+    return Instance(X=X, y=y, delta=delta), design, sigma
+
+
+def _manifest_float(path: Path, key: str, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise fileio.FileFormatError(f"{path}: {key} = {text!r} is not a number") from None
 
 
 def _cmd_solve(args) -> int:
     instance_dir = Path(args.instance_dir)
-    inst, manifest = _load_instance(instance_dir, args.delta)
-    design = _DESIGNS.get(manifest.get("design", "unit_columns"))
-    if design is None:
-        _err(f"unknown design kind in manifest: {manifest.get('design')!r}")
-        return EXIT_USAGE
-    sigma = float(manifest.get("sigma", "0"))
+    inst, design, sigma = _load_instance(instance_dir, args.delta)
     mu = args.mu if args.mu is not None else mu_rule(design, inst.p, inst.delta)
     tol = args.tol if args.tol is not None else tol_rule(design)
     config = AdmConfig(mu=mu, tol=tol, max_outer_iter=args.max_outer)
@@ -297,7 +315,10 @@ def _resolve_workers(requested: int, reps: int) -> int:
     cap = os.environ.get(WORKERS_ENV)
     workers = max(1, requested)
     if cap is not None:
-        workers = min(workers, max(1, int(cap)))
+        try:
+            workers = min(workers, max(1, int(cap)))
+        except ValueError:
+            raise ValueError(f"{WORKERS_ENV} must be an integer, got {cap!r}") from None
     return min(workers, reps)
 
 

@@ -185,7 +185,8 @@ def apply_gram(inst: Instance, v: np.ndarray) -> np.ndarray:
 
     X v takes the support-restricted path of :meth:`DesignOperator.matvec`
     when at most half of v is nonzero.  The outer loop uses this for the
-    products the inner solver does not hand back.
+    products the inner solver does not hand back, and the certificate of
+    :func:`~dantzig_adm.evaluation.feasibility_report` for all of its own.
     """
     v = _as_vector(v, inst.p, "v")
     design = DesignOperator(inst.X)

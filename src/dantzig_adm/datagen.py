@@ -111,19 +111,6 @@ def gen_signal(spec: GenSpec) -> GroundTruth:
     return GroundTruth(beta_true=beta, support=support, noise=noise)
 
 
-def gen_response(X: np.ndarray, beta_true: np.ndarray, sigma_noise: float, seed: int) -> np.ndarray:
-    """y = X beta + eps with eps ~ N(0, sigma^2 I) from the seed's noise sub-stream."""
-    X = np.asarray(X, dtype=np.float64)
-    beta_true = np.asarray(beta_true, dtype=np.float64)
-    if X.ndim != 2 or beta_true.shape != (X.shape[1],):
-        raise ValueError(
-            f"beta_true must have length {X.shape[1] if X.ndim == 2 else '?'}, "
-            f"got {beta_true.shape}"
-        )
-    noise = sigma_noise * _stream(seed, "noise").standard_normal(X.shape[0])
-    return X @ beta_true + noise
-
-
 def default_delta(p: float, sigma_noise: float) -> float:
     """Constraint level sqrt(2 ln p) * sigma (natural logarithm)."""
     if not sigma_noise > 0:

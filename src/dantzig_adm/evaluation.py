@@ -7,8 +7,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Instance
-from .adm import dual_objective
+from .core import Instance, _as_vector, apply_gram
+from .adm import _criterion_terms
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,18 +71,24 @@ def rho_metrics(beta_est: np.ndarray, beta_true: np.ndarray, sigma_noise: float)
 
 
 def feasibility_report(inst: Instance, beta: np.ndarray, lam: np.ndarray) -> FeasibilityReport:
-    """Positive parts of the primal/dual constraint violations and the duality gap."""
-    beta = np.asarray(beta, dtype=np.float64)
-    lam = np.asarray(lam, dtype=np.float64)
-    if beta.shape != (inst.p,) or lam.shape != (inst.p,):
-        raise ValueError(
-            f"beta and lambda must have length {inst.p}, got {beta.shape} and {lam.shape}"
-        )
-    corr = inst.X.T @ (inst.X @ beta - inst.y)
-    primal = max(float(np.abs(corr / inst.d).max()) - inst.delta, 0.0)
-    dual = max(float(np.abs(inst.X.T @ (inst.X @ lam)).max()) - 1.0, 0.0)
-    gap = abs(float(np.abs(beta).sum()) - dual_objective(inst, lam))
-    return FeasibilityReport(primal_violation=primal, dual_violation=dual, gap=gap)
+    """Positive parts of the primal/dual constraint violations and the duality gap.
+
+    The terms are those of the solver's stopping test
+    (:func:`~dantzig_adm.adm._criterion_terms`), recomputed from
+    (X, y, delta, beta, lambda) with two fresh Gram products and no solver
+    state: max(max_j |(X^T X beta - X^T y)_j| / d_j - delta, 0),
+    max(||X^T X lambda||_inf - 1, 0) and | ||beta||_1 - d(lambda) |.
+    """
+    beta = _as_vector(beta, inst.p, "beta")
+    lam = _as_vector(lam, inst.p, "lambda")
+    primal, dual, beta_l1, dual_value = _criterion_terms(
+        inst, beta, lam, apply_gram(inst, beta), apply_gram(inst, lam)
+    )
+    return FeasibilityReport(
+        primal_violation=max(primal, 0.0),
+        dual_violation=max(dual, 0.0),
+        gap=abs(beta_l1 - dual_value),
+    )
 
 
 def evaluate_solution(

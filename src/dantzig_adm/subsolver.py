@@ -98,15 +98,6 @@ class SubproblemObjective:
         """gram(u) - c; one apply_gram call."""
         return apply_gram(self.inst, u) - self.c
 
-    def value(self, u: np.ndarray) -> float:
-        r = self.residual(u)
-        return 0.5 * self.mu * float(r @ r)
-
-
-def grad_fk(obj: SubproblemObjective, u: np.ndarray) -> np.ndarray:
-    """Gradient mu * X^T X (X^T X u - X^T y - z + lambda/mu); two apply_gram calls."""
-    return obj.mu * apply_gram(obj.inst, obj.residual(u))
-
 
 @dataclass
 class SubsolverConfig:
@@ -228,23 +219,19 @@ class SubsolverResult:
 
 
 def search_direction(
-    obj: SubproblemObjective,
-    u: np.ndarray,
-    bar_alpha: float,
-    grad: np.ndarray | None = None,
+    u: np.ndarray, bar_alpha: float, grad: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """Prox-gradient direction d and its predicted decrease Delta.
 
-    d = SoftThresh(u - bar_alpha * grad, bar_alpha) - u and
-    Delta = grad . d + ||u + d||_1 - ||u||_1; Delta <= 0 always, with equality
-    only at a minimizer of the penalized objective.
+    With ``grad`` = grad f(u), d = SoftThresh(u - bar_alpha * grad, bar_alpha) - u
+    and Delta = grad . d + ||u + d||_1 - ||u||_1; Delta <= 0 always, with
+    equality only at a minimizer of the penalized objective.
     """
     if not 0 < bar_alpha <= 1:
         raise ValueError(f"bar_alpha must lie in (0, 1], got {bar_alpha}")
-    g = grad_fk(obj, u) if grad is None else grad
-    target = soft_thresh(u - bar_alpha * g, bar_alpha)
+    target = soft_thresh(u - bar_alpha * grad, bar_alpha)
     d = target - u
-    delta = float(g @ d) + float(np.abs(target).sum()) - float(np.abs(u).sum())
+    delta = float(grad @ d) + float(np.abs(target).sum()) - float(np.abs(u).sum())
     return d, delta
 
 
@@ -307,17 +294,12 @@ def bb_step(s: np.ndarray, g: np.ndarray, config: SubsolverConfig) -> float:
     return min(max(ss / curvature, config.alpha_lo), 1.0)
 
 
-def inner_termination_metric(
-    obj: SubproblemObjective,
-    u: np.ndarray,
-    grad: np.ndarray | None = None,
-    penalized: float | None = None,
-) -> float:
-    """||SoftThresh(u - grad f(u), 1) - u||_2 / max(f(u) + ||u||_1, 1)."""
-    g = grad_fk(obj, u) if grad is None else grad
-    if penalized is None:
-        penalized = obj.value(u) + float(np.abs(u).sum())
-    step = soft_thresh(u - g, 1.0) - u
+def inner_termination_metric(u: np.ndarray, grad: np.ndarray, penalized: float) -> float:
+    """||SoftThresh(u - grad, 1) - u||_2 / max(penalized, 1).
+
+    ``grad`` is grad f(u) and ``penalized`` is f(u) + ||u||_1.
+    """
+    step = soft_thresh(u - grad, 1.0) - u
     return float(np.linalg.norm(step)) / max(penalized, 1.0)
 
 
@@ -357,9 +339,9 @@ def solve_subproblem(
     status = "max_iter"
 
     while state.iteration < config.max_inner_iter:
-        if inner_termination_metric(obj, state.u, grad=g, penalized=penalized) <= config.tol_sub:
+        if inner_termination_metric(state.u, g, penalized) <= config.tol_sub:
             return _final(start, state, g, "converged")
-        d, delta = search_direction(obj, state.u, state.bar_alpha, grad=g)
+        d, delta = search_direction(state.u, state.bar_alpha, g)
         if delta > -STATIONARY_RTOL * max(1.0, penalized):
             return _final(start, state, g, "stationary")
         window_max = max(state.window)
@@ -396,7 +378,7 @@ def solve_subproblem(
         if trial.penalized < best_penalized:
             best_u, best_penalized = trial.u, trial.penalized
 
-    if status == "max_iter" and inner_termination_metric(obj, state.u, grad=g, penalized=penalized) <= config.tol_sub:
+    if status == "max_iter" and inner_termination_metric(state.u, g, penalized) <= config.tol_sub:
         return _final(start, state, g, "converged")
     return SubsolverResult(best_u, state.iteration, status)
 

@@ -147,6 +147,15 @@ def lp_dual_enumeration(X: np.ndarray, y: np.ndarray, delta: float):
     return best_value, best_l
 
 
+def augmented_lagrangian_dense(X, y, z, beta, lam, mu) -> float:
+    """||beta||_1 + lam . r + (mu/2) ||r||^2 with r = X^T X beta - X^T y - z, from dense X^T X."""
+    X = np.asarray(X, dtype=np.float64)
+    beta = np.asarray(beta, dtype=np.float64)
+    lam = np.asarray(lam, dtype=np.float64)
+    r = dense_gram(X) @ beta - X.T @ np.asarray(y) - np.asarray(z)
+    return float(np.abs(beta).sum()) + float(lam @ r) + 0.5 * mu * float(r @ r)
+
+
 def penalized_value_dense(X, y, z, lam, mu, u) -> float:
     """f_k(u) + ||u||_1 evaluated with explicitly formed dense matrices."""
     return smooth_value_dense(X, y, z, lam, mu, u) + float(np.abs(np.asarray(u)).sum())

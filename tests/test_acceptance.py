@@ -14,7 +14,7 @@ from dantzig_adm.evaluation import evaluate_solution
 from dantzig_adm.subsolver import (
     SubproblemObjective,
     SubsolverConfig,
-    grad_fk,
+    WarmStart,
     solve_subproblem,
 )
 
@@ -24,6 +24,7 @@ from oracles import (
     lp_primal_enumeration,
     penalized_value_dense,
     random_instance_arrays,
+    smooth_value_dense,
 )
 
 
@@ -164,7 +165,7 @@ class TestSubsolverOracle:
             result = solve_subproblem(
                 obj, np.zeros(p), SubsolverConfig(tol_sub=1e-10, max_inner_iter=200000)
             )
-            value = obj.value(result.u) + float(np.abs(result.u).sum())
+            value = penalized_value_dense(X, y, z, lam, mu, result.u)
             _, reference, converged = ista_reference(X, y, z, lam, mu, np.zeros(p))
             assert converged, "reference solver failed to converge tightly"
             worst_rel = max(worst_rel, abs(value - reference) / max(1.0, abs(reference)))
@@ -207,11 +208,15 @@ class TestGradientCheck:
             mu = float(rng.uniform(0.5, 3.0))
             obj = SubproblemObjective(Instance(X=X, y=y, delta=1.0), z, lam, mu)
             u = rng.standard_normal(p)
-            g = grad_fk(obj, u)
+            # the inner solver's gradient mu X^T (q0 + K E), at E = 0
+            g = WarmStart.at(obj, u).gradient(np.zeros(n))
             for _ in range(20):
                 v = rng.standard_normal(p)
                 v /= np.linalg.norm(v)
-                fd = (obj.value(u + h * v) - obj.value(u - h * v)) / (2 * h)
+                fd = (
+                    smooth_value_dense(X, y, z, lam, mu, u + h * v)
+                    - smooth_value_dense(X, y, z, lam, mu, u - h * v)
+                ) / (2 * h)
                 directional = float(g @ v)
                 worst = max(worst, abs(fd - directional) / max(1.0, abs(directional)))
         ok = worst <= 1e-5

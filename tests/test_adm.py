@@ -4,25 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dantzig_adm.adm as adm_module
-from dantzig_adm.adm import (
-    AdmConfig,
-    augmented_lagrangian,
-    dual_infeasibility,
-    dual_objective,
-    solve,
-    stopping_metric,
-    update_lambda,
-    update_z,
-)
+from dantzig_adm.adm import AdmConfig, solve, update_lambda, update_z
 from dantzig_adm.core import DesignOperator, Instance, apply_gram
+from dantzig_adm.evaluation import feasibility_report
 from dantzig_adm.subsolver import (
     SubproblemObjective,
     SubsolverConfig,
     SubsolverResult,
+    WarmStart,
     solve_subproblem,
 )
 
 from oracles import (
+    augmented_lagrangian_dense,
     box_lagrangian_scalar,
     certificate_dense,
     dense_gram,
@@ -37,12 +31,42 @@ def _instance(rng, n=6, p=10, delta_scale=0.5):
     return Instance(X=X, y=y, delta=delta)
 
 
+def _terms(inst, beta, lam):
+    """(primal excess, dual excess, ||beta||_1, dual objective) from fresh Gram products."""
+    return adm_module._criterion_terms(
+        inst, beta, lam, apply_gram(inst, beta), apply_gram(inst, lam)
+    )
+
+
+def _metric_at(inst, beta, lam):
+    """The stopping metric solve records at the start point (beta, lam).
+
+    With tol = inf the start point passes the test at once, so the first
+    entry of the history is the metric from fresh Gram products.
+    """
+    _, _, report = solve(inst, AdmConfig(mu=1.0, tol=np.inf), beta0=beta, lambda0=lam)
+    assert report.outer_iterations == 0
+    return report.stopping_metric_history[0]
+
+
+def _lagrangian(inst, z, beta, lam, mu):
+    """The augmented Lagrangian at (z, beta, lam), from the inner solver's residual at beta.
+
+    With r = X^T X beta - X^T y - z the inner residual is r0 = r + lam/mu, so
+    ||beta||_1 + lam.r + (mu/2)||r||^2 = ||beta||_1 + (mu/2)||r0||^2 - ||lam||^2/(2 mu).
+    """
+    r0 = WarmStart.at(SubproblemObjective(inst, z, lam, mu), beta).r0
+    return float(np.abs(beta).sum()) + 0.5 * mu * float(r0 @ r0) - float(lam @ lam) / (2 * mu)
+
+
 class TestAugmentedLagrangian:
+    """The inner problem is the augmented Lagrangian in beta, up to a constant."""
+
     def test_vanishes_at_slack_kernel_point(self):
         rng = np.random.default_rng(0)
         inst = _instance(rng)
         z = -(inst.X.T @ inst.y)
-        value = augmented_lagrangian(inst, z, np.zeros(inst.p), np.zeros(inst.p), 2.0)
+        value = _lagrangian(inst, z, np.zeros(inst.p), np.zeros(inst.p), 2.0)
         assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_reduces_to_quadratic_penalty(self):
@@ -50,7 +74,7 @@ class TestAugmentedLagrangian:
         inst = _instance(rng)
         z = rng.standard_normal(inst.p)
         mu = 1.7
-        value = augmented_lagrangian(inst, z, np.zeros(inst.p), np.zeros(inst.p), mu)
+        value = _lagrangian(inst, z, np.zeros(inst.p), np.zeros(inst.p), mu)
         expected = 0.5 * mu * np.linalg.norm(inst.X.T @ inst.y + z) ** 2
         assert value == pytest.approx(expected, rel=1e-12)
 
@@ -61,16 +85,10 @@ class TestAugmentedLagrangian:
         z = rng.standard_normal(inst.p)
         lam = rng.standard_normal(inst.p)
         mu = 0.9
-        value = augmented_lagrangian(inst, z, beta, lam, mu)
+        value = _lagrangian(inst, z, beta, lam, mu)
         r = dense_gram(inst.X) @ beta - inst.X.T @ inst.y - z
         expected = np.abs(beta).sum() + lam @ r + 0.5 * mu * (r @ r)
         assert value == pytest.approx(expected, rel=1e-10, abs=1e-10)
-
-    def test_dimension_mismatch(self):
-        rng = np.random.default_rng(3)
-        inst = _instance(rng)
-        with pytest.raises(ValueError):
-            augmented_lagrangian(inst, np.zeros(inst.p + 1), np.zeros(inst.p), np.zeros(inst.p), 1.0)
 
 
 class TestUpdateZ:
@@ -81,7 +99,7 @@ class TestUpdateZ:
         d = np.linalg.norm(X, axis=0)
         delta = 1.1 * np.abs((X.T @ y) / d).max()
         inst = Instance(X=X, y=y, delta=delta)
-        z = update_z(inst, np.zeros(8), np.zeros(8), 1.0)
+        z = update_z(inst, np.zeros(8), 1.0, np.zeros(8))  # beta = 0
         assert np.allclose(z, -(X.T @ y), atol=1e-12)
 
     def test_huge_delta_leaves_target_unclipped(self):
@@ -91,7 +109,7 @@ class TestUpdateZ:
         beta = rng.standard_normal(8)
         lam = rng.standard_normal(8)
         mu = 2.0
-        z = update_z(inst, beta, lam, mu)
+        z = update_z(inst, lam, mu, apply_gram(inst, beta))
         expected = dense_gram(X) @ beta - X.T @ y + lam / mu
         assert np.allclose(z, expected, rtol=1e-10)
 
@@ -101,7 +119,7 @@ class TestUpdateZ:
         beta = rng.standard_normal(10)
         lam = rng.standard_normal(10)
         mu = 1.3
-        z = update_z(inst, beta, lam, mu)
+        z = update_z(inst, lam, mu, apply_gram(inst, beta))
         w = dense_gram(inst.X) @ beta - inst.X.T @ inst.y
         bound = inst.delta * inst.d
         expected = np.array(
@@ -118,25 +136,28 @@ class TestUpdateZ:
         beta = rng.standard_normal(8)
         lam = rng.standard_normal(8)
         mu = 0.8
-        z_star = update_z(inst, beta, lam, mu)
-        base = augmented_lagrangian(inst, z_star, beta, lam, mu)
+        z_star = update_z(inst, lam, mu, apply_gram(inst, beta))
+        dense = (inst.X, inst.y)
+        base = augmented_lagrangian_dense(*dense, z_star, beta, lam, mu)
         bound = inst.delta * inst.d
         for _ in range(100):
             z = rng.uniform(-bound, bound)
-            assert base <= augmented_lagrangian(inst, z, beta, lam, mu) + 1e-10
+            assert base <= augmented_lagrangian_dense(*dense, z, beta, lam, mu) + 1e-10
 
     def test_feasibility_of_output(self):
         rng = np.random.default_rng(8)
         inst = _instance(rng)
-        z = update_z(inst, rng.standard_normal(inst.p), rng.standard_normal(inst.p), 1.0)
+        z = update_z(inst, rng.standard_normal(inst.p), 1.0, rng.standard_normal(inst.p))
         assert np.all(np.abs(z / inst.d) <= inst.delta * (1 + 1e-12))
 
 
 class TestDualObjective:
+    """The dual objective of _criterion_terms, which solve and feasibility_report share."""
+
     def test_zero_multiplier(self):
         rng = np.random.default_rng(9)
         inst = _instance(rng)
-        assert dual_objective(inst, np.zeros(inst.p)) == 0.0
+        assert _terms(inst, np.zeros(inst.p), np.zeros(inst.p))[3] == 0.0
 
     def test_delta_term_separates(self):
         # subtracting the delta term must leave exactly -y^T X lambda
@@ -144,7 +165,7 @@ class TestDualObjective:
         inst = _instance(rng)
         lam = rng.standard_normal(inst.p)
         linear = -float(inst.y @ (inst.X @ lam))
-        value = dual_objective(inst, lam)
+        value = _terms(inst, np.zeros(inst.p), lam)[3]
         assert value + inst.delta * float(inst.d @ np.abs(lam)) == pytest.approx(
             linear, rel=1e-12, abs=1e-12
         )
@@ -155,41 +176,46 @@ class TestDualObjective:
         lam = rng.standard_normal(inst.p)
         D = np.diag(np.linalg.norm(inst.X, axis=0))
         expected = -inst.y @ inst.X @ lam - inst.delta * np.abs(D @ lam).sum()
-        assert dual_objective(inst, lam) == pytest.approx(expected, rel=1e-10, abs=1e-12)
+        value = _terms(inst, np.zeros(inst.p), lam)[3]
+        assert value == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(12)
         inst = _instance(rng)
         with pytest.raises(ValueError):
-            dual_objective(inst, np.zeros(inst.p + 2))
+            feasibility_report(inst, np.zeros(inst.p), np.zeros(inst.p + 2))
 
 
 class TestDualInfeasibility:
+    """The dual excess ||X^T X lambda||_inf - 1 of _criterion_terms."""
+
     def test_zero_multiplier(self):
         rng = np.random.default_rng(13)
         inst = _instance(rng)
-        assert dual_infeasibility(inst, np.zeros(inst.p)) == -1.0
+        assert _terms(inst, np.zeros(inst.p), np.zeros(inst.p))[1] == -1.0
 
     def test_orthogonal_square_design(self):
         q, _ = np.linalg.qr(np.random.default_rng(14).standard_normal((5, 5)))
         inst = Instance(X=q, y=np.zeros(5), delta=1.0)
         e1 = np.zeros(5)
         e1[0] = 1.0
-        assert dual_infeasibility(inst, e1) == pytest.approx(0.0, abs=1e-12)
+        assert _terms(inst, np.zeros(5), e1)[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_dense_gram(self):
         rng = np.random.default_rng(15)
         inst = _instance(rng)
         lam = rng.standard_normal(inst.p)
         expected = np.abs(dense_gram(inst.X) @ lam).max() - 1.0
-        assert dual_infeasibility(inst, lam) == pytest.approx(expected, rel=1e-10)
+        assert _terms(inst, np.zeros(inst.p), lam)[1] == pytest.approx(expected, rel=1e-10)
 
 
 class TestStoppingMetric:
+    """The metric solve records, from the terms of _criterion_terms."""
+
     def test_degenerate_zero_data(self):
         X = np.eye(4)
         inst = Instance(X=X, y=np.zeros(4), delta=0.5)
-        assert stopping_metric(inst, np.zeros(4), np.zeros(4)) == 0.0
+        assert _metric_at(inst, np.zeros(4), np.zeros(4)) == 0.0
 
     def test_small_at_enumerated_optimal_pair(self):
         rng = np.random.default_rng(16)
@@ -198,7 +224,7 @@ class TestStoppingMetric:
             inst = Instance(X=X, y=y, delta=delta)
             _, beta_star = lp_primal_enumeration(X, y, delta)
             _, lam_star = lp_dual_enumeration(X, y, delta)
-            assert stopping_metric(inst, beta_star, lam_star) <= 1e-8
+            assert _metric_at(inst, beta_star, lam_star) <= 1e-8
 
     def test_matches_term_by_term_evaluation(self):
         rng = np.random.default_rng(17)
@@ -206,21 +232,23 @@ class TestStoppingMetric:
         beta = rng.standard_normal(inst.p)
         lam = rng.standard_normal(inst.p)
         G = dense_gram(inst.X)
+        h = inst.X.T @ inst.y
         d = np.linalg.norm(inst.X, axis=0)
         l1 = np.abs(beta).sum()
-        gap = abs(l1 - dual_objective(inst, lam)) / max(l1, 1.0)
-        primal = (np.abs((G @ beta - inst.X.T @ inst.y) / d).max() - inst.delta) / max(
+        dual_value = -h @ lam - inst.delta * (d @ np.abs(lam))
+        gap = abs(l1 - dual_value) / max(l1, 1.0)
+        primal = (np.abs((G @ beta - h) / d).max() - inst.delta) / max(
             np.linalg.norm(beta), 1.0
         )
         dual = (np.abs(G @ lam).max() - 1.0) / max(np.linalg.norm(lam), 1.0)
         expected = max(gap, primal, dual)
-        assert stopping_metric(inst, beta, lam) == pytest.approx(expected, rel=1e-10)
+        assert _metric_at(inst, beta, lam) == pytest.approx(expected, rel=1e-10)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(18)
         inst = _instance(rng)
         for _ in range(20):
-            value = stopping_metric(
+            value = _metric_at(
                 inst, rng.standard_normal(inst.p), rng.standard_normal(inst.p)
             )
             assert value >= 0.0
@@ -233,7 +261,7 @@ class TestUpdateLambda:
         beta = rng.standard_normal(inst.p)
         z = dense_gram(inst.X) @ beta - inst.X.T @ inst.y
         lam = rng.standard_normal(inst.p)
-        out = update_lambda(inst, lam, beta, z, 3.0)
+        out = update_lambda(inst, lam, z, 3.0, apply_gram(inst, beta))
         assert np.allclose(out, lam, atol=1e-10)
 
     def test_unit_mu_from_zero_multiplier(self):
@@ -241,7 +269,7 @@ class TestUpdateLambda:
         inst = _instance(rng)
         beta = rng.standard_normal(inst.p)
         z = rng.standard_normal(inst.p)
-        out = update_lambda(inst, np.zeros(inst.p), beta, z, 1.0)
+        out = update_lambda(inst, np.zeros(inst.p), z, 1.0, apply_gram(inst, beta))
         expected = dense_gram(inst.X) @ beta - inst.X.T @ inst.y - z
         assert np.allclose(out, expected, rtol=1e-10, atol=1e-12)
 
@@ -253,13 +281,13 @@ class TestUpdateLambda:
         beta = rng.standard_normal(7)
         z = rng.standard_normal(7)
         lam = rng.standard_normal(7)
-        out = update_lambda(inst, lam, beta, z, mu)
+        out = update_lambda(inst, lam, z, mu, apply_gram(inst, beta))
         expected = lam + mu * (dense_gram(inst.X) @ beta - inst.X.T @ inst.y - z)
         assert np.allclose(out, expected, rtol=1e-9, atol=1e-9)
 
 
 class TestPrecomputedGram:
-    """The outer steps give the same answer with a held X^T X beta as with a fresh one."""
+    """The outer steps take X^T X beta as an argument and make no product of their own."""
 
     def _case(self, seed):
         rng = np.random.default_rng(seed)
@@ -271,31 +299,45 @@ class TestPrecomputedGram:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_same_result_as_fresh_product(self, seed):
-        inst, beta, lam, z = self._case(seed)
-        held = apply_gram(inst, beta)
-        assert np.array_equal(update_z(inst, beta, lam, 1.3, held), update_z(inst, beta, lam, 1.3))
-        assert np.array_equal(
-            update_lambda(inst, lam, beta, z, 1.3, held), update_lambda(inst, lam, beta, z, 1.3)
-        )
-        assert adm_module._criterion_terms(inst, beta, lam, held) == adm_module._criterion_terms(
-            inst, beta, lam
-        )
+        # solve forms G beta0 fresh at start-up; its first outer step, replayed
+        # from the outer steps and the inner solve with the products solve
+        # holds, gives exactly its iterates and dual objectives
+        inst, beta, lam, _ = self._case(seed)
+        mu = 1.3
+        config = AdmConfig(mu=mu, tol=1e-8, max_outer_iter=1)
+        records = []
+        _, _, report = solve(inst, config, beta0=beta, lambda0=lam, callback=records.append)
+        (rec,) = records
+        held, held_lam = apply_gram(inst, beta), apply_gram(inst, lam)
+        z = update_z(inst, lam, mu, held)
+        obj = SubproblemObjective(inst, z, lam, mu, gram_u0=held)
+        result = solve_subproblem(obj, beta, config.resolved_subsolver())
+        assert result.residual is not None
+        gram_beta = result.residual + obj.c
+        lam_next = update_lambda(inst, lam, z, mu, gram_beta)
+        assert np.array_equal(rec.z, z)
+        assert np.array_equal(rec.beta, result.u)
+        assert np.array_equal(rec.lam, lam_next)
+        first = adm_module._criterion_terms(inst, beta, lam, held, held_lam)
+        step = adm_module._criterion_terms(inst, result.u, lam_next, gram_beta, result.gradient)
+        assert report.dual_objective_history == [first[3], step[3]]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_dense_gram_product_agrees(self, seed):
         inst, beta, lam, z = self._case(seed)
-        dense = dense_gram(inst.X) @ beta
+        dense, dense_lam = dense_gram(inst.X) @ beta, dense_gram(inst.X) @ lam
+        held, held_lam = apply_gram(inst, beta), apply_gram(inst, lam)
         np.testing.assert_allclose(
-            update_z(inst, beta, lam, 1.3, dense), update_z(inst, beta, lam, 1.3),
+            update_z(inst, lam, 1.3, dense), update_z(inst, lam, 1.3, held),
             rtol=1e-10, atol=1e-12,
         )
         np.testing.assert_allclose(
-            update_lambda(inst, lam, beta, z, 1.3, dense), update_lambda(inst, lam, beta, z, 1.3),
+            update_lambda(inst, lam, z, 1.3, dense), update_lambda(inst, lam, z, 1.3, held),
             rtol=1e-10, atol=1e-12,
         )
         np.testing.assert_allclose(
-            adm_module._criterion_terms(inst, beta, lam, dense),
-            adm_module._criterion_terms(inst, beta, lam),
+            adm_module._criterion_terms(inst, beta, lam, dense, dense_lam),
+            adm_module._criterion_terms(inst, beta, lam, held, held_lam),
             rtol=1e-10, atol=1e-12,
         )
 
@@ -303,11 +345,11 @@ class TestPrecomputedGram:
         inst, beta, lam, z = self._case(0)
         bad = np.zeros(inst.p + 1)
         with pytest.raises(ValueError):
-            update_z(inst, beta, lam, 1.0, bad)
+            update_z(inst, lam, 1.0, bad)
         with pytest.raises(ValueError):
-            update_lambda(inst, lam, beta, z, 1.0, bad)
+            update_lambda(inst, lam, z, 1.0, bad)
         with pytest.raises(ValueError):
-            adm_module._criterion_terms(inst, beta, lam, bad)
+            adm_module._criterion_terms(inst, beta, lam, bad, bad)
 
 
 _PRODUCTS = ("matvec", "rmatvec", "kernel_matvec")
@@ -393,7 +435,7 @@ class TestOuterCost:
             before = calls
         assert products.outside == 0
         rec = seen[0][1]
-        assert rec.metric == stopping_metric(inst, rec.beta, rec.lam)
+        assert rec.metric == _metric_at(inst, rec.beta, rec.lam)
 
 
 class TestOuterIdentity:
@@ -413,7 +455,7 @@ class TestOuterIdentity:
             expected = rec.lam_prev + mu * (G @ rec.beta - h - rec.z)
             scale = max(np.abs(expected).max(), np.abs(rec.lam_prev).max())
             assert np.abs(rec.lam - expected).max() <= 1e-10 * scale
-            assert rec.metric == pytest.approx(stopping_metric(inst, rec.beta, rec.lam), rel=1e-10)
+            assert rec.metric == pytest.approx(_metric_at(inst, rec.beta, rec.lam), rel=1e-10)
 
 
 class _NoKernel(DesignOperator):

@@ -26,6 +26,17 @@ def _gen_args(out, n=30, p=90, s=4, sigma=0.05, design="unit", seed=1, extra=())
     ]
 
 
+def _set_manifest(out, key, value):
+    """Replace the manifest entry ``key`` of an instance directory."""
+    path = out / "manifest.txt"
+    lines = [line for line in path.read_text().splitlines() if not line.startswith(key)]
+    path.write_text("\n".join([*lines, f"{key} = {value}"]) + "\n")
+
+
+def _drop_last_row_of_y(out):
+    fileio.write_vector(out / "y.mtx", fileio.read_vector(out / "y.mtx")[:-1])
+
+
 class TestGen:
     def test_writes_reloadable_files(self, tmp_path):
         out = tmp_path / "inst"
@@ -168,6 +179,29 @@ class TestSolve:
         assert "delta" in err and "Traceback" not in err
         assert cli.main(["solve", str(out), "--delta", "0.1"]) == 0
 
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda out: _set_manifest(out, "sigma", "abc"), ["manifest.txt", "sigma"]),
+            (lambda out: _set_manifest(out, "design", "weird"), ["manifest.txt", "weird"]),
+            (lambda out: _set_manifest(out, "delta", "-1.0"), ["manifest.txt", "delta"]),
+            (_drop_last_row_of_y, ["y.mtx", "X.mtx"]),
+        ],
+        ids=["sigma", "design", "delta", "rows"],
+    )
+    def test_malformed_manifest_value_is_io_error(self, tmp_path, capsys, edit, named):
+        out = tmp_path / "inst"
+        assert cli.main(_gen_args(out)) == 0
+        edit(out)
+        assert cli.main(["solve", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert all(word in err for word in named) and "Traceback" not in err
+
+    def test_nonpositive_delta_flag_is_usage_error(self, tmp_path):
+        out = tmp_path / "inst"
+        assert cli.main(_gen_args(out)) == 0
+        assert cli.main(["solve", str(out), "--delta", "-1"]) == 1
+
     @pytest.mark.parametrize("name", ["X.mtx", "y.mtx"])
     def test_malformed_matrix_market_file_is_io_error(self, tmp_path, capsys, name):
         out = tmp_path / "inst"
@@ -252,6 +286,12 @@ class TestBench:
         monkeypatch.delenv(cli.WORKERS_ENV)
         assert cli._resolve_workers(8, 10) == 8
         assert cli._resolve_workers(8, 3) == 3
+
+    def test_worker_env_not_an_integer_is_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv(cli.WORKERS_ENV, "x")
+        args = ["bench", "--sigma", "0.05", "--size", "30,90,4", "--reps", "2"]
+        assert cli.main(args) == 1
+        assert cli.WORKERS_ENV in capsys.readouterr().err
 
     def test_needs_size_or_grid(self, tmp_path):
         assert cli.main(["bench", "--sigma", "0.05"]) == 1

@@ -7,7 +7,6 @@ from dantzig_adm.datagen import (
     GenSpec,
     default_delta,
     gen_design,
-    gen_response,
     gen_signal,
     make_instance,
     mu_rule,
@@ -99,36 +98,23 @@ class TestGenSignal:
 
 
 class TestGenResponse:
+    """The response y = X beta + eps that make_instance builds."""
+
     def test_noiseless_response_is_exact(self):
         spec = _spec(sigma_noise=0.0)
-        X = gen_design(spec)
-        truth = gen_signal(spec)
-        y = gen_response(X, truth.beta_true, 0.0, spec.seed)
-        assert np.array_equal(y, X @ truth.beta_true)
+        inst, truth = make_instance(spec, delta=0.5)
+        assert np.array_equal(inst.y, gen_design(spec) @ truth.beta_true)
 
     def test_pure_noise_variance(self):
         spec = GenSpec(n=720, p=730, s=0, sigma_noise=0.3, seed=11)
-        X = gen_design(spec)
-        y = gen_response(X, np.zeros(spec.p), spec.sigma_noise, spec.seed)
-        assert y.var() == pytest.approx(spec.sigma_noise**2, rel=0.2)
-
-    def test_fixed_seed_reproducible(self):
-        spec = _spec()
-        X = gen_design(spec)
-        truth = gen_signal(spec)
-        y1 = gen_response(X, truth.beta_true, spec.sigma_noise, spec.seed)
-        y2 = gen_response(X, truth.beta_true, spec.sigma_noise, spec.seed)
-        assert np.array_equal(y1, y2)
+        inst, _ = make_instance(spec)
+        assert inst.y.var() == pytest.approx(spec.sigma_noise**2, rel=0.2)
 
     def test_consistent_with_make_instance(self):
         spec = _spec()
         inst, truth = make_instance(spec)
-        y = gen_response(inst.X, truth.beta_true, spec.sigma_noise, spec.seed)
+        y = gen_design(spec) @ truth.beta_true + gen_signal(spec).noise
         assert np.allclose(inst.y, y, atol=1e-15)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            gen_response(np.eye(3), np.zeros(4), 0.1, 0)
 
 
 class TestDefaultRules:

@@ -13,7 +13,12 @@ from dantzig_adm.evaluation import (
     two_stage,
 )
 
-from oracles import lp_dual_enumeration, lp_primal_enumeration, random_instance_arrays
+from oracles import (
+    certificate_dense,
+    lp_dual_enumeration,
+    lp_primal_enumeration,
+    random_instance_arrays,
+)
 
 
 def _instance(rng, n=10, p=20):
@@ -168,6 +173,35 @@ class TestFeasibilityReport:
         assert report.primal_violation <= 1e-8
         assert report.dual_violation <= 1e-8
         assert report.gap <= 1e-8
+
+    @pytest.mark.parametrize("tall", [False, True])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 12),
+        p=st.integers(2, 12),
+        duplicate=st.booleans(),
+        zero_response=st.booleans(),
+        zero_multiplier=st.booleans(),
+    )
+    def test_matches_dense_certificate(
+        self, tall, seed, n, p, duplicate, zero_response, zero_multiplier
+    ):
+        # n > p when tall; duplicate columns, y = 0 and lambda = 0 as drawn
+        rng = np.random.default_rng(seed)
+        shape = (max(n, p) + 1, min(n, p)) if tall else (min(n, p), max(n, p))
+        X = rng.standard_normal(shape)
+        if duplicate:
+            X[:, -1] = X[:, 0]
+        y = np.zeros(shape[0]) if zero_response else rng.standard_normal(shape[0])
+        delta = float(rng.uniform(0.05, 2.0))
+        beta = np.where(rng.random(shape[1]) < 0.5, rng.standard_normal(shape[1]), 0.0)
+        lam = np.zeros(shape[1]) if zero_multiplier else rng.standard_normal(shape[1])
+        report = feasibility_report(Instance(X=X, y=y, delta=delta), beta, lam)
+        expected = certificate_dense(X, y, delta, beta, lam)
+        assert set(report._fields) == set(expected)
+        for name, value in expected.items():
+            assert getattr(report, name) == pytest.approx(value, rel=1e-9, abs=1e-12), name
 
 
 class TestEvaluateSolution:

@@ -12,7 +12,6 @@ from dantzig_adm.subsolver import (
     SubsolverConfig,
     WarmStart,
     bb_step,
-    grad_fk,
     inner_termination_metric,
     line_search,
     search_direction,
@@ -37,6 +36,16 @@ def _objective(rng, n=6, p=10, mu=2.0):
     return SubproblemObjective(inst, z, lam, mu)
 
 
+def _gradient(obj, u):
+    """grad f(u) as the inner solver forms it, from a warm start at u."""
+    return WarmStart.at(obj, u).gradient(np.zeros(obj.inst.n))
+
+
+def _dense(obj):
+    """The arguments (X, y, z, lambda, mu) of the dense oracles for obj."""
+    return obj.inst.X, obj.inst.y, obj.z_fixed, obj.lambda_fixed, obj.mu
+
+
 def _scalar_objective(x_entry=1.0, y_val=0.0, mu=1.0, z=0.0, lam=0.0):
     """1-d problem: f(u) = (mu/2) (x^2 u - (x y + z - lam/mu))^2."""
     inst = Instance(X=np.array([[x_entry]]), y=np.array([y_val]), delta=1.0)
@@ -57,16 +66,20 @@ class TestObjective:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_value_is_nonnegative_and_matches_dense(self, seed):
+        # the smooth value the inner solver starts from, (mu/2) ||r0||^2
         rng = np.random.default_rng(seed)
         obj = _objective(rng)
         u = rng.standard_normal(obj.inst.p)
-        value = obj.value(u)
+        r0 = WarmStart.at(obj, u).r0
+        value = 0.5 * obj.mu * float(r0 @ r0)
         assert value >= 0.0
-        dense = smooth_value_dense(obj.inst.X, obj.inst.y, obj.z_fixed, obj.lambda_fixed, obj.mu, u)
+        dense = smooth_value_dense(*_dense(obj), u)
         assert value == pytest.approx(dense, rel=1e-9, abs=1e-9)
 
 
 class TestGradFk:
+    """The gradient mu X^T (q0 + K E) of the inner solver, at E = 0."""
+
     def test_zero_residual_gives_zero_gradient(self):
         rng = np.random.default_rng(10)
         X, y, delta = random_instance_arrays(rng, 5, 8)
@@ -77,13 +90,13 @@ class TestGradFk:
         # choose z so that the residual at u vanishes
         z = dense_gram(X) @ u - X.T @ y + lam / mu
         obj = SubproblemObjective(inst, z, lam, mu)
-        assert np.allclose(grad_fk(obj, u), 0.0, atol=1e-10)
+        assert np.allclose(_gradient(obj, u), 0.0, atol=1e-10)
 
     def test_identity_design_gradient_is_mu_u(self):
         inst = Instance(X=np.eye(6), y=np.zeros(6), delta=1.0)
         obj = SubproblemObjective(inst, np.zeros(6), np.zeros(6), 3.5)
         u = np.linspace(-2, 2, 6)
-        assert np.allclose(grad_fk(obj, u), 3.5 * u, atol=1e-12)
+        assert np.allclose(_gradient(obj, u), 3.5 * u, atol=1e-12)
 
     def test_matches_central_differences(self):
         rng = np.random.default_rng(11)
@@ -91,11 +104,14 @@ class TestGradFk:
         for _ in range(5):
             obj = _objective(rng, n=5, p=7, mu=1.3)
             u = rng.standard_normal(7)
-            g = grad_fk(obj, u)
+            g = _gradient(obj, u)
             for _ in range(10):
                 v = rng.standard_normal(7)
                 v /= np.linalg.norm(v)
-                fd = (obj.value(u + h * v) - obj.value(u - h * v)) / (2 * h)
+                fd = (
+                    smooth_value_dense(*_dense(obj), u + h * v)
+                    - smooth_value_dense(*_dense(obj), u - h * v)
+                ) / (2 * h)
                 assert fd == pytest.approx(float(g @ v), rel=1e-5, abs=1e-7)
 
 
@@ -105,7 +121,7 @@ class TestSearchDirection:
         mu, c = 1.0, 5.0
         obj = _scalar_objective(x_entry=1.0, y_val=c, mu=mu)
         u_star = soft_thresh(np.array([c]), 1.0 / mu)
-        d, delta = search_direction(obj, u_star, 1.0)
+        d, delta = search_direction(u_star, 1.0, _gradient(obj, u_star))
         assert np.allclose(d, 0.0, atol=1e-12)
         assert delta == pytest.approx(0.0, abs=1e-12)
 
@@ -120,15 +136,14 @@ class TestSearchDirection:
         z = dense_gram(X) @ u - X.T @ y + lam / mu
         obj = SubproblemObjective(inst, z, lam, mu)
         bar_alpha = 0.5
-        d, _ = search_direction(obj, u, bar_alpha)
+        d, _ = search_direction(u, bar_alpha, _gradient(obj, u))
         assert np.allclose(d, -bar_alpha * np.sign(u), atol=1e-9)
 
     def test_invalid_bar_alpha(self):
-        obj = _scalar_objective()
         with pytest.raises(ValueError):
-            search_direction(obj, np.zeros(1), 0.0)
+            search_direction(np.zeros(1), 0.0, np.ones(1))
         with pytest.raises(ValueError):
-            search_direction(obj, np.zeros(1), 1.5)
+            search_direction(np.zeros(1), 1.5, np.ones(1))
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), bar_alpha=st.floats(1e-6, 1.0))
@@ -136,8 +151,8 @@ class TestSearchDirection:
         rng = np.random.default_rng(seed)
         obj = _objective(rng, n=4, p=6)
         u = rng.standard_normal(6)
-        g = grad_fk(obj, u)
-        d, delta = search_direction(obj, u, bar_alpha, grad=g)
+        g = _gradient(obj, u)
+        d, delta = search_direction(u, bar_alpha, g)
         assert delta <= 1e-12
         # independent evaluation of the definition
         target = u + d
@@ -153,9 +168,7 @@ class TestSearchDirection:
 def _armijo_accepts(obj, u, window_vals, d, delta, alpha, sigma_ls):
     """Independent Armijo predicate evaluated with dense formulas."""
     trial = u + alpha * d
-    value = penalized_value_dense(
-        obj.inst.X, obj.inst.y, obj.z_fixed, obj.lambda_fixed, obj.mu, trial
-    )
+    value = penalized_value_dense(*_dense(obj), trial)
     return value <= max(window_vals) + sigma_ls * alpha * delta
 
 
@@ -164,11 +177,8 @@ def _curvature_rejections(mu):
     obj = _scalar_objective(x_entry=1.0, y_val=1.0, mu=mu)
     u = np.array([1.5])
     config = SubsolverConfig(tol_sub=1e-8, memory=0)
-    g = grad_fk(obj, u)
-    d, delta = search_direction(obj, u, 1.0, grad=g)
-    window = [
-        penalized_value_dense(obj.inst.X, obj.inst.y, obj.z_fixed, obj.lambda_fixed, obj.mu, u)
-    ]
+    d, delta = search_direction(u, 1.0, _gradient(obj, u))
+    window = [penalized_value_dense(*_dense(obj), u)]
     rejections = 0
     alpha = 1.0
     while not _armijo_accepts(obj, u, window, d, delta, alpha, config.sigma_ls):
@@ -215,7 +225,7 @@ def _line_search(obj, u, d, delta, config, window=None, u0=None):
     penalized value.
     """
     u0 = u if u0 is None else u0
-    dense = (obj.inst.X, obj.inst.y, obj.z_fixed, obj.lambda_fixed, obj.mu)
+    dense = _dense(obj)
     if window is None:
         window = [penalized_value_dense(*dense, u)]
     shift = obj.design.matvec(u - u0)
@@ -255,7 +265,7 @@ class TestLineSearch:
         obj = _scalar_objective(mu=1.0)
         u = np.array([1.0])
         d = np.array([-1.0])
-        g = grad_fk(obj, u)
+        g = _gradient(obj, u)
         delta = float(g @ d) + abs(u[0] + d[0]) - abs(u[0])
         config = SubsolverConfig(tol_sub=1e-8)
         alpha, trial = _line_search(obj, u, d, delta, config)
@@ -283,13 +293,10 @@ class TestLineSearch:
             obj = _scalar_objective(x_entry=1.0, y_val=1.0, mu=mu)
             u = np.array([1.5])
             config = SubsolverConfig(tol_sub=1e-8, memory=1)
-            g = grad_fk(obj, u)
-            d, delta = search_direction(obj, u, 1.0, grad=g)
+            d, delta = search_direction(u, 1.0, _gradient(obj, u))
             if delta >= 0:
                 continue
-            current = penalized_value_dense(
-                obj.inst.X, obj.inst.y, obj.z_fixed, obj.lambda_fixed, obj.mu, u
-            )
+            current = penalized_value_dense(*_dense(obj), u)
             stale = current + 50.0  # pretend the previous iterate was much worse
             rejects_monotone = not _armijo_accepts(obj, u, [current], d, delta, 1.0, config.sigma_ls)
             accepts_windowed = _armijo_accepts(
@@ -316,7 +323,7 @@ class TestLineSearch:
         # given the warm start's residual and X d, K X d, the search makes no product
         obj, u, d, delta, config = _steep_quadratic_case()
         obj = _watched(products, obj)
-        dense = (obj.inst.X, obj.inst.y, obj.z_fixed, obj.lambda_fixed, obj.mu)
+        dense = _dense(obj)
         start = WarmStart.at(obj, u)
         e = obj.design.matvec(d)
         ke = obj.design.kernel_matvec(e)
@@ -338,17 +345,14 @@ class TestLineSearch:
         obj = _objective(rng, n=6, p=10, mu=float(rng.uniform(0.5, 20.0)))
         u0 = rng.standard_normal(10)
         u = u0 + rng.standard_normal(10)
-        d, delta = search_direction(obj, u, 1.0)
+        d, delta = search_direction(u, 1.0, _gradient(obj, u))
         config = SubsolverConfig(tol_sub=1e-8, max_backtracks=12)
         reference = _RejectingReference()
         with pytest.raises(LineSearchError):
             _line_search(obj, u, d, delta, config, window=[reference], u0=u0)
         assert len(reference.seen) == config.max_backtracks
         for k, value in enumerate(reference.seen):
-            dense = penalized_value_dense(
-                obj.inst.X, obj.inst.y, obj.z_fixed, obj.lambda_fixed, obj.mu,
-                u + config.eta**k * d,
-            )
+            dense = penalized_value_dense(*_dense(obj), u + config.eta**k * d)
             assert abs(value - dense) <= 1e-12 * max(1.0, abs(dense))
 
     def test_reused_residual_matches_fresh_after_backtracks(self):
@@ -359,9 +363,7 @@ class TestLineSearch:
         fresh = obj.residual(trial.u)
         residual = WarmStart.at(obj, u0).residual(trial.shift)
         assert np.linalg.norm(residual - fresh) <= 1e-12 * np.linalg.norm(fresh)
-        dense = penalized_value_dense(
-            obj.inst.X, obj.inst.y, obj.z_fixed, obj.lambda_fixed, obj.mu, trial.u
-        )
+        dense = penalized_value_dense(*_dense(obj), trial.u)
         assert trial.penalized == pytest.approx(dense, rel=1e-10, abs=1e-12)
 
 
@@ -400,16 +402,18 @@ class TestInnerTerminationMetric:
         mu, c = 2.0, 3.0
         obj = _scalar_objective(x_entry=1.0, y_val=c, mu=mu)
         u_star = soft_thresh(np.array([c]), 1.0 / mu)
-        assert inner_termination_metric(obj, u_star) <= 1e-12
+        penalized = penalized_value_dense(*_dense(obj), u_star)
+        assert inner_termination_metric(u_star, _gradient(obj, u_star), penalized) <= 1e-12
 
     def test_zero_in_small_gradient_dead_zone(self):
         # at u = 0 with every |grad component| <= 1 the thresholded step stays at 0
         inst = Instance(X=np.eye(4), y=np.full(4, 0.2), delta=1.0)
         obj = SubproblemObjective(inst, np.zeros(4), np.zeros(4), 1.0)
-        g = grad_fk(obj, np.zeros(4))
+        g = _gradient(obj, np.zeros(4))
         assert np.all(np.abs(g) <= 1.0)
-        assert obj.value(np.zeros(4)) <= 1.0
-        assert inner_termination_metric(obj, np.zeros(4)) == 0.0
+        penalized = penalized_value_dense(*_dense(obj), np.zeros(4))
+        assert penalized <= 1.0
+        assert inner_termination_metric(np.zeros(4), g, penalized) == 0.0
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -417,7 +421,8 @@ class TestInnerTerminationMetric:
         rng = np.random.default_rng(seed)
         obj = _objective(rng, n=4, p=6)
         u = rng.standard_normal(6)
-        got = inner_termination_metric(obj, u)
+        penalized = penalized_value_dense(*_dense(obj), u)
+        got = inner_termination_metric(u, _gradient(obj, u), penalized)
         G = dense_gram(obj.inst.X)
         c = obj.inst.X.T @ obj.inst.y + obj.z_fixed - obj.lambda_fixed / obj.mu
         grad = obj.mu * (G @ (G @ u - c))
@@ -545,7 +550,7 @@ class TestSolveSubproblem:
         inst = Instance(X=X, y=y, delta=1.0)
         obj = SubproblemObjective(inst, z, lam, mu)
         result = solve_subproblem(obj, np.zeros(50), SubsolverConfig(tol_sub=1e-10, max_inner_iter=100000))
-        got = obj.value(result.u) + np.abs(result.u).sum()
+        got = penalized_value_dense(X, y, z, lam, mu, result.u)
         _, reference, converged = ista_reference(X, y, z, lam, mu, np.zeros(50))
         assert converged
         assert got == pytest.approx(reference, rel=1e-6)
@@ -566,9 +571,7 @@ class TestSolveSubproblem:
             assert config.alpha_lo <= rec.bar_alpha <= 1.0
             assert config.alpha_lo <= rec.bar_alpha_next <= 1.0
             # independent re-evaluation of the accepted objective
-            dense = penalized_value_dense(
-                obj.inst.X, obj.inst.y, obj.z_fixed, obj.lambda_fixed, obj.mu, rec.u
-            )
+            dense = penalized_value_dense(*_dense(obj), rec.u)
             assert dense == pytest.approx(rec.penalized, rel=1e-9, abs=1e-9)
             running_min = min(running_min, rec.penalized)
             mins.append(running_min)
