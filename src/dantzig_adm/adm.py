@@ -18,12 +18,17 @@ serves the dual stopping term; and the dual objective uses the cached X^T y.
 
 The z clamp, the multiplier step and the stopping test therefore make no
 product with X.  An outer iteration costs what its inner solve costs: three
-n x p products (X r0, X^T q0, X^T E), plus two n x p and one n x n product
-per inner iteration.  When the inner solver returns its best earlier iterate
-instead of its final one, G beta and X^T X lambda are formed fresh, two more
-Gram products.  One design operator serves every inner solve of a solve, so
-the n x n kernel K = X X^T is formed at most once per solve (about
-n^2 p / 2 multiply-adds) and dropped when the solve returns.  The default
+n x p products (X r0, X^T q0, X^T E), plus one n x n product and two
+products with X per inner iteration.  After an inner solve's first
+iteration those two are made with the copied rows X^T[W] of its working
+set, when W holds at most a quarter of the coordinates; each check of the
+gradient off W then costs one more n x p product (see
+:mod:`~dantzig_adm.subsolver`).  When the inner solver returns its best
+earlier iterate instead of its final one, G beta and X^T X lambda are formed
+fresh, two more Gram products.  One design operator serves every inner
+solve of a solve, so the n x n kernel K = X X^T is formed at most once per
+solve (about n^2 p / 2 multiply-adds), the buffer for X^T[W] is allocated
+at most once, and both are dropped when the solve returns.  The default
 zero start costs no product: X^T X 0 = 0.
 """
 
@@ -141,6 +146,23 @@ def _criterion_terms(
     return primal, dual, beta_l1, dual_value
 
 
+def _stopping_ratios(
+    beta: np.ndarray, lam: np.ndarray, terms: tuple[float, float, float, float]
+) -> tuple[float, float, float]:
+    """The stopping test's ratios from the terms of :func:`_criterion_terms`.
+
+    Returns the relative duality gap | ||beta||_1 - d(lambda) | / max(||beta||_1, 1)
+    and the primal and dual excesses over max(||beta||_2, 1) and
+    max(||lambda||_2, 1).  The two excess ratios may be negative.
+    """
+    primal, dual, beta_l1, dual_value = terms
+    return (
+        abs(beta_l1 - dual_value) / max(beta_l1, 1.0),
+        primal / max(float(np.linalg.norm(beta)), 1.0),
+        dual / max(float(np.linalg.norm(lam)), 1.0),
+    )
+
+
 def update_lambda(
     inst: Instance,
     lam: np.ndarray,
@@ -174,10 +196,11 @@ def solve(
 
     Per iteration: closed-form z update, inner solve for beta warm-started at
     the previous beta, multiplier step, then the stopping test.  Its metric
-    is the max of the relative duality gap | ||beta||_1 - d(lambda) | /
-    max(||beta||_1, 1) and the primal and dual excesses of
-    :func:`_criterion_terms` over max(||beta||_2, 1) and max(||lambda||_2, 1).
-    The two ratios may be negative; the gap is not, so neither is the metric.
+    is the max of the ratios of :func:`_stopping_ratios`: the relative
+    duality gap | ||beta||_1 - d(lambda) | / max(||beta||_1, 1) and the
+    primal and dual excesses of :func:`_criterion_terms` over
+    max(||beta||_2, 1) and max(||lambda||_2, 1).  The two excess ratios may
+    be negative; the gap is not, so neither is the metric.
     The dual objective d is used as-is even when lambda is dual-infeasible.
     The metric at (beta0, lambda0) is the first entry of the history.  X^T X beta
     and X^T X lambda come from the inner solver's residual and gradient (see
@@ -204,14 +227,10 @@ def solve(
     iteration = inner_total = sub_failures = 0
 
     while True:
-        primal, dual, beta_l1, dual_value = _criterion_terms(inst, beta, lam, gram_beta, gram_lam)
-        metric = max(
-            abs(beta_l1 - dual_value) / max(beta_l1, 1.0),
-            primal / max(float(np.linalg.norm(beta)), 1.0),
-            dual / max(float(np.linalg.norm(lam)), 1.0),
-        )
+        terms = _criterion_terms(inst, beta, lam, gram_beta, gram_lam)
+        metric = max(_stopping_ratios(beta, lam, terms))
         metric_history.append(metric)
-        dual_history.append(dual_value)
+        dual_history.append(terms[3])
         if callback is not None and iteration > 0:
             callback(
                 OuterIterationRecord(

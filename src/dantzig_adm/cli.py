@@ -8,6 +8,7 @@ cap; outputs are still written).
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import json
 import math
@@ -33,6 +34,14 @@ EXIT_NOT_CONVERGED = 4
 WORKERS_ENV = "DANTZIG_ADM_WORKERS"
 BENCH_HEADER = "design,sigma,n,p,s,instances,iter_mean,cpu_mean_s,rho2_mean,rho2_orig_mean,failures"
 BASE_SIZE = (720, 2560, 80)  # multiplied by the --i grid factors
+
+# The OpenBLAS copies that the numpy and scipy wheels bundle: the package,
+# the library's file pattern in <site-packages>/<package>.libs, and the
+# symbol that sets its thread count.
+_BUNDLED_OPENBLAS = (
+    ("numpy", "libscipy_openblas64_*.so", "scipy_openblas_set_num_threads64_"),
+    ("scipy", "libscipy_openblas-*.so", "scipy_openblas_set_num_threads"),
+)
 
 _DESIGNS = {
     "unit": "unit_columns",
@@ -311,6 +320,35 @@ def _bench_instance(task: dict) -> dict:
         return {"status": "error", "seed": task["seed"], "error": f"{type(exc).__name__}: {exc}"}
 
 
+def _one_blas_thread() -> None:
+    """Pool initializer: one thread for each bundled OpenBLAS loaded in this worker.
+
+    Forked workers keep OpenBLAS's default of one thread per core, so each
+    core would run one BLAS thread per worker.  A library that this process
+    has not loaded (RTLD_NOLOAD), or that lacks the setter, is left alone.
+    The solver's products go through numpy's copy; scipy's is loaded by no
+    solve.
+    """
+    for package, pattern, setter in _BUNDLED_OPENBLAS:
+        module = sys.modules.get(package)
+        if module is None:
+            continue
+        for path in (Path(module.__file__).parent.parent / f"{package}.libs").glob(pattern):
+            try:
+                lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+            except OSError:
+                continue
+            set_threads = getattr(lib, setter, None)
+            if set_threads is not None:
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                set_threads(1)
+
+
+def _pool(workers: int) -> ProcessPoolExecutor:
+    """The process pool of `bench`, one BLAS thread per worker."""
+    return ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread)
+
+
 def _resolve_workers(requested: int, reps: int) -> int:
     cap = os.environ.get(WORKERS_ENV)
     workers = max(1, requested)
@@ -363,7 +401,7 @@ def _cmd_bench(args) -> int:
             for rep in range(args.reps)
         ]
         if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with _pool(workers) as pool:
                 outcomes = list(pool.map(_bench_instance, tasks))
         else:
             outcomes = [_bench_instance(task) for task in tasks]

@@ -2,7 +2,10 @@
 
 :class:`Instance` holds the problem data; :class:`DesignOperator` makes every
 product with X that a solve needs: X v (from the nonzero columns of v alone
-when few are nonzero), X^T w, and K w with the n x n kernel K = X X^T.
+when few are nonzero), X^T w, and K w with the n x n kernel K = X X^T.  Its
+:meth:`~DesignOperator.restrict` gives the operator of a few columns of X,
+copied into a buffer that the operator reuses, on which the inner solver
+iterates over its working set.
 """
 
 from __future__ import annotations
@@ -54,13 +57,15 @@ class Instance:
 
     The p x p Gram matrix X^T X is never formed (at n=7200, p=25600 it would
     need about 5 GB).  A solve makes its products through a
-    :class:`DesignOperator`, which may form the n x n kernel X X^T for that
-    solve only; nothing but X^T y is cached here.  One n x p matrix-vector
-    product is the solver's cost unit: an inner iteration costs 2 (X d, with d
-    sparse, and one X^T product) plus one n x n product, however many
-    line-search backtracks it takes, and an inner solve 3 more.  Instances
-    are immutable after construction and safe to share across concurrent
-    solves.
+    :class:`DesignOperator`, which may form the n x n kernel X X^T and copy
+    rows of X^T for that solve only; nothing but X^T y is cached here.  One
+    n x p matrix-vector product is the solver's cost unit: an inner
+    iteration costs at most 2 (X d, with d sparse, and one X^T product) plus
+    one n x n product, however many line-search backtracks it takes, and an
+    inner solve 3 more (see :mod:`~dantzig_adm.subsolver` for the working
+    set, on which the 2 shrink to products with |W| of the p columns).
+    Instances are immutable after construction and safe to share across
+    concurrent solves.
     """
 
     X: np.ndarray
@@ -111,12 +116,40 @@ class DesignOperator:
     is formed on the first kernel product and kept for the life of the
     operator; it then takes n^2 entries, no more than X.  When n > p no K is
     formed and K w is computed as X (X^T w).  Either way callers see one
-    method.  An operator is built for one solve and dropped on return; it is
+    method.  The same holds for the buffer of :meth:`restrict`, a quarter
+    of X.  An operator is built for one solve and dropped on return; it is
     not cached on the Instance, whose memory stays that of X.
     """
 
     def __init__(self, X: np.ndarray):
         self.X = X
+        self._rows: np.ndarray | None = None  # X^T[columns] of the last restrict
+
+    def restrict(self, columns: np.ndarray) -> "DesignOperator | None":
+        """The operator of X[:, columns], or None for more than p // 4 columns.
+
+        The rows X^T[columns] are copied, with one np.take, into a buffer of
+        p // 4 rows of X^T that is allocated on the first call and kept by
+        this operator.  Each call overwrites it, so
+        only the operator of the last call is valid.  A fresh copy per call
+        would pay its page faults again on every inner solve.  The products
+        of the returned operator read |columns| rows of X^T instead of p.
+        Its kernel is that of X[:, columns], not K.
+
+        The quarter is where the inner solver's working set paid: a larger
+        set comes from an early inner solve whose iterate still moves far,
+        and there the copy saved least and changed the iterates most (see
+        :mod:`~dantzig_adm.subsolver`).
+        """
+        n, p = self.X.shape
+        if 4 * columns.size > p:
+            return None
+        if self._rows is None:
+            self._rows = np.empty((p // 4, n))
+        rows = self._rows[: columns.size]
+        # mode="clip" skips the bounds pass that makes "raise" copy via a temporary
+        np.take(self.X.T, columns, axis=0, out=rows, mode="clip")
+        return DesignOperator(rows.T)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """X v; from the nonzero columns only when they are at most half of v.

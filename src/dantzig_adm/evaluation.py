@@ -8,7 +8,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import Instance, _as_vector, apply_gram
-from .adm import _criterion_terms
+from .adm import _criterion_terms, _stopping_ratios
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,9 +31,14 @@ class EvalResult:
 
 
 class FeasibilityReport(NamedTuple):
+    """The certificate terms, absolute and as the ratios of the stopping test."""
+
     primal_violation: float
     dual_violation: float
     gap: float
+    primal_ratio: float  # primal_violation / max(||beta||_2, 1)
+    dual_ratio: float  # dual_violation / max(||lambda||_2, 1)
+    gap_ratio: float  # gap / max(||beta||_1, 1)
 
 
 def two_stage(beta_tilde: np.ndarray, inst: Instance, sigma_noise: float) -> np.ndarray:
@@ -77,17 +82,24 @@ def feasibility_report(inst: Instance, beta: np.ndarray, lam: np.ndarray) -> Fea
     (:func:`~dantzig_adm.adm._criterion_terms`), recomputed from
     (X, y, delta, beta, lambda) with two fresh Gram products and no solver
     state: max(max_j |(X^T X beta - X^T y)_j| / d_j - delta, 0),
-    max(||X^T X lambda||_inf - 1, 0) and | ||beta||_1 - d(lambda) |.
+    max(||X^T X lambda||_inf - 1, 0) and | ||beta||_1 - d(lambda) |.  Each
+    comes with its ratio of the stopping test, the same term over
+    max(||beta||_2, 1), max(||lambda||_2, 1) and max(||beta||_1, 1), so a
+    solve converged at tol has every ratio at most tol, up to the rounding
+    of the fresh products.
     """
     beta = _as_vector(beta, inst.p, "beta")
     lam = _as_vector(lam, inst.p, "lambda")
-    primal, dual, beta_l1, dual_value = _criterion_terms(
-        inst, beta, lam, apply_gram(inst, beta), apply_gram(inst, lam)
-    )
+    terms = _criterion_terms(inst, beta, lam, apply_gram(inst, beta), apply_gram(inst, lam))
+    gap_ratio, primal_ratio, dual_ratio = _stopping_ratios(beta, lam, terms)
+    primal, dual, beta_l1, dual_value = terms
     return FeasibilityReport(
         primal_violation=max(primal, 0.0),
         dual_violation=max(dual, 0.0),
         gap=abs(beta_l1 - dual_value),
+        primal_ratio=max(primal_ratio, 0.0),
+        dual_ratio=max(dual_ratio, 0.0),
+        gap_ratio=gap_ratio,
     )
 
 

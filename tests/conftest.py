@@ -10,20 +10,25 @@ class ProductCounts:
     """Calls to each DesignOperator product, and the matmuls made with a watched X.
 
     ``calls`` counts matvec, rmatvec and kernel_matvec by name (apply_gram
-    goes through matvec and rmatvec).  ``x_products`` counts every matmul
-    with a watched X, and ``outside`` those made outside the operator's
-    methods.
+    goes through matvec and rmatvec), and ``on_buffer`` those of them made
+    by an operator of copied columns (DesignOperator.restrict); ``copies``
+    counts the restrict calls.  ``x_products`` counts every matmul with a
+    watched X, and ``outside`` those made outside the operator's methods.
     """
 
     def __init__(self):
         self.calls = Counter()
+        self.on_buffer = Counter()
+        self.copies = 0
+        self.views = []  # every operator restrict returned, kept alive for `is`
         self.x_products = 0
         self.outside = 0
         self.depth = 0
 
     def reset(self):
         self.calls.clear()
-        self.x_products = self.outside = 0
+        self.on_buffer.clear()
+        self.copies = self.x_products = self.outside = 0
 
     def watch(self, inst):
         view = inst.X.view(_CountedX)
@@ -55,6 +60,8 @@ def products(monkeypatch):
     def counting(name, original):
         def method(self, w):
             counts.calls[name] += 1
+            if any(self is view for view in counts.views):
+                counts.on_buffer[name] += 1
             counts.depth += 1
             try:
                 return original(self, w)
@@ -63,6 +70,16 @@ def products(monkeypatch):
 
         return method
 
+    original_restrict = DesignOperator.restrict
+
+    def restrict(self, columns):
+        view = original_restrict(self, columns)
+        if view is not None:  # None: too many columns, no copy
+            counts.copies += 1
+            counts.views.append(view)
+        return view
+
     for name in ("matvec", "rmatvec", "kernel_matvec"):
         monkeypatch.setattr(DesignOperator, name, counting(name, getattr(DesignOperator, name)))
+    monkeypatch.setattr(DesignOperator, "restrict", restrict)
     return counts

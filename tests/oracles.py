@@ -214,7 +214,8 @@ def certificate_dense(X, y, delta, beta, lam) -> dict:
 
     The positive parts of max_j |(X^T X beta - X^T y)_j| / ||x_j|| - delta and
     max_j |(X^T X lam)_j| - 1, and | ||beta||_1 - d(lam) | with the dual objective
-    d(lam) = -y^T X lam - delta * sum_j ||x_j|| |lam_j|.
+    d(lam) = -y^T X lam - delta * sum_j ||x_j|| |lam_j|; and each over its scale,
+    max(||beta||_2, 1), max(||lam||_2, 1) and max(||beta||_1, 1).
     """
     X = np.asarray(X, dtype=np.float64)
     G = dense_gram(X)
@@ -223,10 +224,21 @@ def certificate_dense(X, y, delta, beta, lam) -> dict:
     beta = np.asarray(beta, dtype=np.float64)
     lam = np.asarray(lam, dtype=np.float64)
     dual_value = -float(h @ lam) - delta * float(d @ np.abs(lam))
-    return {
+    terms = {
         "primal_violation": max(float(np.abs((G @ beta - h) / d).max()) - delta, 0.0),
         "dual_violation": max(float(np.abs(G @ lam).max()) - 1.0, 0.0),
         "gap": abs(float(np.abs(beta).sum()) - dual_value),
+    }
+    scales = {
+        "primal": max(float(np.sqrt(beta @ beta)), 1.0),
+        "dual": max(float(np.sqrt(lam @ lam)), 1.0),
+        "gap": max(float(np.abs(beta).sum()), 1.0),
+    }
+    return {
+        **terms,
+        "primal_ratio": terms["primal_violation"] / scales["primal"],
+        "dual_ratio": terms["dual_violation"] / scales["dual"],
+        "gap_ratio": terms["gap"] / scales["gap"],
     }
 
 

@@ -359,12 +359,15 @@ class TestOuterCost:
     """Products per outer iteration, counted through a counting view of X.
 
     An outer iteration costs its inner solve: X r0, X^T q0 and X^T E, plus
-    X d, K (X d) and X^T per inner iteration.  The z clamp, the multiplier
-    step and the stopping test make no product with X.
+    X d, K (X d) and X^T per inner iteration, plus one X^T per check of the
+    gradient off the working set.  In full mode there is no check, and
+    every product is made with X; on a working set every X d and X^T after
+    the first iteration is made with the copied columns.  The z clamp, the
+    multiplier step and the stopping test make no product with X.
     """
 
     def _record_inner(self, monkeypatch, strip_first=False):
-        """Record inner iteration counts; optionally drop the first result's residual."""
+        """Record inner results; optionally drop the first result's residual."""
         inner = []
         original = adm_module.solve_subproblem
 
@@ -373,13 +376,17 @@ class TestOuterCost:
             if strip_first and not inner:
                 result = SubsolverResult(u=result.u, iterations=result.iterations,
                                          status=result.status)
-            inner.append(result.iterations)
+            inner.append(result)
             return result
 
         monkeypatch.setattr(adm_module, "solve_subproblem", recording)
         return inner
 
-    @pytest.mark.parametrize("n, p", [(8, 20), (30, 12)])
+    # the kinds of inner solve each case shows; entries into W, and a W grown
+    # past p/4 that moves to full mode, are counted in test_subsolver.TestWorkingSet
+    _KINDS = {(8, 20): {"full"}, (30, 12): {"full"}, (10, 60): {"full", "working set"}}
+
+    @pytest.mark.parametrize("n, p", sorted(_KINDS, reverse=True))
     def test_three_products_plus_three_per_inner_iteration(self, monkeypatch, products, n, p):
         rng = np.random.default_rng(29)
         inst = _instance(rng, n=n, p=p)
@@ -391,23 +398,41 @@ class TestOuterCost:
             inst,
             AdmConfig(mu=1.0, tol=1e-5, max_outer_iter=40),
             beta0=rng.standard_normal(inst.p),
-            callback=lambda rec: seen.append((dict(products.calls), products.x_products)),
+            callback=lambda rec: seen.append(
+                (dict(products.calls), dict(products.on_buffer), products.x_products)
+            ),
         )
         assert report.outer_iterations == len(seen) == len(inner) > 5
         # start-up: G beta0 (X, X^T); lambda0 = 0 needs no product
-        before, x_before = {"matvec": 1, "rmatvec": 1}, 2
+        before, buffer_before, x_before = {"matvec": 1, "rmatvec": 1}, {}, 2
         kernel_x = 1 if n <= p else 0  # forming K takes one X product per 64 rows
         per_kernel = 0 if n <= p else 2  # X (X^T w) when no K is formed
-        for (calls, x_products), inner_iters in zip(seen, inner):
+        kinds = set()
+        for (calls, on_buffer, x_products), result in zip(seen, inner):
+            iters, checks = result.iterations, result.kkt_checks
             step = {name: calls.get(name, 0) - before.get(name, 0) for name in _PRODUCTS}
+            buffered = {name: on_buffer.get(name, 0) - buffer_before.get(name, 0)
+                        for name in _PRODUCTS}
             assert step == {
-                "matvec": 1 + inner_iters,
-                "rmatvec": 2 + inner_iters,
-                "kernel_matvec": inner_iters,
+                "matvec": 1 + iters,
+                "rmatvec": 2 + iters + checks,
+                "kernel_matvec": iters,
             }
-            assert x_products - x_before == 3 + (2 + per_kernel) * inner_iters + kernel_x
+            if result.working_set < inst.p:  # on W from the second iteration on
+                kinds.add("working set" if checks == 1 else "entered")
+                assert buffered == {"matvec": iters - 1, "rmatvec": iters - 1, "kernel_matvec": 0}
+            elif checks == 0:  # full mode: today's counts, all with X
+                kinds.add("full")
+                assert buffered == dict.fromkeys(_PRODUCTS, 0)
+            else:  # W grew past p/4 at a check, and the solve went on in full mode
+                kinds.add("moved")
+                assert buffered["matvec"] == buffered["rmatvec"]
+                assert 1 <= buffered["matvec"] < iters - 1 and buffered["kernel_matvec"] == 0
+            on_x = 2 * iters - buffered["matvec"] - buffered["rmatvec"]
+            assert x_products - x_before == 3 + checks + on_x + per_kernel * iters + kernel_x
             kernel_x = 0
-            before, x_before = calls, x_products
+            before, buffer_before, x_before = calls, on_buffer, x_products
+        assert kinds == self._KINDS[n, p]
         assert products.outside == 0
 
     def test_best_iterate_gets_fresh_products(self, monkeypatch, products):
@@ -424,13 +449,14 @@ class TestOuterCost:
         )
         assert len(seen) == len(inner) > 2
         before = {}  # the zero start needs no product
-        for k, ((calls, rec), inner_iters) in enumerate(zip(seen, inner)):
+        for k, ((calls, rec), result) in enumerate(zip(seen, inner)):
             fresh = 2 if k == 0 else 0  # G beta and G lambda, with no residual held
+            iters = result.iterations
             step = {name: calls.get(name, 0) - before.get(name, 0) for name in _PRODUCTS}
             assert step == {
-                "matvec": 1 + inner_iters + fresh,
-                "rmatvec": 2 + inner_iters + fresh,
-                "kernel_matvec": inner_iters,
+                "matvec": 1 + iters + fresh,
+                "rmatvec": 2 + iters + result.kkt_checks + fresh,
+                "kernel_matvec": iters,
             }
             before = calls
         assert products.outside == 0

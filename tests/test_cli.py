@@ -1,4 +1,7 @@
+import ctypes
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -126,6 +129,12 @@ class TestSolve:
         assert set(certificate) == set(expected)
         for name, value in expected.items():
             assert certificate[name] == pytest.approx(value, rel=1e-9, abs=1e-12), name
+        # the ratios are the stopping test's: a converged solve has each at most tol
+        report = json.loads((out / "report.json").read_text())
+        ratios = [certificate[f"{name}_ratio"] for name in ("primal", "dual", "gap")]
+        assert max(ratios) == pytest.approx(report["stopping_metric_history"][-1], rel=1e-6)
+        tol = float(fileio.read_manifest(out / "run_manifest.txt")["tol"])
+        assert (max(ratios) <= tol) == (report["status"] == "converged")
 
     def test_zero_response_instance(self, tmp_path):
         out = tmp_path / "zero"
@@ -280,6 +289,26 @@ class TestBench:
 
         assert drop_cpu(serial.read_text()) == drop_cpu(parallel.read_text())
 
+    def test_workers_run_one_blas_thread(self):
+        parent = _numpy_blas_threads()
+        if parent is None:
+            pytest.skip("numpy links no bundled OpenBLAS here")
+        with cli._pool(2) as pool:
+            assert list(pool.map(_numpy_blas_threads, range(4))) == [1] * 4
+        assert _numpy_blas_threads() == parent  # the calling process keeps its own
+
+    def test_missing_thread_setter_does_nothing(self, monkeypatch):
+        before = _numpy_blas_threads()
+        monkeypatch.setattr(
+            cli, "_BUNDLED_OPENBLAS",
+            (
+                ("numpy", "libscipy_openblas64_*.so", "no_such_setter"),
+                ("no_such_package", "*", "x"),
+            ),
+        )
+        cli._one_blas_thread()
+        assert _numpy_blas_threads() == before
+
     def test_worker_env_cap(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.WORKERS_ENV, "1")
         assert cli._resolve_workers(8, 10) == 1
@@ -338,3 +367,12 @@ class TestExitCodes:
     def test_help_exits_zero(self):
         assert cli.main(["--help"]) == 0
         assert cli.main(["gen", "--help"]) == 0
+
+
+def _numpy_blas_threads(_=None) -> int | None:
+    """The thread count of numpy's bundled OpenBLAS in this process, None without one."""
+    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"):
+        get = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD).scipy_openblas_get_num_threads64_
+        get.argtypes, get.restype = [], ctypes.c_int
+        return get()
+    return None

@@ -252,6 +252,22 @@ class TestDesignOperator:
         assert (design.kernel is None) == (n > p)
 
 
+    def test_restrict_copies_columns_into_one_buffer(self):
+        rng = np.random.default_rng(7)
+        X = rng.standard_normal((9, 40))
+        design = DesignOperator(Instance(X=X, y=np.zeros(9), delta=1.0).X)
+        columns = np.array([1, 5, 7, 30])
+        first = design.restrict(columns)
+        np.testing.assert_array_equal(first.X, X[:, columns])
+        v, w = rng.standard_normal(columns.size), rng.standard_normal(9)
+        np.testing.assert_allclose(first.matvec(v), X[:, columns] @ v, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(first.rmatvec(w), X[:, columns].T @ w, rtol=1e-12, atol=1e-12)
+        second = design.restrict(np.arange(10))  # p // 4 columns still fit
+        assert np.shares_memory(first.X, second.X)
+        np.testing.assert_array_equal(second.X, X[:, :10])
+        assert design.restrict(np.arange(11)) is None
+
+
 class TestStorageOrder:
     def test_column_major_from_either_layout(self):
         rng = np.random.default_rng(42)

@@ -4,6 +4,7 @@ from collections import deque
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dantzig_adm.subsolver as subsolver_module
 from dantzig_adm.core import Instance, apply_gram, soft_thresh
 from dantzig_adm.subsolver import (
     InnerState,
@@ -437,29 +438,32 @@ class TestGramCost:
 
     Start-up: X r0 and X^T q0, plus one Gram product (X u0, X^T) for r0 unless
     gram_u0 is given.  Each iteration: X d, K (X d) and one X^T, whatever the
-    backtracks.  A final iterate's residual: one more X^T.
+    backtracks.  A final iterate's residual: one more X^T.  These are the
+    counts of full mode; :class:`TestWorkingSet` has those on a working set.
     """
 
     def _run(self, obj, u0, config):
         alphas = []
         result = solve_subproblem(obj, u0, config, callback=lambda rec: alphas.append(rec.alpha))
+        assert result.working_set == obj.inst.p and result.kkt_checks == 0  # full mode
         return result, alphas
 
     @staticmethod
-    def _expected(iterations, cold=True):
+    def _expected(iterations, cold=True, checks=0):
         gram = 1 if cold else 0
         return {
             "matvec": gram + 1 + iterations,
-            "rmatvec": gram + 2 + iterations,
+            "rmatvec": gram + 2 + iterations + checks,
             "kernel_matvec": iterations,
         }
 
     @staticmethod
     def _x_products(counts, inst):
-        """Every X product is one of the counted calls, or forms K (once, when n <= p)."""
+        """Every X product is a counted call off the buffer, or forms K (once, when n <= p)."""
         kernel = -(-inst.n // 64) if inst.n <= inst.p else 2 * counts.calls["kernel_matvec"]
+        on_x = {name: counts.calls[name] - counts.on_buffer[name] for name in ("matvec", "rmatvec")}
         assert counts.outside == 0
-        assert counts.x_products == counts.calls["matvec"] + counts.calls["rmatvec"] + kernel
+        assert counts.x_products == on_x["matvec"] + on_x["rmatvec"] + kernel
 
     def test_two_products_per_iteration_with_backtracks(self, products):
         obj, u, _, _, config = _steep_quadratic_case()
@@ -509,6 +513,150 @@ class TestGramCost:
         inst = Instance(X=np.eye(3), y=np.zeros(3), delta=1.0)
         with pytest.raises(ValueError):
             SubproblemObjective(inst, np.zeros(3), np.zeros(3), 1.0, gram_u0=np.zeros(4))
+
+
+def _sparse_objective(seed, n=24, p=80, mu=None):
+    """A unit-column problem with a 3-sparse signal b, and b as its warm start.
+
+    From b the inner solve takes a working set of a small part of the p
+    coordinates; the tests that use it check that it did.
+    """
+    rng = np.random.default_rng(500 + seed)
+    X = rng.standard_normal((n, p))
+    X /= np.linalg.norm(X, axis=0)
+    b = np.zeros(p)
+    b[rng.choice(p, 3, replace=False)] = rng.choice([-3.0, 3.0], 3)
+    inst = Instance(X=X, y=X @ b + 0.05 * rng.standard_normal(n), delta=1.0)
+    z = 0.05 * rng.standard_normal(p)
+    lam = 0.05 * rng.standard_normal(p)
+    mu = float(rng.uniform(0.3, 0.8)) if mu is None else mu
+    return SubproblemObjective(inst, z, lam, mu), b
+
+
+_TIGHT = SubsolverConfig(tol_sub=1e-10, max_inner_iter=200000)
+
+
+class TestWorkingSet:
+    """After the first step the solve iterates on W = supp(u1) + {j : |g1_j| >= 1 - m}.
+
+    On a working set the products after the first iteration use the copied
+    columns X^T[W]; each check of the gradient off W costs one X^T product.
+    """
+
+    @staticmethod
+    def _assert_exact(obj, result):
+        """The returned residual and gradient against a dense recomputation at u."""
+        G = dense_gram(obj.inst.X)
+        c = obj.inst.X.T @ obj.inst.y + obj.z_fixed - obj.lambda_fixed / obj.mu
+        r = G @ result.u - c
+        np.testing.assert_allclose(result.residual, r, rtol=0, atol=1e-10 * np.abs(c).max())
+        np.testing.assert_allclose(
+            result.gradient, obj.mu * (G @ r), rtol=0, atol=1e-10 * obj.mu * np.abs(G @ c).max()
+        )
+
+    @staticmethod
+    def _assert_matches_reference(obj, result, u0):
+        """The penalized value within 1e-6 of the independent reference (criterion 5's bound)."""
+        dense = _dense(obj)
+        _, reference, converged = ista_reference(*dense, u0)
+        assert converged
+        value = penalized_value_dense(*dense, result.u)
+        assert abs(value - reference) <= 1e-6 * max(1.0, abs(reference))
+
+    # seeds 2 and 5 take more than p/4 coordinates and run in full mode
+    @pytest.mark.parametrize("seed", [0, 1, 3, 4, 6, 7])
+    def test_matches_reference_and_dense_products(self, seed):
+        obj, b = _sparse_objective(seed)
+        result = solve_subproblem(obj, b, _TIGHT)
+        assert result.succeeded
+        assert 0 < result.working_set <= obj.inst.p // 4 and result.kkt_checks >= 1
+        self._assert_matches_reference(obj, result, b)
+        self._assert_exact(obj, result)
+
+    @pytest.mark.parametrize("seed", [0, 3])  # seed 3: one coordinate enters at the first check
+    def test_product_counts(self, products, seed):
+        obj, b = _sparse_objective(seed)
+        obj = _watched(products, obj)
+        result = solve_subproblem(obj, b, _TIGHT)
+        assert result.succeeded and result.working_set < obj.inst.p
+        checks = result.kkt_checks
+        assert checks == (2 if seed == 3 else 1)
+        assert products.calls == TestGramCost._expected(result.iterations, checks=checks)
+        # the first iteration uses X; every later X d and X^T uses the copy,
+        # made once and again for each check that let coordinates enter
+        assert products.on_buffer == {
+            "matvec": result.iterations - 1, "rmatvec": result.iterations - 1
+        }
+        assert products.copies == checks
+        TestGramCost._x_products(products, obj.inst)
+
+    def test_entering_coordinates(self, monkeypatch, products):
+        # with a negative margin W is supp(u1) alone, so every coordinate that
+        # leaves zero after the first step has to enter at a check
+        monkeypatch.setattr(subsolver_module, "WORKING_SET_MARGIN", -1.0)
+        obj, b = _sparse_objective(0)
+        obj = _watched(products, obj)
+        records = []
+        result = solve_subproblem(obj, b, _TIGHT, callback=records.append)
+        assert result.succeeded and result.working_set < obj.inst.p
+        entered = np.setdiff1d(np.flatnonzero(result.u), np.flatnonzero(records[0].u))
+        assert entered.size > 0
+        assert result.kkt_checks >= 2
+        assert products.copies == result.kkt_checks
+        assert products.calls == TestGramCost._expected(result.iterations, checks=result.kkt_checks)
+        self._assert_matches_reference(obj, result, b)
+        self._assert_exact(obj, result)
+
+    def test_entering_past_a_quarter_moves_to_full_mode(self, monkeypatch, products):
+        # W = supp(u1) has 3 of 40 coordinates; more than 10 enter at the
+        # check, so the solve goes on with X itself
+        monkeypatch.setattr(subsolver_module, "WORKING_SET_MARGIN", -1.0)
+        obj, b = _sparse_objective(5, p=40, mu=3.0)
+        obj = _watched(products, obj)
+        result = solve_subproblem(obj, b, _TIGHT)
+        assert result.succeeded
+        assert result.working_set == obj.inst.p and result.kkt_checks == 1
+        assert products.copies == 1
+        assert products.calls == TestGramCost._expected(result.iterations, checks=1)
+        buffered = products.on_buffer["matvec"]
+        assert products.on_buffer == {"matvec": buffered, "rmatvec": buffered}
+        assert 1 <= buffered < result.iterations - 1
+        TestGramCost._x_products(products, obj.inst)
+        self._assert_matches_reference(obj, result, b)
+        self._assert_exact(obj, result)
+
+    def test_large_working_set_makes_no_copy(self, products):
+        # from zero the first step makes most gradients large: full mode
+        obj, _ = _sparse_objective(0)
+        obj = _watched(products, obj)
+        result = solve_subproblem(obj, np.zeros(obj.inst.p), _TIGHT)
+        assert result.succeeded and result.iterations > 1
+        assert result.working_set == obj.inst.p and result.kkt_checks == 0
+        assert products.copies == 0 and obj.design._rows is None
+        assert not products.on_buffer
+        assert products.calls == TestGramCost._expected(result.iterations)
+        self._assert_exact(obj, result)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_more_rows_than_columns(self, products, seed):
+        # n > p: no K is formed, K w = X (X^T w) is made with X itself, and W
+        # still takes the other products
+        rng = np.random.default_rng(seed)
+        n, p = 60, 40
+        X = rng.standard_normal((n, p))
+        X /= np.linalg.norm(X, axis=0)
+        b = np.zeros(p)
+        b[:2] = 3.0
+        inst = Instance(X=X, y=X @ b + 0.05 * rng.standard_normal(n), delta=1.0)
+        obj = _watched(products, SubproblemObjective(inst, np.zeros(p), np.zeros(p), 0.5))
+        result = solve_subproblem(obj, np.zeros(p), _TIGHT)
+        assert result.succeeded and result.working_set <= p // 4 and result.kkt_checks >= 1
+        assert obj.design.kernel is None
+        assert products.on_buffer["rmatvec"] == result.iterations - 1
+        assert products.calls == TestGramCost._expected(result.iterations, checks=result.kkt_checks)
+        TestGramCost._x_products(products, obj.inst)
+        self._assert_matches_reference(obj, result, np.zeros(p))
+        self._assert_exact(obj, result)
 
 
 class TestSolveSubproblem:
