@@ -17,19 +17,23 @@ primal stopping term, the next z update and the next inner warm start; g
 serves the dual stopping term; and the dual objective uses the cached X^T y.
 
 The z clamp, the multiplier step and the stopping test therefore make no
-product with X.  An outer iteration costs what its inner solve costs: three
-n x p products (X r0, X^T q0, X^T E), plus one n x n product and two
-products with X per inner iteration.  After an inner solve's first
-iteration those two are made with the copied rows X^T[W] of its working
-set, when W holds at most a quarter of the coordinates; each check of the
-gradient off W then costs one more n x p product (see
-:mod:`~dantzig_adm.subsolver`).  When the inner solver returns its best
-earlier iterate instead of its final one, G beta and X^T X lambda are formed
-fresh, two more Gram products.  One design operator serves every inner
-solve of a solve, so the n x n kernel K = X X^T is formed at most once per
-solve (about n^2 p / 2 multiply-adds), the buffer for X^T[W] is allocated
-at most once, and both are dropped when the solve returns.  The default
-zero start costs no product: X^T X 0 = 0.
+product with X.  An outer iteration costs what its inner solve costs: one
+n x n product and two products with X per inner iteration, made with the
+copied rows X^T[W] of a working set of at most a quarter of the
+coordinates, plus a few n x p products per inner solve (see
+:mod:`~dantzig_adm.subsolver`).  Each inner solve is handed the previous
+one's final result as its reference.  When that certifies a working set
+from the start, the inner solve reads all of X once: in one fused pass for
+its full gradient and residual when it stops.  Its X r0 reads only the
+columns where r0 is nonzero, where the z clamp is active.  Without a
+reference (the first inner solve, and the one after a best earlier iterate)
+or a certificate, X^T q0 and the first iteration use X too.  When the inner
+solver returns its best earlier iterate instead of its final one, G beta and
+X^T X lambda are formed fresh, two more Gram products.  One design operator
+serves every inner solve of a solve, so the n x n kernel K = X X^T is
+formed at most once per solve (about n^2 p / 2 multiply-adds), the buffer
+for X^T[W] is allocated at most once, and both are dropped when the solve
+returns.  The default zero start costs no product: X^T X 0 = 0.
 """
 
 from __future__ import annotations
@@ -91,7 +95,12 @@ class OuterIterationRecord:
 
 @dataclass
 class RunReport:
-    """Counters and histories of one solve, in benchmark-table units."""
+    """Counters and histories of one solve, in benchmark-table units.
+
+    ``certified_inner_solves`` counts the inner solves that started on a
+    working set certified by the previous inner result, and ``refreshes``
+    the dense X^T products made when such a certificate failed.
+    """
 
     outer_iterations: int
     inner_iteration_total: int
@@ -100,6 +109,8 @@ class RunReport:
     wall_time: float
     status: str
     subsolver_failures: int = 0
+    certified_inner_solves: int = 0
+    refreshes: int = 0
 
 
 def update_z(inst: Instance, lam: np.ndarray, mu: float, gram_beta: np.ndarray) -> np.ndarray:
@@ -204,8 +215,10 @@ def solve(
     The dual objective d is used as-is even when lambda is dual-infeasible.
     The metric at (beta0, lambda0) is the first entry of the history.  X^T X beta
     and X^T X lambda come from the inner solver's residual and gradient (see
-    the module docstring for the identities and the cost per iteration).  The
-    products go through one DesignOperator built here and dropped on return.
+    the module docstring for the identities and the cost per iteration), and
+    each inner result but a best earlier iterate is the next inner solve's
+    reference.  The products go through one DesignOperator built here and
+    dropped on return.
     A subsolver that misses its tolerance contributes its best iterate and is
     counted in the report.  Non-finite values end the run with status numerical_failure,
     returning the state at failure.
@@ -224,7 +237,8 @@ def solve(
     gram_lam = apply_gram(inst, lam) if lam.any() else np.zeros(p)
     metric_history: list[float] = []
     dual_history: list[float] = []
-    iteration = inner_total = sub_failures = 0
+    iteration = inner_total = sub_failures = certified = refreshes = 0
+    reference = None  # the last inner solve's final result
 
     while True:
         terms = _criterion_terms(inst, beta, lam, gram_beta, gram_lam)
@@ -251,12 +265,17 @@ def solve(
 
         lam_prev = lam
         z = update_z(inst, lam, config.mu, gram_beta)
-        objective = SubproblemObjective(inst, z, lam, config.mu, gram_u0=gram_beta, design=design)
+        objective = SubproblemObjective(
+            inst, z, lam, config.mu, gram_u0=gram_beta, design=design, reference=reference
+        )
         result = solve_subproblem(objective, beta, sub_config)
         inner_total += result.iterations
+        certified += result.certified
+        refreshes += result.refreshes
         if not result.succeeded:
             sub_failures += 1
         beta = result.u
+        reference = None if result.residual is None else result
         if result.residual is None:  # the best earlier iterate: nothing held for it
             gram_beta = apply_gram(inst, beta)
         else:  # G beta = r + c; the multiplier step is mu r, so X^T X lambda = g
@@ -280,5 +299,7 @@ def solve(
         wall_time=time.perf_counter() - t_start,
         status=status,
         subsolver_failures=sub_failures,
+        certified_inner_solves=certified,
+        refreshes=refreshes,
     )
     return beta, lam, report

@@ -26,43 +26,75 @@ afresh as (mu/2) (r0.r0 + 2 q0.E + E.K E) it would lose, to cancellation,
 every digit by which f has fallen below f(u0), and a tightly converged
 solve cannot afford that.
 
-After the first step the iterations run on a working set
-W = supp(u1) + {j : |g1_j| >= 1 - m}, m = WORKING_SET_MARGIN, read off the
-full gradient g1 at the first accepted point u1.  Off W the iterate stays
-zero: a zero coordinate's prox step stays zero while |g_j| <= 1.  When W
-holds at most a quarter of the p coordinates, the rows X^T[W] are copied
-once into the design operator's buffer (see
-:meth:`~dantzig_adm.core.DesignOperator.restrict`), and each iteration
-makes its gradient mu X^T[W] (q0 + K E) and X d from them.  When the solve
-stops (converged or stationary), one dense X^T product forms the full
-gradient.  Every j off W with |g_j| > 1 breaks the optimality of u_j = 0;
-those j join W and the iterations go on.  Otherwise the solve returns that
-full gradient.  So the set is verified, not proven: the iterates are those
-of the full method for as long as every gradient off W stays inside
-[-1, 1].  W is not read off the start-up gradient g0, because the first
-step moves the iterate furthest.  Chosen from g0, W missed coordinates whose
-gradient crossed 1 in that step and was back inside by the check, and at
-(720, 2560, 80) 2 of 30 solves took one outer iteration more or fewer.
-When W holds more than a quarter of the coordinates (the first inner solve
-from beta = 0, and early ones whose iterate still moves far), the same loop
-runs on X itself, with no copy and no check.  This is full mode.  Up to
-half, the early solves still copied; their gradients off W crossed 1 most
-often, and one of 88 solves at sigma = 0.01 took an outer iteration more.
+The iterations run on a working set W of coordinates; off W the iterate
+stays zero, which is right while |g_j| <= 1 there, because a zero
+coordinate's prox step stays zero.  When W holds at most a quarter of the p
+coordinates, the rows X^T[W] are copied once into the design operator's
+buffer (see :meth:`~dantzig_adm.core.DesignOperator.restrict`), and each
+iteration makes its gradient mu X^T[W] (q0 + K E) and X d from them.  When
+W holds more, the same loop runs on X itself, with no copy and no check:
+this is full mode.  W is chosen in one of two ways.
+
+A certified start.  The outer loop hands each inner solve the previous one's
+result as a reference: its full gradient g_ref = mu X^T v_ref, with
+v_ref = q0 + K E at its final iterate.  Since grad f(u) = mu X^T v(u) with
+v(u) = q0 + K E for this solve too, and mu is that of the reference,
+
+    |g_j(u) - g_ref_j| <= mu d_j ||v(u) - v_ref||_2,    d_j = ||x_j||,
+
+at the cost of one norm of length n.  After X r0 the solve takes
+W = supp(u0) + {j : |g_ref_j| + mu d_j rho0 >= 1 - m}, rho0 = ||q0 - v_ref||,
+m = WORKING_SET_MARGIN, and makes its start-up gradient and every later
+product with the copy.  At u0 and after every accepted step it tests the
+certificate max_{j off W} |g_ref_j| + mu max_{j off W} d_j rho_t <= 1,
+rho_t = ||q0 + K E - v_ref||.  While it holds every gradient off W lies in
+[-1, 1], so the iterates are those of the full method.  When it fails after
+a step, one dense X^T forms the full gradient there (a refresh): every j with
+|g_j| >= 1 - m joins W (full mode past a quarter), and that gradient becomes
+the reference.  Between refreshes a certified solve makes no dense X^T
+until it stops.
+
+Otherwise (no reference: the first inner solve, and the one after a return
+of a best earlier iterate; or a certified W past a quarter of p, or a
+certificate that fails at u0), the first step runs on X, and W is read off
+the full gradient g1 at the first accepted point u1:
+W = supp(u1) + {j : |g1_j| >= 1 - m}.  W is not read off the start-up
+gradient g0, because the first step moves the iterate furthest.  Chosen from
+g0, W missed coordinates whose gradient crossed 1 in that step and was back
+inside by the check, and at (720, 2560, 80) 2 of 30 solves took one outer
+iteration more or fewer.  Such a W is verified, not proven: nothing tests
+the gradient off W until the solve stops, so a gradient that crosses 1 and
+falls back mid-solve leaves the iterates those of the working set, not of
+the full method.  Up to half of p, the early solves still copied; their
+gradients off W crossed 1 most often, and one of 88 solves at sigma = 0.01
+took an outer iteration more.
+
+When a solve on a working set stops (converged or stationary), one pass over
+X^T (:meth:`~dantzig_adm.core.DesignOperator.rmatvec_pair`) makes both the
+full gradient mu X^T (q0 + K E) and the X^T E of the residual
+r = r0 + X^T E.  Every j off W with |g_j| > 1 breaks the optimality of
+u_j = 0; those j join W and the iterations go on.  Otherwise the solve
+returns that gradient and residual.  After a certified start no j can enter
+there.
 
 An iteration costs one n x n product and two products with X or X^T[W]:
 X d, and X^T for the gradient at the accepted point, however many
-backtracks it takes.  The first iteration, and every iteration in full
-mode, uses X itself.  There the direction d is sparse (it is nonzero only
-where u or its prox step is), so X d is the support-restricted product of
-:meth:`~dantzig_adm.core.DesignOperator.matvec`.  A solve costs three more
-n x p products: X r0 and X^T q0 for the start-up gradient, and X^T E for
-the residual of the returned iterate.  On a working set, each check costs
-one more X^T product.
+backtracks it takes.  In full mode, and in the first iteration of an
+uncertified solve, they use X itself.  There the direction d is sparse (it
+is nonzero only where u or its prox step is), so X d is the
+support-restricted product of :meth:`~dantzig_adm.core.DesignOperator.matvec`.
+Every solve costs one product X r0.  r0 is zero wherever the outer loop's z
+clamp is inactive (about 90% of the coordinates at (720, 2560, 80)), so it
+is support-restricted too.  The start-up gradient X^T q0 is one more n x p
+product, or one product with the copy after a certified start.
+At the end a solve in full mode makes X^T E, and a solve on a working set one
+fused pass per check.  Each refresh costs one dense X^T.
 
-When the returned u is the final iterate, the result also carries r(u) and
-the full gradient mu G r(u), G = X^T X.  The outer loop reads G u = r + c,
-its multiplier step and the multiplier's Gram product off these, with no
-product of its own.
+When the returned u is the final iterate, the result also carries r(u),
+the full gradient mu G r(u), G = X^T X, and v = q0 + K E = X r(u).  The
+outer loop reads G u = r + c, its multiplier step and the multiplier's Gram
+product off these, with no product of its own, and hands the result to the
+next inner solve as its reference.
 """
 
 from __future__ import annotations
@@ -93,7 +125,10 @@ class SubproblemObjective:
     X^T X u0 for the warm start u0 later handed to :func:`solve_subproblem`,
     so the start-up residual costs no Gram product.  ``design`` makes the
     inner solver's products; pass one to share its kernel across the inner
-    problems of a solve, else a new one is made for X.
+    problems of a solve, else a new one is made for X.  ``reference``
+    optionally carries the final result of an earlier inner solve on the same
+    X with the same mu, whose gradient and v may certify a working set from
+    the start (see the module docstring).
     """
 
     inst: Instance
@@ -102,6 +137,7 @@ class SubproblemObjective:
     mu: float
     gram_u0: np.ndarray | None = field(default=None, repr=False)
     design: DesignOperator | None = field(default=None, repr=False)
+    reference: SubsolverResult | None = field(default=None, repr=False)
     c: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -123,6 +159,8 @@ class SubproblemObjective:
             object.__setattr__(self, "gram_u0", _as_vector(self.gram_u0, p, "gram_u0"))
         if self.design is None:
             object.__setattr__(self, "design", DesignOperator(self.inst.X))
+        if self.reference is not None and self.reference.v is None:
+            raise ValueError("a reference must be a final iterate, with its gradient and v")
 
     def residual(self, u: np.ndarray) -> np.ndarray:
         """gram(u) - c; one apply_gram call."""
@@ -200,13 +238,21 @@ class WorkingSet:
     ``columns`` is the sorted W, or None in full mode: until W is chosen, and
     whenever W holds more than a quarter of the p coordinates.  ``design`` is
     then the solve's own operator, and no copy is made.  ``checks`` counts
-    the dense X^T products that checked the gradient off W.
+    the passes over X that checked the gradient off W, and ``refreshes`` the
+    dense X^T products made when the certificate failed.  ``certified``
+    tells whether W came from a reference; while it does, the certificate is
+    kept as the offset q0 - v_ref and the two maxima off W, of |g_ref_j| and
+    of mu d_j (see the module docstring).
     """
 
     def __init__(self, design: DesignOperator):
         self.full = self.design = design
         self.columns: np.ndarray | None = None
-        self.checks = 0
+        self.checks = self.refreshes = 0
+        self.certified = False
+        self._scale: np.ndarray | None = None  # mu d
+        self._offset: np.ndarray | None = None  # q0 - v_ref
+        self._bound = (0.0, 0.0)  # max off W of |g_ref_j| and of mu d_j
 
     @property
     def size(self) -> int:
@@ -235,6 +281,57 @@ class WorkingSet:
         violated = np.abs(g) > 1.0
         violated[self.columns] = False
         return np.flatnonzero(violated)
+
+    def certify(self, start: WarmStart, u0: np.ndarray, reference: SubsolverResult) -> None:
+        """Start on the W that ``reference`` certifies at u0, if it can be copied.
+
+        W = supp(u0) + {j : |g_ref_j| + mu d_j rho0 >= 1 - m}.  Full mode
+        stays in place when W holds more than a quarter of the coordinates or
+        the certificate fails at u0.
+        """
+        scale = start.obj.mu * start.obj.inst.d
+        offset = start.q0 - reference.v
+        rho = float(np.linalg.norm(offset))
+        near = np.abs(reference.gradient) + scale * rho >= 1.0 - WORKING_SET_MARGIN
+        columns = np.flatnonzero(near | (u0 != 0))
+        bound = _off_maxima(reference.gradient, scale, columns)
+        if bound[0] + bound[1] * rho > 1.0:
+            return
+        design = self.full.restrict(columns)
+        if design is not None:
+            self.columns, self.design, self.certified = columns, design, True
+            self._scale, self._offset, self._bound = scale, offset, bound
+
+    def holds(self, kshift: np.ndarray) -> bool:
+        """Whether the certificate covers the iterate whose K E is ``kshift``.
+
+        True in full mode and on an uncertified W, where no certificate is kept.
+        """
+        if self._offset is None or self.columns is None:
+            return True
+        off_gradient, off_scale = self._bound
+        return off_gradient + off_scale * float(np.linalg.norm(self._offset + kshift)) <= 1.0
+
+    def refresh(self, state: "InnerState", g: np.ndarray) -> None:
+        """Re-anchor on the full gradient ``g`` at the iterate; the j near 1 join W.
+
+        The iterate becomes the reference, so its offset q0 - v_ref is -K E.
+        """
+        self.refreshes += 1
+        near = np.flatnonzero(np.abs(g) >= 1.0 - WORKING_SET_MARGIN)
+        self.move(state, np.union1d(self.columns, near), g)
+        self._offset = -state.kshift
+        if self.columns is not None:
+            self._bound = _off_maxima(g, self._scale, self.columns)
+
+
+def _off_maxima(g: np.ndarray, scale: np.ndarray, columns: np.ndarray) -> tuple[float, float]:
+    """The maxima of |g_j| and of scale_j over the j not in ``columns`` (0 when none)."""
+    off = np.ones(g.size, dtype=bool)
+    off[columns] = False
+    if not off.any():
+        return 0.0, 0.0
+    return float(np.abs(g[off]).max()), float(scale[off].max())
 
 
 def _expand(v: np.ndarray, columns: np.ndarray | None, p: int) -> np.ndarray:
@@ -295,9 +392,14 @@ class SubsolverResult:
     ``residual`` is r(u) = X^T X u - c, formed once as r0 + X^T E, and
     ``gradient`` is the full mu X^T X r(u), when u is its final iterate; both
     are None when the best earlier iterate is returned instead.
+    ``v`` is the n-vector q0 + K E = X r(u) at that iterate, which lets the
+    result serve as the next inner solve's reference.
     ``working_set`` is the size of W at return (p in full mode), and
-    ``kkt_checks`` the number of dense X^T products that checked the gradient
-    off W; each check but a final one let coordinates enter W.
+    ``kkt_checks`` the number of passes over X that checked the gradient off
+    W; each check but a final one let coordinates enter W.  ``certified``
+    tells whether the solve started on a working set certified by its
+    reference, and ``refreshes`` counts the dense X^T products made when
+    that certificate failed.
     """
 
     u: np.ndarray
@@ -305,8 +407,11 @@ class SubsolverResult:
     status: str  # converged | stationary | max_iter | line_search_failure
     residual: np.ndarray | None = field(default=None, repr=False)
     gradient: np.ndarray | None = field(default=None, repr=False)
+    v: np.ndarray | None = field(default=None, repr=False)
     working_set: int = 0
     kkt_checks: int = 0
+    certified: bool = False
+    refreshes: int = 0
 
     @property
     def succeeded(self) -> bool:
@@ -412,26 +517,29 @@ def solve_subproblem(
     the module docstring).  On line-search failure or cap exhaustion the best
     iterate seen (by penalized objective) is returned with a flagged status;
     the caller decides whether to accept it.  Only a final iterate comes with
-    its residual and gradient.
+    its residual, gradient and v.
 
-    Start-up costs X r0 and X^T q0 (the gradient), plus one Gram product for
-    r0 unless ``obj.gram_u0`` holds X^T X u0.  Each iteration then costs X d,
-    K (X d) and X^T for the new gradient, made with X[:, W] after the first
-    iteration on a working set.  Each check costs one X^T product, and a
-    final iterate's residual one more.
+    Start-up costs X r0 and X^T q0 (the gradient, with X^T[W] after a
+    certified start), plus one Gram product for r0 unless ``obj.gram_u0``
+    holds X^T X u0.  Each iteration then costs X d, K (X d) and X^T for the
+    new gradient, made with X[:, W] on a working set.  Each check costs one
+    fused pass over X that also gives the residual; in full mode the
+    residual costs one X^T product.  A refresh costs one dense X^T.
     """
     if config.tol_sub is None:
         raise ValueError("config.tol_sub must be set for a standalone subproblem solve")
     u = np.array(u0, dtype=np.float64)
     start = WarmStart.at(obj, u)
     origin = np.zeros(obj.inst.n)
-    g = start.gradient(origin)
+    ws = WorkingSet(obj.design)
+    if obj.reference is not None:
+        ws.certify(start, u, obj.reference)
+    g = start.gradient(origin, ws.design)
     smooth = 0.5 * obj.mu * float(start.r0 @ start.r0)
     penalized = smooth + float(np.abs(u).sum())
-    ws = WorkingSet(obj.design)
 
     state = InnerState(
-        u=u, shift=origin, kshift=origin, smooth=smooth, bar_alpha=1.0,
+        u=ws.take(u), shift=origin, kshift=origin, smooth=smooth, bar_alpha=1.0,
         window=deque([penalized], maxlen=config.memory + 1), grad=g,
     )
     best_u, best_columns, best_penalized = state.u, ws.columns, penalized
@@ -450,7 +558,7 @@ def solve_subproblem(
             if result is not None:
                 return result
             continue
-        if state.iteration == 1:  # W is chosen from the full gradient after the first step
+        if state.iteration == 1 and not ws.certified:  # W from the full gradient g1
             near = np.abs(state.grad) >= 1.0 - WORKING_SET_MARGIN
             ws.move(state, np.flatnonzero(near | (state.u != 0)), state.grad)
             d = ws.take(d)  # d is zero off W: there u_j = 0 and |g_j| < 1 - margin
@@ -463,7 +571,11 @@ def solve_subproblem(
         except LineSearchError:
             status = "line_search_failure"
             break
-        g_new = start.gradient(trial.kshift, ws.design)
+        if ws.holds(trial.kshift):
+            g_full, g_new = None, start.gradient(trial.kshift, ws.design)
+        else:  # refresh: the full gradient at the new iterate re-anchors W below
+            g_full = start.gradient(trial.kshift)
+            g_new = ws.take(g_full)
         bar_alpha_next = bb_step(trial.u - state.u, g_new - state.grad, config)
         state.u, state.shift, state.kshift = trial.u, trial.shift, trial.kshift
         state.smooth, state.grad = trial.smooth, g_new
@@ -486,6 +598,8 @@ def solve_subproblem(
         state.bar_alpha = bar_alpha_next
         if trial.penalized < best_penalized:
             best_u, best_columns, best_penalized = trial.u, ws.columns, trial.penalized
+        if g_full is not None:
+            ws.refresh(state, g_full)
 
     if status == "max_iter" and (
         inner_termination_metric(state.u, state.grad, penalized) <= config.tol_sub
@@ -495,29 +609,35 @@ def solve_subproblem(
             return result
     return SubsolverResult(
         _expand(best_u, best_columns, obj.inst.p), state.iteration, status,
-        working_set=ws.size, kkt_checks=ws.checks,
+        working_set=ws.size, kkt_checks=ws.checks, certified=ws.certified,
+        refreshes=ws.refreshes,
     )
 
 
 def _finish(
     start: WarmStart, state: InnerState, ws: WorkingSet, status: str
 ) -> SubsolverResult | None:
-    """The final iterate with its residual r0 + X^T E and its full gradient.
+    """The final iterate with its residual r0 + X^T E, its full gradient and v.
 
-    In full mode ``state.grad`` is the full gradient.  In working-set mode one
-    X^T product forms it; when some j off W has |g_j| > 1, those j join W,
-    the state moves to the new W, and None is returned: the solve goes on.
+    In full mode ``state.grad`` is the full gradient, and X^T E costs one
+    product.  On a working set one pass over X makes both the full gradient
+    and X^T E; when some j off W has |g_j| > 1, those j join W, the state
+    moves to the new W, and None is returned: the solve goes on.
     """
+    v = start.q0 + state.kshift
     if ws.columns is None:
-        g = state.grad
+        g, residual = state.grad, start.residual(state.shift)
     else:
-        g = start.gradient(state.kshift)
+        xtv, xte = ws.full.rmatvec_pair(v, state.shift)
+        g = start.obj.mu * xtv
         ws.checks += 1
         entering = ws.outside(g)
         if entering.size:
             ws.move(state, np.union1d(ws.columns, entering), g)
             return None
+        residual = start.r0 + xte
     return SubsolverResult(
-        ws.expand(state.u), state.iteration, status, start.residual(state.shift), g,
-        working_set=ws.size, kkt_checks=ws.checks,
+        ws.expand(state.u), state.iteration, status, residual, g, v,
+        working_set=ws.size, kkt_checks=ws.checks, certified=ws.certified,
+        refreshes=ws.refreshes,
     )

@@ -9,8 +9,9 @@ from dantzig_adm.core import DesignOperator
 class ProductCounts:
     """Calls to each DesignOperator product, and the matmuls made with a watched X.
 
-    ``calls`` counts matvec, rmatvec and kernel_matvec by name (apply_gram
-    goes through matvec and rmatvec), and ``on_buffer`` those of them made
+    ``calls`` counts matvec, rmatvec, rmatvec_pair and kernel_matvec by name
+    (apply_gram goes through matvec and rmatvec; one rmatvec_pair is one
+    fused pass over X), and ``on_buffer`` those of them made
     by an operator of copied columns (DesignOperator.restrict); ``copies``
     counts the restrict calls.  ``x_products`` counts every matmul with a
     watched X, and ``outside`` those made outside the operator's methods.
@@ -58,13 +59,13 @@ def products(monkeypatch):
     counts = ProductCounts()
 
     def counting(name, original):
-        def method(self, w):
+        def method(self, *vectors):
             counts.calls[name] += 1
             if any(self is view for view in counts.views):
                 counts.on_buffer[name] += 1
             counts.depth += 1
             try:
-                return original(self, w)
+                return original(self, *vectors)
             finally:
                 counts.depth -= 1
 
@@ -79,7 +80,7 @@ def products(monkeypatch):
             counts.views.append(view)
         return view
 
-    for name in ("matvec", "rmatvec", "kernel_matvec"):
+    for name in ("matvec", "rmatvec", "rmatvec_pair", "kernel_matvec"):
         monkeypatch.setattr(DesignOperator, name, counting(name, getattr(DesignOperator, name)))
     monkeypatch.setattr(DesignOperator, "restrict", restrict)
     return counts

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,8 @@ from hypothesis import strategies as st
 
 import dantzig_adm.adm as adm_module
 from dantzig_adm.adm import AdmConfig, solve, update_lambda, update_z
-from dantzig_adm.core import DesignOperator, Instance, apply_gram
+from dantzig_adm.core import FUSED_ROWS, DesignOperator, Instance, apply_gram
+from dantzig_adm.datagen import GenSpec, make_instance, mu_rule
 from dantzig_adm.evaluation import feasibility_report
 from dantzig_adm.subsolver import (
     SubproblemObjective,
@@ -352,18 +355,25 @@ class TestPrecomputedGram:
             adm_module._criterion_terms(inst, beta, lam, bad, bad)
 
 
-_PRODUCTS = ("matvec", "rmatvec", "kernel_matvec")
+_PRODUCTS = ("matvec", "rmatvec", "rmatvec_pair", "kernel_matvec")
+
+
+def _step(calls, before):
+    """The calls made between two snapshots, with a zero count for no call."""
+    return {name: calls.get(name, 0) - before.get(name, 0) for name in _PRODUCTS}
 
 
 class TestOuterCost:
     """Products per outer iteration, counted through a counting view of X.
 
-    An outer iteration costs its inner solve: X r0, X^T q0 and X^T E, plus
-    X d, K (X d) and X^T per inner iteration, plus one X^T per check of the
-    gradient off the working set.  In full mode there is no check, and
-    every product is made with X; on a working set every X d and X^T after
-    the first iteration is made with the copied columns.  The z clamp, the
-    multiplier step and the stopping test make no product with X.
+    An outer iteration costs its inner solve: X r0 and X^T q0, plus X d,
+    K (X d) and X^T per inner iteration, plus X^T E in full mode or one
+    fused pass (rmatvec_pair, the gradient and X^T E) per check of the
+    gradient off the working set.  In full mode every product is made with
+    X.  On an uncertified working set every X d and X^T after the first
+    iteration is made with the copied columns; after a certified start
+    X^T q0 and every iteration are.  The z clamp, the multiplier step and
+    the stopping test make no product with X.
     """
 
     def _record_inner(self, monkeypatch, strip_first=False):
@@ -374,8 +384,7 @@ class TestOuterCost:
         def recording(obj, u0, config, callback=None):
             result = original(obj, u0, config, callback)
             if strip_first and not inner:
-                result = SubsolverResult(u=result.u, iterations=result.iterations,
-                                         status=result.status)
+                result = replace(result, residual=None, gradient=None, v=None)
             inner.append(result)
             return result
 
@@ -384,43 +393,72 @@ class TestOuterCost:
 
     # the kinds of inner solve each case shows; entries into W, and a W grown
     # past p/4 that moves to full mode, are counted in test_subsolver.TestWorkingSet
-    _KINDS = {(8, 20): {"full"}, (30, 12): {"full"}, (10, 60): {"full", "working set"}}
+    _KINDS = {
+        (8, 20): {"full"},
+        (30, 12): {"full"},
+        (10, 60): {"full", "working set"},
+        (48, 200): {"full", "working set", "certified"},
+    }
+
+    @staticmethod
+    def _case(n, p):
+        """(instance, beta0, config): dense and random from a random beta0, or at
+        (48, 200) a sparse unit-column one from zero, whose late inner solves
+        start certified."""
+        if (n, p) == (48, 200):
+            inst, _ = make_instance(GenSpec(n=n, p=p, s=6, sigma_noise=0.05, seed=2))
+            return inst, None, AdmConfig(mu=mu_rule("unit_columns", p, inst.delta), tol=1e-3)
+        rng = np.random.default_rng(29)
+        inst = _instance(rng, n=n, p=p)
+        return inst, rng.standard_normal(p), AdmConfig(mu=1.0, tol=1e-5, max_outer_iter=40)
 
     @pytest.mark.parametrize("n, p", sorted(_KINDS, reverse=True))
     def test_three_products_plus_three_per_inner_iteration(self, monkeypatch, products, n, p):
-        rng = np.random.default_rng(29)
-        inst = _instance(rng, n=n, p=p)
+        inst, beta0, config = self._case(n, p)
         inst.xty  # cache X^T y before counting
         products.watch(inst)
         inner = self._record_inner(monkeypatch)
         seen = []
         _, _, report = solve(
             inst,
-            AdmConfig(mu=1.0, tol=1e-5, max_outer_iter=40),
-            beta0=rng.standard_normal(inst.p),
+            config,
+            beta0=beta0,
             callback=lambda rec: seen.append(
                 (dict(products.calls), dict(products.on_buffer), products.x_products)
             ),
         )
         assert report.outer_iterations == len(seen) == len(inner) > 5
-        # start-up: G beta0 (X, X^T); lambda0 = 0 needs no product
-        before, buffer_before, x_before = {"matvec": 1, "rmatvec": 1}, {}, 2
+        assert report.certified_inner_solves == sum(result.certified for result in inner)
+        # start-up: G beta0 (X, X^T), none from zero; lambda0 = 0 needs no product
+        before, buffer_before, x_before = {}, {}, 0
+        if beta0 is not None:
+            before, x_before = {"matvec": 1, "rmatvec": 1}, 2
         kernel_x = 1 if n <= p else 0  # forming K takes one X product per 64 rows
         per_kernel = 0 if n <= p else 2  # X (X^T w) when no K is formed
+        per_pass = 2 * -(-p // FUSED_ROWS)  # a fused pass: two products per chunk of X^T
         kinds = set()
         for (calls, on_buffer, x_products), result in zip(seen, inner):
             iters, checks = result.iterations, result.kkt_checks
-            step = {name: calls.get(name, 0) - before.get(name, 0) for name in _PRODUCTS}
-            buffered = {name: on_buffer.get(name, 0) - buffer_before.get(name, 0)
-                        for name in _PRODUCTS}
+            step, buffered = _step(calls, before), _step(on_buffer, buffer_before)
+            full_finish = result.working_set == inst.p
             assert step == {
                 "matvec": 1 + iters,
-                "rmatvec": 2 + iters + checks,
+                "rmatvec": 1 + iters + full_finish,
+                "rmatvec_pair": checks,
                 "kernel_matvec": iters,
             }
-            if result.working_set < inst.p:  # on W from the second iteration on
+            if result.certified:  # after X r0, no product with X until one fused pass
+                kinds.add("certified")
+                assert result.refreshes == 0 and checks == 1 and not full_finish
+                assert buffered == {
+                    "matvec": iters, "rmatvec": 1 + iters, "rmatvec_pair": 0, "kernel_matvec": 0
+                }
+            elif not full_finish:  # on W from the second iteration on
                 kinds.add("working set" if checks == 1 else "entered")
-                assert buffered == {"matvec": iters - 1, "rmatvec": iters - 1, "kernel_matvec": 0}
+                assert buffered == {
+                    "matvec": iters - 1, "rmatvec": iters - 1, "rmatvec_pair": 0,
+                    "kernel_matvec": 0,
+                }
             elif checks == 0:  # full mode: today's counts, all with X
                 kinds.add("full")
                 assert buffered == dict.fromkeys(_PRODUCTS, 0)
@@ -428,11 +466,14 @@ class TestOuterCost:
                 kinds.add("moved")
                 assert buffered["matvec"] == buffered["rmatvec"]
                 assert 1 <= buffered["matvec"] < iters - 1 and buffered["kernel_matvec"] == 0
-            on_x = 2 * iters - buffered["matvec"] - buffered["rmatvec"]
-            assert x_products - x_before == 3 + checks + on_x + per_kernel * iters + kernel_x
+            on_x = step["matvec"] + step["rmatvec"] - buffered["matvec"] - buffered["rmatvec"]
+            assert x_products - x_before == (
+                on_x + per_pass * checks + per_kernel * iters + kernel_x
+            )
             kernel_x = 0
             before, buffer_before, x_before = calls, on_buffer, x_products
         assert kinds == self._KINDS[n, p]
+        assert not inner[0].certified  # the first inner solve has no reference
         assert products.outside == 0
 
     def test_best_iterate_gets_fresh_products(self, monkeypatch, products):
@@ -452,16 +493,110 @@ class TestOuterCost:
         for k, ((calls, rec), result) in enumerate(zip(seen, inner)):
             fresh = 2 if k == 0 else 0  # G beta and G lambda, with no residual held
             iters = result.iterations
-            step = {name: calls.get(name, 0) - before.get(name, 0) for name in _PRODUCTS}
-            assert step == {
+            assert _step(calls, before) == {
                 "matvec": 1 + iters + fresh,
-                "rmatvec": 2 + iters + result.kkt_checks + fresh,
+                "rmatvec": 1 + iters + (result.working_set == inst.p) + fresh,
+                "rmatvec_pair": result.kkt_checks,
                 "kernel_matvec": iters,
             }
             before = calls
+        assert not inner[1].certified  # no reference after a best earlier iterate
         assert products.outside == 0
         rec = seen[0][1]
         assert rec.metric == _metric_at(inst, rec.beta, rec.lam)
+
+
+def _full_method(monkeypatch):
+    """Make every inner solve run in full mode: no working set can be copied."""
+    monkeypatch.setattr(DesignOperator, "restrict", lambda self, columns: None)
+
+
+class TestCertifiedStart:
+    """Inner solves that start on a working set certified by the previous
+    result take the steps of the full method (up to rounding).
+
+    The instance is sparse with unit columns, as in the benchmark, at
+    (48, 200): its late inner solves start certified.  Its uncertified
+    working-set solves happen to have no gradient off W that crosses 1
+    mid-solve, which the end-only check would miss, so the whole solve
+    matches too; :meth:`test_each_certified_solve_takes_the_full_steps`
+    compares the certified solves alone.
+    """
+
+    @staticmethod
+    def _case():
+        inst, _ = make_instance(GenSpec(n=48, p=200, s=6, sigma_noise=0.05, seed=2))
+        return inst, AdmConfig(mu=mu_rule("unit_columns", inst.p, inst.delta), tol=1e-3)
+
+    @staticmethod
+    def _assert_same_solve(run, full):
+        (beta, _, report), (beta_full, _, report_full) = run, full
+        assert report.status == report_full.status == "converged"
+        assert report.outer_iterations == report_full.outer_iterations
+        assert report.inner_iteration_total == report_full.inner_iteration_total
+        assert np.abs(beta - beta_full).max() <= 1e-10 * max(1.0, np.abs(beta_full).max())
+
+    @staticmethod
+    def _compare_each(monkeypatch, wrap=None):
+        """Solve, and rerun each certified inner solve in full mode from its inputs."""
+        inner = []
+        original = adm_module.solve_subproblem
+
+        def recording(obj, u0, config, callback=None):
+            if wrap is not None:
+                obj = wrap(obj, u0)
+            result = original(obj, u0, config, callback)
+            inner.append((obj, u0.copy(), config, result))
+            return result
+
+        inst, config = TestCertifiedStart._case()
+        monkeypatch.setattr(adm_module, "solve_subproblem", recording)
+        run = solve(inst, config)
+        monkeypatch.undo()
+        _full_method(monkeypatch)
+        for obj, u0, sub_config, result in inner:
+            if not result.certified:
+                continue
+            # no coordinate enters at the final check, unless a refresh moved to full mode
+            assert result.kkt_checks == (result.working_set < inst.p)
+            plain = replace(obj, reference=None, design=DesignOperator(inst.X))
+            full = original(plain, u0, sub_config)
+            assert full.iterations == result.iterations and full.status == result.status
+            scale = max(1.0, np.abs(full.u).max())
+            assert np.abs(full.u - result.u).max() <= 1e-10 * scale
+        return run, inner
+
+    def test_same_iterations_and_beta_as_the_full_method(self, monkeypatch):
+        inst, config = self._case()
+        run = solve(inst, config)
+        assert run[2].certified_inner_solves > 0 and run[2].refreshes == 0
+        _full_method(monkeypatch)
+        full = solve(inst, config)
+        assert full[2].certified_inner_solves == 0
+        self._assert_same_solve(run, full)
+
+    def test_each_certified_solve_takes_the_full_steps(self, monkeypatch):
+        run, inner = self._compare_each(monkeypatch)
+        certified = [result for *_, result in inner if result.certified]
+        assert len(certified) == run[2].certified_inner_solves > len(inner) // 2
+        # there is no reference for the first inner solve
+        assert not inner[0][3].certified and inner[0][0].reference is None
+
+    def test_refreshes_keep_the_full_steps(self, monkeypatch):
+        # anchor each inner solve on its own warm start: the reference is the
+        # exact gradient at u0, so W is read off g0 and the certificate fails
+        # as the first steps move the iterate, forcing refreshes
+        def anchored_at_start(obj, u0):
+            start = WarmStart.at(obj, u0)
+            g0 = start.gradient(np.zeros(obj.inst.n))
+            at_u0 = SubsolverResult(u0, 0, "converged", gradient=g0, v=start.q0)
+            return replace(obj, reference=at_u0)
+
+        run, inner = self._compare_each(monkeypatch, anchored_at_start)
+        assert run[2].refreshes > 0
+        assert sum(result.refreshes for *_, result in inner) == run[2].refreshes
+        assert any(result.certified and result.refreshes for *_, result in inner)
+        self._assert_same_solve(run, solve(*self._case()))
 
 
 class TestOuterIdentity:

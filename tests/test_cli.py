@@ -107,6 +107,8 @@ class TestSolve:
         report = json.loads((out / "report.json").read_text())
         assert report["status"] == "converged"
         assert report["outer_iterations"] >= 1
+        assert 0 <= report["certified_inner_solves"] <= report["outer_iterations"]
+        assert report["refreshes"] >= 0
         assert (out / "beta_hat.mtx").exists()
         evaluation = json.loads((out / "eval.json").read_text())
         assert evaluation["rho2"] <= evaluation["rho2_orig"]

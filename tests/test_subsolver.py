@@ -5,12 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dantzig_adm.subsolver as subsolver_module
-from dantzig_adm.core import Instance, apply_gram, soft_thresh
+from dantzig_adm.core import FUSED_ROWS, DesignOperator, Instance, apply_gram, soft_thresh
 from dantzig_adm.subsolver import (
     InnerState,
     LineSearchError,
     SubproblemObjective,
     SubsolverConfig,
+    SubsolverResult,
     WarmStart,
     bb_step,
     inner_termination_metric,
@@ -215,7 +216,8 @@ def _watched(products, obj):
     """obj rebuilt on a counted view of its X, so its design operator counts too."""
     products.watch(obj.inst)
     products.reset()
-    return SubproblemObjective(obj.inst, obj.z_fixed, obj.lambda_fixed, obj.mu)
+    return SubproblemObjective(obj.inst, obj.z_fixed, obj.lambda_fixed, obj.mu,
+                               gram_u0=obj.gram_u0, reference=obj.reference)
 
 
 def _line_search(obj, u, d, delta, config, window=None, u0=None):
@@ -438,7 +440,8 @@ class TestGramCost:
 
     Start-up: X r0 and X^T q0, plus one Gram product (X u0, X^T) for r0 unless
     gram_u0 is given.  Each iteration: X d, K (X d) and one X^T, whatever the
-    backtracks.  A final iterate's residual: one more X^T.  These are the
+    backtracks.  A final iterate's residual: one more X^T in full mode, or
+    one fused pass (rmatvec_pair) per check on a working set.  These are the
     counts of full mode; :class:`TestWorkingSet` has those on a working set.
     """
 
@@ -449,21 +452,26 @@ class TestGramCost:
         return result, alphas
 
     @staticmethod
-    def _expected(iterations, cold=True, checks=0):
+    def _expected(iterations, cold=True, checks=0, full_finish=True):
+        """The calls of a solve; ``full_finish`` when its final iterate is in full mode."""
         gram = 1 if cold else 0
-        return {
+        expected = {
             "matvec": gram + 1 + iterations,
-            "rmatvec": gram + 2 + iterations + checks,
+            "rmatvec": gram + 1 + iterations + full_finish,
+            "rmatvec_pair": checks,
             "kernel_matvec": iterations,
         }
+        return {name: count for name, count in expected.items() if count}
 
     @staticmethod
     def _x_products(counts, inst):
-        """Every X product is a counted call off the buffer, or forms K (once, when n <= p)."""
+        """Every X product is a counted call off the buffer, a chunk of a fused
+        pass (two per FUSED_ROWS rows of X^T), or forms K (once, when n <= p)."""
         kernel = -(-inst.n // 64) if inst.n <= inst.p else 2 * counts.calls["kernel_matvec"]
         on_x = {name: counts.calls[name] - counts.on_buffer[name] for name in ("matvec", "rmatvec")}
+        fused = 2 * -(-inst.p // FUSED_ROWS) * counts.calls["rmatvec_pair"]
         assert counts.outside == 0
-        assert counts.x_products == on_x["matvec"] + on_x["rmatvec"] + kernel
+        assert counts.x_products == on_x["matvec"] + on_x["rmatvec"] + fused + kernel
 
     def test_two_products_per_iteration_with_backtracks(self, products):
         obj, u, _, _, config = _steep_quadratic_case()
@@ -540,7 +548,9 @@ class TestWorkingSet:
     """After the first step the solve iterates on W = supp(u1) + {j : |g1_j| >= 1 - m}.
 
     On a working set the products after the first iteration use the copied
-    columns X^T[W]; each check of the gradient off W costs one X^T product.
+    columns X^T[W]; each check of the gradient off W costs one fused pass
+    over X that also gives the residual.  These solves have no reference;
+    the certified start is tested in test_adm.TestCertifiedStart.
     """
 
     @staticmethod
@@ -553,6 +563,8 @@ class TestWorkingSet:
         np.testing.assert_allclose(
             result.gradient, obj.mu * (G @ r), rtol=0, atol=1e-10 * obj.mu * np.abs(G @ c).max()
         )
+        X = np.asarray(obj.inst.X)
+        np.testing.assert_allclose(result.v, X @ r, rtol=0, atol=1e-10 * np.abs(X @ c).max())
 
     @staticmethod
     def _assert_matches_reference(obj, result, u0):
@@ -581,7 +593,9 @@ class TestWorkingSet:
         assert result.succeeded and result.working_set < obj.inst.p
         checks = result.kkt_checks
         assert checks == (2 if seed == 3 else 1)
-        assert products.calls == TestGramCost._expected(result.iterations, checks=checks)
+        assert products.calls == TestGramCost._expected(
+            result.iterations, checks=checks, full_finish=False
+        )
         # the first iteration uses X; every later X d and X^T uses the copy,
         # made once and again for each check that let coordinates enter
         assert products.on_buffer == {
@@ -603,7 +617,9 @@ class TestWorkingSet:
         assert entered.size > 0
         assert result.kkt_checks >= 2
         assert products.copies == result.kkt_checks
-        assert products.calls == TestGramCost._expected(result.iterations, checks=result.kkt_checks)
+        assert products.calls == TestGramCost._expected(
+            result.iterations, checks=result.kkt_checks, full_finish=False
+        )
         self._assert_matches_reference(obj, result, b)
         self._assert_exact(obj, result)
 
@@ -638,6 +654,39 @@ class TestWorkingSet:
         self._assert_exact(obj, result)
 
     @pytest.mark.parametrize("seed", range(4))
+    def test_certified_start(self, monkeypatch, products, seed):
+        # the next inner problem of an outer loop, with z moved a little: the
+        # first solve's result certifies W from the start, so every product
+        # after X r0 uses the copy, and one fused pass ends the solve
+        obj, b = _sparse_objective(seed)
+        first = solve_subproblem(obj, b, _TIGHT)
+        rng = np.random.default_rng(seed)
+        z = obj.z_fixed + 1e-3 * rng.standard_normal(obj.inst.p)
+        gram_u = first.residual + obj.c
+        nxt = SubproblemObjective(obj.inst, z, obj.lambda_fixed, obj.mu, gram_u0=gram_u,
+                                  reference=first)
+        products.reset()
+        nxt = _watched(products, nxt)
+        result = solve_subproblem(nxt, first.u, _TIGHT)
+        assert result.succeeded and result.certified and result.iterations > 0
+        assert result.refreshes == 0 and result.kkt_checks == 1  # nothing entered at the check
+        iters = result.iterations
+        assert products.calls == {
+            "matvec": 1 + iters, "rmatvec": 1 + iters, "rmatvec_pair": 1, "kernel_matvec": iters
+        }
+        assert products.on_buffer == {"matvec": iters, "rmatvec": 1 + iters}
+        assert products.copies == 1
+        TestGramCost._x_products(products, nxt.inst)
+        self._assert_matches_reference(nxt, result, first.u)
+        self._assert_exact(nxt, result)
+        # the full method from the same start takes the same steps
+        monkeypatch.setattr(DesignOperator, "restrict", lambda self, columns: None)
+        plain = SubproblemObjective(obj.inst, z, obj.lambda_fixed, obj.mu, gram_u0=gram_u)
+        full = solve_subproblem(plain, first.u, _TIGHT)
+        assert full.iterations == iters
+        assert np.abs(full.u - result.u).max() <= 1e-10 * max(1.0, np.abs(full.u).max())
+
+    @pytest.mark.parametrize("seed", range(4))
     def test_more_rows_than_columns(self, products, seed):
         # n > p: no K is formed, K w = X (X^T w) is made with X itself, and W
         # still takes the other products
@@ -653,7 +702,9 @@ class TestWorkingSet:
         assert result.succeeded and result.working_set <= p // 4 and result.kkt_checks >= 1
         assert obj.design.kernel is None
         assert products.on_buffer["rmatvec"] == result.iterations - 1
-        assert products.calls == TestGramCost._expected(result.iterations, checks=result.kkt_checks)
+        assert products.calls == TestGramCost._expected(
+            result.iterations, checks=result.kkt_checks, full_finish=False
+        )
         TestGramCost._x_products(products, obj.inst)
         self._assert_matches_reference(obj, result, np.zeros(p))
         self._assert_exact(obj, result)
@@ -668,6 +719,13 @@ class TestSolveSubproblem:
         assert result.succeeded
         assert result.iterations <= 1
         assert np.allclose(result.u, u_star, atol=1e-10)
+
+    def test_reference_must_be_a_final_iterate(self):
+        obj = _scalar_objective()
+        best_earlier = SubsolverResult(u=np.zeros(1), iterations=3, status="max_iter")
+        with pytest.raises(ValueError):
+            SubproblemObjective(obj.inst, obj.z_fixed, obj.lambda_fixed, obj.mu,
+                                reference=best_earlier)
 
     def test_requires_tolerance(self):
         obj = _scalar_objective()
