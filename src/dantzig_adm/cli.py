@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, adm, fileio
 from .adm import AdmConfig
-from .core import Instance
+from .core import NUMPY_OPENBLAS, Instance
 from .datagen import GenSpec, make_instance, mu_rule, tol_rule
 from .evaluation import evaluate_solution, feasibility_report, two_stage
 
@@ -39,7 +39,7 @@ BASE_SIZE = (720, 2560, 80)  # multiplied by the --i grid factors
 # the library's file pattern in <site-packages>/<package>.libs, and the
 # symbol that sets its thread count.
 _BUNDLED_OPENBLAS = (
-    ("numpy", "libscipy_openblas64_*.so", "scipy_openblas_set_num_threads64_"),
+    (*NUMPY_OPENBLAS, "scipy_openblas_set_num_threads64_"),
     ("scipy", "libscipy_openblas-*.so", "scipy_openblas_set_num_threads"),
 )
 
@@ -326,8 +326,8 @@ def _one_blas_thread() -> None:
     Forked workers keep OpenBLAS's default of one thread per core, so each
     core would run one BLAS thread per worker.  A library that this process
     has not loaded (RTLD_NOLOAD), or that lacks the setter, is left alone.
-    The solver's products go through numpy's copy; scipy's is loaded by no
-    solve.
+    The solver's products go through numpy's copy, the kernel's dsymv among
+    them; scipy's is loaded by no solve.
     """
     for package, pattern, setter in _BUNDLED_OPENBLAS:
         module = sys.modules.get(package)

@@ -8,7 +8,7 @@ import pytest
 from scipy import io as spio
 
 import dantzig_adm.cli as cli
-from dantzig_adm import fileio
+from dantzig_adm import core, fileio
 from dantzig_adm.adm import RunReport
 from dantzig_adm.datagen import GenSpec, gen_design
 
@@ -298,6 +298,12 @@ class TestBench:
         with cli._pool(2) as pool:
             assert list(pool.map(_numpy_blas_threads, range(4))) == [1] * 4
         assert _numpy_blas_threads() == parent  # the calling process keeps its own
+
+    def test_kernel_product_binds_numpy_dsymv(self):
+        # a silent fallback to K @ w would read all of K again
+        if _numpy_blas_threads() is None:
+            pytest.skip("numpy links no bundled OpenBLAS here")
+        assert core._dsymv() is not None
 
     def test_missing_thread_setter_does_nothing(self, monkeypatch):
         before = _numpy_blas_threads()

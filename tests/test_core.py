@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from contextlib import contextmanager
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -9,7 +13,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import dantzig_adm.core as core_module
+from dantzig_adm.adm import AdmConfig, solve
 from dantzig_adm.core import DesignOperator, Instance, apply_gram, box_clamp, soft_thresh
+from dantzig_adm.datagen import GenSpec, make_instance, mu_rule
 
 from oracles import box_project_scalar, dense_gram, prox_l1_scalar
 
@@ -266,6 +272,74 @@ class TestDesignOperator:
         assert np.shares_memory(first.X, second.X)
         np.testing.assert_array_equal(second.X, X[:, :10])
         assert design.restrict(np.arange(11)) is None
+
+
+class TestSymmetricKernelProduct:
+    """K w through dsymv of numpy's OpenBLAS, and the K @ w fallback without it."""
+
+    @staticmethod
+    def _design(n, p):
+        rng = np.random.default_rng(n + p)
+        X = rng.standard_normal((n, p))
+        return X, DesignOperator(Instance(X=X, y=np.zeros(n), delta=1.0).X), rng
+
+    @pytest.mark.parametrize("n, p", [(64, 64), (65, 90), (150, 200)])
+    def test_matches_x_xt_through_the_binding(self, monkeypatch, n, p):
+        bound = core_module._dsymv()
+        if bound is None:
+            pytest.skip("numpy bundles no OpenBLAS with cblas_dsymv here")
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return bound(*args)
+
+        monkeypatch.setattr(core_module, "_dsymv", lambda: counted)
+        X, design, rng = self._design(n, p)
+        wide = rng.standard_normal((3 * n, 2))
+        for w in (rng.standard_normal(n), wide[::3, 1], wide[::-3, 0]):  # strided views
+            expected = X @ (X.T @ w)
+            got = design.kernel_matvec(w)
+            assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("n, p", [(64, 64), (65, 90), (150, 200)])
+    def test_without_the_binding_is_k_times_w(self, monkeypatch, n, p):
+        monkeypatch.setattr(core_module, "_dsymv", lambda: None)
+        _, design, rng = self._design(n, p)
+        w = rng.standard_normal(n)
+        assert np.array_equal(design.kernel_matvec(w), design.kernel @ w)
+
+    def test_whole_solve_counts_agree_on_both_paths(self, monkeypatch):
+        inst, _ = make_instance(GenSpec(n=48, p=200, s=6, sigma_noise=0.05, seed=2))
+        config = AdmConfig(mu=mu_rule("unit_columns", inst.p, inst.delta), tol=1e-3)
+        beta, _, report = solve(inst, config)
+        monkeypatch.setattr(core_module, "_dsymv", lambda: None)
+        beta_gemv, _, report_gemv = solve(inst, config)
+        assert report.status == report_gemv.status == "converged"
+        assert report.outer_iterations == report_gemv.outer_iterations
+        assert report.inner_iteration_total == report_gemv.inner_iteration_total
+        assert np.abs(beta - beta_gemv).max() <= 1e-10 * max(1.0, np.abs(beta_gemv).max())
+
+    def test_a_solve_loads_no_second_blas(self):
+        # scipy.linalg would load scipy's own OpenBLAS, a second BLAS in the process
+        script = (
+            "import sys\n"
+            "import dantzig_adm\n"
+            "from dantzig_adm import core\n"
+            "spec = dantzig_adm.GenSpec(n=30, p=90, s=4, sigma_noise=0.05)\n"
+            "inst, _ = dantzig_adm.make_instance(spec)\n"
+            "mu = dantzig_adm.mu_rule('unit_columns', inst.p, inst.delta)\n"
+            "dantzig_adm.solve(inst, dantzig_adm.AdmConfig(mu=mu, tol=1e-3))\n"
+            "print(core._dsymv.cache_info().misses, 'scipy.linalg' in sys.modules)\n"
+        )
+        src = Path(core_module.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["1", "False"]  # K w was applied, without scipy.linalg
 
 
 class TestStorageOrder:
