@@ -1,6 +1,8 @@
 import ctypes
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -363,6 +365,41 @@ class TestFigureData:
 
     def test_missing_solution_is_io_error(self, tmp_path):
         assert cli.main(["figure-data", str(tmp_path)]) == 2
+
+
+class TestWithoutScipy:
+    def test_import_solve_and_bench_load_no_scipy(self, tmp_path):
+        # only reading and writing .mtx files (gen, solve, figure-data) may import scipy
+        script = (
+            "import sys\n"
+            "import dantzig_adm\n"
+            "import dantzig_adm.cli as cli\n"
+            "from dantzig_adm.core import DesignOperator\n"
+            "made = []\n"
+            "original = DesignOperator._restricted_matvec\n"
+            "def counting(self, *args):\n"
+            "    made.append(1)\n"
+            "    return original(self, *args)\n"
+            "DesignOperator._restricted_matvec = counting\n"
+            "spec = dantzig_adm.GenSpec(n=450, p=600, s=20, sigma_noise=0.05, seed=3)\n"
+            "inst, _ = dantzig_adm.make_instance(spec)\n"
+            "mu = dantzig_adm.mu_rule('unit_columns', inst.p, inst.delta)\n"
+            "_, _, report = dantzig_adm.solve(inst, dantzig_adm.AdmConfig(mu=mu, tol=1e-3))\n"
+            "code = cli.main(['bench', '--size', '450,600,20', '--reps', '1', '--sigma', '0.05',\n"
+            "                 '--seed', '4', '--tol', '1e-3', '--out', sys.argv[1]])\n"
+            "print(report.status, code, len(made) > 0)\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        )
+        src = Path(cli.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        csv_path = tmp_path / "bench.csv"
+        run = subprocess.run(
+            [sys.executable, "-c", script, str(csv_path)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines() == ["converged 0 True", "[]"]
+        assert csv_path.read_text().splitlines()[0] == cli.BENCH_HEADER
 
 
 class TestExitCodes:

@@ -7,7 +7,6 @@ from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -138,13 +137,13 @@ def _assert_gram_matches_dense(inst, X, v):
 def _restricted_products(min_entries=None):
     """Count the restricted products; optionally lower the size from which they are used."""
     made = [0]
-    original = scipy.sparse.csr_array
+    original = DesignOperator._restricted_matvec
 
-    def counting(*args, **kwargs):
+    def counting(self, *args, **kwargs):
         made[0] += 1
-        return original(*args, **kwargs)
+        return original(self, *args, **kwargs)
 
-    with mock.patch.object(scipy.sparse, "csr_array", counting):
+    with mock.patch.object(DesignOperator, "_restricted_matvec", counting):
         if min_entries is None:
             yield made
         else:
@@ -223,6 +222,53 @@ class TestRestrictedGram:
         with _restricted_products(min_entries=0) as made:
             assert np.array_equal(apply_gram(inst, np.zeros(16)), np.zeros(16))
         assert made[0] == 1
+
+
+def _assert_matvec_matches_dense(design, X, v):
+    """design.matvec(v) against X v to 1e-12, relative to the entrywise error scale."""
+    got = design.matvec(v)
+    scale = float((np.abs(X) @ np.abs(v)).max())
+    assert np.abs(got - X @ v).max() <= 1e-12 * max(scale, np.finfo(float).tiny)
+
+
+class TestRestrictedChunks:
+    """The restricted X v copies RESTRICTED_ROWS rows of X^T at a time into one kept scratch."""
+
+    @pytest.mark.parametrize("k", [63, 64, 65, 128, 129])  # around one and two whole chunks
+    def test_chunk_edges_match_dense_product(self, k):
+        assert core_module.RESTRICTED_ROWS == 64
+        rng = np.random.default_rng(70 + k)
+        X = rng.standard_normal((450, 600))  # 270000 entries, above RESTRICTED_MIN_ENTRIES
+        design = DesignOperator(Instance(X=X, y=np.zeros(450), delta=1.0).X)
+        with _restricted_products() as made:
+            _assert_matvec_matches_dense(design, X, _support_vector(rng, 600, k))
+        assert made[0] == 1
+
+    @pytest.mark.parametrize("k", [1, 64, 129, 300])
+    def test_restricted_operator_matches_dense_product(self, k):
+        rng = np.random.default_rng(80 + k)
+        X = rng.standard_normal((450, 2400))
+        design = DesignOperator(Instance(X=X, y=np.zeros(450), delta=1.0).X)
+        columns = np.sort(rng.choice(2400, size=600, replace=False))
+        restricted = design.restrict(columns)
+        assert restricted.X.size >= core_module.RESTRICTED_MIN_ENTRIES
+        with _restricted_products() as made:
+            _assert_matvec_matches_dense(restricted, X[:, columns], _support_vector(rng, 600, k))
+        assert made[0] == 1
+
+    def test_scratch_is_allocated_once(self):
+        rng = np.random.default_rng(90)
+        X = rng.standard_normal((450, 2400))
+        design = DesignOperator(Instance(X=X, y=np.zeros(450), delta=1.0).X)
+        first = design.matvec(_support_vector(rng, 2400, 100))
+        scratch = design._scratch
+        assert scratch.shape == (core_module.RESTRICTED_ROWS, 450)
+        second = design.matvec(_support_vector(rng, 2400, 200))
+        assert design._scratch is scratch
+        assert not np.shares_memory(first, second) and not np.shares_memory(second, scratch)
+        restricted = design.restrict(np.arange(600))
+        _assert_matvec_matches_dense(restricted, X[:, :600], _support_vector(rng, 600, 70))
+        assert restricted._scratch is scratch and design._scratch is scratch
 
 
 class TestDesignOperator:
