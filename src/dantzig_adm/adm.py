@@ -99,7 +99,8 @@ class RunReport:
 
     ``certified_inner_solves`` counts the inner solves that started on a
     working set certified by the previous inner result, and ``refreshes``
-    the dense X^T products made when such a certificate failed.
+    the inner solves whose certificate failed; each such failure cost one
+    dense X^T and moved its inner solve to full mode.
     """
 
     outer_iterations: int

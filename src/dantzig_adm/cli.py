@@ -19,10 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, adm, fileio
+from . import __version__, adm, core, fileio
 from .adm import AdmConfig
-from .core import NUMPY_OPENBLAS, Instance
-from .datagen import GenSpec, make_instance, mu_rule, tol_rule
+from .core import Instance
+from .datagen import GenSpec, default_delta, make_instance, mu_rule, tol_rule
 from .evaluation import evaluate_solution, feasibility_report, two_stage
 
 EXIT_OK = 0
@@ -34,14 +34,6 @@ EXIT_NOT_CONVERGED = 4
 WORKERS_ENV = "DANTZIG_ADM_WORKERS"
 BENCH_HEADER = "design,sigma,n,p,s,instances,iter_mean,cpu_mean_s,rho2_mean,rho2_orig_mean,failures"
 BASE_SIZE = (720, 2560, 80)  # multiplied by the --i grid factors
-
-# The OpenBLAS copies that the numpy and scipy wheels bundle: the package,
-# the library's file pattern in <site-packages>/<package>.libs, and the
-# symbol that sets its thread count.
-_BUNDLED_OPENBLAS = (
-    (*NUMPY_OPENBLAS, "scipy_openblas_set_num_threads64_"),
-    ("scipy", "libscipy_openblas-*.so", "scipy_openblas_set_num_threads"),
-)
 
 _DESIGNS = {
     "unit": "unit_columns",
@@ -321,27 +313,18 @@ def _bench_instance(task: dict) -> dict:
 
 
 def _one_blas_thread() -> None:
-    """Pool initializer: one thread for each bundled OpenBLAS loaded in this worker.
+    """Pool initializer: one thread for numpy's bundled OpenBLAS in this worker.
 
     Forked workers keep OpenBLAS's default of one thread per core, so each
-    core would run one BLAS thread per worker.  A library that this process
-    has not loaded (RTLD_NOLOAD), or that lacks the setter, is left alone.
-    The solver's products go through numpy's copy, the kernel's dsymv among
-    them; scipy's is loaded by no solve.
+    core would run one BLAS thread per worker.  Every product of a solve goes
+    through numpy's OpenBLAS (:func:`~dantzig_adm.core._openblas`), the
+    kernel's dsymv among them; no solve loads scipy.  Without that library,
+    or without its setter, nothing changes.
     """
-    for package, pattern, setter in _BUNDLED_OPENBLAS:
-        module = sys.modules.get(package)
-        if module is None:
-            continue
-        for path in (Path(module.__file__).parent.parent / f"{package}.libs").glob(pattern):
-            try:
-                lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
-            except OSError:
-                continue
-            set_threads = getattr(lib, setter, None)
-            if set_threads is not None:
-                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-                set_threads(1)
+    set_threads = getattr(core._openblas(), "scipy_openblas_set_num_threads64_", None)
+    if set_threads is not None:
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(1)
 
 
 def _pool(workers: int) -> ProcessPoolExecutor:
@@ -382,6 +365,14 @@ def _cmd_bench(args) -> int:
     if args.reps < 1:
         _err(f"--reps must be positive, got {args.reps}")
         return EXIT_USAGE
+    for n, p, s in sizes:  # what every worker would reject is a usage error, before any solve
+        GenSpec(n=n, p=p, s=s, sigma_noise=args.sigma, design_kind=design, seed=args.seed)
+        delta = default_delta(p, args.sigma)
+        AdmConfig(
+            mu=args.mu if args.mu is not None else mu_rule(design, p, delta),
+            tol=args.tol if args.tol is not None else tol_rule(design),
+            max_outer_iter=args.max_outer,
+        )
     workers = _resolve_workers(args.workers, args.reps)
 
     lines = [BENCH_HEADER]

@@ -268,13 +268,13 @@ class DesignOperator:
 
 
 @cache
-def _dsymv():
-    """cblas_dsymv of numpy's bundled OpenBLAS, or None when numpy bundles none.
+def _openblas():
+    """numpy's bundled OpenBLAS as a ctypes library, or None when numpy bundles none.
 
-    Bound with ctypes on the first kernel product, not at import.  The
-    library is the one numpy has already loaded (RTLD_NOLOAD), so no second
-    BLAS enters the process; scipy.linalg.blas.dsymv would load scipy's own
-    OpenBLAS (importing scipy.linalg adds about 27 MiB of resident pages).
+    Opened on first use, not at import.  The library is the one numpy has
+    already loaded (RTLD_NOLOAD), so no second BLAS enters the process;
+    scipy.linalg.blas would load scipy's own OpenBLAS (importing
+    scipy.linalg adds about 27 MiB of resident pages).
     """
     import ctypes
     import os
@@ -283,19 +283,26 @@ def _dsymv():
     package, pattern = NUMPY_OPENBLAS
     for path in (Path(np.__file__).parent.parent / f"{package}.libs").glob(pattern):
         try:
-            lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+            return ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
         except OSError:
             continue
-        symv = getattr(lib, "scipy_cblas_dsymv64_", None)
-        if symv is not None:
-            index, scalar, pointer = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-            symv.argtypes = [
-                ctypes.c_int, ctypes.c_int, index, scalar, pointer, index,
-                pointer, index, scalar, pointer, index,
-            ]
-            symv.restype = None
-            return symv
     return None
+
+
+@cache
+def _dsymv():
+    """cblas_dsymv of :func:`_openblas`, bound on the first kernel product; None without it."""
+    import ctypes
+
+    symv = getattr(_openblas(), "scipy_cblas_dsymv64_", None)
+    if symv is not None:
+        index, scalar, pointer = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+        symv.argtypes = [
+            ctypes.c_int, ctypes.c_int, index, scalar, pointer, index,
+            pointer, index, scalar, pointer, index,
+        ]
+        symv.restype = None
+    return symv
 
 
 def _kernel(X: np.ndarray) -> np.ndarray:

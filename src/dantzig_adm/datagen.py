@@ -42,6 +42,8 @@ class GenSpec:
             raise ValueError(f"s must lie in [0, p], got s={self.s}, p={self.p}")
         if self.sigma_noise < 0:
             raise ValueError(f"sigma_noise must be nonnegative, got {self.sigma_noise}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.design_kind not in DESIGN_KINDS:
             raise ValueError(f"design_kind must be one of {DESIGN_KINDS}, got {self.design_kind!r}")
         if self.design_kind == "orthogonal_rows" and self.n > self.p:

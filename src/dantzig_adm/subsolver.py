@@ -49,10 +49,10 @@ product with the copy.  At u0 and after every accepted step it tests the
 certificate max_{j off W} |g_ref_j| + mu max_{j off W} d_j rho_t <= 1,
 rho_t = ||q0 + K E - v_ref||.  While it holds every gradient off W lies in
 [-1, 1], so the iterates are those of the full method.  When it fails after
-a step, one dense X^T forms the full gradient there (a refresh): every j with
-|g_j| >= 1 - m joins W (full mode past a quarter), and that gradient becomes
-the reference.  Between refreshes a certified solve makes no dense X^T
-until it stops.
+a step, one dense X^T forms the full gradient there, and the solve goes on
+in full mode from that iterate, so its iterates stay those of the full
+method.  Unless it fails, a certified solve makes no dense X^T until it
+stops.
 
 Otherwise (no reference: the first inner solve, and the one after a return
 of a best earlier iterate; or a certified W past a quarter of p, or a
@@ -88,7 +88,8 @@ clamp is inactive (about 90% of the coordinates at (720, 2560, 80)), so it
 is support-restricted too.  The start-up gradient X^T q0 is one more n x p
 product, or one product with the copy after a certified start.
 At the end a solve in full mode makes X^T E, and a solve on a working set one
-fused pass per check.  Each refresh costs one dense X^T.
+fused pass per check.  A failed certificate costs one dense X^T, and every
+iteration after it those of full mode.
 
 When the returned u is the final iterate, the result also carries r(u),
 the full gradient mu G r(u), G = X^T X, and v = q0 + K E = X r(u).  The
@@ -107,8 +108,8 @@ import numpy as np
 from .core import DesignOperator, Instance, _as_vector, apply_gram, soft_thresh
 
 STATIONARY_RTOL = 1e-15  # |Delta| below this (times objective scale) means a fixed point
-# W takes each zero coordinate j with |g1_j| >= 1 - WORKING_SET_MARGIN (see
-# the module docstring).
+# W takes each zero coordinate j whose |g_j| (plus the certificate's slack)
+# reaches 1 - WORKING_SET_MARGIN (see _working_set and the module docstring).
 WORKING_SET_MARGIN = 0.2
 
 
@@ -235,14 +236,14 @@ class WarmStart:
 class WorkingSet:
     """The coordinates W an inner solve iterates on, and the operator of their columns.
 
-    ``columns`` is the sorted W, or None in full mode: until W is chosen, and
-    whenever W holds more than a quarter of the p coordinates.  ``design`` is
-    then the solve's own operator, and no copy is made.  ``checks`` counts
-    the passes over X that checked the gradient off W, and ``refreshes`` the
-    dense X^T products made when the certificate failed.  ``certified``
-    tells whether W came from a reference; while it does, the certificate is
-    kept as the offset q0 - v_ref and the two maxima off W, of |g_ref_j| and
-    of mu d_j (see the module docstring).
+    ``columns`` is the sorted W, or None in full mode: until W is chosen,
+    whenever W holds more than a quarter of the p coordinates, and after a
+    certificate fails.  ``design`` is then the solve's own operator, and no
+    copy is made.  ``checks`` counts the passes over X that checked the
+    gradient off W, and ``refreshes`` the certificate failures (0 or 1; each
+    moves the solve to full mode).  ``certified`` tells whether W came from a
+    reference; the certificate is kept as the offset q0 - v_ref and the two
+    maxima off W, of |g_ref_j| and of mu d_j (see the module docstring).
     """
 
     def __init__(self, design: DesignOperator):
@@ -250,7 +251,6 @@ class WorkingSet:
         self.columns: np.ndarray | None = None
         self.checks = self.refreshes = 0
         self.certified = False
-        self._scale: np.ndarray | None = None  # mu d
         self._offset: np.ndarray | None = None  # q0 - v_ref
         self._bound = (0.0, 0.0)  # max off W of |g_ref_j| and of mu d_j
 
@@ -266,11 +266,14 @@ class WorkingSet:
         """A new length-p vector holding v on W and zeros elsewhere."""
         return _expand(v, self.columns, self.full.X.shape[1])
 
-    def move(self, state: "InnerState", columns: np.ndarray, g: np.ndarray) -> None:
-        """Iterate on ``columns`` from now on; ``g`` is the full gradient at the iterate."""
+    def move(self, state: "InnerState", columns: np.ndarray | None, g: np.ndarray) -> None:
+        """Iterate on ``columns`` from now on; ``g`` is the full gradient at the iterate.
+
+        None, or too many columns to copy, moves to full mode.
+        """
         u = self.expand(state.u)
-        design = self.full.restrict(columns)
-        if design is None:  # too many columns to copy: full mode
+        design = None if columns is None else self.full.restrict(columns)
+        if design is None:
             self.columns, self.design = None, self.full
         else:
             self.columns, self.design = columns, design
@@ -292,15 +295,14 @@ class WorkingSet:
         scale = start.obj.mu * start.obj.inst.d
         offset = start.q0 - reference.v
         rho = float(np.linalg.norm(offset))
-        near = np.abs(reference.gradient) + scale * rho >= 1.0 - WORKING_SET_MARGIN
-        columns = np.flatnonzero(near | (u0 != 0))
+        columns = _working_set(u0, reference.gradient, scale * rho)
         bound = _off_maxima(reference.gradient, scale, columns)
         if bound[0] + bound[1] * rho > 1.0:
             return
         design = self.full.restrict(columns)
         if design is not None:
             self.columns, self.design, self.certified = columns, design, True
-            self._scale, self._offset, self._bound = scale, offset, bound
+            self._offset, self._bound = offset, bound
 
     def holds(self, kshift: np.ndarray) -> bool:
         """Whether the certificate covers the iterate whose K E is ``kshift``.
@@ -312,17 +314,10 @@ class WorkingSet:
         off_gradient, off_scale = self._bound
         return off_gradient + off_scale * float(np.linalg.norm(self._offset + kshift)) <= 1.0
 
-    def refresh(self, state: "InnerState", g: np.ndarray) -> None:
-        """Re-anchor on the full gradient ``g`` at the iterate; the j near 1 join W.
 
-        The iterate becomes the reference, so its offset q0 - v_ref is -K E.
-        """
-        self.refreshes += 1
-        near = np.flatnonzero(np.abs(g) >= 1.0 - WORKING_SET_MARGIN)
-        self.move(state, np.union1d(self.columns, near), g)
-        self._offset = -state.kshift
-        if self.columns is not None:
-            self._bound = _off_maxima(g, self._scale, self.columns)
+def _working_set(u: np.ndarray, g: np.ndarray, slack: np.ndarray | float = 0.0) -> np.ndarray:
+    """W = supp(u) + {j : |g_j| + slack_j >= 1 - WORKING_SET_MARGIN}, sorted."""
+    return np.flatnonzero((np.abs(g) + slack >= 1.0 - WORKING_SET_MARGIN) | (u != 0))
 
 
 def _off_maxima(g: np.ndarray, scale: np.ndarray, columns: np.ndarray) -> tuple[float, float]:
@@ -398,8 +393,8 @@ class SubsolverResult:
     ``kkt_checks`` the number of passes over X that checked the gradient off
     W; each check but a final one let coordinates enter W.  ``certified``
     tells whether the solve started on a working set certified by its
-    reference, and ``refreshes`` counts the dense X^T products made when
-    that certificate failed.
+    reference, and ``refreshes`` counts that certificate's failures: 0, or
+    1 when it failed, cost one dense X^T and moved the solve to full mode.
     """
 
     u: np.ndarray
@@ -512,19 +507,21 @@ def solve_subproblem(
     """Run the nonmonotone spectral gradient method from warm start u0.
 
     Stops when the termination metric drops below config.tol_sub, when the
-    predicted decrease vanishes (fixed point), or at the iteration cap.  On
-    a working set the first two are tested on W, and then checked off W (see
-    the module docstring).  On line-search failure or cap exhaustion the best
-    iterate seen (by penalized objective) is returned with a flagged status;
-    the caller decides whether to accept it.  Only a final iterate comes with
-    its residual, gradient and v.
+    predicted decrease vanishes (fixed point), or at the iteration cap, where
+    only the first is tested.  On a working set the first two are tested on
+    W, and then checked off W (see the module docstring).  On line-search
+    failure or cap exhaustion the best iterate seen (by penalized objective)
+    is returned with a flagged status; the caller decides whether to accept
+    it.  Only a final iterate comes with its residual, gradient and v.
 
     Start-up costs X r0 and X^T q0 (the gradient, with X^T[W] after a
     certified start), plus one Gram product for r0 unless ``obj.gram_u0``
     holds X^T X u0.  Each iteration then costs X d, K (X d) and X^T for the
     new gradient, made with X[:, W] on a working set.  Each check costs one
     fused pass over X that also gives the residual; in full mode the
-    residual costs one X^T product.  A refresh costs one dense X^T.
+    residual costs one X^T product.  A failed certificate costs one dense
+    X^T for the gradient at the new iterate, and the solve goes on in full
+    mode.
     """
     if config.tol_sub is None:
         raise ValueError("config.tol_sub must be set for a standalone subproblem solve")
@@ -545,10 +542,12 @@ def solve_subproblem(
     best_u, best_columns, best_penalized = state.u, ws.columns, penalized
     status = "max_iter"
 
-    while state.iteration < config.max_inner_iter:
+    while True:
         stop = None
         if inner_termination_metric(state.u, state.grad, penalized) <= config.tol_sub:
             stop = "converged"
+        elif state.iteration == config.max_inner_iter:
+            break
         else:
             d, delta = search_direction(state.u, state.bar_alpha, state.grad)
             if delta > -STATIONARY_RTOL * max(1.0, penalized):
@@ -559,8 +558,7 @@ def solve_subproblem(
                 return result
             continue
         if state.iteration == 1 and not ws.certified:  # W from the full gradient g1
-            near = np.abs(state.grad) >= 1.0 - WORKING_SET_MARGIN
-            ws.move(state, np.flatnonzero(near | (state.u != 0)), state.grad)
+            ws.move(state, _working_set(state.u, state.grad), state.grad)
             d = ws.take(d)  # d is zero off W: there u_j = 0 and |g_j| < 1 - margin
         window_max = max(state.window)
         e = ws.design.matvec(d)
@@ -573,7 +571,7 @@ def solve_subproblem(
             break
         if ws.holds(trial.kshift):
             g_full, g_new = None, start.gradient(trial.kshift, ws.design)
-        else:  # refresh: the full gradient at the new iterate re-anchors W below
+        else:  # the certificate failed: full mode from the new iterate on, below
             g_full = start.gradient(trial.kshift)
             g_new = ws.take(g_full)
         bar_alpha_next = bb_step(trial.u - state.u, g_new - state.grad, config)
@@ -599,14 +597,9 @@ def solve_subproblem(
         if trial.penalized < best_penalized:
             best_u, best_columns, best_penalized = trial.u, ws.columns, trial.penalized
         if g_full is not None:
-            ws.refresh(state, g_full)
+            ws.refreshes += 1
+            ws.move(state, None, g_full)
 
-    if status == "max_iter" and (
-        inner_termination_metric(state.u, state.grad, penalized) <= config.tol_sub
-    ):
-        result = _finish(start, state, ws, "converged")
-        if result is not None:
-            return result
     return SubsolverResult(
         _expand(best_u, best_columns, obj.inst.p), state.iteration, status,
         working_set=ws.size, kkt_checks=ws.checks, certified=ws.certified,

@@ -582,21 +582,65 @@ class TestCertifiedStart:
         # there is no reference for the first inner solve
         assert not inner[0][3].certified and inner[0][0].reference is None
 
-    def test_refreshes_keep_the_full_steps(self, monkeypatch):
-        # anchor each inner solve on its own warm start: the reference is the
-        # exact gradient at u0, so W is read off g0 and the certificate fails
-        # as the first steps move the iterate, forcing refreshes
-        def anchored_at_start(obj, u0):
-            start = WarmStart.at(obj, u0)
-            g0 = start.gradient(np.zeros(obj.inst.n))
-            at_u0 = SubsolverResult(u0, 0, "converged", gradient=g0, v=start.q0)
-            return replace(obj, reference=at_u0)
+    @staticmethod
+    def _anchored_at_start(obj, u0):
+        """``obj`` with a reference at its own warm start: the exact gradient at
+        u0, so W is read off g0 and the certificate fails as the first steps
+        move the iterate."""
+        start = WarmStart.at(obj, u0)
+        g0 = start.gradient(np.zeros(obj.inst.n))
+        at_u0 = SubsolverResult(u0, 0, "converged", gradient=g0, v=start.q0)
+        return replace(obj, reference=at_u0)
 
-        run, inner = self._compare_each(monkeypatch, anchored_at_start)
+    def test_refreshes_keep_the_full_steps(self, monkeypatch):
+        run, inner = self._compare_each(monkeypatch, self._anchored_at_start)
         assert run[2].refreshes > 0
         assert sum(result.refreshes for *_, result in inner) == run[2].refreshes
         assert any(result.certified and result.refreshes for *_, result in inner)
         self._assert_same_solve(run, solve(*self._case()))
+
+    def test_a_failed_certificate_moves_to_full_mode(self, monkeypatch, products):
+        inner = []
+        original = adm_module.solve_subproblem
+
+        def recording(obj, u0, config, callback=None):
+            obj = self._anchored_at_start(obj, u0)
+            inner.append((obj, u0.copy(), config, original(obj, u0, config, callback)))
+            return inner[-1][3]
+
+        inst, config = self._case()
+        monkeypatch.setattr(adm_module, "solve_subproblem", recording)
+        solve(inst, config)
+        failed = [entry for entry in inner if entry[3].refreshes]
+        assert failed
+        for obj, u0, sub_config, result in failed:
+            assert result.certified and result.refreshes == 1
+            assert result.working_set == inst.p and result.kkt_checks == 0
+            # rerun it, and read the products each iteration made
+            products.reset()
+            seen = []
+            rerun = original(
+                obj, u0, sub_config,
+                lambda rec: seen.append((dict(products.calls), dict(products.on_buffer))),
+            )
+            assert rerun.iterations == result.iterations == len(seen)
+            assert np.array_equal(rerun.u, result.u)
+            seen.append((dict(products.calls), dict(products.on_buffer)))
+            # start-up: X r0, and the gradient X^T[W] q0 on the copy
+            before = ({"matvec": 1, "rmatvec": 1}, {"rmatvec": 1})
+            modes = []
+            for (calls, on_buffer), (calls_before, buffer_before) in zip(seen, [before, *seen]):
+                step, buffered = _step(calls, calls_before), _step(on_buffer, buffer_before)
+                modes.append((step, buffered["matvec"], buffered["rmatvec"]))
+            iteration = {"matvec": 1, "rmatvec": 1, "rmatvec_pair": 0, "kernel_matvec": 1}
+            finish = {"matvec": 0, "rmatvec": 1, "rmatvec_pair": 0, "kernel_matvec": 0}
+            assert all(step == iteration for step, *_ in modes[:-1]) and modes[-1][0] == finish
+            # X d and X^T[W] on the copy until the failure, whose gradient is
+            # one dense X^T; from there on full mode, every product with X
+            failure = [on_copy for _, *on_copy in modes].index([1, 0])
+            assert [on_copy for _, *on_copy in modes] == (
+                [[1, 1]] * failure + [[1, 0]] + [[0, 0]] * (len(modes) - failure - 1)
+            )
 
 
 class TestOuterIdentity:

@@ -309,15 +309,10 @@ class TestBench:
 
     def test_missing_thread_setter_does_nothing(self, monkeypatch):
         before = _numpy_blas_threads()
-        monkeypatch.setattr(
-            cli, "_BUNDLED_OPENBLAS",
-            (
-                ("numpy", "libscipy_openblas64_*.so", "no_such_setter"),
-                ("no_such_package", "*", "x"),
-            ),
-        )
-        cli._one_blas_thread()
-        assert _numpy_blas_threads() == before
+        for library in (None, object()):  # no bundled OpenBLAS, and one without the setter
+            monkeypatch.setattr(core, "_openblas", lambda library=library: library)
+            cli._one_blas_thread()
+            assert _numpy_blas_threads() == before
 
     def test_worker_env_cap(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.WORKERS_ENV, "1")
@@ -334,6 +329,50 @@ class TestBench:
 
     def test_needs_size_or_grid(self, tmp_path):
         assert cli.main(["bench", "--sigma", "0.05"]) == 1
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--size", "30,90,100"], "s must lie in [0, p]"),
+            (["--sigma", "0"], "sigma_noise must be positive"),
+            (["--sigma", "-0.05"], "sigma_noise must be nonnegative"),
+            (["--seed", "-5"], "seed must be nonnegative"),
+            (["--design", "ortho", "--size", "90,30,4"], "orthogonal_rows requires n <= p"),
+            (["--mu", "0"], "mu must be positive"),
+            (["--mu", "-1"], "mu must be positive"),
+            (["--tol", "0"], "tol must be positive"),
+            (["--max-outer", "0"], "max_outer_iter must be positive"),
+            (["--i", "0"], "--i must be a positive multiplier"),
+            (["--size", "1,2"], "--size expects N,P,S"),
+            (["--reps", "0"], "--reps must be positive"),
+        ],
+    )
+    def test_bad_input_is_usage_error_before_any_solve(self, monkeypatch, capsys, flags, message):
+        def no_solve(task):
+            raise AssertionError("a solve started")
+
+        monkeypatch.setattr(cli, "_bench_instance", no_solve)
+        base = {"--sigma": "0.05", "--reps": "1"}
+        if "--size" not in flags and "--i" not in flags:
+            base["--size"] = "30,90,4"
+        args = ["bench", *[part for flag, value in base.items() if flag not in flags
+                          for part in (flag, value)], *flags]
+        assert cli.main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    def test_unconverged_seed_is_a_failure_row(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        args = ["bench", "--sigma", "0.05", "--size", "30,90,4", "--reps", "2", "--seed", "3",
+                "--max-outer", "1", "--out", str(out)]
+        assert cli.main(args) == 0
+        err = capsys.readouterr().err
+        assert "seed 3 failed: max_iter" in err and "seed 4 failed: max_iter" in err
+        header, row = out.read_text().splitlines()
+        fields = dict(zip(header.split(","), row.split(",")))
+        assert fields["instances"] == fields["failures"] == "2"
+        assert fields["iter_mean"] == "nan"
 
 
 class TestFigureData:

@@ -793,6 +793,67 @@ class TestSolveSubproblem:
         assert np.isfinite(result.u).all()
         assert result.residual is None and result.gradient is None
 
+    @staticmethod
+    def _best(obj, u0, records):
+        """The iterate of least penalized value, u0 included; the first on a tie."""
+        best_u, best = u0, penalized_value_dense(*_dense(obj), u0)
+        for rec in records:
+            if rec.penalized < best:
+                best_u, best = rec.u, rec.penalized
+        return best_u
+
+    @pytest.mark.parametrize("seed, working_set", [(70, 5), (71, 30)])
+    def test_converged_at_the_cap_is_a_final_iterate(self, seed, working_set):
+        # unit columns and a sparse signal: at seed 70 the solve ends on a
+        # working set, at 71 in full mode
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((12, 30))
+        X /= np.linalg.norm(X, axis=0)
+        signal = np.where(rng.random(30) < 0.2, rng.standard_normal(30), 0.0)
+        inst = Instance(X=X, y=X @ signal + 0.05 * rng.standard_normal(12), delta=1.0)
+        z, lam = 0.1 * rng.standard_normal(30), 0.1 * rng.standard_normal(30)
+        obj = SubproblemObjective(inst, z, lam, 0.5)
+        u0 = np.zeros(30)
+        free = solve_subproblem(obj, u0, SubsolverConfig(tol_sub=1e-6))
+        assert free.status == "converged" and free.working_set == working_set
+        capped = solve_subproblem(
+            obj, u0, SubsolverConfig(tol_sub=1e-6, max_inner_iter=free.iterations)
+        )
+        assert capped.status == "converged" and capped.iterations == free.iterations
+        assert capped.working_set == working_set
+        assert np.array_equal(capped.u, free.u)
+        for name in ("residual", "gradient", "v"):
+            assert np.array_equal(getattr(capped, name), getattr(free, name))
+        records = []
+        short = solve_subproblem(
+            obj, u0, SubsolverConfig(tol_sub=1e-6, max_inner_iter=free.iterations - 1),
+            callback=records.append,
+        )
+        assert short.status == "max_iter" and not short.succeeded
+        assert short.iterations == len(records) == free.iterations - 1
+        assert short.residual is None and short.gradient is None and short.v is None
+        assert np.array_equal(short.u, self._best(obj, u0, records))
+
+    def test_line_search_failure_returns_the_best_iterate(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        obj = _objective(rng, n=8, p=14, mu=1.5)
+        u0 = np.zeros(14)
+        searches = []
+
+        def failing_fourth(*args):
+            searches.append(1)
+            if len(searches) == 4:
+                raise LineSearchError("no acceptable steplength")
+            return line_search(*args)
+
+        monkeypatch.setattr(subsolver_module, "line_search", failing_fourth)
+        records = []
+        result = solve_subproblem(obj, u0, SubsolverConfig(tol_sub=1e-13), records.append)
+        assert result.status == "line_search_failure" and not result.succeeded
+        assert result.iterations == len(records) == 3
+        assert result.residual is None and result.gradient is None and result.v is None
+        assert np.array_equal(result.u, self._best(obj, u0, records))
+
     @pytest.mark.parametrize("seed", range(4))
     def test_final_iterate_carries_its_residual_and_gradient(self, seed):
         rng = np.random.default_rng(60 + seed)
