@@ -8,6 +8,17 @@ with primal and dual infeasibility ratios, built from the terms of
 certificate of :func:`~dantzig_adm.evaluation.feasibility_report` uses it
 too).
 
+Each inner solve is approximate.  Outer iteration k stops it at
+tol_sub_k = max(sub_tol_factor * tol, sub_tol_start * 2^-k) (see
+:class:`AdmConfig`): the first inner solves, from beta = 0, cost the most
+and are moved furthest by the next outer steps, so they stop early, and
+after about ten outer iterations every inner solve runs to the floor.  The
+excess over the floor halves with each outer iteration, so it is summable,
+as the convergence of inexact ADM asks (Eckstein & Bertsekas, Math. Prog.
+1992).  It depends on k alone: a tolerance tied to the outer stopping
+metric can stop the first inner solve at once and leave beta at 0 while the
+metric holds still.  The final stopping test does not depend on tol_sub.
+
 The outer step is read off the inner solver.  With G = X^T X and
 c = X^T y + z - lambda/mu, the inner solver returns beta together with the
 residual r = G beta - c and the gradient g = mu G r it already holds.  So
@@ -38,6 +49,7 @@ returns.  The default zero start costs no product: X^T X 0 = 0.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -55,13 +67,19 @@ STATUS_NUMERICAL_FAILURE = "numerical_failure"
 class AdmConfig:
     """Outer-loop parameters: penalty mu, tolerance, and inner-solver settings.
 
-    The inner tolerance is sub_tol_factor * tol unless the nested subsolver
-    config pins tol_sub explicitly.
+    The inner solve of outer iteration k (counted from 0) runs to
+    tol_sub_k = max(sub_tol_factor * tol, sub_tol_start * 2^-k).  The early
+    inner solves, whose answers the next outer steps move far, stop early;
+    at tol = 1e-3 and the defaults, tol_sub_k reaches the floor
+    sub_tol_factor * tol at k = 8 and stays there.  sub_tol_start = 0 runs
+    every inner solve to the floor.  A tol_sub pinned in the nested
+    subsolver config holds at every k.
     """
 
     mu: float
     tol: float
     sub_tol_factor: float = 0.1
+    sub_tol_start: float = 2e-2
     max_outer_iter: int = 10000
     subsolver: SubsolverConfig = field(default_factory=SubsolverConfig)
 
@@ -72,13 +90,25 @@ class AdmConfig:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if not 0 < self.sub_tol_factor <= 1:
             raise ValueError(f"sub_tol_factor must lie in (0, 1], got {self.sub_tol_factor}")
+        if not (math.isfinite(self.sub_tol_start) and self.sub_tol_start >= 0):
+            raise ValueError(
+                f"sub_tol_start must be finite and nonnegative, got {self.sub_tol_start}"
+            )
         if self.max_outer_iter < 1:
             raise ValueError(f"max_outer_iter must be positive, got {self.max_outer_iter}")
 
-    def resolved_subsolver(self) -> SubsolverConfig:
+    def resolved_subsolver(self, iteration: int | None = None) -> SubsolverConfig:
+        """The inner solver's config at outer iteration ``iteration`` (from 0).
+
+        Its tol_sub is the pinned one if set, else tol_sub_k of the schedule;
+        without an iteration, the floor sub_tol_factor * tol.
+        """
         if self.subsolver.tol_sub is not None:
             return self.subsolver
-        return replace(self.subsolver, tol_sub=self.sub_tol_factor * self.tol)
+        tol_sub = self.sub_tol_factor * self.tol
+        if iteration is not None:
+            tol_sub = max(tol_sub, math.ldexp(self.sub_tol_start, -iteration))
+        return replace(self.subsolver, tol_sub=tol_sub)
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,10 +127,13 @@ class OuterIterationRecord:
 class RunReport:
     """Counters and histories of one solve, in benchmark-table units.
 
-    ``certified_inner_solves`` counts the inner solves that started on a
-    working set certified by the previous inner result, and ``refreshes``
-    the inner solves whose certificate failed; each such failure cost one
-    dense X^T and moved its inner solve to full mode.
+    ``stopping_metric_history`` has one entry per stopping test, the first
+    at the start point, and ``inner_iteration_history`` one per outer
+    iteration: the iterations of its inner solve.  ``certified_inner_solves``
+    counts the inner solves that started on a working set certified by the
+    previous inner result, and ``refreshes`` the inner solves whose
+    certificate failed; each such failure cost one dense X^T and moved its
+    inner solve to full mode.
     """
 
     outer_iterations: int
@@ -112,6 +145,7 @@ class RunReport:
     subsolver_failures: int = 0
     certified_inner_solves: int = 0
     refreshes: int = 0
+    inner_iteration_history: list[int] = field(default_factory=list)
 
 
 def update_z(inst: Instance, lam: np.ndarray, mu: float, gram_beta: np.ndarray) -> np.ndarray:
@@ -207,7 +241,8 @@ def solve(
     """Run the alternating direction method from (beta0, lambda0), default zeros.
 
     Per iteration: closed-form z update, inner solve for beta warm-started at
-    the previous beta, multiplier step, then the stopping test.  Its metric
+    the previous beta and stopped at the iteration's tol_sub (see
+    :class:`AdmConfig`), multiplier step, then the stopping test.  Its metric
     is the max of the ratios of :func:`_stopping_ratios`: the relative
     duality gap | ||beta||_1 - d(lambda) | / max(||beta||_1, 1) and the
     primal and dual excesses of :func:`_criterion_terms` over
@@ -229,7 +264,6 @@ def solve(
     lam = np.zeros(p) if lambda0 is None else np.array(lambda0, dtype=np.float64)
     if beta.shape != (p,) or lam.shape != (p,):
         raise ValueError(f"beta0 and lambda0 must have length {p}")
-    sub_config = config.resolved_subsolver()
 
     t_start = time.perf_counter()
     design = DesignOperator(inst.X)
@@ -238,6 +272,7 @@ def solve(
     gram_lam = apply_gram(inst, lam) if lam.any() else np.zeros(p)
     metric_history: list[float] = []
     dual_history: list[float] = []
+    inner_history: list[int] = []
     iteration = inner_total = sub_failures = certified = refreshes = 0
     reference = None  # the last inner solve's final result
 
@@ -269,7 +304,8 @@ def solve(
         objective = SubproblemObjective(
             inst, z, lam, config.mu, gram_u0=gram_beta, design=design, reference=reference
         )
-        result = solve_subproblem(objective, beta, sub_config)
+        result = solve_subproblem(objective, beta, config.resolved_subsolver(iteration))
+        inner_history.append(result.iterations)
         inner_total += result.iterations
         certified += result.certified
         refreshes += result.refreshes
@@ -302,5 +338,6 @@ def solve(
         subsolver_failures=sub_failures,
         certified_inner_solves=certified,
         refreshes=refreshes,
+        inner_iteration_history=inner_history,
     )
     return beta, lam, report

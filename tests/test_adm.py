@@ -303,8 +303,9 @@ class TestPrecomputedGram:
     @pytest.mark.parametrize("seed", range(5))
     def test_same_result_as_fresh_product(self, seed):
         # solve forms G beta0 fresh at start-up; its first outer step, replayed
-        # from the outer steps and the inner solve with the products solve
-        # holds, gives exactly its iterates and dual objectives
+        # from the outer steps and the inner solve (at outer iteration 0's
+        # tolerance) with the products solve holds, gives exactly its
+        # iterates and dual objectives
         inst, beta, lam, _ = self._case(seed)
         mu = 1.3
         config = AdmConfig(mu=mu, tol=1e-8, max_outer_iter=1)
@@ -314,7 +315,7 @@ class TestPrecomputedGram:
         held, held_lam = apply_gram(inst, beta), apply_gram(inst, lam)
         z = update_z(inst, lam, mu, held)
         obj = SubproblemObjective(inst, z, lam, mu, gram_u0=held)
-        result = solve_subproblem(obj, beta, config.resolved_subsolver())
+        result = solve_subproblem(obj, beta, config.resolved_subsolver(0))
         assert result.residual is not None
         gram_beta = result.residual + obj.c
         lam_next = update_lambda(inst, lam, z, mu, gram_beta)
@@ -769,6 +770,129 @@ class TestAdmConfig:
     def test_explicit_inner_tolerance_wins(self):
         config = AdmConfig(mu=1.0, tol=1e-3, subsolver=SubsolverConfig(tol_sub=1e-9))
         assert config.resolved_subsolver().tol_sub == 1e-9
+
+    @pytest.mark.parametrize("start", [-1e-3, np.inf, np.nan])
+    def test_sub_tol_start_must_be_finite_and_nonnegative(self, start):
+        with pytest.raises(ValueError, match="sub_tol_start"):
+            AdmConfig(mu=1.0, tol=1e-3, sub_tol_start=start)
+
+    @pytest.mark.parametrize("tol", [1e-3, 2e-4, 1e-6])
+    def test_schedule_halves_down_to_the_floor_and_never_rises(self, tol):
+        config = AdmConfig(mu=1.0, tol=tol)
+        floor = config.sub_tol_factor * tol
+        schedule = [config.resolved_subsolver(k).tol_sub for k in range(60)]
+        assert schedule[0] == max(floor, config.sub_tol_start) > floor
+        assert all(later <= earlier for earlier, later in zip(schedule, schedule[1:]))
+        for k, tol_sub in enumerate(schedule):
+            halved = config.sub_tol_start * 2.0**-k
+            assert tol_sub == (floor if halved <= floor else halved)
+        assert schedule[-1] == config.resolved_subsolver(10**6).tol_sub == floor
+        assert config.resolved_subsolver().tol_sub == floor
+
+    def test_pinned_inner_tolerance_wins_at_every_iteration(self):
+        config = AdmConfig(mu=1.0, tol=1e-3, subsolver=SubsolverConfig(tol_sub=1e-9))
+        assert all(config.resolved_subsolver(k).tol_sub == 1e-9 for k in range(30))
+
+
+class TestInnerToleranceSchedule:
+    """solve hands outer iteration k's inner solve the tol_sub of the schedule."""
+
+    @staticmethod
+    def _seen_tolerances(monkeypatch, config):
+        inst, _ = make_instance(GenSpec(n=48, p=200, s=6, sigma_noise=0.05, seed=2))
+        seen = []
+        original = adm_module.solve_subproblem
+
+        def spy(obj, u0, sub_config, callback=None):
+            result = original(obj, u0, sub_config, callback)
+            seen.append((sub_config.tol_sub, result.iterations))
+            return result
+
+        monkeypatch.setattr(adm_module, "solve_subproblem", spy)
+        config = replace(config, mu=mu_rule("unit_columns", inst.p, inst.delta))
+        _, _, report = solve(inst, config)
+        assert report.status == "converged"
+        assert report.outer_iterations == len(seen) > 12  # past the schedule's end
+        assert report.inner_iteration_history == [iterations for _, iterations in seen]
+        assert sum(report.inner_iteration_history) == report.inner_iteration_total
+        return [tol_sub for tol_sub, _ in seen]
+
+    def test_every_inner_solve_gets_the_scheduled_tolerance(self, monkeypatch):
+        config = AdmConfig(mu=1.0, tol=1e-3)
+        seen = self._seen_tolerances(monkeypatch, config)
+        assert seen == [max(1e-4, config.sub_tol_start * 2.0**-k) for k in range(len(seen))]
+        assert seen[0] > seen[-1] == 1e-4
+
+    def test_zero_start_runs_every_inner_solve_to_the_floor(self, monkeypatch):
+        config = AdmConfig(mu=1.0, tol=1e-3, sub_tol_start=0.0)
+        seen = self._seen_tolerances(monkeypatch, config)
+        assert seen == [config.sub_tol_factor * config.tol] * len(seen)
+
+    def test_pinned_tolerance_holds_for_every_inner_solve(self, monkeypatch):
+        config = AdmConfig(mu=1.0, tol=1e-3, subsolver=SubsolverConfig(tol_sub=2e-5))
+        seen = self._seen_tolerances(monkeypatch, config)
+        assert seen == [2e-5] * len(seen)
+
+
+class TestScheduledDegenerateInstances:
+    """Degenerate instances under the default inner-tolerance schedule.
+
+    The solves of y = 0 and of delta at or above max_j |x_j^T y| / d_j start
+    from a nonzero beta0, so the schedule runs while beta travels to the
+    optimum beta = 0; a schedule tied to the outer metric could stall there.
+    Every solve must converge far inside max_outer_iter and pass the dense
+    certificate at its tol.
+    """
+
+    TOL = 1e-3
+    OUTER_LIMIT = 500  # a twentieth of the default max_outer_iter
+
+    def _check(self, X, y, delta, beta0=None):
+        inst = Instance(X=X, y=y, delta=delta)
+        config = AdmConfig(mu=mu_rule("unit_columns", inst.p, delta), tol=self.TOL)
+        assert config.sub_tol_start > config.sub_tol_factor * config.tol
+        beta, lam, report = solve(inst, config, beta0=beta0)
+        assert report.status == "converged"
+        assert 1 <= report.outer_iterations <= self.OUTER_LIMIT < config.max_outer_iter
+        certificate = certificate_dense(X, y, delta, beta, lam)
+        assert max(certificate[f"{name}_ratio"] for name in ("primal", "dual", "gap")) <= self.TOL
+        return beta
+
+    @staticmethod
+    def _case(seed):
+        inst, truth = make_instance(GenSpec(n=48, p=200, s=6, sigma_noise=0.05, seed=seed))
+        rng = np.random.default_rng(seed)
+        beta0 = np.where(rng.random(inst.p) < 0.1, rng.standard_normal(inst.p), 0.0)
+        return np.array(inst.X), inst.y, inst.delta, truth, beta0, rng
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_zero_response_from_a_nonzero_start(self, seed):
+        X, _, delta, _, beta0, _ = self._case(seed)
+        assert not self._check(X, np.zeros(X.shape[0]), delta, beta0).any()
+
+    @pytest.mark.parametrize("factor", [1.0, 2.0])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_delta_at_or_above_the_zero_threshold_from_a_nonzero_start(self, seed, factor):
+        X, y, _, _, beta0, _ = self._case(seed)
+        level = float(np.abs((X.T @ y) / np.linalg.norm(X, axis=0)).max())
+        assert not self._check(X, y, factor * level, beta0).any()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_duplicate_columns(self, seed):
+        X, _, delta, truth, _, rng = self._case(seed)
+        X[:, 100:120] = X[:, :20]
+        y = X @ truth.beta_true + 0.05 * rng.standard_normal(X.shape[0])
+        assert self._check(X, y, delta).any()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_more_rows_than_columns(self, seed):
+        rng = np.random.default_rng(80 + seed)
+        n, p = 150, 50
+        X = rng.standard_normal((n, p))
+        X /= np.linalg.norm(X, axis=0)
+        signal = np.where(rng.random(p) < 0.1, rng.standard_normal(p), 0.0)
+        y = X @ signal + 0.05 * rng.standard_normal(n)
+        assert self._check(X, y, 0.05 * np.sqrt(2 * np.log(p))).any()
 
 
 class TestSolve:

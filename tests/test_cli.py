@@ -11,7 +11,7 @@ from scipy import io as spio
 
 import dantzig_adm.cli as cli
 from dantzig_adm import core, fileio
-from dantzig_adm.adm import RunReport
+from dantzig_adm.adm import AdmConfig, RunReport
 from dantzig_adm.datagen import GenSpec, gen_design
 
 from oracles import certificate_dense
@@ -114,8 +114,14 @@ class TestSolve:
         assert (out / "beta_hat.mtx").exists()
         evaluation = json.loads((out / "eval.json").read_text())
         assert evaluation["rho2"] <= evaluation["rho2_orig"]
+        assert len(report["inner_iteration_history"]) == report["outer_iterations"]
+        assert sum(report["inner_iteration_history"]) == report["inner_iteration_total"]
         run_manifest = fileio.read_manifest(out / "run_manifest.txt")
         assert run_manifest["status"] == "converged"
+        # a saved solve names its inner-tolerance schedule
+        defaults = AdmConfig(mu=1.0, tol=1.0)
+        assert float(run_manifest["sub_tol_factor"]) == defaults.sub_tol_factor
+        assert float(run_manifest["sub_tol_start"]) == defaults.sub_tol_start
 
     @pytest.mark.parametrize("extra", [(), ("--max-outer", "2")])
     def test_report_certificate_matches_dense_recomputation(self, tmp_path, extra):
