@@ -9,7 +9,7 @@ certificate of :func:`~dantzig_adm.evaluation.feasibility_report` uses it
 too).
 
 Each inner solve is approximate.  Outer iteration k stops it at
-tol_sub_k = max(sub_tol_factor * tol, sub_tol_start * 2^-k) (see
+tol_sub_k = max(sub_tol_factor * tol, SUB_TOL_START * 2^-k) (see
 :class:`AdmConfig`): the first inner solves, from beta = 0, cost the most
 and are moved furthest by the next outer steps, so they stop early, and
 after about ten outer iterations every inner solve runs to the floor.  The
@@ -62,24 +62,27 @@ STATUS_CONVERGED = "converged"
 STATUS_MAX_ITER = "max_iter"
 STATUS_NUMERICAL_FAILURE = "numerical_failure"
 
+# Inner tolerance of outer iteration 0; the schedule halves it per iteration
+# down to the floor sub_tol_factor * tol (see AdmConfig).
+SUB_TOL_START = 2e-2
+
 
 @dataclass
 class AdmConfig:
     """Outer-loop parameters: penalty mu, tolerance, and inner-solver settings.
 
     The inner solve of outer iteration k (counted from 0) runs to
-    tol_sub_k = max(sub_tol_factor * tol, sub_tol_start * 2^-k).  The early
+    tol_sub_k = max(sub_tol_factor * tol, SUB_TOL_START * 2^-k).  The early
     inner solves, whose answers the next outer steps move far, stop early;
-    at tol = 1e-3 and the defaults, tol_sub_k reaches the floor
-    sub_tol_factor * tol at k = 8 and stays there.  sub_tol_start = 0 runs
-    every inner solve to the floor.  A tol_sub pinned in the nested
-    subsolver config holds at every k.
+    at tol = 1e-3 and the default sub_tol_factor, tol_sub_k reaches the
+    floor sub_tol_factor * tol at k = 8 and stays there.  A tol_sub pinned
+    in the nested subsolver config holds at every k; pinning it to
+    sub_tol_factor * tol runs every inner solve to the floor.
     """
 
     mu: float
     tol: float
     sub_tol_factor: float = 0.1
-    sub_tol_start: float = 2e-2
     max_outer_iter: int = 10000
     subsolver: SubsolverConfig = field(default_factory=SubsolverConfig)
 
@@ -90,24 +93,17 @@ class AdmConfig:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if not 0 < self.sub_tol_factor <= 1:
             raise ValueError(f"sub_tol_factor must lie in (0, 1], got {self.sub_tol_factor}")
-        if not (math.isfinite(self.sub_tol_start) and self.sub_tol_start >= 0):
-            raise ValueError(
-                f"sub_tol_start must be finite and nonnegative, got {self.sub_tol_start}"
-            )
         if self.max_outer_iter < 1:
             raise ValueError(f"max_outer_iter must be positive, got {self.max_outer_iter}")
 
-    def resolved_subsolver(self, iteration: int | None = None) -> SubsolverConfig:
+    def resolved_subsolver(self, iteration: int) -> SubsolverConfig:
         """The inner solver's config at outer iteration ``iteration`` (from 0).
 
-        Its tol_sub is the pinned one if set, else tol_sub_k of the schedule;
-        without an iteration, the floor sub_tol_factor * tol.
+        Its tol_sub is the pinned one if set, else tol_sub_k of the schedule.
         """
         if self.subsolver.tol_sub is not None:
             return self.subsolver
-        tol_sub = self.sub_tol_factor * self.tol
-        if iteration is not None:
-            tol_sub = max(tol_sub, math.ldexp(self.sub_tol_start, -iteration))
+        tol_sub = max(self.sub_tol_factor * self.tol, math.ldexp(SUB_TOL_START, -iteration))
         return replace(self.subsolver, tol_sub=tol_sub)
 
 

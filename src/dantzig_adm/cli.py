@@ -240,7 +240,6 @@ def _cmd_solve(args) -> int:
             "mu": float(mu),
             "tol": float(tol),
             "sub_tol_factor": float(config.sub_tol_factor),
-            "sub_tol_start": float(config.sub_tol_start),
             "max_outer_iter": config.max_outer_iter,
             "eta": float(config.subsolver.eta),
             "sigma_ls": float(config.subsolver.sigma_ls),

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dantzig_adm.adm as adm_module
-from dantzig_adm.adm import AdmConfig, solve, update_lambda, update_z
+from dantzig_adm.adm import SUB_TOL_START, AdmConfig, solve, update_lambda, update_z
 from dantzig_adm.core import FUSED_ROWS, DesignOperator, Instance, apply_gram
 from dantzig_adm.datagen import GenSpec, make_instance, mu_rule
 from dantzig_adm.evaluation import feasibility_report
@@ -764,30 +764,25 @@ class TestAdmConfig:
             AdmConfig(**kwargs)
 
     def test_inner_tolerance_derived_from_outer(self):
+        # the floor, which the schedule reaches long before iteration 10**6
         config = AdmConfig(mu=1.0, tol=1e-3)
-        assert config.resolved_subsolver().tol_sub == pytest.approx(1e-4)
+        assert config.resolved_subsolver(10**6).tol_sub == pytest.approx(1e-4)
 
     def test_explicit_inner_tolerance_wins(self):
         config = AdmConfig(mu=1.0, tol=1e-3, subsolver=SubsolverConfig(tol_sub=1e-9))
-        assert config.resolved_subsolver().tol_sub == 1e-9
-
-    @pytest.mark.parametrize("start", [-1e-3, np.inf, np.nan])
-    def test_sub_tol_start_must_be_finite_and_nonnegative(self, start):
-        with pytest.raises(ValueError, match="sub_tol_start"):
-            AdmConfig(mu=1.0, tol=1e-3, sub_tol_start=start)
+        assert config.resolved_subsolver(10**6).tol_sub == 1e-9
 
     @pytest.mark.parametrize("tol", [1e-3, 2e-4, 1e-6])
     def test_schedule_halves_down_to_the_floor_and_never_rises(self, tol):
         config = AdmConfig(mu=1.0, tol=tol)
         floor = config.sub_tol_factor * tol
         schedule = [config.resolved_subsolver(k).tol_sub for k in range(60)]
-        assert schedule[0] == max(floor, config.sub_tol_start) > floor
+        assert schedule[0] == max(floor, SUB_TOL_START) > floor
         assert all(later <= earlier for earlier, later in zip(schedule, schedule[1:]))
         for k, tol_sub in enumerate(schedule):
-            halved = config.sub_tol_start * 2.0**-k
+            halved = SUB_TOL_START * 2.0**-k
             assert tol_sub == (floor if halved <= floor else halved)
         assert schedule[-1] == config.resolved_subsolver(10**6).tol_sub == floor
-        assert config.resolved_subsolver().tol_sub == floor
 
     def test_pinned_inner_tolerance_wins_at_every_iteration(self):
         config = AdmConfig(mu=1.0, tol=1e-3, subsolver=SubsolverConfig(tol_sub=1e-9))
@@ -820,13 +815,8 @@ class TestInnerToleranceSchedule:
     def test_every_inner_solve_gets_the_scheduled_tolerance(self, monkeypatch):
         config = AdmConfig(mu=1.0, tol=1e-3)
         seen = self._seen_tolerances(monkeypatch, config)
-        assert seen == [max(1e-4, config.sub_tol_start * 2.0**-k) for k in range(len(seen))]
+        assert seen == [max(1e-4, SUB_TOL_START * 2.0**-k) for k in range(len(seen))]
         assert seen[0] > seen[-1] == 1e-4
-
-    def test_zero_start_runs_every_inner_solve_to_the_floor(self, monkeypatch):
-        config = AdmConfig(mu=1.0, tol=1e-3, sub_tol_start=0.0)
-        seen = self._seen_tolerances(monkeypatch, config)
-        assert seen == [config.sub_tol_factor * config.tol] * len(seen)
 
     def test_pinned_tolerance_holds_for_every_inner_solve(self, monkeypatch):
         config = AdmConfig(mu=1.0, tol=1e-3, subsolver=SubsolverConfig(tol_sub=2e-5))
@@ -850,7 +840,7 @@ class TestScheduledDegenerateInstances:
     def _check(self, X, y, delta, beta0=None):
         inst = Instance(X=X, y=y, delta=delta)
         config = AdmConfig(mu=mu_rule("unit_columns", inst.p, delta), tol=self.TOL)
-        assert config.sub_tol_start > config.sub_tol_factor * config.tol
+        assert SUB_TOL_START > config.sub_tol_factor * config.tol
         beta, lam, report = solve(inst, config, beta0=beta0)
         assert report.status == "converged"
         assert 1 <= report.outer_iterations <= self.OUTER_LIMIT < config.max_outer_iter
