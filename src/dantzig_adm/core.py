@@ -9,7 +9,8 @@ through the BLAS symmetric product dsymv of numpy's bundled OpenBLAS.  Its
 :meth:`~DesignOperator.restrict` gives the operator of a few columns of X,
 copied into a buffer that the operator reuses, on which the inner solver
 iterates over its working set.  Every product runs on numpy alone; no solve
-imports scipy.
+imports scipy.  :func:`row_tiles` reads a column-major X in row-major tiles,
+from which an Instance sums ``d`` and a generated instance forms ``y``.
 """
 
 from __future__ import annotations
@@ -34,8 +35,66 @@ FUSED_ROWS = 128
 # numpy's bundled OpenBLAS (64-bit integers): the package and the library's
 # file pattern in <site-packages>/<package>.libs.
 NUMPY_OPENBLAS = ("numpy", "libscipy_openblas64_*.so")
+# Rows of X per tile of row_tiles and per draw of datagen.gen_design: 64
+# rows of 2560 entries take 1.25 MiB.
+ROW_TILE = 64
+# Columns per copy into a tile of row_tiles.  A row of a column-major X
+# spans all of X, so a whole-row copy reads each entry from another page:
+# at 720 x 2560 (2-core Xeon, numpy 2.4) copying all tiles took 12 ms, and
+# 3.6 ms in pieces of 256 columns.
+TILE_COLUMNS = 256
 # CBLAS enum values of a row-major matrix and of its upper triangle.
 _ROW_MAJOR, _UPPER = 101, 121
+
+
+def row_tiles(X: np.ndarray, columns: np.ndarray | None = None):
+    """Yield (start, tile): rows start, start + 1, ... of X as a C-contiguous array.
+
+    Tiles hold ROW_TILE rows (the last may hold fewer).  Each is copied into
+    one scratch of ROW_TILE rows that the next tile overwrites, so a tile is
+    valid until the next one; a scratch allocated per tile would be mapped
+    and faulted in again each time (glibc maps blocks past its mmap
+    threshold).  With ``columns``, only those columns are copied and the
+    others of each tile are zero.
+
+    A product or a sum over a tile takes the path it takes on a row-major X:
+    ``tile @ v`` gives the entries of ``np.ascontiguousarray(X) @ v`` bit for
+    bit.  That holds also when only the columns where v is nonzero were
+    copied: in a dot product a zero term changes no nonzero partial sum, and
+    BLAS adds the result to a zeroed output, so a zero comes out as +0
+    either way.
+    """
+    n, p = X.shape
+    scratch = np.zeros((min(ROW_TILE, n), p))
+    for start in range(0, n, ROW_TILE):
+        tile, rows = scratch[: min(ROW_TILE, n - start)], X[start : start + ROW_TILE]
+        if columns is None:
+            for col in range(0, p, TILE_COLUMNS):
+                tile[:, col : col + TILE_COLUMNS] = rows[:, col : col + TILE_COLUMNS]
+        else:
+            tile[:, columns] = rows[:, columns]
+        yield start, tile
+
+
+def column_sums_of_squares(tiles, p: int) -> np.ndarray:
+    """sum_i X_ij^2 for each column j, from the row tiles of X in order.
+
+    Each tile is squared below a row that holds the running sum, and that
+    stack is summed down its columns by np.add.reduce, which on a row-major
+    array adds one row at a time.  So the sums equal those of
+    ``np.linalg.norm(X, axis=0) ** 2`` on a row-major X bit for bit, without
+    its full-size temporary ``X * X``.
+    """
+    total = np.zeros(p)
+    stack = None
+    for tile in tiles:
+        k = tile.shape[0]
+        if stack is None:  # the first tile is the largest
+            stack = np.empty((k + 1, p))
+        stack[0] = total
+        np.multiply(tile, tile, out=stack[1 : k + 1])
+        np.add.reduce(stack[: k + 1], axis=0, out=total)
+    return total
 
 
 def _column_major(X: np.ndarray) -> np.ndarray:
@@ -68,10 +127,12 @@ class Instance:
 
     D is the diagonal matrix of column norms of X; only its diagonal ``d`` is
     stored.  ``X`` is held in column-major (Fortran) order, so each column is
-    contiguous and ``X.T`` is a C-contiguous p x n array.  The column norms
-    and the finiteness checks run on the input as given (``d`` is always
-    summed in row-major order, so it does not depend on the input's layout);
-    a row-major input is then converted once, and no second copy is kept.
+    contiguous and ``X.T`` is a C-contiguous p x n array.  A column-major
+    input is kept as given, not copied; any other is converted once, and no
+    second copy is kept.  ``d`` and the finiteness check come from one pass
+    over row tiles of the input (see :func:`row_tiles`), which needs no copy
+    of X either: ``d`` is summed in row-major order whatever the layout, so
+    it does not depend on it.
 
     The p x p Gram matrix X^T X is never formed (at n=7200, p=25600 it would
     need about 5 GB).  A solve makes its products through a
@@ -99,14 +160,16 @@ class Instance:
             raise ValueError(f"X must be a 2-d matrix, got shape {X.shape}")
         y = _as_vector(self.y, X.shape[0], "y")
         delta = float(self.delta)
-        if not np.isfinite(X).all():
+        # one pass over row tiles; a square is finite unless X_ij is not or
+        # overflows, and only then is X itself checked
+        squares = column_sums_of_squares((tile for _, tile in row_tiles(X)), X.shape[1])
+        if not np.isfinite(squares).all() and not np.isfinite(X).all():
             raise ValueError("X contains non-finite entries")
         if not np.isfinite(y).all():
             raise ValueError("y contains non-finite entries")
         if not np.isfinite(delta) or delta <= 0:
             raise ValueError(f"delta must be a positive finite scalar, got {delta}")
-        # summed in row-major order whatever the layout, so d never depends on it
-        d = np.linalg.norm(np.ascontiguousarray(X), axis=0)
+        d = np.sqrt(squares)
         if np.any(d <= 0):
             raise ValueError("X has a zero column; every column norm must be positive")
         object.__setattr__(self, "X", _column_major(X))

@@ -5,7 +5,9 @@ rescaled to unit norm, and matrices whose rows form an orthonormal basis of a
 random n-dimensional row space (X X^T = I).  Signals put +-(1 + |N(0,1)|) on a
 uniformly random support.  Randomness is split into named sub-streams so that
 the design, support, signs, amplitudes, and noise are independently
-reproducible from one seed.
+reproducible from one seed.  A design is returned in column-major order,
+the order in which an Instance holds it, so building an instance copies no
+X; for unit columns X is the only full-size array the build makes.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Instance
+from .core import ROW_TILE, Instance, column_sums_of_squares, row_tiles
 
 DESIGN_KINDS = ("unit_columns", "orthogonal_rows")
 
@@ -65,26 +67,51 @@ def _stream(seed: int, name: str) -> np.random.Generator:
 
 
 def _orthonormal_rows(g: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the row space of g, or raise if numerically rank-deficient."""
+    """Column-major orthonormal basis of the row space of g; raise if numerically rank-deficient."""
     n = g.shape[0]
     q, r = np.linalg.qr(g.T)
     diag = np.abs(np.diag(r))
     if diag.min() <= diag.max() * g.size * np.finfo(np.float64).eps:
         raise np.linalg.LinAlgError("row space is numerically rank-deficient")
-    x = np.ascontiguousarray(q.T[:n])
-    return x
+    return np.asfortranarray(q.T[:n])
+
+
+def _unit_columns(rng: np.random.Generator, n: int, p: int) -> np.ndarray:
+    """Gaussian n x p matrix with unit columns, column-major, as from one (n, p) draw.
+
+    The draw is made ROW_TILE rows at a time into one scratch, which gives
+    the stream of ``rng.standard_normal((n, p))``, and each block is written
+    into X.  The column norms are summed row by row as the blocks are drawn
+    (see :func:`~dantzig_adm.core.column_sums_of_squares`), and X is divided
+    in place.  So X equals the normalized row-major draw bit for bit, and
+    no full-size array but X is made.
+    """
+    X = np.empty((p, n)).T
+    scratch = np.empty((min(ROW_TILE, n), p))
+
+    def blocks():
+        for start in range(0, n, ROW_TILE):
+            block = scratch[: min(ROW_TILE, n - start)]
+            rng.standard_normal(out=block)
+            X[start : start + ROW_TILE] = block
+            yield block
+
+    norms = np.sqrt(column_sums_of_squares(blocks(), p))
+    if np.any(norms == 0):
+        raise np.linalg.LinAlgError("drew a zero column (probability-zero event)")
+    X /= norms
+    return X
 
 
 def gen_design(spec: GenSpec) -> np.ndarray:
-    """Draw the n x p design matrix for the requested family."""
+    """Draw the n x p design matrix for the requested family, in column-major order.
+
+    Its entries do not depend on the order: they are those of a row-major
+    draw, and ``np.ascontiguousarray`` gives that array back.
+    """
     rng = _stream(spec.seed, "design")
     if spec.design_kind == "unit_columns":
-        g = rng.standard_normal((spec.n, spec.p))
-        norms = np.linalg.norm(g, axis=0)
-        if np.any(norms == 0):
-            raise np.linalg.LinAlgError("drew a zero column (probability-zero event)")
-        g /= norms
-        return g
+        return _unit_columns(rng, spec.n, spec.p)
     # orthogonal_rows: retry on (probability ~0) rank deficiency, then give up
     last_error = None
     for _ in range(4):
@@ -140,15 +167,31 @@ def tol_rule(design_kind: str) -> float:
     return 1e-3 if design_kind == "unit_columns" else 2e-4
 
 
+def _row_major_product(X: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``np.ascontiguousarray(X) @ v`` bit for bit, from row tiles of X.
+
+    Only the columns where v is nonzero are copied into the tiles (see
+    :func:`~dantzig_adm.core.row_tiles`), so a sparse v reads few of X.
+    """
+    out = np.empty(X.shape[0])
+    for start, tile in row_tiles(X, np.flatnonzero(v)):
+        np.matmul(tile, v, out=out[start : start + tile.shape[0]])
+    return out
+
+
 def make_instance(spec: GenSpec, delta: float | None = None) -> tuple[Instance, GroundTruth]:
     """Generate (design, signal, noise) and assemble the solver instance.
+
+    y is the row-major product ``np.ascontiguousarray(X) @ beta_true`` plus
+    the noise, formed from row tiles of the column-major X, and X is not
+    copied.
 
     delta defaults to the sqrt(2 ln p) * sigma rule, which requires a positive
     noise level; pass delta explicitly for noiseless instances.
     """
     X = gen_design(spec)
     truth = gen_signal(spec)
-    y = X @ truth.beta_true + truth.noise
+    y = _row_major_product(X, truth.beta_true) + truth.noise
     if delta is None:
         delta = default_delta(spec.p, spec.sigma_noise)
     return Instance(X=X, y=y, delta=delta), truth

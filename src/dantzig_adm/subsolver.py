@@ -626,7 +626,9 @@ def _finish(
         ws.checks += 1
         entering = ws.outside(g)
         if entering.size:
-            ws.move(state, np.union1d(ws.columns, entering), g)
+            # W and the entering j are disjoint, so sorting their concatenation
+            # unites them; np.union1d would import numpy.ma on its first call
+            ws.move(state, np.sort(np.concatenate((ws.columns, entering))), g)
             return None
         residual = start.r0 + xte
     return SubsolverResult(

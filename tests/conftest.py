@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -84,3 +85,27 @@ def products(monkeypatch):
         monkeypatch.setattr(DesignOperator, name, counting(name, getattr(DesignOperator, name)))
     monkeypatch.setattr(DesignOperator, "restrict", restrict)
     return counts
+
+
+@pytest.fixture
+def traced_peak():
+    """peak(fn, *args): (fn(*args), the peak bytes tracemalloc traced above its start).
+
+    numpy reports its array buffers to tracemalloc, so the peak counts every
+    array fn makes that is alive at once, whatever glibc maps.
+    """
+
+    def peak(fn, *args, **kwargs):
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start, _ = tracemalloc.get_traced_memory()
+            result = fn(*args, **kwargs)
+            _, top = tracemalloc.get_traced_memory()
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        return result, top - start
+
+    return peak

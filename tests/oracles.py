@@ -250,3 +250,25 @@ def random_instance_arrays(rng, n, p, delta_scale=0.5):
     level = np.abs((X.T @ y) / d).max()
     delta = delta_scale * level if level > 0 else 1.0
     return X, y, float(delta)
+
+
+def instance_one_draw(spec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(X, y, d) of make_instance built the plain way, from one row-major draw.
+
+    The design is one ``standard_normal((n, p))`` draw of the design stream,
+    divided by ``norm(axis=0)`` (unit columns) or replaced by the orthonormal
+    basis of its row space; y is the row-major product ``X @ beta + noise``
+    and d is ``norm(ascontiguousarray(X), axis=0)``.  Every full-size step
+    makes a full-size array.
+    """
+    from dantzig_adm.datagen import _stream, gen_signal
+
+    g = _stream(spec.seed, "design").standard_normal((spec.n, spec.p))
+    if spec.design_kind == "unit_columns":
+        X = g / np.linalg.norm(g, axis=0)
+    else:
+        q, _ = np.linalg.qr(g.T)
+        X = np.ascontiguousarray(q.T[: spec.n])
+    truth = gen_signal(spec)
+    y = X @ truth.beta_true + truth.noise
+    return X, y, np.linalg.norm(np.ascontiguousarray(X), axis=0)

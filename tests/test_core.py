@@ -417,6 +417,62 @@ class TestStorageOrder:
         X = np.asfortranarray(rng.standard_normal((6, 9)))
         assert Instance(X=X, y=np.zeros(6), delta=1.0).X is X
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_entries_rejected_in_either_layout(self, order, bad):
+        X = np.array(np.random.default_rng(47).standard_normal((70, 5)), order=order)
+        X[66, 3] = bad  # in the second tile
+        with pytest.raises(ValueError, match="non-finite"):
+            Instance(X=X, y=np.zeros(70), delta=1.0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_squares_are_finite_entries(self):
+        # the sum of squares of column 0 overflows; its entries are finite
+        X = np.asfortranarray([[1e200, 1.0], [1.0, 1.0]])
+        inst = Instance(X=X, y=np.zeros(2), delta=1.0)
+        assert inst.d[0] == np.inf and inst.d[1] == np.sqrt(2.0)
+
+
+class TestRowTiles:
+    """row_tiles and column_sums_of_squares read a column-major X as a row-major one."""
+
+    @staticmethod
+    def _layouts(X):
+        return [X, np.asfortranarray(X), np.asfortranarray(np.repeat(X, 2, axis=1))[:, ::2]]
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+    def test_tiles_are_the_rows(self, n):
+        X = np.random.default_rng(n).standard_normal((n, 300))
+        for layout in self._layouts(X):
+            tiles = [(start, tile.copy()) for start, tile in core_module.row_tiles(layout)]
+            assert [start for start, _ in tiles] == list(range(0, n, core_module.ROW_TILE))
+            assert all(tile.flags.c_contiguous for _, tile in core_module.row_tiles(layout))
+            assert np.array_equal(np.vstack([tile for _, tile in tiles]), X)
+
+    def test_product_from_support_columns_is_the_row_major_product(self):
+        rng = np.random.default_rng(48)
+        X = rng.standard_normal((150, 333))
+        v = np.zeros(333)
+        support = rng.choice(333, size=9, replace=False)
+        v[support] = rng.standard_normal(9)
+        F = np.asfortranarray(X)
+        y = np.empty(150)
+        for start, tile in core_module.row_tiles(F, np.flatnonzero(v)):
+            off = np.ones(333, dtype=bool)
+            off[support] = False
+            assert not tile[:, off].any()  # only the support was copied
+            np.matmul(tile, v, out=y[start : start + tile.shape[0]])
+        assert y.tobytes() == (X @ v).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 65, 300])
+    def test_sums_of_squares_are_those_of_the_row_major_norm(self, n):
+        # long columns: the order of the sum shows in the last bits
+        X = np.random.default_rng(n).standard_normal((n, 40))
+        for layout in self._layouts(X):
+            tiles = (tile for _, tile in core_module.row_tiles(layout))
+            sums = core_module.column_sums_of_squares(tiles, 40)
+            assert np.sqrt(sums).tobytes() == np.linalg.norm(X, axis=0).tobytes()
+
 
 class TestSoftThresh:
     def test_entrywise_example(self):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dantzig_adm.core import Instance
 from dantzig_adm.datagen import (
     GenSpec,
     default_delta,
@@ -12,6 +13,8 @@ from dantzig_adm.datagen import (
     mu_rule,
     tol_rule,
 )
+
+from oracles import instance_one_draw
 
 
 def _spec(**overrides):
@@ -63,6 +66,13 @@ class TestGenDesign:
     def test_different_seeds_differ(self):
         assert not np.array_equal(gen_design(_spec(seed=1)), gen_design(_spec(seed=2)))
 
+    @pytest.mark.parametrize("design", ["unit_columns", "orthogonal_rows"])
+    def test_column_major(self, design):
+        X = gen_design(_spec(design_kind=design))
+        assert X.flags.f_contiguous and X.shape == (40, 120)
+        # so Instance keeps it as it is
+        assert Instance(X=X, y=np.zeros(40), delta=1.0).X is X
+
 
 class TestGenSignal:
     def test_support_size_and_placement(self):
@@ -103,7 +113,8 @@ class TestGenResponse:
     def test_noiseless_response_is_exact(self):
         spec = _spec(sigma_noise=0.0)
         inst, truth = make_instance(spec, delta=0.5)
-        assert np.array_equal(inst.y, gen_design(spec) @ truth.beta_true)
+        # the row-major product: on a column-major X, @ takes another BLAS path
+        assert np.array_equal(inst.y, np.ascontiguousarray(gen_design(spec)) @ truth.beta_true)
 
     def test_pure_noise_variance(self):
         spec = GenSpec(n=720, p=730, s=0, sigma_noise=0.3, seed=11)
@@ -182,3 +193,47 @@ class TestMakeInstance:
             corr = inst.X.T @ (inst.X @ truth.beta_true - inst.y)
             feasible += np.abs(corr / inst.d).max() <= inst.delta
         assert feasible / trials >= 0.75
+
+
+class TestInstanceBytes:
+    """make_instance gives the bytes of the one-draw construction of tests/oracles.py."""
+
+    @pytest.mark.parametrize(
+        "design, n, p, s",
+        [
+            ("unit_columns", 720, 2560, 80),
+            ("unit_columns", 101, 333, 7),  # n and p not multiples of a tile or a SIMD width
+            ("unit_columns", 64, 700, 5),  # one whole tile
+            ("unit_columns", 65, 700, 5),  # a last tile of one row
+            ("unit_columns", 300, 100, 5),  # n > p
+            ("orthogonal_rows", 200, 1000, 20),
+        ],
+    )
+    def test_equal_to_one_draw(self, design, n, p, s):
+        spec = GenSpec(n=n, p=p, s=s, sigma_noise=0.05, design_kind=design, seed=3)
+        inst, _ = make_instance(spec)
+        for got, expected in zip((inst.X, inst.y, inst.d), instance_one_draw(spec)):
+            assert got.tobytes() == expected.tobytes()  # bit for bit, signs of zeros too
+
+    def test_no_signal_and_no_noise(self):
+        # y is a product with zeros only: no tile column is copied
+        spec = GenSpec(n=70, p=90, s=0, sigma_noise=0.0, seed=4)
+        inst, _ = make_instance(spec, delta=0.5)
+        _, y, _ = instance_one_draw(spec)
+        assert inst.y.tobytes() == y.tobytes()
+
+
+class TestBuildMemory:
+    """X is the only full-size array of a build (tracemalloc sees numpy's buffers)."""
+
+    SPEC = GenSpec(n=720, p=2560, s=80, sigma_noise=0.05, seed=5)
+
+    def test_make_instance_holds_one_copy_of_x(self, traced_peak):
+        (inst, _), peak = traced_peak(make_instance, self.SPEC)
+        assert peak <= 1.25 * inst.X.nbytes
+
+    def test_instance_of_column_major_x_makes_no_copy(self, traced_peak):
+        inst, _ = make_instance(self.SPEC)
+        built, peak = traced_peak(Instance, X=inst.X, y=inst.y, delta=inst.delta)
+        assert built.X is inst.X
+        assert peak <= 0.25 * inst.X.nbytes

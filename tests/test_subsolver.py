@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+from collections import deque
+from pathlib import Path
+
 import numpy as np
 import pytest
-from collections import deque
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -622,6 +627,50 @@ class TestWorkingSet:
         )
         self._assert_matches_reference(obj, result, b)
         self._assert_exact(obj, result)
+
+    def test_entering_coordinates_unite_with_w(self, monkeypatch):
+        monkeypatch.setattr(subsolver_module, "WORKING_SET_MARGIN", -1.0)
+        moves = []  # (W, the entering j, the W moved to) of every re-entry
+        move = subsolver_module.WorkingSet.move
+
+        def recording(ws, state, columns, g):
+            if ws.columns is not None and columns is not None:
+                moves.append((ws.columns.copy(), ws.outside(g), columns))
+            move(ws, state, columns, g)
+
+        monkeypatch.setattr(subsolver_module.WorkingSet, "move", recording)
+        obj, b = _sparse_objective(0)
+        assert solve_subproblem(obj, b, _TIGHT).succeeded
+        assert moves
+        for columns, entering, moved in moves:
+            assert entering.size and np.array_equal(moved, np.union1d(columns, entering))
+
+    def test_a_re_entry_imports_no_numpy_ma(self):
+        # np.union1d imports numpy.ma on its first call (numpy 2.4)
+        script = (
+            "import sys\n"
+            "import dantzig_adm\n"
+            "from dantzig_adm import subsolver\n"
+            "subsolver.WORKING_SET_MARGIN = -1.0\n"
+            "entries = []\n"
+            "move = subsolver.WorkingSet.move\n"
+            "def recording(ws, state, columns, g):\n"
+            "    entries.append(ws.columns is not None and columns is not None)\n"
+            "    move(ws, state, columns, g)\n"
+            "subsolver.WorkingSet.move = recording\n"
+            "spec = dantzig_adm.GenSpec(n=60, p=300, s=5, sigma_noise=0.05, seed=1)\n"
+            "inst, _ = dantzig_adm.make_instance(spec)\n"
+            "mu = dantzig_adm.mu_rule('unit_columns', inst.p, inst.delta)\n"
+            "dantzig_adm.solve(inst, dantzig_adm.AdmConfig(mu=mu, tol=1e-3))\n"
+            "print(sum(entries) > 0, 'numpy.ma' in sys.modules)\n"
+        )
+        src = Path(subsolver_module.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["True", "False"]  # a re-entry, without numpy.ma
 
     def test_entering_past_a_quarter_moves_to_full_mode(self, monkeypatch, products):
         # W = supp(u1) has 3 of 40 coordinates; more than 10 enter at the
