@@ -3,6 +3,12 @@
 Exit codes: 0 success, 1 usage error, 2 I/O error (missing or malformed input
 files), 3 solver failure, 4 not converged (``solve`` hit its outer iteration
 cap; outputs are still written).
+
+``solve`` and ``bench`` take their settings from one rule (:func:`_config`):
+``--mu``, ``--tol`` and ``--max-outer`` where given, else the design's mu
+and tol rules.  ``bench`` validates and resolves every size's GenSpec and
+AdmConfig in the parent before any solve, so a bad setting is a usage error,
+and each worker only generates, solves and evaluates the instance it is handed.
 """
 
 from __future__ import annotations
@@ -41,40 +47,6 @@ _DESIGNS = {
     "unit_columns": "unit_columns",
     "orthogonal_rows": "orthogonal_rows",
 }
-
-
-@dataclasses.dataclass
-class BenchRow:
-    """One averaged benchmark line: sizes, mean iterations/time, error ratios."""
-
-    design_kind: str
-    sigma_noise: float
-    n: int
-    p: int
-    s: int
-    n_instances: int
-    iter_mean: float
-    cpu_mean: float
-    rho2_mean: float
-    rho2_orig_mean: float
-    failures: int
-
-    def to_csv(self) -> str:
-        return ",".join(
-            [
-                self.design_kind,
-                _fmt(self.sigma_noise),
-                str(self.n),
-                str(self.p),
-                str(self.s),
-                str(self.n_instances),
-                _fmt(self.iter_mean),
-                _fmt(self.cpu_mean),
-                _fmt(self.rho2_mean),
-                _fmt(self.rho2_orig_mean),
-                str(self.failures),
-            ]
-        )
 
 
 def _fmt(x: float) -> str:
@@ -215,12 +187,19 @@ def _manifest_float(path: Path, key: str, text: str) -> float:
         raise fileio.FileFormatError(f"{path}: {key} = {text!r} is not a number") from None
 
 
+def _config(args, design: str, p: int, delta: float) -> AdmConfig:
+    """The solve settings: --mu, --tol and --max-outer, the design rules where not given."""
+    return AdmConfig(
+        mu=args.mu if args.mu is not None else mu_rule(design, p, delta),
+        tol=args.tol if args.tol is not None else tol_rule(design),
+        max_outer_iter=args.max_outer,
+    )
+
+
 def _cmd_solve(args) -> int:
     instance_dir = Path(args.instance_dir)
     inst, design, sigma = _load_instance(instance_dir, args.delta)
-    mu = args.mu if args.mu is not None else mu_rule(design, inst.p, inst.delta)
-    tol = args.tol if args.tol is not None else tol_rule(design)
-    config = AdmConfig(mu=mu, tol=tol, max_outer_iter=args.max_outer)
+    config = _config(args, design, inst.p, inst.delta)
 
     beta_tilde, lam, report = adm.solve(inst, config)
 
@@ -237,8 +216,8 @@ def _cmd_solve(args) -> int:
         {
             "instance_dir": instance_dir,
             "package_version": __version__,
-            "mu": float(mu),
-            "tol": float(tol),
+            "mu": float(config.mu),
+            "tol": float(config.tol),
             "sub_tol_factor": float(config.sub_tol_factor),
             "max_outer_iter": config.max_outer_iter,
             "eta": float(config.subsolver.eta),
@@ -257,7 +236,8 @@ def _cmd_solve(args) -> int:
     if truth_path.exists() and sigma > 0:
         result = evaluate_solution(inst, beta_tilde, fileio.read_vector(truth_path), sigma,
                                    beta_hat=beta_hat)
-        (out / "eval.json").write_text(json.dumps(_eval_to_json(result), indent=2) + "\n")
+        text = json.dumps(dataclasses.asdict(result), indent=2, default=np.ndarray.tolist)
+        (out / "eval.json").write_text(text + "\n")
 
     if report.status == adm.STATUS_NUMERICAL_FAILURE:
         _err("solver hit non-finite values; partial outputs written")
@@ -268,35 +248,16 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _eval_to_json(result) -> dict:
-    return {
-        "rho2_orig": result.rho2_orig,
-        "rho2": result.rho2,
-        "support_estimated": result.support_estimated.tolist(),
-        "support_true": result.support_true.tolist(),
-        "true_positives": result.true_positives,
-        "false_positives": result.false_positives,
-        "oversized_support": result.oversized_support,
-    }
-
-
 def _bench_instance(task: dict) -> dict:
-    """Generate and solve one benchmark instance; runs inside a worker."""
+    """Generate, solve and evaluate one benchmark instance; runs inside a worker.
+
+    ``task`` holds the instance's ``seed``, its GenSpec ``spec`` and the
+    AdmConfig ``config`` that the parent resolved for its size.
+    """
     try:
-        spec = GenSpec(
-            n=task["n"],
-            p=task["p"],
-            s=task["s"],
-            sigma_noise=task["sigma"],
-            design_kind=task["design"],
-            seed=task["seed"],
-        )
+        spec = task["spec"]
         inst, truth = make_instance(spec)
-        mu = task["mu"] if task["mu"] is not None else mu_rule(spec.design_kind, spec.p, inst.delta)
-        tol = task["tol"] if task["tol"] is not None else tol_rule(spec.design_kind)
-        beta_tilde, _, report = adm.solve(
-            inst, AdmConfig(mu=mu, tol=tol, max_outer_iter=task["max_outer"])
-        )
+        beta_tilde, _, report = adm.solve(inst, task["config"])
         if report.status != adm.STATUS_CONVERGED:
             return {"status": report.status, "seed": task["seed"]}
         result = evaluate_solution(inst, beta_tilde, truth.beta_true, spec.sigma_noise)
@@ -365,32 +326,18 @@ def _cmd_bench(args) -> int:
     if args.reps < 1:
         _err(f"--reps must be positive, got {args.reps}")
         return EXIT_USAGE
-    for n, p, s in sizes:  # what every worker would reject is a usage error, before any solve
-        GenSpec(n=n, p=p, s=s, sigma_noise=args.sigma, design_kind=design, seed=args.seed)
-        delta = default_delta(p, args.sigma)
-        AdmConfig(
-            mu=args.mu if args.mu is not None else mu_rule(design, p, delta),
-            tol=args.tol if args.tol is not None else tol_rule(design),
-            max_outer_iter=args.max_outer,
-        )
+    grid = []  # every size's tasks before any solve: what a worker would reject is a usage error
+    for n, p, s in sizes:
+        specs = [
+            GenSpec(n=n, p=p, s=s, sigma_noise=args.sigma, design_kind=design, seed=args.seed + rep)
+            for rep in range(args.reps)
+        ]
+        config = _config(args, design, p, default_delta(p, args.sigma))
+        grid.append([{"seed": spec.seed, "spec": spec, "config": config} for spec in specs])
     workers = _resolve_workers(args.workers, args.reps)
 
     lines = [BENCH_HEADER]
-    for n, p, s in sizes:
-        tasks = [
-            {
-                "n": n,
-                "p": p,
-                "s": s,
-                "sigma": args.sigma,
-                "design": design,
-                "seed": args.seed + rep,
-                "mu": args.mu,
-                "tol": args.tol,
-                "max_outer": args.max_outer,
-            }
-            for rep in range(args.reps)
-        ]
+    for (n, p, s), tasks in zip(sizes, grid):
         if workers > 1:
             with _pool(workers) as pool:
                 outcomes = list(pool.map(_bench_instance, tasks))
@@ -401,20 +348,10 @@ def _cmd_bench(args) -> int:
             if outcome["status"] != adm.STATUS_CONVERGED:
                 detail = outcome.get("error", outcome["status"])
                 print(f"dantzig-adm: bench: seed {outcome['seed']} failed: {detail}", file=sys.stderr)
-        row = BenchRow(
-            design_kind=design,
-            sigma_noise=args.sigma,
-            n=n,
-            p=p,
-            s=s,
-            n_instances=args.reps,
-            iter_mean=_mean([o["iterations"] for o in completed]),
-            cpu_mean=_mean([o["cpu"] for o in completed]),
-            rho2_mean=_mean([o["rho2"] for o in completed]),
-            rho2_orig_mean=_mean([o["rho2_orig"] for o in completed]),
-            failures=args.reps - len(completed),
-        )
-        lines.append(row.to_csv())
+        keys = ("iterations", "cpu", "rho2", "rho2_orig")
+        means = [_mean([o[key] for o in completed]) for key in keys]
+        row = [design, _fmt(args.sigma), *map(str, (n, p, s, args.reps)), *map(_fmt, means)]
+        lines.append(",".join([*row, str(args.reps - len(completed))]))
 
     text = "\n".join(lines) + "\n"
     if args.out is None:

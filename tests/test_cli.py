@@ -12,7 +12,7 @@ from scipy import io as spio
 import dantzig_adm.cli as cli
 from dantzig_adm import core, fileio
 from dantzig_adm.adm import AdmConfig, RunReport
-from dantzig_adm.datagen import GenSpec, gen_design
+from dantzig_adm.datagen import GenSpec, default_delta, gen_design, mu_rule, tol_rule
 
 from oracles import certificate_dense
 
@@ -364,6 +364,64 @@ class TestBench:
         assert captured.out == ""
         assert message in captured.err
 
+    @pytest.mark.parametrize("design, kind", [("unit", "unit_columns"), ("ortho", "orthogonal_rows")])
+    @pytest.mark.parametrize("flags", [(), ("--mu", "3.5", "--tol", "0.002", "--max-outer", "7")])
+    def test_workers_get_the_settings_of_solve_resolved_before_any_solve(
+        self, monkeypatch, tmp_path, design, kind, flags
+    ):
+        sizes, reps, seed, sigma = [(30, 90, 4), (40, 120, 5)], 3, 3, 0.05
+        expected = []
+        for n, p, s in sizes:
+            if flags:
+                expected.append(AdmConfig(mu=3.5, tol=0.002, max_outer_iter=7))
+            else:
+                delta = default_delta(p, sigma)
+                expected.append(AdmConfig(mu=mu_rule(kind, p, delta), tol=tol_rule(kind)))
+            # `solve` on an instance of that size resolves the same config
+            inst_dir = tmp_path / f"{n}-{p}-{s}"
+            assert cli.main(_gen_args(inst_dir, n=n, p=p, s=s, sigma=sigma, design=design)) == 0
+            monkeypatch.setattr(cli.adm, "solve", _hand_back_config)
+            with pytest.raises(_Solved) as solved:
+                cli.main(["solve", str(inst_dir), *flags])
+            monkeypatch.undo()
+            assert solved.value.args[0] == expected[-1]
+
+        built = {"specs": 0, "configs": 0}
+        at_first_solve = []
+        tasks = []
+
+        def counted(name, make):
+            def wrapper(*args, **kwargs):
+                built[name] += 1
+                return make(*args, **kwargs)
+
+            return wrapper
+
+        def capture(task):
+            if not tasks:
+                at_first_solve.append(dict(built))
+            tasks.append(task)
+            return {"status": "max_iter", "seed": task["seed"]}
+
+        monkeypatch.setattr(cli, "GenSpec", counted("specs", cli.GenSpec))
+        monkeypatch.setattr(cli, "_config", counted("configs", cli._config))
+        monkeypatch.setattr(cli, "_bench_instance", capture)
+        args = ["bench", "--design", design, "--sigma", str(sigma), "--reps", str(reps),
+                "--seed", str(seed), *flags]
+        for n, p, s in sizes:
+            args += ["--size", f"{n},{p},{s}"]
+        assert cli.main(args) == 0
+
+        assert at_first_solve == [{"specs": len(sizes) * reps, "configs": len(sizes)}]
+        assert len(tasks) == len(sizes) * reps
+        for index, task in enumerate(tasks):
+            (n, p, s), rep = sizes[index // reps], index % reps
+            assert task["seed"] == seed + rep
+            assert task["spec"] == GenSpec(
+                n=n, p=p, s=s, sigma_noise=sigma, design_kind=kind, seed=seed + rep
+            )
+            assert task["config"] == expected[index // reps]
+
     def test_unconverged_seed_is_a_failure_row(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
         args = ["bench", "--sigma", "0.05", "--size", "30,90,4", "--reps", "2", "--seed", "3",
@@ -375,6 +433,14 @@ class TestBench:
         fields = dict(zip(header.split(","), row.split(",")))
         assert fields["instances"] == fields["failures"] == "2"
         assert fields["iter_mean"] == "nan"
+
+
+class _Solved(Exception):
+    """Raised by a stand-in for adm.solve; carries the config it was given."""
+
+
+def _hand_back_config(inst, config, *args, **kwargs):
+    raise _Solved(config)
 
 
 class TestFigureData:
