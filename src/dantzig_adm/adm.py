@@ -87,10 +87,10 @@ class AdmConfig:
     subsolver: SubsolverConfig = field(default_factory=SubsolverConfig)
 
     def __post_init__(self):
-        if not self.mu > 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.mu < math.inf:
+            raise ValueError(f"mu must be positive and finite, got {self.mu}")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if not 0 < self.sub_tol_factor <= 1:
             raise ValueError(f"sub_tol_factor must lie in (0, 1], got {self.sub_tol_factor}")
         if self.max_outer_iter < 1:

@@ -1,3 +1,5 @@
+import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -44,10 +46,12 @@ def _terms(inst, beta, lam):
 def _metric_at(inst, beta, lam):
     """The stopping metric solve records at the start point (beta, lam).
 
-    With tol = inf the start point passes the test at once, so the first
-    entry of the history is the metric from fresh Gram products.
+    With the largest finite tol a start point of finite metric passes the
+    test at once, so the first entry of the history is the metric from
+    fresh Gram products.
     """
-    _, _, report = solve(inst, AdmConfig(mu=1.0, tol=np.inf), beta0=beta, lambda0=lam)
+    config = AdmConfig(mu=1.0, tol=sys.float_info.max)
+    _, _, report = solve(inst, config, beta0=beta, lambda0=lam)
     assert report.outer_iterations == 0
     return report.stopping_metric_history[0]
 
@@ -757,6 +761,10 @@ class TestAdmConfig:
             {"mu": 1.0, "tol": 1e-3, "sub_tol_factor": 0.0},
             {"mu": 1.0, "tol": 1e-3, "sub_tol_factor": 1.5},
             {"mu": 1.0, "tol": 1e-3, "max_outer_iter": 0},
+            {"mu": math.inf, "tol": 1e-3},
+            {"mu": math.nan, "tol": 1e-3},
+            {"mu": 1.0, "tol": math.inf},
+            {"mu": 1.0, "tol": math.nan},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

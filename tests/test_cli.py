@@ -217,6 +217,21 @@ class TestSolve:
         assert cli.main(_gen_args(out)) == 0
         assert cli.main(["solve", str(out), "--delta", "-1"]) == 1
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--tol", "inf"], "tol must be positive and finite"),
+         (["--mu", "inf"], "mu must be positive and finite")],
+    )
+    def test_infinite_setting_is_usage_error_before_the_solve(
+        self, tmp_path, monkeypatch, capsys, flags, message
+    ):
+        out = tmp_path / "inst"
+        assert cli.main(_gen_args(out)) == 0
+        monkeypatch.setattr(cli.adm, "solve", _hand_back_config)
+        assert cli.main(["solve", str(out), *flags]) == 1
+        assert message in capsys.readouterr().err
+        assert not (out / "beta_tilde.mtx").exists()
+
     @pytest.mark.parametrize("name", ["X.mtx", "y.mtx"])
     def test_malformed_matrix_market_file_is_io_error(self, tmp_path, capsys, name):
         out = tmp_path / "inst"
@@ -347,6 +362,8 @@ class TestBench:
             (["--i", "0"], "--i must be a positive multiplier"),
             (["--size", "1,2"], "--size expects N,P,S"),
             (["--reps", "0"], "--reps must be positive"),
+            (["--mu", "inf"], "mu must be positive and finite"),
+            (["--tol", "inf"], "tol must be positive and finite"),
         ],
     )
     def test_bad_input_is_usage_error_before_any_solve(self, monkeypatch, capsys, flags, message):
