@@ -216,8 +216,15 @@ class WarmStart:
 
     @classmethod
     def at(cls, obj: SubproblemObjective, u0: np.ndarray) -> "WarmStart":
-        """Costs X r0, plus one Gram product for r0 unless ``obj.gram_u0`` is set."""
-        r0 = obj.residual(u0) if obj.gram_u0 is None else obj.gram_u0 - obj.c
+        """Costs X r0, plus one Gram product for r0 unless ``obj.gram_u0`` is set.
+
+        From ``gram_u0``, r0 = (gram_u0 - X^T y + lambda/mu) - z: the z update's
+        w less z, so r0 is exactly 0 wherever that update's clamp left z = w.
+        """
+        if obj.gram_u0 is None:
+            r0 = obj.residual(u0)
+        else:
+            r0 = (obj.gram_u0 - obj.inst.xty + obj.lambda_fixed / obj.mu) - obj.z_fixed
         return cls(obj, r0, obj.design.matvec(r0))
 
     def gradient(self, kshift: np.ndarray, design: DesignOperator | None = None) -> np.ndarray:

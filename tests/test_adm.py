@@ -349,6 +349,29 @@ class TestPrecomputedGram:
             rtol=1e-10, atol=1e-12,
         )
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_warm_start_residual_vanishes_off_the_clamp(self, monkeypatch, seed):
+        # r0 = G beta - c, formed as (G beta - X^T y + lambda/mu) - z like the
+        # z update, is exactly 0 where that update's clamp left z = w
+        inst, _ = make_instance(GenSpec(n=60, p=200, s=8, sigma_noise=0.05, seed=seed))
+        starts = []
+        original = WarmStart.at.__func__
+
+        def recording(cls, obj, u0):
+            start = original(cls, obj, u0)
+            starts.append((obj.z_fixed, start.r0))
+            return start
+
+        monkeypatch.setattr(WarmStart, "at", classmethod(recording))
+        mu = mu_rule("unit_columns", inst.p, inst.delta)
+        _, _, report = solve(inst, AdmConfig(mu=mu, tol=1e-3))
+        assert report.outer_iterations == len(starts) > 1
+        bound = inst.delta * inst.d
+        for z, r0 in starts[1:]:  # after an outer step
+            on_box = np.abs(z) == bound
+            assert np.count_nonzero(r0[~on_box]) == 0
+            assert np.count_nonzero(r0[on_box]) > 0
+
     def test_wrong_length_rejected(self):
         inst, beta, lam, z = self._case(0)
         bad = np.zeros(inst.p + 1)
