@@ -14,13 +14,11 @@ and each worker only generates, solves and evaluates the instance it is handed.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import dataclasses
 import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -278,17 +276,26 @@ def _one_blas_thread() -> None:
 
     Forked workers keep OpenBLAS's default of one thread per core, so each
     core would run one BLAS thread per worker.  Every product of a solve goes
-    through numpy's OpenBLAS (:func:`~dantzig_adm.core._openblas`), the
-    kernel's dsymv among them; no solve loads scipy.  Without that library,
-    or without its setter, nothing changes.
+    through numpy's OpenBLAS (:func:`~dantzig_adm.core.set_blas_threads`),
+    the kernel's dsyrk and dsymv among them; no solve loads scipy.  Without
+    that library, or without its thread-count functions, nothing changes.
     """
-    set_threads = getattr(core._openblas(), "scipy_openblas_set_num_threads64_", None)
-    if set_threads is not None:
-        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-        set_threads(1)
+    core.set_blas_threads(1)
 
 
-def _pool(workers: int) -> ProcessPoolExecutor:
+def ProcessPoolExecutor(*args, **kwargs):
+    """concurrent.futures.ProcessPoolExecutor, imported when a pool is made.
+
+    Importing it loads multiprocessing, and with it logging, socket,
+    subprocess, selectors and queue: about 20 ms of every start of the CLI,
+    which only ``bench --workers`` above 1 needs.
+    """
+    from concurrent.futures import ProcessPoolExecutor as executor
+
+    return executor(*args, **kwargs)
+
+
+def _pool(workers: int):
     """The process pool of `bench`, one BLAS thread per worker."""
     return ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread)
 

@@ -4,8 +4,9 @@
 product with X that a solve needs: X v (from the nonzero columns of v alone
 when few are nonzero, copied 64 rows of X^T at a time into a scratch array
 the operator keeps), X^T w, two products X^T a and X^T b in one pass over
-X, and K w with the n x n kernel K = X X^T, read from one triangle of K
-through the BLAS symmetric product dsymv of numpy's bundled OpenBLAS.  Its
+X, and K w with the n x n kernel K = X X^T, whose one triangle the level-3
+BLAS routine dsyrk of numpy's bundled OpenBLAS writes and the symmetric
+product dsymv reads.  Its
 :meth:`~DesignOperator.restrict` gives the operator of a few columns of X,
 copied into a buffer that the operator reuses, on which the inner solver
 iterates over its working set.  Every product runs on numpy alone; no solve
@@ -15,8 +16,10 @@ from which an Instance sums ``d`` and a generated instance forms ``y``.
 
 from __future__ import annotations
 
+import ctypes
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 
 import numpy as np
 
@@ -35,16 +38,21 @@ FUSED_ROWS = 128
 # numpy's bundled OpenBLAS (64-bit integers): the package and the library's
 # file pattern in <site-packages>/<package>.libs.
 NUMPY_OPENBLAS = ("numpy", "libscipy_openblas64_*.so")
-# Rows of X per tile of row_tiles and per draw of datagen.gen_design: 64
-# rows of 2560 entries take 1.25 MiB.
-ROW_TILE = 64
+# Rows of X per tile of row_tiles and per draw of datagen.gen_design: 16
+# rows of 2560 entries take 0.31 MiB.  The build of an instance holds X and
+# two such tiles, and it sets the peak resident size of a run of solves (see
+# README "Memory"); 64-row tiles held 2.6 MB there and took the same time.
+ROW_TILE = 16
 # Columns per copy into a tile of row_tiles.  A row of a column-major X
 # spans all of X, so a whole-row copy reads each entry from another page:
 # at 720 x 2560 (2-core Xeon, numpy 2.4) copying all tiles took 12 ms, and
 # 3.6 ms in pieces of 256 columns.
 TILE_COLUMNS = 256
-# CBLAS enum values of a row-major matrix and of its upper triangle.
-_ROW_MAJOR, _UPPER = 101, 121
+# CBLAS enum values: row- and column-major order, the upper and lower
+# triangle, and no transpose.
+_ROW_MAJOR, _COL_MAJOR, _UPPER, _LOWER, _NO_TRANS = 101, 102, 121, 122, 111
+# ctypes of CBLAS arguments: an enum, an index (64-bit), a scalar, an array.
+_ENUM, _INDEX, _SCALAR, _POINTER = ctypes.c_int, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 
 
 def row_tiles(X: np.ndarray, columns: np.ndarray | None = None):
@@ -208,6 +216,7 @@ class DesignOperator:
         self.X = X
         self._rows: np.ndarray | None = None  # X^T[columns] of the last restrict
         self._scratch: np.ndarray | None = None  # RESTRICTED_ROWS rows of X^T
+        self._symv = None  # dsymv bound to K, when dsyrk formed K (see kernel)
 
     def restrict(self, columns: np.ndarray) -> "DesignOperator | None":
         """The operator of X[:, columns], or None for more than p // 4 columns.
@@ -302,31 +311,50 @@ class DesignOperator:
 
     @cached_property
     def kernel(self) -> np.ndarray | None:
-        """K = X X^T when n <= p, else None; formed on first use (see :func:`_kernel`)."""
-        n, p = self.X.shape
-        return _kernel(self.X) if n <= p else None
+        """K = X X^T when n <= p, else None; formed on first use.
+
+        When numpy's OpenBLAS binds both dsyrk and dsymv (:func:`_blas_kernel`)
+        and X is column-major, one dsyrk forms K: it writes the column-major
+        lower triangle, which is the upper triangle of the row-major K
+        returned, and leaves the rest of K unset.  :meth:`kernel_matvec`
+        then applies K through dsymv, which reads that triangle only, bound
+        to K here once.  At 720 x 2560 (OpenBLAS 0.3.31, one thread) dsyrk
+        gives the triangle of :func:`_kernel` bit for bit, in 29-30 against
+        42-44 ms, and 30-35 against 42-44 ms inside a solve.  It leaves
+        about 1.7 MiB of BLAS workspace resident.  Otherwise K is
+        :func:`_kernel`, full and exactly symmetric, and K w is K @ w.
+        """
+        X = self.X
+        n, p = X.shape
+        if n > p:
+            return None
+        blas = _blas_kernel() if X.flags.f_contiguous else None
+        if blas is None:
+            return _kernel(X)
+        syrk, symv = blas
+        K = np.empty((n, n))
+        syrk(_COL_MAJOR, _LOWER, _NO_TRANS, n, p, 1.0, X.ctypes.data, n, 0.0, K.ctypes.data, n)
+        self._symv = partial(symv, _ROW_MAJOR, _UPPER, n, 1.0, K.ctypes.data, n)
+        return K
 
     def kernel_matvec(self, w: np.ndarray) -> np.ndarray:
         """K w = X (X^T w); from the formed K when n <= p.
 
-        K is exactly symmetric, so dsymv reads its upper triangle only.  At
+        Through dsymv, which reads the triangle dsyrk wrote, when dsyrk
+        formed K (see :attr:`kernel`); w is then one vector of length n.  At
         n = 720 (OpenBLAS 0.3.31, one thread) it takes 0.10 ms against
         0.18 ms for K @ w, which reads all of K, and 0.14 ms against 0.20 ms
         per call inside a solve, where other products evict K from cache.
-        Without the binding (see :func:`_dsymv`), for a w that is not one
-        vector of length n, or for a K that is not C-contiguous (the K of
-        :func:`_kernel` is), the product is K @ w.
+        Otherwise the product is K @ w.
         """
         K = self.kernel
         if K is None:
             return self.X @ (self.X.T @ w)
-        n = K.shape[0]
-        symv = _dsymv()
-        if symv is None or np.shape(w) != (n,) or not K.flags.c_contiguous:
+        if self._symv is None:
             return K @ w
         w = np.ascontiguousarray(w, dtype=np.float64)
-        out = np.zeros(n)
-        symv(_ROW_MAJOR, _UPPER, n, 1.0, K.ctypes.data, n, w.ctypes.data, 1, 0.0, out.ctypes.data, 1)
+        out = np.zeros(K.shape[0])
+        self._symv(w.ctypes.data, 1, 0.0, out.ctypes.data, 1)
         return out
 
 
@@ -339,7 +367,6 @@ def _openblas():
     scipy.linalg.blas would load scipy's own OpenBLAS (importing
     scipy.linalg adds about 27 MiB of resident pages).
     """
-    import ctypes
     import os
     from pathlib import Path
 
@@ -352,25 +379,81 @@ def _openblas():
     return None
 
 
+def _cblas(symbol: str, *argtypes):
+    """``symbol`` of :func:`_openblas` with its argument types and no result, or None."""
+    function = getattr(_openblas(), symbol, None)
+    if function is not None:
+        function.argtypes, function.restype = list(argtypes), None
+    return function
+
+
 @cache
 def _dsymv():
-    """cblas_dsymv of :func:`_openblas`, bound on the first kernel product; None without it."""
-    import ctypes
+    """cblas_dsymv of :func:`_openblas`, bound on the first kernel formed; None without it."""
+    return _cblas(
+        "scipy_cblas_dsymv64_", _ENUM, _ENUM, _INDEX, _SCALAR, _POINTER, _INDEX,
+        _POINTER, _INDEX, _SCALAR, _POINTER, _INDEX,
+    )
 
-    symv = getattr(_openblas(), "scipy_cblas_dsymv64_", None)
-    if symv is not None:
-        index, scalar, pointer = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-        symv.argtypes = [
-            ctypes.c_int, ctypes.c_int, index, scalar, pointer, index,
-            pointer, index, scalar, pointer, index,
-        ]
-        symv.restype = None
-    return symv
+
+@cache
+def _dsyrk():
+    """cblas_dsyrk of :func:`_openblas`, bound on the first kernel formed; None without it."""
+    return _cblas(
+        "scipy_cblas_dsyrk64_", _ENUM, _ENUM, _ENUM, _INDEX, _INDEX, _SCALAR, _POINTER,
+        _INDEX, _SCALAR, _POINTER, _INDEX,
+    )
+
+
+def _blas_kernel():
+    """(dsyrk, dsymv) when numpy's OpenBLAS binds both, else None.
+
+    This one test decides both how K is formed and how it is applied: a K
+    from dsyrk holds one triangle, which only dsymv reads, and without
+    either routine K is :func:`_kernel`'s full K and K w is K @ w.
+    """
+    syrk, symv = _dsyrk(), _dsymv()
+    return None if syrk is None or symv is None else (syrk, symv)
+
+
+def set_blas_threads(count: int) -> int | None:
+    """Run numpy's OpenBLAS on ``count`` threads; its previous count, or None.
+
+    None means numpy bundles no OpenBLAS or it has no thread-count getter
+    and setter, and nothing changes.  The setting holds for the whole
+    process.
+    """
+    library = _openblas()
+    get = getattr(library, "scipy_openblas_get_num_threads64_", None)
+    put = getattr(library, "scipy_openblas_set_num_threads64_", None)
+    if get is None or put is None:
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    previous = get()
+    put(count)
+    return previous
+
+
+@contextmanager
+def one_blas_thread():
+    """numpy's OpenBLAS on one thread inside the block, its previous count after.
+
+    LAPACK's blocked routines split their work by the thread count, so a
+    factorization run under one thread gives the same bytes in every process.
+    """
+    previous = set_blas_threads(1)
+    try:
+        yield
+    finally:
+        if previous is not None:
+            set_blas_threads(previous)
 
 
 def _kernel(X: np.ndarray) -> np.ndarray:
     """K = X X^T, exactly symmetric, formed in blocks of 64 columns.
 
+    The kernel of :attr:`DesignOperator.kernel` where dsyrk is not used.
     Each block fills one column block of the lower triangle,
     K[j:, j:j+64] = X[j:] X[j:j+64]^T, written by the product straight into
     a column-major K (no temporary and no copy), and is mirrored into the

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ROW_TILE, Instance, column_sums_of_squares, row_tiles
+from .core import ROW_TILE, Instance, column_sums_of_squares, one_blas_thread, row_tiles
 
 DESIGN_KINDS = ("unit_columns", "orthogonal_rows")
 
@@ -67,9 +67,16 @@ def _stream(seed: int, name: str) -> np.random.Generator:
 
 
 def _orthonormal_rows(g: np.ndarray) -> np.ndarray:
-    """Column-major orthonormal basis of the row space of g; raise if numerically rank-deficient."""
+    """Column-major orthonormal basis of the row space of g; raise if numerically rank-deficient.
+
+    The QR runs on one BLAS thread: its blocking follows the thread count,
+    and with two threads the bytes of the basis differed from those of one
+    (at 200 x 1000, seeds 0 and 3).  So a seed gives one X in every process,
+    a worker of ``bench`` with its one thread as well as its parent.
+    """
     n = g.shape[0]
-    q, r = np.linalg.qr(g.T)
+    with one_blas_thread():
+        q, r = np.linalg.qr(g.T)
     diag = np.abs(np.diag(r))
     if diag.min() <= diag.max() * g.size * np.finfo(np.float64).eps:
         raise np.linalg.LinAlgError("row space is numerically rank-deficient")

@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from dantzig_adm import core
 from dantzig_adm.core import DesignOperator
 
 
@@ -16,9 +17,11 @@ class ProductCounts:
     by an operator of copied columns (DesignOperator.restrict); ``copies``
     counts the restrict calls.  ``x_products`` counts every matmul with a
     watched X, and ``outside`` those made outside the operator's methods.
+    ``syrk`` holds the data address of the X of each dsyrk call, which forms
+    K when numpy's OpenBLAS binds dsyrk and dsymv (``blas_kernel``).
     """
 
-    def __init__(self):
+    def __init__(self, blas_kernel: bool):
         self.calls = Counter()
         self.on_buffer = Counter()
         self.copies = 0
@@ -26,11 +29,29 @@ class ProductCounts:
         self.x_products = 0
         self.outside = 0
         self.depth = 0
+        self.blas_kernel = blas_kernel
+        self.syrk = []
 
     def reset(self):
         self.calls.clear()
         self.on_buffer.clear()
+        self.syrk.clear()
         self.copies = self.x_products = self.outside = 0
+
+    def forming_kernel(self, inst) -> int:
+        """The matmuls with X that one operator on inst.X made to form its K.
+
+        With the binding, K is formed by exactly one dsyrk call with this X
+        (checked here) and by no matmul; without it, core._kernel makes one
+        matmul per 64 rows of X.  No K is formed when n > p.
+        """
+        if inst.n > inst.p:
+            assert self.syrk == []
+            return 0
+        if self.blas_kernel:
+            assert self.syrk == [inst.X.ctypes.data]
+            return 0
+        return -(-inst.n // 64)
 
     def watch(self, inst):
         view = inst.X.view(_CountedX)
@@ -57,7 +78,16 @@ class _CountedX(np.ndarray):
 @pytest.fixture
 def products(monkeypatch):
     """A ProductCounts fed by every DesignOperator product made during the test."""
-    counts = ProductCounts()
+    bound = core._blas_kernel()
+    counts = ProductCounts(blas_kernel=bound is not None)
+    if bound is not None:
+        syrk = bound[0]
+
+        def spy(*args):
+            counts.syrk.append(args[6])  # the address of X
+            return syrk(*args)
+
+        monkeypatch.setattr(core, "_dsyrk", lambda: spy)
 
     def counting(name, original):
         def method(self, *vectors):

@@ -261,13 +261,15 @@ def instance_one_draw(spec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     and d is ``norm(ascontiguousarray(X), axis=0)``.  Every full-size step
     makes a full-size array.
     """
+    from dantzig_adm.core import one_blas_thread
     from dantzig_adm.datagen import _stream, gen_signal
 
     g = _stream(spec.seed, "design").standard_normal((spec.n, spec.p))
     if spec.design_kind == "unit_columns":
         X = g / np.linalg.norm(g, axis=0)
     else:
-        q, _ = np.linalg.qr(g.T)
+        with one_blas_thread():  # as datagen's QR: its bytes follow the thread count
+            q, _ = np.linalg.qr(g.T)
         X = np.ascontiguousarray(q.T[: spec.n])
     truth = gen_signal(spec)
     y = X @ truth.beta_true + truth.noise

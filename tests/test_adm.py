@@ -461,7 +461,7 @@ class TestOuterCost:
         before, buffer_before, x_before = {}, {}, 0
         if beta0 is not None:
             before, x_before = {"matvec": 1, "rmatvec": 1}, 2
-        kernel_x = 1 if n <= p else 0  # forming K takes one X product per 64 rows
+        kernel_x = products.forming_kernel(inst)  # one dsyrk, else one X product per 64 rows
         per_kernel = 0 if n <= p else 2  # X (X^T w) when no K is formed
         per_pass = 2 * -(-p // FUSED_ROWS)  # a fused pass: two products per chunk of X^T
         kinds = set()

@@ -300,15 +300,19 @@ class TestBench:
         serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
         assert cli.main(base + ["--out", str(serial)]) == 0
         assert cli.main(base + ["--workers", "3", "--out", str(parallel)]) == 0
-        cpu_col = cli.BENCH_HEADER.split(",").index("cpu_mean_s")
+        assert _without_cpu(serial.read_text()) == _without_cpu(parallel.read_text())
 
-        def drop_cpu(text):
-            return [
-                line.split(",")[:cpu_col] + line.split(",")[cpu_col + 1 :]
-                for line in text.splitlines()
-            ]
-
-        assert drop_cpu(serial.read_text()) == drop_cpu(parallel.read_text())
+    def test_orthogonal_rows_do_not_depend_on_workers(self, tmp_path, monkeypatch):
+        # a worker runs one BLAS thread and this process may run more; the
+        # QR of the orthogonal design runs on one thread in both
+        monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
+        base = ["bench", "--design", "ortho", "--sigma", "0.05", "--size", "60,200,6", "--reps", "2"]
+        rows = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"workers{workers}.csv"
+            assert cli.main([*base, "--workers", workers, "--out", str(out)]) == 0
+            rows.append(_without_cpu(out.read_text()))
+        assert rows[0] == rows[1]
 
     def test_workers_run_one_blas_thread(self):
         parent = _numpy_blas_threads()
@@ -526,6 +530,39 @@ class TestWithoutScipy:
         assert csv_path.read_text().splitlines()[0] == cli.BENCH_HEADER
 
 
+class TestColdStart:
+    # what `from concurrent.futures import ProcessPoolExecutor` loads
+    POOL_MODULES = (
+        "concurrent.futures", "multiprocessing", "logging", "socket", "subprocess", "selectors",
+        "queue",
+    )
+
+    def test_import_loads_no_process_pool_and_bench_still_makes_one(self, tmp_path):
+        script = (
+            "import sys\n"
+            "import dantzig_adm.cli as cli\n"
+            f"pool = {self.POOL_MODULES!r}\n"
+            "print(sorted(m for m in pool if m in sys.modules))\n"
+            "code = cli.main(['bench', '--size', '30,90,4', '--reps', '2', '--sigma', '0.05',\n"
+            "                 '--seed', '4', '--workers', '2', '--out', sys.argv[1]])\n"
+            "print(code, 'multiprocessing' in sys.modules)\n"
+        )
+        src = Path(cli.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        env.pop(cli.WORKERS_ENV, None)
+        csv_path = tmp_path / "bench.csv"
+        run = subprocess.run(
+            [sys.executable, "-c", script, str(csv_path)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines() == ["[]", "0 True"]  # the pool was made, on its own path
+        header, row = csv_path.read_text().splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert header == cli.BENCH_HEADER
+        assert (cells["instances"], cells["failures"]) == ("2", "0")
+
+
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self):
         assert cli.main(["gen", "--bogus"]) == 1
@@ -536,6 +573,12 @@ class TestExitCodes:
     def test_help_exits_zero(self):
         assert cli.main(["--help"]) == 0
         assert cli.main(["gen", "--help"]) == 0
+
+
+def _without_cpu(text: str) -> list[list[str]]:
+    """The cells of a bench CSV without its cpu_mean_s column, which is wall time."""
+    cpu_col = cli.BENCH_HEADER.split(",").index("cpu_mean_s")
+    return [line.split(",")[:cpu_col] + line.split(",")[cpu_col + 1 :] for line in text.splitlines()]
 
 
 def _numpy_blas_threads(_=None) -> int | None:

@@ -471,8 +471,11 @@ class TestGramCost:
     @staticmethod
     def _x_products(counts, inst):
         """Every X product is a counted call off the buffer, a chunk of a fused
-        pass (two per FUSED_ROWS rows of X^T), or forms K (once, when n <= p)."""
-        kernel = -(-inst.n // 64) if inst.n <= inst.p else 2 * counts.calls["kernel_matvec"]
+        pass (two per FUSED_ROWS rows of X^T), or forms K (once, when n <= p:
+        one dsyrk call and no product, or without it one per 64 rows)."""
+        kernel = counts.forming_kernel(inst)
+        if inst.n > inst.p:  # K w = X (X^T w)
+            kernel = 2 * counts.calls["kernel_matvec"]
         on_x = {name: counts.calls[name] - counts.on_buffer[name] for name in ("matvec", "rmatvec")}
         fused = 2 * -(-inst.p // FUSED_ROWS) * counts.calls["rmatvec_pair"]
         assert counts.outside == 0
