@@ -1,0 +1,262 @@
+#!/usr/bin/env python3
+"""Measure the default screened least-squares start against the paper's zero start.
+
+    python3 scripts/start_sweep.py [--sections sweep,acceptance,perfbench]
+                                   [--parent DIR] [--out BENCH_start.json]
+
+Each section writes its own key of the JSON file (the others are kept):
+
+- ``sweep``: unit columns at (720, 2560, 80), sigma 0.01 and 0.05, on the
+  held-out seeds 100-129 (``--seeds``, ``--first-seed``), solved from the zero
+  start and from the screened fit on k = n//18, n//9, n/ln n and n//3
+  columns.  A seed's starts run back to back, in reverse order on odd seeds,
+  so that drift hits each start alike; a time includes forming the start.
+  Each solve records its time, outer and inner iterations, the inner
+  iterations of the first two inner solves, rho2, and the certificate's
+  largest ratio, which must be at most tol.
+- ``acceptance``: the 30 acceptance rows (unit sigma 0.05 and 0.01, orthogonal
+  sigma 0.05, seeds 0-9) from both starts.  With ``--parent``, the zero
+  start's sha256 of beta and lambda is compared with the default solve of the
+  parent tree, run in a subprocess on that tree's src.
+- ``perfbench``: with ``--parent``, ``perfbench/run.py --trace 0`` of both
+  workloads on the parent tree and on this one, in alternating order over
+  ``--bench-seeds``, for ``--bench-seconds`` each.
+
+Before numpy is imported BLAS is pinned to one thread, as perfbench pins it.
+The file also records the machine, the BLAS and the thread count.
+"""
+
+import os
+
+BLAS_THREADS = "1"
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
+    os.environ[_var] = BLAS_THREADS
+
+import argparse  # noqa: E402
+import hashlib  # noqa: E402
+import json  # noqa: E402
+import math  # noqa: E402
+import platform  # noqa: E402
+import statistics  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+
+from dantzig_adm.adm import AdmConfig, screened_start, solve  # noqa: E402
+from dantzig_adm.datagen import GenSpec, make_instance, mu_rule, tol_rule  # noqa: E402
+from dantzig_adm.evaluation import evaluate_solution, feasibility_report  # noqa: E402
+
+SIZE = (720, 2560, 80)
+# the starts of the sweep: "zero" is the paper's, the others the screened fit
+# on k columns by a rule in n
+GRID = {
+    "zero": lambda inst: np.zeros(inst.p),
+    "n//18": lambda inst: screened_start(inst, inst.n // 18),
+    "n//9": lambda inst: screened_start(inst, inst.n // 9),
+    "n/ln n": lambda inst: screened_start(inst, int(inst.n / math.log(inst.n))),
+    "n//3": lambda inst: screened_start(inst, inst.n // 3),
+}
+# the acceptance rows' starts: the paper's and the solver's default
+STARTS = {"zero": GRID["zero"], "default": screened_start}
+ACCEPTANCE_ROWS = [("unit_columns", 0.05), ("unit_columns", 0.01), ("orthogonal_rows", 0.05)]
+WORKLOADS = ("bench-pool", "unit-i1")
+# solves the acceptance rows with a tree's default start; run on the parent's src
+PARENT_HASHES = """
+import hashlib, json, sys
+from dantzig_adm.adm import AdmConfig, solve
+from dantzig_adm.datagen import GenSpec, make_instance, mu_rule, tol_rule
+out = []
+for design, sigma, seed in json.loads(sys.argv[1]):
+    inst, _ = make_instance(GenSpec(n=720, p=2560, s=80, sigma_noise=sigma,
+                                    design_kind=design, seed=seed))
+    config = AdmConfig(mu=mu_rule(design, inst.p, inst.delta), tol=tol_rule(design))
+    beta, lam, _ = solve(inst, config)
+    out.append([hashlib.sha256(beta.tobytes()).hexdigest(),
+                hashlib.sha256(lam.tobytes()).hexdigest()])
+print(json.dumps(out))
+"""
+
+
+def environment() -> dict:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "machine": platform.machine(),
+        "platform": platform.platform(),
+        "nproc": len(os.sched_getaffinity(0)),
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "blas_threads_per_process": int(BLAS_THREADS),
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+    }
+
+
+def _instance(design: str, sigma: float, seed: int):
+    n, p, s = SIZE
+    spec = GenSpec(n=n, p=p, s=s, sigma_noise=sigma, design_kind=design, seed=seed)
+    inst, truth = make_instance(spec)
+    return inst, truth, AdmConfig(mu=mu_rule(design, p, inst.delta), tol=tol_rule(design))
+
+
+def _run(inst, truth, sigma, config, start) -> dict:
+    """One solve from ``start(inst)``; its time includes forming the start."""
+    t0 = time.perf_counter()
+    beta, lam, report = solve(inst, config, beta0=start(inst))
+    seconds = time.perf_counter() - t0
+    certificate = feasibility_report(inst, beta, lam)
+    worst = max(certificate.primal_ratio, certificate.dual_ratio, certificate.gap_ratio)
+    return {
+        "solve_s": round(seconds, 5),
+        "status": report.status,
+        "outer": report.outer_iterations,
+        "inner": report.inner_iteration_total,
+        "inner_first_two": sum(report.inner_iteration_history[:2]),
+        "start_support": report.start_support,
+        "rho2": evaluate_solution(inst, beta, truth.beta_true, sigma).rho2,
+        "certificate_max_ratio": worst,
+        "certified": report.status == "converged" and worst <= config.tol,
+        "beta_sha256": hashlib.sha256(beta.tobytes()).hexdigest(),
+        "lambda_sha256": hashlib.sha256(lam.tobytes()).hexdigest(),
+    }
+
+
+def _summary(runs: dict, baseline: str = "zero") -> dict:
+    """Per start: medians, totals and the paired time ratios against ``baseline``."""
+    out = {}
+    for name, rows in runs.items():
+        ratios = [row["solve_s"] / base["solve_s"] for row, base in zip(rows, runs[baseline])]
+        out[name] = {
+            "median_solve_s": statistics.median(row["solve_s"] for row in rows),
+            "median_paired_ratio": statistics.median(ratios),
+            "faster_pairs": sum(ratio < 1 for ratio in ratios),
+            "pairs": len(ratios),
+            "outer_mean": statistics.fmean(row["outer"] for row in rows),
+            "inner_total": sum(row["inner"] for row in rows),
+            "inner_first_two_total": sum(row["inner_first_two"] for row in rows),
+            "rho2_mean": statistics.fmean(row["rho2"] for row in rows),
+            "all_certified": all(row["certified"] for row in rows),
+        }
+    return out
+
+
+def sweep(seeds) -> dict:
+    names = list(GRID)
+    result = {}
+    for sigma in (0.01, 0.05):
+        runs = {name: [] for name in names}
+        for seed in seeds:
+            inst, truth, config = _instance("unit_columns", sigma, seed)
+            for name in names if seed % 2 == 0 else names[::-1]:
+                runs[name].append({"seed": seed, **_run(inst, truth, sigma, config, GRID[name])})
+            print(f"sweep sigma={sigma} seed={seed}: "
+                  + " ".join(f"{name}={runs[name][-1]['solve_s']:.3f}" for name in names),
+                  flush=True)
+        for rows in runs.values():
+            for row in rows:
+                del row["beta_sha256"], row["lambda_sha256"]
+        result[f"sigma={sigma}"] = {"summary": _summary(runs), "runs": runs}
+    return result
+
+
+def acceptance(parent: Path | None) -> dict:
+    cases = [(design, sigma, seed) for design, sigma in ACCEPTANCE_ROWS for seed in range(10)]
+    parent_hashes = None
+    if parent is not None:
+        env = {**os.environ, "PYTHONPATH": str(parent / "src")}
+        run = subprocess.run([sys.executable, "-c", PARENT_HASHES, json.dumps(cases)],
+                             capture_output=True, text=True, env=env, check=True)
+        parent_hashes = json.loads(run.stdout.splitlines()[-1])
+    result = {}
+    for design, sigma in ACCEPTANCE_ROWS:
+        runs = {name: [] for name in STARTS}
+        for seed in range(10):
+            inst, truth, config = _instance(design, sigma, seed)
+            for name in list(STARTS) if seed % 2 == 0 else list(STARTS)[::-1]:
+                runs[name].append({"seed": seed, **_run(inst, truth, sigma, config, STARTS[name])})
+            print(f"acceptance {design} sigma={sigma} seed={seed}: "
+                  f"zero={runs['zero'][-1]['solve_s']:.3f} "
+                  f"default={runs['default'][-1]['solve_s']:.3f}", flush=True)
+        if parent_hashes is not None:
+            for row in runs["zero"]:
+                hashes = parent_hashes[cases.index((design, sigma, row["seed"]))]
+                row["equals_parent_default"] = [row["beta_sha256"], row["lambda_sha256"]] == hashes
+        result[f"{design} sigma={sigma}"] = {"summary": _summary(runs), "runs": runs}
+    return result
+
+
+def perfbench(parent: Path, seeds, seconds: float) -> dict:
+    """Paired end-to-end runs of both workloads, parent and change in alternating order."""
+    result = {}
+    for workload in WORKLOADS:
+        pairs = []
+        for i, seed in enumerate(seeds):
+            pair = {"seed": seed}
+            trees = [("parent", parent), ("change", ROOT)]
+            for name, tree in trees if i % 2 == 0 else trees[::-1]:
+                run = subprocess.run(
+                    [sys.executable, "perfbench/run.py", "--workload", workload,
+                     "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                    cwd=tree, capture_output=True, text=True, check=True,
+                )
+                line = json.loads(run.stdout.splitlines()[-1])
+                pair[name] = {"correct": line["correct"], "failed": line["failed"],
+                              **{key: value["value"] if isinstance(value, dict) else value
+                                 for key, value in line["metrics"].items()}}
+            print(f"perfbench {workload} seed={seed}: "
+                  f"parent={pair['parent']['solve_s_p50']:.4f} "
+                  f"change={pair['change']['solve_s_p50']:.4f}", flush=True)
+            pairs.append(pair)
+        ratios = [pair["change"]["solve_s_p50"] / pair["parent"]["solve_s_p50"] for pair in pairs]
+        result[workload] = {
+            "seconds": seconds,
+            "median_solve_s_p50": {
+                name: statistics.median(pair[name]["solve_s_p50"] for pair in pairs)
+                for name in ("parent", "change")
+            },
+            "solve_s_p50_ratios": ratios,
+            "pairs": pairs,
+        }
+    return result
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--sections", default="sweep,acceptance",
+                        help="comma-separated: sweep, acceptance, perfbench")
+    parser.add_argument("--seeds", type=int, default=30, help="held-out seeds of the sweep")
+    parser.add_argument("--first-seed", type=int, default=100)
+    parser.add_argument("--parent", type=Path, help="a checkout of the parent commit")
+    parser.add_argument("--bench-seeds", default=",".join(str(seed) for seed in range(501, 511)),
+                        help="perfbench seeds, one pair of runs each")
+    parser.add_argument("--bench-seconds", type=float, default=50.0,
+                        help="perfbench --seconds (BENCHMARK.json's run_seconds)")
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_start.json")
+    args = parser.parse_args(argv)
+    sections = args.sections.split(",")
+    if "perfbench" in sections and args.parent is None:
+        parser.error("the perfbench section needs --parent")
+
+    data = json.loads(args.out.read_text()) if args.out.exists() else {}
+    data["environment"] = environment()
+    data["size"] = list(SIZE)
+    if "sweep" in sections:
+        seeds = range(args.first_seed, args.first_seed + args.seeds)
+        data["sweep"] = {"seeds": [seeds.start, seeds.stop - 1], **sweep(seeds)}
+    if "acceptance" in sections:
+        data["acceptance"] = acceptance(args.parent)
+    if "perfbench" in sections:
+        bench_seeds = [int(seed) for seed in args.bench_seeds.split(",")]
+        data["perfbench"] = perfbench(args.parent.resolve(), bench_seeds, args.bench_seconds)
+    args.out.write_text(json.dumps(data, indent=1) + "\n")
+    print(f"wrote {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

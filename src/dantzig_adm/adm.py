@@ -10,9 +10,9 @@ too).
 
 Each inner solve is approximate.  Outer iteration k stops it at
 tol_sub_k = max(sub_tol_factor * tol, SUB_TOL_START * 2^-k) (see
-:class:`AdmConfig`): the first inner solves, from beta = 0, cost the most
-and are moved furthest by the next outer steps, so they stop early, and
-after about ten outer iterations every inner solve runs to the floor.  The
+:class:`AdmConfig`): the first inner solves cost the most and are moved
+furthest by the next outer steps, so they stop early, and after about ten
+outer iterations every inner solve runs to the floor.  The
 excess over the floor halves with each outer iteration, so it is summable,
 as the convergence of inexact ADM asks (Eckstein & Bertsekas, Math. Prog.
 1992).  It depends on k alone: a tolerance tied to the outer stopping
@@ -44,7 +44,23 @@ X^T X lambda are formed fresh, two more Gram products.  One design operator
 serves every inner solve of a solve, so the n x n kernel K = X X^T is
 formed at most once per solve (about n^2 p / 2 multiply-adds), the buffer
 for X^T[W] is allocated at most once, and both are dropped when the solve
-returns.  The default zero start costs no product: X^T X 0 = 0.
+returns.
+
+The default start is not the paper's beta = 0 but a screened least-squares
+fit (:func:`screened_start`): the k = min(n // START_ROWS_PER_COLUMN, p)
+columns of largest |x_j^T y| / d_j, ranked from the cached X^T y as sure
+independence screening does (Fan & Lv, JRSS-B 2008), refit by least
+squares on y, as the Gauss-Dantzig step does (Candes & Tao, Ann. Statist.
+2007).  From beta = 0 the first inner solves make almost every coordinate
+nonzero and run in full mode; from the fit they start near a sparse
+answer.  The fit costs one n x k least-squares solve, and its G beta0 one
+X beta0 (from the k columns alone on a large X, see
+:meth:`~dantzig_adm.core.DesignOperator.matvec`) and one X^T, all inside
+the solve's wall time.
+It is beta = 0 when k = 0 (n < START_ROWS_PER_COLUMN) or when
+max_j |x_j^T y| / d_j <= delta, where beta = 0 is feasible and so optimal.
+The paper's zero start is ``beta0=np.zeros(p)``; it costs no product,
+since X^T X 0 = 0.
 """
 
 from __future__ import annotations
@@ -55,7 +71,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import DesignOperator, Instance, apply_gram, box_clamp
+from .core import DesignOperator, Instance, apply_gram, box_clamp, least_squares
 from .subsolver import SubproblemObjective, SubsolverConfig, solve_subproblem
 
 STATUS_CONVERGED = "converged"
@@ -65,6 +81,9 @@ STATUS_NUMERICAL_FAILURE = "numerical_failure"
 # Inner tolerance of outer iteration 0; the schedule halves it per iteration
 # down to the floor sub_tol_factor * tol (see AdmConfig).
 SUB_TOL_START = 2e-2
+# Rows of X per column of the default start's least-squares fit: it fits
+# k = min(n // START_ROWS_PER_COLUMN, p) columns (see screened_start).
+START_ROWS_PER_COLUMN = 9
 
 
 @dataclass
@@ -129,7 +148,8 @@ class RunReport:
     counts the inner solves that started on a working set certified by the
     previous inner result, and ``refreshes`` the inner solves whose
     certificate failed; each such failure cost one dense X^T and moved its
-    inner solve to full mode.
+    inner solve to full mode.  ``start_support`` is the number of nonzeros
+    of the start beta0, given or screened (see :func:`screened_start`).
     """
 
     outer_iterations: int
@@ -142,6 +162,26 @@ class RunReport:
     certified_inner_solves: int = 0
     refreshes: int = 0
     inner_iteration_history: list[int] = field(default_factory=list)
+    start_support: int = 0
+
+
+def screened_start(inst: Instance, columns: int | None = None) -> np.ndarray:
+    """The default beta0: a least-squares fit on the best-screened columns.
+
+    With k = min(n // START_ROWS_PER_COLUMN, p), or ``columns`` when given
+    (as scripts/start_sweep.py compares), the fit is
+    :func:`~dantzig_adm.core.least_squares` on the k columns of largest
+    |x_j^T y| / d_j (in ascending order, so the bytes do not depend on how
+    the ranking breaks ties), and zero off them.  It is beta = 0 when k = 0
+    or when max_j |x_j^T y| / d_j <= delta: beta = 0 is then feasible, and
+    so optimal.  Only the cached X^T y and the k columns of X are read.
+    """
+    k = min(inst.n // START_ROWS_PER_COLUMN if columns is None else columns, inst.p)
+    scores = np.abs(inst.xty) / inst.d
+    if k == 0 or not scores.max() > inst.delta:
+        return np.zeros(inst.p)
+    top = np.sort(np.argpartition(scores, inst.p - k)[inst.p - k :])
+    return least_squares(inst.X, inst.y, top)
 
 
 def update_z(inst: Instance, lam: np.ndarray, mu: float, gram_beta: np.ndarray) -> np.ndarray:
@@ -234,7 +274,10 @@ def solve(
     lambda0: np.ndarray | None = None,
     callback=None,
 ) -> tuple[np.ndarray, np.ndarray, RunReport]:
-    """Run the alternating direction method from (beta0, lambda0), default zeros.
+    """Run the alternating direction method from (beta0, lambda0).
+
+    beta0 defaults to :func:`screened_start`, formed inside the timed solve,
+    and lambda0 to zeros; ``beta0=np.zeros(p)`` gives the paper's zero start.
 
     Per iteration: closed-form z update, inner solve for beta warm-started at
     the previous beta and stopped at the iteration's tol_sub (see
@@ -256,15 +299,18 @@ def solve(
     returning the state at failure.
     """
     p = inst.p
-    beta = np.zeros(p) if beta0 is None else np.array(beta0, dtype=np.float64)
+    beta = None if beta0 is None else np.array(beta0, dtype=np.float64)
     lam = np.zeros(p) if lambda0 is None else np.array(lambda0, dtype=np.float64)
-    if beta.shape != (p,) or lam.shape != (p,):
+    if (beta is not None and beta.shape != (p,)) or lam.shape != (p,):
         raise ValueError(f"beta0 and lambda0 must have length {p}")
 
     t_start = time.perf_counter()
+    if beta is None:
+        beta = screened_start(inst)
+    start_support = int(np.count_nonzero(beta))
     design = DesignOperator(inst.X)
-    # a zero start (the default) needs no product: X^T X 0 = 0
-    gram_beta = apply_gram(inst, beta) if beta.any() else np.zeros(p)
+    # a zero start needs no product: X^T X 0 = 0
+    gram_beta = apply_gram(inst, beta) if start_support else np.zeros(p)
     gram_lam = apply_gram(inst, lam) if lam.any() else np.zeros(p)
     metric_history: list[float] = []
     dual_history: list[float] = []
@@ -335,5 +381,6 @@ def solve(
         certified_inner_solves=certified,
         refreshes=refreshes,
         inner_iteration_history=inner_history,
+        start_support=start_support,
     )
     return beta, lam, report

@@ -450,6 +450,21 @@ def one_blas_thread():
             set_blas_threads(previous)
 
 
+def least_squares(X: np.ndarray, y: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """The p-vector b that minimizes ||y - X b||_2 with b zero off ``columns``.
+
+    On the columns it is LAPACK's minimum-norm least-squares answer
+    (np.linalg.lstsq), also when X[:, columns] is rank-deficient or has more
+    columns than rows.  It runs on one BLAS thread (see
+    :func:`one_blas_thread`), so its bytes do not depend on the thread count.
+    """
+    b = np.zeros(X.shape[1])
+    if columns.size:
+        with one_blas_thread():
+            b[columns], *_ = np.linalg.lstsq(X[:, columns], y, rcond=None)
+    return b
+
+
 def _kernel(X: np.ndarray) -> np.ndarray:
     """K = X X^T, exactly symmetric, formed in blocks of 64 columns.
 

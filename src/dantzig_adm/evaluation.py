@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Instance, _as_vector, apply_gram
+from .core import Instance, _as_vector, apply_gram, least_squares
 from .adm import _criterion_terms, _stopping_ratios
 
 
@@ -54,11 +54,7 @@ def two_stage(beta_tilde: np.ndarray, inst: Instance, sigma_noise: float) -> np.
     if beta_tilde.shape != (inst.p,):
         raise ValueError(f"beta_tilde must have length {inst.p}, got {beta_tilde.shape}")
     support = np.flatnonzero(np.abs(beta_tilde) > 2.0 * sigma_noise)
-    beta_hat = np.zeros(inst.p)
-    if support.size:
-        coef, *_ = np.linalg.lstsq(inst.X[:, support], inst.y, rcond=None)
-        beta_hat[support] = coef
-    return beta_hat
+    return least_squares(inst.X, inst.y, support)
 
 
 def rho_metrics(beta_est: np.ndarray, beta_true: np.ndarray, sigma_noise: float) -> float:

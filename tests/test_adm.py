@@ -1,6 +1,9 @@
 import math
+import os
+import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +11,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dantzig_adm.adm as adm_module
-from dantzig_adm.adm import SUB_TOL_START, AdmConfig, solve, update_lambda, update_z
-from dantzig_adm.core import FUSED_ROWS, DesignOperator, Instance, apply_gram
+from dantzig_adm.adm import (
+    START_ROWS_PER_COLUMN,
+    SUB_TOL_START,
+    AdmConfig,
+    solve,
+    update_lambda,
+    update_z,
+)
+from dantzig_adm.core import (
+    FUSED_ROWS,
+    RESTRICTED_MIN_ENTRIES,
+    DesignOperator,
+    Instance,
+    apply_gram,
+)
 from dantzig_adm.datagen import GenSpec, make_instance, mu_rule
 from dantzig_adm.evaluation import feasibility_report
 from dantzig_adm.subsolver import (
@@ -435,7 +451,8 @@ class TestOuterCost:
         start certified."""
         if (n, p) == (48, 200):
             inst, _ = make_instance(GenSpec(n=n, p=p, s=6, sigma_noise=0.05, seed=2))
-            return inst, None, AdmConfig(mu=mu_rule("unit_columns", p, inst.delta), tol=1e-3)
+            config = AdmConfig(mu=mu_rule("unit_columns", p, inst.delta), tol=1e-3)
+            return inst, np.zeros(p), config
         rng = np.random.default_rng(29)
         inst = _instance(rng, n=n, p=p)
         return inst, rng.standard_normal(p), AdmConfig(mu=1.0, tol=1e-5, max_outer_iter=40)
@@ -459,7 +476,7 @@ class TestOuterCost:
         assert report.certified_inner_solves == sum(result.certified for result in inner)
         # start-up: G beta0 (X, X^T), none from zero; lambda0 = 0 needs no product
         before, buffer_before, x_before = {}, {}, 0
-        if beta0 is not None:
+        if beta0.any():
             before, x_before = {"matvec": 1, "rmatvec": 1}, 2
         kernel_x = products.forming_kernel(inst)  # one dsyrk, else one X product per 64 rows
         per_kernel = 0 if n <= p else 2  # X (X^T w) when no K is formed
@@ -504,6 +521,32 @@ class TestOuterCost:
         assert not inner[0].certified  # the first inner solve has no reference
         assert products.outside == 0
 
+    def test_default_start_costs_one_restricted_x_and_one_transpose(self, monkeypatch, products):
+        # X has RESTRICTED_MIN_ENTRIES entries, so X beta0 reads only the start's columns
+        inst, _ = make_instance(GenSpec(n=128, p=2048, s=8, sigma_noise=0.01, seed=3))
+        assert inst.X.size >= RESTRICTED_MIN_ENTRIES
+        inst.xty  # cache X^T y before counting
+        products.watch(inst)
+        start = []
+        original = adm_module.solve_subproblem
+
+        def first(obj, u0, config, callback=None):
+            if not start:  # the counts before the first inner solve: the start-up
+                start.append((u0.copy(), dict(products.calls), products.x_products))
+            return original(obj, u0, config, callback)
+
+        monkeypatch.setattr(adm_module, "solve_subproblem", first)
+        config = AdmConfig(mu=mu_rule("unit_columns", inst.p, inst.delta), tol=1e-3,
+                           max_outer_iter=1)
+        _, _, report = solve(inst, config)
+        [(u0, calls, x_products)] = start
+        assert np.array_equal(u0, adm_module.screened_start(inst))
+        assert report.start_support == np.count_nonzero(u0) == 128 // START_ROWS_PER_COLUMN
+        # one X beta0, restricted to the start's columns (no product with X), and one X^T
+        assert calls == {"matvec": 1, "rmatvec": 1}
+        assert x_products == 1
+        assert products.outside == 0
+
     def test_best_iterate_gets_fresh_products(self, monkeypatch, products):
         rng = np.random.default_rng(30)
         inst = _instance(rng, n=8, p=20)
@@ -544,11 +587,13 @@ class TestCertifiedStart:
     result take the steps of the full method (up to rounding).
 
     The instance is sparse with unit columns, as in the benchmark, at
-    (48, 200): its late inner solves start certified.  Its uncertified
-    working-set solves happen to have no gradient off W that crosses 1
-    mid-solve, which the end-only check would miss, so the whole solve
-    matches too; :meth:`test_each_certified_solve_takes_the_full_steps`
-    compares the certified solves alone.
+    (48, 200): its late inner solves start certified.  From the zero start
+    its uncertified working-set solves happen to have no gradient off W that
+    crosses 1 mid-solve, which the end-only check would miss, so the whole
+    solve matches too.  From the default screened start one does, and the
+    whole solve leaves the full method's by about 1e-6 with equal counts;
+    :meth:`test_each_certified_solve_takes_the_full_steps` compares the
+    certified solves alone, from the default start.
     """
 
     @staticmethod
@@ -596,10 +641,10 @@ class TestCertifiedStart:
 
     def test_same_iterations_and_beta_as_the_full_method(self, monkeypatch):
         inst, config = self._case()
-        run = solve(inst, config)
+        run = solve(inst, config, beta0=np.zeros(inst.p))
         assert run[2].certified_inner_solves > 0 and run[2].refreshes == 0
         _full_method(monkeypatch)
-        full = solve(inst, config)
+        full = solve(inst, config, beta0=np.zeros(inst.p))
         assert full[2].certified_inner_solves == 0
         self._assert_same_solve(run, full)
 
@@ -914,6 +959,121 @@ class TestScheduledDegenerateInstances:
         signal = np.where(rng.random(p) < 0.1, rng.standard_normal(p), 0.0)
         y = X @ signal + 0.05 * rng.standard_normal(n)
         assert self._check(X, y, 0.05 * np.sqrt(2 * np.log(p))).any()
+
+
+class TestScreenedStart:
+    """The default start on degenerate instances; each solve passes the dense
+    certificate at its tol."""
+
+    TOL = 1e-3
+
+    def _solve(self, inst, beta0=None):
+        config = AdmConfig(mu=mu_rule("unit_columns", inst.p, inst.delta), tol=self.TOL)
+        beta, lam, report = solve(inst, config, beta0=beta0)
+        assert report.status == "converged"
+        certificate = certificate_dense(inst.X, inst.y, inst.delta, beta, lam)
+        assert max(certificate[f"{name}_ratio"] for name in ("primal", "dual", "gap")) <= self.TOL
+        return beta, lam, report
+
+    @staticmethod
+    def _sparse(seed):
+        inst, _ = make_instance(GenSpec(n=48, p=200, s=6, sigma_noise=0.05, seed=seed))
+        return inst
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_zero_response_gives_the_zero_start_and_no_product(self, products, seed):
+        X = np.array(self._sparse(seed).X)
+        inst = Instance(X=X, y=np.zeros(X.shape[0]), delta=0.1)
+        inst.xty  # cache X^T y before counting
+        products.watch(inst)
+        assert not adm_module.screened_start(inst).any()
+        beta, _, report = self._solve(inst)
+        assert report.start_support == 0 and report.outer_iterations == 0
+        assert not beta.any()
+        assert not products.calls and products.x_products == 0
+
+    @pytest.mark.parametrize("factor", [1.0, 2.0])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_delta_at_or_above_the_zero_threshold_returns_at_once(self, seed, factor):
+        inst = self._sparse(seed)
+        level = float((np.abs(inst.xty) / inst.d).max())
+        inst = Instance(X=inst.X, y=inst.y, delta=factor * level)
+        assert not adm_module.screened_start(inst).any()
+        beta, _, report = self._solve(inst)
+        assert report.start_support == 0 and report.outer_iterations == 0
+        assert not beta.any()
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_duplicate_columns_give_the_minimum_norm_fit(self, seed):
+        inst = self._sparse(seed)
+        X = np.array(inst.X)
+        best = int(np.argmax(np.abs(inst.xty) / inst.d))
+        twin = (best + 1) % inst.p
+        X[:, twin] = X[:, best]  # the twin ties with the best-ranked column
+        inst = Instance(X=X, y=inst.y, delta=inst.delta)
+        start = adm_module.screened_start(inst)
+        k = inst.n // START_ROWS_PER_COLUMN
+        top = np.sort(np.argsort(-np.abs(inst.xty) / inst.d, kind="stable")[:k])
+        assert best in top and twin in top
+        assert np.array_equal(np.flatnonzero(start), top)
+        expected = np.linalg.pinv(X[:, top]) @ inst.y  # the minimum-norm answer
+        assert np.abs(start[top] - expected).max() <= 1e-10 * np.abs(expected).max()
+        assert start[best] == pytest.approx(start[twin], rel=1e-10)
+        _, _, report = self._solve(inst)
+        assert report.start_support == k
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_more_rows_than_columns_fits_at_most_p_columns(self, seed):
+        rng = np.random.default_rng(90 + seed)
+        n, p = 150, 10
+        X = rng.standard_normal((n, p))
+        X /= np.linalg.norm(X, axis=0)
+        y = X @ rng.standard_normal(p) + 0.05 * rng.standard_normal(n)
+        inst = Instance(X=X, y=y, delta=0.05 * np.sqrt(2 * np.log(p)))
+        assert n // START_ROWS_PER_COLUMN > p
+        start = adm_module.screened_start(inst)  # k = p: least squares on all of X
+        expected, *_ = np.linalg.lstsq(X, y, rcond=None)
+        assert np.abs(start - expected).max() <= 1e-10 * np.abs(expected).max()
+        _, _, report = self._solve(inst)
+        assert report.start_support == p
+
+    @pytest.mark.parametrize("n", [1, 5, START_ROWS_PER_COLUMN - 1])
+    def test_fewer_rows_than_the_rule_asks_keep_the_zero_start(self, n):
+        rng = np.random.default_rng(91 + n)
+        inst = _instance(rng, n=n, p=12)
+        assert n // START_ROWS_PER_COLUMN == 0
+        assert not adm_module.screened_start(inst).any()
+        beta, lam, report = self._solve(inst)
+        beta_zero, lam_zero, _ = self._solve(inst, beta0=np.zeros(inst.p))
+        assert report.start_support == 0
+        assert np.array_equal(beta, beta_zero) and np.array_equal(lam, lam_zero)
+
+    def test_the_start_does_not_depend_on_the_blas_thread_count(self):
+        script = (
+            "import hashlib\n"
+            "from dantzig_adm.adm import screened_start\n"
+            "from dantzig_adm.datagen import GenSpec, make_instance\n"
+            "spec = GenSpec(n=720, p=2560, s=80, sigma_noise=0.01, seed=0)\n"
+            "inst, _ = make_instance(spec)\n"
+            "for v in (inst.X, inst.y, inst.xty, screened_start(inst)):\n"
+            "    print(hashlib.sha256(v.tobytes()).hexdigest())\n"
+        )
+        src = Path(adm_module.__file__).resolve().parent.parent
+        runs = []
+        for threads in ("1", "2"):
+            env = {
+                **os.environ,
+                "OPENBLAS_NUM_THREADS": threads,
+                "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]),
+            }
+            run = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, env=env,
+                timeout=120,
+            )
+            assert run.returncode == 0, run.stderr
+            runs.append(run.stdout.split())
+        assert len(runs[0]) == 4
+        assert runs[0] == runs[1]  # X, y, X^T y and the start
 
 
 class TestSolve:

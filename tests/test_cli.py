@@ -11,7 +11,7 @@ from scipy import io as spio
 
 import dantzig_adm.cli as cli
 from dantzig_adm import core, fileio
-from dantzig_adm.adm import AdmConfig, RunReport
+from dantzig_adm.adm import START_ROWS_PER_COLUMN, AdmConfig, RunReport
 from dantzig_adm.datagen import GenSpec, default_delta, gen_design, mu_rule, tol_rule
 
 from oracles import certificate_dense
@@ -110,6 +110,7 @@ class TestSolve:
         assert report["outer_iterations"] >= 1
         assert 0 <= report["certified_inner_solves"] <= report["outer_iterations"]
         assert report["refreshes"] >= 0
+        assert report["start_support"] == 30 // START_ROWS_PER_COLUMN  # the screened start
         assert (out / "beta_hat.mtx").exists()
         evaluation = json.loads((out / "eval.json").read_text())
         assert evaluation["rho2"] <= evaluation["rho2_orig"]

@@ -486,6 +486,43 @@ class TestRowTiles:
             assert np.sqrt(sums).tobytes() == np.linalg.norm(X, axis=0).tobytes()
 
 
+class TestLeastSquares:
+    """core.least_squares, the refit of two_stage and of the default start."""
+
+    def test_minimum_norm_fit_on_the_columns_and_zero_off_them(self):
+        rng = np.random.default_rng(95)
+        X, y = rng.standard_normal((6, 10)), rng.standard_normal(6)
+        X[:, 7] = X[:, 2]  # rank-deficient on the columns
+        columns = np.array([1, 2, 7])
+        b = core_module.least_squares(X, y, columns)
+        assert not np.delete(b, columns).any()
+        assert np.abs(b[columns] - np.linalg.pinv(X[:, columns]) @ y).max() <= 1e-12
+        assert not core_module.least_squares(X, y, np.array([], dtype=int)).any()
+
+    def test_runs_on_one_blas_thread_and_restores_the_count(self):
+        previous = core_module.set_blas_threads(2)
+        if previous is None:
+            pytest.skip("numpy bundles no OpenBLAS with a thread-count setter here")
+        try:
+            seen = []
+            original = np.linalg.lstsq
+
+            def recording(*args, **kwargs):
+                seen.append(core_module.set_blas_threads(1))  # the count lstsq ran on
+                return original(*args, **kwargs)
+
+            rng = np.random.default_rng(96)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(np.linalg, "lstsq", recording)
+                core_module.least_squares(
+                    rng.standard_normal((8, 5)), rng.standard_normal(8), np.arange(3)
+                )
+            assert seen == [1]
+            assert core_module.set_blas_threads(2) == 2
+        finally:
+            core_module.set_blas_threads(previous)
+
+
 class TestSoftThresh:
     def test_entrywise_example(self):
         assert np.array_equal(soft_thresh(np.array([3.0, -0.5, 1.0]), 1.0), [2.0, 0.0, 0.0])

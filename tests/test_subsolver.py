@@ -652,6 +652,7 @@ class TestWorkingSet:
         # np.union1d imports numpy.ma on its first call (numpy 2.4)
         script = (
             "import sys\n"
+            "import numpy as np\n"
             "import dantzig_adm\n"
             "from dantzig_adm import subsolver\n"
             "subsolver.WORKING_SET_MARGIN = -1.0\n"
@@ -664,7 +665,8 @@ class TestWorkingSet:
             "spec = dantzig_adm.GenSpec(n=60, p=300, s=5, sigma_noise=0.05, seed=1)\n"
             "inst, _ = dantzig_adm.make_instance(spec)\n"
             "mu = dantzig_adm.mu_rule('unit_columns', inst.p, inst.delta)\n"
-            "dantzig_adm.solve(inst, dantzig_adm.AdmConfig(mu=mu, tol=1e-3))\n"
+            "config = dantzig_adm.AdmConfig(mu=mu, tol=1e-3)\n"
+            "dantzig_adm.solve(inst, config, beta0=np.zeros(inst.p))  # the zero start\n"
             "print(sum(entries) > 0, 'numpy.ma' in sys.modules)\n"
         )
         src = Path(subsolver_module.__file__).resolve().parent.parent
