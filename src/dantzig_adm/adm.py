@@ -8,16 +8,26 @@ with primal and dual infeasibility ratios, built from the terms of
 certificate of :func:`~dantzig_adm.evaluation.feasibility_report` uses it
 too).
 
-Each inner solve is approximate.  Outer iteration k stops it at
-tol_sub_k = max(sub_tol_factor * tol, SUB_TOL_START * 2^-k) (see
-:class:`AdmConfig`): the first inner solves cost the most and are moved
-furthest by the next outer steps, so they stop early, and after about ten
-outer iterations every inner solve runs to the floor.  The
-excess over the floor halves with each outer iteration, so it is summable,
-as the convergence of inexact ADM asks (Eckstein & Bertsekas, Math. Prog.
-1992).  It depends on k alone: a tolerance tied to the outer stopping
-metric can stop the first inner solve at once and leave beta at 0 while the
-metric holds still.  The final stopping test does not depend on tol_sub.
+Each inner solve is approximate.  Outer iteration k stops it at tol_sub_k
+(see :class:`AdmConfig`).  While SUB_TOL_START * 2^-k lies above the floor
+f * tol (f = sub_tol_factor), tol_sub_k is that halving schedule: the
+first inner solves cost the most and are moved furthest by the next outer
+steps, so they stop early.  From the first k where it does not (k = 8 at
+tol = 1e-3), tol_sub_k = f * max(tol, m_k), where m_k is the least
+stopping metric of outer iterations 0..k: the inner error is bounded by a
+fraction of the best outer residual so far, as in relative-error inexact
+ADM (Eckstein & Silva, Math. Prog. 2013), and falls to f * tol as the
+solve converges.  Before the switch the excess over the floor halves with
+each outer iteration, so it is summable, as the convergence of inexact ADM
+asks (Eckstein & Bertsekas, Math. Prog. 1992).  Two shortcuts fail.  A
+tolerance tied to the metric from k = 0 can stop the first inner solve at
+once and leave beta at 0 while the metric holds still (at sigma = 0.01 it
+stopped the first inner solve after 5 iterations, and outer iterations
+rose 11.3 -> 13.9).  The current metric in place of the running minimum
+lets the two feed each other: on 9 of 10 orthogonal acceptance rows the
+metric grew to 4-34, the inner solves made almost no iterations, and the
+solve ran to max_outer_iter.  The final stopping test does not depend on
+tol_sub.
 
 The outer step is read off the inner solver.  With G = X^T X and
 c = X^T y + z - lambda/mu, the inner solver returns beta together with the
@@ -58,7 +68,8 @@ X beta0 (from the k columns alone on a large X, see
 :meth:`~dantzig_adm.core.DesignOperator.matvec`) and one X^T, all inside
 the solve's wall time.
 It is beta = 0 when k = 0 (n < START_ROWS_PER_COLUMN) or when
-max_j |x_j^T y| / d_j <= delta, where beta = 0 is feasible and so optimal.
+max_j |x_j^T y| / d_j <= delta + tol, where beta = 0 passes the stopping
+test.
 The paper's zero start is ``beta0=np.zeros(p)``; it costs no product,
 since X^T X 0 = 0.
 """
@@ -79,7 +90,7 @@ STATUS_MAX_ITER = "max_iter"
 STATUS_NUMERICAL_FAILURE = "numerical_failure"
 
 # Inner tolerance of outer iteration 0; the schedule halves it per iteration
-# down to the floor sub_tol_factor * tol (see AdmConfig).
+# while it stays above the floor sub_tol_factor * tol (see AdmConfig).
 SUB_TOL_START = 2e-2
 # Rows of X per column of the default start's least-squares fit: it fits
 # k = min(n // START_ROWS_PER_COLUMN, p) columns (see screened_start).
@@ -91,12 +102,20 @@ class AdmConfig:
     """Outer-loop parameters: penalty mu, tolerance, and inner-solver settings.
 
     The inner solve of outer iteration k (counted from 0) runs to
-    tol_sub_k = max(sub_tol_factor * tol, SUB_TOL_START * 2^-k).  The early
-    inner solves, whose answers the next outer steps move far, stop early;
-    at tol = 1e-3 and the default sub_tol_factor, tol_sub_k reaches the
-    floor sub_tol_factor * tol at k = 8 and stays there.  A tol_sub pinned
-    in the nested subsolver config holds at every k; pinning it to
-    sub_tol_factor * tol runs every inner solve to the floor.
+    tol_sub_k = SUB_TOL_START * 2^-k while that lies above the floor
+    f * tol, f = sub_tol_factor, and to f * max(tol, m_k) after, where m_k
+    is the least stopping metric of outer iterations 0..k (see
+    :meth:`resolved_subsolver`).  The early inner solves, whose answers the
+    next outer steps move far, stop early; at tol = 1e-3 and the default f
+    the halving ends at k = 7 (1.6e-4), and from k = 8 on tol_sub_k follows
+    the best outer residual so far down to the floor.  It never rises after
+    the switch, although at the switch itself it may lie above the last
+    halved value.  Neither shortcut works: the current metric in place of
+    m_k diverged on 9 of 10 orthogonal acceptance rows, and a metric rule
+    from k = 0 stopped the first inner solve at sigma = 0.01 after 5
+    iterations (see the module docstring).  A tol_sub pinned in the nested
+    subsolver config holds at every k; pinning it to f * tol runs every
+    inner solve to the floor.
     """
 
     mu: float
@@ -115,15 +134,20 @@ class AdmConfig:
         if self.max_outer_iter < 1:
             raise ValueError(f"max_outer_iter must be positive, got {self.max_outer_iter}")
 
-    def resolved_subsolver(self, iteration: int) -> SubsolverConfig:
+    def resolved_subsolver(self, iteration: int, metric: float) -> SubsolverConfig:
         """The inner solver's config at outer iteration ``iteration`` (from 0).
 
-        Its tol_sub is the pinned one if set, else tol_sub_k of the schedule.
+        ``metric`` is the least stopping metric of outer iterations 0..iteration,
+        which :func:`solve` keeps.  The tol_sub is the pinned one if set, else
+        tol_sub_k: SUB_TOL_START * 2^-k while that exceeds
+        sub_tol_factor * tol, and sub_tol_factor * max(tol, metric) after.
         """
         if self.subsolver.tol_sub is not None:
             return self.subsolver
-        tol_sub = max(self.sub_tol_factor * self.tol, math.ldexp(SUB_TOL_START, -iteration))
-        return replace(self.subsolver, tol_sub=tol_sub)
+        halved = math.ldexp(SUB_TOL_START, -iteration)
+        if halved > self.sub_tol_factor * self.tol:
+            return replace(self.subsolver, tol_sub=halved)
+        return replace(self.subsolver, tol_sub=self.sub_tol_factor * max(self.tol, metric))
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,7 +168,9 @@ class RunReport:
 
     ``stopping_metric_history`` has one entry per stopping test, the first
     at the start point, and ``inner_iteration_history`` one per outer
-    iteration: the iterations of its inner solve.  ``certified_inner_solves``
+    iteration: the iterations of its inner solve, whose tol_sub
+    ``inner_tolerance_history`` holds (see :class:`AdmConfig`).
+    ``certified_inner_solves``
     counts the inner solves that started on a working set certified by the
     previous inner result, and ``refreshes`` the inner solves whose
     certificate failed; each such failure cost one dense X^T and moved its
@@ -163,9 +189,10 @@ class RunReport:
     refreshes: int = 0
     inner_iteration_history: list[int] = field(default_factory=list)
     start_support: int = 0
+    inner_tolerance_history: list[float] = field(default_factory=list)
 
 
-def screened_start(inst: Instance, columns: int | None = None) -> np.ndarray:
+def screened_start(inst: Instance, columns: int | None = None, tol: float = 0.0) -> np.ndarray:
     """The default beta0: a least-squares fit on the best-screened columns.
 
     With k = min(n // START_ROWS_PER_COLUMN, p), or ``columns`` when given
@@ -173,12 +200,16 @@ def screened_start(inst: Instance, columns: int | None = None) -> np.ndarray:
     :func:`~dantzig_adm.core.least_squares` on the k columns of largest
     |x_j^T y| / d_j (in ascending order, so the bytes do not depend on how
     the ranking breaks ties), and zero off them.  It is beta = 0 when k = 0
-    or when max_j |x_j^T y| / d_j <= delta: beta = 0 is then feasible, and
-    so optimal.  Only the cached X^T y and the k columns of X are read.
+    or when max_j |x_j^T y| / d_j <= delta + tol.  At tol = 0 beta = 0 is
+    then feasible, and so optimal; :func:`solve` passes its tol, at which
+    beta = 0 with lambda = 0 passes the stopping test (its metric is the
+    primal excess).  So a delta that equals the largest score up to
+    rounding, where beta = 0 is optimal, does not start a solve from a fit
+    far from it.  Only the cached X^T y and the k columns of X are read.
     """
     k = min(inst.n // START_ROWS_PER_COLUMN if columns is None else columns, inst.p)
     scores = np.abs(inst.xty) / inst.d
-    if k == 0 or not scores.max() > inst.delta:
+    if k == 0 or not scores.max() > inst.delta + tol:
         return np.zeros(inst.p)
     top = np.sort(np.argpartition(scores, inst.p - k)[inst.p - k :])
     return least_squares(inst.X, inst.y, top)
@@ -281,7 +312,7 @@ def solve(
 
     Per iteration: closed-form z update, inner solve for beta warm-started at
     the previous beta and stopped at the iteration's tol_sub (see
-    :class:`AdmConfig`), multiplier step, then the stopping test.  Its metric
+    :class:`AdmConfig`; it reads the least stopping metric so far), multiplier step, then the stopping test.  Its metric
     is the max of the ratios of :func:`_stopping_ratios`: the relative
     duality gap | ||beta||_1 - d(lambda) | / max(||beta||_1, 1) and the
     primal and dual excesses of :func:`_criterion_terms` over
@@ -306,7 +337,7 @@ def solve(
 
     t_start = time.perf_counter()
     if beta is None:
-        beta = screened_start(inst)
+        beta = screened_start(inst, tol=config.tol)
     start_support = int(np.count_nonzero(beta))
     design = DesignOperator(inst.X)
     # a zero start needs no product: X^T X 0 = 0
@@ -315,6 +346,8 @@ def solve(
     metric_history: list[float] = []
     dual_history: list[float] = []
     inner_history: list[int] = []
+    tolerance_history: list[float] = []
+    best_metric = math.inf  # the least stopping metric so far
     iteration = inner_total = sub_failures = certified = refreshes = 0
     reference = None  # the last inner solve's final result
 
@@ -322,6 +355,7 @@ def solve(
         terms = _criterion_terms(inst, beta, lam, gram_beta, gram_lam)
         metric = max(_stopping_ratios(beta, lam, terms))
         metric_history.append(metric)
+        best_metric = min(best_metric, metric)
         dual_history.append(terms[3])
         if callback is not None and iteration > 0:
             callback(
@@ -346,7 +380,9 @@ def solve(
         objective = SubproblemObjective(
             inst, z, lam, config.mu, gram_u0=gram_beta, design=design, reference=reference
         )
-        result = solve_subproblem(objective, beta, config.resolved_subsolver(iteration))
+        sub_config = config.resolved_subsolver(iteration, best_metric)
+        result = solve_subproblem(objective, beta, sub_config)
+        tolerance_history.append(sub_config.tol_sub)
         inner_history.append(result.iterations)
         inner_total += result.iterations
         certified += result.certified
@@ -382,5 +418,6 @@ def solve(
         refreshes=refreshes,
         inner_iteration_history=inner_history,
         start_support=start_support,
+        inner_tolerance_history=tolerance_history,
     )
     return beta, lam, report

@@ -26,7 +26,7 @@ from dantzig_adm.core import (
     Instance,
     apply_gram,
 )
-from dantzig_adm.datagen import GenSpec, make_instance, mu_rule
+from dantzig_adm.datagen import GenSpec, make_instance, mu_rule, tol_rule
 from dantzig_adm.evaluation import feasibility_report
 from dantzig_adm.subsolver import (
     SubproblemObjective,
@@ -335,7 +335,8 @@ class TestPrecomputedGram:
         held, held_lam = apply_gram(inst, beta), apply_gram(inst, lam)
         z = update_z(inst, lam, mu, held)
         obj = SubproblemObjective(inst, z, lam, mu, gram_u0=held)
-        result = solve_subproblem(obj, beta, config.resolved_subsolver(0))
+        metric = report.stopping_metric_history[0]
+        result = solve_subproblem(obj, beta, config.resolved_subsolver(0, metric))
         assert result.residual is not None
         gram_beta = result.residual + obj.c
         lam_next = update_lambda(inst, lam, z, mu, gram_beta)
@@ -480,7 +481,7 @@ class TestOuterCost:
             before, x_before = {"matvec": 1, "rmatvec": 1}, 2
         kernel_x = products.forming_kernel(inst)  # one dsyrk, else one X product per 64 rows
         per_kernel = 0 if n <= p else 2  # X (X^T w) when no K is formed
-        per_pass = 2 * -(-p // FUSED_ROWS)  # a fused pass: two products per chunk of X^T
+        per_pass = -(-p // FUSED_ROWS)  # a fused pass: one two-column product per chunk of X^T
         kinds = set()
         for (calls, on_buffer, x_products), result in zip(seen, inner):
             iters, checks = result.iterations, result.kkt_checks
@@ -840,42 +841,59 @@ class TestAdmConfig:
             AdmConfig(**kwargs)
 
     def test_inner_tolerance_derived_from_outer(self):
-        # the floor, which the schedule reaches long before iteration 10**6
+        # past the halving: the floor once the least metric is at most tol, and
+        # sub_tol_factor times that metric above it
         config = AdmConfig(mu=1.0, tol=1e-3)
-        assert config.resolved_subsolver(10**6).tol_sub == pytest.approx(1e-4)
+        assert config.resolved_subsolver(10**6, 5e-4).tol_sub == pytest.approx(1e-4)
+        assert config.resolved_subsolver(10**6, 3e-3).tol_sub == pytest.approx(3e-4)
 
     def test_explicit_inner_tolerance_wins(self):
         config = AdmConfig(mu=1.0, tol=1e-3, subsolver=SubsolverConfig(tol_sub=1e-9))
-        assert config.resolved_subsolver(10**6).tol_sub == 1e-9
+        assert config.resolved_subsolver(10**6, 1.0).tol_sub == 1e-9
 
     @pytest.mark.parametrize("tol", [1e-3, 2e-4, 1e-6])
     def test_schedule_halves_down_to_the_floor_and_never_rises(self, tol):
+        # with the least metric at tol, the floor follows the halving at once
         config = AdmConfig(mu=1.0, tol=tol)
         floor = config.sub_tol_factor * tol
-        schedule = [config.resolved_subsolver(k).tol_sub for k in range(60)]
+        schedule = [config.resolved_subsolver(k, tol).tol_sub for k in range(60)]
         assert schedule[0] == max(floor, SUB_TOL_START) > floor
         assert all(later <= earlier for earlier, later in zip(schedule, schedule[1:]))
         for k, tol_sub in enumerate(schedule):
             halved = SUB_TOL_START * 2.0**-k
             assert tol_sub == (floor if halved <= floor else halved)
-        assert schedule[-1] == config.resolved_subsolver(10**6).tol_sub == floor
+        assert schedule[-1] == config.resolved_subsolver(10**6, tol).tol_sub == floor
+
+    def test_halving_ignores_the_metric_and_the_tail_follows_it(self):
+        config = AdmConfig(mu=1.0, tol=1e-3)
+        switch = next(k for k in range(60) if SUB_TOL_START * 2.0**-k <= 1e-4)
+        assert switch == 8
+        for k in range(switch):
+            assert config.resolved_subsolver(k, 1.0).tol_sub == SUB_TOL_START * 2.0**-k
+            assert config.resolved_subsolver(k, 0.0).tol_sub == SUB_TOL_START * 2.0**-k
+        # at the switch tol_sub may lie above the last halved value
+        assert config.resolved_subsolver(switch, 5e-3).tol_sub == 0.1 * 5e-3 > 2e-2 / 2**7
+        assert config.resolved_subsolver(switch + 30, 2e-2).tol_sub == 0.1 * 2e-2
 
     def test_pinned_inner_tolerance_wins_at_every_iteration(self):
         config = AdmConfig(mu=1.0, tol=1e-3, subsolver=SubsolverConfig(tol_sub=1e-9))
-        assert all(config.resolved_subsolver(k).tol_sub == 1e-9 for k in range(30))
+        assert all(config.resolved_subsolver(k, 1.0).tol_sub == 1e-9 for k in range(30))
 
 
 class TestInnerToleranceSchedule:
-    """solve hands outer iteration k's inner solve the tol_sub of the schedule."""
+    """solve hands outer iteration k's inner solve the tol_sub of the schedule,
+    read at the least stopping metric of outer iterations 0..k."""
+
+    SEEDS = (2, 5)  # unit columns at (48, 200, 6); both run past the halving
+    OUTER_LIMIT = 500  # max_outer_iter of the current-metric guard
 
     @staticmethod
-    def _seen_tolerances(monkeypatch, config):
-        inst, _ = make_instance(GenSpec(n=48, p=200, s=6, sigma_noise=0.05, seed=2))
+    def _solve(monkeypatch, config, spec=None):
+        inst, _ = make_instance(spec or GenSpec(n=48, p=200, s=6, sigma_noise=0.05, seed=2))
         seen = []
-        original = adm_module.solve_subproblem
 
         def spy(obj, u0, sub_config, callback=None):
-            result = original(obj, u0, sub_config, callback)
+            result = solve_subproblem(obj, u0, sub_config, callback)
             seen.append((sub_config.tol_sub, result.iterations))
             return result
 
@@ -883,21 +901,76 @@ class TestInnerToleranceSchedule:
         config = replace(config, mu=mu_rule("unit_columns", inst.p, inst.delta))
         _, _, report = solve(inst, config)
         assert report.status == "converged"
-        assert report.outer_iterations == len(seen) > 12  # past the schedule's end
+        assert report.outer_iterations == len(seen) > 12  # past the halving
         assert report.inner_iteration_history == [iterations for _, iterations in seen]
+        assert report.inner_tolerance_history == [tol_sub for tol_sub, _ in seen]
         assert sum(report.inner_iteration_history) == report.inner_iteration_total
-        return [tol_sub for tol_sub, _ in seen]
+        return report
+
+    @staticmethod
+    def _expected(report, tol=1e-3, factor=0.1):
+        """The schedule, recomputed from the report's stopping metrics."""
+        expected = []
+        for k in range(report.outer_iterations):
+            halved = SUB_TOL_START * 2.0**-k
+            least = min(report.stopping_metric_history[: k + 1])
+            expected.append(halved if halved > factor * tol else factor * max(tol, least))
+        return expected
 
     def test_every_inner_solve_gets_the_scheduled_tolerance(self, monkeypatch):
-        config = AdmConfig(mu=1.0, tol=1e-3)
-        seen = self._seen_tolerances(monkeypatch, config)
-        assert seen == [max(1e-4, SUB_TOL_START * 2.0**-k) for k in range(len(seen))]
-        assert seen[0] > seen[-1] == 1e-4
+        for seed in self.SEEDS:
+            spec = GenSpec(n=48, p=200, s=6, sigma_noise=0.05, seed=seed)
+            report = self._solve(monkeypatch, AdmConfig(mu=1.0, tol=1e-3), spec)
+            seen = report.inner_tolerance_history
+            assert seen == self._expected(report)
+            assert seen[:8] == [SUB_TOL_START * 2.0**-k for k in range(8)]
+            # the tail follows the metric: some inner solve stops above the floor
+            assert max(seen[8:]) > 1e-4 and min(seen) >= 1e-4
+
+    def test_tolerance_never_rises_after_the_switch(self, monkeypatch):
+        for seed in self.SEEDS:
+            spec = GenSpec(n=48, p=200, s=6, sigma_noise=0.05, seed=seed)
+            config = AdmConfig(mu=1.0, tol=1e-3)
+            seen = self._solve(monkeypatch, config, spec).inner_tolerance_history
+            tail = seen[8:]
+            assert all(later <= earlier for earlier, later in zip(tail, tail[1:]))
 
     def test_pinned_tolerance_holds_for_every_inner_solve(self, monkeypatch):
         config = AdmConfig(mu=1.0, tol=1e-3, subsolver=SubsolverConfig(tol_sub=2e-5))
-        seen = self._seen_tolerances(monkeypatch, config)
+        seen = self._solve(monkeypatch, config).inner_tolerance_history
         assert seen == [2e-5] * len(seen)
+
+    def test_the_current_metric_in_place_of_the_least_diverges(self):
+        # orthogonal rows at (360, 1280, 40), seed 2: the shipped rule converges
+        # in about 100 outer iterations.  Read at the current metric, the tail
+        # tolerance grows with the metric, the inner solves stop almost at once,
+        # and the metric climbs past 1 until max_outer_iter.
+        spec = GenSpec(
+            n=360, p=1280, s=40, sigma_noise=0.05, design_kind="orthogonal_rows", seed=2
+        )
+        inst, _ = make_instance(spec)
+        mu, tol = mu_rule("orthogonal_rows", inst.p, inst.delta), tol_rule("orthogonal_rows")
+        config = AdmConfig(mu=mu, tol=tol, max_outer_iter=self.OUTER_LIMIT)
+        beta, lam, report = solve(inst, config)
+        assert report.status == "converged" and report.outer_iterations < self.OUTER_LIMIT
+        certificate = feasibility_report(inst, beta, lam)
+        assert max(certificate.primal_ratio, certificate.dual_ratio, certificate.gap_ratio) <= tol
+
+        class CurrentMetric(AdmConfig):
+            current = None  # the metric at the top of the current outer iteration
+
+            def resolved_subsolver(self, iteration, metric):
+                return super().resolved_subsolver(
+                    iteration, metric if self.current is None else self.current
+                )
+
+        current = CurrentMetric(mu=mu, tol=tol, max_outer_iter=self.OUTER_LIMIT)
+        _, _, diverged = solve(
+            inst, current, callback=lambda rec: setattr(current, "current", rec.metric)
+        )
+        assert diverged.status == "max_iter"
+        assert diverged.stopping_metric_history[-1] > 1.0
+        assert diverged.inner_iteration_total < report.inner_iteration_total
 
 
 class TestScheduledDegenerateInstances:
@@ -1002,6 +1075,20 @@ class TestScreenedStart:
         beta, _, report = self._solve(inst)
         assert report.start_support == 0 and report.outer_iterations == 0
         assert not beta.any()
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_delta_within_tol_below_the_threshold_returns_at_once(self, seed):
+        # beta = 0 misses feasibility by far less than tol, as when the caller's
+        # delta equals the largest score up to rounding
+        inst = self._sparse(seed)
+        level = float((np.abs(inst.xty) / inst.d).max())
+        inst = Instance(X=inst.X, y=inst.y, delta=level - 1e-6)
+        assert adm_module.screened_start(inst).any()
+        assert not adm_module.screened_start(inst, tol=self.TOL).any()
+        beta, _, report = self._solve(inst)
+        assert report.start_support == 0 and report.outer_iterations == 0
+        assert not beta.any()
+        assert report.stopping_metric_history == [pytest.approx(1e-6, rel=1e-6)]
 
     @pytest.mark.parametrize("seed", range(2))
     def test_duplicate_columns_give_the_minimum_norm_fit(self, seed):

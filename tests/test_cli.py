@@ -116,6 +116,9 @@ class TestSolve:
         assert evaluation["rho2"] <= evaluation["rho2_orig"]
         assert len(report["inner_iteration_history"]) == report["outer_iterations"]
         assert sum(report["inner_iteration_history"]) == report["inner_iteration_total"]
+        tolerances = report["inner_tolerance_history"]
+        assert len(tolerances) == len(report["inner_iteration_history"])
+        assert all(tol_sub > 0 for tol_sub in tolerances)
         run_manifest = fileio.read_manifest(out / "run_manifest.txt")
         assert run_manifest["status"] == "converged"
         assert float(run_manifest["sub_tol_factor"]) == AdmConfig(mu=1.0, tol=1.0).sub_tol_factor

@@ -13,7 +13,14 @@ from hypothesis.extra import numpy as hnp
 
 import dantzig_adm.core as core_module
 from dantzig_adm.adm import AdmConfig, solve
-from dantzig_adm.core import DesignOperator, Instance, apply_gram, box_clamp, soft_thresh
+from dantzig_adm.core import (
+    FUSED_ROWS,
+    DesignOperator,
+    Instance,
+    apply_gram,
+    box_clamp,
+    soft_thresh,
+)
 from dantzig_adm.datagen import GenSpec, make_instance, mu_rule
 
 from oracles import box_project_scalar, dense_gram, prox_l1_scalar
@@ -330,6 +337,58 @@ class TestDesignOperator:
         assert np.shares_memory(first.X, second.X)
         np.testing.assert_array_equal(second.X, X[:, :10])
         assert design.restrict(np.arange(11)) is None
+
+
+class TestFusedPass:
+    """rmatvec_pair: (X^T a, X^T b) from one two-column product per FUSED_ROWS rows."""
+
+    N = 50
+
+    @classmethod
+    def _case(cls, p, seed=0):
+        rng = np.random.default_rng(p + seed)
+        X = rng.standard_normal((cls.N, p))
+        inst = Instance(X=X, y=rng.standard_normal(cls.N), delta=1.0)
+        return inst, rng.standard_normal(cls.N), rng.standard_normal(cls.N)
+
+    @staticmethod
+    def _check(X, a, b, pair):
+        """Each entry within 1e-12 of its error scale sum_i |X_ij| |a_i|."""
+        for out, w in zip(pair, (a, b)):
+            assert out.shape == (X.shape[1],)
+            scale = np.abs(X).T @ np.abs(w)
+            assert np.all(np.abs(out - X.T @ w) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("p", [129, 300, 2560])
+    def test_matches_two_transposed_products(self, p):
+        inst, a, b = self._case(p)
+        X = np.array(inst.X)
+        self._check(X, a, b, DesignOperator(inst.X).rmatvec_pair(a, b))
+
+    @pytest.mark.parametrize("p", [129, 300, 2560])
+    def test_matches_on_a_restricted_operator(self, p):
+        inst, a, b = self._case(p, seed=1)
+        columns = np.sort(np.random.default_rng(p).choice(p, p // 4, replace=False))
+        restricted = DesignOperator(inst.X).restrict(columns)
+        self._check(np.array(inst.X)[:, columns], a, b, restricted.rmatvec_pair(a, b))
+
+    @pytest.mark.parametrize("p", [1, FUSED_ROWS, FUSED_ROWS + 1, 300, 2560])
+    def test_one_product_per_chunk(self, products, p):
+        inst, a, b = self._case(p)
+        products.watch(inst)
+        DesignOperator(inst.X).rmatvec_pair(a, b)
+        assert products.x_products == -(-p // FUSED_ROWS)
+        assert products.calls == {"rmatvec_pair": 1} and products.outside == 0
+
+    def test_outputs_are_one_dimensional_and_do_not_alias(self):
+        inst, a, b = self._case(300)
+        out_a, out_b = DesignOperator(inst.X).rmatvec_pair(a, b)
+        assert out_a.ndim == out_b.ndim == 1
+        assert not np.shares_memory(out_a, out_b)
+        expected = np.array(out_b)
+        out_a[:] = 0.0  # writing one leaves the other as it was
+        assert np.array_equal(out_b, expected)
+        assert not np.shares_memory(out_a, a) and not np.shares_memory(out_b, b)
 
 
 class TestSymmetricKernelProduct:

@@ -471,13 +471,14 @@ class TestGramCost:
     @staticmethod
     def _x_products(counts, inst):
         """Every X product is a counted call off the buffer, a chunk of a fused
-        pass (two per FUSED_ROWS rows of X^T), or forms K (once, when n <= p:
-        one dsyrk call and no product, or without it one per 64 rows)."""
+        pass (one two-column product per FUSED_ROWS rows of X^T), or forms K
+        (once, when n <= p: one dsyrk call and no product, or without it one
+        per 64 rows)."""
         kernel = counts.forming_kernel(inst)
         if inst.n > inst.p:  # K w = X (X^T w)
             kernel = 2 * counts.calls["kernel_matvec"]
         on_x = {name: counts.calls[name] - counts.on_buffer[name] for name in ("matvec", "rmatvec")}
-        fused = 2 * -(-inst.p // FUSED_ROWS) * counts.calls["rmatvec_pair"]
+        fused = -(-inst.p // FUSED_ROWS) * counts.calls["rmatvec_pair"]
         assert counts.outside == 0
         assert counts.x_products == on_x["matvec"] + on_x["rmatvec"] + fused + kernel
 
