@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Measure the default screened least-squares start against the paper's zero start.
+"""Measure the default screened start against the paper's zero start and a parent tree.
 
-    python3 scripts/start_sweep.py [--sections sweep,acceptance,perfbench]
-                                   [--parent DIR] [--out BENCH_start.json]
+    python3 scripts/start_sweep.py [--sections sweep,acceptance,perfbench,parent]
+                                   [--parent DIR] [--prefix KEY_PREFIX]
+                                   [--out BENCH_start.json]
 
 Each section writes its own key of the JSON file (the others are kept):
 
@@ -21,6 +22,27 @@ Each section writes its own key of the JSON file (the others are kept):
 - ``perfbench``: with ``--parent``, ``perfbench/run.py --trace 0`` of both
   workloads on the parent tree and on this one, in alternating order over
   ``--bench-seeds``, for ``--bench-seconds`` each.
+- ``parent``: with ``--parent``, the default solve of this tree against the
+  parent's, in one process (the parent's src is loaded under another
+  package name), on unit columns at sigma 0.01 and 0.05 and orthogonal rows
+  at sigma 0.05, held-out seeds 100-129 (``--seeds``, ``--first-seed``).
+  Each instance is solved ``--reps`` times by each tree, interleaved and in
+  reverse order on odd seeds, and each tree keeps its fastest.  A row
+  records both trees' times, the iterations of the first inner solve,
+  outer and inner iterations, the start's refits (0 for a tree without
+  them) and its own time, rho2 and the false positives of the two-stage
+  refit, and the certificate's largest ratio over tol.
+
+``--prefix`` is put before each key written, so that a later measurement
+keeps an earlier one.  In ``BENCH_start.json`` the keys without a prefix
+compare the zero start with the plain screened fit.  The ``refine_*`` keys
+hold the fit refined by hard-thresholding pursuit: ``refine_sweep`` and
+``refine_acceptance`` repeat the sweep and the acceptance rows on it, and
+``refine_parent`` and ``refine_perfbench`` compare it with the parent's
+plain fit (``--sections parent``, ``sweep,acceptance`` and ``perfbench
+--bench-seeds 1801,...,1808``, each with ``--prefix refine_``);
+``refine_seeds200_parent`` is ``--sections parent --first-seed 200
+--seeds 40 --reps 1``.
 
 Before numpy is imported BLAS is pinned to one thread, as perfbench pins it.
 The file also records the machine, the BLAS and the thread count.
@@ -34,6 +56,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS
 
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
+import importlib.util  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
 import platform  # noqa: E402
@@ -66,6 +89,7 @@ GRID = {
 STARTS = {"zero": GRID["zero"], "default": screened_start}
 ACCEPTANCE_ROWS = [("unit_columns", 0.05), ("unit_columns", 0.01), ("orthogonal_rows", 0.05)]
 WORKLOADS = ("bench-pool", "unit-i1")
+PARENT_PACKAGE = "parent_dantzig_adm"
 # solves the acceptance rows with a tree's default start; run on the parent's src
 PARENT_HASHES = """
 import hashlib, json, sys
@@ -190,6 +214,96 @@ def acceptance(parent: Path | None) -> dict:
     return result
 
 
+def load_parent(parent: Path):
+    """The parent tree's adm module, imported as a package of another name."""
+    package = parent / "src" / "dantzig_adm"
+    spec = importlib.util.spec_from_file_location(
+        PARENT_PACKAGE, package / "__init__.py", submodule_search_locations=[str(package)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[PARENT_PACKAGE] = module
+    spec.loader.exec_module(module)
+    return importlib.import_module(f"{PARENT_PACKAGE}.adm")
+
+
+def _paired_solve(module, inst, truth, sigma, config) -> dict:
+    """One default solve by ``module`` (an adm module), and its start timed alone."""
+    t0 = time.perf_counter()
+    module.screened_start(inst, tol=config.tol)
+    start_s = time.perf_counter() - t0
+    settings = dict(mu=config.mu, tol=config.tol)
+    t0 = time.perf_counter()
+    beta, lam, report = module.solve(inst, module.AdmConfig(**settings))
+    seconds = time.perf_counter() - t0
+    certificate = feasibility_report(inst, beta, lam)
+    worst = max(certificate.primal_ratio, certificate.dual_ratio, certificate.gap_ratio)
+    quality = evaluate_solution(inst, beta, truth.beta_true, sigma)
+    return {
+        "solve_s": round(seconds, 5),
+        "start_s": round(start_s, 5),
+        "status": report.status,
+        "first_inner": report.inner_iteration_history[0] if report.outer_iterations else 0,
+        "outer": report.outer_iterations,
+        "inner": report.inner_iteration_total,
+        "start_rounds": getattr(report, "start_rounds", 0),
+        "rho2": quality.rho2,
+        "false_positives": quality.false_positives,
+        "certificate_ratio": worst / config.tol,
+        "certified": report.status == "converged" and worst <= config.tol,
+    }
+
+
+def parent_comparison(parent: Path, seeds, reps: int) -> dict:
+    """This tree's default solve against the parent's, per instance (see the docstring)."""
+    import dantzig_adm.adm as change
+
+    trees = {"parent": load_parent(parent), "change": change}
+    result = {"reps": reps}
+    for design, sigma in ACCEPTANCE_ROWS:
+        rows = []
+        for seed in seeds:
+            inst, truth, config = _instance(design, sigma, seed)
+            order = list(trees) if seed % 2 == 0 else list(trees)[::-1]
+            best, start_s = {}, {}
+            for _ in range(reps):
+                for name in order:
+                    row = _paired_solve(trees[name], inst, truth, sigma, config)
+                    start_s[name] = min(start_s.get(name, math.inf), row["start_s"])
+                    if name not in best or row["solve_s"] < best[name]["solve_s"]:
+                        best[name] = row
+            for name in trees:
+                best[name]["start_s"] = start_s[name]
+            rows.append({"seed": seed, **best})
+            print(f"parent {design} sigma={sigma} seed={seed}: "
+                  + " ".join(f"{name}={best[name]['solve_s']:.3f}/{best[name]['outer']}"
+                             for name in trees), flush=True)
+        ratio = {key: [row["change"][key] / row["parent"][key] for row in rows]
+                 for key in ("solve_s", "rho2")}
+        summary = {
+            "median_paired_ratio": statistics.median(ratio["solve_s"]),
+            "faster_pairs": sum(r < 1 for r in ratio["solve_s"]),
+            "pairs": len(rows),
+            "median_paired_rho2_ratio": statistics.median(ratio["rho2"]),
+        }
+        for name in trees:
+            tree = [row[name] for row in rows]
+            summary[name] = {
+                "median_solve_s": statistics.median(r["solve_s"] for r in tree),
+                "median_start_s": statistics.median(r["start_s"] for r in tree),
+                "first_inner_mean": statistics.fmean(r["first_inner"] for r in tree),
+                "outer_mean": statistics.fmean(r["outer"] for r in tree),
+                "inner_mean": statistics.fmean(r["inner"] for r in tree),
+                "start_rounds": {str(k): sum(r["start_rounds"] == k for r in tree)
+                                 for k in sorted({r["start_rounds"] for r in tree})},
+                "rho2_mean": statistics.fmean(r["rho2"] for r in tree),
+                "false_positives_mean": statistics.fmean(r["false_positives"] for r in tree),
+                "max_certificate_ratio": max(r["certificate_ratio"] for r in tree),
+                "all_certified": all(r["certified"] for r in tree),
+            }
+        result[f"{design} sigma={sigma}"] = {"summary": summary, "runs": rows}
+    return result
+
+
 def perfbench(parent: Path, seeds, seconds: float) -> dict:
     """Paired end-to-end runs of both workloads, parent and change in alternating order."""
     result = {}
@@ -228,7 +342,7 @@ def perfbench(parent: Path, seeds, seconds: float) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--sections", default="sweep,acceptance",
-                        help="comma-separated: sweep, acceptance, perfbench")
+                        help="comma-separated: sweep, acceptance, perfbench, parent")
     parser.add_argument("--seeds", type=int, default=30, help="held-out seeds of the sweep")
     parser.add_argument("--first-seed", type=int, default=100)
     parser.add_argument("--parent", type=Path, help="a checkout of the parent commit")
@@ -236,23 +350,31 @@ def main(argv=None) -> int:
                         help="perfbench seeds, one pair of runs each")
     parser.add_argument("--bench-seconds", type=float, default=50.0,
                         help="perfbench --seconds (BENCHMARK.json's run_seconds)")
+    parser.add_argument("--reps", type=int, default=3,
+                        help="solves per tree and instance in the parent section")
+    parser.add_argument("--prefix", default="", help="put before each key written")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_start.json")
     args = parser.parse_args(argv)
     sections = args.sections.split(",")
-    if "perfbench" in sections and args.parent is None:
-        parser.error("the perfbench section needs --parent")
+    if {"perfbench", "parent"} & set(sections) and args.parent is None:
+        parser.error("the perfbench and parent sections need --parent")
 
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
-    data["environment"] = environment()
-    data["size"] = list(SIZE)
+    data[args.prefix + "environment"] = environment()
+    data[args.prefix + "size"] = list(SIZE)
+    seeds = range(args.first_seed, args.first_seed + args.seeds)
     if "sweep" in sections:
-        seeds = range(args.first_seed, args.first_seed + args.seeds)
-        data["sweep"] = {"seeds": [seeds.start, seeds.stop - 1], **sweep(seeds)}
+        data[args.prefix + "sweep"] = {"seeds": [seeds.start, seeds.stop - 1], **sweep(seeds)}
     if "acceptance" in sections:
-        data["acceptance"] = acceptance(args.parent)
+        data[args.prefix + "acceptance"] = acceptance(args.parent)
+    if "parent" in sections:
+        data[args.prefix + "parent"] = {"seeds": [seeds.start, seeds.stop - 1],
+                                        **parent_comparison(args.parent.resolve(), seeds,
+                                                            args.reps)}
     if "perfbench" in sections:
         bench_seeds = [int(seed) for seed in args.bench_seeds.split(",")]
-        data["perfbench"] = perfbench(args.parent.resolve(), bench_seeds, args.bench_seconds)
+        data[args.prefix + "perfbench"] = perfbench(args.parent.resolve(), bench_seeds,
+                                                    args.bench_seconds)
     args.out.write_text(json.dumps(data, indent=1) + "\n")
     print(f"wrote {args.out}")
     return 0

@@ -32,7 +32,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS
     os.environ[_var] = BLAS_THREADS
 
 import argparse  # noqa: E402
-import importlib.util  # noqa: E402
 import json  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
@@ -43,7 +42,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "scripts"))
 
-from start_sweep import environment, perfbench  # noqa: E402
+from start_sweep import environment, load_parent, perfbench  # noqa: E402
 
 from dantzig_adm import adm  # noqa: E402
 from dantzig_adm.datagen import GenSpec, make_instance, mu_rule, tol_rule  # noqa: E402
@@ -51,19 +50,6 @@ from dantzig_adm.evaluation import evaluate_solution, feasibility_report  # noqa
 
 SIZE = (720, 2560, 80)
 ROWS = [("unit_columns", 0.05), ("unit_columns", 0.01), ("orthogonal_rows", 0.05)]
-PARENT_PACKAGE = "parent_dantzig_adm"
-
-
-def _load_parent(parent: Path):
-    """The parent tree's adm module, imported as a package of another name."""
-    package = parent / "src" / "dantzig_adm"
-    spec = importlib.util.spec_from_file_location(
-        PARENT_PACKAGE, package / "__init__.py", submodule_search_locations=[str(package)]
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[PARENT_PACKAGE] = module
-    spec.loader.exec_module(module)
-    return importlib.import_module(f"{PARENT_PACKAGE}.adm")
 
 
 def _instance(design: str, sigma: float, seed: int):
@@ -159,7 +145,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sections = args.sections.split(",")
     parent = args.parent.resolve()
-    trees = {"parent": _load_parent(parent), "change": adm}
+    trees = {"parent": load_parent(parent), "change": adm}
 
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     data["environment"] = environment()

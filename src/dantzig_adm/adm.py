@@ -57,21 +57,27 @@ for X^T[W] is allocated at most once, and both are dropped when the solve
 returns.
 
 The default start is not the paper's beta = 0 but a screened least-squares
-fit (:func:`screened_start`): the k = min(n // START_ROWS_PER_COLUMN, p)
-columns of largest |x_j^T y| / d_j, ranked from the cached X^T y as sure
-independence screening does (Fan & Lv, JRSS-B 2008), refit by least
-squares on y, as the Gauss-Dantzig step does (Candes & Tao, Ann. Statist.
-2007).  From beta = 0 the first inner solves make almost every coordinate
-nonzero and run in full mode; from the fit they start near a sparse
-answer.  The fit costs one n x k least-squares solve, and its G beta0 one
-X beta0 (from the k columns alone on a large X, see
-:meth:`~dantzig_adm.core.DesignOperator.matvec`) and one X^T, all inside
-the solve's wall time.
+fit refined by hard-thresholding pursuit (:func:`screened_start`).  Round 0
+fits y by least squares, as the Gauss-Dantzig step does (Candes & Tao, Ann.
+Statist. 2007), on the k = min(n // START_ROWS_PER_COLUMN, p) columns of
+largest |x_j^T y| / d_j, ranked from the cached X^T y as sure independence
+screening does (Fan & Lv, JRSS-B 2008).  Each later round moves the k
+columns to those of largest |beta_j + x_j^T r / d_j^2|, r = y - X beta, and
+refits (HTP; Foucart, SIAM J. Numer. Anal. 2011), until the columns repeat
+or a refit would not lower ||y - X beta||_2; it took 2-3 refits at
+(720, 2560, 80).  From beta = 0 the first inner solves make almost every
+coordinate nonzero and run in full mode; from the plain fit, which still
+misses true columns at sigma = 0.01, the first inner solve still ran about
+35 full-mode iterations, and from the refined fit about 3.  A round costs
+one n x k least-squares solve, one X beta (from the k columns alone on a
+large X, see :meth:`~dantzig_adm.core.DesignOperator.matvec`) and one
+X^T r, made with the solve's design operator and inside its wall time; the
+last X^T r gives G beta0 = X^T y - X^T r, so G beta0 costs no product.
 It is beta = 0 when k = 0 (n < START_ROWS_PER_COLUMN) or when
 max_j |x_j^T y| / d_j <= delta + tol, where beta = 0 passes the stopping
 test.
 The paper's zero start is ``beta0=np.zeros(p)``; it costs no product,
-since X^T X 0 = 0.
+since X^T X 0 = 0.  A given nonzero beta0 costs one X beta0 and one X^T.
 """
 
 from __future__ import annotations
@@ -92,7 +98,7 @@ STATUS_NUMERICAL_FAILURE = "numerical_failure"
 # Inner tolerance of outer iteration 0; the schedule halves it per iteration
 # while it stays above the floor sub_tol_factor * tol (see AdmConfig).
 SUB_TOL_START = 2e-2
-# Rows of X per column of the default start's least-squares fit: it fits
+# Rows of X per column of the default start's least-squares fits: each fits
 # k = min(n // START_ROWS_PER_COLUMN, p) columns (see screened_start).
 START_ROWS_PER_COLUMN = 9
 
@@ -175,7 +181,9 @@ class RunReport:
     previous inner result, and ``refreshes`` the inner solves whose
     certificate failed; each such failure cost one dense X^T and moved its
     inner solve to full mode.  ``start_support`` is the number of nonzeros
-    of the start beta0, given or screened (see :func:`screened_start`).
+    of the start beta0, given or screened, and ``start_rounds`` the
+    least-squares refits the screened start made after its first fit (0 for
+    a given beta0; see :func:`screened_start`).
     """
 
     outer_iterations: int
@@ -189,30 +197,78 @@ class RunReport:
     refreshes: int = 0
     inner_iteration_history: list[int] = field(default_factory=list)
     start_support: int = 0
+    start_rounds: int = 0
     inner_tolerance_history: list[float] = field(default_factory=list)
 
 
 def screened_start(inst: Instance, columns: int | None = None, tol: float = 0.0) -> np.ndarray:
-    """The default beta0: a least-squares fit on the best-screened columns.
+    """The default beta0: a least-squares fit on screened columns, refined by HTP.
 
     With k = min(n // START_ROWS_PER_COLUMN, p), or ``columns`` when given
-    (as scripts/start_sweep.py compares), the fit is
-    :func:`~dantzig_adm.core.least_squares` on the k columns of largest
-    |x_j^T y| / d_j (in ascending order, so the bytes do not depend on how
-    the ranking breaks ties), and zero off them.  It is beta = 0 when k = 0
-    or when max_j |x_j^T y| / d_j <= delta + tol.  At tol = 0 beta = 0 is
-    then feasible, and so optimal; :func:`solve` passes its tol, at which
-    beta = 0 with lambda = 0 passes the stopping test (its metric is the
-    primal excess).  So a delta that equals the largest score up to
-    rounding, where beta = 0 is optimal, does not start a solve from a fit
-    far from it.  Only the cached X^T y and the k columns of X are read.
+    (as scripts/start_sweep.py compares), round 0 is
+    :func:`~dantzig_adm.core.least_squares` on the support T of the k
+    columns of largest |x_j^T y| / d_j, read off the cached X^T y, and zero
+    off them.  Each later round is one step of hard-thresholding pursuit
+    (Foucart, SIAM J. Numer. Anal. 2011): with r = y - X beta, T' holds the
+    k columns of largest |beta_j + x_j^T r / d_j^2|.  The loop stops when
+    T' = T, and otherwise refits on T'; when the refit does not lower
+    ||y - X beta||_2 it keeps beta and stops.  Both rankings break ties
+    toward the lower index and sort T ascending, so the columns chosen among
+    duplicates do not depend on the sort algorithm.  A strictly falling
+    residual cannot return to a support (each fit has the least residual on
+    its support), so the loop ends without a cap; without the residual rule
+    the steps can cycle (they did at (128, 2048), seed 3).  X beta is
+    ``design.matvec`` (from the k columns alone on a large X) and X^T r is
+    ``design.rmatvec``; since X beta0 = y - r, the last X^T r gives
+    G beta0 = X^T y - X^T r (G = X^T X), and no further product is made.
+    :func:`solve` uses that G beta0 and the operator of the solve; called
+    alone, the start makes its products with an operator of its own.
+
+    It is beta = 0 with G beta0 = 0 when k = 0 or when max_j |x_j^T y| / d_j
+    <= delta + tol.  At tol = 0 beta = 0 is then feasible, and so optimal;
+    :func:`solve` passes its tol, at which beta = 0 with lambda = 0 passes
+    the stopping test (its metric is the primal excess).  So a delta that
+    equals the largest score up to rounding, where beta = 0 is optimal, does
+    not start a solve from a fit far from it.  When k = p no other support
+    exists: the round-0 fit is returned with G beta0 = X^T (X beta0).
+    """
+    return _screened_start(inst, DesignOperator(inst.X), columns, tol)[0]
+
+
+def _top(scores: np.ndarray, k: int) -> np.ndarray:
+    """The k indices of largest score, ties to the lower index, in ascending order."""
+    return np.sort(np.argsort(-scores, kind="stable")[:k])
+
+
+def _screened_start(
+    inst: Instance, design: DesignOperator, columns: int | None = None, tol: float = 0.0
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """(beta0, G beta0, refits) of :func:`screened_start`, G = X^T X.
+
+    Its products are made with ``design``, the solve's operator.
     """
     k = min(inst.n // START_ROWS_PER_COLUMN if columns is None else columns, inst.p)
     scores = np.abs(inst.xty) / inst.d
     if k == 0 or not scores.max() > inst.delta + tol:
-        return np.zeros(inst.p)
-    top = np.sort(np.argpartition(scores, inst.p - k)[inst.p - k :])
-    return least_squares(inst.X, inst.y, top)
+        return np.zeros(inst.p), np.zeros(inst.p), 0
+    top = _top(scores, k)
+    beta = least_squares(inst.X, inst.y, top)
+    if k == inst.p:
+        return beta, design.rmatvec(design.matvec(beta)), 0
+    residual = inst.y - design.matvec(beta)
+    refits = 0
+    while True:
+        xtr = design.rmatvec(residual)
+        candidate = _top(np.abs(beta + xtr / inst.d**2), k)
+        if np.array_equal(candidate, top):
+            break
+        trial = least_squares(inst.X, inst.y, candidate)
+        refits += 1
+        trial_residual = inst.y - design.matvec(trial)
+        if not np.linalg.norm(trial_residual) < np.linalg.norm(residual):
+            break
+        beta, top, residual = trial, candidate, trial_residual
+    return beta, inst.xty - xtr, refits
 
 
 def update_z(inst: Instance, lam: np.ndarray, mu: float, gram_beta: np.ndarray) -> np.ndarray:
@@ -307,8 +363,9 @@ def solve(
 ) -> tuple[np.ndarray, np.ndarray, RunReport]:
     """Run the alternating direction method from (beta0, lambda0).
 
-    beta0 defaults to :func:`screened_start`, formed inside the timed solve,
-    and lambda0 to zeros; ``beta0=np.zeros(p)`` gives the paper's zero start.
+    beta0 defaults to :func:`screened_start`, formed inside the timed solve
+    with the solve's design operator, and lambda0 to zeros;
+    ``beta0=np.zeros(p)`` gives the paper's zero start.
 
     Per iteration: closed-form z update, inner solve for beta warm-started at
     the previous beta and stopped at the iteration's tol_sub (see
@@ -336,12 +393,13 @@ def solve(
         raise ValueError(f"beta0 and lambda0 must have length {p}")
 
     t_start = time.perf_counter()
-    if beta is None:
-        beta = screened_start(inst, tol=config.tol)
-    start_support = int(np.count_nonzero(beta))
     design = DesignOperator(inst.X)
-    # a zero start needs no product: X^T X 0 = 0
-    gram_beta = apply_gram(inst, beta) if start_support else np.zeros(p)
+    start_rounds = 0
+    if beta is None:
+        beta, gram_beta, start_rounds = _screened_start(inst, design, tol=config.tol)
+    else:  # a zero start needs no product: X^T X 0 = 0
+        gram_beta = apply_gram(inst, beta) if beta.any() else np.zeros(p)
+    start_support = int(np.count_nonzero(beta))
     gram_lam = apply_gram(inst, lam) if lam.any() else np.zeros(p)
     metric_history: list[float] = []
     dual_history: list[float] = []
@@ -358,16 +416,8 @@ def solve(
         best_metric = min(best_metric, metric)
         dual_history.append(terms[3])
         if callback is not None and iteration > 0:
-            callback(
-                OuterIterationRecord(
-                    iteration=iteration,
-                    z=z.copy(),
-                    beta=beta.copy(),
-                    lam=lam.copy(),
-                    lam_prev=lam_prev.copy(),
-                    metric=metric,
-                )
-            )
+            copies = (z.copy(), beta.copy(), lam.copy(), lam_prev.copy())
+            callback(OuterIterationRecord(iteration, *copies, metric))
         if metric <= config.tol:
             status = STATUS_CONVERGED
             break
@@ -398,11 +448,7 @@ def solve(
         lam = update_lambda(inst, lam, z, config.mu, gram_beta)
         gram_lam = apply_gram(inst, lam) if result.residual is None else result.gradient
         iteration += 1
-        if not (
-            np.isfinite(beta).all()
-            and np.isfinite(lam).all()
-            and np.isfinite(z).all()
-        ):
+        if not all(np.isfinite(v).all() for v in (beta, lam, z)):
             status = STATUS_NUMERICAL_FAILURE
             break
 
@@ -418,6 +464,7 @@ def solve(
         refreshes=refreshes,
         inner_iteration_history=inner_history,
         start_support=start_support,
+        start_rounds=start_rounds,
         inner_tolerance_history=tolerance_history,
     )
     return beta, lam, report

@@ -25,6 +25,7 @@ from dantzig_adm.core import (
     DesignOperator,
     Instance,
     apply_gram,
+    least_squares,
 )
 from dantzig_adm.datagen import GenSpec, make_instance, mu_rule, tol_rule
 from dantzig_adm.evaluation import feasibility_report
@@ -523,7 +524,7 @@ class TestOuterCost:
         assert products.outside == 0
 
     def test_default_start_costs_one_restricted_x_and_one_transpose(self, monkeypatch, products):
-        # X has RESTRICTED_MIN_ENTRIES entries, so X beta0 reads only the start's columns
+        # X has RESTRICTED_MIN_ENTRIES entries, so each X beta reads only the start's columns
         inst, _ = make_instance(GenSpec(n=128, p=2048, s=8, sigma_noise=0.01, seed=3))
         assert inst.X.size >= RESTRICTED_MIN_ENTRIES
         inst.xty  # cache X^T y before counting
@@ -533,20 +534,27 @@ class TestOuterCost:
 
         def first(obj, u0, config, callback=None):
             if not start:  # the counts before the first inner solve: the start-up
-                start.append((u0.copy(), dict(products.calls), products.x_products))
+                start.append((u0.copy(), obj.gram_u0.copy(), dict(products.calls),
+                              products.x_products))
             return original(obj, u0, config, callback)
 
         monkeypatch.setattr(adm_module, "solve_subproblem", first)
+        monkeypatch.setattr(adm_module, "apply_gram", None)  # the default start makes none
         config = AdmConfig(mu=mu_rule("unit_columns", inst.p, inst.delta), tol=1e-3,
                            max_outer_iter=1)
         _, _, report = solve(inst, config)
-        [(u0, calls, x_products)] = start
+        [(u0, gram_u0, calls, x_products)] = start
         assert np.array_equal(u0, adm_module.screened_start(inst))
         assert report.start_support == np.count_nonzero(u0) == 128 // START_ROWS_PER_COLUMN
-        # one X beta0, restricted to the start's columns (no product with X), and one X^T
-        assert calls == {"matvec": 1, "rmatvec": 1}
-        assert x_products == 1
+        # three refits; the third raised the residual, so the second fit is kept
+        # and its X^T r was the last: one X beta and one X^T r per round
+        # before it, and one more X beta for the rejected fit
+        assert report.start_rounds == 3
+        assert calls == {"matvec": 4, "rmatvec": 3}
+        assert x_products == 3  # the X^T r; each X beta is restricted
         assert products.outside == 0
+        # G beta0 = X^T y - X^T r, with X beta0 = y - r
+        assert np.abs(gram_u0 - dense_gram(inst.X) @ u0).max() <= 1e-12 * np.abs(inst.xty).max()
 
     def test_best_iterate_gets_fresh_products(self, monkeypatch, products):
         rng = np.random.default_rng(30)
@@ -1100,12 +1108,16 @@ class TestScreenedStart:
         inst = Instance(X=X, y=inst.y, delta=inst.delta)
         start = adm_module.screened_start(inst)
         k = inst.n // START_ROWS_PER_COLUMN
-        top = np.sort(np.argsort(-np.abs(inst.xty) / inst.d, kind="stable")[:k])
-        assert best in top and twin in top
-        assert np.array_equal(np.flatnonzero(start), top)
-        expected = np.linalg.pinv(X[:, top]) @ inst.y  # the minimum-norm answer
-        assert np.abs(start[top] - expected).max() <= 1e-10 * np.abs(expected).max()
-        assert start[best] == pytest.approx(start[twin], rel=1e-10)
+        support = np.flatnonzero(start)
+        assert support.size == k and (best in support or twin in support)
+        # the minimum-norm least-squares fit on its own support
+        expected = np.linalg.pinv(X[:, support]) @ inst.y
+        assert np.abs(start[support] - expected).max() <= 1e-10 * np.abs(expected).max()
+        # twins inside the support share their coefficient; seed 0 keeps both,
+        # and on seed 1 a refit moves the support past one of them
+        assert (best in support and twin in support) == (seed == 0)
+        if seed == 0:
+            assert start[best] == pytest.approx(start[twin], rel=1e-10)
         _, _, report = self._solve(inst)
         assert report.start_support == k
 
@@ -1134,6 +1146,99 @@ class TestScreenedStart:
         beta_zero, lam_zero, _ = self._solve(inst, beta0=np.zeros(inst.p))
         assert report.start_support == 0
         assert np.array_equal(beta, beta_zero) and np.array_equal(lam, lam_zero)
+
+    @staticmethod
+    def _htp_step(inst, start):
+        """One step of hard-thresholding pursuit from ``start``, densely: the
+        support T' of the k largest |beta_j + x_j^T r / d_j^2| (ties to the
+        lower index) and the least-squares fit on it."""
+        support = np.flatnonzero(start)
+        residual = inst.y - np.asarray(inst.X) @ start
+        scores = np.abs(start + (np.asarray(inst.X).T @ residual) / inst.d**2)
+        candidate = np.sort(np.argsort(-scores, kind="stable")[: support.size])
+        fit = np.zeros(inst.p)
+        fit[candidate] = np.linalg.pinv(np.asarray(inst.X)[:, candidate]) @ inst.y
+        return support, candidate, fit
+
+    # (n, p, s, sigma, seed): (48, 200) ends at fixed points, and (128, 2048)
+    # on the residual rule (see TestOuterCost)
+    @pytest.mark.parametrize(
+        "n, p, s, sigma, seed",
+        [(48, 200, 6, sigma, seed) for sigma in (0.05, 0.01) for seed in range(4)]
+        + [(128, 2048, 8, 0.01, 3)],
+    )
+    def test_the_support_is_a_fixed_point_or_the_refit_would_not_lower_the_residual(
+        self, n, p, s, sigma, seed
+    ):
+        inst, _ = make_instance(GenSpec(n=n, p=p, s=s, sigma_noise=sigma, seed=seed))
+        start = adm_module.screened_start(inst)
+        support, candidate, fit = self._htp_step(inst, start)
+        assert support.size == inst.n // START_ROWS_PER_COLUMN
+        expected = np.linalg.pinv(np.asarray(inst.X)[:, support]) @ inst.y
+        assert np.abs(start[support] - expected).max() <= 1e-10 * np.abs(expected).max()
+        if (n, p) == (128, 2048):
+            assert not np.array_equal(candidate, support)
+        if not np.array_equal(candidate, support):
+            residual = np.linalg.norm(inst.y - np.asarray(inst.X) @ start)
+            assert np.linalg.norm(inst.y - np.asarray(inst.X) @ fit) >= residual * (1 - 1e-12)
+
+    def test_the_residual_rule_stops_the_refinement(self, products):
+        # y = e1; column 0 correlates 0.6 with y and ranks first, column 1
+        # 0.5.  Off the fit on column 0, x_1^T r = 0.5 + 0.3 * 0.6 = 0.68 >
+        # 0.6, so the step moves to column 1, whose fit leaves the larger
+        # residual: sqrt(0.75) against 0.8.  Zero rows make n = 9, so k = 1.
+        X = np.zeros((START_ROWS_PER_COLUMN, 2))
+        X[:3, 0] = [0.6, 0.8, 0.0]
+        X[:3, 1] = [0.5, -0.75, math.sqrt(0.1875)]
+        y = np.zeros(START_ROWS_PER_COLUMN)
+        y[0] = 1.0
+        inst = Instance(X=X, y=y, delta=0.1)
+        inst.xty  # cache X^T y before counting
+        start = adm_module.screened_start(inst)
+        support, candidate, fit = self._htp_step(inst, start)
+        assert list(support) == [0] and list(candidate) == [1]
+        assert start[0] == pytest.approx(0.6, rel=1e-12)
+        assert np.linalg.norm(y - X @ fit) == pytest.approx(math.sqrt(0.75), rel=1e-12)
+        products.reset()
+        beta0, gram_beta0, refits = adm_module._screened_start(inst, DesignOperator(inst.X))
+        assert refits == 1 and np.array_equal(beta0, start)
+        # two X beta (the kept fit and the rejected refit), one X^T r
+        assert products.calls == {"matvec": 2, "rmatvec": 1}
+        assert np.abs(gram_beta0 - X.T @ (X @ start)).max() <= 1e-15
+        _, _, report = self._solve(inst)
+        assert report.start_rounds == 1 and report.start_support == 1
+
+    @staticmethod
+    def _no_refit_cases():
+        """(name, instance, the round-0 start) for each case the refinement skips."""
+        rng = np.random.default_rng(93)
+        few = _instance(rng, n=START_ROWS_PER_COLUMN - 1, p=12)  # k = 0
+        sparse = TestScreenedStart._sparse(0)
+        zero_y = Instance(X=sparse.X, y=np.zeros(sparse.n), delta=0.1)
+        level = float((np.abs(sparse.xty) / sparse.d).max())
+        at_level = Instance(X=sparse.X, y=sparse.y, delta=level)
+        n, p = 150, 10  # k = p: every column is taken
+        X = rng.standard_normal((n, p))
+        X /= np.linalg.norm(X, axis=0)
+        y = X @ rng.standard_normal(p) + 0.05 * rng.standard_normal(n)
+        tall = Instance(X=X, y=y, delta=0.05 * np.sqrt(2 * np.log(p)))
+        return [
+            ("k = 0", few, np.zeros(few.p)),
+            ("y = 0", zero_y, np.zeros(zero_y.p)),
+            ("delta at the threshold", at_level, np.zeros(at_level.p)),
+            ("n > p", tall, least_squares(tall.X, tall.y, np.arange(p))),
+        ]
+
+    def test_cases_without_a_refit_keep_the_round_zero_bytes(self):
+        # the solve from the round-0 start passed as beta0 forms G beta0 with
+        # apply_gram, as the start before the refinement did
+        for name, inst, expected in self._no_refit_cases():
+            assert np.array_equal(adm_module.screened_start(inst), expected), name
+            beta, lam, report = self._solve(inst)
+            beta_given, lam_given, _ = self._solve(inst, beta0=expected)
+            assert report.start_rounds == 0, name
+            assert beta.tobytes() == beta_given.tobytes(), name
+            assert lam.tobytes() == lam_given.tobytes(), name
 
     def test_the_start_does_not_depend_on_the_blas_thread_count(self):
         script = (

@@ -10,7 +10,7 @@ import pytest
 from scipy import io as spio
 
 import dantzig_adm.cli as cli
-from dantzig_adm import core, fileio
+from dantzig_adm import adm, core, fileio
 from dantzig_adm.adm import START_ROWS_PER_COLUMN, AdmConfig, RunReport
 from dantzig_adm.datagen import GenSpec, default_delta, gen_design, mu_rule, tol_rule
 
@@ -111,6 +111,11 @@ class TestSolve:
         assert 0 <= report["certified_inner_solves"] <= report["outer_iterations"]
         assert report["refreshes"] >= 0
         assert report["start_support"] == 30 // START_ROWS_PER_COLUMN  # the screened start
+        # the refits of the start, as the library counts them on the same files
+        inst, *_ = cli._load_instance(out, None)
+        tol = float(fileio.read_manifest(out / "run_manifest.txt")["tol"])
+        _, _, refits = adm._screened_start(inst, core.DesignOperator(inst.X), tol=tol)
+        assert report["start_rounds"] == refits >= 1
         assert (out / "beta_hat.mtx").exists()
         evaluation = json.loads((out / "eval.json").read_text())
         assert evaluation["rho2"] <= evaluation["rho2_orig"]
