@@ -42,7 +42,8 @@ hold the fit refined by hard-thresholding pursuit: ``refine_sweep`` and
 plain fit (``--sections parent``, ``sweep,acceptance`` and ``perfbench
 --bench-seeds 1801,...,1808``, each with ``--prefix refine_``);
 ``refine_seeds200_parent`` is ``--sections parent --first-seed 200
---seeds 40 --reps 1``.
+--seeds 40 --reps 1``, and ``refine_extra_perfbench`` two more pairs
+(``--bench-seeds 1809,1810``).
 
 Before numpy is imported BLAS is pinned to one thread, as perfbench pins it.
 The file also records the machine, the BLAS and the thread count.
