@@ -11,7 +11,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from dantzig_adm.cli import BENCH_HEADER, main as cli_main
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from dantzig_adm.cli import BENCH_HEADER, main as cli_main  # noqa: E402
 
 ROWS = [
     ("unit", 0.01),

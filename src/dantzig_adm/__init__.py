@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .core import Instance
 from .adm import AdmConfig, RunReport, solve
-from .subsolver import SubsolverConfig
 from .datagen import GenSpec, default_delta, make_instance, mu_rule, tol_rule
 from .evaluation import EvalResult, FeasibilityReport, evaluate_solution, feasibility_report
 
@@ -21,7 +20,6 @@ __all__ = [
     "GenSpec",
     "Instance",
     "RunReport",
-    "SubsolverConfig",
     "default_delta",
     "evaluate_solution",
     "feasibility_report",

@@ -10,7 +10,7 @@ too).
 
 Each inner solve is approximate.  Outer iteration k stops it at tol_sub_k
 (see :class:`AdmConfig`).  While SUB_TOL_START * 2^-k lies above the floor
-f * tol (f = sub_tol_factor), tol_sub_k is that halving schedule: the
+f * tol (f = SUB_TOL_FACTOR), tol_sub_k is that halving schedule: the
 first inner solves cost the most and are moved furthest by the next outer
 steps, so they stop early.  From the first k where it does not (k = 8 at
 tol = 1e-3), tol_sub_k = f * max(tol, m_k), where m_k is the least
@@ -84,20 +84,22 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import DesignOperator, Instance, apply_gram, box_clamp, least_squares
-from .subsolver import SubproblemObjective, SubsolverConfig, solve_subproblem
+from .subsolver import SubproblemObjective, solve_subproblem
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITER = "max_iter"
 STATUS_NUMERICAL_FAILURE = "numerical_failure"
 
 # Inner tolerance of outer iteration 0; the schedule halves it per iteration
-# while it stays above the floor sub_tol_factor * tol (see AdmConfig).
+# while it stays above the floor SUB_TOL_FACTOR * tol (see AdmConfig).
 SUB_TOL_START = 2e-2
+# The floor's fraction of tol, and of the least outer metric after the halving.
+SUB_TOL_FACTOR = 0.1
 # Rows of X per column of the default start's least-squares fits: each fits
 # k = min(n // START_ROWS_PER_COLUMN, p) columns (see screened_start).
 START_ROWS_PER_COLUMN = 9
@@ -105,55 +107,47 @@ START_ROWS_PER_COLUMN = 9
 
 @dataclass
 class AdmConfig:
-    """Outer-loop parameters: penalty mu, tolerance, and inner-solver settings.
+    """Outer-loop parameters: penalty mu, tolerance and outer iteration cap.
 
-    The inner solve of outer iteration k (counted from 0) runs to
-    tol_sub_k = SUB_TOL_START * 2^-k while that lies above the floor
-    f * tol, f = sub_tol_factor, and to f * max(tol, m_k) after, where m_k
-    is the least stopping metric of outer iterations 0..k (see
-    :meth:`resolved_subsolver`).  The early inner solves, whose answers the
-    next outer steps move far, stop early; at tol = 1e-3 and the default f
+    The inner solver's parameters are the paper's, fixed as constants of
+    :mod:`~dantzig_adm.subsolver`.  The inner solve of outer iteration k
+    (counted from 0) runs to tol_sub_k = SUB_TOL_START * 2^-k while that
+    lies above the floor f * tol, f = SUB_TOL_FACTOR, and to
+    f * max(tol, m_k) after, where m_k is the least stopping metric of outer
+    iterations 0..k (see :meth:`inner_tolerance`).  The early inner solves,
+    whose answers the next outer steps move far, stop early; at tol = 1e-3
     the halving ends at k = 7 (1.6e-4), and from k = 8 on tol_sub_k follows
     the best outer residual so far down to the floor.  It never rises after
     the switch, although at the switch itself it may lie above the last
     halved value.  Neither shortcut works: the current metric in place of
     m_k diverged on 9 of 10 orthogonal acceptance rows, and a metric rule
     from k = 0 stopped the first inner solve at sigma = 0.01 after 5
-    iterations (see the module docstring).  A tol_sub pinned in the nested
-    subsolver config holds at every k; pinning it to f * tol runs every
-    inner solve to the floor.
+    iterations (see the module docstring).
     """
 
     mu: float
     tol: float
-    sub_tol_factor: float = 0.1
     max_outer_iter: int = 10000
-    subsolver: SubsolverConfig = field(default_factory=SubsolverConfig)
 
     def __post_init__(self):
         if not 0 < self.mu < math.inf:
             raise ValueError(f"mu must be positive and finite, got {self.mu}")
         if not 0 < self.tol < math.inf:
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        if not 0 < self.sub_tol_factor <= 1:
-            raise ValueError(f"sub_tol_factor must lie in (0, 1], got {self.sub_tol_factor}")
         if self.max_outer_iter < 1:
             raise ValueError(f"max_outer_iter must be positive, got {self.max_outer_iter}")
 
-    def resolved_subsolver(self, iteration: int, metric: float) -> SubsolverConfig:
-        """The inner solver's config at outer iteration ``iteration`` (from 0).
+    def inner_tolerance(self, iteration: int, metric: float) -> float:
+        """tol_sub_k, the inner solve's tolerance at outer iteration ``iteration`` (from 0).
 
         ``metric`` is the least stopping metric of outer iterations 0..iteration,
-        which :func:`solve` keeps.  The tol_sub is the pinned one if set, else
-        tol_sub_k: SUB_TOL_START * 2^-k while that exceeds
-        sub_tol_factor * tol, and sub_tol_factor * max(tol, metric) after.
+        which :func:`solve` keeps.  It is SUB_TOL_START * 2^-k while that
+        exceeds SUB_TOL_FACTOR * tol, and SUB_TOL_FACTOR * max(tol, metric) after.
         """
-        if self.subsolver.tol_sub is not None:
-            return self.subsolver
         halved = math.ldexp(SUB_TOL_START, -iteration)
-        if halved > self.sub_tol_factor * self.tol:
-            return replace(self.subsolver, tol_sub=halved)
-        return replace(self.subsolver, tol_sub=self.sub_tol_factor * max(self.tol, metric))
+        if halved > SUB_TOL_FACTOR * self.tol:
+            return halved
+        return SUB_TOL_FACTOR * max(self.tol, metric)
 
 
 @dataclass(frozen=True, eq=False)
@@ -430,9 +424,9 @@ def solve(
         objective = SubproblemObjective(
             inst, z, lam, config.mu, gram_u0=gram_beta, design=design, reference=reference
         )
-        sub_config = config.resolved_subsolver(iteration, best_metric)
-        result = solve_subproblem(objective, beta, sub_config)
-        tolerance_history.append(sub_config.tol_sub)
+        tol_sub = config.inner_tolerance(iteration, best_metric)
+        result = solve_subproblem(objective, beta, tol_sub)
+        tolerance_history.append(tol_sub)
         inner_history.append(result.iterations)
         inner_total += result.iterations
         certified += result.certified

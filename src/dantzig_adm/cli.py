@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, adm, core, fileio
+from . import __version__, adm, core, fileio, subsolver
 from .adm import AdmConfig
 from .core import Instance
 from .datagen import GenSpec, default_delta, make_instance, mu_rule, tol_rule
@@ -80,7 +80,8 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--mu", type=float, default=None, help="penalty (default: design rule)")
     solve.add_argument("--tol", type=float, default=None, help="outer tolerance (default: design rule)")
     solve.add_argument("--delta", type=float, default=None, help="override the manifest delta")
-    solve.add_argument("--max-outer", type=int, default=10000, help="outer iteration cap")
+    solve.add_argument("--max-outer", type=int, default=AdmConfig.max_outer_iter,
+                       help="outer iteration cap")
     solve.add_argument("--out", default=None, help="output directory (default: instance dir)")
     solve.set_defaults(func=_cmd_solve)
 
@@ -95,7 +96,8 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--seed", type=int, default=0, help="seed of the first instance; rep r uses seed+r")
     bench.add_argument("--mu", type=float, default=None, help="penalty override (default: design rule)")
     bench.add_argument("--tol", type=float, default=None, help="tolerance override (default: design rule)")
-    bench.add_argument("--max-outer", type=int, default=10000)
+    bench.add_argument("--max-outer", type=int, default=AdmConfig.max_outer_iter,
+                       help="outer iteration cap")
     bench.add_argument("--workers", type=int, default=1,
                        help=f"parallel instance solves (capped by ${WORKERS_ENV})")
     bench.add_argument("--out", default=None, help="CSV path (default: stdout)")
@@ -148,18 +150,20 @@ def _cmd_gen(args) -> int:
 def _load_instance(instance_dir: Path, delta_override: float | None):
     """The instance, design kind and noise level of an instance directory.
 
-    A manifest value that does not parse, a manifest delta that is not a
-    positive number, and X and y of different row counts are malformed input
-    files (FileFormatError); a bad --delta stays a usage error.
+    A manifest value that does not parse or is not a valid delta, X and y of
+    different row counts, and the file contents that :class:`Instance`
+    rejects (a non-finite entry, a zero column of X) are malformed input
+    files (FileFormatError, naming the file); a bad --delta stays a usage
+    error.
     """
     manifest_path = instance_dir / "manifest.txt"
+    x_path, y_path = instance_dir / "X.mtx", instance_dir / "y.mtx"
     manifest = fileio.read_manifest(manifest_path)
-    X = fileio.read_matrix(instance_dir / "X.mtx")
-    y = fileio.read_vector(instance_dir / "y.mtx")
+    X = fileio.read_matrix(x_path)
+    y = fileio.read_vector(y_path)
     if y.shape[0] != X.shape[0]:
         raise fileio.FileFormatError(
-            f"{instance_dir / 'y.mtx'} has {y.shape[0]} rows but "
-            f"{instance_dir / 'X.mtx'} has {X.shape[0]}"
+            f"{y_path} has {y.shape[0]} rows but {x_path} has {X.shape[0]}"
         )
     design = _DESIGNS.get(manifest.get("design", "unit_columns"))
     if design is None:
@@ -171,11 +175,14 @@ def _load_instance(instance_dir: Path, delta_override: float | None):
         raise fileio.FileFormatError(f"{manifest_path} has no delta entry; pass --delta")
     else:
         delta = _manifest_float(manifest_path, "delta", manifest["delta"])
-        if not (math.isfinite(delta) and delta > 0):
-            raise fileio.FileFormatError(
-                f"{manifest_path}: delta must be a positive finite number, got {delta}"
-            )
-    return Instance(X=X, y=y, delta=delta), design, sigma
+    try:
+        return Instance(X=X, y=y, delta=delta), design, sigma
+    except ValueError as exc:  # each of Instance's messages opens with the name it checks
+        name = str(exc).split()[0]
+        if name == "delta" and delta_override is not None:
+            raise
+        path = {"y": y_path, "delta": manifest_path}.get(name, x_path)
+        raise fileio.FileFormatError(f"{path}: {exc}") from None
 
 
 def _manifest_float(path: Path, key: str, text: str) -> float:
@@ -216,12 +223,12 @@ def _cmd_solve(args) -> int:
             "package_version": __version__,
             "mu": float(config.mu),
             "tol": float(config.tol),
-            "sub_tol_factor": float(config.sub_tol_factor),
+            "sub_tol_factor": adm.SUB_TOL_FACTOR,
             "max_outer_iter": config.max_outer_iter,
-            "eta": float(config.subsolver.eta),
-            "sigma_ls": float(config.subsolver.sigma_ls),
-            "alpha_lo": float(config.subsolver.alpha_lo),
-            "memory": config.subsolver.memory,
+            "eta": subsolver.ETA,
+            "sigma_ls": subsolver.SIGMA_LS,
+            "alpha_lo": subsolver.ALPHA_LO,
+            "memory": subsolver.MEMORY,
             "status": report.status,
         },
     )

@@ -37,12 +37,14 @@ def read_matrix(path) -> np.ndarray:
     from scipy import io as spio
 
     try:
-        a = np.asarray(spio.mmread(str(path)), dtype=np.float64)
+        a = spio.mmread(str(path))
     except ValueError as exc:
         raise FileFormatError(f"{path} is not a Matrix Market array file: {exc}") from exc
-    if a.ndim != 2:
-        raise FileFormatError(f"{path} does not hold a 2-d array")
-    return a
+    if not isinstance(a, np.ndarray) or a.ndim != 2:  # a coordinate file reads as sparse
+        raise FileFormatError(f"{path} does not hold a dense 2-d array")
+    if np.iscomplexobj(a):
+        raise FileFormatError(f"{path} holds complex entries; a real matrix is expected")
+    return np.asarray(a, dtype=np.float64)
 
 
 def write_vector(path, v: np.ndarray) -> None:

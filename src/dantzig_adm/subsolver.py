@@ -111,10 +111,22 @@ STATIONARY_RTOL = 1e-15  # |Delta| below this (times objective scale) means a fi
 # W takes each zero coordinate j whose |g_j| (plus the certificate's slack)
 # reaches 1 - WORKING_SET_MARGIN (see _working_set and the module docstring).
 WORKING_SET_MARGIN = 0.2
+# The paper's parameters of the method (Lu & Zhang): the backtracking factor,
+# the Armijo constant (named to avoid clashing with the noise level sigma),
+# the lower safeguard on the spectral step, and the look-back length of the
+# nonmonotone window.
+ETA = 0.5
+SIGMA_LS = 1e-4
+ALPHA_LO = 1e-8
+MEMORY = 1
+# Safety caps: iterations of one inner solve, and rejected powers of ETA in
+# one line search.
+MAX_INNER_ITER = 20000
+MAX_BACKTRACKS = 60
 
 
 class LineSearchError(RuntimeError):
-    """No steplength in {1, eta, eta^2, ...} passed the acceptance test."""
+    """No steplength in {1, ETA, ETA^2, ...} passed the acceptance test."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,39 +178,6 @@ class SubproblemObjective:
     def residual(self, u: np.ndarray) -> np.ndarray:
         """gram(u) - c; one apply_gram call."""
         return apply_gram(self.inst, u) - self.c
-
-
-@dataclass
-class SubsolverConfig:
-    """Inner-solver parameters.
-
-    ``sigma_ls`` is the Armijo constant (named to avoid clashing with the
-    noise level sigma), ``alpha_lo`` the lower safeguard on the spectral step,
-    ``memory`` the look-back length of the nonmonotone window.  ``tol_sub``
-    may be left None when the outer loop derives it from its own tolerance.
-    """
-
-    eta: float = 0.5
-    sigma_ls: float = 1e-4
-    alpha_lo: float = 1e-8
-    memory: int = 1
-    tol_sub: float | None = None
-    max_inner_iter: int = 20000
-    max_backtracks: int = 60
-
-    def __post_init__(self):
-        if not 0 < self.eta < 1:
-            raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
-        if not 0 < self.sigma_ls < 1:
-            raise ValueError(f"sigma_ls must lie in (0, 1), got {self.sigma_ls}")
-        if not 0 < self.alpha_lo < 1:
-            raise ValueError(f"alpha_lo must lie in (0, 1), got {self.alpha_lo}")
-        if self.memory < 0:
-            raise ValueError(f"memory must be nonnegative, got {self.memory}")
-        if self.tol_sub is not None and not self.tol_sub > 0:
-            raise ValueError(f"tol_sub must be positive, got {self.tol_sub}")
-        if self.max_inner_iter < 1 or self.max_backtracks < 1:
-            raise ValueError("iteration limits must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -357,7 +336,7 @@ class InnerState:
     kshift: np.ndarray  # K E
     smooth: float  # f(u)
     bar_alpha: float = 1.0
-    window: deque = None  # last memory+1 penalized objective values
+    window: deque = None  # last MEMORY+1 penalized objective values
     iteration: int = 0
     grad: np.ndarray | None = None  # grad f(u), on W
 
@@ -442,18 +421,17 @@ def line_search(
     state: InnerState,
     d: np.ndarray,
     delta: float,
-    config: SubsolverConfig,
     e: np.ndarray,
     ke: np.ndarray,
 ) -> tuple[float, TrialPoint]:
-    """Largest alpha in {1, eta, eta^2, ...} passing the nonmonotone Armijo test.
+    """Largest alpha in {1, ETA, ETA^2, ...} passing the nonmonotone Armijo test.
 
     Acceptance compares the trial objective against the maximum penalized value
-    over the memory window plus sigma_ls * alpha * delta.  ``e`` is X d and
+    over the memory window plus SIGMA_LS * alpha * delta.  ``e`` is X d and
     ``ke`` is K e.  The smooth value of a trial is the quadratic
     f(u) + alpha grad f(u).d + (alpha^2/2) mu e.K e, with the slope
     grad f(u).d = mu (q0 + K E).e, so a trial makes no product with X.
-    Raises LineSearchError after max_backtracks rejected powers.
+    Raises LineSearchError after MAX_BACKTRACKS rejected powers.
     """
     if not delta < 0:
         raise ValueError(f"line search needs a strict descent prediction, got Delta={delta}")
@@ -462,23 +440,21 @@ def line_search(
     curvature = mu * float(e @ ke)
     reference = max(state.window)
     alpha = 1.0
-    for _ in range(config.max_backtracks):
+    for _ in range(MAX_BACKTRACKS):
         u_trial = state.u + alpha * d
         f_trial = state.smooth + alpha * (slope + 0.5 * alpha * curvature)
         penalized = f_trial + float(np.abs(u_trial).sum())
-        if penalized <= reference + config.sigma_ls * alpha * delta:
+        if penalized <= reference + SIGMA_LS * alpha * delta:
             trial = TrialPoint(
                 u_trial, state.shift + alpha * e, state.kshift + alpha * ke, f_trial, penalized
             )
             return alpha, trial
-        alpha *= config.eta
-    raise LineSearchError(
-        f"no acceptable steplength within {config.max_backtracks} backtracks"
-    )
+        alpha *= ETA
+    raise LineSearchError(f"no acceptable steplength within {MAX_BACKTRACKS} backtracks")
 
 
-def bb_step(s: np.ndarray, g: np.ndarray, config: SubsolverConfig) -> float:
-    """Safeguarded spectral steplength min{max{||s||^2 / (s.g), alpha_lo}, 1}.
+def bb_step(s: np.ndarray, g: np.ndarray) -> float:
+    """Safeguarded spectral steplength min{max{||s||^2 / (s.g), ALPHA_LO}, 1}.
 
     Nonpositive curvature s.g <= 0 is treated as an infinite ratio, which the
     upper clamp maps to 1.
@@ -493,7 +469,7 @@ def bb_step(s: np.ndarray, g: np.ndarray, config: SubsolverConfig) -> float:
     curvature = float(s @ g)
     if curvature <= 0.0:
         return 1.0
-    return min(max(ss / curvature, config.alpha_lo), 1.0)
+    return min(max(ss / curvature, ALPHA_LO), 1.0)
 
 
 def inner_termination_metric(u: np.ndarray, grad: np.ndarray, penalized: float) -> float:
@@ -508,13 +484,13 @@ def inner_termination_metric(u: np.ndarray, grad: np.ndarray, penalized: float) 
 def solve_subproblem(
     obj: SubproblemObjective,
     u0: np.ndarray,
-    config: SubsolverConfig,
+    tol_sub: float,
     callback=None,
 ) -> SubsolverResult:
     """Run the nonmonotone spectral gradient method from warm start u0.
 
-    Stops when the termination metric drops below config.tol_sub, when the
-    predicted decrease vanishes (fixed point), or at the iteration cap, where
+    Stops when the termination metric drops below ``tol_sub``, when the
+    predicted decrease vanishes (fixed point), or at MAX_INNER_ITER, where
     only the first is tested.  On a working set the first two are tested on
     W, and then checked off W (see the module docstring).  On line-search
     failure or cap exhaustion the best iterate seen (by penalized objective)
@@ -530,8 +506,8 @@ def solve_subproblem(
     X^T for the gradient at the new iterate, and the solve goes on in full
     mode.
     """
-    if config.tol_sub is None:
-        raise ValueError("config.tol_sub must be set for a standalone subproblem solve")
+    if not tol_sub > 0:
+        raise ValueError(f"tol_sub must be positive, got {tol_sub}")
     u = np.array(u0, dtype=np.float64)
     start = WarmStart.at(obj, u)
     origin = np.zeros(obj.inst.n)
@@ -544,16 +520,16 @@ def solve_subproblem(
 
     state = InnerState(
         u=ws.take(u), shift=origin, kshift=origin, smooth=smooth, bar_alpha=1.0,
-        window=deque([penalized], maxlen=config.memory + 1), grad=g,
+        window=deque([penalized], maxlen=MEMORY + 1), grad=g,
     )
     best_u, best_columns, best_penalized = state.u, ws.columns, penalized
     status = "max_iter"
 
     while True:
         stop = None
-        if inner_termination_metric(state.u, state.grad, penalized) <= config.tol_sub:
+        if inner_termination_metric(state.u, state.grad, penalized) <= tol_sub:
             stop = "converged"
-        elif state.iteration == config.max_inner_iter:
+        elif state.iteration == MAX_INNER_ITER:
             break
         else:
             d, delta = search_direction(state.u, state.bar_alpha, state.grad)
@@ -570,9 +546,7 @@ def solve_subproblem(
         window_max = max(state.window)
         e = ws.design.matvec(d)
         try:
-            alpha, trial = line_search(
-                start, state, d, delta, config, e, obj.design.kernel_matvec(e)
-            )
+            alpha, trial = line_search(start, state, d, delta, e, obj.design.kernel_matvec(e))
         except LineSearchError:
             status = "line_search_failure"
             break
@@ -581,7 +555,7 @@ def solve_subproblem(
         else:  # the certificate failed: full mode from the new iterate on, below
             g_full = start.gradient(trial.kshift)
             g_new = ws.take(g_full)
-        bar_alpha_next = bb_step(trial.u - state.u, g_new - state.grad, config)
+        bar_alpha_next = bb_step(trial.u - state.u, g_new - state.grad)
         state.u, state.shift, state.kshift = trial.u, trial.shift, trial.kshift
         state.smooth, state.grad = trial.smooth, g_new
         state.iteration += 1

@@ -7,16 +7,12 @@ import numpy as np
 import pytest
 
 import dantzig_adm.cli as cli
+import dantzig_adm.subsolver as subsolver_module
 from dantzig_adm.adm import AdmConfig, solve
 from dantzig_adm.core import Instance, soft_thresh
 from dantzig_adm.datagen import GenSpec, make_instance, mu_rule, tol_rule
 from dantzig_adm.evaluation import evaluate_solution
-from dantzig_adm.subsolver import (
-    SubproblemObjective,
-    SubsolverConfig,
-    WarmStart,
-    solve_subproblem,
-)
+from dantzig_adm.subsolver import ALPHA_LO, SIGMA_LS, SubproblemObjective, WarmStart, solve_subproblem
 
 from oracles import (
     dense_gram,
@@ -143,7 +139,8 @@ class TestOptimalityOracle:
 
 @pytest.mark.slow
 class TestSubsolverOracle:
-    def test_criterion_5_matches_reference_and_closed_form(self):
+    def test_criterion_5_matches_reference_and_closed_form(self, monkeypatch):
+        monkeypatch.setattr(subsolver_module, "MAX_INNER_ITER", 200000)  # room for tol_sub 1e-10
         rng = np.random.default_rng(31415)
         worst_rel = 0.0
         for trial in range(20):
@@ -162,9 +159,7 @@ class TestSubsolverOracle:
             z = rng.standard_normal(p)
             lam = rng.standard_normal(p)
             obj = SubproblemObjective(Instance(X=X, y=y, delta=1.0), z, lam, mu)
-            result = solve_subproblem(
-                obj, np.zeros(p), SubsolverConfig(tol_sub=1e-10, max_inner_iter=200000)
-            )
+            result = solve_subproblem(obj, np.zeros(p), 1e-10)
             value = penalized_value_dense(X, y, z, lam, mu, result.u)
             _, reference, converged = ista_reference(X, y, z, lam, mu, np.zeros(p))
             assert converged, "reference solver failed to converge tightly"
@@ -179,7 +174,7 @@ class TestSubsolverOracle:
             lam = rng_id.standard_normal(n)
             mu = float(rng_id.uniform(1.0, 4.0))
             obj = SubproblemObjective(inst, z, lam, mu)
-            result = solve_subproblem(obj, np.zeros(n), SubsolverConfig(tol_sub=1e-12))
+            result = solve_subproblem(obj, np.zeros(n), 1e-12)
             closed_form = soft_thresh(inst.y + z - lam / mu, 1.0 / mu)
             worst_identity = max(worst_identity, float(np.abs(result.u - closed_form).max()))
 
@@ -278,24 +273,23 @@ class TestInvariantSuite:
             z = rng.standard_normal(p)
             lam0 = rng.standard_normal(p)
             obj = SubproblemObjective(inst, z, lam0, mu)
-            config = SubsolverConfig(tol_sub=1e-8)
 
-            def inner_check(rec, obj=obj, config=config):
+            def inner_check(rec, obj=obj):
                 if rec.delta > 0.0:
                     violations.append(f"trial {trial}: positive Delta")
-                if rec.penalized > rec.window_max + config.sigma_ls * rec.alpha * rec.delta:
+                if rec.penalized > rec.window_max + SIGMA_LS * rec.alpha * rec.delta:
                     violations.append(f"trial {trial}: Armijo inequality broken")
                 dense = penalized_value_dense(
                     obj.inst.X, obj.inst.y, obj.z_fixed, obj.lambda_fixed, obj.mu, rec.u
                 )
                 if abs(dense - rec.penalized) > 1e-9 * max(1.0, abs(dense)):
                     violations.append(f"trial {trial}: recorded objective wrong")
-                if not (config.alpha_lo <= rec.bar_alpha <= 1.0):
+                if not (ALPHA_LO <= rec.bar_alpha <= 1.0):
                     violations.append(f"trial {trial}: bar_alpha out of range")
-                if not (config.alpha_lo <= rec.bar_alpha_next <= 1.0):
+                if not (ALPHA_LO <= rec.bar_alpha_next <= 1.0):
                     violations.append(f"trial {trial}: next bar_alpha out of range")
 
-            solve_subproblem(obj, rng.standard_normal(p), config, callback=inner_check)
+            solve_subproblem(obj, rng.standard_normal(p), 1e-8, callback=inner_check)
 
         ok = not violations and weak_duality_checks >= 50
         _report(

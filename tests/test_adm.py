@@ -2,7 +2,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import dantzig_adm.adm as adm_module
 from dantzig_adm.adm import (
     START_ROWS_PER_COLUMN,
+    SUB_TOL_FACTOR,
     SUB_TOL_START,
     AdmConfig,
     solve,
@@ -31,7 +32,6 @@ from dantzig_adm.datagen import GenSpec, make_instance, mu_rule, tol_rule
 from dantzig_adm.evaluation import feasibility_report
 from dantzig_adm.subsolver import (
     SubproblemObjective,
-    SubsolverConfig,
     SubsolverResult,
     WarmStart,
     solve_subproblem,
@@ -337,7 +337,7 @@ class TestPrecomputedGram:
         z = update_z(inst, lam, mu, held)
         obj = SubproblemObjective(inst, z, lam, mu, gram_u0=held)
         metric = report.stopping_metric_history[0]
-        result = solve_subproblem(obj, beta, config.resolved_subsolver(0, metric))
+        result = solve_subproblem(obj, beta, config.inner_tolerance(0, metric))
         assert result.residual is not None
         gram_beta = result.residual + obj.c
         lam_next = update_lambda(inst, lam, z, mu, gram_beta)
@@ -427,8 +427,8 @@ class TestOuterCost:
         inner = []
         original = adm_module.solve_subproblem
 
-        def recording(obj, u0, config, callback=None):
-            result = original(obj, u0, config, callback)
+        def recording(obj, u0, tol_sub, callback=None):
+            result = original(obj, u0, tol_sub, callback)
             if strip_first and not inner:
                 result = replace(result, residual=None, gradient=None, v=None)
             inner.append(result)
@@ -532,11 +532,11 @@ class TestOuterCost:
         start = []
         original = adm_module.solve_subproblem
 
-        def first(obj, u0, config, callback=None):
+        def first(obj, u0, tol_sub, callback=None):
             if not start:  # the counts before the first inner solve: the start-up
                 start.append((u0.copy(), obj.gram_u0.copy(), dict(products.calls),
                               products.x_products))
-            return original(obj, u0, config, callback)
+            return original(obj, u0, tol_sub, callback)
 
         monkeypatch.setattr(adm_module, "solve_subproblem", first)
         monkeypatch.setattr(adm_module, "apply_gram", None)  # the default start makes none
@@ -624,11 +624,11 @@ class TestCertifiedStart:
         inner = []
         original = adm_module.solve_subproblem
 
-        def recording(obj, u0, config, callback=None):
+        def recording(obj, u0, tol_sub, callback=None):
             if wrap is not None:
                 obj = wrap(obj, u0)
-            result = original(obj, u0, config, callback)
-            inner.append((obj, u0.copy(), config, result))
+            result = original(obj, u0, tol_sub, callback)
+            inner.append((obj, u0.copy(), tol_sub, result))
             return result
 
         inst, config = TestCertifiedStart._case()
@@ -636,13 +636,13 @@ class TestCertifiedStart:
         run = solve(inst, config)
         monkeypatch.undo()
         _full_method(monkeypatch)
-        for obj, u0, sub_config, result in inner:
+        for obj, u0, tol_sub, result in inner:
             if not result.certified:
                 continue
             # no coordinate enters at the final check, unless a refresh moved to full mode
             assert result.kkt_checks == (result.working_set < inst.p)
             plain = replace(obj, reference=None, design=DesignOperator(inst.X))
-            full = original(plain, u0, sub_config)
+            full = original(plain, u0, tol_sub)
             assert full.iterations == result.iterations and full.status == result.status
             scale = max(1.0, np.abs(full.u).max())
             assert np.abs(full.u - result.u).max() <= 1e-10 * scale
@@ -685,9 +685,9 @@ class TestCertifiedStart:
         inner = []
         original = adm_module.solve_subproblem
 
-        def recording(obj, u0, config, callback=None):
+        def recording(obj, u0, tol_sub, callback=None):
             obj = self._anchored_at_start(obj, u0)
-            inner.append((obj, u0.copy(), config, original(obj, u0, config, callback)))
+            inner.append((obj, u0.copy(), tol_sub, original(obj, u0, tol_sub, callback)))
             return inner[-1][3]
 
         inst, config = self._case()
@@ -695,14 +695,14 @@ class TestCertifiedStart:
         solve(inst, config)
         failed = [entry for entry in inner if entry[3].refreshes]
         assert failed
-        for obj, u0, sub_config, result in failed:
+        for obj, u0, tol_sub, result in failed:
             assert result.certified and result.refreshes == 1
             assert result.working_set == inst.p and result.kkt_checks == 0
             # rerun it, and read the products each iteration made
             products.reset()
             seen = []
             rerun = original(
-                obj, u0, sub_config,
+                obj, u0, tol_sub,
                 lambda rec: seen.append((dict(products.calls), dict(products.on_buffer))),
             )
             assert rerun.iterations == result.iterations == len(seen)
@@ -770,9 +770,7 @@ class TestKernelPaths:
         for design in (DesignOperator(inst.X), _NoKernel(inst.X)):
             obj = SubproblemObjective(inst, z, lam, 0.5, design=design)
             records = []
-            result = solve_subproblem(
-                obj, np.zeros(inst.p), SubsolverConfig(tol_sub=1e-6), callback=records.append
-            )
+            result = solve_subproblem(obj, np.zeros(inst.p), 1e-6, callback=records.append)
             runs.append((result, records))
         (result, records), (result_nk, records_nk) = runs
         assert result.succeeded and records
@@ -835,8 +833,6 @@ class TestAdmConfig:
         [
             {"mu": 0.0, "tol": 1e-3},
             {"mu": 1.0, "tol": 0.0},
-            {"mu": 1.0, "tol": 1e-3, "sub_tol_factor": 0.0},
-            {"mu": 1.0, "tol": 1e-3, "sub_tol_factor": 1.5},
             {"mu": 1.0, "tol": 1e-3, "max_outer_iter": 0},
             {"mu": math.inf, "tol": 1e-3},
             {"mu": math.nan, "tol": 1e-3},
@@ -848,44 +844,40 @@ class TestAdmConfig:
         with pytest.raises(ValueError):
             AdmConfig(**kwargs)
 
+    def test_three_settings(self):
+        # the inner solver's parameters are the paper's constants, not settings
+        assert [f.name for f in fields(AdmConfig)] == ["mu", "tol", "max_outer_iter"]
+
     def test_inner_tolerance_derived_from_outer(self):
         # past the halving: the floor once the least metric is at most tol, and
-        # sub_tol_factor times that metric above it
+        # SUB_TOL_FACTOR times that metric above it
         config = AdmConfig(mu=1.0, tol=1e-3)
-        assert config.resolved_subsolver(10**6, 5e-4).tol_sub == pytest.approx(1e-4)
-        assert config.resolved_subsolver(10**6, 3e-3).tol_sub == pytest.approx(3e-4)
-
-    def test_explicit_inner_tolerance_wins(self):
-        config = AdmConfig(mu=1.0, tol=1e-3, subsolver=SubsolverConfig(tol_sub=1e-9))
-        assert config.resolved_subsolver(10**6, 1.0).tol_sub == 1e-9
+        assert config.inner_tolerance(10**6, 5e-4) == pytest.approx(1e-4)
+        assert config.inner_tolerance(10**6, 3e-3) == pytest.approx(3e-4)
 
     @pytest.mark.parametrize("tol", [1e-3, 2e-4, 1e-6])
     def test_schedule_halves_down_to_the_floor_and_never_rises(self, tol):
         # with the least metric at tol, the floor follows the halving at once
         config = AdmConfig(mu=1.0, tol=tol)
-        floor = config.sub_tol_factor * tol
-        schedule = [config.resolved_subsolver(k, tol).tol_sub for k in range(60)]
+        floor = SUB_TOL_FACTOR * tol
+        schedule = [config.inner_tolerance(k, tol) for k in range(60)]
         assert schedule[0] == max(floor, SUB_TOL_START) > floor
         assert all(later <= earlier for earlier, later in zip(schedule, schedule[1:]))
         for k, tol_sub in enumerate(schedule):
             halved = SUB_TOL_START * 2.0**-k
             assert tol_sub == (floor if halved <= floor else halved)
-        assert schedule[-1] == config.resolved_subsolver(10**6, tol).tol_sub == floor
+        assert schedule[-1] == config.inner_tolerance(10**6, tol) == floor
 
     def test_halving_ignores_the_metric_and_the_tail_follows_it(self):
         config = AdmConfig(mu=1.0, tol=1e-3)
         switch = next(k for k in range(60) if SUB_TOL_START * 2.0**-k <= 1e-4)
         assert switch == 8
         for k in range(switch):
-            assert config.resolved_subsolver(k, 1.0).tol_sub == SUB_TOL_START * 2.0**-k
-            assert config.resolved_subsolver(k, 0.0).tol_sub == SUB_TOL_START * 2.0**-k
+            assert config.inner_tolerance(k, 1.0) == SUB_TOL_START * 2.0**-k
+            assert config.inner_tolerance(k, 0.0) == SUB_TOL_START * 2.0**-k
         # at the switch tol_sub may lie above the last halved value
-        assert config.resolved_subsolver(switch, 5e-3).tol_sub == 0.1 * 5e-3 > 2e-2 / 2**7
-        assert config.resolved_subsolver(switch + 30, 2e-2).tol_sub == 0.1 * 2e-2
-
-    def test_pinned_inner_tolerance_wins_at_every_iteration(self):
-        config = AdmConfig(mu=1.0, tol=1e-3, subsolver=SubsolverConfig(tol_sub=1e-9))
-        assert all(config.resolved_subsolver(k, 1.0).tol_sub == 1e-9 for k in range(30))
+        assert config.inner_tolerance(switch, 5e-3) == 0.1 * 5e-3 > 2e-2 / 2**7
+        assert config.inner_tolerance(switch + 30, 2e-2) == 0.1 * 2e-2
 
 
 class TestInnerToleranceSchedule:
@@ -900,9 +892,9 @@ class TestInnerToleranceSchedule:
         inst, _ = make_instance(spec or GenSpec(n=48, p=200, s=6, sigma_noise=0.05, seed=2))
         seen = []
 
-        def spy(obj, u0, sub_config, callback=None):
-            result = solve_subproblem(obj, u0, sub_config, callback)
-            seen.append((sub_config.tol_sub, result.iterations))
+        def spy(obj, u0, tol_sub, callback=None):
+            result = solve_subproblem(obj, u0, tol_sub, callback)
+            seen.append((tol_sub, result.iterations))
             return result
 
         monkeypatch.setattr(adm_module, "solve_subproblem", spy)
@@ -943,11 +935,6 @@ class TestInnerToleranceSchedule:
             tail = seen[8:]
             assert all(later <= earlier for earlier, later in zip(tail, tail[1:]))
 
-    def test_pinned_tolerance_holds_for_every_inner_solve(self, monkeypatch):
-        config = AdmConfig(mu=1.0, tol=1e-3, subsolver=SubsolverConfig(tol_sub=2e-5))
-        seen = self._solve(monkeypatch, config).inner_tolerance_history
-        assert seen == [2e-5] * len(seen)
-
     def test_the_current_metric_in_place_of_the_least_diverges(self):
         # orthogonal rows at (360, 1280, 40), seed 2: the shipped rule converges
         # in about 100 outer iterations.  Read at the current metric, the tail
@@ -967,8 +954,8 @@ class TestInnerToleranceSchedule:
         class CurrentMetric(AdmConfig):
             current = None  # the metric at the top of the current outer iteration
 
-            def resolved_subsolver(self, iteration, metric):
-                return super().resolved_subsolver(
+            def inner_tolerance(self, iteration, metric):
+                return super().inner_tolerance(
                     iteration, metric if self.current is None else self.current
                 )
 
@@ -997,7 +984,7 @@ class TestScheduledDegenerateInstances:
     def _check(self, X, y, delta, beta0=None):
         inst = Instance(X=X, y=y, delta=delta)
         config = AdmConfig(mu=mu_rule("unit_columns", inst.p, delta), tol=self.TOL)
-        assert SUB_TOL_START > config.sub_tol_factor * config.tol
+        assert SUB_TOL_START > SUB_TOL_FACTOR * config.tol
         beta, lam, report = solve(inst, config, beta0=beta0)
         assert report.status == "converged"
         assert 1 <= report.outer_iterations <= self.OUTER_LIMIT < config.max_outer_iter
@@ -1295,9 +1282,9 @@ class TestSolve:
         seen = []
         original = adm_module.solve_subproblem
 
-        def recording(obj, u0, config, callback=None):
+        def recording(obj, u0, tol_sub, callback=None):
             seen.append(np.array(u0))
-            return original(obj, u0, config, callback)
+            return original(obj, u0, tol_sub, callback)
 
         monkeypatch.setattr(adm_module, "solve_subproblem", recording)
         beta0 = rng.standard_normal(8)
@@ -1325,7 +1312,7 @@ class TestSolve:
         rng = np.random.default_rng(26)
         inst = _instance(rng, n=5, p=8)
 
-        def exploding(obj, u0, config, callback=None):
+        def exploding(obj, u0, tol_sub, callback=None):
             u = np.full_like(np.asarray(u0), np.nan)
             return SubsolverResult(u=u, iterations=1, status="converged")
 
@@ -1340,8 +1327,8 @@ class TestSolve:
         original = adm_module.solve_subproblem
         calls = {"k": 0}
 
-        def flaky(obj, u0, config, callback=None):
-            result = original(obj, u0, config, callback)
+        def flaky(obj, u0, tol_sub, callback=None):
+            result = original(obj, u0, tol_sub, callback)
             calls["k"] += 1
             if calls["k"] == 1:
                 return SubsolverResult(u=result.u, iterations=result.iterations, status="max_iter")

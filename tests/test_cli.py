@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,15 @@ def _set_manifest(out, key, value):
 
 def _drop_last_row_of_y(out):
     fileio.write_vector(out / "y.mtx", fileio.read_vector(out / "y.mtx")[:-1])
+
+
+def _with_entry(value):
+    """An edit that returns a copy of a matrix with ``value`` in its entry (2, 0)."""
+    def edit(a):
+        a = a.copy()
+        a[2, 0] = value
+        return a
+    return edit
 
 
 class TestGen:
@@ -126,7 +136,37 @@ class TestSolve:
         assert all(tol_sub > 0 for tol_sub in tolerances)
         run_manifest = fileio.read_manifest(out / "run_manifest.txt")
         assert run_manifest["status"] == "converged"
-        assert float(run_manifest["sub_tol_factor"]) == AdmConfig(mu=1.0, tol=1.0).sub_tol_factor
+
+    def test_output_files_keep_their_keys_and_the_paper_parameters(self, tmp_path):
+        out = tmp_path / "inst"
+        assert cli.main(_gen_args(out)) == 0
+        assert cli.main(["solve", str(out)]) == 0
+        run_manifest = fileio.read_manifest(out / "run_manifest.txt")
+        assert list(run_manifest) == [
+            "instance_dir", "package_version", "mu", "tol", "sub_tol_factor", "max_outer_iter",
+            "eta", "sigma_ls", "alpha_lo", "memory", "status",
+        ]
+        fixed = {key: run_manifest[key] for key in list(run_manifest)[4:10]}
+        assert fixed == {
+            "sub_tol_factor": "0.1", "max_outer_iter": "10000", "eta": "0.5",
+            "sigma_ls": "0.0001", "alpha_lo": "1e-08", "memory": "1",
+        }
+        report = json.loads((out / "report.json").read_text())
+        assert list(report) == [
+            "outer_iterations", "inner_iteration_total", "stopping_metric_history",
+            "dual_objective_history", "wall_time", "status", "subsolver_failures",
+            "certified_inner_solves", "refreshes", "inner_iteration_history", "start_support",
+            "start_rounds", "inner_tolerance_history", "certificate",
+        ]
+        assert list(report["certificate"]) == [
+            "primal_violation", "dual_violation", "gap", "primal_ratio", "dual_ratio", "gap_ratio",
+        ]
+
+    @pytest.mark.parametrize("argv", [["solve", "inst"], ["bench", "--sigma", "0.05"]])
+    def test_outer_iteration_cap_defaults_to_that_of_the_config(self, monkeypatch, argv):
+        assert cli._build_parser().parse_args(argv).max_outer == AdmConfig.max_outer_iter == 10000
+        monkeypatch.setattr(AdmConfig, "max_outer_iter", 7)
+        assert cli._build_parser().parse_args(argv).max_outer == 7
 
     @pytest.mark.parametrize("extra", [(), ("--max-outer", "2")])
     def test_report_certificate_matches_dense_recomputation(self, tmp_path, extra):
@@ -248,6 +288,31 @@ class TestSolve:
         (out / name).write_text("not a matrix market file\n")
         assert cli.main(["solve", str(out)]) == 2
         assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, edit, message",
+        [
+            ("X.mtx", lambda a: a + 1j, "complex"),
+            ("X.mtx", _with_entry(np.nan), "non-finite"),
+            ("X.mtx", _with_entry(np.inf), "non-finite"),
+            ("X.mtx", lambda a: a * (np.arange(a.shape[1]) != 3), "zero column"),
+            ("y.mtx", _with_entry(np.nan), "non-finite"),
+            ("y.mtx", _with_entry(-np.inf), "non-finite"),
+        ],
+        ids=["X-complex", "X-nan", "X-inf", "X-zero-column", "y-nan", "y-inf"],
+    )
+    def test_bad_matrix_contents_are_io_errors_naming_the_file(
+        self, tmp_path, capsys, name, edit, message
+    ):
+        out = tmp_path / "inst"
+        assert cli.main(_gen_args(out)) == 0
+        spio.mmwrite(str(out / name), edit(spio.mmread(str(out / name))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a complex file must not be cast with a warning
+            assert cli.main(["solve", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(out / name) in err and message in err and "Traceback" not in err
+        assert not (out / "beta_tilde.mtx").exists()
 
 
 class TestBench:
@@ -570,6 +635,19 @@ class TestColdStart:
         cells = dict(zip(header.split(","), row.split(",")))
         assert header == cli.BENCH_HEADER
         assert (cells["instances"], cells["failures"]) == ("2", "0")
+
+
+class TestScripts:
+    def test_reproduce_tables_runs_from_a_checkout(self, tmp_path):
+        # README runs it as `python3 scripts/reproduce_tables.py`, with no PYTHONPATH
+        script = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_tables.py"
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+        run = subprocess.run(
+            [sys.executable, str(script), "--help"],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        assert "--reps" in run.stdout
 
 
 class TestExitCodes:

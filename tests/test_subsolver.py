@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 import dantzig_adm.subsolver as subsolver_module
 from dantzig_adm.core import FUSED_ROWS, DesignOperator, Instance, apply_gram, soft_thresh
 from dantzig_adm.subsolver import (
+    ALPHA_LO,
+    ETA,
+    SIGMA_LS,
     InnerState,
     LineSearchError,
     SubproblemObjective,
-    SubsolverConfig,
     SubsolverResult,
     WarmStart,
     bb_step,
@@ -172,32 +174,31 @@ class TestSearchDirection:
         assert np.allclose(target, expected, atol=1e-9)
 
 
-def _armijo_accepts(obj, u, window_vals, d, delta, alpha, sigma_ls):
+def _armijo_accepts(obj, u, window_vals, d, delta, alpha):
     """Independent Armijo predicate evaluated with dense formulas."""
     trial = u + alpha * d
     value = penalized_value_dense(*_dense(obj), trial)
-    return value <= max(window_vals) + sigma_ls * alpha * delta
+    return value <= max(window_vals) + SIGMA_LS * alpha * delta
 
 
 def _curvature_rejections(mu):
     """How many powers of eta an independent Armijo check rejects at curvature mu."""
     obj = _scalar_objective(x_entry=1.0, y_val=1.0, mu=mu)
     u = np.array([1.5])
-    config = SubsolverConfig(tol_sub=1e-8, memory=0)
     d, delta = search_direction(u, 1.0, _gradient(obj, u))
     window = [penalized_value_dense(*_dense(obj), u)]
     rejections = 0
     alpha = 1.0
-    while not _armijo_accepts(obj, u, window, d, delta, alpha, config.sigma_ls):
+    while not _armijo_accepts(obj, u, window, d, delta, alpha):
         rejections += 1
-        alpha *= config.eta
+        alpha *= ETA
         if rejections > 50:
             break
-    return rejections, (obj, u, d, delta, config)
+    return rejections, (obj, u, d, delta)
 
 
 def _steep_quadratic_case():
-    """(obj, u, d, delta, config) whose first step the Armijo oracle rejects exactly twice.
+    """(obj, u, d, delta) whose first step the Armijo oracle rejects exactly twice.
 
     Bisects the curvature of a scalar quadratic until the independent
     predicate rejects alpha = 1 and alpha = eta but accepts eta^2.
@@ -225,7 +226,7 @@ def _watched(products, obj):
                                gram_u0=obj.gram_u0, reference=obj.reference)
 
 
-def _line_search(obj, u, d, delta, config, window=None, u0=None):
+def _line_search(obj, u, d, delta, window=None, u0=None):
     """line_search from u, with the solver seen from warm start u0 (default u).
 
     The state at u holds its n-space shift X (u - u0), K times it, and its
@@ -246,13 +247,13 @@ def _line_search(obj, u, d, delta, config, window=None, u0=None):
     )
     e = obj.design.matvec(d)
     start = WarmStart.at(obj, u0)
-    return line_search(start, state, d, delta, config, e, obj.design.kernel_matvec(e))
+    return line_search(start, state, d, delta, e, obj.design.kernel_matvec(e))
 
 
 class _RejectingReference:
     """A window value that rejects every trial and records the trial's penalized value.
 
-    ``penalized <= reference + sigma_ls * alpha * delta`` reaches __ge__ with
+    ``penalized <= reference + SIGMA_LS * alpha * delta`` reaches __ge__ with
     the penalized value the line search computed for that trial.
     """
 
@@ -275,23 +276,21 @@ class TestLineSearch:
         d = np.array([-1.0])
         g = _gradient(obj, u)
         delta = float(g @ d) + abs(u[0] + d[0]) - abs(u[0])
-        config = SubsolverConfig(tol_sub=1e-8)
-        alpha, trial = _line_search(obj, u, d, delta, config)
+        alpha, trial = _line_search(obj, u, d, delta)
         assert alpha == 1.0
         assert trial.penalized == pytest.approx(0.0, abs=1e-12)
 
     def test_requires_negative_delta(self):
         obj = _scalar_objective()
-        config = SubsolverConfig(tol_sub=1e-8)
         with pytest.raises(ValueError):
-            _line_search(obj, np.array([1.0]), np.array([-1.0]), 0.0, config)
+            _line_search(obj, np.array([1.0]), np.array([-1.0]), 0.0)
 
     def test_exactly_two_backtracks_on_steep_quadratic(self):
         # the independent predicate rejects exactly alpha = 1 and alpha = eta
         # here; check the implementation agrees
-        obj, u, d, delta, config = _steep_quadratic_case()
-        alpha, _ = _line_search(obj, u, d, delta, config)
-        assert alpha == pytest.approx(config.eta**2)
+        obj, u, d, delta = _steep_quadratic_case()
+        alpha, _ = _line_search(obj, u, d, delta)
+        assert alpha == pytest.approx(ETA**2)
 
     def test_memory_enables_nonmonotone_acceptance(self):
         # a large past objective in the window lets M=1 accept the full step
@@ -300,36 +299,33 @@ class TestLineSearch:
         for mu in np.linspace(2.0, 600.0, 400):
             obj = _scalar_objective(x_entry=1.0, y_val=1.0, mu=mu)
             u = np.array([1.5])
-            config = SubsolverConfig(tol_sub=1e-8, memory=1)
             d, delta = search_direction(u, 1.0, _gradient(obj, u))
             if delta >= 0:
                 continue
             current = penalized_value_dense(*_dense(obj), u)
             stale = current + 50.0  # pretend the previous iterate was much worse
-            rejects_monotone = not _armijo_accepts(obj, u, [current], d, delta, 1.0, config.sigma_ls)
-            accepts_windowed = _armijo_accepts(
-                obj, u, [stale, current], d, delta, 1.0, config.sigma_ls
-            )
+            rejects_monotone = not _armijo_accepts(obj, u, [current], d, delta, 1.0)
+            accepts_windowed = _armijo_accepts(obj, u, [stale, current], d, delta, 1.0)
             if not (rejects_monotone and accepts_windowed):
                 continue
             found = True
-            alpha_mono, _ = _line_search(obj, u, d, delta, config, window=[current])
-            alpha_window, _ = _line_search(obj, u, d, delta, config, window=[stale, current])
+            alpha_mono, _ = _line_search(obj, u, d, delta, window=[current])
+            alpha_window, _ = _line_search(obj, u, d, delta, window=[stale, current])
             assert alpha_window == 1.0
             assert alpha_mono < 1.0
             break
         assert found, "no curvature exhibiting nonmonotone acceptance found"
 
-    def test_backtrack_budget_exhaustion_raises(self):
-        rejections, (obj, u, d, delta, config) = _curvature_rejections(4096.0)
+    def test_backtrack_budget_exhaustion_raises(self, monkeypatch):
+        rejections, (obj, u, d, delta) = _curvature_rejections(4096.0)
         assert rejections > 3
-        tight = SubsolverConfig(tol_sub=1e-8, memory=0, max_backtracks=3)
+        monkeypatch.setattr(subsolver_module, "MAX_BACKTRACKS", 3)
         with pytest.raises(LineSearchError):
-            _line_search(obj, u, d, delta, tight)
+            _line_search(obj, u, d, delta)
 
     def test_given_residuals_cost_no_gram_product(self, products):
         # given the warm start's residual and X d, K X d, the search makes no product
-        obj, u, d, delta, config = _steep_quadratic_case()
+        obj, u, d, delta = _steep_quadratic_case()
         obj = _watched(products, obj)
         dense = _dense(obj)
         start = WarmStart.at(obj, u)
@@ -340,13 +336,13 @@ class TestLineSearch:
             window=deque([penalized_value_dense(*dense, u)], maxlen=1),
         )
         calls, x_products = sum(products.calls.values()), products.x_products
-        alpha, _ = line_search(start, state, d, delta, config, e, ke)
-        assert alpha == pytest.approx(config.eta**2)
+        alpha, _ = line_search(start, state, d, delta, e, ke)
+        assert alpha == pytest.approx(ETA**2)
         assert sum(products.calls.values()) == calls
         assert products.x_products == x_products
 
     @pytest.mark.parametrize("seed", range(12))
-    def test_reused_residual_matches_fresh_evaluation(self, seed):
+    def test_reused_residual_matches_fresh_evaluation(self, monkeypatch, seed):
         # every trial value, from an iterate away from the warm start, against
         # a dense evaluation
         rng = np.random.default_rng(100 + seed)
@@ -354,19 +350,19 @@ class TestLineSearch:
         u0 = rng.standard_normal(10)
         u = u0 + rng.standard_normal(10)
         d, delta = search_direction(u, 1.0, _gradient(obj, u))
-        config = SubsolverConfig(tol_sub=1e-8, max_backtracks=12)
+        monkeypatch.setattr(subsolver_module, "MAX_BACKTRACKS", 12)
         reference = _RejectingReference()
         with pytest.raises(LineSearchError):
-            _line_search(obj, u, d, delta, config, window=[reference], u0=u0)
-        assert len(reference.seen) == config.max_backtracks
+            _line_search(obj, u, d, delta, window=[reference], u0=u0)
+        assert len(reference.seen) == 12
         for k, value in enumerate(reference.seen):
-            dense = penalized_value_dense(*_dense(obj), u + config.eta**k * d)
+            dense = penalized_value_dense(*_dense(obj), u + ETA**k * d)
             assert abs(value - dense) <= 1e-12 * max(1.0, abs(dense))
 
     def test_reused_residual_matches_fresh_after_backtracks(self):
-        obj, u, d, delta, config = _steep_quadratic_case()
+        obj, u, d, delta = _steep_quadratic_case()
         u0 = u - 0.25
-        alpha, trial = _line_search(obj, u, d, delta, config, u0=u0)
+        alpha, trial = _line_search(obj, u, d, delta, u0=u0)
         assert alpha < 1.0
         fresh = obj.residual(trial.u)
         residual = WarmStart.at(obj, u0).residual(trial.shift)
@@ -377,32 +373,27 @@ class TestLineSearch:
 
 class TestBBStep:
     def test_collinear_gradient_difference(self):
-        config = SubsolverConfig(tol_sub=1e-8)
         s = np.array([1.0, -2.0, 0.5])
-        assert bb_step(s, 4.0 * s, config) == pytest.approx(0.25)
+        assert bb_step(s, 4.0 * s) == pytest.approx(0.25)
 
     @pytest.mark.parametrize("scale", [0.0, -3.0])
     def test_nonpositive_curvature_returns_one(self, scale):
-        config = SubsolverConfig(tol_sub=1e-8)
         s = np.array([1.0, 2.0])
-        assert bb_step(s, scale * s, config) == 1.0
+        assert bb_step(s, scale * s) == 1.0
 
     def test_lower_clamp(self):
-        config = SubsolverConfig(tol_sub=1e-8)
         s = np.array([1e-6])
         g = np.array([1e6])
-        assert bb_step(s, g, config) == config.alpha_lo
+        assert bb_step(s, g) == ALPHA_LO
 
     def test_upper_clamp(self):
-        config = SubsolverConfig(tol_sub=1e-8)
         s = np.array([2.0])
         g = np.array([1.0])  # ratio 4 > 1
-        assert bb_step(s, g, config) == 1.0
+        assert bb_step(s, g) == 1.0
 
     def test_zero_step_rejected(self):
-        config = SubsolverConfig(tol_sub=1e-8)
         with pytest.raises(ValueError):
-            bb_step(np.zeros(3), np.ones(3), config)
+            bb_step(np.zeros(3), np.ones(3))
 
 
 class TestInnerTerminationMetric:
@@ -450,9 +441,9 @@ class TestGramCost:
     counts of full mode; :class:`TestWorkingSet` has those on a working set.
     """
 
-    def _run(self, obj, u0, config):
+    def _run(self, obj, u0, tol_sub):
         alphas = []
-        result = solve_subproblem(obj, u0, config, callback=lambda rec: alphas.append(rec.alpha))
+        result = solve_subproblem(obj, u0, tol_sub, callback=lambda rec: alphas.append(rec.alpha))
         assert result.working_set == obj.inst.p and result.kkt_checks == 0  # full mode
         return result, alphas
 
@@ -482,35 +473,37 @@ class TestGramCost:
         assert counts.outside == 0
         assert counts.x_products == on_x["matvec"] + on_x["rmatvec"] + fused + kernel
 
-    def test_two_products_per_iteration_with_backtracks(self, products):
-        obj, u, _, _, config = _steep_quadratic_case()
+    def test_two_products_per_iteration_with_backtracks(self, monkeypatch, products):
+        monkeypatch.setattr(subsolver_module, "MEMORY", 0)  # monotone, as the oracle of the case
+        obj, u, _, _ = _steep_quadratic_case()
         obj = _watched(products, obj)
-        result, alphas = self._run(obj, u, config)
+        result, alphas = self._run(obj, u, 1e-8)
         assert result.succeeded
         assert result.iterations >= 1
-        assert alphas[0] == pytest.approx(config.eta**2)  # two backtracks, one iteration
+        assert alphas[0] == pytest.approx(ETA**2)  # two backtracks, one iteration
         assert products.calls == self._expected(result.iterations)
         self._x_products(products, obj.inst)
 
-    def test_warm_start_gram_saves_one_product(self, products):
-        obj, u, _, _, config = _steep_quadratic_case()
+    def test_warm_start_gram_saves_one_product(self, monkeypatch, products):
+        monkeypatch.setattr(subsolver_module, "MEMORY", 0)  # monotone, as the oracle of the case
+        obj, u, _, _ = _steep_quadratic_case()
         products.reset()
-        cold, _ = self._run(obj, u, config)
+        cold, _ = self._run(obj, u, 1e-8)
         assert products.calls == self._expected(cold.iterations)
         warm_obj = SubproblemObjective(
             obj.inst, obj.z_fixed, obj.lambda_fixed, obj.mu, gram_u0=apply_gram(obj.inst, u)
         )
         products.reset()
-        warm, _ = self._run(warm_obj, u, config)
+        warm, _ = self._run(warm_obj, u, 1e-8)
         assert products.calls == self._expected(warm.iterations, cold=False)
         assert warm.iterations == cold.iterations
         assert np.array_equal(warm.u, cold.u)
 
-    def test_backtracks_cost_nothing_on_random_problem(self, products):
+    def test_backtracks_cost_nothing_on_random_problem(self, monkeypatch, products):
+        monkeypatch.setattr(subsolver_module, "MEMORY", 0)  # monotone: more steps backtrack
         rng = np.random.default_rng(17)
         obj = _watched(products, _objective(rng, n=8, p=14, mu=6.0))
-        config = SubsolverConfig(tol_sub=1e-9, memory=0)
-        result, alphas = self._run(obj, np.zeros(14), config)
+        result, alphas = self._run(obj, np.zeros(14), 1e-9)
         assert result.succeeded
         assert any(alpha < 1.0 for alpha in alphas)
         assert products.calls == self._expected(result.iterations)
@@ -520,7 +513,7 @@ class TestGramCost:
         # n > p: each K product is X (X^T w), two X products, and no K is formed
         rng = np.random.default_rng(18)
         obj = _watched(products, _objective(rng, n=14, p=8, mu=6.0))
-        result, _ = self._run(obj, np.zeros(8), SubsolverConfig(tol_sub=1e-9))
+        result, _ = self._run(obj, np.zeros(8), 1e-9)
         assert result.succeeded and result.iterations > 0
         assert obj.design.kernel is None
         assert products.calls == self._expected(result.iterations)
@@ -550,7 +543,7 @@ def _sparse_objective(seed, n=24, p=80, mu=None):
     return SubproblemObjective(inst, z, lam, mu), b
 
 
-_TIGHT = SubsolverConfig(tol_sub=1e-10, max_inner_iter=200000)
+_TIGHT = 1e-10  # tol_sub of TestWorkingSet, which runs with MAX_INNER_ITER at 200000
 
 
 class TestWorkingSet:
@@ -561,6 +554,10 @@ class TestWorkingSet:
     over X that also gives the residual.  These solves have no reference;
     the certified start is tested in test_adm.TestCertifiedStart.
     """
+
+    @pytest.fixture(autouse=True)
+    def _room_for_tight_solves(self, monkeypatch):
+        monkeypatch.setattr(subsolver_module, "MAX_INNER_ITER", 200000)
 
     @staticmethod
     def _assert_exact(obj, result):
@@ -770,7 +767,7 @@ class TestSolveSubproblem:
         mu, c = 1.5, 4.0
         obj = _scalar_objective(x_entry=1.0, y_val=c, mu=mu)
         u_star = soft_thresh(np.array([c]), 1.0 / mu)
-        result = solve_subproblem(obj, u_star, SubsolverConfig(tol_sub=1e-8))
+        result = solve_subproblem(obj, u_star, 1e-8)
         assert result.succeeded
         assert result.iterations <= 1
         assert np.allclose(result.u, u_star, atol=1e-10)
@@ -782,10 +779,11 @@ class TestSolveSubproblem:
             SubproblemObjective(obj.inst, obj.z_fixed, obj.lambda_fixed, obj.mu,
                                 reference=best_earlier)
 
-    def test_requires_tolerance(self):
+    @pytest.mark.parametrize("tol_sub", [0.0, -1e-8, float("nan")])
+    def test_requires_a_positive_tolerance(self, tol_sub):
         obj = _scalar_objective()
         with pytest.raises(ValueError):
-            solve_subproblem(obj, np.zeros(1), SubsolverConfig())
+            solve_subproblem(obj, np.zeros(1), tol_sub)
 
     def test_identity_design_matches_separable_closed_form(self):
         rng = np.random.default_rng(13)
@@ -795,13 +793,13 @@ class TestSolveSubproblem:
         lam = rng.standard_normal(n)
         mu = 2.3
         obj = SubproblemObjective(inst, z, lam, mu)
-        result = solve_subproblem(obj, np.zeros(n), SubsolverConfig(tol_sub=1e-12))
+        result = solve_subproblem(obj, np.zeros(n), 1e-12)
         c = inst.y + z - lam / mu
         closed_form = soft_thresh(c, 1.0 / mu)
         assert result.succeeded
         assert np.allclose(result.u, closed_form, atol=1e-6)
 
-    def test_matches_reference_proximal_gradient(self):
+    def test_matches_reference_proximal_gradient(self, monkeypatch):
         rng = np.random.default_rng(14)
         X = rng.standard_normal((20, 50))
         y = rng.standard_normal(20)
@@ -810,7 +808,8 @@ class TestSolveSubproblem:
         mu = 1.2
         inst = Instance(X=X, y=y, delta=1.0)
         obj = SubproblemObjective(inst, z, lam, mu)
-        result = solve_subproblem(obj, np.zeros(50), SubsolverConfig(tol_sub=1e-10, max_inner_iter=100000))
+        monkeypatch.setattr(subsolver_module, "MAX_INNER_ITER", 100000)
+        result = solve_subproblem(obj, np.zeros(50), 1e-10)
         got = penalized_value_dense(X, y, z, lam, mu, result.u)
         _, reference, converged = ista_reference(X, y, z, lam, mu, np.zeros(50))
         assert converged
@@ -819,18 +818,17 @@ class TestSolveSubproblem:
     def test_invariants_along_the_run(self):
         rng = np.random.default_rng(15)
         obj = _objective(rng, n=8, p=14, mu=1.5)
-        config = SubsolverConfig(tol_sub=1e-9)
         records = []
-        result = solve_subproblem(obj, np.zeros(14), config, callback=records.append)
+        result = solve_subproblem(obj, np.zeros(14), 1e-9, callback=records.append)
         assert result.succeeded
         assert records, "expected at least one accepted step"
         running_min = np.inf
         mins = []
         for rec in records:
             assert rec.delta <= 0.0
-            assert rec.penalized <= rec.window_max + config.sigma_ls * rec.alpha * rec.delta
-            assert config.alpha_lo <= rec.bar_alpha <= 1.0
-            assert config.alpha_lo <= rec.bar_alpha_next <= 1.0
+            assert rec.penalized <= rec.window_max + SIGMA_LS * rec.alpha * rec.delta
+            assert ALPHA_LO <= rec.bar_alpha <= 1.0
+            assert ALPHA_LO <= rec.bar_alpha_next <= 1.0
             # independent re-evaluation of the accepted objective
             dense = penalized_value_dense(*_dense(obj), rec.u)
             assert dense == pytest.approx(rec.penalized, rel=1e-9, abs=1e-9)
@@ -838,11 +836,11 @@ class TestSolveSubproblem:
             mins.append(running_min)
         assert all(a >= b for a, b in zip(mins, mins[1:]))
 
-    def test_iteration_cap_returns_best_iterate_flagged(self):
+    def test_iteration_cap_returns_best_iterate_flagged(self, monkeypatch):
         rng = np.random.default_rng(16)
         obj = _objective(rng, n=8, p=14, mu=1.5)
-        config = SubsolverConfig(tol_sub=1e-13, max_inner_iter=3)
-        result = solve_subproblem(obj, np.zeros(14), config)
+        monkeypatch.setattr(subsolver_module, "MAX_INNER_ITER", 3)
+        result = solve_subproblem(obj, np.zeros(14), 1e-13)
         assert result.status == "max_iter"
         assert result.iterations == 3
         assert np.isfinite(result.u).all()
@@ -858,7 +856,7 @@ class TestSolveSubproblem:
         return best_u
 
     @pytest.mark.parametrize("seed, working_set", [(70, 5), (71, 30)])
-    def test_converged_at_the_cap_is_a_final_iterate(self, seed, working_set):
+    def test_converged_at_the_cap_is_a_final_iterate(self, monkeypatch, seed, working_set):
         # unit columns and a sparse signal: at seed 70 the solve ends on a
         # working set, at 71 in full mode
         rng = np.random.default_rng(seed)
@@ -869,21 +867,18 @@ class TestSolveSubproblem:
         z, lam = 0.1 * rng.standard_normal(30), 0.1 * rng.standard_normal(30)
         obj = SubproblemObjective(inst, z, lam, 0.5)
         u0 = np.zeros(30)
-        free = solve_subproblem(obj, u0, SubsolverConfig(tol_sub=1e-6))
+        free = solve_subproblem(obj, u0, 1e-6)
         assert free.status == "converged" and free.working_set == working_set
-        capped = solve_subproblem(
-            obj, u0, SubsolverConfig(tol_sub=1e-6, max_inner_iter=free.iterations)
-        )
+        monkeypatch.setattr(subsolver_module, "MAX_INNER_ITER", free.iterations)
+        capped = solve_subproblem(obj, u0, 1e-6)
         assert capped.status == "converged" and capped.iterations == free.iterations
         assert capped.working_set == working_set
         assert np.array_equal(capped.u, free.u)
         for name in ("residual", "gradient", "v"):
             assert np.array_equal(getattr(capped, name), getattr(free, name))
         records = []
-        short = solve_subproblem(
-            obj, u0, SubsolverConfig(tol_sub=1e-6, max_inner_iter=free.iterations - 1),
-            callback=records.append,
-        )
+        monkeypatch.setattr(subsolver_module, "MAX_INNER_ITER", free.iterations - 1)
+        short = solve_subproblem(obj, u0, 1e-6, callback=records.append)
         assert short.status == "max_iter" and not short.succeeded
         assert short.iterations == len(records) == free.iterations - 1
         assert short.residual is None and short.gradient is None and short.v is None
@@ -903,7 +898,7 @@ class TestSolveSubproblem:
 
         monkeypatch.setattr(subsolver_module, "line_search", failing_fourth)
         records = []
-        result = solve_subproblem(obj, u0, SubsolverConfig(tol_sub=1e-13), records.append)
+        result = solve_subproblem(obj, u0, 1e-13, records.append)
         assert result.status == "line_search_failure" and not result.succeeded
         assert result.iterations == len(records) == 3
         assert result.residual is None and result.gradient is None and result.v is None
@@ -913,7 +908,7 @@ class TestSolveSubproblem:
     def test_final_iterate_carries_its_residual_and_gradient(self, seed):
         rng = np.random.default_rng(60 + seed)
         obj = _objective(rng, n=8, p=14, mu=1.5)
-        result = solve_subproblem(obj, np.zeros(14), SubsolverConfig(tol_sub=1e-9))
+        result = solve_subproblem(obj, np.zeros(14), 1e-9)
         assert result.succeeded and result.iterations > 0
         G = dense_gram(obj.inst.X)
         c = obj.inst.X.T @ obj.inst.y + obj.z_fixed - obj.lambda_fixed / obj.mu
