@@ -16,9 +16,14 @@ Each section writes its own key of the JSON file (the others are kept):
   iterations of the first two inner solves, rho2, and the certificate's
   largest ratio, which must be at most tol.
 - ``acceptance``: the 30 acceptance rows (unit sigma 0.05 and 0.01, orthogonal
-  sigma 0.05, seeds 0-9) from both starts.  With ``--parent``, the zero
-  start's sha256 of beta and lambda is compared with the default solve of the
-  parent tree, run in a subprocess on that tree's src.
+  sigma 0.05, seeds 0-9) from both starts.  With ``--parent``, each default
+  solve is compared with the default solve of the parent tree, run in a
+  subprocess on that tree's src: each solve's ``parent`` holds the
+  parent's outer and inner iterations, whether beta and lambda have the
+  same sha256, and their largest change relative to the parent's largest
+  entry, and ``against_parent`` sums these up per row.  (The unprefixed
+  ``acceptance`` key, written when the parent's default was the zero start,
+  compares the zero start instead, as ``equals_parent_default``.)
 - ``perfbench``: with ``--parent``, ``perfbench/run.py --trace 0`` of both
   workloads on the parent tree and on this one, in alternating order over
   ``--bench-seeds``, for ``--bench-seconds`` each.
@@ -43,7 +48,12 @@ plain fit (``--sections parent``, ``sweep,acceptance`` and ``perfbench
 --bench-seeds 1801,...,1808``, each with ``--prefix refine_``);
 ``refine_seeds200_parent`` is ``--sections parent --first-seed 200
 --seeds 40 --reps 1``, and ``refine_extra_perfbench`` two more pairs
-(``--bench-seeds 1809,1810``).
+(``--bench-seeds 1809,1810``).  The ``lsq_*`` keys compare least-squares
+fits by the Cholesky factor of the column block's Gram matrix with the
+parent's LAPACK SVD fits: ``lsq_parent`` is ``--sections parent`` (seeds
+100-129), ``lsq_acceptance`` ``--sections acceptance`` and
+``lsq_perfbench`` ``--sections perfbench --bench-seeds 2001,...,2010``, each
+with ``--parent`` and ``--prefix lsq_``.
 
 Before numpy is imported BLAS is pinned to one thread, as perfbench pins it.
 The file also records the machine, the BLAS and the thread count.
@@ -92,7 +102,7 @@ ACCEPTANCE_ROWS = [("unit_columns", 0.05), ("unit_columns", 0.01), ("orthogonal_
 WORKLOADS = ("bench-pool", "unit-i1")
 PARENT_PACKAGE = "parent_dantzig_adm"
 # solves the acceptance rows with a tree's default start; run on the parent's src
-PARENT_HASHES = """
+PARENT_DEFAULT = """
 import hashlib, json, sys
 from dantzig_adm.adm import AdmConfig, solve
 from dantzig_adm.datagen import GenSpec, make_instance, mu_rule, tol_rule
@@ -101,9 +111,11 @@ for design, sigma, seed in json.loads(sys.argv[1]):
     inst, _ = make_instance(GenSpec(n=720, p=2560, s=80, sigma_noise=sigma,
                                     design_kind=design, seed=seed))
     config = AdmConfig(mu=mu_rule(design, inst.p, inst.delta), tol=tol_rule(design))
-    beta, lam, _ = solve(inst, config)
-    out.append([hashlib.sha256(beta.tobytes()).hexdigest(),
-                hashlib.sha256(lam.tobytes()).hexdigest()])
+    beta, lam, report = solve(inst, config)
+    out.append({"beta_sha256": hashlib.sha256(beta.tobytes()).hexdigest(),
+                "lambda_sha256": hashlib.sha256(lam.tobytes()).hexdigest(),
+                "outer": report.outer_iterations, "inner": report.inner_iteration_total,
+                "beta": beta.tolist(), "lambda": lam.tolist()})
 print(json.dumps(out))
 """
 
@@ -129,14 +141,25 @@ def _instance(design: str, sigma: float, seed: int):
     return inst, truth, AdmConfig(mu=mu_rule(design, p, inst.delta), tol=tol_rule(design))
 
 
-def _run(inst, truth, sigma, config, start) -> dict:
-    """One solve from ``start(inst)``; its time includes forming the start."""
+def _relative_change(value: np.ndarray, reference: list) -> float:
+    """max |value - reference| / max |reference| (0 when both are zero)."""
+    reference = np.asarray(reference)
+    scale = float(np.abs(reference).max())
+    change = float(np.abs(value - reference).max())
+    return change / scale if scale else change
+
+
+def _run(inst, truth, sigma, config, start, parent=None) -> dict:
+    """One solve from ``start(inst)``; its time includes forming the start.
+
+    ``parent``, a row of PARENT_DEFAULT, adds the comparison with that solve.
+    """
     t0 = time.perf_counter()
     beta, lam, report = solve(inst, config, beta0=start(inst))
     seconds = time.perf_counter() - t0
     certificate = feasibility_report(inst, beta, lam)
     worst = max(certificate.primal_ratio, certificate.dual_ratio, certificate.gap_ratio)
-    return {
+    row = {
         "solve_s": round(seconds, 5),
         "status": report.status,
         "outer": report.outer_iterations,
@@ -149,6 +172,16 @@ def _run(inst, truth, sigma, config, start) -> dict:
         "beta_sha256": hashlib.sha256(beta.tobytes()).hexdigest(),
         "lambda_sha256": hashlib.sha256(lam.tobytes()).hexdigest(),
     }
+    if parent is not None:
+        row["parent"] = {
+            "outer": parent["outer"],
+            "inner": parent["inner"],
+            "same_sha256": [row["beta_sha256"], row["lambda_sha256"]]
+            == [parent["beta_sha256"], parent["lambda_sha256"]],
+            "beta_rel_change": _relative_change(beta, parent["beta"]),
+            "lambda_rel_change": _relative_change(lam, parent["lambda"]),
+        }
+    return row
 
 
 def _summary(runs: dict, baseline: str = "zero") -> dict:
@@ -191,27 +224,38 @@ def sweep(seeds) -> dict:
 
 def acceptance(parent: Path | None) -> dict:
     cases = [(design, sigma, seed) for design, sigma in ACCEPTANCE_ROWS for seed in range(10)]
-    parent_hashes = None
+    parent_rows = [None] * len(cases)
     if parent is not None:
         env = {**os.environ, "PYTHONPATH": str(parent / "src")}
-        run = subprocess.run([sys.executable, "-c", PARENT_HASHES, json.dumps(cases)],
+        run = subprocess.run([sys.executable, "-c", PARENT_DEFAULT, json.dumps(cases)],
                              capture_output=True, text=True, env=env, check=True)
-        parent_hashes = json.loads(run.stdout.splitlines()[-1])
+        parent_rows = json.loads(run.stdout.splitlines()[-1])
     result = {}
     for design, sigma in ACCEPTANCE_ROWS:
         runs = {name: [] for name in STARTS}
         for seed in range(10):
             inst, truth, config = _instance(design, sigma, seed)
+            parent_row = parent_rows[cases.index((design, sigma, seed))]
             for name in list(STARTS) if seed % 2 == 0 else list(STARTS)[::-1]:
-                runs[name].append({"seed": seed, **_run(inst, truth, sigma, config, STARTS[name])})
+                row = _run(inst, truth, sigma, config, STARTS[name],
+                           parent_row if name == "default" else None)
+                runs[name].append({"seed": seed, **row})
             print(f"acceptance {design} sigma={sigma} seed={seed}: "
                   f"zero={runs['zero'][-1]['solve_s']:.3f} "
                   f"default={runs['default'][-1]['solve_s']:.3f}", flush=True)
-        if parent_hashes is not None:
-            for row in runs["zero"]:
-                hashes = parent_hashes[cases.index((design, sigma, row["seed"]))]
-                row["equals_parent_default"] = [row["beta_sha256"], row["lambda_sha256"]] == hashes
         result[f"{design} sigma={sigma}"] = {"summary": _summary(runs), "runs": runs}
+        if parent is not None:
+            compared = [row["parent"] for row in runs["default"]]
+            result[f"{design} sigma={sigma}"]["against_parent"] = {
+                "same_counts": sum(
+                    (row["outer"], row["inner"]) == (old["outer"], old["inner"])
+                    for row, old in zip(runs["default"], compared)
+                ),
+                "same_sha256": sum(old["same_sha256"] for old in compared),
+                "rows": len(compared),
+                "max_beta_rel_change": max(old["beta_rel_change"] for old in compared),
+                "max_lambda_rel_change": max(old["lambda_rel_change"] for old in compared),
+            }
     return result
 
 

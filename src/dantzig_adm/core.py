@@ -50,6 +50,11 @@ ROW_TILE = 16
 # at 720 x 2560 (2-core Xeon, numpy 2.4) copying all tiles took 12 ms, and
 # 3.6 ms in pieces of 256 columns.
 TILE_COLUMNS = 256
+# The largest bound ||L||_F ||L^-1||_F on cond(X[:, columns]) at which
+# least_squares solves the normal equations by the Cholesky factor L of the
+# block's Gram matrix (see _normal_equations).  The start's Gaussian blocks
+# of 80 columns and 720 rows gave about 85, the two-stage refits up to 107.
+NORMAL_EQUATIONS_MAX_CONDITION = 1e4
 # CBLAS enum values: row- and column-major order, the upper and lower
 # triangle, and no transpose.
 _ROW_MAJOR, _COL_MAJOR, _UPPER, _LOWER, _NO_TRANS = 101, 102, 121, 122, 111
@@ -459,16 +464,55 @@ def one_blas_thread():
 def least_squares(X: np.ndarray, y: np.ndarray, columns: np.ndarray) -> np.ndarray:
     """The p-vector b that minimizes ||y - X b||_2 with b zero off ``columns``.
 
-    On the columns it is LAPACK's minimum-norm least-squares answer
-    (np.linalg.lstsq), also when X[:, columns] is rank-deficient or has more
-    columns than rows.  It runs on one BLAS thread (see
-    :func:`one_blas_thread`), so its bytes do not depend on the thread count.
+    On the columns, with B = X[:, columns], it solves the normal equations
+    B^T B b = B^T y by the Cholesky factor of B^T B when
+    :func:`_normal_equations` finds B well-conditioned, and is LAPACK's
+    minimum-norm least-squares answer (np.linalg.lstsq, an SVD) otherwise,
+    also when B is rank-deficient or has more columns than rows.  At
+    720 x 80 (one thread) the normal equations took 0.4-0.7 ms and lstsq
+    1.9-3.3 ms, and their answers differed by 3e-15 relative.  It runs on one
+    BLAS thread (see :func:`one_blas_thread`), so its bytes do not depend on
+    the thread count.
     """
     b = np.zeros(X.shape[1])
     if columns.size:
+        block = np.asarray(X[:, columns])  # a plain copy: its products are not with X
         with one_blas_thread():
-            b[columns], *_ = np.linalg.lstsq(X[:, columns], y, rcond=None)
+            fit = _normal_equations(block, y)
+            if fit is None:
+                fit, *_ = np.linalg.lstsq(block, y, rcond=None)
+            b[columns] = fit
     return b
+
+
+def _normal_equations(block: np.ndarray, y: np.ndarray) -> np.ndarray | None:
+    """argmin ||y - block b||_2 from the Cholesky factor L of block^T block; None if unsafe.
+
+    The normal equations' answer carries a relative error of about
+    cond(block)^2 u, u = 2^-53 (Bjorck, Numerical Methods for Least Squares
+    Problems, SIAM 1996, 2.2).  So it is None when the block has more columns
+    than rows, when np.linalg.cholesky fails, or when kappa =
+    ||L||_F ||L^-1||_F exceeds NORMAL_EQUATIONS_MAX_CONDITION = 1e4, which
+    keeps that error below about 1e8 u = 1.1e-8.  kappa bounds
+    cond_2(block) = cond_2(L) from above, up to the rounding of
+    block^T block.  The diagonal ratio min L_ii / max L_ii is no such bound:
+    L_ii is the distance of column i from the span of the columns before it,
+    which can stay large for every column of a nearly dependent block (a
+    Kahan-type block of 80 columns has a ratio of 0.2 and a condition number
+    of 3e7).  L^-1 costs about as much as two triangular solves, and
+    b = L^-T (L^-1 block^T y).
+    """
+    if block.shape[1] > block.shape[0]:
+        return None
+    gram = block.T @ block
+    try:
+        factor = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return None
+    inverse = np.linalg.inv(factor)
+    if not np.sqrt(np.trace(gram)) * np.linalg.norm(inverse) <= NORMAL_EQUATIONS_MAX_CONDITION:
+        return None
+    return inverse.T @ (inverse @ (block.T @ y))
 
 
 def _kernel(X: np.ndarray) -> np.ndarray:

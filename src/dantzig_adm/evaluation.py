@@ -44,9 +44,11 @@ class FeasibilityReport(NamedTuple):
 def two_stage(beta_tilde: np.ndarray, inst: Instance, sigma_noise: float) -> np.ndarray:
     """Truncate entries with magnitude <= 2 sigma, then refit by least squares.
 
-    The refit solves min ||y - X_T b||_2 on the surviving support T (minimum
-    norm solution when X_T is rank-deficient, including |T| > n); entries off
-    T stay zero.  An empty T returns the zero vector.
+    The refit is :func:`~dantzig_adm.core.least_squares`: min ||y - X_T b||_2
+    on the surviving support T, from the Cholesky factor of X_T^T X_T when
+    X_T is well-conditioned, and LAPACK's minimum-norm solution otherwise
+    (also when X_T is rank-deficient, including |T| > n); entries off T stay
+    zero.  An empty T returns the zero vector.
     """
     if not sigma_noise > 0:
         raise ValueError(f"sigma_noise must be positive, got {sigma_noise}")

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's own code paths: dense Gram
 matrices are formed explicitly, prox/projection values come from scalar
 minimization, and optima of tiny problems come from exhaustive enumeration of
-basic solutions of the equivalent linear programs.
+basic solutions of the equivalent linear programs, and at larger sizes from
+scipy's HiGHS.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ from __future__ import annotations
 from itertools import combinations, product
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from scipy import sparse
+from scipy.optimize import linprog, minimize_scalar
 
 
 def dense_gram(X: np.ndarray) -> np.ndarray:
@@ -145,6 +147,43 @@ def lp_dual_enumeration(X: np.ndarray, y: np.ndarray, delta: float):
             best_l = np.zeros(p)
             best_l[cols] = kept[:, j]
     return best_value, best_l
+
+
+def lp_optimum(X: np.ndarray, y: np.ndarray, delta: float):
+    """Dantzig selector optimum (value, beta, lambda) from scipy's HiGHS.
+
+    The LP has variables beta+ >= 0, beta- >= 0 and a free r = X beta - y:
+    min sum(beta+ + beta-) s.t. X (beta+ - beta-) - r = y and
+    |D^-1 X^T r| <= delta, every matrix sparse (about 4np nonzeros).  The
+    inequality rows' multipliers u+ (for <=) and u- (for >=) give the
+    library's dual variable lambda = (u+ - u-) / d, which maximizes
+    -y^T X lambda - delta * sum_j d_j |lambda_j| over ||X^T X lambda||_inf <= 1.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    n, p = X.shape
+    d = np.linalg.norm(X, axis=0)
+    design = sparse.csr_array(X)
+    scaled = sparse.csr_array(X.T / d[:, None])
+    zero = sparse.csr_array((p, 2 * p))
+    equality = sparse.hstack([design, -design, -sparse.identity(n, format="csr")], format="csc")
+    inequality = sparse.vstack(
+        [sparse.hstack([zero, scaled]), sparse.hstack([zero, -scaled])], format="csc"
+    )
+    result = linprog(
+        np.concatenate([np.ones(2 * p), np.zeros(n)]),
+        A_ub=inequality,
+        b_ub=np.full(2 * p, float(delta)),
+        A_eq=equality,
+        b_eq=np.asarray(y, dtype=np.float64),
+        bounds=[(0, None)] * (2 * p) + [(None, None)] * n,
+        method="highs",
+    )
+    if result.status != 0:
+        raise RuntimeError(f"HiGHS did not reach the optimum: {result.message}")
+    beta = result.x[:p] - result.x[p : 2 * p]
+    marginals = result.ineqlin.marginals  # d(objective)/d(b_ub) <= 0, so u = -marginals
+    lam = (marginals[p:] - marginals[:p]) / d
+    return float(result.fun), beta, lam
 
 
 def augmented_lagrangian_dense(X, y, z, beta, lam, mu) -> float:

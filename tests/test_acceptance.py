@@ -15,8 +15,10 @@ from dantzig_adm.evaluation import evaluate_solution
 from dantzig_adm.subsolver import ALPHA_LO, SIGMA_LS, SubproblemObjective, WarmStart, solve_subproblem
 
 from oracles import (
+    certificate_dense,
     dense_gram,
     ista_reference,
+    lp_optimum,
     lp_primal_enumeration,
     penalized_value_dense,
     random_instance_arrays,
@@ -134,6 +136,59 @@ class TestOptimalityOracle:
             f"max |objective - LP optimum| = {worst_gap:.2e} <= 1e-4, "
             f"max final metric = {worst_metric:.2e} <= 1e-6",
         )
+        assert ok
+
+    @pytest.mark.slow
+    def test_highs_optimum_bounds_the_answer_at_200_by_1000(self):
+        """ADM against the exact LP optimum V of scipy's HiGHS, 3 seeds of (200, 1000, 20).
+
+        With the stopping test passed at tol, the primal excess is at most
+        e = tol * max(||beta||_2, 1), so beta is feasible at delta + e, where
+        HiGHS's dual optimum lambda* has the value V - e ||D lambda*||_1: so
+        ||beta||_1 >= V - e ||D lambda*||_1.  lambda / s, s = max(1,
+        ||X^T X lambda||_inf) <= 1 + tol * L with L = max(||lambda||_2, 1), is
+        dual feasible, so d(lambda) / s <= V (weak duality), and with the gap
+        ||beta||_1 - d(lambda) <= tol * max(||beta||_1, 1) = tol * B this gives
+        ||beta||_1 - V <= tol (||beta||_1 L + B) / (1 + tol L) when
+        d(lambda) >= 0.
+        """
+        tol = tol_rule("unit_columns")
+        lp_ratio = 1e-6  # HiGHS's feasibility tolerances are 1e-7
+        lines, ok = [], True
+        for seed in range(3):
+            inst, _ = make_instance(GenSpec(n=200, p=1000, s=20, sigma_noise=0.05, seed=seed))
+            X, y, delta = np.asarray(inst.X), inst.y, inst.delta
+            optimum, beta_lp, lam_lp = lp_optimum(X, y, delta)
+            lp_worst = max(certificate_dense(X, y, delta, beta_lp, lam_lp)[key]
+                           for key in ("primal_ratio", "dual_ratio", "gap_ratio"))
+            beta, lam, run = solve(inst, AdmConfig(mu=mu_rule("unit_columns", inst.p, delta),
+                                                   tol=tol))
+            certificate = certificate_dense(X, y, delta, beta, lam)
+            adm_worst = max(certificate[key] for key in ("primal_ratio", "dual_ratio", "gap_ratio"))
+            d = np.linalg.norm(X, axis=0)
+            h = X.T @ y
+            dual = -float(h @ lam) - delta * float(d @ np.abs(lam))
+            scaled_dual = dual / max(1.0, float(np.abs(dense_gram(X) @ lam).max()))
+            l1 = float(np.abs(beta).sum())
+            L = max(float(np.linalg.norm(lam)), 1.0)
+            above = tol * (l1 * L + max(l1, 1.0)) / (1 + tol * L) / optimum
+            below = tol * max(float(np.linalg.norm(beta)), 1.0) * float(d @ np.abs(lam_lp)) / optimum
+            relative = (l1 - optimum) / optimum
+            ok &= (
+                lp_worst <= lp_ratio
+                and run.status == "converged"
+                and adm_worst <= tol
+                and dual >= 0
+                and scaled_dual <= optimum * (1 + lp_ratio)
+                and -below <= relative <= above
+            )
+            lines.append(
+                f"seed {seed}: LP certificate {lp_worst:.1e} <= {lp_ratio:.0e}, ADM certificate "
+                f"{adm_worst:.1e} <= {tol:.0e}, (V - d(lambda)/s)/V = "
+                f"{(optimum - scaled_dual) / optimum:.2e} >= -{lp_ratio:.0e}, "
+                f"(||beta||_1 - V)/V = {relative:+.2e} in [-{below:.2e}, +{above:.2e}]"
+            )
+        _report("HiGHS optimum at (200, 1000, 20), sigma 0.05", ok, "; ".join(lines))
         assert ok
 
 

@@ -558,25 +558,103 @@ class TestLeastSquares:
         assert np.abs(b[columns] - np.linalg.pinv(X[:, columns]) @ y).max() <= 1e-12
         assert not core_module.least_squares(X, y, np.array([], dtype=int)).any()
 
+    @staticmethod
+    @contextmanager
+    def _paths():
+        """The calls of np.linalg.cholesky and lstsq made inside the block, by name."""
+        calls = []
+
+        def spy(name, original):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            return call
+
+        with pytest.MonkeyPatch.context() as patch:
+            for name in ("cholesky", "lstsq"):
+                patch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
+            yield calls
+
+    def test_a_well_conditioned_tall_block_takes_the_cholesky_path(self):
+        rng = np.random.default_rng(97)
+        X, y = rng.standard_normal((200, 60)), rng.standard_normal(200)
+        columns = np.sort(rng.choice(60, 30, replace=False))
+        with self._paths() as calls:
+            b = core_module.least_squares(X, y, columns)
+        assert calls == ["cholesky"]
+        expected, *_ = np.linalg.lstsq(X[:, columns], y, rcond=None)
+        assert not np.delete(b, columns).any()
+        assert np.abs(b[columns] - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("seed", [2, 3, 4])
+    def test_nearly_equal_columns_take_the_lapack_path(self, seed):
+        # the Gram matrix has a Cholesky factor, whose condition bound is ~1e8
+        rng = np.random.default_rng(seed)
+        X, y = rng.standard_normal((40, 12)), rng.standard_normal(40)
+        X[:, 7] = X[:, 2] + 1e-9 * rng.standard_normal(40)
+        columns = np.array([1, 2, 5, 7])
+        with self._paths() as calls:
+            b = core_module.least_squares(X, y, columns)
+        assert calls == ["cholesky", "lstsq"]
+        expected = np.linalg.pinv(X[:, columns]) @ y
+        assert np.abs(b[columns] - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_a_kahan_block_takes_the_lapack_path_despite_its_diagonal(self):
+        # B = Q R with R Kahan's matrix: R_jj = s^j, so the Cholesky factor's
+        # diagonal ratio is s^39 = 0.16 while cond(B) is about 5e5
+        k, c = 40, 0.3
+        s = np.sqrt(1 - c * c)
+        R = np.diag(s ** np.arange(k)) @ (np.eye(k) - c * np.triu(np.ones((k, k)), 1))
+        rng = np.random.default_rng(98)
+        Q, _ = np.linalg.qr(rng.standard_normal((100, k)))
+        X, y = Q @ R, rng.standard_normal(100)
+        diagonal = np.diagonal(np.linalg.cholesky(X.T @ X))
+        assert diagonal.min() / diagonal.max() > 0.1
+        assert np.linalg.cond(X) > 1e5
+        with self._paths() as calls:
+            b = core_module.least_squares(X, y, np.arange(k))
+        assert calls == ["cholesky", "lstsq"]
+        with core_module.one_blas_thread():  # as least_squares runs it
+            expected, *_ = np.linalg.lstsq(X, y, rcond=None)
+        assert b.tobytes() == expected.tobytes()
+
+    def test_more_columns_than_rows_give_the_minimum_norm_answer(self):
+        rng = np.random.default_rng(99)
+        X, y = rng.standard_normal((6, 12)), rng.standard_normal(6)
+        columns = np.array([0, 2, 3, 5, 8, 9, 11])
+        with self._paths() as calls:
+            b = core_module.least_squares(X, y, columns)
+        assert calls == ["lstsq"]  # no Gram matrix is formed
+        assert not np.delete(b, columns).any()
+        assert np.abs(X @ b - y).max() <= 1e-12  # an exact fit
+        assert np.abs(b[columns] - np.linalg.pinv(X[:, columns]) @ y).max() <= 1e-12
+
     def test_runs_on_one_blas_thread_and_restores_the_count(self):
         previous = core_module.set_blas_threads(2)
         if previous is None:
             pytest.skip("numpy bundles no OpenBLAS with a thread-count setter here")
         try:
             seen = []
-            original = np.linalg.lstsq
 
-            def recording(*args, **kwargs):
-                seen.append(core_module.set_blas_threads(1))  # the count lstsq ran on
-                return original(*args, **kwargs)
+            def recording(name, original):
+                def call(*args, **kwargs):
+                    seen.append((name, core_module.set_blas_threads(1)))  # the count it ran on
+                    return original(*args, **kwargs)
+
+                return call
 
             rng = np.random.default_rng(96)
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(np.linalg, "lstsq", recording)
-                core_module.least_squares(
-                    rng.standard_normal((8, 5)), rng.standard_normal(8), np.arange(3)
-                )
-            assert seen == [1]
+                for name in ("cholesky", "lstsq"):
+                    patch.setattr(np.linalg, name, recording(name, getattr(np.linalg, name)))
+                # 3 columns of 8 rows take the Cholesky path, 5 columns of 4 rows lstsq
+                for rows, columns in ((8, 3), (4, 5)):
+                    core_module.least_squares(
+                        rng.standard_normal((rows, 5)), rng.standard_normal(rows),
+                        np.arange(columns),
+                    )
+            assert seen == [("cholesky", 1), ("lstsq", 1)]
             assert core_module.set_blas_threads(2) == 2
         finally:
             core_module.set_blas_threads(previous)
