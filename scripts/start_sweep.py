@@ -37,6 +37,10 @@ Each section writes its own key of the JSON file (the others are kept):
   outer and inner iterations, the start's refits (0 for a tree without
   them) and its own time, rho2 and the false positives of the two-stage
   refit, and the certificate's largest ratio over tol.
+- ``oracle``: with ``--parent``, unit columns at (200, 1000, 20), sigma 0.05,
+  seeds 0-2: the default solves of both trees and the exact optimum of
+  scipy's HiGHS (``tests/oracles.py``, ``lp_optimum``), each with its
+  ||beta||_1, its rho2 and the false positives of its two-stage refit.
 
 ``--prefix`` is put before each key written, so that a later measurement
 keeps an earlier one.  In ``BENCH_start.json`` the keys without a prefix
@@ -53,7 +57,10 @@ fits by the Cholesky factor of the column block's Gram matrix with the
 parent's LAPACK SVD fits: ``lsq_parent`` is ``--sections parent`` (seeds
 100-129), ``lsq_acceptance`` ``--sections acceptance`` and
 ``lsq_perfbench`` ``--sections perfbench --bench-seeds 2001,...,2010``, each
-with ``--parent`` and ``--prefix lsq_``.
+with ``--parent`` and ``--prefix lsq_``.  In ``BENCH_generation.json`` the
+``gen_*`` keys compare the solve on a growing set of columns with the
+parent's solve on all of them: ``--sections parent,acceptance,perfbench,oracle
+--prefix gen_`` with ``--parent``.
 
 Before numpy is imported BLAS is pinned to one thread, as perfbench pins it.
 The file also records the machine, the BLAS and the thread count.
@@ -349,6 +356,35 @@ def parent_comparison(parent: Path, seeds, reps: int) -> dict:
     return result
 
 
+def oracle(parent: Path, seeds=range(3)) -> dict:
+    """Both trees' default solves and HiGHS's optimum at (200, 1000, 20) (see the docstring)."""
+    import dantzig_adm.adm as change
+
+    sys.path.insert(0, str(ROOT / "tests"))
+    from oracles import lp_optimum
+
+    trees = {"parent": load_parent(parent), "change": change}
+    rows = []
+    for seed in seeds:
+        spec = GenSpec(n=200, p=1000, s=20, sigma_noise=0.05, seed=seed)
+        inst, truth = make_instance(spec)
+        config = AdmConfig(mu=mu_rule("unit_columns", inst.p, inst.delta),
+                           tol=tol_rule("unit_columns"))
+        answers = {name: module.solve(inst, module.AdmConfig(mu=config.mu, tol=config.tol))[0]
+                   for name, module in trees.items()}
+        answers["highs"] = lp_optimum(np.asarray(inst.X), inst.y, inst.delta)[1]
+        row = {"seed": seed}
+        for name, beta in answers.items():
+            quality = evaluate_solution(inst, beta, truth.beta_true, spec.sigma_noise)
+            row[name] = {"l1": float(np.abs(beta).sum()), "rho2": quality.rho2,
+                         "false_positives": quality.false_positives}
+        rows.append(row)
+        print(f"oracle seed={seed}: " + " ".join(
+            f"{name}={row[name]['rho2']:.3f}/{row[name]['false_positives']}" for name in answers),
+            flush=True)
+    return {"size": [200, 1000, 20], "sigma": 0.05, "runs": rows}
+
+
 def perfbench(parent: Path, seeds, seconds: float) -> dict:
     """Paired end-to-end runs of both workloads, parent and change in alternating order."""
     result = {}
@@ -387,7 +423,7 @@ def perfbench(parent: Path, seeds, seconds: float) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--sections", default="sweep,acceptance",
-                        help="comma-separated: sweep, acceptance, perfbench, parent")
+                        help="comma-separated: sweep, acceptance, perfbench, parent, oracle")
     parser.add_argument("--seeds", type=int, default=30, help="held-out seeds of the sweep")
     parser.add_argument("--first-seed", type=int, default=100)
     parser.add_argument("--parent", type=Path, help="a checkout of the parent commit")
@@ -401,8 +437,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_start.json")
     args = parser.parse_args(argv)
     sections = args.sections.split(",")
-    if {"perfbench", "parent"} & set(sections) and args.parent is None:
-        parser.error("the perfbench and parent sections need --parent")
+    if {"perfbench", "parent", "oracle"} & set(sections) and args.parent is None:
+        parser.error("the perfbench, parent and oracle sections need --parent")
 
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     data[args.prefix + "environment"] = environment()
@@ -416,6 +452,8 @@ def main(argv=None) -> int:
         data[args.prefix + "parent"] = {"seeds": [seeds.start, seeds.stop - 1],
                                         **parent_comparison(args.parent.resolve(), seeds,
                                                             args.reps)}
+    if "oracle" in sections:
+        data[args.prefix + "oracle"] = oracle(args.parent.resolve())
     if "perfbench" in sections:
         bench_seeds = [int(seed) for seed in args.bench_seeds.split(",")]
         data[args.prefix + "perfbench"] = perfbench(args.parent.resolve(), bench_seeds,

@@ -39,22 +39,40 @@ serves the dual stopping term; and the dual objective uses the cached X^T y.
 
 The z clamp, the multiplier step and the stopping test therefore make no
 product with X.  An outer iteration costs what its inner solve costs: one
-n x n product and two products with X per inner iteration, made with the
-copied rows X^T[W] of a working set of at most a quarter of the
-coordinates, plus a few n x p products per inner solve (see
+kernel product and two products with X per inner iteration, made with the
+copied rows X^T[W'] of an inner working set W' of at most a quarter of the
+coordinates, plus a few products with all of X per inner solve (see
 :mod:`~dantzig_adm.subsolver`).  Each inner solve is handed the previous
-one's final result as its reference.  When that certifies a working set
-from the start, the inner solve reads all of X once: in one fused pass for
-its full gradient and residual when it stops.  Its X r0 reads only the
-columns where r0 is nonzero, where the z clamp is active.  Without a
-reference (the first inner solve, and the one after a best earlier iterate)
-or a certificate, X^T q0 and the first iteration use X too.  When the inner
-solver returns its best earlier iterate instead of its final one, G beta and
-X^T X lambda are formed fresh, two more Gram products.  One design operator
-serves every inner solve of a solve, so the n x n kernel K = X X^T is
-formed at most once per solve (about n^2 p / 2 multiply-adds), the buffer
-for X^T[W] is allocated at most once, and both are dropped when the solve
-returns.
+one's final result as its reference, which may certify its working set from
+the start.  When the inner solver returns its best earlier iterate instead
+of its final one, G beta and X^T X lambda are formed fresh, two more Gram
+products.  One design operator serves every inner solve of the loop, so the
+n x n kernel K = X X^T is formed at most once (about n^2 p / 2
+multiply-adds, and only when n <= p; otherwise K w is X (X^T w)).
+
+:func:`solve` runs this loop, :func:`_adm`, on the Dantzig selector of
+X[:, W] for a growing set of columns W, with its constraints on W only.
+Its answer, padded with zeros, solves the full problem when the
+constraints off W hold for it too: this is column and constraint generation
+for the LP (Dantzig & Wolfe, Oper. Res. 1960), as in the working-set
+method of Johnson & Guestrin (ICML 2015).  Each round copies the columns of
+W once into one kept buffer (:class:`~dantzig_adm.core.ColumnBlock`) and
+reads d and X^T y on W off the instance, so the loop's every product is with
+that n x |W| block; and one fused pass over all of X checks the
+constraints off W and gives X^T X_W b_W and X^T X_W l_W for the next
+round's warm start.  The start's least-squares fits copy into the same
+buffer.  At (720, 2560, 80) the 30 acceptance rows (unit columns at
+sigma 0.05 and 0.01, orthogonal rows at sigma 0.05, seeds 0-9) took 3-7
+rounds and ended with 103-197 columns in W.  While |W| < n a round forms no
+K: none of their 146 rounds did, nor any of 36 at (1440, 5120, 160), seeds
+0-2; and none of their inner solves started on a certified working set
+(0 of 4723, and 0 of 583).  Each round restarts the inner tolerance
+schedule, so the outer iterations summed over the rounds exceed those of the
+loop on all of X (unit sigma 0.05: 98.5 against 47.8 on average), but each
+costs products with about a twentieth of X; a whole solve took about a
+third of the time.  Neither the full-p buffer of the inner working set nor
+K is allocated while |W| < n, and the column buffer holds at most p // 2
+columns: W becomes all of X past that, and the round then runs on X itself.
 
 The default start is not the paper's beta = 0 but a screened least-squares
 fit refined by hard-thresholding pursuit (:func:`screened_start`).  Round 0
@@ -91,8 +109,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DesignOperator, Instance, apply_gram, box_clamp, least_squares
-from .subsolver import SubproblemObjective, solve_subproblem
+from .core import ColumnBlock, DesignOperator, Instance, apply_gram, box_clamp, least_squares
+from .subsolver import SubproblemObjective, _expand, solve_subproblem
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITER = "max_iter"
@@ -106,6 +124,12 @@ SUB_TOL_FACTOR = 0.1
 # Rows of X per column of the default start's least-squares fits: each fits
 # k = min(n // START_ROWS_PER_COLUMN, p) columns (see screened_start).
 START_ROWS_PER_COLUMN = 9
+# Column generation (see solve): a column off W whose excess ratio exceeds
+# VIOLATION_FRACTION * tol violates, and each round adds the
+# max(GROW_MIN, |W| // GROW_SHARE) largest violators to W.
+VIOLATION_FRACTION = 0.5
+GROW_MIN = 20
+GROW_SHARE = 4
 
 
 @dataclass
@@ -163,6 +187,7 @@ class OuterIterationRecord:
     lam: np.ndarray
     lam_prev: np.ndarray
     metric: float
+    columns: np.ndarray | None = None  # W of the round (see solve); None: all columns
 
 
 @dataclass
@@ -196,6 +221,8 @@ class RunReport:
     start_support: int = 0
     start_rounds: int = 0
     inner_tolerance_history: list[float] = field(default_factory=list)
+    rounds: int = 0
+    working_columns: int = 0
 
 
 def screened_start(inst: Instance, columns: int | None = None, tol: float = 0.0) -> np.ndarray:
@@ -240,18 +267,24 @@ def _top(scores: np.ndarray, k: int) -> np.ndarray:
 
 
 def _screened_start(
-    inst: Instance, design: DesignOperator, columns: int | None = None, tol: float = 0.0
+    inst: Instance,
+    design: DesignOperator,
+    columns: int | None = None,
+    tol: float = 0.0,
+    block: ColumnBlock | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """(beta0, G beta0, refits) of :func:`screened_start`, G = X^T X.
 
-    Its products are made with ``design``, the solve's operator.
+    Its products are made with ``design``, the solve's operator, and its
+    fits copy their columns into ``block`` (a new one when None).
     """
     k = min(inst.n // START_ROWS_PER_COLUMN if columns is None else columns, inst.p)
     scores = np.abs(inst.xty) / inst.d
     if k == 0 or not scores.max() > inst.delta + tol:
         return np.zeros(inst.p), np.zeros(inst.p), 0
     top = _top(scores, k)
-    beta = least_squares(inst.X, inst.y, top)
+    block = ColumnBlock(inst.X) if block is None else block
+    beta = least_squares(inst.X, inst.y, top, block)
     if k == inst.p:
         return beta, design.rmatvec(design.matvec(beta)), 0
     residual = inst.y - design.matvec(beta)
@@ -261,7 +294,7 @@ def _screened_start(
         candidate = _top(np.abs(beta + xtr / inst.d**2), k)
         if np.array_equal(candidate, top):
             break
-        trial = least_squares(inst.X, inst.y, candidate)
+        trial = least_squares(inst.X, inst.y, candidate, block)
         refits += 1
         trial_residual = inst.y - design.matvec(trial)
         if not np.linalg.norm(trial_residual) < np.linalg.norm(residual):
@@ -360,30 +393,53 @@ def solve(
     lambda0: np.ndarray | None = None,
     callback=None,
 ) -> tuple[np.ndarray, np.ndarray, RunReport]:
-    """Run the alternating direction method from (beta0, lambda0).
+    """Solve the Dantzig selector on a growing set of columns W, from (beta0, lambda0).
 
     beta0 defaults to :func:`screened_start`, formed inside the timed solve
     with the solve's design operator, and lambda0 to zeros;
     ``beta0=np.zeros(p)`` gives the paper's zero start.
 
-    Per iteration: closed-form z update, inner solve for beta warm-started at
-    the previous beta and stopped at the iteration's tol_sub (see
-    :class:`AdmConfig`; it reads the least stopping metric so far), multiplier step, then the stopping test.  Its metric
-    is the max of the ratios of :func:`_stopping_ratios`: the relative
-    duality gap | ||beta||_1 - d(lambda) | / max(||beta||_1, 1) and the
-    primal and dual excesses of :func:`_criterion_terms` over
-    max(||beta||_2, 1) and max(||lambda||_2, 1).  The two excess ratios may
-    be negative; the gap is not, so neither is the metric.
-    The dual objective d is used as-is even when lambda is dual-infeasible.
-    The metric at (beta0, lambda0) is the first entry of the history.  X^T X beta
-    and X^T X lambda come from the inner solver's residual and gradient (see
-    the module docstring for the identities and the cost per iteration), and
-    each inner result but a best earlier iterate is the next inner solve's
-    reference.  The products go through one DesignOperator built here and
-    dropped on return.
-    A subsolver that misses its tolerance contributes its best iterate and is
-    counted in the report.  Non-finite values end the run with status numerical_failure,
-    returning the state at failure.
+    The metric at (beta0, lambda0) is the first entry of the history, from
+    X^T X beta0 and X^T X lambda0 on all of X; when it is at most tol the
+    solve returns with 0 rounds.  Otherwise W starts as
+    supp(beta0) + supp(lambda0), or, when both are zero, as the columns
+    chosen by the growth rule below from those products.  Each round runs
+    :func:`_adm` on the Dantzig selector of X[:, W] (its constraints on W
+    only; :meth:`~dantzig_adm.core.Instance.restricted`) from the previous
+    answer, with the caller's mu and tol and what is left of
+    ``max_outer_iter`` over all rounds.  Its answer (b_W, l_W), padded with
+    zeros, is then checked off W: one fused pass over X gives X^T X_W b_W
+    and X^T X_W l_W, and each column j off W has the excess ratio
+    max(|x_j^T (X_W b_W - y)| / d_j - delta, |x_j^T X_W l_W| - 1), each term
+    over the norm that scales it in the stopping test.  The gap and both
+    norms involve W only, so the full problem's metric is the larger of the
+    round's last metric and the largest of these ratios.  Every j off W
+    whose ratio exceeds VIOLATION_FRACTION * tol is a violator; when there
+    is none and the round converged, the solve has converged.  Otherwise the
+    max(GROW_MIN, |W| // GROW_SHARE) largest violators join W, and W becomes
+    all columns once it would hold more than p // 2 of them; the round then
+    runs on X itself and needs no check.
+
+    ``stopping_metric_history`` holds the start's metric, then each round's
+    metrics after its start, with the round's last entry replaced by the
+    full problem's metric.  So its length is outer_iterations + 1, and its
+    last entry is the full problem's metric.  The dual objective does not
+    depend on W (lambda is zero off it), and ``dual_objective_history``
+    follows the same layout.  ``callback`` receives one
+    :class:`OuterIterationRecord` per outer iteration of every round:
+    ``iteration`` counts over all rounds, z, beta, lam and lam_prev are the
+    round's, padded with zeros off W, ``metric`` is the round's stopping
+    metric there (on W only), and ``columns`` is W, or None when the round
+    runs on all columns.
+
+    A round that stops at the cap returns max_iter, as does a converged round
+    whose check finds violators when no outer iteration is left, unless the
+    full problem's metric is at most tol; so status converged means that
+    the last entry of the history is at most tol.  A round with non-finite
+    values returns numerical_failure.  Each returns the padded answer of
+    that round.  The products go through one
+    DesignOperator of X, and each round's through one of X[:, W], built here
+    and dropped on return.
     """
     p = inst.p
     beta = None if beta0 is None else np.array(beta0, dtype=np.float64)
@@ -393,13 +449,170 @@ def solve(
 
     t_start = time.perf_counter()
     design = DesignOperator(inst.X)
+    block = ColumnBlock(inst.X)
     start_rounds = 0
     if beta is None:
-        beta, gram_beta, start_rounds = _screened_start(inst, design, tol=config.tol)
+        beta, gram_beta, start_rounds = _screened_start(inst, design, tol=config.tol, block=block)
     else:  # a zero start needs no product: X^T X 0 = 0
         gram_beta = apply_gram(inst, beta) if beta.any() else np.zeros(p)
-    start_support = int(np.count_nonzero(beta))
     gram_lam = apply_gram(inst, lam) if lam.any() else np.zeros(p)
+    terms = _criterion_terms(inst, beta, lam, gram_beta, gram_lam)
+    report = RunReport(
+        outer_iterations=0,
+        inner_iteration_total=0,
+        stopping_metric_history=[max(_stopping_ratios(beta, lam, terms))],
+        dual_objective_history=[terms[3]],
+        wall_time=0.0,
+        status=STATUS_CONVERGED,
+        start_support=int(np.count_nonzero(beta)),
+        start_rounds=start_rounds,
+    )
+    columns = _all_past_half(np.flatnonzero((beta != 0) | (lam != 0)), p)
+    if report.stopping_metric_history[0] <= config.tol:
+        columns = None
+    elif not columns.size:
+        columns = _grow(columns, _excess(inst, beta, lam, gram_beta, gram_lam), config.tol, p)
+
+    while columns is not None:
+        whole = columns.size == p
+        if whole:
+            sub, sub_design = inst, design
+            start = (beta, lam, gram_beta, gram_lam)
+        else:
+            sub = inst.restricted(columns, block)
+            sub_design = DesignOperator(sub.X)
+            start = (beta[columns], lam[columns], gram_beta[columns], gram_lam[columns])
+        done = report.outer_iterations
+        record = None if callback is None else _padded(callback, done, columns, p)
+        b, lam_w, run = _adm(sub, config, sub_design, *start, config.max_outer_iter - done, record)
+        _add_round(report, run)
+        report.working_columns = columns.size
+        beta, lam = _expand(b, columns, p), _expand(lam_w, columns, p)
+        report.status = run.status
+        if whole:
+            break
+        # X^T X_W b_W and X^T X_W l_W on all columns, for the check and the next round
+        gram_beta, gram_lam = design.rmatvec_pair(sub_design.matvec(b), sub_design.matvec(lam_w))
+        excess = _excess(inst, beta, lam, gram_beta, gram_lam)
+        excess[columns] = -np.inf
+        report.stopping_metric_history[-1] = max(run.stopping_metric_history[-1], excess.max())
+        if run.status != STATUS_CONVERGED:
+            break
+        columns = _grow(columns, excess, config.tol, p)
+        if columns is not None and report.outer_iterations == config.max_outer_iter:
+            passed = report.stopping_metric_history[-1] <= config.tol
+            report.status = STATUS_CONVERGED if passed else STATUS_MAX_ITER
+            break
+
+    report.wall_time = time.perf_counter() - t_start
+    return beta, lam, report
+
+
+def _excess(
+    inst: Instance, beta: np.ndarray, lam: np.ndarray, gram_beta: np.ndarray, gram_lam: np.ndarray
+) -> np.ndarray:
+    """Per column j, the larger of its primal and dual excess ratios at (beta, lambda).
+
+    (|(G beta - X^T y)_j| / d_j - delta) / max(||beta||_2, 1) and
+    (|(G lambda)_j| - 1) / max(||lambda||_2, 1), G = X^T X: the terms of
+    :func:`_criterion_terms` column by column, scaled as
+    :func:`_stopping_ratios` scales their maxima.  A new array.
+    """
+    primal = np.abs(gram_beta - inst.xty) / inst.d - inst.delta
+    primal /= max(float(np.linalg.norm(beta)), 1.0)
+    dual = np.abs(gram_lam) - 1.0
+    dual /= max(float(np.linalg.norm(lam)), 1.0)
+    return np.maximum(primal, dual)
+
+
+def _grow(columns: np.ndarray, excess: np.ndarray, tol: float, p: int) -> np.ndarray | None:
+    """W with its largest violators added, sorted; None when no column violates.
+
+    ``excess`` is -inf on W.  A violator's excess exceeds VIOLATION_FRACTION
+    * tol; max(GROW_MIN, |W| // GROW_SHARE) of them join, the largest first
+    (ties to the lower index).
+    """
+    violators = np.flatnonzero(excess > VIOLATION_FRACTION * tol)
+    if not violators.size:
+        return None
+    count = max(GROW_MIN, columns.size // GROW_SHARE)
+    chosen = violators[np.argsort(-excess[violators], kind="stable")[:count]]
+    # W and the violators are disjoint, so sorting their concatenation unites
+    # them; np.union1d would import numpy.ma on its first call
+    return _all_past_half(np.sort(np.concatenate((columns, chosen))), p)
+
+
+def _all_past_half(columns: np.ndarray, p: int) -> np.ndarray:
+    """``columns``, or all p columns when it holds more than p // 2.
+
+    A round on all columns runs on X itself, with no copy and no check, so
+    no copy of columns exceeds half of X.
+    """
+    return np.arange(p) if 2 * columns.size > p else columns
+
+
+def _padded(callback, offset: int, columns: np.ndarray, p: int):
+    """``callback`` fed a round's records padded to length p (see :func:`solve`)."""
+    whole = columns.size == p
+
+    def padded(rec: OuterIterationRecord) -> None:
+        vectors = (_expand(v, columns, p) for v in (rec.z, rec.beta, rec.lam, rec.lam_prev))
+        callback(OuterIterationRecord(offset + rec.iteration, *vectors, rec.metric,
+                                      None if whole else columns))
+
+    return padded
+
+
+def _add_round(report: RunReport, run: RunReport) -> None:
+    """Add one round's counters and histories to ``report``; its start entries are dropped."""
+    report.outer_iterations += run.outer_iterations
+    report.inner_iteration_total += run.inner_iteration_total
+    report.stopping_metric_history += run.stopping_metric_history[1:]
+    report.dual_objective_history += run.dual_objective_history[1:]
+    report.subsolver_failures += run.subsolver_failures
+    report.certified_inner_solves += run.certified_inner_solves
+    report.refreshes += run.refreshes
+    report.inner_iteration_history += run.inner_iteration_history
+    report.inner_tolerance_history += run.inner_tolerance_history
+    report.rounds += 1
+
+
+def _adm(
+    inst: Instance,
+    config: AdmConfig,
+    design: DesignOperator,
+    beta: np.ndarray,
+    lam: np.ndarray,
+    gram_beta: np.ndarray,
+    gram_lam: np.ndarray,
+    limit: int,
+    callback=None,
+) -> tuple[np.ndarray, np.ndarray, RunReport]:
+    """Run the alternating direction method on ``inst`` from (beta, lam).
+
+    ``gram_beta`` and ``gram_lam`` are X^T X beta and X^T X lambda,
+    ``design`` makes every product with X, and the run stops after ``limit``
+    outer iterations with status max_iter.  Per iteration: closed-form z
+    update, inner solve for beta warm-started at the previous beta and
+    stopped at the iteration's tol_sub (see :class:`AdmConfig`; it reads the
+    least stopping metric so far), multiplier step, then the stopping test.
+    Its metric is the max of the ratios of :func:`_stopping_ratios`: the
+    relative duality gap | ||beta||_1 - d(lambda) | / max(||beta||_1, 1) and
+    the primal and dual excesses of :func:`_criterion_terms` over
+    max(||beta||_2, 1) and max(||lambda||_2, 1).  The two excess ratios may
+    be negative; the gap is not, so neither is the metric.  The dual
+    objective d is used as-is even when lambda is dual-infeasible.  The
+    metric at the start is the first entry of the history.  X^T X beta and
+    X^T X lambda come from the inner solver's residual and gradient (see the
+    module docstring for the identities and the cost per iteration), and
+    each inner result but a best earlier iterate is the next inner solve's
+    reference.  A subsolver that misses its tolerance contributes its best
+    iterate and is counted in the report.  Non-finite values end the run
+    with status numerical_failure, returning the state at failure.  The
+    report's start fields, rounds and working_columns are left at 0, and
+    ``callback`` gets the records of this problem, with ``columns`` None.
+    """
+    t_start = time.perf_counter()
     metric_history: list[float] = []
     dual_history: list[float] = []
     inner_history: list[int] = []
@@ -420,7 +633,7 @@ def solve(
         if metric <= config.tol:
             status = STATUS_CONVERGED
             break
-        if iteration == config.max_outer_iter:
+        if iteration == limit:
             status = STATUS_MAX_ITER
             break
 
@@ -462,8 +675,6 @@ def solve(
         certified_inner_solves=certified,
         refreshes=refreshes,
         inner_iteration_history=inner_history,
-        start_support=start_support,
-        start_rounds=start_rounds,
         inner_tolerance_history=tolerance_history,
     )
     return beta, lam, report

@@ -10,8 +10,12 @@ product dsymv reads.  Its
 :meth:`~DesignOperator.restrict` gives the operator of a few columns of X,
 copied into a buffer that the operator reuses, on which the inner solver
 iterates over its working set.  Every product runs on numpy alone; no solve
-imports scipy.  :func:`row_tiles` reads a column-major X in row-major tiles,
-from which an Instance sums ``d`` and a generated instance forms ``y``.
+imports scipy.  :class:`ColumnBlock` copies columns of X into one kept
+buffer, for the least-squares fits of :func:`least_squares` and for
+:meth:`Instance.restricted`, the instance of a few columns on which a solve
+runs each round.  :func:`row_tiles` reads a column-major X in row-major
+tiles, from which an Instance sums ``d`` and a generated instance forms
+``y``.
 """
 
 from __future__ import annotations
@@ -204,6 +208,51 @@ class Instance:
     def xty(self) -> np.ndarray:
         """Cached X^T y, reused by every outer iteration."""
         return self.X.T @ self.y
+
+    def restricted(self, columns: np.ndarray, block: "ColumnBlock") -> "Instance":
+        """The instance of X[:, columns] with the same y and delta.
+
+        Its X is ``block.take(columns)``, a column-major view of the block's
+        buffer, valid until the block's next copy.  Its d and X^T y are those
+        of this instance on ``columns``, read off and not recomputed, and the
+        copy is not checked again: no pass over X is made.
+        """
+        sub = object.__new__(Instance)
+        for name, value in (("X", block.take(columns)), ("y", self.y), ("delta", self.delta),
+                            ("d", self.d[columns])):
+            object.__setattr__(sub, name, value)
+        sub.__dict__["xty"] = self.xty[columns]
+        return sub
+
+
+class ColumnBlock:
+    """Copies of X[:, columns] in one buffer that grows with the columns and is kept.
+
+    The buffer holds rows of X^T, so each copy is one np.take and the block
+    it gives is column-major.  It is allocated for twice the columns first
+    asked for, and again for twice as many when a copy needs more, but for
+    no more than max(p // 2, columns) columns; so a solve whose column set
+    grows by a quarter per round copies into the same pages for a few
+    rounds, and a block of at most p // 2 columns never allocates X's size.
+    A buffer allocated per copy is mapped and faulted in afresh each time:
+    113 minor faults per 720 x 80 least-squares block (glibc maps blocks
+    past its 128 KiB threshold).  Only the pages a copy writes become
+    resident.
+    """
+
+    def __init__(self, X: np.ndarray):
+        self.X = X
+        self._rows: np.ndarray | None = None
+
+    def take(self, columns: np.ndarray) -> np.ndarray:
+        """X[:, columns], n x |columns| and column-major; valid until the next call."""
+        n, p = self.X.shape
+        if self._rows is None or self._rows.shape[0] < columns.size:
+            self._rows = np.empty((min(2 * columns.size, max(p // 2, columns.size)), n))
+        rows = self._rows[: columns.size]
+        # mode="clip" skips the bounds pass that makes "raise" copy via a temporary
+        np.take(self.X.T, columns, axis=0, out=rows, mode="clip")
+        return rows.T
 
 
 class DesignOperator:
@@ -461,7 +510,9 @@ def one_blas_thread():
             set_blas_threads(previous)
 
 
-def least_squares(X: np.ndarray, y: np.ndarray, columns: np.ndarray) -> np.ndarray:
+def least_squares(
+    X: np.ndarray, y: np.ndarray, columns: np.ndarray, block: ColumnBlock | None = None
+) -> np.ndarray:
     """The p-vector b that minimizes ||y - X b||_2 with b zero off ``columns``.
 
     On the columns, with B = X[:, columns], it solves the normal equations
@@ -472,11 +523,15 @@ def least_squares(X: np.ndarray, y: np.ndarray, columns: np.ndarray) -> np.ndarr
     720 x 80 (one thread) the normal equations took 0.4-0.7 ms and lstsq
     1.9-3.3 ms, and their answers differed by 3e-15 relative.  It runs on one
     BLAS thread (see :func:`one_blas_thread`), so its bytes do not depend on
-    the thread count.
+    the thread count.  B is copied into ``block``, a :class:`ColumnBlock` of
+    X, when one is given, and into a new array otherwise.  For a
+    column-major X both copies are column-major, and the answer's bytes are
+    the same.
     """
     b = np.zeros(X.shape[1])
     if columns.size:
-        block = np.asarray(X[:, columns])  # a plain copy: its products are not with X
+        # a plain copy: its products are not with X
+        block = np.asarray(X[:, columns]) if block is None else block.take(columns)
         with one_blas_thread():
             fit = _normal_equations(block, y)
             if fit is None:

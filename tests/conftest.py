@@ -4,8 +4,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from dantzig_adm import core
-from dantzig_adm.core import DesignOperator
+from dantzig_adm import adm, core
+from dantzig_adm.core import DesignOperator, apply_gram
 
 
 class ProductCounts:
@@ -139,3 +139,33 @@ def traced_peak():
         return result, top - start
 
     return peak
+
+
+def _whole_problem(inst, config, beta0=None, lambda0=None, callback=None):
+    """adm's ADM loop on all of X, from solve's start: the method without column generation.
+
+    beta0 defaults to the screened start, lambda0 to zeros; X^T X beta0 comes
+    with the screened start or from apply_gram, as solve forms it.  Returns
+    (beta, lambda, report) with the report's start fields left at 0.
+    """
+    design = DesignOperator(inst.X)
+    lam = np.zeros(inst.p) if lambda0 is None else np.asarray(lambda0, dtype=np.float64)
+    if beta0 is None:
+        beta0, gram_beta, _ = adm._screened_start(inst, design, tol=config.tol)
+    else:
+        beta0 = np.asarray(beta0, dtype=np.float64)
+        gram_beta = apply_gram(inst, beta0) if beta0.any() else np.zeros(inst.p)
+    gram_lam = apply_gram(inst, lam) if lam.any() else np.zeros(inst.p)
+    return adm._adm(
+        inst, config, design, beta0, lam, gram_beta, gram_lam, config.max_outer_iter, callback
+    )
+
+
+@pytest.fixture
+def whole_problem():
+    """whole(inst, config, beta0=None, lambda0=None, callback=None): the full method.
+
+    What solve ran before it solved on a growing set of columns; tests of the
+    ADM loop's per-iteration cost, schedule and paths call it.
+    """
+    return _whole_problem

@@ -301,8 +301,15 @@ class TestInvariantSuite:
                             feasible_l1=feasible_l1, scaled_duals=scaled_duals):
                 if not np.all(np.abs(rec.z / inst.d) <= inst.delta * (1 + 1e-12)):
                     violations.append(f"trial {trial}: z left the box")
-                residual = G @ rec.beta - h - rec.z
-                if np.abs(rec.lam - rec.lam_prev - mu * residual).max() > 1e-12 * (
+                # the multiplier step of the round's problem, on its columns W;
+                # off W the record is zero
+                W = np.arange(p) if rec.columns is None else rec.columns
+                off = np.ones(p, dtype=bool)
+                off[W] = False
+                if any(v[off].any() for v in (rec.z, rec.beta, rec.lam, rec.lam_prev)):
+                    violations.append(f"trial {trial}: nonzero entry off the round's columns")
+                residual = G[np.ix_(W, W)] @ rec.beta[W] - h[W] - rec.z[W]
+                if np.abs(rec.lam[W] - rec.lam_prev[W] - mu * residual).max() > 1e-12 * (
                     1.0 + np.abs(rec.lam_prev).max()
                 ):
                     violations.append(f"trial {trial}: multiplier identity broken")

@@ -23,6 +23,7 @@ from dantzig_adm.adm import (
 from dantzig_adm.core import (
     FUSED_ROWS,
     RESTRICTED_MIN_ENTRIES,
+    ColumnBlock,
     DesignOperator,
     Instance,
     apply_gram,
@@ -43,6 +44,7 @@ from oracles import (
     certificate_dense,
     dense_gram,
     lp_dual_enumeration,
+    lp_optimum,
     lp_primal_enumeration,
     random_instance_arrays,
 )
@@ -377,15 +379,15 @@ class TestPrecomputedGram:
 
         def recording(cls, obj, u0):
             start = original(cls, obj, u0)
-            starts.append((obj.z_fixed, start.r0))
+            # the box of the round's instance: z and r0 live on its columns W
+            starts.append((obj.z_fixed, start.r0, obj.inst.delta * obj.inst.d))
             return start
 
         monkeypatch.setattr(WarmStart, "at", classmethod(recording))
         mu = mu_rule("unit_columns", inst.p, inst.delta)
         _, _, report = solve(inst, AdmConfig(mu=mu, tol=1e-3))
         assert report.outer_iterations == len(starts) > 1
-        bound = inst.delta * inst.d
-        for z, r0 in starts[1:]:  # after an outer step
+        for z, r0, bound in starts[1:]:  # after an outer step
             on_box = np.abs(z) == bound
             assert np.count_nonzero(r0[~on_box]) == 0
             assert np.count_nonzero(r0[on_box]) > 0
@@ -410,7 +412,10 @@ def _step(calls, before):
 
 
 class TestOuterCost:
-    """Products per outer iteration, counted through a counting view of X.
+    """Products per outer iteration of the full method, counted through a counting view of X.
+
+    The full method is the ADM loop on all of X (the ``whole_problem``
+    fixture); solve runs it on each round's columns.
 
     An outer iteration costs its inner solve: X r0 and X^T q0, plus X d,
     K (X d) and X^T per inner iteration, plus X^T E in full mode or one
@@ -460,13 +465,15 @@ class TestOuterCost:
         return inst, rng.standard_normal(p), AdmConfig(mu=1.0, tol=1e-5, max_outer_iter=40)
 
     @pytest.mark.parametrize("n, p", sorted(_KINDS, reverse=True))
-    def test_three_products_plus_three_per_inner_iteration(self, monkeypatch, products, n, p):
+    def test_three_products_plus_three_per_inner_iteration(
+        self, monkeypatch, products, whole_problem, n, p
+    ):
         inst, beta0, config = self._case(n, p)
         inst.xty  # cache X^T y before counting
         products.watch(inst)
         inner = self._record_inner(monkeypatch)
         seen = []
-        _, _, report = solve(
+        _, _, report = whole_problem(
             inst,
             config,
             beta0=beta0,
@@ -544,7 +551,10 @@ class TestOuterCost:
                            max_outer_iter=1)
         _, _, report = solve(inst, config)
         [(u0, gram_u0, calls, x_products)] = start
-        assert np.array_equal(u0, adm_module.screened_start(inst))
+        beta0 = adm_module.screened_start(inst)
+        support = np.flatnonzero(beta0)
+        # the first round runs on W = supp(beta0), and its first inner solve starts at beta0 there
+        assert np.array_equal(u0, beta0[support])
         assert report.start_support == np.count_nonzero(u0) == 128 // START_ROWS_PER_COLUMN
         # three refits; the third raised the residual, so the second fit is kept
         # and its X^T r was the last: one X beta and one X^T r per round
@@ -553,17 +563,18 @@ class TestOuterCost:
         assert calls == {"matvec": 4, "rmatvec": 3}
         assert x_products == 3  # the X^T r; each X beta is restricted
         assert products.outside == 0
-        # G beta0 = X^T y - X^T r, with X beta0 = y - r
-        assert np.abs(gram_u0 - dense_gram(inst.X) @ u0).max() <= 1e-12 * np.abs(inst.xty).max()
+        # G beta0 = X^T y - X^T r, with X beta0 = y - r, read on W
+        expected = (dense_gram(inst.X) @ beta0)[support]
+        assert np.abs(gram_u0 - expected).max() <= 1e-12 * np.abs(inst.xty).max()
 
-    def test_best_iterate_gets_fresh_products(self, monkeypatch, products):
+    def test_best_iterate_gets_fresh_products(self, monkeypatch, products, whole_problem):
         rng = np.random.default_rng(30)
         inst = _instance(rng, n=8, p=20)
         inst.xty  # cache X^T y before counting
         products.watch(inst)
         inner = self._record_inner(monkeypatch, strip_first=True)
         seen = []
-        _, _, report = solve(
+        _, _, report = whole_problem(
             inst,
             AdmConfig(mu=1.0, tol=1e-5, max_outer_iter=5),
             callback=lambda rec: seen.append((dict(products.calls), rec)),
@@ -595,8 +606,11 @@ class TestCertifiedStart:
     """Inner solves that start on a working set certified by the previous
     result take the steps of the full method (up to rounding).
 
-    The instance is sparse with unit columns, as in the benchmark, at
-    (48, 200): its late inner solves start certified.  From the zero start
+    Each case runs the ADM loop on all of X (the ``whole_problem`` fixture):
+    solve's rounds run on at most 26 of these 200 columns, where the inner
+    working sets are too small to copy.  The instance is sparse with unit
+    columns, as in the benchmark, at (48, 200): its late inner solves start
+    certified.  From the zero start
     its uncertified working-set solves happen to have no gradient off W that
     crosses 1 mid-solve, which the end-only check would miss, so the whole
     solve matches too.  From the default screened start one does, and the
@@ -619,7 +633,7 @@ class TestCertifiedStart:
         assert np.abs(beta - beta_full).max() <= 1e-10 * max(1.0, np.abs(beta_full).max())
 
     @staticmethod
-    def _compare_each(monkeypatch, wrap=None):
+    def _compare_each(monkeypatch, whole_problem, wrap=None):
         """Solve, and rerun each certified inner solve in full mode from its inputs."""
         inner = []
         original = adm_module.solve_subproblem
@@ -633,7 +647,7 @@ class TestCertifiedStart:
 
         inst, config = TestCertifiedStart._case()
         monkeypatch.setattr(adm_module, "solve_subproblem", recording)
-        run = solve(inst, config)
+        run = whole_problem(inst, config)
         monkeypatch.undo()
         _full_method(monkeypatch)
         for obj, u0, tol_sub, result in inner:
@@ -648,17 +662,17 @@ class TestCertifiedStart:
             assert np.abs(full.u - result.u).max() <= 1e-10 * scale
         return run, inner
 
-    def test_same_iterations_and_beta_as_the_full_method(self, monkeypatch):
+    def test_same_iterations_and_beta_as_the_full_method(self, monkeypatch, whole_problem):
         inst, config = self._case()
-        run = solve(inst, config, beta0=np.zeros(inst.p))
+        run = whole_problem(inst, config, beta0=np.zeros(inst.p))
         assert run[2].certified_inner_solves > 0 and run[2].refreshes == 0
         _full_method(monkeypatch)
-        full = solve(inst, config, beta0=np.zeros(inst.p))
+        full = whole_problem(inst, config, beta0=np.zeros(inst.p))
         assert full[2].certified_inner_solves == 0
         self._assert_same_solve(run, full)
 
-    def test_each_certified_solve_takes_the_full_steps(self, monkeypatch):
-        run, inner = self._compare_each(monkeypatch)
+    def test_each_certified_solve_takes_the_full_steps(self, monkeypatch, whole_problem):
+        run, inner = self._compare_each(monkeypatch, whole_problem)
         certified = [result for *_, result in inner if result.certified]
         assert len(certified) == run[2].certified_inner_solves > len(inner) // 2
         # there is no reference for the first inner solve
@@ -674,14 +688,14 @@ class TestCertifiedStart:
         at_u0 = SubsolverResult(u0, 0, "converged", gradient=g0, v=start.q0)
         return replace(obj, reference=at_u0)
 
-    def test_refreshes_keep_the_full_steps(self, monkeypatch):
-        run, inner = self._compare_each(monkeypatch, self._anchored_at_start)
+    def test_refreshes_keep_the_full_steps(self, monkeypatch, whole_problem):
+        run, inner = self._compare_each(monkeypatch, whole_problem, self._anchored_at_start)
         assert run[2].refreshes > 0
         assert sum(result.refreshes for *_, result in inner) == run[2].refreshes
         assert any(result.certified and result.refreshes for *_, result in inner)
-        self._assert_same_solve(run, solve(*self._case()))
+        self._assert_same_solve(run, whole_problem(*self._case()))
 
-    def test_a_failed_certificate_moves_to_full_mode(self, monkeypatch, products):
+    def test_a_failed_certificate_moves_to_full_mode(self, monkeypatch, products, whole_problem):
         inner = []
         original = adm_module.solve_subproblem
 
@@ -692,7 +706,7 @@ class TestCertifiedStart:
 
         inst, config = self._case()
         monkeypatch.setattr(adm_module, "solve_subproblem", recording)
-        solve(inst, config)
+        whole_problem(inst, config)
         failed = [entry for entry in inner if entry[3].refreshes]
         assert failed
         for obj, u0, tol_sub, result in failed:
@@ -725,24 +739,47 @@ class TestCertifiedStart:
             )
 
 
+def _on_round(inst, rec):
+    """(instance of X[:, W], z, beta, lam, lam_prev on W) of a record of solve.
+
+    W is the record's round's columns, all of X when ``columns`` is None.  The
+    padded vectors must be zero off W.
+    """
+    if rec.columns is None:
+        return inst, rec.z, rec.beta, rec.lam, rec.lam_prev
+    columns = rec.columns
+    off = np.ones(inst.p, dtype=bool)
+    off[columns] = False
+    vectors = (rec.z, rec.beta, rec.lam, rec.lam_prev)
+    assert not any(v[off].any() for v in vectors)
+    sub = Instance(X=np.asarray(inst.X)[:, columns], y=inst.y, delta=inst.delta)
+    return (sub, *(v[columns] for v in vectors))
+
+
 class TestOuterIdentity:
-    """The outer step read off the inner solver equals the step formed afresh."""
+    """The outer step read off the inner solver equals the step formed afresh.
+
+    Each record is checked on its round's problem, the Dantzig selector of
+    X[:, W], which is what the ADM loop ran; off W its vectors are zero.
+    """
 
     @pytest.mark.parametrize("seed, n, p, mu", [(31, 8, 20, 1.0), (32, 6, 9, 1.4), (33, 25, 10, 0.7)])
     def test_multiplier_step_and_metric_match_fresh_products(self, seed, n, p, mu):
         rng = np.random.default_rng(seed)
         inst = _instance(rng, n=n, p=p)
-        G = dense_gram(inst.X)
-        h = inst.X.T @ inst.y
         records = []
         _, _, report = solve(inst, AdmConfig(mu=mu, tol=1e-6, max_outer_iter=3000),
                              callback=records.append)
         assert report.status == "converged" and len(records) > 3
+        assert [rec.iteration for rec in records] == list(range(1, report.outer_iterations + 1))
         for rec in records:
-            expected = rec.lam_prev + mu * (G @ rec.beta - h - rec.z)
-            scale = max(np.abs(expected).max(), np.abs(rec.lam_prev).max())
-            assert np.abs(rec.lam - expected).max() <= 1e-10 * scale
-            assert rec.metric == pytest.approx(_metric_at(inst, rec.beta, rec.lam), rel=1e-10)
+            sub, z, beta, lam, lam_prev = _on_round(inst, rec)
+            G = dense_gram(sub.X)
+            h = sub.X.T @ sub.y
+            expected = lam_prev + mu * (G @ beta - h - z)
+            scale = max(np.abs(expected).max(), np.abs(lam_prev).max())
+            assert np.abs(lam - expected).max() <= 1e-10 * scale
+            assert rec.metric == pytest.approx(_metric_at(sub, beta, lam), rel=1e-10)
 
 
 class _NoKernel(DesignOperator):
@@ -794,6 +831,7 @@ class TestDegenerateInstances:
         inst = Instance(X=X, y=y, delta=delta)
         beta, lam, report = solve(inst, AdmConfig(mu=1.0, tol=self.TOL))
         assert report.status == "converged"
+        assert report.rounds == report.working_columns == report.outer_iterations == 0
         assert not beta.any()
         certificate = certificate_dense(X, y, delta, beta, lam)
         assert max(certificate.values()) <= self.TOL
@@ -825,6 +863,146 @@ class TestDegenerateInstances:
         y = rng.standard_normal(X.shape[0])
         level = float(np.abs((X.T @ y) / np.linalg.norm(X, axis=0)).max())
         self._check(X, y, factor * level)
+
+
+class TestColumnGeneration:
+    """solve's rounds on a growing set of columns W, checked on the full problem.
+
+    Each answer passes the dense certificate at tol, and at the sizes an LP
+    solver reaches its ||beta||_1 lies within the bounds the certificate
+    gives around the optimum of scipy's HiGHS (see test_acceptance's
+    TestOptimalityOracle).
+    """
+
+    TOL = 1e-3
+
+    def _solve(self, inst, **kwargs):
+        config = AdmConfig(mu=mu_rule("unit_columns", inst.p, inst.delta), tol=self.TOL, **kwargs)
+        return solve(inst, config)
+
+    def _certified(self, inst, beta, lam, report):
+        assert report.status == "converged"
+        certificate = certificate_dense(np.asarray(inst.X), inst.y, inst.delta, beta, lam)
+        worst = max(certificate[f"{name}_ratio"] for name in ("primal", "dual", "gap"))
+        assert worst <= self.TOL
+        # the last entry of the history is the full problem's metric
+        assert report.stopping_metric_history[-1] == pytest.approx(worst, rel=1e-6)
+
+    def _near_the_lp_optimum(self, inst, beta, lam):
+        X, y, delta = np.asarray(inst.X), inst.y, inst.delta
+        optimum, _, lam_lp = lp_optimum(X, y, delta)
+        d = np.linalg.norm(X, axis=0)
+        l1 = float(np.abs(beta).sum())
+        dual = -float((X.T @ y) @ lam) - delta * float(d @ np.abs(lam))
+        L = max(float(np.linalg.norm(lam)), 1.0)
+        above = self.TOL * (l1 * L + max(l1, 1.0)) / (1 + self.TOL * L) / optimum
+        below = self.TOL * max(float(np.linalg.norm(beta)), 1.0) * float(d @ np.abs(lam_lp)) / optimum
+        assert dual >= 0
+        assert -below <= (l1 - optimum) / optimum <= above
+
+    @staticmethod
+    def _record_rounds(monkeypatch):
+        """(columns of the round's X, whether it formed K, outer iterations) per round."""
+        rounds = []
+        original = adm_module._adm
+
+        def recording(inst, config, design, *args):
+            result = original(inst, config, design, *args)
+            rounds.append((inst.p, design.__dict__.get("kernel") is not None,
+                           result[2].outer_iterations))
+            return result
+
+        monkeypatch.setattr(adm_module, "_adm", recording)
+        return rounds
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rounds_form_k_once_w_reaches_n(self, monkeypatch, seed):
+        # (24, 400): W starts at the 2 columns of the screened start and grows
+        # past n = 24, where its rounds form their K, but stays below p / 2
+        inst, _ = make_instance(GenSpec(n=24, p=400, s=4, sigma_noise=0.05, seed=seed))
+        rounds = self._record_rounds(monkeypatch)
+        capacity = []
+        take = ColumnBlock.take
+
+        def recording(block, columns):
+            view = take(block, columns)
+            capacity.append(block._rows.shape[0])
+            return view
+
+        monkeypatch.setattr(ColumnBlock, "take", recording)
+        beta, lam, report = self._solve(inst)
+        self._certified(inst, beta, lam, report)
+        assert report.rounds == len(rounds) >= 3
+        assert report.working_columns == rounds[-1][0] < inst.p // 2
+        assert report.outer_iterations == sum(outer for *_, outer in rounds)
+        assert [k for p, k, outer in rounds if outer] == [p >= inst.n for p, _, outer in rounds if outer]
+        assert any(p < inst.n for p, *_ in rounds) and any(k for _, k, _ in rounds)
+        # one buffer for the start's fits and every round, never n x p
+        assert max(capacity) <= 2 * report.working_columns < inst.p
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_duplicate_columns(self, seed):
+        inst, truth = make_instance(GenSpec(n=48, p=200, s=6, sigma_noise=0.05, seed=seed))
+        X = np.array(inst.X)
+        X[:, 100:120] = X[:, :20]
+        rng = np.random.default_rng(seed)
+        inst = Instance(X=X, y=X @ truth.beta_true + 0.05 * rng.standard_normal(48),
+                        delta=inst.delta)
+        beta, lam, report = self._solve(inst)
+        self._certified(inst, beta, lam, report)
+        assert report.rounds >= 2
+        self._near_the_lp_optimum(inst, beta, lam)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_more_rows_than_columns(self, seed):
+        rng = np.random.default_rng(80 + seed)
+        n, p = 150, 50
+        X = rng.standard_normal((n, p))
+        X /= np.linalg.norm(X, axis=0)
+        signal = np.where(rng.random(p) < 0.1, rng.standard_normal(p), 0.0)
+        inst = Instance(X=X, y=X @ signal + 0.05 * rng.standard_normal(n),
+                        delta=0.05 * np.sqrt(2 * np.log(p)))
+        beta, lam, report = self._solve(inst)
+        self._certified(inst, beta, lam, report)
+        assert report.rounds >= 1 and beta.any()
+        self._near_the_lp_optimum(inst, beta, lam)
+
+    def test_the_histories_span_every_round(self):
+        inst, _ = make_instance(GenSpec(n=48, p=200, s=6, sigma_noise=0.05, seed=2))
+        records = []
+        config = AdmConfig(mu=mu_rule("unit_columns", inst.p, inst.delta), tol=self.TOL)
+        beta, lam, report = solve(inst, config, callback=records.append)
+        self._certified(inst, beta, lam, report)
+        assert report.rounds >= 2
+        assert len(report.stopping_metric_history) == report.outer_iterations + 1
+        assert len(report.dual_objective_history) == report.outer_iterations + 1
+        assert len(report.inner_iteration_history) == report.outer_iterations == len(records)
+        assert [rec.iteration for rec in records] == list(range(1, len(records) + 1))
+        # each round's schedule starts afresh at SUB_TOL_START, with the round's W
+        starts = [k for k, rec in enumerate(records)
+                  if k == 0 or not np.array_equal(rec.columns, records[k - 1].columns)]
+        assert len(starts) == report.rounds
+        assert [report.inner_tolerance_history[k] for k in starts] == [SUB_TOL_START] * len(starts)
+        assert records[-1].columns.size == report.working_columns
+
+    def test_a_round_at_the_outer_cap_returns_max_iter(self):
+        inst, _ = make_instance(GenSpec(n=48, p=200, s=6, sigma_noise=0.05, seed=2))
+        records = []
+        config = AdmConfig(mu=mu_rule("unit_columns", inst.p, inst.delta), tol=self.TOL)
+        solve(inst, config, callback=records.append)
+        first = next(k for k, rec in enumerate(records)
+                     if not np.array_equal(rec.columns, records[0].columns))
+        # the second round stops at the cap: max_iter, with the full metric above tol
+        _, _, report = self._solve(inst, max_outer_iter=first + 1)
+        assert report.status == "max_iter" and report.rounds == 2
+        assert report.outer_iterations == first + 1
+        assert report.stopping_metric_history[-1] > self.TOL
+        # the first round converges on its W at the cap; its check finds
+        # violators and no outer iteration is left
+        _, _, report = self._solve(inst, max_outer_iter=first)
+        assert report.rounds == 1 and report.outer_iterations == first
+        metric = report.stopping_metric_history[-1]
+        assert report.status == ("converged" if metric <= self.TOL else "max_iter")
 
 
 class TestAdmConfig:
@@ -881,14 +1059,18 @@ class TestAdmConfig:
 
 
 class TestInnerToleranceSchedule:
-    """solve hands outer iteration k's inner solve the tol_sub of the schedule,
-    read at the least stopping metric of outer iterations 0..k."""
+    """The ADM loop hands outer iteration k's inner solve the tol_sub of the
+    schedule, read at the least stopping metric of outer iterations 0..k.
+
+    Each case runs the loop on all of X (the ``whole_problem`` fixture); solve
+    runs it once per round, and each round's schedule starts at k = 0.
+    """
 
     SEEDS = (2, 5)  # unit columns at (48, 200, 6); both run past the halving
     OUTER_LIMIT = 500  # max_outer_iter of the current-metric guard
 
     @staticmethod
-    def _solve(monkeypatch, config, spec=None):
+    def _solve(monkeypatch, whole_problem, config, spec=None):
         inst, _ = make_instance(spec or GenSpec(n=48, p=200, s=6, sigma_noise=0.05, seed=2))
         seen = []
 
@@ -899,7 +1081,7 @@ class TestInnerToleranceSchedule:
 
         monkeypatch.setattr(adm_module, "solve_subproblem", spy)
         config = replace(config, mu=mu_rule("unit_columns", inst.p, inst.delta))
-        _, _, report = solve(inst, config)
+        _, _, report = whole_problem(inst, config)
         assert report.status == "converged"
         assert report.outer_iterations == len(seen) > 12  # past the halving
         assert report.inner_iteration_history == [iterations for _, iterations in seen]
@@ -917,25 +1099,25 @@ class TestInnerToleranceSchedule:
             expected.append(halved if halved > factor * tol else factor * max(tol, least))
         return expected
 
-    def test_every_inner_solve_gets_the_scheduled_tolerance(self, monkeypatch):
+    def test_every_inner_solve_gets_the_scheduled_tolerance(self, monkeypatch, whole_problem):
         for seed in self.SEEDS:
             spec = GenSpec(n=48, p=200, s=6, sigma_noise=0.05, seed=seed)
-            report = self._solve(monkeypatch, AdmConfig(mu=1.0, tol=1e-3), spec)
+            report = self._solve(monkeypatch, whole_problem, AdmConfig(mu=1.0, tol=1e-3), spec)
             seen = report.inner_tolerance_history
             assert seen == self._expected(report)
             assert seen[:8] == [SUB_TOL_START * 2.0**-k for k in range(8)]
             # the tail follows the metric: some inner solve stops above the floor
             assert max(seen[8:]) > 1e-4 and min(seen) >= 1e-4
 
-    def test_tolerance_never_rises_after_the_switch(self, monkeypatch):
+    def test_tolerance_never_rises_after_the_switch(self, monkeypatch, whole_problem):
         for seed in self.SEEDS:
             spec = GenSpec(n=48, p=200, s=6, sigma_noise=0.05, seed=seed)
             config = AdmConfig(mu=1.0, tol=1e-3)
-            seen = self._solve(monkeypatch, config, spec).inner_tolerance_history
+            seen = self._solve(monkeypatch, whole_problem, config, spec).inner_tolerance_history
             tail = seen[8:]
             assert all(later <= earlier for earlier, later in zip(tail, tail[1:]))
 
-    def test_the_current_metric_in_place_of_the_least_diverges(self):
+    def test_the_current_metric_in_place_of_the_least_diverges(self, whole_problem):
         # orthogonal rows at (360, 1280, 40), seed 2: the shipped rule converges
         # in about 100 outer iterations.  Read at the current metric, the tail
         # tolerance grows with the metric, the inner solves stop almost at once,
@@ -946,7 +1128,7 @@ class TestInnerToleranceSchedule:
         inst, _ = make_instance(spec)
         mu, tol = mu_rule("orthogonal_rows", inst.p, inst.delta), tol_rule("orthogonal_rows")
         config = AdmConfig(mu=mu, tol=tol, max_outer_iter=self.OUTER_LIMIT)
-        beta, lam, report = solve(inst, config)
+        beta, lam, report = whole_problem(inst, config)
         assert report.status == "converged" and report.outer_iterations < self.OUTER_LIMIT
         certificate = feasibility_report(inst, beta, lam)
         assert max(certificate.primal_ratio, certificate.dual_ratio, certificate.gap_ratio) <= tol
@@ -960,7 +1142,7 @@ class TestInnerToleranceSchedule:
                 )
 
         current = CurrentMetric(mu=mu, tol=tol, max_outer_iter=self.OUTER_LIMIT)
-        _, _, diverged = solve(
+        _, _, diverged = whole_problem(
             inst, current, callback=lambda rec: setattr(current, "current", rec.metric)
         )
         assert diverged.status == "max_iter"
@@ -1355,7 +1537,10 @@ class TestSolve:
         for rec in records:
             # z stays inside the scaled box
             assert np.all(np.abs(rec.z / inst.d) <= inst.delta * (1 + 1e-12))
-            # multiplier identity against an independent dense residual
-            r = G @ rec.beta - h - rec.z
-            err = np.abs(rec.lam - rec.lam_prev - mu * r).max()
-            assert err <= 1e-12 * (1.0 + np.abs(rec.lam_prev).max())
+            # multiplier identity against an independent dense residual, on
+            # the round's columns W (the record is zero off W)
+            _, z, beta, lam, lam_prev = _on_round(inst, rec)
+            W = np.arange(inst.p) if rec.columns is None else rec.columns
+            r = G[np.ix_(W, W)] @ beta - h[W] - z
+            err = np.abs(lam - lam_prev - mu * r).max()
+            assert err <= 1e-12 * (1.0 + np.abs(lam_prev).max())

@@ -156,7 +156,7 @@ class TestSolve:
             "outer_iterations", "inner_iteration_total", "stopping_metric_history",
             "dual_objective_history", "wall_time", "status", "subsolver_failures",
             "certified_inner_solves", "refreshes", "inner_iteration_history", "start_support",
-            "start_rounds", "inner_tolerance_history", "certificate",
+            "start_rounds", "inner_tolerance_history", "rounds", "working_columns", "certificate",
         ]
         assert list(report["certificate"]) == [
             "primal_violation", "dual_violation", "gap", "primal_ratio", "dual_ratio", "gap_ratio",
@@ -231,6 +231,24 @@ class TestSolve:
         assert fileio.read_vector(out / "beta_tilde.mtx").shape == (90,)
         assert fileio.read_vector(out / "lambda.mtx").shape == (90,)
         assert fileio.read_manifest(out / "run_manifest.txt")["status"] == "max_iter"
+
+    def test_a_later_round_at_the_cap_exits_not_converged(self, tmp_path, capsys):
+        # the second round of the solve on a growing column set stops at the cap
+        out = tmp_path / "inst"
+        assert cli.main(_gen_args(out)) == 0
+        inst, design, _ = cli._load_instance(out, None)
+        config = AdmConfig(mu=mu_rule(design, inst.p, inst.delta), tol=tol_rule(design))
+        records = []
+        adm.solve(inst, config, callback=records.append)
+        first = next(k for k, rec in enumerate(records)
+                     if not np.array_equal(rec.columns, records[0].columns))
+        assert cli.main(["solve", str(out), "--max-outer", str(first + 1)]) == 4
+        assert "not converged" in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        assert (report["status"], report["rounds"]) == ("max_iter", 2)
+        assert report["outer_iterations"] == first + 1
+        assert report["stopping_metric_history"][-1] > config.tol
+        assert report["working_columns"] == records[first].columns.size
 
     def test_manifest_without_delta_is_io_error(self, tmp_path, capsys):
         out = tmp_path / "inst"
@@ -316,6 +334,26 @@ class TestSolve:
 
 
 class TestBench:
+    def test_a_wrapped_solve_sees_one_call_per_instance(self, monkeypatch):
+        # perfbench's pool workers time and check every answer through a
+        # wrapper put in place of adm.solve; the rounds of one solve must not
+        # reach it as solves of their own
+        calls = []
+        original = adm.solve
+
+        def wrapper(inst, config, beta0=None, lambda0=None, callback=None):
+            beta, lam, report = original(inst, config, beta0, lambda0, callback)
+            calls.append((inst.p, beta.shape, report.rounds))
+            return beta, lam, report
+
+        monkeypatch.setattr(adm, "solve", wrapper)
+        spec = GenSpec(n=48, p=200, s=6, sigma_noise=0.05, seed=2)
+        config = AdmConfig(mu=mu_rule("unit_columns", 200, default_delta(200, 0.05)), tol=1e-3)
+        outcome = cli._bench_instance({"seed": 2, "spec": spec, "config": config})
+        assert outcome["status"] == "converged"
+        [(p, shape, rounds)] = calls
+        assert p == 200 and shape == (200,) and rounds >= 2
+
     def test_deterministic_csv_with_fixed_seed(self, tmp_path):
         args = [
             "bench",

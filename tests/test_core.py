@@ -427,12 +427,14 @@ class TestSymmetricKernelProduct:
         w = rng.standard_normal(n)
         assert np.array_equal(design.kernel_matvec(w), design.kernel @ w)
 
-    def test_whole_solve_counts_agree_on_both_paths(self, monkeypatch):
+    def test_whole_solve_counts_agree_on_both_paths(self, monkeypatch, whole_problem):
+        # the ADM loop on all of X, which forms K; solve's rounds here use at
+        # most 26 columns, fewer than n, and form none
         inst, _ = make_instance(GenSpec(n=48, p=200, s=6, sigma_noise=0.05, seed=2))
         config = AdmConfig(mu=mu_rule("unit_columns", inst.p, inst.delta), tol=1e-3)
-        beta, _, report = solve(inst, config)
+        beta, _, report = whole_problem(inst, config)
         monkeypatch.setattr(core_module, "_dsymv", lambda: None)
-        beta_gemv, _, report_gemv = solve(inst, config)
+        beta_gemv, _, report_gemv = whole_problem(inst, config)
         assert report.status == report_gemv.status == "converged"
         assert report.outer_iterations == report_gemv.outer_iterations
         assert report.inner_iteration_total == report_gemv.inner_iteration_total
@@ -442,12 +444,15 @@ class TestSymmetricKernelProduct:
         # scipy.linalg would load scipy's own OpenBLAS, a second BLAS in the process
         script = (
             "import sys\n"
+            "import numpy as np\n"
             "import dantzig_adm\n"
             "from dantzig_adm import core\n"
             "spec = dantzig_adm.GenSpec(n=30, p=90, s=4, sigma_noise=0.05)\n"
             "inst, _ = dantzig_adm.make_instance(spec)\n"
             "mu = dantzig_adm.mu_rule('unit_columns', inst.p, inst.delta)\n"
-            "dantzig_adm.solve(inst, dantzig_adm.AdmConfig(mu=mu, tol=1e-3))\n"
+            "config = dantzig_adm.AdmConfig(mu=mu, tol=1e-3)\n"
+            "# a dense beta0 puts every column in W, so the round runs on X and forms K\n"
+            "dantzig_adm.solve(inst, config, beta0=np.ones(inst.p))\n"
             "print(core._dsymv.cache_info().misses, 'scipy.linalg' in sys.modules)\n"
         )
         src = Path(core_module.__file__).resolve().parent.parent
@@ -557,6 +562,21 @@ class TestLeastSquares:
         assert not np.delete(b, columns).any()
         assert np.abs(b[columns] - np.linalg.pinv(X[:, columns]) @ y).max() <= 1e-12
         assert not core_module.least_squares(X, y, np.array([], dtype=int)).any()
+
+    def test_a_kept_block_gives_the_same_bytes_in_one_buffer(self):
+        # the default start copies every fit's columns into one ColumnBlock;
+        # its block is column-major like X[:, columns], so the fit is the same
+        inst, _ = make_instance(GenSpec(n=180, p=600, s=10, sigma_noise=0.05, seed=4))
+        rng = np.random.default_rng(96)
+        block = core_module.ColumnBlock(inst.X)
+        buffers = set()
+        for size in (20, 15, 20, 30):
+            columns = np.sort(rng.choice(inst.p, size, replace=False))
+            kept = core_module.least_squares(inst.X, inst.y, columns, block)
+            fresh = core_module.least_squares(inst.X, inst.y, columns)
+            assert kept.tobytes() == fresh.tobytes()
+            buffers.add(id(block._rows))
+        assert len(buffers) == 1 and block._rows.shape == (40, inst.n)  # twice the first 20
 
     @staticmethod
     @contextmanager

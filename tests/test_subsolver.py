@@ -664,7 +664,11 @@ class TestWorkingSet:
             "inst, _ = dantzig_adm.make_instance(spec)\n"
             "mu = dantzig_adm.mu_rule('unit_columns', inst.p, inst.delta)\n"
             "config = dantzig_adm.AdmConfig(mu=mu, tol=1e-3)\n"
-            "dantzig_adm.solve(inst, config, beta0=np.zeros(inst.p))  # the zero start\n"
+            "# the ADM loop on all of X from the zero start; solve's rounds copy\n"
+            "# too few columns for the inner working set to re-enter\n"
+            "zero = np.zeros(inst.p)\n"
+            "design = dantzig_adm.core.DesignOperator(inst.X)\n"
+            "dantzig_adm.adm._adm(inst, config, design, zero, zero, zero, zero, 10000)\n"
             "print(sum(entries) > 0, 'numpy.ma' in sys.modules)\n"
         )
         src = Path(subsolver_module.__file__).resolve().parent.parent
