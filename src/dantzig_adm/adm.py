@@ -39,14 +39,11 @@ serves the dual stopping term; and the dual objective uses the cached X^T y.
 
 The z clamp, the multiplier step and the stopping test therefore make no
 product with X.  An outer iteration costs what its inner solve costs: one
-kernel product and two products with X per inner iteration, made with the
-copied rows X^T[W'] of an inner working set W' of at most a quarter of the
-coordinates, plus a few products with all of X per inner solve (see
-:mod:`~dantzig_adm.subsolver`).  Each inner solve is handed the previous
-one's final result as its reference, which may certify its working set from
-the start.  When the inner solver returns its best earlier iterate instead
-of its final one, G beta and X^T X lambda are formed fresh, two more Gram
-products.  One design operator serves every inner solve of the loop, so the
+kernel product and two products with X per inner iteration, plus three
+products with X per inner solve (see :mod:`~dantzig_adm.subsolver`).  When
+the inner solver returns its best earlier iterate instead of its final one,
+G beta and X^T X lambda are formed fresh, two more Gram products.  One
+design operator serves every inner solve of the loop, so the
 n x n kernel K = X X^T is formed at most once (about n^2 p / 2
 multiply-adds, and only when n <= p; otherwise K w is X (X^T w)).
 
@@ -65,14 +62,12 @@ buffer.  At (720, 2560, 80) the 30 acceptance rows (unit columns at
 sigma 0.05 and 0.01, orthogonal rows at sigma 0.05, seeds 0-9) took 3-7
 rounds and ended with 103-197 columns in W.  While |W| < n a round forms no
 K: none of their 146 rounds did, nor any of 36 at (1440, 5120, 160), seeds
-0-2; and none of their inner solves started on a certified working set
-(0 of 4723, and 0 of 583).  Each round restarts the inner tolerance
-schedule, so the outer iterations summed over the rounds exceed those of the
-loop on all of X (unit sigma 0.05: 98.5 against 47.8 on average), but each
-costs products with about a twentieth of X; a whole solve took about a
-third of the time.  Neither the full-p buffer of the inner working set nor
-K is allocated while |W| < n, and the column buffer holds at most p // 2
-columns: W becomes all of X past that, and the round then runs on X itself.
+0-2.  Each round restarts the inner tolerance schedule, so the outer
+iterations summed over the rounds exceed those of the loop on all of X (unit
+sigma 0.05: 98.5 against 47.8 on average), but each costs products with
+about a twentieth of X; a whole solve took about a third of the time.  No K is allocated while |W| < n, and the column buffer
+holds at most p // 2 columns: W becomes all of X past that, and the round
+then runs on X itself.
 
 The default start is not the paper's beta = 0 but a screened least-squares
 fit refined by hard-thresholding pursuit (:func:`screened_start`).  Round 0
@@ -84,10 +79,10 @@ columns to those of largest |beta_j + x_j^T r / d_j^2|, r = y - X beta, and
 refits (HTP; Foucart, SIAM J. Numer. Anal. 2011), until the columns repeat
 or a refit would not lower ||y - X beta||_2; it took 2-3 refits at
 (720, 2560, 80).  From beta = 0 the first inner solves make almost every
-coordinate nonzero and run in full mode; from the plain fit, which still
-misses true columns at sigma = 0.01, the first inner solve still ran about
-35 full-mode iterations, and from the refined fit about 3.  A round costs
-one n x k least-squares solve (from the Cholesky factor of the k x k Gram
+coordinate nonzero; from the plain fit, which still misses true columns at
+sigma = 0.01, the first inner solve of the loop on all of X still ran about
+35 iterations, and from the refined fit about 3.  A round costs one n x k
+least-squares solve (from the Cholesky factor of the k x k Gram
 matrix of the columns, see :func:`~dantzig_adm.core.least_squares`; 0.4-0.7
 ms at (720, 2560, 80), where LAPACK's SVD took 2-3 ms), one X beta (from the
 k columns alone on a large X, see
@@ -110,7 +105,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ColumnBlock, DesignOperator, Instance, apply_gram, box_clamp, least_squares
-from .subsolver import SubproblemObjective, _expand, solve_subproblem
+from .subsolver import SubproblemObjective, solve_subproblem
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITER = "max_iter"
@@ -198,14 +193,11 @@ class RunReport:
     at the start point, and ``inner_iteration_history`` one per outer
     iteration: the iterations of its inner solve, whose tol_sub
     ``inner_tolerance_history`` holds (see :class:`AdmConfig`).
-    ``certified_inner_solves``
-    counts the inner solves that started on a working set certified by the
-    previous inner result, and ``refreshes`` the inner solves whose
-    certificate failed; each such failure cost one dense X^T and moved its
-    inner solve to full mode.  ``start_support`` is the number of nonzeros
-    of the start beta0, given or screened, and ``start_rounds`` the
-    least-squares refits the screened start made after its first fit (0 for
-    a given beta0; see :func:`screened_start`).
+    ``start_support`` is the number of nonzeros of the start beta0, given or
+    screened, and ``start_rounds`` the least-squares refits the screened
+    start made after its first fit (0 for a given beta0; see
+    :func:`screened_start`).  ``rounds`` counts the rounds of :func:`solve`
+    and ``working_columns`` is |W| in its last round.
     """
 
     outer_iterations: int
@@ -215,8 +207,6 @@ class RunReport:
     wall_time: float
     status: str
     subsolver_failures: int = 0
-    certified_inner_solves: int = 0
-    refreshes: int = 0
     inner_iteration_history: list[int] = field(default_factory=list)
     start_support: int = 0
     start_rounds: int = 0
@@ -551,6 +541,13 @@ def _all_past_half(columns: np.ndarray, p: int) -> np.ndarray:
     return np.arange(p) if 2 * columns.size > p else columns
 
 
+def _expand(v: np.ndarray, columns: np.ndarray, p: int) -> np.ndarray:
+    """A new length-p vector holding v on ``columns`` and zeros elsewhere."""
+    out = np.zeros(p)
+    out[columns] = v
+    return out
+
+
 def _padded(callback, offset: int, columns: np.ndarray, p: int):
     """``callback`` fed a round's records padded to length p (see :func:`solve`)."""
     whole = columns.size == p
@@ -570,8 +567,6 @@ def _add_round(report: RunReport, run: RunReport) -> None:
     report.stopping_metric_history += run.stopping_metric_history[1:]
     report.dual_objective_history += run.dual_objective_history[1:]
     report.subsolver_failures += run.subsolver_failures
-    report.certified_inner_solves += run.certified_inner_solves
-    report.refreshes += run.refreshes
     report.inner_iteration_history += run.inner_iteration_history
     report.inner_tolerance_history += run.inner_tolerance_history
     report.rounds += 1
@@ -604,12 +599,11 @@ def _adm(
     objective d is used as-is even when lambda is dual-infeasible.  The
     metric at the start is the first entry of the history.  X^T X beta and
     X^T X lambda come from the inner solver's residual and gradient (see the
-    module docstring for the identities and the cost per iteration), and
-    each inner result but a best earlier iterate is the next inner solve's
-    reference.  A subsolver that misses its tolerance contributes its best
-    iterate and is counted in the report.  Non-finite values end the run
-    with status numerical_failure, returning the state at failure.  The
-    report's start fields, rounds and working_columns are left at 0, and
+    module docstring for the identities and the cost per iteration).  A
+    subsolver that misses its tolerance contributes its best iterate and is
+    counted in the report.  Non-finite values end the run with status
+    numerical_failure, returning the state at failure.  The report's start
+    fields, rounds and working_columns are left at 0, and
     ``callback`` gets the records of this problem, with ``columns`` None.
     """
     t_start = time.perf_counter()
@@ -618,8 +612,7 @@ def _adm(
     inner_history: list[int] = []
     tolerance_history: list[float] = []
     best_metric = math.inf  # the least stopping metric so far
-    iteration = inner_total = sub_failures = certified = refreshes = 0
-    reference = None  # the last inner solve's final result
+    iteration = inner_total = sub_failures = 0
 
     while True:
         terms = _criterion_terms(inst, beta, lam, gram_beta, gram_lam)
@@ -640,19 +633,16 @@ def _adm(
         lam_prev = lam
         z = update_z(inst, lam, config.mu, gram_beta)
         objective = SubproblemObjective(
-            inst, z, lam, config.mu, gram_u0=gram_beta, design=design, reference=reference
+            inst, z, lam, config.mu, gram_u0=gram_beta, design=design
         )
         tol_sub = config.inner_tolerance(iteration, best_metric)
         result = solve_subproblem(objective, beta, tol_sub)
         tolerance_history.append(tol_sub)
         inner_history.append(result.iterations)
         inner_total += result.iterations
-        certified += result.certified
-        refreshes += result.refreshes
         if not result.succeeded:
             sub_failures += 1
         beta = result.u
-        reference = None if result.residual is None else result
         if result.residual is None:  # the best earlier iterate: nothing held for it
             gram_beta = apply_gram(inst, beta)
         else:  # G beta = r + c; the multiplier step is mu r, so X^T X lambda = g
@@ -672,8 +662,6 @@ def _adm(
         wall_time=time.perf_counter() - t_start,
         status=status,
         subsolver_failures=sub_failures,
-        certified_inner_solves=certified,
-        refreshes=refreshes,
         inner_iteration_history=inner_history,
         inner_tolerance_history=tolerance_history,
     )

@@ -6,12 +6,9 @@ when few are nonzero, copied 64 rows of X^T at a time into a scratch array
 the operator keeps), X^T w, two products X^T a and X^T b in one pass over
 X, and K w with the n x n kernel K = X X^T, whose one triangle the level-3
 BLAS routine dsyrk of numpy's bundled OpenBLAS writes and the symmetric
-product dsymv reads.  Its
-:meth:`~DesignOperator.restrict` gives the operator of a few columns of X,
-copied into a buffer that the operator reuses, on which the inner solver
-iterates over its working set.  Every product runs on numpy alone; no solve
-imports scipy.  :class:`ColumnBlock` copies columns of X into one kept
-buffer, for the least-squares fits of :func:`least_squares` and for
+product dsymv reads.  Every product runs on numpy alone; no solve imports
+scipy.  :class:`ColumnBlock` copies columns of X into one kept buffer, for
+the least-squares fits of :func:`least_squares` and for
 :meth:`Instance.restricted`, the instance of a few columns on which a solve
 runs each round.  :func:`row_tiles` reads a column-major X in row-major
 tiles, from which an Instance sums ``d`` and a generated instance forms
@@ -159,11 +156,10 @@ class Instance:
     rows of X^T for that solve only; nothing but X^T y is cached here.  One
     n x p matrix-vector product is the solver's cost unit: an inner
     iteration costs at most 2 (X d, with d sparse, and one X^T product) plus
-    one n x n product, however many line-search backtracks it takes.  On a
-    working set the 2 shrink to products with |W| of the p columns, and an
-    inner solve whose working set is certified from the start reads all of X
-    only once besides, in one fused pass for its gradient and residual (see
-    :mod:`~dantzig_adm.subsolver`).
+    one n x n product, however many line-search backtracks it takes (see
+    :mod:`~dantzig_adm.subsolver`).  A solve runs its inner iterations on
+    the instance of a block of columns (:meth:`restricted`), so there the 2
+    shrink to products with |W| of the p columns.
     Instances are immutable after construction and safe to share across
     concurrent solves.
     """
@@ -263,45 +259,14 @@ class DesignOperator:
     is formed on the first kernel product and kept for the life of the
     operator; it then takes n^2 entries, no more than X.  When n > p no K is
     formed and K w is computed as X (X^T w).  Either way callers see one
-    method.  The same holds for the buffer of :meth:`restrict`, a quarter
-    of X.  An operator is built for one solve and dropped on return; it is
+    method.  An operator is built for one solve and dropped on return; it is
     not cached on the Instance, whose memory stays that of X.
     """
 
     def __init__(self, X: np.ndarray):
         self.X = X
-        self._rows: np.ndarray | None = None  # X^T[columns] of the last restrict
         self._scratch: np.ndarray | None = None  # RESTRICTED_ROWS rows of X^T
         self._symv = None  # dsymv bound to K, when dsyrk formed K (see kernel)
-
-    def restrict(self, columns: np.ndarray) -> "DesignOperator | None":
-        """The operator of X[:, columns], or None for more than p // 4 columns.
-
-        The rows X^T[columns] are copied, with one np.take, into a buffer of
-        p // 4 rows of X^T that is allocated on the first call and kept by
-        this operator.  Each call overwrites it, so
-        only the operator of the last call is valid.  A fresh copy per call
-        would pay its page faults again on every inner solve.  The products
-        of the returned operator read |columns| rows of X^T instead of p.
-        Its kernel is that of X[:, columns], not K.  It shares this
-        operator's scratch for the restricted X v, as both have n rows.
-
-        The quarter is where the inner solver's working set paid: a larger
-        set comes from an early inner solve whose iterate still moves far,
-        and there the copy saved least and changed the iterates most (see
-        :mod:`~dantzig_adm.subsolver`).
-        """
-        n, p = self.X.shape
-        if 4 * columns.size > p:
-            return None
-        if self._rows is None:
-            self._rows = np.empty((p // 4, n))
-        rows = self._rows[: columns.size]
-        # mode="clip" skips the bounds pass that makes "raise" copy via a temporary
-        np.take(self.X.T, columns, axis=0, out=rows, mode="clip")
-        restricted = DesignOperator(rows.T)
-        restricted._scratch = self._chunk_scratch()
-        return restricted
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """X v; from the nonzero columns only when they are at most half of v.
@@ -329,20 +294,16 @@ class DesignOperator:
         on each call is mapped and faulted in again each time: 0.08 ms at
         |S| = 20.
         """
-        XT, scratch = self.X.T, self._chunk_scratch()
-        out = np.zeros(XT.shape[1])
+        XT = self.X.T
+        if self._scratch is None:
+            self._scratch = np.empty((RESTRICTED_ROWS, XT.shape[1]))
+        scratch, out = self._scratch, np.zeros(XT.shape[1])
         for start in range(0, support.size, RESTRICTED_ROWS):
             chunk = support[start : start + RESTRICTED_ROWS]
             rows = scratch[: chunk.size]
             np.take(XT, chunk, axis=0, out=rows, mode="clip")
             out += v[chunk] @ rows
         return out
-
-    def _chunk_scratch(self) -> np.ndarray:
-        """The RESTRICTED_ROWS x n scratch of the restricted X v, allocated on first use."""
-        if self._scratch is None:
-            self._scratch = np.empty((RESTRICTED_ROWS, self.X.shape[0]))
-        return self._scratch
 
     def rmatvec(self, w: np.ndarray) -> np.ndarray:
         """X^T w."""

@@ -13,19 +13,14 @@ class ProductCounts:
 
     ``calls`` counts matvec, rmatvec, rmatvec_pair and kernel_matvec by name
     (apply_gram goes through matvec and rmatvec; one rmatvec_pair is one
-    fused pass over X), and ``on_buffer`` those of them made
-    by an operator of copied columns (DesignOperator.restrict); ``copies``
-    counts the restrict calls.  ``x_products`` counts every matmul with a
-    watched X, and ``outside`` those made outside the operator's methods.
+    fused pass over X).  ``x_products`` counts every matmul with a watched
+    X, and ``outside`` those made outside the operator's methods.
     ``syrk`` holds the data address of the X of each dsyrk call, which forms
     K when numpy's OpenBLAS binds dsyrk and dsymv (``blas_kernel``).
     """
 
     def __init__(self, blas_kernel: bool):
         self.calls = Counter()
-        self.on_buffer = Counter()
-        self.copies = 0
-        self.views = []  # every operator restrict returned, kept alive for `is`
         self.x_products = 0
         self.outside = 0
         self.depth = 0
@@ -34,9 +29,8 @@ class ProductCounts:
 
     def reset(self):
         self.calls.clear()
-        self.on_buffer.clear()
         self.syrk.clear()
-        self.copies = self.x_products = self.outside = 0
+        self.x_products = self.outside = 0
 
     def forming_kernel(self, inst) -> int:
         """The matmuls with X that one operator on inst.X made to form its K.
@@ -92,8 +86,6 @@ def products(monkeypatch):
     def counting(name, original):
         def method(self, *vectors):
             counts.calls[name] += 1
-            if any(self is view for view in counts.views):
-                counts.on_buffer[name] += 1
             counts.depth += 1
             try:
                 return original(self, *vectors)
@@ -102,18 +94,8 @@ def products(monkeypatch):
 
         return method
 
-    original_restrict = DesignOperator.restrict
-
-    def restrict(self, columns):
-        view = original_restrict(self, columns)
-        if view is not None:  # None: too many columns, no copy
-            counts.copies += 1
-            counts.views.append(view)
-        return view
-
     for name in ("matvec", "rmatvec", "rmatvec_pair", "kernel_matvec"):
         monkeypatch.setattr(DesignOperator, name, counting(name, getattr(DesignOperator, name)))
-    monkeypatch.setattr(DesignOperator, "restrict", restrict)
     return counts
 
 

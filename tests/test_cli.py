@@ -118,8 +118,6 @@ class TestSolve:
         report = json.loads((out / "report.json").read_text())
         assert report["status"] == "converged"
         assert report["outer_iterations"] >= 1
-        assert 0 <= report["certified_inner_solves"] <= report["outer_iterations"]
-        assert report["refreshes"] >= 0
         assert report["start_support"] == 30 // START_ROWS_PER_COLUMN  # the screened start
         # the refits of the start, as the library counts them on the same files
         inst, *_ = cli._load_instance(out, None)
@@ -155,8 +153,8 @@ class TestSolve:
         assert list(report) == [
             "outer_iterations", "inner_iteration_total", "stopping_metric_history",
             "dual_objective_history", "wall_time", "status", "subsolver_failures",
-            "certified_inner_solves", "refreshes", "inner_iteration_history", "start_support",
-            "start_rounds", "inner_tolerance_history", "rounds", "working_columns", "certificate",
+            "inner_iteration_history", "start_support", "start_rounds", "inner_tolerance_history",
+            "rounds", "working_columns", "certificate",
         ]
         assert list(report["certificate"]) == [
             "primal_violation", "dual_violation", "gap", "primal_ratio", "dual_ratio", "gap_ratio",

@@ -15,6 +15,7 @@ import dantzig_adm.core as core_module
 from dantzig_adm.adm import AdmConfig, solve
 from dantzig_adm.core import (
     FUSED_ROWS,
+    ColumnBlock,
     DesignOperator,
     Instance,
     apply_gram,
@@ -257,7 +258,7 @@ class TestRestrictedChunks:
         X = rng.standard_normal((450, 2400))
         design = DesignOperator(Instance(X=X, y=np.zeros(450), delta=1.0).X)
         columns = np.sort(rng.choice(2400, size=600, replace=False))
-        restricted = design.restrict(columns)
+        restricted = DesignOperator(ColumnBlock(design.X).take(columns))
         assert restricted.X.size >= core_module.RESTRICTED_MIN_ENTRIES
         with _restricted_products() as made:
             _assert_matvec_matches_dense(restricted, X[:, columns], _support_vector(rng, 600, k))
@@ -273,9 +274,6 @@ class TestRestrictedChunks:
         second = design.matvec(_support_vector(rng, 2400, 200))
         assert design._scratch is scratch
         assert not np.shares_memory(first, second) and not np.shares_memory(second, scratch)
-        restricted = design.restrict(np.arange(600))
-        _assert_matvec_matches_dense(restricted, X[:, :600], _support_vector(rng, 600, 70))
-        assert restricted._scratch is scratch and design._scratch is scratch
 
 
 class TestDesignOperator:
@@ -323,22 +321,6 @@ class TestDesignOperator:
         assert (design.kernel is None) == (n > p)
 
 
-    def test_restrict_copies_columns_into_one_buffer(self):
-        rng = np.random.default_rng(7)
-        X = rng.standard_normal((9, 40))
-        design = DesignOperator(Instance(X=X, y=np.zeros(9), delta=1.0).X)
-        columns = np.array([1, 5, 7, 30])
-        first = design.restrict(columns)
-        np.testing.assert_array_equal(first.X, X[:, columns])
-        v, w = rng.standard_normal(columns.size), rng.standard_normal(9)
-        np.testing.assert_allclose(first.matvec(v), X[:, columns] @ v, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(first.rmatvec(w), X[:, columns].T @ w, rtol=1e-12, atol=1e-12)
-        second = design.restrict(np.arange(10))  # p // 4 columns still fit
-        assert np.shares_memory(first.X, second.X)
-        np.testing.assert_array_equal(second.X, X[:, :10])
-        assert design.restrict(np.arange(11)) is None
-
-
 class TestFusedPass:
     """rmatvec_pair: (X^T a, X^T b) from one two-column product per FUSED_ROWS rows."""
 
@@ -369,7 +351,7 @@ class TestFusedPass:
     def test_matches_on_a_restricted_operator(self, p):
         inst, a, b = self._case(p, seed=1)
         columns = np.sort(np.random.default_rng(p).choice(p, p // 4, replace=False))
-        restricted = DesignOperator(inst.X).restrict(columns)
+        restricted = DesignOperator(ColumnBlock(inst.X).take(columns))
         self._check(np.array(inst.X)[:, columns], a, b, restricted.rmatvec_pair(a, b))
 
     @pytest.mark.parametrize("p", [1, FUSED_ROWS, FUSED_ROWS + 1, 300, 2560])

@@ -1,8 +1,4 @@
-import os
-import subprocess
-import sys
 from collections import deque
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dantzig_adm.subsolver as subsolver_module
-from dantzig_adm.core import FUSED_ROWS, DesignOperator, Instance, apply_gram, soft_thresh
+from dantzig_adm.core import Instance, apply_gram, soft_thresh
 from dantzig_adm.subsolver import (
     ALPHA_LO,
     ETA,
@@ -18,7 +14,6 @@ from dantzig_adm.subsolver import (
     InnerState,
     LineSearchError,
     SubproblemObjective,
-    SubsolverResult,
     WarmStart,
     bb_step,
     inner_termination_metric,
@@ -223,7 +218,7 @@ def _watched(products, obj):
     products.watch(obj.inst)
     products.reset()
     return SubproblemObjective(obj.inst, obj.z_fixed, obj.lambda_fixed, obj.mu,
-                               gram_u0=obj.gram_u0, reference=obj.reference)
+                               gram_u0=obj.gram_u0)
 
 
 def _line_search(obj, u, d, delta, window=None, u0=None):
@@ -436,42 +431,35 @@ class TestGramCost:
 
     Start-up: X r0 and X^T q0, plus one Gram product (X u0, X^T) for r0 unless
     gram_u0 is given.  Each iteration: X d, K (X d) and one X^T, whatever the
-    backtracks.  A final iterate's residual: one more X^T in full mode, or
-    one fused pass (rmatvec_pair) per check on a working set.  These are the
-    counts of full mode; :class:`TestWorkingSet` has those on a working set.
+    backtracks.  A final iterate's residual: one more X^T.
     """
 
     def _run(self, obj, u0, tol_sub):
         alphas = []
         result = solve_subproblem(obj, u0, tol_sub, callback=lambda rec: alphas.append(rec.alpha))
-        assert result.working_set == obj.inst.p and result.kkt_checks == 0  # full mode
         return result, alphas
 
     @staticmethod
-    def _expected(iterations, cold=True, checks=0, full_finish=True):
-        """The calls of a solve; ``full_finish`` when its final iterate is in full mode."""
+    def _expected(iterations, cold=True):
+        """The calls of a solve that returns its final iterate."""
         gram = 1 if cold else 0
         expected = {
             "matvec": gram + 1 + iterations,
-            "rmatvec": gram + 1 + iterations + full_finish,
-            "rmatvec_pair": checks,
+            "rmatvec": gram + 2 + iterations,
             "kernel_matvec": iterations,
         }
         return {name: count for name, count in expected.items() if count}
 
     @staticmethod
     def _x_products(counts, inst):
-        """Every X product is a counted call off the buffer, a chunk of a fused
-        pass (one two-column product per FUSED_ROWS rows of X^T), or forms K
-        (once, when n <= p: one dsyrk call and no product, or without it one
-        per 64 rows)."""
+        """Every X product is a counted call, or forms K (once, when n <= p: one
+        dsyrk call and no product, or without it one per 64 rows); when n > p
+        each K w is X (X^T w)."""
         kernel = counts.forming_kernel(inst)
-        if inst.n > inst.p:  # K w = X (X^T w)
+        if inst.n > inst.p:
             kernel = 2 * counts.calls["kernel_matvec"]
-        on_x = {name: counts.calls[name] - counts.on_buffer[name] for name in ("matvec", "rmatvec")}
-        fused = -(-inst.p // FUSED_ROWS) * counts.calls["rmatvec_pair"]
         assert counts.outside == 0
-        assert counts.x_products == on_x["matvec"] + on_x["rmatvec"] + fused + kernel
+        assert counts.x_products == counts.calls["matvec"] + counts.calls["rmatvec"] + kernel
 
     def test_two_products_per_iteration_with_backtracks(self, monkeypatch, products):
         monkeypatch.setattr(subsolver_module, "MEMORY", 0)  # monotone, as the oracle of the case
@@ -525,247 +513,6 @@ class TestGramCost:
             SubproblemObjective(inst, np.zeros(3), np.zeros(3), 1.0, gram_u0=np.zeros(4))
 
 
-def _sparse_objective(seed, n=24, p=80, mu=None):
-    """A unit-column problem with a 3-sparse signal b, and b as its warm start.
-
-    From b the inner solve takes a working set of a small part of the p
-    coordinates; the tests that use it check that it did.
-    """
-    rng = np.random.default_rng(500 + seed)
-    X = rng.standard_normal((n, p))
-    X /= np.linalg.norm(X, axis=0)
-    b = np.zeros(p)
-    b[rng.choice(p, 3, replace=False)] = rng.choice([-3.0, 3.0], 3)
-    inst = Instance(X=X, y=X @ b + 0.05 * rng.standard_normal(n), delta=1.0)
-    z = 0.05 * rng.standard_normal(p)
-    lam = 0.05 * rng.standard_normal(p)
-    mu = float(rng.uniform(0.3, 0.8)) if mu is None else mu
-    return SubproblemObjective(inst, z, lam, mu), b
-
-
-_TIGHT = 1e-10  # tol_sub of TestWorkingSet, which runs with MAX_INNER_ITER at 200000
-
-
-class TestWorkingSet:
-    """After the first step the solve iterates on W = supp(u1) + {j : |g1_j| >= 1 - m}.
-
-    On a working set the products after the first iteration use the copied
-    columns X^T[W]; each check of the gradient off W costs one fused pass
-    over X that also gives the residual.  These solves have no reference;
-    the certified start is tested in test_adm.TestCertifiedStart.
-    """
-
-    @pytest.fixture(autouse=True)
-    def _room_for_tight_solves(self, monkeypatch):
-        monkeypatch.setattr(subsolver_module, "MAX_INNER_ITER", 200000)
-
-    @staticmethod
-    def _assert_exact(obj, result):
-        """The returned residual and gradient against a dense recomputation at u."""
-        G = dense_gram(obj.inst.X)
-        c = obj.inst.X.T @ obj.inst.y + obj.z_fixed - obj.lambda_fixed / obj.mu
-        r = G @ result.u - c
-        np.testing.assert_allclose(result.residual, r, rtol=0, atol=1e-10 * np.abs(c).max())
-        np.testing.assert_allclose(
-            result.gradient, obj.mu * (G @ r), rtol=0, atol=1e-10 * obj.mu * np.abs(G @ c).max()
-        )
-        X = np.asarray(obj.inst.X)
-        np.testing.assert_allclose(result.v, X @ r, rtol=0, atol=1e-10 * np.abs(X @ c).max())
-
-    @staticmethod
-    def _assert_matches_reference(obj, result, u0):
-        """The penalized value within 1e-6 of the independent reference (criterion 5's bound)."""
-        dense = _dense(obj)
-        _, reference, converged = ista_reference(*dense, u0)
-        assert converged
-        value = penalized_value_dense(*dense, result.u)
-        assert abs(value - reference) <= 1e-6 * max(1.0, abs(reference))
-
-    # seeds 2 and 5 take more than p/4 coordinates and run in full mode
-    @pytest.mark.parametrize("seed", [0, 1, 3, 4, 6, 7])
-    def test_matches_reference_and_dense_products(self, seed):
-        obj, b = _sparse_objective(seed)
-        result = solve_subproblem(obj, b, _TIGHT)
-        assert result.succeeded
-        assert 0 < result.working_set <= obj.inst.p // 4 and result.kkt_checks >= 1
-        self._assert_matches_reference(obj, result, b)
-        self._assert_exact(obj, result)
-
-    @pytest.mark.parametrize("seed", [0, 3])  # seed 3: one coordinate enters at the first check
-    def test_product_counts(self, products, seed):
-        obj, b = _sparse_objective(seed)
-        obj = _watched(products, obj)
-        result = solve_subproblem(obj, b, _TIGHT)
-        assert result.succeeded and result.working_set < obj.inst.p
-        checks = result.kkt_checks
-        assert checks == (2 if seed == 3 else 1)
-        assert products.calls == TestGramCost._expected(
-            result.iterations, checks=checks, full_finish=False
-        )
-        # the first iteration uses X; every later X d and X^T uses the copy,
-        # made once and again for each check that let coordinates enter
-        assert products.on_buffer == {
-            "matvec": result.iterations - 1, "rmatvec": result.iterations - 1
-        }
-        assert products.copies == checks
-        TestGramCost._x_products(products, obj.inst)
-
-    def test_entering_coordinates(self, monkeypatch, products):
-        # with a negative margin W is supp(u1) alone, so every coordinate that
-        # leaves zero after the first step has to enter at a check
-        monkeypatch.setattr(subsolver_module, "WORKING_SET_MARGIN", -1.0)
-        obj, b = _sparse_objective(0)
-        obj = _watched(products, obj)
-        records = []
-        result = solve_subproblem(obj, b, _TIGHT, callback=records.append)
-        assert result.succeeded and result.working_set < obj.inst.p
-        entered = np.setdiff1d(np.flatnonzero(result.u), np.flatnonzero(records[0].u))
-        assert entered.size > 0
-        assert result.kkt_checks >= 2
-        assert products.copies == result.kkt_checks
-        assert products.calls == TestGramCost._expected(
-            result.iterations, checks=result.kkt_checks, full_finish=False
-        )
-        self._assert_matches_reference(obj, result, b)
-        self._assert_exact(obj, result)
-
-    def test_entering_coordinates_unite_with_w(self, monkeypatch):
-        monkeypatch.setattr(subsolver_module, "WORKING_SET_MARGIN", -1.0)
-        moves = []  # (W, the entering j, the W moved to) of every re-entry
-        move = subsolver_module.WorkingSet.move
-
-        def recording(ws, state, columns, g):
-            if ws.columns is not None and columns is not None:
-                moves.append((ws.columns.copy(), ws.outside(g), columns))
-            move(ws, state, columns, g)
-
-        monkeypatch.setattr(subsolver_module.WorkingSet, "move", recording)
-        obj, b = _sparse_objective(0)
-        assert solve_subproblem(obj, b, _TIGHT).succeeded
-        assert moves
-        for columns, entering, moved in moves:
-            assert entering.size and np.array_equal(moved, np.union1d(columns, entering))
-
-    def test_a_re_entry_imports_no_numpy_ma(self):
-        # np.union1d imports numpy.ma on its first call (numpy 2.4)
-        script = (
-            "import sys\n"
-            "import numpy as np\n"
-            "import dantzig_adm\n"
-            "from dantzig_adm import subsolver\n"
-            "subsolver.WORKING_SET_MARGIN = -1.0\n"
-            "entries = []\n"
-            "move = subsolver.WorkingSet.move\n"
-            "def recording(ws, state, columns, g):\n"
-            "    entries.append(ws.columns is not None and columns is not None)\n"
-            "    move(ws, state, columns, g)\n"
-            "subsolver.WorkingSet.move = recording\n"
-            "spec = dantzig_adm.GenSpec(n=60, p=300, s=5, sigma_noise=0.05, seed=1)\n"
-            "inst, _ = dantzig_adm.make_instance(spec)\n"
-            "mu = dantzig_adm.mu_rule('unit_columns', inst.p, inst.delta)\n"
-            "config = dantzig_adm.AdmConfig(mu=mu, tol=1e-3)\n"
-            "# the ADM loop on all of X from the zero start; solve's rounds copy\n"
-            "# too few columns for the inner working set to re-enter\n"
-            "zero = np.zeros(inst.p)\n"
-            "design = dantzig_adm.core.DesignOperator(inst.X)\n"
-            "dantzig_adm.adm._adm(inst, config, design, zero, zero, zero, zero, 10000)\n"
-            "print(sum(entries) > 0, 'numpy.ma' in sys.modules)\n"
-        )
-        src = Path(subsolver_module.__file__).resolve().parent.parent
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-        run = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
-        )
-        assert run.returncode == 0, run.stderr
-        assert run.stdout.split() == ["True", "False"]  # a re-entry, without numpy.ma
-
-    def test_entering_past_a_quarter_moves_to_full_mode(self, monkeypatch, products):
-        # W = supp(u1) has 3 of 40 coordinates; more than 10 enter at the
-        # check, so the solve goes on with X itself
-        monkeypatch.setattr(subsolver_module, "WORKING_SET_MARGIN", -1.0)
-        obj, b = _sparse_objective(5, p=40, mu=3.0)
-        obj = _watched(products, obj)
-        result = solve_subproblem(obj, b, _TIGHT)
-        assert result.succeeded
-        assert result.working_set == obj.inst.p and result.kkt_checks == 1
-        assert products.copies == 1
-        assert products.calls == TestGramCost._expected(result.iterations, checks=1)
-        buffered = products.on_buffer["matvec"]
-        assert products.on_buffer == {"matvec": buffered, "rmatvec": buffered}
-        assert 1 <= buffered < result.iterations - 1
-        TestGramCost._x_products(products, obj.inst)
-        self._assert_matches_reference(obj, result, b)
-        self._assert_exact(obj, result)
-
-    def test_large_working_set_makes_no_copy(self, products):
-        # from zero the first step makes most gradients large: full mode
-        obj, _ = _sparse_objective(0)
-        obj = _watched(products, obj)
-        result = solve_subproblem(obj, np.zeros(obj.inst.p), _TIGHT)
-        assert result.succeeded and result.iterations > 1
-        assert result.working_set == obj.inst.p and result.kkt_checks == 0
-        assert products.copies == 0 and obj.design._rows is None
-        assert not products.on_buffer
-        assert products.calls == TestGramCost._expected(result.iterations)
-        self._assert_exact(obj, result)
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_certified_start(self, monkeypatch, products, seed):
-        # the next inner problem of an outer loop, with z moved a little: the
-        # first solve's result certifies W from the start, so every product
-        # after X r0 uses the copy, and one fused pass ends the solve
-        obj, b = _sparse_objective(seed)
-        first = solve_subproblem(obj, b, _TIGHT)
-        rng = np.random.default_rng(seed)
-        z = obj.z_fixed + 1e-3 * rng.standard_normal(obj.inst.p)
-        gram_u = first.residual + obj.c
-        nxt = SubproblemObjective(obj.inst, z, obj.lambda_fixed, obj.mu, gram_u0=gram_u,
-                                  reference=first)
-        products.reset()
-        nxt = _watched(products, nxt)
-        result = solve_subproblem(nxt, first.u, _TIGHT)
-        assert result.succeeded and result.certified and result.iterations > 0
-        assert result.refreshes == 0 and result.kkt_checks == 1  # nothing entered at the check
-        iters = result.iterations
-        assert products.calls == {
-            "matvec": 1 + iters, "rmatvec": 1 + iters, "rmatvec_pair": 1, "kernel_matvec": iters
-        }
-        assert products.on_buffer == {"matvec": iters, "rmatvec": 1 + iters}
-        assert products.copies == 1
-        TestGramCost._x_products(products, nxt.inst)
-        self._assert_matches_reference(nxt, result, first.u)
-        self._assert_exact(nxt, result)
-        # the full method from the same start takes the same steps
-        monkeypatch.setattr(DesignOperator, "restrict", lambda self, columns: None)
-        plain = SubproblemObjective(obj.inst, z, obj.lambda_fixed, obj.mu, gram_u0=gram_u)
-        full = solve_subproblem(plain, first.u, _TIGHT)
-        assert full.iterations == iters
-        assert np.abs(full.u - result.u).max() <= 1e-10 * max(1.0, np.abs(full.u).max())
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_more_rows_than_columns(self, products, seed):
-        # n > p: no K is formed, K w = X (X^T w) is made with X itself, and W
-        # still takes the other products
-        rng = np.random.default_rng(seed)
-        n, p = 60, 40
-        X = rng.standard_normal((n, p))
-        X /= np.linalg.norm(X, axis=0)
-        b = np.zeros(p)
-        b[:2] = 3.0
-        inst = Instance(X=X, y=X @ b + 0.05 * rng.standard_normal(n), delta=1.0)
-        obj = _watched(products, SubproblemObjective(inst, np.zeros(p), np.zeros(p), 0.5))
-        result = solve_subproblem(obj, np.zeros(p), _TIGHT)
-        assert result.succeeded and result.working_set <= p // 4 and result.kkt_checks >= 1
-        assert obj.design.kernel is None
-        assert products.on_buffer["rmatvec"] == result.iterations - 1
-        assert products.calls == TestGramCost._expected(
-            result.iterations, checks=result.kkt_checks, full_finish=False
-        )
-        TestGramCost._x_products(products, obj.inst)
-        self._assert_matches_reference(obj, result, np.zeros(p))
-        self._assert_exact(obj, result)
-
-
 class TestSolveSubproblem:
     def test_warm_start_at_minimizer_returns_immediately(self):
         mu, c = 1.5, 4.0
@@ -775,13 +522,6 @@ class TestSolveSubproblem:
         assert result.succeeded
         assert result.iterations <= 1
         assert np.allclose(result.u, u_star, atol=1e-10)
-
-    def test_reference_must_be_a_final_iterate(self):
-        obj = _scalar_objective()
-        best_earlier = SubsolverResult(u=np.zeros(1), iterations=3, status="max_iter")
-        with pytest.raises(ValueError):
-            SubproblemObjective(obj.inst, obj.z_fixed, obj.lambda_fixed, obj.mu,
-                                reference=best_earlier)
 
     @pytest.mark.parametrize("tol_sub", [0.0, -1e-8, float("nan")])
     def test_requires_a_positive_tolerance(self, tol_sub):
@@ -859,11 +599,9 @@ class TestSolveSubproblem:
                 best_u, best = rec.u, rec.penalized
         return best_u
 
-    @pytest.mark.parametrize("seed, working_set", [(70, 5), (71, 30)])
-    def test_converged_at_the_cap_is_a_final_iterate(self, monkeypatch, seed, working_set):
-        # unit columns and a sparse signal: at seed 70 the solve ends on a
-        # working set, at 71 in full mode
-        rng = np.random.default_rng(seed)
+    def test_converged_at_the_cap_is_a_final_iterate(self, monkeypatch):
+        # unit columns and a sparse signal
+        rng = np.random.default_rng(71)
         X = rng.standard_normal((12, 30))
         X /= np.linalg.norm(X, axis=0)
         signal = np.where(rng.random(30) < 0.2, rng.standard_normal(30), 0.0)
@@ -872,20 +610,19 @@ class TestSolveSubproblem:
         obj = SubproblemObjective(inst, z, lam, 0.5)
         u0 = np.zeros(30)
         free = solve_subproblem(obj, u0, 1e-6)
-        assert free.status == "converged" and free.working_set == working_set
+        assert free.status == "converged"
         monkeypatch.setattr(subsolver_module, "MAX_INNER_ITER", free.iterations)
         capped = solve_subproblem(obj, u0, 1e-6)
         assert capped.status == "converged" and capped.iterations == free.iterations
-        assert capped.working_set == working_set
         assert np.array_equal(capped.u, free.u)
-        for name in ("residual", "gradient", "v"):
+        for name in ("residual", "gradient"):
             assert np.array_equal(getattr(capped, name), getattr(free, name))
         records = []
         monkeypatch.setattr(subsolver_module, "MAX_INNER_ITER", free.iterations - 1)
         short = solve_subproblem(obj, u0, 1e-6, callback=records.append)
         assert short.status == "max_iter" and not short.succeeded
         assert short.iterations == len(records) == free.iterations - 1
-        assert short.residual is None and short.gradient is None and short.v is None
+        assert short.residual is None and short.gradient is None
         assert np.array_equal(short.u, self._best(obj, u0, records))
 
     def test_line_search_failure_returns_the_best_iterate(self, monkeypatch):
@@ -905,7 +642,7 @@ class TestSolveSubproblem:
         result = solve_subproblem(obj, u0, 1e-13, records.append)
         assert result.status == "line_search_failure" and not result.succeeded
         assert result.iterations == len(records) == 3
-        assert result.residual is None and result.gradient is None and result.v is None
+        assert result.residual is None and result.gradient is None
         assert np.array_equal(result.u, self._best(obj, u0, records))
 
     @pytest.mark.parametrize("seed", range(4))
