@@ -283,9 +283,9 @@ def _one_blas_thread() -> None:
 
     Forked workers keep OpenBLAS's default of one thread per core, so each
     core would run one BLAS thread per worker.  Every product of a solve goes
-    through numpy's OpenBLAS (:func:`~dantzig_adm.core.set_blas_threads`),
-    the kernel's dsyrk and dsymv among them; no solve loads scipy.  Without
-    that library, or without its thread-count functions, nothing changes.
+    through numpy's OpenBLAS (:func:`~dantzig_adm.core.set_blas_threads`);
+    no solve loads scipy.  Without that library, or without its thread-count
+    functions, nothing changes.
     """
     core.set_blas_threads(1)
 

@@ -4,15 +4,13 @@
 product with X that a solve needs: X v (from the nonzero columns of v alone
 when few are nonzero, copied 64 rows of X^T at a time into a scratch array
 the operator keeps), X^T w, two products X^T a and X^T b in one pass over
-X, and K w with the n x n kernel K = X X^T, whose one triangle the level-3
-BLAS routine dsyrk of numpy's bundled OpenBLAS writes and the symmetric
-product dsymv reads.  Every product runs on numpy alone; no solve imports
-scipy.  :class:`ColumnBlock` copies columns of X into one kept buffer, for
-the least-squares fits of :func:`least_squares` and for
-:meth:`Instance.restricted`, the instance of a few columns on which a solve
-runs each round.  :func:`row_tiles` reads a column-major X in row-major
-tiles, from which an Instance sums ``d`` and a generated instance forms
-``y``.
+X, and K w with the n x n kernel K = X X^T.  Every product runs on numpy
+alone; no solve imports scipy.  :class:`ColumnBlock` copies columns of X
+into one kept buffer, for the least-squares fits of :func:`least_squares`
+and for :meth:`Instance.restricted`, the instance of a few columns on which
+a solve runs each round.  :func:`row_tiles` reads a column-major X in
+row-major tiles, from which an Instance sums ``d`` and a generated instance
+forms ``y``.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from __future__ import annotations
 import ctypes
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -56,11 +54,6 @@ TILE_COLUMNS = 256
 # block's Gram matrix (see _normal_equations).  The start's Gaussian blocks
 # of 80 columns and 720 rows gave about 85, the two-stage refits up to 107.
 NORMAL_EQUATIONS_MAX_CONDITION = 1e4
-# CBLAS enum values: row- and column-major order, the upper and lower
-# triangle, and no transpose.
-_ROW_MAJOR, _COL_MAJOR, _UPPER, _LOWER, _NO_TRANS = 101, 102, 121, 122, 111
-# ctypes of CBLAS arguments: an enum, an index (64-bit), a scalar, an array.
-_ENUM, _INDEX, _SCALAR, _POINTER = ctypes.c_int, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 
 
 def row_tiles(X: np.ndarray, columns: np.ndarray | None = None):
@@ -266,7 +259,6 @@ class DesignOperator:
     def __init__(self, X: np.ndarray):
         self.X = X
         self._scratch: np.ndarray | None = None  # RESTRICTED_ROWS rows of X^T
-        self._symv = None  # dsymv bound to K, when dsyrk formed K (see kernel)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """X v; from the nonzero columns only when they are at most half of v.
@@ -332,51 +324,16 @@ class DesignOperator:
 
     @cached_property
     def kernel(self) -> np.ndarray | None:
-        """K = X X^T when n <= p, else None; formed on first use.
-
-        When numpy's OpenBLAS binds both dsyrk and dsymv (:func:`_blas_kernel`)
-        and X is column-major, one dsyrk forms K: it writes the column-major
-        lower triangle, which is the upper triangle of the row-major K
-        returned, and leaves the rest of K unset.  :meth:`kernel_matvec`
-        then applies K through dsymv, which reads that triangle only, bound
-        to K here once.  At 720 x 2560 (OpenBLAS 0.3.31, one thread) dsyrk
-        gives the triangle of :func:`_kernel` bit for bit, in 29-30 against
-        42-44 ms, and 30-35 against 42-44 ms inside a solve.  It leaves
-        about 1.7 MiB of BLAS workspace resident.  Otherwise K is
-        :func:`_kernel`, full and exactly symmetric, and K w is K @ w.
-        """
-        X = self.X
-        n, p = X.shape
-        if n > p:
-            return None
-        blas = _blas_kernel() if X.flags.f_contiguous else None
-        if blas is None:
-            return _kernel(X)
-        syrk, symv = blas
-        K = np.empty((n, n))
-        syrk(_COL_MAJOR, _LOWER, _NO_TRANS, n, p, 1.0, X.ctypes.data, n, 0.0, K.ctypes.data, n)
-        self._symv = partial(symv, _ROW_MAJOR, _UPPER, n, 1.0, K.ctypes.data, n)
-        return K
+        """K = X X^T (:func:`_kernel`) when n <= p, else None; formed on first use."""
+        n, p = self.X.shape
+        return None if n > p else _kernel(self.X)
 
     def kernel_matvec(self, w: np.ndarray) -> np.ndarray:
-        """K w = X (X^T w); from the formed K when n <= p.
-
-        Through dsymv, which reads the triangle dsyrk wrote, when dsyrk
-        formed K (see :attr:`kernel`); w is then one vector of length n.  At
-        n = 720 (OpenBLAS 0.3.31, one thread) it takes 0.10 ms against
-        0.18 ms for K @ w, which reads all of K, and 0.14 ms against 0.20 ms
-        per call inside a solve, where other products evict K from cache.
-        Otherwise the product is K @ w.
-        """
+        """K w = X (X^T w); K @ w from the formed K when n <= p."""
         K = self.kernel
         if K is None:
             return self.X @ (self.X.T @ w)
-        if self._symv is None:
-            return K @ w
-        w = np.ascontiguousarray(w, dtype=np.float64)
-        out = np.zeros(K.shape[0])
-        self._symv(w.ctypes.data, 1, 0.0, out.ctypes.data, 1)
-        return out
+        return K @ w
 
 
 @cache
@@ -398,43 +355,6 @@ def _openblas():
         except OSError:
             continue
     return None
-
-
-def _cblas(symbol: str, *argtypes):
-    """``symbol`` of :func:`_openblas` with its argument types and no result, or None."""
-    function = getattr(_openblas(), symbol, None)
-    if function is not None:
-        function.argtypes, function.restype = list(argtypes), None
-    return function
-
-
-@cache
-def _dsymv():
-    """cblas_dsymv of :func:`_openblas`, bound on the first kernel formed; None without it."""
-    return _cblas(
-        "scipy_cblas_dsymv64_", _ENUM, _ENUM, _INDEX, _SCALAR, _POINTER, _INDEX,
-        _POINTER, _INDEX, _SCALAR, _POINTER, _INDEX,
-    )
-
-
-@cache
-def _dsyrk():
-    """cblas_dsyrk of :func:`_openblas`, bound on the first kernel formed; None without it."""
-    return _cblas(
-        "scipy_cblas_dsyrk64_", _ENUM, _ENUM, _ENUM, _INDEX, _INDEX, _SCALAR, _POINTER,
-        _INDEX, _SCALAR, _POINTER, _INDEX,
-    )
-
-
-def _blas_kernel():
-    """(dsyrk, dsymv) when numpy's OpenBLAS binds both, else None.
-
-    This one test decides both how K is formed and how it is applied: a K
-    from dsyrk holds one triangle, which only dsymv reads, and without
-    either routine K is :func:`_kernel`'s full K and K w is K @ w.
-    """
-    syrk, symv = _dsyrk(), _dsymv()
-    return None if syrk is None or symv is None else (syrk, symv)
 
 
 def set_blas_threads(count: int) -> int | None:
@@ -534,8 +454,7 @@ def _normal_equations(block: np.ndarray, y: np.ndarray) -> np.ndarray | None:
 def _kernel(X: np.ndarray) -> np.ndarray:
     """K = X X^T, exactly symmetric, formed in blocks of 64 columns.
 
-    The kernel of :attr:`DesignOperator.kernel` where dsyrk is not used.
-    Each block fills one column block of the lower triangle,
+    The kernel of :attr:`DesignOperator.kernel`.  Each block fills one column block of the lower triangle,
     K[j:, j:j+64] = X[j:] X[j:j+64]^T, written by the product straight into
     a column-major K (no temporary and no copy), and is mirrored into the
     rows above.  Small blocks keep OpenBLAS's packing buffer small: it grows

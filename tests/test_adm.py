@@ -472,7 +472,7 @@ class TestOuterCost:
         before, x_before = {}, 0
         if beta0.any():
             before, x_before = {"matvec": 1, "rmatvec": 1}, 2
-        kernel_x = products.forming_kernel(inst)  # one dsyrk, else one X product per 64 rows
+        kernel_x = products.forming_kernel(inst)  # one X product per 64 rows
         per_kernel = 0 if n <= p else 2  # X (X^T w) when no K is formed
         for (calls, x_products), result in zip(seen, inner):
             iters = result.iterations

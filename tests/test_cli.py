@@ -432,12 +432,6 @@ class TestBench:
             assert list(pool.map(_numpy_blas_threads, range(4))) == [1] * 4
         assert _numpy_blas_threads() == parent  # the calling process keeps its own
 
-    def test_kernel_product_binds_numpy_dsymv(self):
-        # a silent fallback to K @ w would read all of K again
-        if _numpy_blas_threads() is None:
-            pytest.skip("numpy links no bundled OpenBLAS here")
-        assert core._dsymv() is not None
-
     def test_missing_thread_setter_does_nothing(self, monkeypatch):
         before = _numpy_blas_threads()
         for library in (None, object()):  # no bundled OpenBLAS, and one without the setter

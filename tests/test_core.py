@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import dantzig_adm.core as core_module
-from dantzig_adm.adm import AdmConfig, solve
 from dantzig_adm.core import (
     FUSED_ROWS,
     ColumnBlock,
@@ -22,7 +21,7 @@ from dantzig_adm.core import (
     box_clamp,
     soft_thresh,
 )
-from dantzig_adm.datagen import GenSpec, make_instance, mu_rule
+from dantzig_adm.datagen import GenSpec, make_instance
 
 from oracles import box_project_scalar, dense_gram, prox_l1_scalar
 
@@ -278,24 +277,14 @@ class TestRestrictedChunks:
 
 class TestDesignOperator:
     @pytest.mark.parametrize("n, p", [(1, 5), (64, 64), (65, 90), (150, 200)])
-    def test_kernel_is_x_xt_and_exactly_symmetric(self, monkeypatch, n, p):
+    def test_kernel_is_x_xt_and_exactly_symmetric(self, n, p):
         # 65 and 150 rows leave a partial last block of 64
         rng = np.random.default_rng(n)
         X = rng.standard_normal((n, p))
         expected = X @ X.T
         bound = 1e-13 * np.abs(expected).max()
-        if core_module._blas_kernel() is not None:
-            # dsyrk writes the upper triangle of the row-major K, the one dsymv
-            # reads; the rest of K is left unset
-            design = DesignOperator(Instance(X=X, y=np.zeros(n), delta=1.0).X)
-            upper = np.triu_indices(n)
-            assert np.abs(design.kernel[upper] - expected[upper]).max() <= bound
-            assert design._symv is not None
-        # without the binding K is full and exactly symmetric
-        monkeypatch.setattr(core_module, "_dsyrk", lambda: None)
         design = DesignOperator(Instance(X=X, y=np.zeros(n), delta=1.0).X)
         K = design.kernel
-        assert design._symv is None
         assert np.abs(K - expected).max() <= bound
         assert np.array_equal(K, K.T)
 
@@ -374,53 +363,7 @@ class TestFusedPass:
 
 
 class TestSymmetricKernelProduct:
-    """K w through dsymv of numpy's OpenBLAS, and the K @ w fallback without it."""
-
-    @staticmethod
-    def _design(n, p):
-        rng = np.random.default_rng(n + p)
-        X = rng.standard_normal((n, p))
-        return X, DesignOperator(Instance(X=X, y=np.zeros(n), delta=1.0).X), rng
-
-    @pytest.mark.parametrize("n, p", [(64, 64), (65, 90), (150, 200)])
-    def test_matches_x_xt_through_the_binding(self, monkeypatch, n, p):
-        if core_module._blas_kernel() is None:
-            pytest.skip("numpy bundles no OpenBLAS with cblas_dsyrk and cblas_dsymv here")
-        bound = core_module._dsymv()
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return bound(*args)
-
-        monkeypatch.setattr(core_module, "_dsymv", lambda: counted)
-        X, design, rng = self._design(n, p)
-        wide = rng.standard_normal((3 * n, 2))
-        for w in (rng.standard_normal(n), wide[::3, 1], wide[::-3, 0]):  # strided views
-            expected = X @ (X.T @ w)
-            got = design.kernel_matvec(w)
-            assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
-        assert len(calls) == 3
-
-    @pytest.mark.parametrize("n, p", [(64, 64), (65, 90), (150, 200)])
-    def test_without_the_binding_is_k_times_w(self, monkeypatch, n, p):
-        monkeypatch.setattr(core_module, "_dsymv", lambda: None)
-        _, design, rng = self._design(n, p)
-        w = rng.standard_normal(n)
-        assert np.array_equal(design.kernel_matvec(w), design.kernel @ w)
-
-    def test_whole_solve_counts_agree_on_both_paths(self, monkeypatch, whole_problem):
-        # the ADM loop on all of X, which forms K; solve's rounds here use at
-        # most 26 columns, fewer than n, and form none
-        inst, _ = make_instance(GenSpec(n=48, p=200, s=6, sigma_noise=0.05, seed=2))
-        config = AdmConfig(mu=mu_rule("unit_columns", inst.p, inst.delta), tol=1e-3)
-        beta, _, report = whole_problem(inst, config)
-        monkeypatch.setattr(core_module, "_dsymv", lambda: None)
-        beta_gemv, _, report_gemv = whole_problem(inst, config)
-        assert report.status == report_gemv.status == "converged"
-        assert report.outer_iterations == report_gemv.outer_iterations
-        assert report.inner_iteration_total == report_gemv.inner_iteration_total
-        assert np.abs(beta - beta_gemv).max() <= 1e-10 * max(1.0, np.abs(beta_gemv).max())
+    """K w from the formed K, with numpy's BLAS alone."""
 
     def test_a_solve_loads_no_second_blas(self):
         # scipy.linalg would load scipy's own OpenBLAS, a second BLAS in the process
@@ -433,9 +376,12 @@ class TestSymmetricKernelProduct:
             "inst, _ = dantzig_adm.make_instance(spec)\n"
             "mu = dantzig_adm.mu_rule('unit_columns', inst.p, inst.delta)\n"
             "config = dantzig_adm.AdmConfig(mu=mu, tol=1e-3)\n"
+            "formed = []\n"
+            "kernel = core._kernel\n"
+            "core._kernel = lambda X: formed.append(X.shape) or kernel(X)\n"
             "# a dense beta0 puts every column in W, so the round runs on X and forms K\n"
             "dantzig_adm.solve(inst, config, beta0=np.ones(inst.p))\n"
-            "print(core._dsymv.cache_info().misses, 'scipy.linalg' in sys.modules)\n"
+            "print(len(formed), 'scipy.linalg' in sys.modules)\n"
         )
         src = Path(core_module.__file__).resolve().parent.parent
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
@@ -443,7 +389,7 @@ class TestSymmetricKernelProduct:
             [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
         )
         assert run.returncode == 0, run.stderr
-        assert run.stdout.split() == ["1", "False"]  # K w was applied, without scipy.linalg
+        assert run.stdout.split() == ["1", "False"]  # K was formed, without scipy.linalg
 
 
 class TestStorageOrder:

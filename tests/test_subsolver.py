@@ -453,8 +453,7 @@ class TestGramCost:
     @staticmethod
     def _x_products(counts, inst):
         """Every X product is a counted call, or forms K (once, when n <= p: one
-        dsyrk call and no product, or without it one per 64 rows); when n > p
-        each K w is X (X^T w)."""
+        product per 64 rows); when n > p each K w is X (X^T w)."""
         kernel = counts.forming_kernel(inst)
         if inst.n > inst.p:
             kernel = 2 * counts.calls["kernel_matvec"]
