@@ -26,7 +26,9 @@ Each section writes its own key of the JSON file (the others are kept):
   compares the zero start instead, as ``equals_parent_default``.)
 - ``perfbench``: with ``--parent``, ``perfbench/run.py --trace 0`` of both
   workloads on the parent tree and on this one, in alternating order over
-  ``--bench-seeds``, for ``--bench-seconds`` each.
+  ``--bench-seeds``, for ``--bench-seconds`` each.  Each run is started
+  from a small interpreter of its own (``LAUNCHER``), so that its
+  ``peak_rss_mb`` is its own and not this driver's.
 - ``parent``: with ``--parent``, the default solve of this tree against the
   parent's, in one process (the parent's src is loaded under another
   package name), on unit columns at sigma 0.01 and 0.05 and orthogonal rows
@@ -108,6 +110,13 @@ STARTS = {"zero": GRID["zero"], "default": screened_start}
 ACCEPTANCE_ROWS = [("unit_columns", 0.05), ("unit_columns", 0.01), ("orthogonal_rows", 0.05)]
 WORKLOADS = ("bench-pool", "unit-i1")
 PARENT_PACKAGE = "parent_dantzig_adm"
+# runs its arguments as a command and exits with its code.  perfbench reads
+# its peak resident size from ru_maxrss, and a process started by exec keeps
+# the peak of the process it replaced: run straight from this driver, every
+# perfbench run reported the driver's own peak once other sections had run
+# (251.63 MiB in BENCH_generation.json's gen_perfbench_first).  Started from
+# this small interpreter, each run reports its own.
+LAUNCHER = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
 # solves the acceptance rows with a tree's default start; run on the parent's src
 PARENT_DEFAULT = """
 import hashlib, json, sys
@@ -395,8 +404,9 @@ def perfbench(parent: Path, seeds, seconds: float) -> dict:
             trees = [("parent", parent), ("change", ROOT)]
             for name, tree in trees if i % 2 == 0 else trees[::-1]:
                 run = subprocess.run(
-                    [sys.executable, "perfbench/run.py", "--workload", workload,
-                     "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                    [sys.executable, "-c", LAUNCHER, sys.executable, "perfbench/run.py",
+                     "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
+                     "--trace", "0"],
                     cwd=tree, capture_output=True, text=True, check=True,
                 )
                 line = json.loads(run.stdout.splitlines()[-1])
