@@ -633,6 +633,89 @@ class TestKernelPaths:
             assert np.abs(rec.u - rec_nk.u).max() <= 1e-10 * max(1.0, np.abs(rec.u).max())
         assert np.abs(result.u - result_nk.u).max() <= 1e-10 * max(1.0, np.abs(result.u).max())
 
+    def test_whole_solve_counts_agree_on_both_paths(self):
+        # the ADM loop on all of X from the zero start, which forms K; solve's
+        # rounds at (48, 200) use fewer than n columns and form none.  An
+        # inner solve that stops near its tolerance may take one more
+        # iteration on one path than the other (seed 3 does, from outer
+        # iteration 1), so the counts agree only where rounding decides none
+        inst, _ = make_instance(GenSpec(n=48, p=200, s=6, sigma_noise=0.05, seed=2))
+        config = AdmConfig(mu=mu_rule("unit_columns", inst.p, inst.delta), tol=1e-3)
+        zero = np.zeros(inst.p)
+        runs = []
+        for design in (DesignOperator(inst.X), _NoKernel(inst.X)):
+            runs.append(adm_module._adm(inst, config, design, zero, zero, zero, zero,
+                                        config.max_outer_iter))
+            assert (design.__dict__.get("kernel") is not None) == (type(design) is DesignOperator)
+        (beta, _, report), (beta_nk, _, report_nk) = runs
+        assert report.status == report_nk.status == "converged"
+        assert report.outer_iterations == report_nk.outer_iterations > 0
+        assert report.inner_iteration_total == report_nk.inner_iteration_total
+        assert np.abs(beta - beta_nk).max() <= 1e-10 * max(1.0, np.abs(beta_nk).max())
+
+
+class TestHandedInnerProblems:
+    """Each inner solve of the ADM loop takes the steps of a fresh one.
+
+    The loop hands every inner solve X^T X beta from the previous residual
+    (gram_u0) and the operator, with its K, kept across the solve.  Rerun
+    from its inputs with a fresh operator and a fresh Gram product, each
+    inner solve takes the same number of iterations to the same iterate up
+    to rounding: on all of X (the ``whole_problem`` fixture, which forms K)
+    and on the rounds of solve, whose blocks have fewer than n columns.
+    """
+
+    @staticmethod
+    def _rerun_each(monkeypatch):
+        """Record each inner solve and rerun it fresh at once.
+
+        A round's instance is a view of the kept block, valid until the next
+        copy, so the rerun cannot wait for the solve to end.
+        """
+        pairs = []
+        original = adm_module.solve_subproblem
+
+        def recording(obj, u0, tol_sub, callback=None):
+            result = original(obj, u0, tol_sub, callback)
+            assert obj.gram_u0 is not None
+            plain = SubproblemObjective(obj.inst, obj.z_fixed, obj.lambda_fixed, obj.mu)
+            pairs.append((result, original(plain, u0.copy(), tol_sub)))
+            return result
+
+        monkeypatch.setattr(adm_module, "solve_subproblem", recording)
+        return pairs
+
+    @staticmethod
+    def _assert_same_steps(pairs):
+        assert pairs
+        for result, fresh in pairs:
+            assert fresh.iterations == result.iterations and fresh.status == result.status
+            scale = max(1.0, np.abs(fresh.u).max())
+            assert np.abs(fresh.u - result.u).max() <= 1e-10 * scale
+
+    @staticmethod
+    def _case(seed):
+        inst, _ = make_instance(GenSpec(n=48, p=200, s=6, sigma_noise=0.05, seed=seed))
+        return inst, AdmConfig(mu=mu_rule("unit_columns", inst.p, inst.delta), tol=1e-3)
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_on_all_of_x(self, monkeypatch, whole_problem, seed):
+        inst, config = self._case(seed)
+        pairs = self._rerun_each(monkeypatch)
+        _, _, report = whole_problem(inst, config)
+        assert report.status == "converged"
+        assert len(pairs) == report.outer_iterations
+        self._assert_same_steps(pairs)
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_on_the_rounds(self, monkeypatch, seed):
+        inst, config = self._case(seed)
+        pairs = self._rerun_each(monkeypatch)
+        _, _, report = solve(inst, config)
+        assert report.status == "converged" and report.rounds >= 1
+        assert len(pairs) == report.outer_iterations
+        self._assert_same_steps(pairs)
+
 
 class TestDegenerateInstances:
     """beta = 0 is optimal: y = 0, or delta at least ||D^-1 X^T y||_inf."""

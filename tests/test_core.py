@@ -309,6 +309,38 @@ class TestDesignOperator:
         )
         assert (design.kernel is None) == (n > p)
 
+    def test_column_block_copies_columns_into_one_buffer(self):
+        rng = np.random.default_rng(7)
+        X = rng.standard_normal((9, 40))
+        block = ColumnBlock(Instance(X=X, y=np.zeros(9), delta=1.0).X)
+        columns = np.array([1, 5, 7, 30])
+        first = block.take(columns)
+        np.testing.assert_array_equal(first, X[:, columns])
+        assert first.flags.f_contiguous
+        design = DesignOperator(first)
+        v, w = rng.standard_normal(columns.size), rng.standard_normal(9)
+        np.testing.assert_allclose(design.matvec(v), X[:, columns] @ v, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(design.rmatvec(w), X[:, columns].T @ w, rtol=1e-12, atol=1e-12)
+        second = block.take(np.arange(8))  # twice the first columns still fit
+        assert np.shares_memory(first, second)
+        np.testing.assert_array_equal(second, X[:, :8])
+        third = block.take(np.arange(9))  # one more allocates a larger buffer
+        assert not np.shares_memory(second, third)
+        np.testing.assert_array_equal(third, X[:, :9])
+        assert block._rows.shape == (18, 9)
+
+    def test_restricted_instance_reads_its_norms_and_correlations_off(self):
+        rng = np.random.default_rng(8)
+        X, y = rng.standard_normal((9, 40)), rng.standard_normal(9)
+        inst = Instance(X=X, y=y, delta=0.7)
+        columns = np.array([0, 3, 17, 39])
+        sub = inst.restricted(columns, ColumnBlock(inst.X))
+        np.testing.assert_array_equal(sub.X, X[:, columns])
+        assert sub.y is inst.y and sub.delta == inst.delta
+        assert np.array_equal(sub.d, inst.d[columns])
+        assert np.array_equal(sub.xty, inst.xty[columns])
+        assert (sub.n, sub.p) == (9, 4)
+
 
 class TestFusedPass:
     """rmatvec_pair: (X^T a, X^T b) from one two-column product per FUSED_ROWS rows."""
@@ -364,6 +396,35 @@ class TestFusedPass:
 
 class TestSymmetricKernelProduct:
     """K w from the formed K, with numpy's BLAS alone."""
+
+    @staticmethod
+    def _design(n, p):
+        rng = np.random.default_rng(n + p)
+        X = rng.standard_normal((n, p))
+        return X, DesignOperator(Instance(X=X, y=np.zeros(n), delta=1.0).X), rng
+
+    @pytest.mark.parametrize("n, p", [(64, 64), (65, 90), (150, 200)])
+    def test_matches_x_xt(self, n, p):
+        X, design, rng = self._design(n, p)
+        wide = rng.standard_normal((3 * n, 2))
+        for w in (rng.standard_normal(n), wide[::3, 1], wide[::-3, 0]):  # strided views
+            expected = X @ (X.T @ w)
+            got = design.kernel_matvec(w)
+            assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("n, p", [(64, 64), (65, 90), (150, 200)])
+    def test_is_k_times_w(self, n, p):
+        _, design, rng = self._design(n, p)
+        w = rng.standard_normal(n)
+        assert np.array_equal(design.kernel_matvec(w), design.kernel @ w)
+
+    @pytest.mark.parametrize("n, p", [(90, 65), (200, 150)])
+    def test_more_rows_than_columns_is_x_times_xt_w(self, n, p):
+        X, design, rng = self._design(n, p)
+        w = rng.standard_normal(n)
+        expected = X @ (X.T @ w)
+        assert np.abs(design.kernel_matvec(w) - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert design.kernel is None
 
     def test_a_solve_loads_no_second_blas(self):
         # scipy.linalg would load scipy's own OpenBLAS, a second BLAS in the process

@@ -512,6 +512,137 @@ class TestGramCost:
             SubproblemObjective(inst, np.zeros(3), np.zeros(3), 1.0, gram_u0=np.zeros(4))
 
 
+def _sparse_objective(seed, n=24, p=80, mu=None):
+    """A unit-column problem with a 3-sparse signal b, and b as its warm start."""
+    rng = np.random.default_rng(500 + seed)
+    X = rng.standard_normal((n, p))
+    X /= np.linalg.norm(X, axis=0)
+    b = np.zeros(p)
+    b[rng.choice(p, 3, replace=False)] = rng.choice([-3.0, 3.0], 3)
+    inst = Instance(X=X, y=X @ b + 0.05 * rng.standard_normal(n), delta=1.0)
+    z = 0.05 * rng.standard_normal(p)
+    lam = 0.05 * rng.standard_normal(p)
+    mu = float(rng.uniform(0.3, 0.8)) if mu is None else mu
+    return SubproblemObjective(inst, z, lam, mu), b
+
+
+_TIGHT = 1e-10  # tol_sub of TestSparseWarmStart, which runs with MAX_INNER_ITER at 200000
+
+
+class TestSparseWarmStart:
+    """Inner solves from a sparse warm start, as the ADM loop hands them.
+
+    Each solve runs one loop on the operator it is given, whatever the
+    start: the counts of :class:`TestGramCost`, every product with X, and a
+    final iterate whose residual and gradient match a dense recomputation.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _room_for_tight_solves(self, monkeypatch):
+        monkeypatch.setattr(subsolver_module, "MAX_INNER_ITER", 200000)
+
+    @staticmethod
+    def _assert_exact(obj, result):
+        """The returned residual and gradient against a dense recomputation at u."""
+        G = dense_gram(obj.inst.X)
+        c = obj.inst.X.T @ obj.inst.y + obj.z_fixed - obj.lambda_fixed / obj.mu
+        r = G @ result.u - c
+        np.testing.assert_allclose(result.residual, r, rtol=0, atol=1e-10 * np.abs(c).max())
+        np.testing.assert_allclose(
+            result.gradient, obj.mu * (G @ r), rtol=0, atol=1e-10 * obj.mu * np.abs(G @ c).max()
+        )
+
+    @staticmethod
+    def _assert_matches_reference(obj, result, u0):
+        """The penalized value within 1e-6 of the independent reference (criterion 5's bound)."""
+        dense = _dense(obj)
+        _, reference, converged = ista_reference(*dense, u0)
+        assert converged
+        value = penalized_value_dense(*dense, result.u)
+        assert abs(value - reference) <= 1e-6 * max(1.0, abs(reference))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_reference_and_dense_products(self, seed):
+        obj, b = _sparse_objective(seed)
+        result = solve_subproblem(obj, b, _TIGHT)
+        assert result.succeeded and result.iterations > 0
+        self._assert_matches_reference(obj, result, b)
+        self._assert_exact(obj, result)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_product_counts(self, products, seed):
+        obj, b = _sparse_objective(seed)
+        obj = _watched(products, obj)
+        result = solve_subproblem(obj, b, _TIGHT)
+        assert result.succeeded
+        assert products.calls == TestGramCost._expected(result.iterations)
+        TestGramCost._x_products(products, obj.inst)
+
+    def test_coordinates_off_the_start_enter(self, products):
+        # the answer's support is not the start's: coordinates off supp(b)
+        # leave zero, and the loop reaches them with the same products
+        obj, b = _sparse_objective(0)
+        obj = _watched(products, obj)
+        result = solve_subproblem(obj, b, _TIGHT)
+        assert result.succeeded
+        assert np.setdiff1d(np.flatnonzero(result.u), np.flatnonzero(b)).size > 0
+        assert products.calls == TestGramCost._expected(result.iterations)
+        self._assert_matches_reference(obj, result, b)
+        self._assert_exact(obj, result)
+
+    def test_from_zero(self, products):
+        obj, _ = _sparse_objective(0)
+        obj = _watched(products, obj)
+        result = solve_subproblem(obj, np.zeros(obj.inst.p), _TIGHT)
+        assert result.succeeded and result.iterations > 1
+        assert products.calls == TestGramCost._expected(result.iterations)
+        TestGramCost._x_products(products, obj.inst)
+        self._assert_exact(obj, result)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_next_inner_problem(self, products, seed):
+        # the next inner problem of an outer loop, with z moved a little and
+        # X^T X u0 handed over from the first solve's residual: no Gram
+        # product at the start, and the operator's K is reused
+        obj, b = _sparse_objective(seed)
+        first = solve_subproblem(obj, b, _TIGHT)
+        rng = np.random.default_rng(seed)
+        z = obj.z_fixed + 1e-3 * rng.standard_normal(obj.inst.p)
+        gram_u = first.residual + obj.c
+        nxt = SubproblemObjective(obj.inst, z, obj.lambda_fixed, obj.mu, gram_u0=gram_u,
+                                  design=obj.design)
+        products.reset()
+        result = solve_subproblem(nxt, first.u, _TIGHT)
+        assert result.succeeded and result.iterations > 0
+        assert products.calls == TestGramCost._expected(result.iterations, cold=False)
+        self._assert_matches_reference(nxt, result, first.u)
+        self._assert_exact(nxt, result)
+        # a fresh operator and a fresh Gram product take the same steps
+        plain = SubproblemObjective(obj.inst, z, obj.lambda_fixed, obj.mu)
+        fresh = solve_subproblem(plain, first.u, _TIGHT)
+        assert fresh.iterations == result.iterations
+        assert np.abs(fresh.u - result.u).max() <= 1e-10 * max(1.0, np.abs(fresh.u).max())
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_more_rows_than_columns(self, products, seed):
+        # n > p: no K is formed, and K w = X (X^T w) is made with X itself
+        rng = np.random.default_rng(seed)
+        n, p = 60, 40
+        X = rng.standard_normal((n, p))
+        X /= np.linalg.norm(X, axis=0)
+        b = np.zeros(p)
+        b[:2] = 3.0
+        inst = Instance(X=X, y=X @ b + 0.05 * rng.standard_normal(n), delta=1.0)
+        obj = _watched(products, SubproblemObjective(inst, np.zeros(p), np.zeros(p), 0.5))
+        result = solve_subproblem(obj, np.zeros(p), _TIGHT)
+        assert result.succeeded and result.iterations > 0
+        assert obj.design.kernel is None
+        assert products.calls == TestGramCost._expected(result.iterations)
+        TestGramCost._x_products(products, obj.inst)
+        self._assert_matches_reference(obj, result, np.zeros(p))
+        self._assert_exact(obj, result)
+
+
 class TestSolveSubproblem:
     def test_warm_start_at_minimizer_returns_immediately(self):
         mu, c = 1.5, 4.0
