@@ -62,7 +62,12 @@ parent's LAPACK SVD fits: ``lsq_parent`` is ``--sections parent`` (seeds
 with ``--parent`` and ``--prefix lsq_``.  In ``BENCH_generation.json`` the
 ``gen_*`` keys compare the solve on a growing set of columns with the
 parent's solve on all of them: ``--sections parent,acceptance,perfbench,oracle
---prefix gen_`` with ``--parent``.
+--prefix gen_`` with ``--parent``.  In ``BENCH_gram.json`` the ``gram_*``
+keys compare inner solves in the Gram space of each round's block
+(|W| x |W|) with the parent's inner solves in n-space: ``gram_parent``,
+``gram_acceptance`` and ``gram_perfbench`` come from ``--sections
+parent,acceptance,perfbench --prefix gram_`` with ``--parent``, and
+``gram_environment`` and ``gram_size`` record the machine and the size.
 
 Before numpy is imported BLAS is pinned to one thread, as perfbench pins it.
 The file also records the machine, the BLAS and the thread count.

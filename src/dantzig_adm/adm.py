@@ -38,14 +38,16 @@ primal stopping term, the next z update and the next inner warm start; g
 serves the dual stopping term; and the dual objective uses the cached X^T y.
 
 The z clamp, the multiplier step and the stopping test therefore make no
-product with X.  An outer iteration costs what its inner solve costs: one
-kernel product and two products with X per inner iteration, plus three
-products with X per inner solve (see :mod:`~dantzig_adm.subsolver`).  When
-the inner solver returns its best earlier iterate instead of its final one,
-G beta and X^T X lambda are formed fresh, two more Gram products.  One
-design operator serves every inner solve of the loop, so the
-n x n kernel K = X X^T is formed at most once (about n^2 p / 2
-multiply-adds, and only when n <= p; otherwise K w is X (X^T w)).
+product with X.  An outer iteration costs what its inner solve costs (see
+:mod:`~dantzig_adm.subsolver`).  When n <= p that is one kernel product
+and two products with X per inner iteration, plus three products with X
+per inner solve.  When p < n the inner solve runs in the Gram space: two
+p x p products with G = X^T X per inner iteration, plus one per inner
+solve, and none with X.  When the inner solver returns its best earlier
+iterate instead of its final one, G beta and X^T X lambda are formed
+fresh, two more Gram products.  One design operator serves every inner
+solve of the loop, so its kernel, the n x n K = X X^T or the p x p G, is
+formed at most once (about min(n, p)^2 max(n, p) / 2 multiply-adds).
 
 :func:`solve` runs this loop, :func:`_adm`, on the Dantzig selector of
 X[:, W] for a growing set of columns W, with its constraints on W only.
@@ -60,14 +62,16 @@ constraints off W and gives X^T X_W b_W and X^T X_W l_W for the next
 round's warm start.  The start's least-squares fits copy into the same
 buffer.  At (720, 2560, 80) the 30 acceptance rows (unit columns at
 sigma 0.05 and 0.01, orthogonal rows at sigma 0.05, seeds 0-9) took 3-7
-rounds and ended with 103-197 columns in W.  While |W| < n a round forms no
-K: none of their 146 rounds did, nor any of 36 at (1440, 5120, 160), seeds
-0-2.  Each round restarts the inner tolerance schedule, so the outer
-iterations summed over the rounds exceed those of the loop on all of X (unit
-sigma 0.05: 98.5 against 47.8 on average), but each costs products with
-about a twentieth of X; a whole solve took about a third of the time.  No K is allocated while |W| < n, and the column buffer
-holds at most p // 2 columns: W becomes all of X past that, and the round
-then runs on X itself.
+rounds and ended with 103-197 columns in W.  While |W| < n a round's inner
+solves run in the Gram space of its block, on the |W| x |W| matrix
+X_W^T X_W, formed once per round, and no n x n K is formed: none of their
+146 rounds formed one, nor any of 36 at (1440, 5120, 160), seeds 0-2.
+Each round restarts the inner tolerance schedule, so the outer iterations
+summed over the rounds exceed those of the loop on all of X (unit sigma
+0.05: 98.5 against 47.8 on average), but each costs products with about a
+twentieth of X; a whole solve took about a third of the time.  The column
+buffer holds at most p // 2 columns: W becomes all of X past that, and the
+round then runs on X itself.
 
 The default start is not the paper's beta = 0 but a screened least-squares
 fit refined by hard-thresholding pursuit (:func:`screened_start`).  Round 0

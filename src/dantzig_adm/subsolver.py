@@ -9,39 +9,47 @@ current spectral steplength, acceptance uses an Armijo test against the worst
 objective over a short memory window, and the steplength is a safeguarded
 Barzilai-Borwein update.
 
-The iteration runs in n-space.  Let r(u) = X^T X u - c be the residual,
-r0 = r(u0) at the warm start u0, q0 = X r0, and E = X (u - u0) the shift of
-the iterate.  With the n x n kernel K = X X^T,
+The iteration runs in the space of X's smaller side, which the design
+operator picks (:class:`~dantzig_adm.core.DesignOperator`); the loop is the
+same in both.  Let r(u) = X^T X u - c be the residual, r0 = r(u0) at the
+warm start u0, and G = X^T X.
 
-    r(u) = r0 + X^T E,    grad f(u) = mu X^T X r(u) = mu X^T (q0 + K E).
+In n-space (n <= p), with the n x n kernel K = X X^T, q0 = X r0 and the
+shift E = X (u - u0) of the iterate,
 
-An iteration forms e = X d for the search direction d and then K e.  The
-smooth part f is quadratic, so along d
+    r(u) = r0 + X^T E,    grad f(u) = mu X^T X r(u) = mu X^T (q0 + K E),
+
+and an iteration forms e = X d for the search direction d and then K e.
+In the Gram space (p < n) the kernel is G itself: q0 = r0, E = K E =
+G (u - u0), e = K e = G d, r(u) = r0 + E and grad f(u) = mu G (q0 + K E).
+Either way the smooth part f is quadratic, so along d
 
     f(u + a d) = f(u) + a mu (q0 + K E).e + (a^2/2) mu e.K e,
 
 and each line-search trial costs O(n + p) operations.  f is carried from
 iterate to iterate this way, with an error relative to f itself.  Formed
-afresh as (mu/2) (r0.r0 + 2 q0.E + E.K E) it would lose, to cancellation,
-every digit by which f has fallen below f(u0), and a tightly converged
-solve cannot afford that.
+afresh as (mu/2) ||r(u)||^2 it would lose, to cancellation, every
+digit by which f has fallen below f(u0), and a tightly converged solve
+cannot afford that.
 
-So an iteration costs X d, K e and, after the line search, one X^T
-product for the gradient at the accepted point, however many backtracks it
-takes.  The direction d is sparse (it is nonzero only where u or its prox
-step is), so X d is the support-restricted product of
-:meth:`~dantzig_adm.core.DesignOperator.matvec`.
-Every solve costs one product X r0.  r0 is zero wherever the outer loop's z
-clamp is inactive, so it is support-restricted too; the start-up gradient
-X^T q0 is one more product.  The outer loop runs each inner solve on the
-block X[:, W] of its round's columns (see :func:`~dantzig_adm.adm.solve`),
-so all of these are products with that block.
+So an iteration costs its direction's products and, after the line
+search, one more product for the gradient at the accepted point, however
+many backtracks it takes: X d, K e and X^T in n-space, G d and G (q0 + K E)
+in the Gram space.  In n-space the direction d is sparse (it is nonzero
+only where u or its prox step is), so X d is the support-restricted
+product of :meth:`~dantzig_adm.core.DesignOperator.matvec`, and so is the
+one product X r0 of every solve (r0 is zero wherever the outer loop's z
+clamp is inactive); the start-up gradient X^T q0 is one more product.  In
+the Gram space q0 costs nothing and the start-up gradient is one product
+with G.  The outer loop runs each inner solve on the block X[:, W] of its
+round's columns (see :func:`~dantzig_adm.adm.solve`), so all of these are
+products with that block, or with its |W| x |W| Gram matrix when |W| < n.
 
 When the returned u is the final iterate, the result also carries
-r(u) = r0 + X^T E, one more X^T product, and the gradient mu G r(u),
-G = X^T X, which the iteration already holds.  The outer loop reads
-G u = r + c, its multiplier step and the multiplier's Gram product off
-these, with no product of its own.
+r(u) = r0 + X^T E (one more X^T product in n-space, none in the Gram
+space) and the gradient mu G r(u), which the iteration already holds.  The
+outer loop reads G u = r + c, its multiplier step and the multiplier's Gram
+product off these, with no product of its own.
 """
 
 from __future__ import annotations
@@ -119,11 +127,11 @@ class SubproblemObjective:
 
 @dataclass(frozen=True, eq=False)
 class WarmStart:
-    """One inner problem seen from its warm start u0, in n-space.
+    """One inner problem seen from its warm start u0, in its design operator's space.
 
-    Holds r0 = r(u0) and q0 = X r0.  An iterate u is then known by its shift
-    E = X (u - u0) and by K E, K = X X^T (see the module docstring for the
-    identities).
+    Holds r0 = r(u0) and q0 (X r0 in n-space, r0 in the Gram space).  An
+    iterate u is then known by its shift E and by K E (see the module
+    docstring for both spaces).  The products are the operator's.
     """
 
     obj: SubproblemObjective
@@ -132,24 +140,26 @@ class WarmStart:
 
     @classmethod
     def at(cls, obj: SubproblemObjective, u0: np.ndarray) -> "WarmStart":
-        """Costs X r0, plus one Gram product for r0 unless ``obj.gram_u0`` is set.
+        """Costs X r0 in n-space and nothing in the Gram space, plus one Gram product.
 
-        From ``gram_u0``, r0 = (gram_u0 - X^T y + lambda/mu) - z: the z update's
-        w less z, so r0 is exactly 0 wherever that update's clamp left z = w.
+        The Gram product forms r0 and is saved when ``obj.gram_u0`` is set.
+        From ``gram_u0``, r0 = (gram_u0 - X^T y + lambda/mu) - z: the z
+        update's w less z, so r0 is exactly 0 wherever that update's clamp
+        left z = w.
         """
         if obj.gram_u0 is None:
             r0 = obj.residual(u0)
         else:
             r0 = (obj.gram_u0 - obj.inst.xty + obj.lambda_fixed / obj.mu) - obj.z_fixed
-        return cls(obj, r0, obj.design.matvec(r0))
+        return cls(obj, r0, obj.design.start_product(r0))
 
     def gradient(self, kshift: np.ndarray) -> np.ndarray:
-        """grad f(u) = mu X^T (q0 + K E); one X^T product."""
-        return self.obj.mu * self.obj.design.rmatvec(self.q0 + kshift)
+        """grad f(u) = mu X^T (q0 + K E), or mu G (q0 + K E); one product."""
+        return self.obj.mu * self.obj.design.gradient_product(self.q0 + kshift)
 
     def residual(self, shift: np.ndarray) -> np.ndarray:
-        """r(u) = r0 + X^T E; one X^T product."""
-        return self.r0 + self.obj.design.rmatvec(shift)
+        """r(u) = r0 + X^T E (one product), or r0 + E in the Gram space."""
+        return self.r0 + self.obj.design.residual_product(shift)
 
 
 @dataclass
@@ -157,7 +167,7 @@ class InnerState:
     """Current iterate with its shift, value and gradient, spectral step and nonmonotone window."""
 
     u: np.ndarray
-    shift: np.ndarray  # E = X (u - u0)
+    shift: np.ndarray  # E: X (u - u0), or G (u - u0) in the Gram space
     kshift: np.ndarray  # K E
     smooth: float  # f(u)
     bar_alpha: float = 1.0
@@ -195,9 +205,10 @@ class InnerIterationRecord:
 class SubsolverResult:
     """Returned iterate and how the run ended.
 
-    ``residual`` is r(u) = X^T X u - c, formed once as r0 + X^T E, and
-    ``gradient`` is mu X^T X r(u), when u is its final iterate; both are
-    None when the best earlier iterate is returned instead.
+    ``residual`` is r(u) = X^T X u - c, formed once as r0 + X^T E (r0 + E
+    in the Gram space), and ``gradient`` is mu X^T X r(u), when u is its
+    final iterate; both are None when the best earlier iterate is returned
+    instead.
     """
 
     u: np.ndarray
@@ -239,10 +250,11 @@ def line_search(
     """Largest alpha in {1, ETA, ETA^2, ...} passing the nonmonotone Armijo test.
 
     Acceptance compares the trial objective against the maximum penalized value
-    over the memory window plus SIGMA_LS * alpha * delta.  ``e`` is X d and
-    ``ke`` is K e.  The smooth value of a trial is the quadratic
+    over the memory window plus SIGMA_LS * alpha * delta.  ``e`` and ``ke``
+    are the direction's products (X d and K e, or G d twice in the Gram
+    space).  The smooth value of a trial is the quadratic
     f(u) + alpha grad f(u).d + (alpha^2/2) mu e.K e, with the slope
-    grad f(u).d = mu (q0 + K E).e, so a trial makes no product with X.
+    grad f(u).d = mu (q0 + K E).e, so a trial makes no product.
     Raises LineSearchError after MAX_BACKTRACKS rejected powers.
     """
     if not delta < 0:
@@ -308,16 +320,17 @@ def solve_subproblem(
     status; the caller decides whether to accept it.  Only a final iterate
     comes with its residual and gradient.
 
-    Start-up costs X r0 and X^T q0 (the gradient), plus one Gram product for
-    r0 unless ``obj.gram_u0`` holds X^T X u0.  Each iteration then costs
-    X d, K (X d) and X^T for the new gradient, and a final iterate one X^T
-    for its residual.
+    Start-up costs q0 and the gradient, plus one Gram product for r0 unless
+    ``obj.gram_u0`` holds X^T X u0.  Each iteration then costs the
+    direction's products and one for the new gradient, and a final iterate
+    its residual: X r0 and X^T q0, X d, K (X d) and X^T, and X^T E in
+    n-space; G r0, G d and G (q0 + K E), and nothing in the Gram space.
     """
     if not tol_sub > 0:
         raise ValueError(f"tol_sub must be positive, got {tol_sub}")
     u = np.array(u0, dtype=np.float64)
     start = WarmStart.at(obj, u)
-    origin = np.zeros(obj.inst.n)
+    origin = np.zeros_like(start.q0)
     smooth = 0.5 * obj.mu * float(start.r0 @ start.r0)
     penalized = smooth + float(np.abs(u).sum())
 
@@ -337,9 +350,9 @@ def solve_subproblem(
         if delta > -STATIONARY_RTOL * max(1.0, penalized):
             return _finish(start, state, "stationary")
         window_max = max(state.window)
-        e = obj.design.matvec(d)
+        e, ke = obj.design.direction_products(d)
         try:
-            alpha, trial = line_search(start, state, d, delta, e, obj.design.kernel_matvec(e))
+            alpha, trial = line_search(start, state, d, delta, e, ke)
         except LineSearchError:
             status = "line_search_failure"
             break
@@ -371,7 +384,7 @@ def solve_subproblem(
 
 
 def _finish(start: WarmStart, state: InnerState, status: str) -> SubsolverResult:
-    """The final iterate with its residual r0 + X^T E (one X^T product) and gradient."""
+    """The final iterate with its residual r0 + X^T E (or r0 + E) and gradient."""
     return SubsolverResult(
         state.u, state.iteration, status, start.residual(state.shift), state.grad
     )

@@ -29,12 +29,12 @@ class ProductCounts:
 
     @staticmethod
     def forming_kernel(inst) -> int:
-        """The matmuls with X that one operator on inst.X made to form its K.
+        """The matmuls with X that one operator on inst.X made to form its kernel.
 
-        core._kernel makes one matmul per 64 rows of X; no K is formed when
-        n > p.
+        core._kernel makes one matmul per 64 rows of the kernel: n rows of
+        K = X X^T when n <= p, p rows of G = X^T X when p < n.
         """
-        return 0 if inst.n > inst.p else -(-inst.n // 64)
+        return -(-min(inst.n, inst.p) // 64)
 
     def watch(self, inst):
         view = inst.X.view(_CountedX)

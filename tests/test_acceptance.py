@@ -258,8 +258,10 @@ class TestGradientCheck:
             mu = float(rng.uniform(0.5, 3.0))
             obj = SubproblemObjective(Instance(X=X, y=y, delta=1.0), z, lam, mu)
             u = rng.standard_normal(p)
-            # the inner solver's gradient mu X^T (q0 + K E), at E = 0
-            g = WarmStart.at(obj, u).gradient(np.zeros(n))
+            # the inner solver's gradient mu X^T (q0 + K E), at E = 0; E lives
+            # in the operator's space, of length n, or p when p < n
+            start = WarmStart.at(obj, u)
+            g = start.gradient(np.zeros_like(start.q0))
             for _ in range(20):
                 v = rng.standard_normal(p)
                 v /= np.linalg.norm(v)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dantzig_adm.adm as adm_module
+import dantzig_adm.core as core_module
 from dantzig_adm.adm import (
     START_ROWS_PER_COLUMN,
     SUB_TOL_FACTOR,
@@ -416,10 +417,12 @@ class TestOuterCost:
     The full method is the ADM loop on all of X (the ``whole_problem``
     fixture); solve runs it on each round's columns.
 
-    An outer iteration costs its inner solve: X r0 and X^T q0, plus X d,
-    K (X d) and X^T per inner iteration, plus X^T E for the final iterate's
-    residual, every product with X.  The z clamp, the multiplier step and
-    the stopping test make no product with X.
+    An outer iteration costs its inner solve.  When n <= p that is X r0 and
+    X^T q0, plus X d, K (X d) and X^T per inner iteration, plus X^T E for
+    the final iterate's residual, every product with X.  When p < n it is
+    G r0 plus two products with G = X^T X per inner iteration, none with X.
+    The z clamp, the multiplier step and the stopping test make no product
+    with X.
     """
 
     def _record_inner(self, monkeypatch, strip_first=False):
@@ -437,7 +440,7 @@ class TestOuterCost:
         monkeypatch.setattr(adm_module, "solve_subproblem", recording)
         return inner
 
-    _SIZES = [(8, 20), (30, 12), (10, 60), (48, 200)]
+    _SIZES = [(8, 20), (10, 60), (48, 200)]
 
     @staticmethod
     def _case(n, p):
@@ -473,7 +476,6 @@ class TestOuterCost:
         if beta0.any():
             before, x_before = {"matvec": 1, "rmatvec": 1}, 2
         kernel_x = products.forming_kernel(inst)  # one X product per 64 rows
-        per_kernel = 0 if n <= p else 2  # X (X^T w) when no K is formed
         for (calls, x_products), result in zip(seen, inner):
             iters = result.iterations
             step = _step(calls, before)
@@ -483,9 +485,41 @@ class TestOuterCost:
                 "rmatvec_pair": 0,
                 "kernel_matvec": iters,
             }
-            assert x_products - x_before == (
-                step["matvec"] + step["rmatvec"] + per_kernel * iters + kernel_x
-            )
+            assert x_products - x_before == step["matvec"] + step["rmatvec"] + kernel_x
+            kernel_x = 0
+            before, x_before = calls, x_products
+        assert products.outside == 0
+
+    def test_gram_space_one_product_plus_two_per_inner_iteration(
+        self, monkeypatch, products, whole_problem
+    ):
+        # n > p: the loop on all of X runs in the Gram space.  G = X^T X is
+        # formed once, by the first inner solve; each inner solve then makes
+        # G r0 and two products with G per iteration, and none with X
+        inst, beta0, config = self._case(30, 12)
+        inst.xty  # cache X^T y before counting
+        products.watch(inst)
+        inner = self._record_inner(monkeypatch)
+        seen = []
+        _, _, report = whole_problem(
+            inst,
+            config,
+            beta0=beta0,
+            callback=lambda rec: seen.append((dict(products.calls), products.x_products)),
+        )
+        assert report.outer_iterations == len(seen) == len(inner) > 5
+        assert all(result.succeeded for result in inner)
+        # start-up: G beta0 (X, X^T); lambda0 = 0 needs no product
+        before, x_before = {"matvec": 1, "rmatvec": 1}, 2
+        kernel_x = products.forming_kernel(inst)  # one X product per 64 columns
+        for (calls, x_products), result in zip(seen, inner):
+            assert _step(calls, before) == {
+                "matvec": 0,
+                "rmatvec": 0,
+                "rmatvec_pair": 0,
+                "kernel_matvec": 1 + 2 * result.iterations,
+            }
+            assert x_products - x_before == kernel_x
             kernel_x = 0
             before, x_before = calls, x_products
         assert products.outside == 0
@@ -599,14 +633,14 @@ class TestOuterIdentity:
             assert rec.metric == pytest.approx(_metric_at(sub, beta, lam), rel=1e-10)
 
 
-class _NoKernel(DesignOperator):
-    """A design operator that takes the n > p path, K w = X (X^T w), at any shape."""
+class _GramSpace(DesignOperator):
+    """A design operator whose inner solves run in the Gram space at any shape."""
 
-    kernel = None
+    gram_space = True
 
 
 class TestKernelPaths:
-    """The formed kernel (n <= p) and X (X^T w) give the same inner solve."""
+    """The n-space (K = X X^T) and the Gram space (G = X^T X) give the same inner solve."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_same_iterations_and_iterates(self, seed):
@@ -621,7 +655,7 @@ class TestKernelPaths:
         z = 0.1 * rng.standard_normal(p)
         lam = 0.1 * rng.standard_normal(p)
         runs = []
-        for design in (DesignOperator(inst.X), _NoKernel(inst.X)):
+        for design in (DesignOperator(inst.X), _GramSpace(inst.X)):
             obj = SubproblemObjective(inst, z, lam, 0.5, design=design)
             records = []
             result = solve_subproblem(obj, np.zeros(inst.p), 1e-6, callback=records.append)
@@ -634,19 +668,18 @@ class TestKernelPaths:
         assert np.abs(result.u - result_nk.u).max() <= 1e-10 * max(1.0, np.abs(result.u).max())
 
     def test_whole_solve_counts_agree_on_both_paths(self):
-        # the ADM loop on all of X from the zero start, which forms K; solve's
-        # rounds at (48, 200) use fewer than n columns and form none.  An
-        # inner solve that stops near its tolerance may take one more
-        # iteration on one path than the other (seed 3 does, from outer
-        # iteration 1), so the counts agree only where rounding decides none
+        # the ADM loop on all of X from the zero start, which forms K in
+        # n-space and G in the Gram space.  An inner solve that stops near its
+        # tolerance may take one more iteration on one path than the other,
+        # so the counts agree only where rounding decides none
         inst, _ = make_instance(GenSpec(n=48, p=200, s=6, sigma_noise=0.05, seed=2))
         config = AdmConfig(mu=mu_rule("unit_columns", inst.p, inst.delta), tol=1e-3)
         zero = np.zeros(inst.p)
         runs = []
-        for design in (DesignOperator(inst.X), _NoKernel(inst.X)):
+        for design, side in ((DesignOperator(inst.X), inst.n), (_GramSpace(inst.X), inst.p)):
             runs.append(adm_module._adm(inst, config, design, zero, zero, zero, zero,
                                         config.max_outer_iter))
-            assert (design.__dict__.get("kernel") is not None) == (type(design) is DesignOperator)
+            assert design.__dict__["kernel"].shape == (side, side)
         (beta, _, report), (beta_nk, _, report_nk) = runs
         assert report.status == report_nk.status == "converged"
         assert report.outer_iterations == report_nk.outer_iterations > 0
@@ -802,23 +835,46 @@ class TestColumnGeneration:
 
     @staticmethod
     def _record_rounds(monkeypatch):
-        """(columns of the round's X, whether it formed K, outer iterations) per round."""
-        rounds = []
-        original = adm_module._adm
+        """Per round: (columns of the round's X, the shape of the kernel it formed
+        or None, the kernels formed while it ran, outer iterations)."""
+        rounds, formed = [], []
+        original, kernel = adm_module._adm, core_module._kernel
 
         def recording(inst, config, design, *args):
+            before = len(formed)
             result = original(inst, config, design, *args)
-            rounds.append((inst.p, design.__dict__.get("kernel") is not None,
+            held = design.__dict__.get("kernel")
+            rounds.append((inst.p, None if held is None else held.shape, len(formed) - before,
                            result[2].outer_iterations))
             return result
 
         monkeypatch.setattr(adm_module, "_adm", recording)
+        monkeypatch.setattr(core_module, "_kernel", lambda A: formed.append(A.shape) or kernel(A))
         return rounds
+
+    @staticmethod
+    def _each_round_forms_one_kernel(inst, rounds):
+        """A round that iterates forms its kernel once: G while |W| < n, else K."""
+        for p, shape, formed, outer in rounds:
+            side = min(p, inst.n)
+            assert (shape, formed) == (((side, side), 1) if outer else (None, 0))
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_each_round_forms_its_gram_matrix_once(self, monkeypatch, seed):
+        # (48, 200): the rounds whose W stays below n = 48 form their G
+        inst, _ = make_instance(GenSpec(n=48, p=200, s=6, sigma_noise=0.05, seed=seed))
+        rounds = self._record_rounds(monkeypatch)
+        beta, lam, report = self._solve(inst)
+        self._certified(inst, beta, lam, report)
+        assert report.rounds == len(rounds) >= 2
+        assert any(p < inst.n and outer for p, *_, outer in rounds)
+        self._each_round_forms_one_kernel(inst, rounds)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_rounds_form_k_once_w_reaches_n(self, monkeypatch, seed):
         # (24, 400): W starts at the 2 columns of the screened start and grows
-        # past n = 24, where its rounds form their K, but stays below p / 2
+        # past n = 24, where its rounds form their K in place of G, but stays
+        # below p / 2
         inst, _ = make_instance(GenSpec(n=24, p=400, s=4, sigma_noise=0.05, seed=seed))
         rounds = self._record_rounds(monkeypatch)
         capacity = []
@@ -835,8 +891,9 @@ class TestColumnGeneration:
         assert report.rounds == len(rounds) >= 3
         assert report.working_columns == rounds[-1][0] < inst.p // 2
         assert report.outer_iterations == sum(outer for *_, outer in rounds)
-        assert [k for p, k, outer in rounds if outer] == [p >= inst.n for p, _, outer in rounds if outer]
-        assert any(p < inst.n for p, *_ in rounds) and any(k for _, k, _ in rounds)
+        self._each_round_forms_one_kernel(inst, rounds)
+        iterating = [p for p, *_, outer in rounds if outer]
+        assert min(iterating) < inst.n <= max(iterating)
         # one buffer for the start's fits and every round, never n x p
         assert max(capacity) <= 2 * report.working_columns < inst.p
 

@@ -288,6 +288,19 @@ class TestDesignOperator:
         assert np.abs(K - expected).max() <= bound
         assert np.array_equal(K, K.T)
 
+    @pytest.mark.parametrize("n, p", [(5, 1), (90, 64), (200, 65), (720, 150)])
+    def test_gram_kernel_is_xt_x_and_exactly_symmetric(self, n, p):
+        # p < n: the kernel is G = X^T X, p x p, in blocks of 64 of its columns
+        rng = np.random.default_rng(n + p)
+        X = rng.standard_normal((n, p))
+        expected = X.T @ X
+        design = DesignOperator(Instance(X=X, y=np.zeros(n), delta=1.0).X)
+        assert design.gram_space
+        G = design.kernel
+        assert G.shape == (p, p) and G.flags.c_contiguous
+        assert np.abs(G - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert np.array_equal(G, G.T)
+
     def test_kernel_is_formed_once(self):
         rng = np.random.default_rng(3)
         design = DesignOperator(rng.standard_normal((5, 9)))
@@ -304,10 +317,36 @@ class TestDesignOperator:
         w = rng.standard_normal(n)
         np.testing.assert_allclose(design.matvec(v), X @ v, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(design.rmatvec(w), X.T @ w, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(
-            design.kernel_matvec(w), X @ (X.T @ w), rtol=1e-12, atol=1e-12
-        )
-        assert (design.kernel is None) == (n > p)
+        if n <= p:
+            np.testing.assert_allclose(
+                design.kernel_matvec(w), X @ (X.T @ w), rtol=1e-12, atol=1e-12
+            )
+        else:
+            np.testing.assert_allclose(
+                design.kernel_matvec(v), X.T @ (X @ v), rtol=1e-12, atol=1e-12
+            )
+        assert design.kernel.shape == (min(n, p), min(n, p))
+
+    @pytest.mark.parametrize("n, p", [(6, 10), (10, 10), (14, 6)])
+    def test_inner_products_give_the_gram_identities(self, n, p):
+        # in either space, with r = r0 + G s: the gradient product of q0 + K E
+        # is G r, the residual product of E is G s, the slope (q0 + K E).e is
+        # r.G d and the curvature e.K e is ||G d||^2
+        rng = np.random.default_rng(90 + n + p)
+        X = rng.standard_normal((n, p))
+        G = X.T @ X
+        design = DesignOperator(Instance(X=X, y=np.zeros(n), delta=1.0).X)
+        assert design.gram_space == (p < n)
+        r0, step, d = (rng.standard_normal(p) for _ in range(3))
+        q0 = design.start_product(r0)
+        shift, kshift = design.direction_products(step)
+        e, ke = design.direction_products(d)
+        r = r0 + G @ step
+        close = dict(rtol=1e-12, atol=1e-12 * np.abs(G).max() ** 2)
+        np.testing.assert_allclose(design.gradient_product(q0 + kshift), G @ r, **close)
+        np.testing.assert_allclose(design.residual_product(shift), G @ step, **close)
+        assert float((q0 + kshift) @ e) == pytest.approx(float(r @ (G @ d)), rel=1e-12)
+        assert float(e @ ke) == pytest.approx(float(np.sum((G @ d) ** 2)), rel=1e-12)
 
     def test_column_block_copies_columns_into_one_buffer(self):
         rng = np.random.default_rng(7)
@@ -419,12 +458,14 @@ class TestSymmetricKernelProduct:
         assert np.array_equal(design.kernel_matvec(w), design.kernel @ w)
 
     @pytest.mark.parametrize("n, p", [(90, 65), (200, 150)])
-    def test_more_rows_than_columns_is_x_times_xt_w(self, n, p):
+    def test_more_rows_than_columns_is_g_times_v(self, n, p):
+        # p < n: the kernel is G = X^T X, and no product with X is made
         X, design, rng = self._design(n, p)
-        w = rng.standard_normal(n)
-        expected = X @ (X.T @ w)
-        assert np.abs(design.kernel_matvec(w) - expected).max() <= 1e-12 * np.abs(expected).max()
-        assert design.kernel is None
+        v = rng.standard_normal(p)
+        expected = X.T @ (X @ v)
+        assert np.abs(design.kernel_matvec(v) - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert np.array_equal(design.kernel_matvec(v), design.kernel @ v)
+        assert design.kernel.shape == (p, p)
 
     def test_a_solve_loads_no_second_blas(self):
         # scipy.linalg would load scipy's own OpenBLAS, a second BLAS in the process

@@ -42,7 +42,8 @@ def _objective(rng, n=6, p=10, mu=2.0):
 
 def _gradient(obj, u):
     """grad f(u) as the inner solver forms it, from a warm start at u."""
-    return WarmStart.at(obj, u).gradient(np.zeros(obj.inst.n))
+    start = WarmStart.at(obj, u)
+    return start.gradient(np.zeros_like(start.q0))
 
 
 def _dense(obj):
@@ -224,25 +225,25 @@ def _watched(products, obj):
 def _line_search(obj, u, d, delta, window=None, u0=None):
     """line_search from u, with the solver seen from warm start u0 (default u).
 
-    The state at u holds its n-space shift X (u - u0), K times it, and its
-    smooth value from the dense oracle; ``window`` defaults to u's own
-    penalized value.
+    The state at u holds its shift E and K E, the products of the direction
+    u - u0 in the operator's space, and its smooth value from the dense
+    oracle; ``window`` defaults to u's own penalized value.
     """
     u0 = u if u0 is None else u0
     dense = _dense(obj)
     if window is None:
         window = [penalized_value_dense(*dense, u)]
-    shift = obj.design.matvec(u - u0)
+    shift, kshift = obj.design.direction_products(u - u0)
     state = InnerState(
         u=u,
         shift=shift,
-        kshift=obj.design.kernel_matvec(shift),
+        kshift=kshift,
         smooth=smooth_value_dense(*dense, u),
         window=deque(window, maxlen=len(window)),
     )
-    e = obj.design.matvec(d)
+    e, ke = obj.design.direction_products(d)
     start = WarmStart.at(obj, u0)
-    return line_search(start, state, d, delta, e, obj.design.kernel_matvec(e))
+    return line_search(start, state, d, delta, e, ke)
 
 
 class _RejectingReference:
@@ -324,8 +325,7 @@ class TestLineSearch:
         obj = _watched(products, obj)
         dense = _dense(obj)
         start = WarmStart.at(obj, u)
-        e = obj.design.matvec(d)
-        ke = obj.design.kernel_matvec(e)
+        e, ke = obj.design.direction_products(d)
         state = InnerState(
             u=u, shift=np.zeros(1), kshift=np.zeros(1), smooth=smooth_value_dense(*dense, u),
             window=deque([penalized_value_dense(*dense, u)], maxlen=1),
@@ -429,9 +429,12 @@ class TestInnerTerminationMetric:
 class TestGramCost:
     """Cost model, counted through a counting view of X.
 
-    Start-up: X r0 and X^T q0, plus one Gram product (X u0, X^T) for r0 unless
-    gram_u0 is given.  Each iteration: X d, K (X d) and one X^T, whatever the
-    backtracks.  A final iterate's residual: one more X^T.
+    In n-space (n <= p): start-up X r0 and X^T q0, each iteration X d,
+    K (X d) and one X^T, whatever the backtracks, and a final iterate's
+    residual one more X^T.  In the Gram space (p < n): start-up G r0, each
+    iteration G d and one more product with G, and no product with X in the
+    loop.  Either way the kernel (K or G) is formed once, and r0 costs one
+    Gram product (X u0, X^T) unless gram_u0 is given.
     """
 
     def _run(self, obj, u0, tol_sub):
@@ -440,25 +443,27 @@ class TestGramCost:
         return result, alphas
 
     @staticmethod
-    def _expected(iterations, cold=True):
+    def _expected(iterations, cold=True, gram_space=False):
         """The calls of a solve that returns its final iterate."""
         gram = 1 if cold else 0
-        expected = {
-            "matvec": gram + 1 + iterations,
-            "rmatvec": gram + 2 + iterations,
-            "kernel_matvec": iterations,
-        }
+        if gram_space:
+            expected = {"matvec": gram, "rmatvec": gram, "kernel_matvec": 1 + 2 * iterations}
+        else:
+            expected = {
+                "matvec": gram + 1 + iterations,
+                "rmatvec": gram + 2 + iterations,
+                "kernel_matvec": iterations,
+            }
         return {name: count for name, count in expected.items() if count}
 
     @staticmethod
     def _x_products(counts, inst):
-        """Every X product is a counted call, or forms K (once, when n <= p: one
-        product per 64 rows); when n > p each K w is X (X^T w)."""
-        kernel = counts.forming_kernel(inst)
-        if inst.n > inst.p:
-            kernel = 2 * counts.calls["kernel_matvec"]
+        """Every X product is a counted call, or forms the kernel (once: one
+        product per 64 of its rows)."""
         assert counts.outside == 0
-        assert counts.x_products == counts.calls["matvec"] + counts.calls["rmatvec"] + kernel
+        assert counts.x_products == (
+            counts.calls["matvec"] + counts.calls["rmatvec"] + counts.forming_kernel(inst)
+        )
 
     def test_two_products_per_iteration_with_backtracks(self, monkeypatch, products):
         monkeypatch.setattr(subsolver_module, "MEMORY", 0)  # monotone, as the oracle of the case
@@ -496,15 +501,17 @@ class TestGramCost:
         assert products.calls == self._expected(result.iterations)
         self._x_products(products, obj.inst)
 
-    def test_more_rows_than_columns_forms_no_kernel(self, products):
-        # n > p: each K product is X (X^T w), two X products, and no K is formed
+    def test_more_rows_than_columns_runs_on_the_gram_matrix(self, products):
+        # n > p: G = X^T X is formed once, and the loop makes two products with
+        # it per iteration and none with X
         rng = np.random.default_rng(18)
         obj = _watched(products, _objective(rng, n=14, p=8, mu=6.0))
         result, _ = self._run(obj, np.zeros(8), 1e-9)
         assert result.succeeded and result.iterations > 0
-        assert obj.design.kernel is None
-        assert products.calls == self._expected(result.iterations)
+        assert obj.design.kernel.shape == (8, 8)
+        assert products.calls == self._expected(result.iterations, gram_space=True)
         self._x_products(products, obj.inst)
+        assert products.x_products == 2 + products.forming_kernel(obj.inst)  # r0 and G
 
     def test_gram_u0_length_checked(self):
         inst = Instance(X=np.eye(3), y=np.zeros(3), delta=1.0)
@@ -625,7 +632,7 @@ class TestSparseWarmStart:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_more_rows_than_columns(self, products, seed):
-        # n > p: no K is formed, and K w = X (X^T w) is made with X itself
+        # n > p: the loop runs on G = X^T X, formed once, with no product with X
         rng = np.random.default_rng(seed)
         n, p = 60, 40
         X = rng.standard_normal((n, p))
@@ -636,8 +643,8 @@ class TestSparseWarmStart:
         obj = _watched(products, SubproblemObjective(inst, np.zeros(p), np.zeros(p), 0.5))
         result = solve_subproblem(obj, np.zeros(p), _TIGHT)
         assert result.succeeded and result.iterations > 0
-        assert obj.design.kernel is None
-        assert products.calls == TestGramCost._expected(result.iterations)
+        assert obj.design.kernel.shape == (p, p)
+        assert products.calls == TestGramCost._expected(result.iterations, gram_space=True)
         TestGramCost._x_products(products, obj.inst)
         self._assert_matches_reference(obj, result, np.zeros(p))
         self._assert_exact(obj, result)
@@ -688,6 +695,22 @@ class TestSolveSubproblem:
         _, reference, converged = ista_reference(X, y, z, lam, mu, np.zeros(50))
         assert converged
         assert got == pytest.approx(reference, rel=1e-6)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_gram_space_matches_reference_proximal_gradient(self, monkeypatch, seed):
+        # n > p: the loop runs on G = X^T X; the ISTA reference knows nothing of it
+        rng = np.random.default_rng(140 + seed)
+        n, p = 50, 20
+        X, y, delta = random_instance_arrays(rng, n, p)
+        obj = SubproblemObjective(Instance(X=X, y=y, delta=delta), rng.standard_normal(p),
+                                  rng.standard_normal(p), float(rng.uniform(0.5, 2.0)))
+        assert obj.design.gram_space
+        monkeypatch.setattr(subsolver_module, "MAX_INNER_ITER", 100000)
+        result = solve_subproblem(obj, np.zeros(p), 1e-10)
+        assert result.succeeded and result.iterations > 0
+        _, reference, converged = ista_reference(*_dense(obj), np.zeros(p))
+        assert converged
+        assert penalized_value_dense(*_dense(obj), result.u) == pytest.approx(reference, rel=1e-6)
 
     def test_invariants_along_the_run(self):
         rng = np.random.default_rng(15)
