@@ -1,0 +1,293 @@
+#!/usr/bin/env python3
+"""Compare checkouts of this repository solve for solve: the paired A/B driver.
+
+    python3 scripts/ab.py --trees A B [C ...] --out BENCH_x.json
+                          [--seeds 100-129] [--reps 3] [--bench-seeds 501-510]
+
+Each tree is a checkout (a git clone or a ``git archive`` extract); the first
+is the baseline.  The ``src/dantzig_adm`` of every tree, this checkout's
+included, is imported by path under a package name of its own, so all trees
+solve in this process and each tree's modules come from its own files.  The
+instances, the certificate (``feasibility_report``) and ``evaluate_solution``
+come from this checkout.  Each solve gets a fresh ``Instance`` of its own
+tree, built from the instance's arrays outside the timed region, so that no
+tree runs another's methods and every solve computes its own X^T y.
+
+The rows are unit columns at sigma 0.05 and 0.01 and orthogonal rows at
+sigma 0.05, at (720, 2560, 80), each with its design's mu and tol rules:
+
+- ``acceptance``: seeds 0-9, one solve per tree;
+- ``held_out``: the seeds of ``--seeds``, each instance solved ``--reps``
+  times by each tree, the trees interleaved and in reverse order on odd
+  seeds; a tree's time is its fastest.
+
+Each solve records its time and status; its outer, inner and ``rounds``
+counts, the first inner solve's iterations and ``start_rounds`` (the last
+three 0 for a tree whose ``RunReport`` lacks them); the ``rho2`` and false
+positives of the two-stage refit; the certificate's largest ratio over tol;
+the sha256 of beta and lambda; and the largest change of beta and lambda
+relative to the first tree's largest entry.  Each row's summary holds, per tree and against
+the first tree, the median paired time ratio and the seeds solved faster,
+the seeds with equal (outer, inner, rounds) and with equal bytes, and the
+largest relative changes; and the tree's median time, its means, and whether
+every answer was certified (converged, with every ratio at most tol).
+
+``--bench-seeds`` runs ``perfbench/run.py --trace 0`` of each workload of
+BENCHMARK.json on every tree for its ``run_seconds``: one run per tree and
+seed, the trees in reverse order on odd pairs.  Each run is started from a
+small interpreter of its own (``LAUNCHER``), so that its ``peak_rss_mb`` is
+its own and not this driver's.
+
+Seeds are given as a range ``A-B`` (inclusive) or a list ``A,B,...``.  BLAS
+is pinned to one thread before numpy is imported, as perfbench pins it.  The
+file records the machine, the BLAS, the thread count, numpy and Python, and
+each tree's path and, for the top of a git checkout, its commit.
+"""
+
+import os
+
+BLAS_THREADS = "1"
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
+    os.environ[_var] = BLAS_THREADS
+
+import argparse  # noqa: E402
+import hashlib  # noqa: E402
+import importlib.util  # noqa: E402
+import json  # noqa: E402
+import math  # noqa: E402
+import platform  # noqa: E402
+import statistics  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+SIZE = (720, 2560, 80)
+ROWS = [("unit_columns", 0.05), ("unit_columns", 0.01), ("orthogonal_rows", 0.05)]
+ACCEPTANCE_SEEDS = range(10)
+MEANS = ("outer", "inner", "rounds", "first_inner", "start_rounds", "rho2", "false_positives")
+# runs its arguments as a command and exits with its code.  perfbench reads
+# its peak resident size from ru_maxrss, and a process started by exec keeps
+# the peak of the process it replaced: run straight from a driver that had
+# solved, every perfbench run reported the driver's own peak (251.63 MiB in
+# BENCH_generation.json's gen_perfbench_first).  Started from this small
+# interpreter, each run reports its own.
+LAUNCHER = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+
+
+def load(path: Path, name: str):
+    """The dantzig_adm package of the checkout at ``path``, imported as ``name``.
+
+    Its ``__init__`` imports its ``core``, ``adm``, ``datagen`` and
+    ``evaluation``, so they are attributes of the package.
+    """
+    package = path / "src" / "dantzig_adm"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def describe(path: Path) -> dict:
+    """The tree's path, and its commit when it is the top of a git checkout.
+
+    The commit ends in ``-dirty`` when tracked files differ from it.
+    """
+    def git(*args: str) -> str:
+        run = subprocess.run(["git", "-C", str(path), *args], capture_output=True, text=True)
+        return run.stdout.strip() if run.returncode == 0 else ""
+
+    top = git("rev-parse", "--show-toplevel")
+    commit = git("describe", "--always", "--dirty", "--abbrev=40", "--exclude=*")
+    return {"path": str(path), "commit": commit if top and Path(top) == path else None}
+
+
+def environment() -> dict:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "machine": platform.machine(),
+        "platform": platform.platform(),
+        "nproc": len(os.sched_getaffinity(0)),
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "blas_threads_per_process": int(BLAS_THREADS),
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+    }
+
+
+def seed_list(text: str) -> list[int]:
+    if "-" in text:
+        first, last = text.split("-")
+        return list(range(int(first), int(last) + 1))
+    return [int(seed) for seed in text.split(",")]
+
+
+def _order(count: int, k: int) -> list[int]:
+    """Tree indices, in reverse order when ``k`` is odd."""
+    return list(range(count))[:: -1 if k % 2 else 1]
+
+
+def _change(value: np.ndarray, reference: np.ndarray) -> float:
+    """max |value - reference| / max |reference| (the absolute change when that is 0)."""
+    scale = float(np.abs(reference).max())
+    change = float(np.abs(value - reference).max())
+    return change / scale if scale else change
+
+
+def _record(checkout, inst, truth, sigma, tol, seconds, beta, lam, report) -> dict:
+    certificate = checkout.evaluation.feasibility_report(inst, beta, lam)
+    worst = max(certificate.primal_ratio, certificate.dual_ratio, certificate.gap_ratio)
+    quality = checkout.evaluation.evaluate_solution(inst, beta, truth.beta_true, sigma)
+    return {
+        "solve_s": round(seconds, 5),
+        "status": report.status,
+        "outer": report.outer_iterations,
+        "inner": report.inner_iteration_total,
+        "rounds": getattr(report, "rounds", 0),
+        "first_inner": (getattr(report, "inner_iteration_history", None) or [0])[0],
+        "start_rounds": getattr(report, "start_rounds", 0),
+        "rho2": quality.rho2,
+        "false_positives": quality.false_positives,
+        "certificate_ratio": worst / tol,
+        "certified": report.status == "converged" and worst <= tol,
+        "beta_sha256": hashlib.sha256(beta.tobytes()).hexdigest(),
+        "lambda_sha256": hashlib.sha256(lam.tobytes()).hexdigest(),
+    }
+
+
+def paired_row(checkout, trees: list, design: str, sigma: float, seed: int,
+               reps: int) -> dict:
+    """Every tree on one instance, interleaved, each timed by its fastest of ``reps``."""
+    n, p, s = SIZE
+    spec = checkout.datagen.GenSpec(n=n, p=p, s=s, sigma_noise=sigma, design_kind=design,
+                                    seed=seed)
+    inst, truth = checkout.datagen.make_instance(spec)
+    tol = checkout.datagen.tol_rule(design)
+    settings = dict(mu=checkout.datagen.mu_rule(design, p, inst.delta), tol=tol)
+    seconds, answers = [math.inf] * len(trees), [None] * len(trees)
+    for _ in range(reps):
+        for i in _order(len(trees), seed):
+            own = trees[i].core.Instance(inst.X, inst.y, inst.delta)
+            t0 = time.perf_counter()
+            answers[i] = trees[i].adm.solve(own, trees[i].adm.AdmConfig(**settings))
+            seconds[i] = min(seconds[i], time.perf_counter() - t0)
+    solves = []
+    for elapsed, (beta, lam, report) in zip(seconds, answers):
+        solves.append({**_record(checkout, inst, truth, sigma, tol, elapsed, beta, lam, report),
+                       "beta_change": _change(beta, answers[0][0]),
+                       "lambda_change": _change(lam, answers[0][1])})
+    return {"seed": seed, "solves": solves}
+
+
+def _counts(solve: dict) -> tuple:
+    return solve["outer"], solve["inner"], solve["rounds"]
+
+
+def _bytes(solve: dict) -> tuple:
+    return solve["beta_sha256"], solve["lambda_sha256"]
+
+
+def summary(runs: list[dict]) -> list[dict]:
+    """Per tree, against the first tree (see the module docstring)."""
+    first = [run["solves"][0] for run in runs]
+    out = []
+    for i in range(len(runs[0]["solves"])):
+        tree = [run["solves"][i] for run in runs]
+        ratios = [mine["solve_s"] / base["solve_s"] for mine, base in zip(tree, first)]
+        out.append({
+            "median_paired_ratio": statistics.median(ratios),
+            "faster": sum(ratio < 1 for ratio in ratios),
+            "same_counts": sum(_counts(a) == _counts(b) for a, b in zip(tree, first)),
+            "same_bytes": sum(_bytes(a) == _bytes(b) for a, b in zip(tree, first)),
+            "max_beta_change": max(solve["beta_change"] for solve in tree),
+            "max_lambda_change": max(solve["lambda_change"] for solve in tree),
+            "median_solve_s": statistics.median(solve["solve_s"] for solve in tree),
+            **{f"{key}_mean": statistics.fmean(solve[key] for solve in tree) for key in MEANS},
+            "max_certificate_ratio": max(solve["certificate_ratio"] for solve in tree),
+            "all_certified": all(solve["certified"] for solve in tree),
+        })
+    return out
+
+
+def compare(checkout, trees: list, seeds: list[int], reps: int, label: str) -> dict:
+    result = {"seeds": [seeds[0], seeds[-1]], "reps": reps}
+    for design, sigma in ROWS:
+        runs = []
+        for seed in seeds:
+            runs.append(paired_row(checkout, trees, design, sigma, seed, reps))
+            print(f"{label} {design} sigma={sigma} seed={seed}: " + " ".join(
+                f"{solve['solve_s']:.3f}/{solve['outer']}/{solve['inner']}"
+                for solve in runs[-1]["solves"]), flush=True)
+        result[f"{design} sigma={sigma}"] = {"summary": summary(runs), "runs": runs}
+    return result
+
+
+def perfbench(trees: list[Path], seeds: list[int]) -> dict:
+    """Paired end-to-end runs of every workload (see the module docstring)."""
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    result = {"seconds": benchmark["run_seconds"]}
+    for workload in (entry["name"] for entry in benchmark["workloads"]):
+        pairs = []
+        for k, seed in enumerate(seeds):
+            runs = [None] * len(trees)
+            for i in _order(len(trees), k):
+                run = subprocess.run(
+                    [sys.executable, "-c", LAUNCHER, sys.executable, "perfbench/run.py",
+                     "--workload", workload, "--seed", str(seed),
+                     "--seconds", str(result["seconds"]), "--trace", "0"],
+                    cwd=trees[i], capture_output=True, text=True, check=True,
+                )
+                line = json.loads(run.stdout.splitlines()[-1])
+                runs[i] = {"correct": line["correct"], "failed": line["failed"],
+                           **{key: value["value"] if isinstance(value, dict) else value
+                              for key, value in line["metrics"].items()}}
+            pairs.append({"seed": seed, "runs": runs})
+            print(f"perfbench {workload} seed={seed}: "
+                  + " ".join(f"{run['solve_s_p50']:.4f}" for run in runs), flush=True)
+        result[workload] = {
+            "median_solve_s_p50": [statistics.median(pair["runs"][i]["solve_s_p50"]
+                                                     for pair in pairs)
+                                   for i in range(len(trees))],
+            "solve_s_p50_ratios": [[pair["runs"][i]["solve_s_p50"] / pair["runs"][0]["solve_s_p50"]
+                                    for pair in pairs] for i in range(len(trees))],
+            "pairs": pairs,
+        }
+    return result
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--trees", type=Path, nargs="+", required=True,
+                        help="checkouts to compare; the first is the baseline")
+    parser.add_argument("--seeds", type=seed_list, default="100-129",
+                        help="held-out seeds (default 100-129)")
+    parser.add_argument("--reps", type=int, default=3,
+                        help="solves per tree and held-out instance; the fastest counts")
+    parser.add_argument("--bench-seeds", type=seed_list, default=[],
+                        help="perfbench seeds, one run per tree each (default: no perfbench)")
+    parser.add_argument("--out", type=Path, required=True, help="the JSON file to write")
+    args = parser.parse_args(argv)
+
+    checkout = load(ROOT, "ab_checkout")
+    paths = [path.resolve() for path in args.trees]
+    trees = [load(path, f"ab_tree{i}") for i, path in enumerate(paths)]
+    data = {"environment": environment(), "size": list(SIZE),
+            "trees": [describe(path) for path in paths],
+            "acceptance": compare(checkout, trees, list(ACCEPTANCE_SEEDS), 1, "acceptance"),
+            "held_out": compare(checkout, trees, args.seeds, args.reps, "held_out")}
+    if args.bench_seeds:
+        data["perfbench"] = perfbench(paths, args.bench_seeds)
+    args.out.write_text(json.dumps(data, indent=1) + "\n")
+    print(f"wrote {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -219,11 +219,10 @@ class RunReport:
     working_columns: int = 0
 
 
-def screened_start(inst: Instance, columns: int | None = None, tol: float = 0.0) -> np.ndarray:
+def screened_start(inst: Instance, tol: float = 0.0) -> np.ndarray:
     """The default beta0: a least-squares fit on screened columns, refined by HTP.
 
-    With k = min(n // START_ROWS_PER_COLUMN, p), or ``columns`` when given
-    (as scripts/start_sweep.py compares), round 0 is
+    With k = min(n // START_ROWS_PER_COLUMN, p), round 0 is
     :func:`~dantzig_adm.core.least_squares` on the support T of the k
     columns of largest |x_j^T y| / d_j, read off the cached X^T y, and zero
     off them.  Each later round is one step of hard-thresholding pursuit
@@ -252,7 +251,7 @@ def screened_start(inst: Instance, columns: int | None = None, tol: float = 0.0)
     not start a solve from a fit far from it.  When k = p no other support
     exists: the round-0 fit is returned with G beta0 = X^T (X beta0).
     """
-    return _screened_start(inst, DesignOperator(inst.X), columns, tol)[0]
+    return _screened_start(inst, DesignOperator(inst.X), tol)[0]
 
 
 def _top(scores: np.ndarray, k: int) -> np.ndarray:
@@ -263,7 +262,6 @@ def _top(scores: np.ndarray, k: int) -> np.ndarray:
 def _screened_start(
     inst: Instance,
     design: DesignOperator,
-    columns: int | None = None,
     tol: float = 0.0,
     block: ColumnBlock | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
@@ -272,7 +270,7 @@ def _screened_start(
     Its products are made with ``design``, the solve's operator, and its
     fits copy their columns into ``block`` (a new one when None).
     """
-    k = min(inst.n // START_ROWS_PER_COLUMN if columns is None else columns, inst.p)
+    k = min(inst.n // START_ROWS_PER_COLUMN, inst.p)
     scores = np.abs(inst.xty) / inst.d
     if k == 0 or not scores.max() > inst.delta + tol:
         return np.zeros(inst.p), np.zeros(inst.p), 0

@@ -382,17 +382,15 @@ def _mean(values: list[float]) -> float:
 
 def _cmd_figure_data(args) -> int:
     sol = Path(args.solution_dir)
-    beta_tilde = fileio.read_vector(sol / "beta_tilde.mtx")
-    p = beta_tilde.shape[0]
-    beta_hat = None
-    if (sol / "beta_hat.mtx").exists():
-        beta_hat = fileio.read_vector(sol / "beta_hat.mtx")
-    beta_true = None
-    if (sol / "beta_true.mtx").exists():
-        beta_true = fileio.read_vector(sol / "beta_true.mtx")
-
-    columns = [("beta_true", beta_true), ("beta_tilde", beta_tilde), ("beta_hat", beta_hat)]
-    columns = [(name, vec) for name, vec in columns if vec is not None]
+    names = [name for name in ("beta_true", "beta_tilde", "beta_hat")
+             if name == "beta_tilde" or (sol / f"{name}.mtx").exists()]
+    columns = [(name, fileio.read_vector(sol / f"{name}.mtx")) for name in names]
+    p = dict(columns)["beta_tilde"].shape[0]
+    for name, vec in columns:
+        if vec.shape != (p,):
+            raise fileio.FileFormatError(
+                f"{sol / name}.mtx has {vec.size} entries, but beta_tilde.mtx has {p}"
+            )
     mask = np.zeros(p, dtype=bool)
     for _, vec in columns:
         mask |= vec != 0

@@ -1,6 +1,8 @@
 import ctypes
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -598,6 +600,22 @@ class TestFigureData:
     def test_missing_solution_is_io_error(self, tmp_path):
         assert cli.main(["figure-data", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("name", ["beta_true", "beta_hat"])
+    @pytest.mark.parametrize("change", [-3, 5])
+    def test_vector_of_another_length_is_io_error_naming_the_file(
+        self, tmp_path, capsys, name, change
+    ):
+        out = tmp_path / "inst"
+        assert cli.main(_gen_args(out)) == 0
+        assert cli.main(["solve", str(out)]) == 0
+        vec = fileio.read_vector(out / f"{name}.mtx")
+        fileio.write_vector(out / f"{name}.mtx", np.resize(vec, vec.size + change))
+        capsys.readouterr()
+        assert cli.main(["figure-data", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{name}.mtx has {90 + change} entries" in err
+        assert "beta_tilde.mtx has 90" in err
+
 
 class TestWithoutScipy:
     def test_import_solve_and_bench_load_no_scipy(self, tmp_path):
@@ -668,16 +686,75 @@ class TestColdStart:
 
 
 class TestScripts:
-    def test_reproduce_tables_runs_from_a_checkout(self, tmp_path):
-        # README runs it as `python3 scripts/reproduce_tables.py`, with no PYTHONPATH
-        script = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_tables.py"
+    SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+    ROWS = ("unit_columns sigma=0.05", "unit_columns sigma=0.01", "orthogonal_rows sigma=0.05")
+
+    def _help(self, name, tmp_path) -> str:
+        # README runs the scripts as `python3 scripts/NAME.py`, with no PYTHONPATH
         env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
         run = subprocess.run(
-            [sys.executable, str(script), "--help"],
+            [sys.executable, str(self.SCRIPTS / name), "--help"],
             capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
         )
         assert run.returncode == 0, run.stderr
-        assert "--reps" in run.stdout
+        return run.stdout
+
+    def test_reproduce_tables_runs_from_a_checkout(self, tmp_path):
+        assert "--reps" in self._help("reproduce_tables.py", tmp_path)
+
+    def test_ab_runs_from_a_checkout_with_five_options(self, tmp_path):
+        options = set(re.findall(r"--[a-z-]+", self._help("ab.py", tmp_path)))
+        assert options == {"--help", "--trees", "--seeds", "--reps", "--bench-seeds", "--out"}
+
+    def test_ab_pairs_two_loads_of_this_checkout(self, tmp_path):
+        # ab.py pins BLAS threads in os.environ when imported, so it runs in a
+        # process of its own; SIZE is set small there, for a run of a few seconds
+        root = self.SCRIPTS.parent.resolve()
+        script = (
+            "import sys\n"
+            "import ab\n"
+            "import dantzig_adm\n"
+            "ab.SIZE = (48, 200, 5)\n"
+            "code = ab.main(['--trees', sys.argv[1], sys.argv[1], '--seeds', '100',\n"
+            "                '--reps', '2', '--out', sys.argv[2]])\n"
+            "trees, names = ('ab_tree0', 'ab_tree1'), ('adm', 'core', 'subsolver')\n"
+            "mods = {(t, m): sys.modules[f'{t}.{m}'] for t in trees for m in names}\n"
+            "print(code)\n"
+            "print(sorted({mod.__file__ for mod in mods.values()}))\n"
+            "ours = {id(sys.modules[f'dantzig_adm.{m}']) for m in names}\n"
+            "print(len({id(mod) for mod in mods.values()} | ours))\n"
+            "print(all(mods[t, 'adm'].DesignOperator is mods[t, 'core'].DesignOperator\n"
+            "          for t in trees))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(self.SCRIPTS), str(root / "src")])}
+        out = tmp_path / "ab.json"
+        run = subprocess.run(
+            [sys.executable, "-c", script, str(root), str(out)],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        package = root / "src" / "dantzig_adm"
+        files = sorted(str(package / f"{m}.py") for m in ("adm", "core", "subsolver"))
+        # each tree's modules are its own: 6 module objects, none of them dantzig_adm's
+        assert run.stdout.splitlines()[-4:] == ["0", repr(files), "9", "True"]
+
+        data = json.loads(out.read_text())
+        recorded = set(data["environment"])
+        assert {"machine", "blas", "blas_threads_per_process", "numpy", "python"} <= recorded
+        assert [tree["path"] for tree in data["trees"]] == [str(root)] * 2
+        assert all("commit" in tree for tree in data["trees"])
+        assert data["size"] == [48, 200, 5]
+        for section, seeds in (("acceptance", 10), ("held_out", 1)):
+            for design in self.ROWS:
+                row = data[section][design]
+                assert [len(run["solves"]) for run in row["runs"]] == [2] * seeds
+                first, second = row["summary"]
+                assert first.keys() == second.keys()
+                assert second["same_counts"] == second["same_bytes"] == seeds
+                assert second["max_beta_change"] == second["max_lambda_change"] == 0
+                assert second["median_paired_ratio"] > 0 and second["outer_mean"] > 0
+                assert all(isinstance(value, (int, float)) and math.isfinite(value)
+                           for value in second.values())
 
 
 class TestExitCodes:
