@@ -103,6 +103,7 @@ since X^T X 0 = 0.  A given nonzero beta0 costs one X beta0 and one X^T.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -160,6 +161,8 @@ class AdmConfig:
             raise ValueError(f"mu must be positive and finite, got {self.mu}")
         if not 0 < self.tol < math.inf:
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        if not isinstance(self.max_outer_iter, numbers.Integral):
+            raise ValueError(f"max_outer_iter must be an integer, got {self.max_outer_iter!r}")
         if self.max_outer_iter < 1:
             raise ValueError(f"max_outer_iter must be positive, got {self.max_outer_iter}")
 
@@ -193,15 +196,23 @@ class OuterIterationRecord:
 class RunReport:
     """Counters and histories of one solve, in benchmark-table units.
 
-    ``stopping_metric_history`` has one entry per stopping test, the first
-    at the start point, and ``inner_iteration_history`` one per outer
-    iteration: the iterations of its inner solve, whose tol_sub
-    ``inner_tolerance_history`` holds (see :class:`AdmConfig`).
-    ``start_support`` is the number of nonzeros of the start beta0, given or
-    screened, and ``start_rounds`` the least-squares refits the screened
-    start made after its first fit (0 for a given beta0; see
-    :func:`screened_start`).  ``rounds`` counts the rounds of :func:`solve`
-    and ``working_columns`` is |W| in its last round.
+    :func:`solve` makes the report at its start (:func:`_start`), and the
+    ADM loop of every round, :func:`_adm`, writes into it.  After each outer
+    iteration the loop appends that iteration's stopping metric and dual
+    objective to ``stopping_metric_history`` and ``dual_objective_history``,
+    and the iterations of its inner solve and that solve's tol_sub (see
+    :class:`AdmConfig`) to ``inner_iteration_history`` and
+    ``inner_tolerance_history``; it adds to ``outer_iterations``,
+    ``inner_iteration_total``, ``subsolver_failures`` and ``rounds``, and
+    sets ``status``.  The first two histories open with the start's entry,
+    so they hold outer_iterations + 1 entries (outer_iterations after a
+    numerical_failure, whose last iteration has no metric), and their last
+    entry is the full problem's (see :func:`solve`).  ``start_support`` is
+    the number of nonzeros of the start beta0, given or screened, and
+    ``start_rounds`` the least-squares refits the screened start made after
+    its first fit (0 for a given beta0; see :func:`screened_start`).
+    ``working_columns`` is |W| in the last round, and ``wall_time`` the
+    whole solve's, start included.
     """
 
     outer_iterations: int
@@ -389,7 +400,10 @@ def solve(
 
     beta0 defaults to :func:`screened_start`, formed inside the timed solve
     with the solve's design operator, and lambda0 to zeros;
-    ``beta0=np.zeros(p)`` gives the paper's zero start.
+    ``beta0=np.zeros(p)`` gives the paper's zero start.  A given beta0 or
+    lambda0 must have length p and finite entries (ValueError otherwise).
+    :func:`_start` forms the start and the solve's one :class:`RunReport`,
+    into which every round's :func:`_adm` records its outer iterations.
 
     The metric at (beta0, lambda0) is the first entry of the history, from
     X^T X beta0 and X^T X lambda0 on all of X; when it is at most tol the
@@ -413,9 +427,12 @@ def solve(
     runs on X itself and needs no check.
 
     ``stopping_metric_history`` holds the start's metric, then each round's
-    metrics after its start, with the round's last entry replaced by the
-    full problem's metric.  So its length is outer_iterations + 1, and its
-    last entry is the full problem's metric.  The dual objective does not
+    metrics after its outer iterations, and after a round on W its last
+    entry, or the previous round's when the round made no iteration, is
+    replaced by the full problem's metric: the larger of the round's last
+    metric, which :func:`_adm` returns, and the check's largest ratio.  So
+    its length is outer_iterations + 1, and its last entry is the full
+    problem's metric.  The dual objective does not
     depend on W (lambda is zero off it), and ``dual_objective_history``
     follows the same layout.  ``callback`` receives one
     :class:`OuterIterationRecord` per outer iteration of every round:
@@ -433,19 +450,74 @@ def solve(
     DesignOperator of X, and each round's through one of X[:, W], built here
     and dropped on return.
     """
+    t_start = time.perf_counter()
+    design = DesignOperator(inst.X)
+    block = ColumnBlock(inst.X)
+    beta, lam, gram_beta, gram_lam, report = _start(inst, config, design, beta0, lambda0, block)
+    p = inst.p
+    columns = _all_past_half(np.flatnonzero((beta != 0) | (lam != 0)), p)
+    if report.stopping_metric_history[0] <= config.tol:
+        columns = None
+    elif not columns.size:
+        columns = _grow(columns, _excess(inst, beta, lam, gram_beta, gram_lam), config.tol, p)
+
+    while columns is not None:
+        whole = columns.size == p
+        sub = inst if whole else inst.restricted(columns, block)
+        sub_design = design if whole else DesignOperator(sub.X)
+        start = (v[columns] for v in (beta, lam, gram_beta, gram_lam))
+        record = callback if callback is None or whole else _padded(callback, columns, p)
+        b, lam_w, metric = _adm(sub, config, sub_design, *start, report, record)
+        report.working_columns = columns.size
+        beta, lam = _expand(b, columns, p), _expand(lam_w, columns, p)
+        if whole:
+            break
+        # X^T X_W b_W and X^T X_W l_W on all columns, for the check and the next round
+        gram_beta, gram_lam = design.rmatvec_pair(sub_design.matvec(b), sub_design.matvec(lam_w))
+        excess = _excess(inst, beta, lam, gram_beta, gram_lam)
+        excess[columns] = -np.inf
+        report.stopping_metric_history[-1] = max(metric, excess.max())
+        if report.status != STATUS_CONVERGED:
+            break
+        columns = _grow(columns, excess, config.tol, p)
+        if columns is not None and report.outer_iterations == config.max_outer_iter:
+            passed = report.stopping_metric_history[-1] <= config.tol
+            report.status = STATUS_CONVERGED if passed else STATUS_MAX_ITER
+            break
+
+    report.wall_time = time.perf_counter() - t_start
+    return beta, lam, report
+
+
+def _start(
+    inst: Instance,
+    config: AdmConfig,
+    design: DesignOperator,
+    beta0: np.ndarray | None = None,
+    lambda0: np.ndarray | None = None,
+    block: ColumnBlock | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, RunReport]:
+    """(beta0, lambda0, X^T X beta0, X^T X lambda0, report) at the start of a solve.
+
+    Checks beta0 and lambda0 and fills in their defaults as :func:`solve`
+    describes; the screened start makes its products with ``design`` and
+    its fits in ``block``.  A zero vector's Gram product costs nothing
+    (X^T X 0 = 0), any other one apply_gram.  The report holds the start's
+    metric and dual objective as the first entries of its histories, the
+    start's fields, and status converged.
+    """
     p = inst.p
     beta = None if beta0 is None else np.array(beta0, dtype=np.float64)
     lam = np.zeros(p) if lambda0 is None else np.array(lambda0, dtype=np.float64)
     if (beta is not None and beta.shape != (p,)) or lam.shape != (p,):
         raise ValueError(f"beta0 and lambda0 must have length {p}")
-
-    t_start = time.perf_counter()
-    design = DesignOperator(inst.X)
-    block = ColumnBlock(inst.X)
+    for name, v in (("beta0", beta), ("lambda0", lam)):
+        if v is not None and not np.isfinite(v).all():
+            raise ValueError(f"{name} must be finite")
     start_rounds = 0
     if beta is None:
-        beta, gram_beta, start_rounds = _screened_start(inst, design, tol=config.tol, block=block)
-    else:  # a zero start needs no product: X^T X 0 = 0
+        beta, gram_beta, start_rounds = _screened_start(inst, design, config.tol, block)
+    else:
         gram_beta = apply_gram(inst, beta) if beta.any() else np.zeros(p)
     gram_lam = apply_gram(inst, lam) if lam.any() else np.zeros(p)
     terms = _criterion_terms(inst, beta, lam, gram_beta, gram_lam)
@@ -459,45 +531,7 @@ def solve(
         start_support=int(np.count_nonzero(beta)),
         start_rounds=start_rounds,
     )
-    columns = _all_past_half(np.flatnonzero((beta != 0) | (lam != 0)), p)
-    if report.stopping_metric_history[0] <= config.tol:
-        columns = None
-    elif not columns.size:
-        columns = _grow(columns, _excess(inst, beta, lam, gram_beta, gram_lam), config.tol, p)
-
-    while columns is not None:
-        whole = columns.size == p
-        if whole:
-            sub, sub_design = inst, design
-            start = (beta, lam, gram_beta, gram_lam)
-        else:
-            sub = inst.restricted(columns, block)
-            sub_design = DesignOperator(sub.X)
-            start = (beta[columns], lam[columns], gram_beta[columns], gram_lam[columns])
-        done = report.outer_iterations
-        record = None if callback is None else _padded(callback, done, columns, p)
-        b, lam_w, run = _adm(sub, config, sub_design, *start, config.max_outer_iter - done, record)
-        _add_round(report, run)
-        report.working_columns = columns.size
-        beta, lam = _expand(b, columns, p), _expand(lam_w, columns, p)
-        report.status = run.status
-        if whole:
-            break
-        # X^T X_W b_W and X^T X_W l_W on all columns, for the check and the next round
-        gram_beta, gram_lam = design.rmatvec_pair(sub_design.matvec(b), sub_design.matvec(lam_w))
-        excess = _excess(inst, beta, lam, gram_beta, gram_lam)
-        excess[columns] = -np.inf
-        report.stopping_metric_history[-1] = max(run.stopping_metric_history[-1], excess.max())
-        if run.status != STATUS_CONVERGED:
-            break
-        columns = _grow(columns, excess, config.tol, p)
-        if columns is not None and report.outer_iterations == config.max_outer_iter:
-            passed = report.stopping_metric_history[-1] <= config.tol
-            report.status = STATUS_CONVERGED if passed else STATUS_MAX_ITER
-            break
-
-    report.wall_time = time.perf_counter() - t_start
-    return beta, lam, report
+    return beta, lam, gram_beta, gram_lam, report
 
 
 def _excess(
@@ -550,28 +584,14 @@ def _expand(v: np.ndarray, columns: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _padded(callback, offset: int, columns: np.ndarray, p: int):
-    """``callback`` fed a round's records padded to length p (see :func:`solve`)."""
-    whole = columns.size == p
+def _padded(callback, columns: np.ndarray, p: int):
+    """``callback`` fed the records of a round on W = ``columns`` padded to length p."""
 
     def padded(rec: OuterIterationRecord) -> None:
         vectors = (_expand(v, columns, p) for v in (rec.z, rec.beta, rec.lam, rec.lam_prev))
-        callback(OuterIterationRecord(offset + rec.iteration, *vectors, rec.metric,
-                                      None if whole else columns))
+        callback(OuterIterationRecord(rec.iteration, *vectors, rec.metric, columns))
 
     return padded
-
-
-def _add_round(report: RunReport, run: RunReport) -> None:
-    """Add one round's counters and histories to ``report``; its start entries are dropped."""
-    report.outer_iterations += run.outer_iterations
-    report.inner_iteration_total += run.inner_iteration_total
-    report.stopping_metric_history += run.stopping_metric_history[1:]
-    report.dual_objective_history += run.dual_objective_history[1:]
-    report.subsolver_failures += run.subsolver_failures
-    report.inner_iteration_history += run.inner_iteration_history
-    report.inner_tolerance_history += run.inner_tolerance_history
-    report.rounds += 1
 
 
 def _adm(
@@ -582,68 +602,50 @@ def _adm(
     lam: np.ndarray,
     gram_beta: np.ndarray,
     gram_lam: np.ndarray,
-    limit: int,
+    report: RunReport,
     callback=None,
-) -> tuple[np.ndarray, np.ndarray, RunReport]:
-    """Run the alternating direction method on ``inst`` from (beta, lam).
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Run the alternating direction method on ``inst`` from (beta, lam), into ``report``.
 
-    ``gram_beta`` and ``gram_lam`` are X^T X beta and X^T X lambda,
-    ``design`` makes every product with X, and the run stops after ``limit``
-    outer iterations with status max_iter.  Per iteration: closed-form z
-    update, inner solve for beta warm-started at the previous beta and
-    stopped at the iteration's tol_sub (see :class:`AdmConfig`; it reads the
-    least stopping metric so far), multiplier step, then the stopping test.
-    Its metric is the max of the ratios of :func:`_stopping_ratios`: the
-    relative duality gap | ||beta||_1 - d(lambda) | / max(||beta||_1, 1) and
-    the primal and dual excesses of :func:`_criterion_terms` over
-    max(||beta||_2, 1) and max(||lambda||_2, 1).  The two excess ratios may
-    be negative; the gap is not, so neither is the metric.  The dual
-    objective d is used as-is even when lambda is dual-infeasible.  The
-    metric at the start is the first entry of the history.  X^T X beta and
+    ``gram_beta`` and ``gram_lam`` are X^T X beta and X^T X lambda, and
+    ``design`` makes every product with X.  ``report`` is the solve's
+    (:class:`RunReport`): the run counts one round there, records each outer
+    iteration after it ends, and sets the status.  Per iteration: closed-form
+    z update, inner solve for beta warm-started at the previous beta and
+    stopped at the iteration's tol_sub (see :class:`AdmConfig`; k counts
+    this run's iterations, and the least stopping metric so far includes the
+    start's), multiplier step, then the stopping test.  Its metric is the
+    max of the ratios of :func:`_stopping_ratios`: the relative duality gap
+    | ||beta||_1 - d(lambda) | / max(||beta||_1, 1) and the primal and dual
+    excesses of :func:`_criterion_terms` over max(||beta||_2, 1) and
+    max(||lambda||_2, 1).  The two excess ratios may be negative; the gap is
+    not, so neither is the metric.  The dual objective d is used as-is even
+    when lambda is dual-infeasible.  The run stops with status converged
+    once the metric, at the start too, is at most tol, and with max_iter
+    when ``report.outer_iterations`` reaches max_outer_iter.  X^T X beta and
     X^T X lambda come from the inner solver's residual and gradient (see the
     module docstring for the identities and the cost per iteration).  A
     subsolver that misses its tolerance contributes its best iterate and is
     counted in the report.  Non-finite values end the run with status
-    numerical_failure, returning the state at failure.  The report's start
-    fields, rounds and working_columns are left at 0, and
-    ``callback`` gets the records of this problem, with ``columns`` None.
+    numerical_failure, returning the state at failure, and that iteration
+    records no metric.  ``callback`` gets one :class:`OuterIterationRecord`
+    per recorded iteration, numbered by ``report.outer_iterations``, with
+    ``columns`` None.  Returns (beta, lambda, the last metric computed).
     """
-    t_start = time.perf_counter()
-    metric_history: list[float] = []
-    dual_history: list[float] = []
-    inner_history: list[int] = []
-    tolerance_history: list[float] = []
-    best_metric = math.inf  # the least stopping metric so far
-    iteration = inner_total = sub_failures = 0
-
-    while True:
-        terms = _criterion_terms(inst, beta, lam, gram_beta, gram_lam)
-        metric = max(_stopping_ratios(beta, lam, terms))
-        metric_history.append(metric)
-        best_metric = min(best_metric, metric)
-        dual_history.append(terms[3])
-        if callback is not None and iteration > 0:
-            copies = (z.copy(), beta.copy(), lam.copy(), lam_prev.copy())
-            callback(OuterIterationRecord(iteration, *copies, metric))
-        if metric <= config.tol:
-            status = STATUS_CONVERGED
-            break
-        if iteration == limit:
-            status = STATUS_MAX_ITER
-            break
-
+    first = report.outer_iterations
+    terms = _criterion_terms(inst, beta, lam, gram_beta, gram_lam)
+    metric = best_metric = max(_stopping_ratios(beta, lam, terms))
+    report.rounds += 1
+    while metric > config.tol and report.outer_iterations < config.max_outer_iter:
         lam_prev = lam
         z = update_z(inst, lam, config.mu, gram_beta)
-        objective = SubproblemObjective(
-            inst, z, lam, config.mu, gram_u0=gram_beta, design=design
-        )
-        tol_sub = config.inner_tolerance(iteration, best_metric)
+        objective = SubproblemObjective(inst, z, lam, config.mu, gram_u0=gram_beta, design=design)
+        tol_sub = config.inner_tolerance(report.outer_iterations - first, best_metric)
         result = solve_subproblem(objective, beta, tol_sub)
-        tolerance_history.append(tol_sub)
-        inner_history.append(result.iterations)
-        inner_total += result.iterations
-        if not result.succeeded:
-            sub_failures += 1
+        report.inner_tolerance_history.append(tol_sub)
+        report.inner_iteration_history.append(result.iterations)
+        report.inner_iteration_total += result.iterations
+        report.subsolver_failures += not result.succeeded
         beta = result.u
         if result.residual is None:  # the best earlier iterate: nothing held for it
             gram_beta = apply_gram(inst, beta)
@@ -651,20 +653,17 @@ def _adm(
             gram_beta = result.residual + objective.c
         lam = update_lambda(inst, lam, z, config.mu, gram_beta)
         gram_lam = apply_gram(inst, lam) if result.residual is None else result.gradient
-        iteration += 1
+        report.outer_iterations += 1
         if not all(np.isfinite(v).all() for v in (beta, lam, z)):
-            status = STATUS_NUMERICAL_FAILURE
-            break
-
-    report = RunReport(
-        outer_iterations=iteration,
-        inner_iteration_total=inner_total,
-        stopping_metric_history=metric_history,
-        dual_objective_history=dual_history,
-        wall_time=time.perf_counter() - t_start,
-        status=status,
-        subsolver_failures=sub_failures,
-        inner_iteration_history=inner_history,
-        inner_tolerance_history=tolerance_history,
-    )
-    return beta, lam, report
+            report.status = STATUS_NUMERICAL_FAILURE
+            return beta, lam, metric
+        terms = _criterion_terms(inst, beta, lam, gram_beta, gram_lam)
+        metric = max(_stopping_ratios(beta, lam, terms))
+        best_metric = min(best_metric, metric)
+        report.stopping_metric_history.append(metric)
+        report.dual_objective_history.append(terms[3])
+        if callback is not None:
+            copies = (z.copy(), beta.copy(), lam.copy(), lam_prev.copy())
+            callback(OuterIterationRecord(report.outer_iterations, *copies, metric))
+    report.status = STATUS_CONVERGED if metric <= config.tol else STATUS_MAX_ITER
+    return beta, lam, metric

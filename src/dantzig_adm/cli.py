@@ -325,10 +325,11 @@ def _parse_sizes(args) -> list[tuple[int, int, int]]:
             raise ValueError(f"--i must be a positive multiplier, got {factor}")
         sizes.append(tuple(factor * b for b in BASE_SIZE))
     for text in args.size or []:
-        parts = text.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"--size expects N,P,S, got {text!r}")
-        sizes.append(tuple(int(part) for part in parts))
+        try:
+            n, p, s = (int(part) for part in text.split(","))
+        except ValueError:
+            raise ValueError(f"--size expects N,P,S, got {text!r}") from None
+        sizes.append((n, p, s))
     if not sizes:
         raise ValueError("provide at least one --i or --size")
     return sizes

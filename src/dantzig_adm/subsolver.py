@@ -314,8 +314,9 @@ def solve_subproblem(
     """Run the nonmonotone spectral gradient method from warm start u0.
 
     Stops when the termination metric drops below ``tol_sub``, when the
-    predicted decrease vanishes (fixed point), or at MAX_INNER_ITER, where
-    only the first is tested.  On line-search failure or cap exhaustion the
+    predicted decrease vanishes or the accepted step leaves u unchanged in
+    floating point (a fixed point either way, status stationary), or at
+    MAX_INNER_ITER, where only the first is tested.  On line-search failure or cap exhaustion the
     best iterate seen (by penalized objective) is returned with a flagged
     status; the caller decides whether to accept it.  Only a final iterate
     comes with its residual and gradient.
@@ -356,6 +357,8 @@ def solve_subproblem(
         except LineSearchError:
             status = "line_search_failure"
             break
+        if np.array_equal(trial.u, state.u):  # the step is lost to rounding: u is a fixed point
+            return _finish(start, state, "stationary")
         g_new = start.gradient(trial.kshift)
         bar_alpha_next = bb_step(trial.u - state.u, g_new - state.grad)
         state.u, state.shift, state.kshift = trial.u, trial.shift, trial.kshift

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dantzig_adm import adm
-from dantzig_adm.core import DesignOperator, apply_gram
+from dantzig_adm.core import DesignOperator
 
 
 class ProductCounts:
@@ -106,21 +106,14 @@ def traced_peak():
 def _whole_problem(inst, config, beta0=None, lambda0=None, callback=None):
     """adm's ADM loop on all of X, from solve's start: the method without column generation.
 
-    beta0 defaults to the screened start, lambda0 to zeros; X^T X beta0 comes
-    with the screened start or from apply_gram, as solve forms it.  Returns
-    (beta, lambda, report) with the report's start fields left at 0.
+    The start is solve's (adm._start): beta0 defaults to the screened start,
+    lambda0 to zeros.  Returns (beta, lambda, report); the report's
+    wall_time is left at 0.
     """
     design = DesignOperator(inst.X)
-    lam = np.zeros(inst.p) if lambda0 is None else np.asarray(lambda0, dtype=np.float64)
-    if beta0 is None:
-        beta0, gram_beta, _ = adm._screened_start(inst, design, tol=config.tol)
-    else:
-        beta0 = np.asarray(beta0, dtype=np.float64)
-        gram_beta = apply_gram(inst, beta0) if beta0.any() else np.zeros(inst.p)
-    gram_lam = apply_gram(inst, lam) if lam.any() else np.zeros(inst.p)
-    return adm._adm(
-        inst, config, design, beta0, lam, gram_beta, gram_lam, config.max_outer_iter, callback
-    )
+    beta, lam, gram_beta, gram_lam, report = adm._start(inst, config, design, beta0, lambda0)
+    beta, lam, _ = adm._adm(inst, config, design, beta, lam, gram_beta, gram_lam, report, callback)
+    return beta, lam, report
 
 
 @pytest.fixture

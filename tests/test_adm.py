@@ -677,10 +677,11 @@ class TestKernelPaths:
         zero = np.zeros(inst.p)
         runs = []
         for design, side in ((DesignOperator(inst.X), inst.n), (_GramSpace(inst.X), inst.p)):
-            runs.append(adm_module._adm(inst, config, design, zero, zero, zero, zero,
-                                        config.max_outer_iter))
+            report = adm_module._start(inst, config, design, zero)[-1]
+            beta, _, _ = adm_module._adm(inst, config, design, zero, zero, zero, zero, report)
+            runs.append((beta, report))
             assert design.__dict__["kernel"].shape == (side, side)
-        (beta, _, report), (beta_nk, _, report_nk) = runs
+        (beta, report), (beta_nk, report_nk) = runs
         assert report.status == report_nk.status == "converged"
         assert report.outer_iterations == report_nk.outer_iterations > 0
         assert report.inner_iteration_total == report_nk.inner_iteration_total
@@ -840,12 +841,12 @@ class TestColumnGeneration:
         rounds, formed = [], []
         original, kernel = adm_module._adm, core_module._kernel
 
-        def recording(inst, config, design, *args):
-            before = len(formed)
-            result = original(inst, config, design, *args)
+        def recording(inst, config, design, beta, lam, gram_beta, gram_lam, report, *args):
+            before, done = len(formed), report.outer_iterations
+            result = original(inst, config, design, beta, lam, gram_beta, gram_lam, report, *args)
             held = design.__dict__.get("kernel")
             rounds.append((inst.p, None if held is None else held.shape, len(formed) - before,
-                           result[2].outer_iterations))
+                           report.outer_iterations - done))
             return result
 
         monkeypatch.setattr(adm_module, "_adm", recording)
@@ -942,6 +943,26 @@ class TestColumnGeneration:
         assert [report.inner_tolerance_history[k] for k in starts] == [SUB_TOL_START] * len(starts)
         assert records[-1].columns.size == report.working_columns
 
+    def test_a_round_converged_at_its_start_replaces_the_last_entry(self):
+        # seed 18: the rounds make 6, 15 and 0 outer iterations.  The third
+        # round's W passes the test at its start; its metric with the check's
+        # excess replaces the second round's last entry
+        inst, _ = make_instance(GenSpec(n=48, p=200, s=6, sigma_noise=0.05, seed=18))
+        records = []
+        config = AdmConfig(mu=mu_rule("unit_columns", inst.p, inst.delta), tol=self.TOL)
+        beta, lam, report = solve(inst, config, callback=records.append)
+        assert report.status == "converged" and report.rounds == 3
+        iterating = [records[0].columns.size]
+        iterating += [rec.columns.size for prev, rec in zip(records, records[1:])
+                      if not np.array_equal(rec.columns, prev.columns)]
+        assert len(iterating) == 2 and iterating[-1] < report.working_columns
+        assert len(report.stopping_metric_history) == report.outer_iterations + 1
+        assert len(report.dual_objective_history) == report.outer_iterations + 1
+        certificate = feasibility_report(inst, beta, lam)
+        worst = max(certificate.primal_ratio, certificate.dual_ratio, certificate.gap_ratio)
+        assert report.stopping_metric_history[-1] <= self.TOL
+        assert report.stopping_metric_history[-1] == pytest.approx(worst, rel=1e-9)
+
     def test_growing_w_imports_no_numpy_ma(self):
         # np.union1d imports numpy.ma on its first call (numpy 2.4); _grow
         # unites W and its violators without it
@@ -989,6 +1010,8 @@ class TestAdmConfig:
             {"mu": 0.0, "tol": 1e-3},
             {"mu": 1.0, "tol": 0.0},
             {"mu": 1.0, "tol": 1e-3, "max_outer_iter": 0},
+            {"mu": 1.0, "tol": 1e-3, "max_outer_iter": 3.5},
+            {"mu": 1.0, "tol": 1e-3, "max_outer_iter": 10000.0},
             {"mu": math.inf, "tol": 1e-3},
             {"mu": math.nan, "tol": 1e-3},
             {"mu": 1.0, "tol": math.inf},
@@ -1449,6 +1472,26 @@ class TestSolve:
         beta0 = rng.standard_normal(8)
         solve(inst, AdmConfig(mu=1.0, tol=1e-4, max_outer_iter=3), beta0=beta0)
         assert seen and np.array_equal(seen[0], beta0)
+
+    @pytest.mark.parametrize("name, value", [("beta0", math.nan), ("lambda0", math.inf)])
+    def test_non_finite_start_rejected(self, name, value):
+        inst = _instance(np.random.default_rng(24), n=5, p=8)
+        start = np.zeros(8)
+        start[3] = value
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            solve(inst, AdmConfig(mu=1.0, tol=1e-4), **{name: start})
+
+    @pytest.mark.parametrize("beta0", [None, "zero"])
+    def test_a_step_lost_to_rounding_ends_the_inner_solve(self, beta0):
+        # at tol = 1e-9 an inner solve of outer iteration 7835 accepted
+        # alpha = 2^-40 along a direction of norm about 1e-7, and u + alpha d
+        # equalled u: the solve ended stationary there instead of raising in
+        # bb_step, and the outer loop ran on to its cap
+        inst, _ = make_instance(GenSpec(n=48, p=200, s=5, sigma_noise=0.05, seed=2))
+        config = AdmConfig(mu=mu_rule("unit_columns", inst.p, inst.delta), tol=1e-9)
+        start = None if beta0 is None else np.zeros(inst.p)
+        _, _, report = solve(inst, config, beta0=start)
+        assert report.status == "max_iter" and report.outer_iterations == 10000
 
     def test_histories_and_counters_line_up(self):
         rng = np.random.default_rng(24)

@@ -471,6 +471,7 @@ class TestBench:
             (["--max-outer", "0"], "max_outer_iter must be positive"),
             (["--i", "0"], "--i must be a positive multiplier"),
             (["--size", "1,2"], "--size expects N,P,S"),
+            (["--size", "a,b,c"], "--size expects N,P,S"),
             (["--reps", "0"], "--reps must be positive"),
             (["--mu", "inf"], "mu must be positive and finite"),
             (["--tol", "inf"], "tol must be positive and finite"),

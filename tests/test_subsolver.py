@@ -1,4 +1,5 @@
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -797,6 +798,31 @@ class TestSolveSubproblem:
         assert result.iterations == len(records) == 3
         assert result.residual is None and result.gradient is None
         assert np.array_equal(result.u, self._best(obj, u0, records))
+
+    def test_an_accepted_step_that_leaves_u_unchanged_is_stationary(self, monkeypatch):
+        # a step alpha d below half an ulp of every entry of u: bb_step would
+        # see a zero step, so the solve ends at u with its residual and gradient
+        rng = np.random.default_rng(16)
+        obj = _objective(rng, n=8, p=14, mu=1.5)
+        searches = []
+
+        def lost_fourth(start, state, *args):
+            searches.append(1)
+            alpha, trial = line_search(start, state, *args)
+            if len(searches) == 4:
+                trial = replace(trial, u=state.u.copy())
+            return alpha, trial
+
+        monkeypatch.setattr(subsolver_module, "line_search", lost_fourth)
+        records = []
+        result = solve_subproblem(obj, np.zeros(14), 1e-13, records.append)
+        assert result.status == "stationary" and result.succeeded
+        assert result.iterations == len(records) == 3
+        assert np.array_equal(result.u, records[-1].u)
+        G = dense_gram(obj.inst.X)
+        c = obj.inst.X.T @ obj.inst.y + obj.z_fixed - obj.lambda_fixed / obj.mu
+        r = G @ result.u - c
+        np.testing.assert_allclose(result.residual, r, rtol=0, atol=1e-10 * np.abs(c).max())
 
     @pytest.mark.parametrize("seed", range(4))
     def test_final_iterate_carries_its_residual_and_gradient(self, seed):
