@@ -1,9 +1,10 @@
 """Dantzig selector solver: alternating direction method with a nonmonotone
 spectral-gradient inner solver, plus simulation and benchmark tooling.
 
-The names below are the quickstart surface; the building blocks (the design
-operator, the inner solver's steps, the outer steps) stay importable from
-their submodules.
+The names below are the quickstart surface, and they check their input; the
+building blocks (the design operator, the inner solver's steps, the outer
+steps) stay importable from their submodules.  Those take the arrays a solve
+has already checked and do not check them again.
 """
 
 __version__ = "0.1.0"

@@ -165,13 +165,15 @@ class AdmConfig:
             raise ValueError(f"max_outer_iter must be an integer, got {self.max_outer_iter!r}")
         if self.max_outer_iter < 1:
             raise ValueError(f"max_outer_iter must be positive, got {self.max_outer_iter}")
+        self.mu = float(self.mu)  # the loops take mu as it is held, unchecked
 
     def inner_tolerance(self, iteration: int, metric: float) -> float:
         """tol_sub_k, the inner solve's tolerance at outer iteration ``iteration`` (from 0).
 
         ``metric`` is the least stopping metric of outer iterations 0..iteration,
-        which :func:`solve` keeps.  It is SUB_TOL_START * 2^-k while that
-        exceeds SUB_TOL_FACTOR * tol, and SUB_TOL_FACTOR * max(tol, metric) after.
+        which :func:`_adm` keeps; both count from the start of its round (0 is
+        the round's start).  It is SUB_TOL_START * 2^-k while that exceeds
+        SUB_TOL_FACTOR * tol, and SUB_TOL_FACTOR * max(tol, metric) after.
         """
         halved = math.ldexp(SUB_TOL_START, -iteration)
         if halved > SUB_TOL_FACTOR * self.tol:
@@ -311,11 +313,6 @@ def update_z(inst: Instance, lam: np.ndarray, mu: float, gram_beta: np.ndarray) 
 
     ``gram_beta`` is X^T X beta at the current beta.
     """
-    if not mu > 0:
-        raise ValueError(f"mu must be positive, got {mu}")
-    lam = np.asarray(lam, dtype=np.float64)
-    if lam.shape != (inst.p,):
-        raise ValueError(f"lambda must have length {inst.p}, got {lam.shape}")
     w = gram_beta - inst.xty + lam / mu
     return box_clamp(w, inst.delta * inst.d)
 
@@ -378,14 +375,6 @@ def update_lambda(
 
     ``gram_beta`` is X^T X beta_next for the new iterate beta_next.
     """
-    if not mu > 0:
-        raise ValueError(f"mu must be positive, got {mu}")
-    lam = np.asarray(lam, dtype=np.float64)
-    z_next = np.asarray(z_next, dtype=np.float64)
-    if lam.shape != (inst.p,) or z_next.shape != (inst.p,):
-        raise ValueError(
-            f"lambda and z must have length {inst.p}, got {lam.shape} and {z_next.shape}"
-        )
     return lam + mu * (gram_beta - inst.xty - z_next)
 
 

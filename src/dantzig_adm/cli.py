@@ -205,6 +205,14 @@ def _cmd_solve(args) -> int:
     instance_dir = Path(args.instance_dir)
     inst, design, sigma = _load_instance(instance_dir, args.delta)
     config = _config(args, design, inst.p, inst.delta)
+    truth_path = instance_dir / "beta_true.mtx"
+    beta_true = None
+    if truth_path.exists() and sigma > 0:
+        beta_true = fileio.read_vector(truth_path)
+        if beta_true.shape != (inst.p,):
+            raise fileio.FileFormatError(
+                f"{truth_path} has {beta_true.size} entries, but X.mtx has {inst.p} columns"
+            )
 
     beta_tilde, lam, report = adm.solve(inst, config)
 
@@ -237,10 +245,8 @@ def _cmd_solve(args) -> int:
     if sigma > 0:
         beta_hat = two_stage(beta_tilde, inst, sigma)
         fileio.write_vector(out / "beta_hat.mtx", beta_hat)
-    truth_path = instance_dir / "beta_true.mtx"
-    if truth_path.exists() and sigma > 0:
-        result = evaluate_solution(inst, beta_tilde, fileio.read_vector(truth_path), sigma,
-                                   beta_hat=beta_hat)
+    if beta_true is not None:
+        result = evaluate_solution(inst, beta_tilde, beta_true, sigma, beta_hat=beta_hat)
         text = json.dumps(dataclasses.asdict(result), indent=2, default=np.ndarray.tolist)
         (out / "eval.json").write_text(text + "\n")
 

@@ -535,7 +535,6 @@ def apply_gram(inst: Instance, v: np.ndarray) -> np.ndarray:
     products the inner solver does not hand back, and the certificate of
     :func:`~dantzig_adm.evaluation.feasibility_report` for all of its own.
     """
-    v = _as_vector(v, inst.p, "v")
     design = DesignOperator(inst.X)
     return design.rmatvec(design.matvec(v))
 
@@ -545,19 +544,9 @@ def soft_thresh(v: np.ndarray, gamma: float) -> np.ndarray:
 
     Entries with |v_i| <= gamma map exactly to zero.
     """
-    gamma = float(gamma)
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    v = np.asarray(v, dtype=np.float64)
     return np.sign(v) * np.maximum(np.abs(v) - gamma, 0.0)
 
 
 def box_clamp(w: np.ndarray, bound: np.ndarray) -> np.ndarray:
     """Entrywise clamp of w onto the box [-bound_j, bound_j]."""
-    w = np.asarray(w, dtype=np.float64)
-    bound = np.asarray(bound, dtype=np.float64)
-    if w.shape != bound.shape:
-        raise ValueError(f"w and bound must have equal shapes, got {w.shape} vs {bound.shape}")
-    if np.any(bound <= 0):
-        raise ValueError("all box bounds must be positive")
     return np.clip(w, -bound, bound)

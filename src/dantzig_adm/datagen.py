@@ -42,8 +42,10 @@ class GenSpec:
             raise ValueError(f"n and p must be positive, got n={self.n}, p={self.p}")
         if not 0 <= self.s <= self.p:
             raise ValueError(f"s must lie in [0, p], got s={self.s}, p={self.p}")
-        if self.sigma_noise < 0:
-            raise ValueError(f"sigma_noise must be nonnegative, got {self.sigma_noise}")
+        if not 0 <= self.sigma_noise < math.inf:
+            raise ValueError(
+                f"sigma_noise must be nonnegative and finite, got {self.sigma_noise}"
+            )
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.design_kind not in DESIGN_KINDS:

@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DesignOperator, Instance, _as_vector, apply_gram, soft_thresh
+from .core import DesignOperator, Instance, apply_gram, soft_thresh
 
 STATIONARY_RTOL = 1e-15  # |Delta| below this (times objective scale) means a fixed point
 # The paper's parameters of the method (Lu & Zhang): the backtracking factor,
@@ -89,7 +89,9 @@ class SubproblemObjective:
     X^T X u0 for the warm start u0 later handed to :func:`solve_subproblem`,
     so the start-up residual costs no Gram product.  ``design`` makes the
     inner solver's products; pass one to share its kernel across the inner
-    problems of a solve, else a new one is made for X.
+    problems of a solve, else a new one is made for X.  z, lambda and
+    ``gram_u0`` are float64 vectors of length p and mu is positive, as the
+    outer loop hands them; none is checked here.
     """
 
     inst: Instance
@@ -101,22 +103,7 @@ class SubproblemObjective:
     c: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        p = self.inst.p
-        z = np.asarray(self.z_fixed, dtype=np.float64)
-        lam = np.asarray(self.lambda_fixed, dtype=np.float64)
-        if z.shape != (p,) or lam.shape != (p,):
-            raise ValueError(
-                f"z and lambda must have length {p}, got {z.shape} and {lam.shape}"
-            )
-        mu = float(self.mu)
-        if not mu > 0:
-            raise ValueError(f"mu must be positive, got {mu}")
-        object.__setattr__(self, "z_fixed", z)
-        object.__setattr__(self, "lambda_fixed", lam)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "c", self.inst.xty + z - lam / mu)
-        if self.gram_u0 is not None:
-            object.__setattr__(self, "gram_u0", _as_vector(self.gram_u0, p, "gram_u0"))
+        object.__setattr__(self, "c", self.inst.xty + self.z_fixed - self.lambda_fixed / self.mu)
         if self.design is None:
             object.__setattr__(self, "design", DesignOperator(self.inst.X))
 
@@ -229,10 +216,9 @@ def search_direction(
 
     With ``grad`` = grad f(u), d = SoftThresh(u - bar_alpha * grad, bar_alpha) - u
     and Delta = grad . d + ||u + d||_1 - ||u||_1; Delta <= 0 always, with
-    equality only at a minimizer of the penalized objective.
+    equality only at a minimizer of the penalized objective.  ``bar_alpha``
+    lies in (0, 1], as :func:`bb_step` keeps it.
     """
-    if not 0 < bar_alpha <= 1:
-        raise ValueError(f"bar_alpha must lie in (0, 1], got {bar_alpha}")
     target = soft_thresh(u - bar_alpha * grad, bar_alpha)
     d = target - u
     delta = float(grad @ d) + float(np.abs(target).sum()) - float(np.abs(u).sum())
@@ -254,11 +240,10 @@ def line_search(
     are the direction's products (X d and K e, or G d twice in the Gram
     space).  The smooth value of a trial is the quadratic
     f(u) + alpha grad f(u).d + (alpha^2/2) mu e.K e, with the slope
-    grad f(u).d = mu (q0 + K E).e, so a trial makes no product.
-    Raises LineSearchError after MAX_BACKTRACKS rejected powers.
+    grad f(u).d = mu (q0 + K E).e, so a trial makes no product.  ``delta``
+    is negative: :func:`solve_subproblem` stops at a fixed point before it
+    searches.  Raises LineSearchError after MAX_BACKTRACKS rejected powers.
     """
-    if not delta < 0:
-        raise ValueError(f"line search needs a strict descent prediction, got Delta={delta}")
     mu = start.obj.mu
     slope = mu * float((start.q0 + state.kshift) @ e)
     curvature = mu * float(e @ ke)
@@ -283,10 +268,6 @@ def bb_step(s: np.ndarray, g: np.ndarray) -> float:
     Nonpositive curvature s.g <= 0 is treated as an infinite ratio, which the
     upper clamp maps to 1.
     """
-    s = np.asarray(s, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    if s.shape != g.shape:
-        raise ValueError(f"s and g must have equal shapes, got {s.shape} vs {g.shape}")
     ss = float(s @ s)
     if ss == 0.0:
         raise ValueError("zero step: the caller should have terminated")
@@ -313,7 +294,8 @@ def solve_subproblem(
 ) -> SubsolverResult:
     """Run the nonmonotone spectral gradient method from warm start u0.
 
-    Stops when the termination metric drops below ``tol_sub``, when the
+    Stops when the termination metric drops below ``tol_sub`` (positive, as
+    :meth:`~dantzig_adm.adm.AdmConfig.inner_tolerance` gives it), when the
     predicted decrease vanishes or the accepted step leaves u unchanged in
     floating point (a fixed point either way, status stationary), or at
     MAX_INNER_ITER, where only the first is tested.  On line-search failure or cap exhaustion the
@@ -327,8 +309,6 @@ def solve_subproblem(
     its residual: X r0 and X^T q0, X d, K (X d) and X^T, and X^T E in
     n-space; G r0, G d and G (q0 + K E), and nothing in the Gram space.
     """
-    if not tol_sub > 0:
-        raise ValueError(f"tol_sub must be positive, got {tol_sub}")
     u = np.array(u0, dtype=np.float64)
     start = WarmStart.at(obj, u)
     origin = np.zeros_like(start.q0)

@@ -393,12 +393,8 @@ class TestPrecomputedGram:
             assert np.count_nonzero(r0[on_box]) > 0
 
     def test_wrong_length_rejected(self):
-        inst, beta, lam, z = self._case(0)
+        inst, beta, lam, _ = self._case(0)
         bad = np.zeros(inst.p + 1)
-        with pytest.raises(ValueError):
-            update_z(inst, lam, 1.0, bad)
-        with pytest.raises(ValueError):
-            update_lambda(inst, lam, z, 1.0, bad)
         with pytest.raises(ValueError):
             adm_module._criterion_terms(inst, beta, lam, bad, bad)
 

@@ -101,6 +101,13 @@ class TestGen:
     def test_sigma_zero_without_delta_is_usage_error(self, tmp_path):
         assert cli.main(_gen_args(tmp_path / "z", sigma=0.0)) == 1
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_sigma_is_usage_error_naming_it(self, tmp_path, capsys, sigma):
+        out = tmp_path / "z"
+        assert cli.main(_gen_args(out, sigma=sigma)) == 1
+        assert "sigma_noise must be nonnegative and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sigma_zero_with_delta_ok(self, tmp_path):
         out = tmp_path / "z"
         assert cli.main(_gen_args(out, sigma=0.0, extra=("--delta", "0.5"))) == 0
@@ -299,6 +306,22 @@ class TestSolve:
         assert message in capsys.readouterr().err
         assert not (out / "beta_tilde.mtx").exists()
 
+    @pytest.mark.parametrize("change", [-1, 1])
+    def test_truth_of_another_length_is_io_error_before_the_solve(
+        self, tmp_path, monkeypatch, capsys, change
+    ):
+        out = tmp_path / "inst"
+        assert cli.main(_gen_args(out)) == 0
+        truth = fileio.read_vector(out / "beta_true.mtx")
+        fileio.write_vector(out / "beta_true.mtx", np.resize(truth, truth.size + change))
+        monkeypatch.setattr(cli.adm, "solve", _hand_back_config)
+        before = sorted(path.name for path in out.iterdir())
+        assert cli.main(["solve", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{out / 'beta_true.mtx'} has {90 + change} entries" in err
+        assert "X.mtx has 90 columns" in err and "Traceback" not in err
+        assert sorted(path.name for path in out.iterdir()) == before
+
     @pytest.mark.parametrize("name", ["X.mtx", "y.mtx"])
     def test_malformed_matrix_market_file_is_io_error(self, tmp_path, capsys, name):
         out = tmp_path / "inst"
@@ -463,6 +486,8 @@ class TestBench:
             (["--size", "30,90,100"], "s must lie in [0, p]"),
             (["--sigma", "0"], "sigma_noise must be positive"),
             (["--sigma", "-0.05"], "sigma_noise must be nonnegative"),
+            (["--sigma", "inf"], "sigma_noise must be nonnegative and finite"),
+            (["--sigma", "nan"], "sigma_noise must be nonnegative and finite"),
             (["--seed", "-5"], "seed must be nonnegative"),
             (["--design", "ortho", "--size", "90,30,4"], "orthogonal_rows requires n <= p"),
             (["--mu", "0"], "mu must be positive"),

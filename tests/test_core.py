@@ -718,11 +718,6 @@ class TestSoftThresh:
     def test_zero_vector(self, gamma):
         assert np.array_equal(soft_thresh(np.zeros(4), gamma), np.zeros(4))
 
-    @pytest.mark.parametrize("gamma", [0.0, -1.0])
-    def test_nonpositive_gamma_rejected(self, gamma):
-        with pytest.raises(ValueError):
-            soft_thresh(np.ones(3), gamma)
-
     def test_matches_prox_oracle(self):
         rng = np.random.default_rng(5)
         v = rng.uniform(-4, 4, size=30)
@@ -761,14 +756,6 @@ class TestBoxClamp:
         assert np.array_equal(
             box_clamp(np.array([10.0, -10.0]), np.array([1.0, 2.0])), [1.0, -2.0]
         )
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            box_clamp(np.zeros(3), np.ones(4))
-
-    def test_nonpositive_bound_rejected(self):
-        with pytest.raises(ValueError):
-            box_clamp(np.zeros(2), np.array([1.0, 0.0]))
 
     def test_matches_projection_oracle(self):
         rng = np.random.default_rng(6)

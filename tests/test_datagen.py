@@ -37,6 +37,8 @@ class TestGenSpec:
             {"s": -1},
             {"s": 121},
             {"sigma_noise": -0.1},
+            {"sigma_noise": float("nan")},
+            {"sigma_noise": float("inf")},
             {"design_kind": "fourier"},
             {"design_kind": "orthogonal_rows", "n": 121, "p": 120, "s": 6},
         ],
