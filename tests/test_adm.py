@@ -1018,6 +1018,23 @@ class TestAdmConfig:
         with pytest.raises(ValueError):
             AdmConfig(**kwargs)
 
+    @pytest.mark.parametrize("mu", [2, np.float32(0.5), np.float64(1.25)])
+    def test_mu_is_held_as_a_float(self, mu):
+        # the loops and SubproblemObjective take mu as the config holds it
+        config = AdmConfig(mu=mu, tol=1e-3)
+        assert type(config.mu) is float and config.mu == float(mu)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        tol=st.floats(1e-12, 1.0),
+        iteration=st.integers(0, 3000),
+        metric=st.floats(0.0, 1e12),
+    )
+    def test_inner_tolerance_is_positive_and_finite(self, tol, iteration, metric):
+        # solve_subproblem takes tol_sub unchecked: the schedule must keep it in (0, inf)
+        tol_sub = AdmConfig(mu=1.0, tol=tol).inner_tolerance(iteration, metric)
+        assert 0.0 < tol_sub < math.inf
+
     def test_three_settings(self):
         # the inner solver's parameters are the paper's constants, not settings
         assert [f.name for f in fields(AdmConfig)] == ["mu", "tol", "max_outer_iter"]

@@ -366,6 +366,14 @@ class TestBBStep:
         g = np.array([1.0])  # ratio 4 > 1
         assert bb_step(s, g) == 1.0
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-6, 1e6))
+    def test_step_lies_in_the_range_search_direction_takes(self, seed, scale):
+        rng = np.random.default_rng(seed)
+        s = rng.standard_normal(5)
+        g = scale * rng.standard_normal(5)
+        assert ALPHA_LO <= bb_step(s, g) <= 1.0
+
     def test_zero_step_rejected(self):
         with pytest.raises(ValueError):
             bb_step(np.zeros(3), np.ones(3))
@@ -634,6 +642,27 @@ class TestSolveSubproblem:
         assert result.succeeded
         assert result.iterations <= 1
         assert np.allclose(result.u, u_star, atol=1e-10)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_helpers_get_what_the_loop_guarantees(self, monkeypatch, seed):
+        # search_direction and line_search take bar_alpha and delta unchecked
+        seen = {"bar_alpha": [], "delta": []}
+
+        def direction(u, bar_alpha, grad):
+            seen["bar_alpha"].append(bar_alpha)
+            return search_direction(u, bar_alpha, grad)
+
+        def search(start, state, d, delta, e, ke):
+            seen["delta"].append(delta)
+            return line_search(start, state, d, delta, e, ke)
+
+        monkeypatch.setattr(subsolver_module, "search_direction", direction)
+        monkeypatch.setattr(subsolver_module, "line_search", search)
+        obj = _objective(np.random.default_rng(150 + seed), n=20, p=50, mu=1.5)
+        result = solve_subproblem(obj, np.zeros(50), 1e-10)
+        assert result.iterations > 5 and seen["delta"]
+        assert all(0.0 < bar_alpha <= 1.0 for bar_alpha in seen["bar_alpha"])
+        assert all(delta < 0.0 for delta in seen["delta"])
 
     def test_identity_design_matches_separable_closed_form(self):
         rng = np.random.default_rng(13)
