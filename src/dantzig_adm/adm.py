@@ -61,17 +61,26 @@ that n x |W| block; and one fused pass over all of X checks the
 constraints off W and gives X^T X_W b_W and X^T X_W l_W for the next
 round's warm start.  The start's least-squares fits copy into the same
 buffer.  At (720, 2560, 80) the 30 acceptance rows (unit columns at
-sigma 0.05 and 0.01, orthogonal rows at sigma 0.05, seeds 0-9) took 3-7
-rounds and ended with 103-197 columns in W.  While |W| < n a round's inner
+sigma 0.05 and 0.01, orthogonal rows at sigma 0.05, seeds 0-9) took 2-6
+rounds and ended with 92-196 columns in W.  While |W| < n a round's inner
 solves run in the Gram space of its block, on the |W| x |W| matrix
-X_W^T X_W, formed once per round, and no n x n K is formed: none of their
-146 rounds formed one, nor any of 36 at (1440, 5120, 160), seeds 0-2.
-Each round restarts the inner tolerance schedule, so the outer iterations
-summed over the rounds exceed those of the loop on all of X (unit sigma
-0.05: 98.5 against 47.8 on average), but each costs products with about a
-twentieth of X; a whole solve took about a third of the time.  The column
-buffer holds at most p // 2 columns: W becomes all of X past that, and the
-round then runs on X itself.
+X_W^T X_W, and no n x n K is formed: none of their 125 rounds formed one,
+nor any of 36 at (1440, 5120, 160), seeds 0-2.  The first such round forms
+its G_W; each later one grows the last round's by the products with its new
+columns alone (:func:`~dantzig_adm.core.grown_kernel`).  The rounds carry
+on from each other: the inner tolerance schedule counts the outer
+iterations of the whole solve, so a round does not reopen the loose early
+inner solves, and only the running least metric, a metric on W, starts
+afresh with each round.  Over the rounds the outer iterations sum to more
+than the loop on all of X makes (unit sigma 0.05: 98.5 against 47.8 on
+average; sigma 0.01: 14.9, where rounds that restarted the schedule made
+29.6), but each costs products with about a twentieth of X; a whole solve
+took about a third of the time.  A round ends when its metric on W passes,
+when the cap is reached, or when the metric has not halved for
+STALL_ITERATIONS outer iterations: at a tol near rounding the metric on W
+can hover above tol while columns off W still violate, and the check then
+adds them.  The column buffer holds at most p // 2 columns: W becomes all
+of X past that, and the round then runs on X itself.
 
 The default start is not the paper's beta = 0 but a screened least-squares
 fit refined by hard-thresholding pursuit (:func:`screened_start`).  Round 0
@@ -109,7 +118,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ColumnBlock, DesignOperator, Instance, apply_gram, box_clamp, least_squares
+from .core import (ColumnBlock, DesignOperator, Instance, apply_gram, box_clamp, grown_kernel,
+                   least_squares)
 from .subsolver import SubproblemObjective, solve_subproblem
 
 STATUS_CONVERGED = "converged"
@@ -130,6 +140,12 @@ START_ROWS_PER_COLUMN = 9
 VIOLATION_FRACTION = 0.5
 GROW_MIN = 20
 GROW_SHARE = 4
+# A round on W ends, and is checked off W, once its stopping metric has not
+# halved for this many outer iterations (see solve).  At (720, 2560, 80),
+# seeds 0-9 and 100-129 with each design's tol rule, no round came near: the
+# longest such stretch was 303 outer iterations on orthogonal rows, 33 and 7
+# on unit rows at sigma 0.05 and 0.01.
+STALL_ITERATIONS = 500
 
 
 @dataclass
@@ -138,15 +154,18 @@ class AdmConfig:
 
     The inner solver's parameters are the paper's, fixed as constants of
     :mod:`~dantzig_adm.subsolver`.  The inner solve of outer iteration k
-    (counted from 0) runs to tol_sub_k = SUB_TOL_START * 2^-k while that
-    lies above the floor f * tol, f = SUB_TOL_FACTOR, and to
-    f * max(tol, m_k) after, where m_k is the least stopping metric of outer
-    iterations 0..k (see :meth:`inner_tolerance`).  The early inner solves,
-    whose answers the next outer steps move far, stop early; at tol = 1e-3
-    the halving ends at k = 7 (1.6e-4), and from k = 8 on tol_sub_k follows
-    the best outer residual so far down to the floor.  It never rises after
-    the switch, although at the switch itself it may lie above the last
-    halved value.  Neither shortcut works: the current metric in place of
+    (counted from 0 over all rounds of a solve) runs to
+    tol_sub_k = SUB_TOL_START * 2^-k while that lies above the floor
+    f * tol, f = SUB_TOL_FACTOR, and to f * max(tol, m_k) after, where m_k
+    is the least stopping metric of the round so far, its start included
+    (see :meth:`inner_tolerance`).  The early inner solves, whose answers
+    the next outer steps move far, stop early; at tol = 1e-3 the halving
+    ends at k = 7 (1.6e-4), and from k = 8 on tol_sub_k follows the best
+    outer residual so far down to the floor.  Within a round it never rises
+    after the switch, although at the switch itself it may lie above the
+    last halved value; m_k starts afresh at each round's start metric, so
+    tol_sub_k may rise when a round starts.  Neither
+    shortcut works: the current metric in place of
     m_k diverged on 9 of 10 orthogonal acceptance rows, and a metric rule
     from k = 0 stopped the first inner solve at sigma = 0.01 after 5
     iterations (see the module docstring).
@@ -170,10 +189,12 @@ class AdmConfig:
     def inner_tolerance(self, iteration: int, metric: float) -> float:
         """tol_sub_k, the inner solve's tolerance at outer iteration ``iteration`` (from 0).
 
-        ``metric`` is the least stopping metric of outer iterations 0..iteration,
-        which :func:`_adm` keeps; both count from the start of its round (0 is
-        the round's start).  It is SUB_TOL_START * 2^-k while that exceeds
-        SUB_TOL_FACTOR * tol, and SUB_TOL_FACTOR * max(tol, metric) after.
+        ``iteration`` counts the outer iterations of the whole solve, over
+        all its rounds (see :func:`solve`).  ``metric`` is the least stopping
+        metric so far of the round, which :func:`_adm` keeps from the round's
+        start: a metric on the round's columns W only.  It is
+        SUB_TOL_START * 2^-k while that exceeds SUB_TOL_FACTOR * tol, and
+        SUB_TOL_FACTOR * max(tol, metric) after.
         """
         halved = math.ldexp(SUB_TOL_START, -iteration)
         if halved > SUB_TOL_FACTOR * self.tol:
@@ -402,18 +423,23 @@ def solve(
     :func:`_adm` on the Dantzig selector of X[:, W] (its constraints on W
     only; :meth:`~dantzig_adm.core.Instance.restricted`) from the previous
     answer, with the caller's mu and tol and what is left of
-    ``max_outer_iter`` over all rounds.  Its answer (b_W, l_W), padded with
+    ``max_outer_iter`` over all rounds; its inner tolerance schedule goes on
+    from the outer iterations of the rounds before it, and its G_W is the
+    last round's grown by the new columns (see the module docstring).  A
+    round on W also ends when its metric has not halved for
+    STALL_ITERATIONS outer iterations.  Its answer (b_W, l_W), padded with
     zeros, is then checked off W: one fused pass over X gives X^T X_W b_W
     and X^T X_W l_W, and each column j off W has the excess ratio
     max(|x_j^T (X_W b_W - y)| / d_j - delta, |x_j^T X_W l_W| - 1), each term
     over the norm that scales it in the stopping test.  The gap and both
     norms involve W only, so the full problem's metric is the larger of the
-    round's last metric and the largest of these ratios.  Every j off W
-    whose ratio exceeds VIOLATION_FRACTION * tol is a violator; when there
-    is none and the round converged, the solve has converged.  Otherwise the
-    max(GROW_MIN, |W| // GROW_SHARE) largest violators join W, and W becomes
-    all columns once it would hold more than p // 2 of them; the round then
-    runs on X itself and needs no check.
+    round's last metric and the largest of these ratios.  When that is at
+    most tol (so the round converged), the solve has converged.  Otherwise
+    every j off W whose ratio exceeds VIOLATION_FRACTION * tol is a
+    violator, and the max(GROW_MIN, |W| // GROW_SHARE) largest violators
+    join W; W becomes all columns once it would hold more than p // 2 of
+    them, and the round then runs on X itself and needs no check.  A round
+    that stalled with no violator runs again on the same W.
 
     ``stopping_metric_history`` holds the start's metric, then each round's
     metrics after its outer iterations, and after a round on W its last
@@ -430,10 +456,9 @@ def solve(
     metric there (on W only), and ``columns`` is W, or None when the round
     runs on all columns.
 
-    A round that stops at the cap returns max_iter, as does a converged round
-    whose check finds violators when no outer iteration is left, unless the
-    full problem's metric is at most tol; so status converged means that
-    the last entry of the history is at most tol.  A round with non-finite
+    When no outer iteration is left and the full problem's metric is above
+    tol, the solve returns max_iter; so status converged means that the
+    last entry of the history is at most tol.  A round with non-finite
     values returns numerical_failure.  Each returns the padded answer of
     that round.  The products go through one
     DesignOperator of X, and each round's through one of X[:, W], built here
@@ -450,29 +475,37 @@ def solve(
     elif not columns.size:
         columns = _grow(columns, _excess(inst, beta, lam, gram_beta, gram_lam), config.tol, p)
 
+    last = None  # the last round's W and operator
     while columns is not None:
         whole = columns.size == p
         sub = inst if whole else inst.restricted(columns, block)
         sub_design = design if whole else DesignOperator(sub.X)
+        # W only grows, so a round in the Gram space follows one in it too:
+        # grow that round's G_W, when it formed one
+        if sub_design.gram_space and last is not None and "kernel" in vars(last[1]):
+            old = np.searchsorted(columns, last[0])
+            sub_design.kernel = grown_kernel(sub.X.T, last[1].kernel, old)
+        last = None  # the last G_W is not kept through this round
         start = (v[columns] for v in (beta, lam, gram_beta, gram_lam))
         record = callback if callback is None or whole else _padded(callback, columns, p)
-        b, lam_w, metric = _adm(sub, config, sub_design, *start, report, record)
+        patience = math.inf if whole else STALL_ITERATIONS
+        b, lam_w, metric = _adm(sub, config, sub_design, *start, report, record, patience)
         report.working_columns = columns.size
         beta, lam = _expand(b, columns, p), _expand(lam_w, columns, p)
         if whole:
             break
+        last = columns, sub_design
         # X^T X_W b_W and X^T X_W l_W on all columns, for the check and the next round
         gram_beta, gram_lam = design.rmatvec_pair(sub_design.matvec(b), sub_design.matvec(lam_w))
         excess = _excess(inst, beta, lam, gram_beta, gram_lam)
         excess[columns] = -np.inf
-        report.stopping_metric_history[-1] = max(metric, excess.max())
-        if report.status != STATUS_CONVERGED:
+        report.stopping_metric_history[-1] = full = max(metric, excess.max())
+        if report.status == STATUS_NUMERICAL_FAILURE or full <= config.tol:
+            break
+        if report.outer_iterations == config.max_outer_iter:
+            report.status = STATUS_MAX_ITER
             break
         columns = _grow(columns, excess, config.tol, p)
-        if columns is not None and report.outer_iterations == config.max_outer_iter:
-            passed = report.stopping_metric_history[-1] <= config.tol
-            report.status = STATUS_CONVERGED if passed else STATUS_MAX_ITER
-            break
 
     report.wall_time = time.perf_counter() - t_start
     return beta, lam, report
@@ -540,8 +573,8 @@ def _excess(
     return np.maximum(primal, dual)
 
 
-def _grow(columns: np.ndarray, excess: np.ndarray, tol: float, p: int) -> np.ndarray | None:
-    """W with its largest violators added, sorted; None when no column violates.
+def _grow(columns: np.ndarray, excess: np.ndarray, tol: float, p: int) -> np.ndarray:
+    """W with its largest violators added, sorted; W itself when no column violates.
 
     ``excess`` is -inf on W.  A violator's excess exceeds VIOLATION_FRACTION
     * tol; max(GROW_MIN, |W| // GROW_SHARE) of them join, the largest first
@@ -549,7 +582,7 @@ def _grow(columns: np.ndarray, excess: np.ndarray, tol: float, p: int) -> np.nda
     """
     violators = np.flatnonzero(excess > VIOLATION_FRACTION * tol)
     if not violators.size:
-        return None
+        return columns
     count = max(GROW_MIN, columns.size // GROW_SHARE)
     chosen = violators[np.argsort(-excess[violators], kind="stable")[:count]]
     # W and the violators are disjoint, so sorting their concatenation unites
@@ -593,6 +626,7 @@ def _adm(
     gram_lam: np.ndarray,
     report: RunReport,
     callback=None,
+    patience: float = math.inf,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Run the alternating direction method on ``inst`` from (beta, lam), into ``report``.
 
@@ -601,17 +635,21 @@ def _adm(
     (:class:`RunReport`): the run counts one round there, records each outer
     iteration after it ends, and sets the status.  Per iteration: closed-form
     z update, inner solve for beta warm-started at the previous beta and
-    stopped at the iteration's tol_sub (see :class:`AdmConfig`; k counts
-    this run's iterations, and the least stopping metric so far includes the
-    start's), multiplier step, then the stopping test.  Its metric is the
-    max of the ratios of :func:`_stopping_ratios`: the relative duality gap
+    stopped at the iteration's tol_sub (see :class:`AdmConfig`; k is
+    ``report.outer_iterations``, which counts the iterations of every round
+    of the solve, and the least stopping metric so far is this run's, the
+    start's included), multiplier step, then the stopping test.  Its metric
+    is the max of the ratios of :func:`_stopping_ratios`: the relative duality gap
     | ||beta||_1 - d(lambda) | / max(||beta||_1, 1) and the primal and dual
     excesses of :func:`_criterion_terms` over max(||beta||_2, 1) and
     max(||lambda||_2, 1).  The two excess ratios may be negative; the gap is
     not, so neither is the metric.  The dual objective d is used as-is even
     when lambda is dual-infeasible.  The run stops with status converged
     once the metric, at the start too, is at most tol, and with max_iter
-    when ``report.outer_iterations`` reaches max_outer_iter.  X^T X beta and
+    when ``report.outer_iterations`` reaches max_outer_iter or when
+    ``patience`` outer iterations in a row leave the metric above half of
+    its value when it last halved (first, the start's): a stalled run, which
+    :func:`solve` tells from the cap by the count.  X^T X beta and
     X^T X lambda come from the inner solver's residual and gradient (see the
     module docstring for the identities and the cost per iteration).  A
     subsolver that misses its tolerance contributes its best iterate and is
@@ -621,15 +659,18 @@ def _adm(
     per recorded iteration, numbered by ``report.outer_iterations``, with
     ``columns`` None.  Returns (beta, lambda, the last metric computed).
     """
-    first = report.outer_iterations
     terms = _criterion_terms(inst, beta, lam, gram_beta, gram_lam)
     metric = best_metric = max(_stopping_ratios(beta, lam, terms))
+    # outer iterations since the metric fell below half of level, its value when it
+    # last did so (the start's at first): the round stalls at patience of them
+    stalled, level = 0, metric
     report.rounds += 1
-    while metric > config.tol and report.outer_iterations < config.max_outer_iter:
+    while (metric > config.tol and report.outer_iterations < config.max_outer_iter
+           and stalled < patience):
         lam_prev = lam
         z = update_z(inst, lam, config.mu, gram_beta)
         objective = SubproblemObjective(inst, z, lam, config.mu, gram_u0=gram_beta, design=design)
-        tol_sub = config.inner_tolerance(report.outer_iterations - first, best_metric)
+        tol_sub = config.inner_tolerance(report.outer_iterations, best_metric)
         result = solve_subproblem(objective, beta, tol_sub)
         report.inner_tolerance_history.append(tol_sub)
         report.inner_iteration_history.append(result.iterations)
@@ -648,6 +689,7 @@ def _adm(
             return beta, lam, metric
         terms = _criterion_terms(inst, beta, lam, gram_beta, gram_lam)
         metric = max(_stopping_ratios(beta, lam, terms))
+        stalled, level = (0, metric) if metric < level / 2 else (stalled + 1, level)
         best_metric = min(best_metric, metric)
         report.stopping_metric_history.append(metric)
         report.dual_objective_history.append(terms[3])

@@ -527,6 +527,38 @@ def _kernel(A: np.ndarray) -> np.ndarray:
     return K.T if K.flags.f_contiguous else K
 
 
+def grown_kernel(A: np.ndarray, kernel: np.ndarray, old: np.ndarray) -> np.ndarray:
+    """A A^T, exactly symmetric and row-major, from ``kernel`` = A[old] A[old]^T.
+
+    ``old`` holds the rows of A that ``kernel`` covers, ascending; only the
+    products with the other rows are made.  A round of :func:`~dantzig_adm.adm.solve`
+    grows its block's G = X_W^T X_W (A = X_W^T) from the last round's: with
+    k columns added to W, that is k |W| n multiply-adds against about
+    |W|^2 n / 2 for :func:`_kernel`.  The new rows are copied 64 at a time
+    into a scratch B, and each block's G[:, new] = A B^T is written by the
+    product into one m x 64 array kept for the call, a product of the width
+    of :func:`_kernel`'s blocks, so OpenBLAS's packing buffer stays as
+    small; new rows lie between old ones, so G[:, new] is no view to write
+    into.  The block's square on its own rows keeps its lower triangle, and
+    the block is copied into G's columns and, transposed, its rows; a later
+    block overwrites the entries it shares with an earlier one on both
+    sides, so G stays exactly symmetric.
+    """
+    m = A.shape[0]
+    new = np.flatnonzero(np.isin(np.arange(m), old, invert=True))
+    G = np.empty((m, m))
+    G[np.ix_(old, old)] = kernel
+    rows, cols = np.empty((min(64, new.size), A.shape[1])), np.empty((m, min(64, new.size)))
+    for start in range(0, new.size, 64):
+        chunk = new[start : start + 64]
+        B, block = rows[: chunk.size], cols[:, : chunk.size]
+        np.matmul(A, np.take(A, chunk, axis=0, out=B, mode="clip").T, out=block)
+        block[chunk] = np.tril(block[chunk]) + np.tril(block[chunk], -1).T
+        G[:, chunk] = block
+        G[chunk] = block.T
+    return G
+
+
 def apply_gram(inst: Instance, v: np.ndarray) -> np.ndarray:
     """Apply the Gram operator v -> X^T (X v) as two matrix-vector products.
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import dantzig_adm.adm as adm_module
 import dantzig_adm.core as core_module
+import dantzig_adm.subsolver as subsolver_module
 from dantzig_adm.adm import (
     START_ROWS_PER_COLUMN,
     SUB_TOL_FACTOR,
@@ -832,29 +833,46 @@ class TestColumnGeneration:
 
     @staticmethod
     def _record_rounds(monkeypatch):
-        """Per round: (columns of the round's X, the shape of the kernel it formed
-        or None, the kernels formed while it ran, outer iterations)."""
-        rounds, formed = [], []
-        original, kernel = adm_module._adm, core_module._kernel
+        """Per round: (columns of the round's X, the shape of the kernel it holds
+        or None, the kernels formed afresh and grown for it, outer iterations).
+
+        A grown G_W is made before the round starts, so the growth that
+        precedes a round's run counts toward that round."""
+        rounds, formed, grown = [], [], []
+        original, kernel, grow = adm_module._adm, core_module._kernel, adm_module.grown_kernel
 
         def recording(inst, config, design, beta, lam, gram_beta, gram_lam, report, *args):
             before, done = len(formed), report.outer_iterations
             result = original(inst, config, design, beta, lam, gram_beta, gram_lam, report, *args)
             held = design.__dict__.get("kernel")
             rounds.append((inst.p, None if held is None else held.shape, len(formed) - before,
+                           len(grown) - sum(r[3] for r in rounds),
                            report.outer_iterations - done))
             return result
 
         monkeypatch.setattr(adm_module, "_adm", recording)
         monkeypatch.setattr(core_module, "_kernel", lambda A: formed.append(A.shape) or kernel(A))
+        monkeypatch.setattr(adm_module, "grown_kernel",
+                            lambda A, *args: grown.append(A.shape) or grow(A, *args))
         return rounds
 
     @staticmethod
     def _each_round_forms_one_kernel(inst, rounds):
-        """A round that iterates forms its kernel once: G while |W| < n, else K."""
-        for p, shape, formed, outer in rounds:
+        """A round that iterates holds one kernel: G while |W| < n, else K.
+
+        The first round with |W| < n forms its G afresh; each later round
+        grows the G of the round before it (W only grows, so that round ran
+        in the Gram space too), when that round formed one.  K, of a round
+        with |W| >= n, is formed afresh and never grown."""
+        previous = None  # the kernel shape the last round held
+        for p, shape, formed, grown, outer in rounds:
             side = min(p, inst.n)
-            assert (shape, formed) == (((side, side), 1) if outer else (None, 0))
+            grows = p < inst.n and previous is not None
+            if grows:
+                assert (shape, formed, grown) == ((side, side), 0, 1)
+            else:
+                assert (shape, formed, grown) == (((side, side), 1, 0) if outer else (None, 0, 0))
+            previous = shape
 
     @pytest.mark.parametrize("seed", [2, 3])
     def test_each_round_forms_its_gram_matrix_once(self, monkeypatch, seed):
@@ -866,6 +884,10 @@ class TestColumnGeneration:
         assert report.rounds == len(rounds) >= 2
         assert any(p < inst.n and outer for p, *_, outer in rounds)
         self._each_round_forms_one_kernel(inst, rounds)
+        # the rounds after the first grow their G while |W| < n
+        assert [grown for *_, grown, _ in rounds] == [
+            int(k > 0 and p < inst.n) for k, (p, *_) in enumerate(rounds)]
+        assert rounds[1][3] == 1
 
     @pytest.mark.parametrize("seed", range(3))
     def test_rounds_form_k_once_w_reaches_n(self, monkeypatch, seed):
@@ -891,6 +913,8 @@ class TestColumnGeneration:
         self._each_round_forms_one_kernel(inst, rounds)
         iterating = [p for p, *_, outer in rounds if outer]
         assert min(iterating) < inst.n <= max(iterating)
+        # a G was grown below n, and no K past it
+        assert any(grown for p, *_, grown, _ in rounds if p < inst.n)
         # one buffer for the start's fits and every round, never n x p
         assert max(capacity) <= 2 * report.working_columns < inst.p
 
@@ -932,32 +956,72 @@ class TestColumnGeneration:
         assert len(report.dual_objective_history) == report.outer_iterations + 1
         assert len(report.inner_iteration_history) == report.outer_iterations == len(records)
         assert [rec.iteration for rec in records] == list(range(1, len(records) + 1))
-        # each round's schedule starts afresh at SUB_TOL_START, with the round's W
         starts = [k for k, rec in enumerate(records)
                   if k == 0 or not np.array_equal(rec.columns, records[k - 1].columns)]
         assert len(starts) == report.rounds
-        assert [report.inner_tolerance_history[k] for k in starts] == [SUB_TOL_START] * len(starts)
+        # one schedule per solve: only the first round opens at SUB_TOL_START,
+        # and the halving counts the outer iterations of every round
+        tolerances = report.inner_tolerance_history
+        opening = [tolerances[k] == SUB_TOL_START for k in starts]
+        assert opening == [True] + [False] * (len(starts) - 1)
+        halving = [k for k in range(len(tolerances)) if SUB_TOL_START * 2.0**-k > 0.1 * self.TOL]
+        assert any(k in halving for k in starts[1:])
+        assert [tolerances[k] for k in halving] == [SUB_TOL_START * 2.0**-k for k in halving]
         assert records[-1].columns.size == report.working_columns
 
     def test_a_round_converged_at_its_start_replaces_the_last_entry(self):
-        # seed 18: the rounds make 6, 15 and 0 outer iterations.  The third
-        # round's W passes the test at its start; its metric with the check's
-        # excess replaces the second round's last entry
+        # seed 18: the second round converges on W, and its check finds
+        # columns off W whose ratios exceed VIOLATION_FRACTION * tol but not
+        # tol.  The answer passes on the full problem, so the solve ends after
+        # 2 rounds rather than run a third that would start converged, and
+        # the full metric replaces the second round's last entry
         inst, _ = make_instance(GenSpec(n=48, p=200, s=6, sigma_noise=0.05, seed=18))
         records = []
         config = AdmConfig(mu=mu_rule("unit_columns", inst.p, inst.delta), tol=self.TOL)
         beta, lam, report = solve(inst, config, callback=records.append)
-        assert report.status == "converged" and report.rounds == 3
+        assert report.status == "converged" and report.rounds == 2
         iterating = [records[0].columns.size]
         iterating += [rec.columns.size for prev, rec in zip(records, records[1:])
                       if not np.array_equal(rec.columns, prev.columns)]
-        assert len(iterating) == 2 and iterating[-1] < report.working_columns
+        assert len(iterating) == 2 and iterating[-1] == report.working_columns
+        excess = adm_module._excess(inst, beta, lam, apply_gram(inst, beta), apply_gram(inst, lam))
+        excess[records[-1].columns] = -np.inf
+        assert adm_module.VIOLATION_FRACTION * self.TOL < excess.max() <= self.TOL
+        assert report.stopping_metric_history[-1] == pytest.approx(excess.max(), rel=1e-9)
+        assert excess.max() > records[-1].metric
         assert len(report.stopping_metric_history) == report.outer_iterations + 1
         assert len(report.dual_objective_history) == report.outer_iterations + 1
         certificate = feasibility_report(inst, beta, lam)
         worst = max(certificate.primal_ratio, certificate.dual_ratio, certificate.gap_ratio)
         assert report.stopping_metric_history[-1] <= self.TOL
         assert report.stopping_metric_history[-1] == pytest.approx(worst, rel=1e-9)
+
+    def test_no_round_starts_converged(self, monkeypatch):
+        # a converged round whose answer passes on the full problem ends the
+        # solve, so every round that runs has work to do
+        for seed in range(20):
+            inst, _ = make_instance(GenSpec(n=48, p=200, s=6, sigma_noise=0.05, seed=seed))
+            with monkeypatch.context() as patched:
+                rounds = self._record_rounds(patched)
+                beta, lam, report = self._solve(inst)
+            self._certified(inst, beta, lam, report)
+            assert report.rounds == len(rounds)
+            assert all(outer > 0 for *_, outer in rounds), seed
+
+    def test_a_stalled_round_is_checked_off_w(self):
+        # at tol = 1e-9 from the zero start the first round's metric on its 20
+        # columns stops falling near 1e-7, while the full problem's is 0.15:
+        # the round ends once its metric has not halved for STALL_ITERATIONS
+        # outer iterations, and the columns off W join
+        inst, _ = make_instance(GenSpec(n=48, p=200, s=5, sigma_noise=0.05, seed=2))
+        config = AdmConfig(mu=mu_rule("unit_columns", inst.p, inst.delta), tol=1e-9)
+        records = []
+        _, _, report = solve(inst, config, beta0=np.zeros(inst.p), callback=records.append)
+        assert report.rounds >= 2
+        first = next(k for k, rec in enumerate(records)
+                     if not np.array_equal(rec.columns, records[0].columns))
+        assert adm_module.STALL_ITERATIONS <= first < config.max_outer_iter
+        assert report.stopping_metric_history[-1] < 1e-6
 
     def test_growing_w_imports_no_numpy_ma(self):
         # np.union1d imports numpy.ma on its first call (numpy 2.4); _grow
@@ -1495,16 +1559,25 @@ class TestSolve:
             solve(inst, AdmConfig(mu=1.0, tol=1e-4), **{name: start})
 
     @pytest.mark.parametrize("beta0", [None, "zero"])
-    def test_a_step_lost_to_rounding_ends_the_inner_solve(self, beta0):
-        # at tol = 1e-9 an inner solve of outer iteration 7835 accepted
-        # alpha = 2^-40 along a direction of norm about 1e-7, and u + alpha d
-        # equalled u: the solve ended stationary there instead of raising in
-        # bb_step, and the outer loop ran on to its cap
-        inst, _ = make_instance(GenSpec(n=48, p=200, s=5, sigma_noise=0.05, seed=2))
+    def test_a_step_lost_to_rounding_ends_the_inner_solve(self, monkeypatch, beta0):
+        # at tol = 1e-9 an inner solve accepts a step of alpha about 2^-40
+        # along a direction of norm about 1e-7, and u + alpha d equals u: the
+        # inner solve ends stationary there instead of raising in bb_step, and
+        # the outer loop runs on, to convergence at seed 6 from both starts
+        inst, _ = make_instance(GenSpec(n=48, p=200, s=5, sigma_noise=0.05, seed=6))
         config = AdmConfig(mu=mu_rule("unit_columns", inst.p, inst.delta), tol=1e-9)
+        lost, search = [], subsolver_module.line_search
+
+        def recording(start, state, *args):
+            alpha, trial = search(start, state, *args)
+            lost.append(np.array_equal(trial.u, state.u))
+            return alpha, trial
+
+        monkeypatch.setattr(subsolver_module, "line_search", recording)
         start = None if beta0 is None else np.zeros(inst.p)
         _, _, report = solve(inst, config, beta0=start)
-        assert report.status == "max_iter" and report.outer_iterations == 10000
+        assert any(lost)
+        assert report.status == "converged" and report.stopping_metric_history[-1] <= 1e-9
 
     def test_histories_and_counters_line_up(self):
         rng = np.random.default_rng(24)

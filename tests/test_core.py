@@ -19,6 +19,7 @@ from dantzig_adm.core import (
     Instance,
     apply_gram,
     box_clamp,
+    grown_kernel,
     soft_thresh,
 )
 from dantzig_adm.datagen import GenSpec, make_instance
@@ -492,6 +493,43 @@ class TestSymmetricKernelProduct:
         )
         assert run.returncode == 0, run.stderr
         assert run.stdout.split() == ["1", "False"]  # K was formed, without scipy.linalg
+
+
+class TestGrownKernel:
+    """A grown G_W against the G_W that core._kernel forms afresh."""
+
+    @staticmethod
+    def _check(X, old_columns, columns):
+        A = np.ascontiguousarray(X[:, columns].T)
+        kernel = core_module._kernel(np.ascontiguousarray(X[:, old_columns].T))
+        G = grown_kernel(A, kernel, np.searchsorted(columns, old_columns))
+        expected = core_module._kernel(A)
+        assert np.abs(G - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert np.array_equal(G, G.T) and G.flags.c_contiguous
+        # the products with the old columns are not made again
+        old = np.searchsorted(columns, old_columns)
+        assert np.array_equal(G[np.ix_(old, old)], kernel)
+
+    @pytest.mark.parametrize("added", [1, 20, 64, 65, 150])
+    def test_new_columns_between_old_ones(self, added):
+        # W is sorted, so the new columns fall between the old ones; more
+        # than 64 of them take several blocks
+        rng = np.random.default_rng(added)
+        X = rng.standard_normal((90, 400))
+        columns = np.sort(rng.choice(400, 60 + added, replace=False))
+        old_columns = np.sort(rng.choice(columns, 60, replace=False))
+        self._check(X, old_columns, columns)
+
+    def test_no_new_column_copies_the_kernel(self):
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((50, 80))
+        columns = np.sort(rng.choice(80, 30, replace=False))
+        self._check(X, columns, columns)
+
+    def test_from_no_old_column_forms_it_all(self):
+        rng = np.random.default_rng(4)
+        X = rng.standard_normal((50, 200))
+        self._check(X, np.array([], dtype=np.intp), np.arange(0, 200, 2))
 
 
 class TestStorageOrder:
