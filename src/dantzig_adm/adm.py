@@ -34,8 +34,10 @@ c = X^T y + z - lambda/mu, the inner solver returns beta together with the
 residual r = G beta - c and the gradient g = mu G r it already holds.  So
 G beta = r + c, the multiplier step lambda + mu (G beta - X^T y - z) equals
 mu r, and X^T X lambda_next = g.  G beta serves the multiplier step, the
-primal stopping term, the next z update and the next inner warm start; g
-serves the dual stopping term; and the dual objective uses the cached X^T y.
+primal stopping term and the next z update, which clamps
+w = G beta - X^T y + lambda/mu to z and hands the next inner solve its
+residual r0 = w - z at the warm start beta (:func:`update_z`); g serves the
+dual stopping term; and the dual objective uses the cached X^T y.
 
 The z clamp, the multiplier step and the stopping test therefore make no
 product with X.  An outer iteration costs what its inner solve costs (see
@@ -329,13 +331,21 @@ def _screened_start(
     return beta, inst.xty - xtr, refits
 
 
-def update_z(inst: Instance, lam: np.ndarray, mu: float, gram_beta: np.ndarray) -> np.ndarray:
-    """Exact minimizer of the augmented Lagrangian over the box ||D^-1 z||_inf <= delta.
+def update_z(
+    inst: Instance, lam: np.ndarray, mu: float, gram_beta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(z, r0): the exact minimizer z of the augmented Lagrangian over the box
+    ||D^-1 z||_inf <= delta, and the next inner problem's residual at beta.
 
-    ``gram_beta`` is X^T X beta at the current beta.
+    ``gram_beta`` is X^T X beta at the current beta.  z clamps
+    w = X^T X beta - X^T y + lambda/mu to the box, and r0 = w - z is
+    X^T X beta - c with c = X^T y + z - lambda/mu, the residual of the inner
+    problem warm-started at beta; it is exactly 0 wherever the clamp left
+    z = w.
     """
     w = gram_beta - inst.xty + lam / mu
-    return box_clamp(w, inst.delta * inst.d)
+    z = box_clamp(w, inst.delta * inst.d)
+    return z, w - z
 
 
 def _criterion_terms(
@@ -668,8 +678,8 @@ def _adm(
     while (metric > config.tol and report.outer_iterations < config.max_outer_iter
            and stalled < patience):
         lam_prev = lam
-        z = update_z(inst, lam, config.mu, gram_beta)
-        objective = SubproblemObjective(inst, z, lam, config.mu, gram_u0=gram_beta, design=design)
+        z, r0 = update_z(inst, lam, config.mu, gram_beta)
+        objective = SubproblemObjective(inst, z, lam, config.mu, r0, design)
         tol_sub = config.inner_tolerance(report.outer_iterations, best_metric)
         result = solve_subproblem(objective, beta, tol_sub)
         report.inner_tolerance_history.append(tol_sub)

@@ -315,7 +315,7 @@ def _pool(workers: int):
 
 def _resolve_workers(requested: int, reps: int) -> int:
     cap = os.environ.get(WORKERS_ENV)
-    workers = max(1, requested)
+    workers = requested
     if cap is not None:
         try:
             workers = min(workers, max(1, int(cap)))
@@ -344,9 +344,10 @@ def _parse_sizes(args) -> list[tuple[int, int, int]]:
 def _cmd_bench(args) -> int:
     design = _DESIGNS[args.design]
     sizes = _parse_sizes(args)
-    if args.reps < 1:
-        _err(f"--reps must be positive, got {args.reps}")
-        return EXIT_USAGE
+    for flag, value in (("--reps", args.reps), ("--workers", args.workers)):
+        if value < 1:
+            _err(f"{flag} must be positive, got {value}")
+            return EXIT_USAGE
     grid = []  # every size's tasks before any solve: what a worker would reject is a usage error
     for n, p, s in sizes:
         specs = [
@@ -411,6 +412,7 @@ def _cmd_figure_data(args) -> int:
     if args.out is None:
         sys.stdout.write(text)
     else:
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         Path(args.out).write_text(text)
     return EXIT_OK
 

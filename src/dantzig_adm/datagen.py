@@ -69,20 +69,18 @@ def _stream(seed: int, name: str) -> np.random.Generator:
 
 
 def _orthonormal_rows(g: np.ndarray) -> np.ndarray:
-    """Column-major orthonormal basis of the row space of g; raise if numerically rank-deficient.
+    """Column-major n x p matrix of orthonormal rows: Q^T from the QR of g^T.
 
-    The QR runs on one BLAS thread: its blocking follows the thread count,
-    and with two threads the bytes of the basis differed from those of one
-    (at 200 x 1000, seeds 0 and 3).  So a seed gives one X in every process,
-    a worker of ``bench`` with its one thread as well as its parent.
+    Q has orthonormal columns whatever the rank of g, so X X^T = I holds for
+    every draw.  The QR runs on one BLAS thread: its blocking follows the
+    thread count, and with two threads the bytes of the basis differed from
+    those of one (at 200 x 1000, seeds 0 and 3).  So a seed gives one X in
+    every process, a worker of ``bench`` with its one thread as well as its
+    parent.
     """
-    n = g.shape[0]
     with one_blas_thread():
-        q, r = np.linalg.qr(g.T)
-    diag = np.abs(np.diag(r))
-    if diag.min() <= diag.max() * g.size * np.finfo(np.float64).eps:
-        raise np.linalg.LinAlgError("row space is numerically rank-deficient")
-    return np.asfortranarray(q.T[:n])
+        q, _ = np.linalg.qr(g.T)
+    return np.asfortranarray(q.T)
 
 
 def _unit_columns(rng: np.random.Generator, n: int, p: int) -> np.ndarray:
@@ -105,10 +103,7 @@ def _unit_columns(rng: np.random.Generator, n: int, p: int) -> np.ndarray:
             X[start : start + ROW_TILE] = block
             yield block
 
-    norms = np.sqrt(column_sums_of_squares(blocks(), p))
-    if np.any(norms == 0):
-        raise np.linalg.LinAlgError("drew a zero column (probability-zero event)")
-    X /= norms
+    X /= np.sqrt(column_sums_of_squares(blocks(), p))
     return X
 
 
@@ -121,17 +116,7 @@ def gen_design(spec: GenSpec) -> np.ndarray:
     rng = _stream(spec.seed, "design")
     if spec.design_kind == "unit_columns":
         return _unit_columns(rng, spec.n, spec.p)
-    # orthogonal_rows: retry on (probability ~0) rank deficiency, then give up
-    last_error = None
-    for _ in range(4):
-        g = rng.standard_normal((spec.n, spec.p))
-        try:
-            return _orthonormal_rows(g)
-        except np.linalg.LinAlgError as exc:
-            last_error = exc
-    raise np.linalg.LinAlgError(
-        f"could not draw a full-rank {spec.n} x {spec.p} row basis in 4 attempts"
-    ) from last_error
+    return _orthonormal_rows(rng.standard_normal((spec.n, spec.p)))
 
 
 def gen_signal(spec: GenSpec) -> GroundTruth:

@@ -12,7 +12,9 @@ Barzilai-Borwein update.
 The iteration runs in the space of X's smaller side, which the design
 operator picks (:class:`~dantzig_adm.core.DesignOperator`); the loop is the
 same in both.  Let r(u) = X^T X u - c be the residual, r0 = r(u0) at the
-warm start u0, and G = X^T X.
+warm start u0, and G = X^T X.  The outer loop's z update forms r0 and
+hands it over with the problem (:class:`SubproblemObjective`), so an inner
+solve makes no Gram product for it.
 
 In n-space (n <= p), with the n x n kernel K = X X^T, q0 = X r0 and the
 shift E = X (u - u0) of the iterate,
@@ -56,6 +58,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -82,90 +85,52 @@ class LineSearchError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class SubproblemObjective:
-    """Smooth part of one inner problem, with (z, lambda, mu) frozen.
+    """One inner problem, with (z, lambda, mu) frozen, seen from its warm start u0.
 
     Stores the constant c = X^T y + z - lambda/mu so that
-    f(u) = (mu/2) ||gram(u) - c||^2.  ``gram_u0`` optionally carries
-    X^T X u0 for the warm start u0 later handed to :func:`solve_subproblem`,
-    so the start-up residual costs no Gram product.  ``design`` makes the
-    inner solver's products; pass one to share its kernel across the inner
-    problems of a solve, else a new one is made for X.  z, lambda and
-    ``gram_u0`` are float64 vectors of length p and mu is positive, as the
-    outer loop hands them; none is checked here.
+    f(u) = (mu/2) ||gram(u) - c||^2, and takes r0 = r(u0) = gram(u0) - c at
+    the warm start u0 later handed to :func:`solve_subproblem`: the outer
+    loop's z update forms it (:func:`~dantzig_adm.adm.update_z`), so the
+    inner solve makes no Gram product for it.  ``design`` makes the inner
+    solver's products; the outer loop shares one across the inner problems
+    of a solve, so its kernel is formed once.  q0 (X r0 in n-space, r0 in
+    the Gram space) is formed on first use.  z, lambda and r0 are float64
+    vectors of length p and mu is positive, as the outer loop hands them;
+    none is checked here.
     """
 
     inst: Instance
     z_fixed: np.ndarray
     lambda_fixed: np.ndarray
     mu: float
-    gram_u0: np.ndarray | None = field(default=None, repr=False)
-    design: DesignOperator | None = field(default=None, repr=False)
+    r0: np.ndarray = field(repr=False)
+    design: DesignOperator = field(repr=False)
     c: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "c", self.inst.xty + self.z_fixed - self.lambda_fixed / self.mu)
-        if self.design is None:
-            object.__setattr__(self, "design", DesignOperator(self.inst.X))
+
+    @cached_property
+    def q0(self) -> np.ndarray:
+        """X r0 in n-space (the operator's support-restricted product), r0 in the Gram space."""
+        return self.design.start_product(self.r0)
+
+    def gradient(self, kshift: np.ndarray) -> np.ndarray:
+        """grad f(u) = mu X^T (q0 + K E), or mu G (q0 + K E); one product."""
+        return self.mu * self.design.gradient_product(self.q0 + kshift)
 
     def residual(self, u: np.ndarray) -> np.ndarray:
-        """gram(u) - c; one apply_gram call."""
+        """gram(u) - c formed afresh, one apply_gram call: the solver carries r(u) instead."""
         return apply_gram(self.inst, u) - self.c
 
 
 @dataclass(frozen=True, eq=False)
-class WarmStart:
-    """One inner problem seen from its warm start u0, in its design operator's space.
+class Point:
+    """An iterate with its shift E, K E, smooth value f(u) and penalized value f(u) + ||u||_1.
 
-    Holds r0 = r(u0) and q0 (X r0 in n-space, r0 in the Gram space).  An
-    iterate u is then known by its shift E and by K E (see the module
-    docstring for both spaces).  The products are the operator's.
+    E is X (u - u0), or G (u - u0) in the Gram space (see the module
+    docstring for both spaces).
     """
-
-    obj: SubproblemObjective
-    r0: np.ndarray
-    q0: np.ndarray
-
-    @classmethod
-    def at(cls, obj: SubproblemObjective, u0: np.ndarray) -> "WarmStart":
-        """Costs X r0 in n-space and nothing in the Gram space, plus one Gram product.
-
-        The Gram product forms r0 and is saved when ``obj.gram_u0`` is set.
-        From ``gram_u0``, r0 = (gram_u0 - X^T y + lambda/mu) - z: the z
-        update's w less z, so r0 is exactly 0 wherever that update's clamp
-        left z = w.
-        """
-        if obj.gram_u0 is None:
-            r0 = obj.residual(u0)
-        else:
-            r0 = (obj.gram_u0 - obj.inst.xty + obj.lambda_fixed / obj.mu) - obj.z_fixed
-        return cls(obj, r0, obj.design.start_product(r0))
-
-    def gradient(self, kshift: np.ndarray) -> np.ndarray:
-        """grad f(u) = mu X^T (q0 + K E), or mu G (q0 + K E); one product."""
-        return self.obj.mu * self.obj.design.gradient_product(self.q0 + kshift)
-
-    def residual(self, shift: np.ndarray) -> np.ndarray:
-        """r(u) = r0 + X^T E (one product), or r0 + E in the Gram space."""
-        return self.r0 + self.obj.design.residual_product(shift)
-
-
-@dataclass
-class InnerState:
-    """Current iterate with its shift, value and gradient, spectral step and nonmonotone window."""
-
-    u: np.ndarray
-    shift: np.ndarray  # E: X (u - u0), or G (u - u0) in the Gram space
-    kshift: np.ndarray  # K E
-    smooth: float  # f(u)
-    bar_alpha: float = 1.0
-    window: deque = None  # last MEMORY+1 penalized objective values
-    iteration: int = 0
-    grad: np.ndarray | None = None  # grad f(u)
-
-
-@dataclass(frozen=True, eq=False)
-class TrialPoint:
-    """Accepted line-search point with the evaluations already paid for."""
 
     u: np.ndarray
     shift: np.ndarray
@@ -226,38 +191,36 @@ def search_direction(
 
 
 def line_search(
-    start: WarmStart,
-    state: InnerState,
+    obj: SubproblemObjective,
+    point: Point,
+    reference: float,
     d: np.ndarray,
     delta: float,
     e: np.ndarray,
     ke: np.ndarray,
-) -> tuple[float, TrialPoint]:
+) -> tuple[float, Point]:
     """Largest alpha in {1, ETA, ETA^2, ...} passing the nonmonotone Armijo test.
 
-    Acceptance compares the trial objective against the maximum penalized value
-    over the memory window plus SIGMA_LS * alpha * delta.  ``e`` and ``ke``
-    are the direction's products (X d and K e, or G d twice in the Gram
-    space).  The smooth value of a trial is the quadratic
-    f(u) + alpha grad f(u).d + (alpha^2/2) mu e.K e, with the slope
-    grad f(u).d = mu (q0 + K E).e, so a trial makes no product.  ``delta``
-    is negative: :func:`solve_subproblem` stops at a fixed point before it
-    searches.  Raises LineSearchError after MAX_BACKTRACKS rejected powers.
+    Acceptance compares the trial objective against ``reference``, the
+    maximum penalized value over the memory window, plus
+    SIGMA_LS * alpha * delta.  ``e`` and ``ke`` are the direction's products
+    (X d and K e, or G d twice in the Gram space).  The smooth value of a
+    trial is the quadratic f(u) + alpha grad f(u).d + (alpha^2/2) mu e.K e,
+    with the slope grad f(u).d = mu (q0 + K E).e, so a trial makes no
+    product.  ``delta`` is negative: :func:`solve_subproblem` stops at a
+    fixed point before it searches.  Raises LineSearchError after
+    MAX_BACKTRACKS rejected powers.
     """
-    mu = start.obj.mu
-    slope = mu * float((start.q0 + state.kshift) @ e)
-    curvature = mu * float(e @ ke)
-    reference = max(state.window)
+    slope = obj.mu * float((obj.q0 + point.kshift) @ e)
+    curvature = obj.mu * float(e @ ke)
     alpha = 1.0
     for _ in range(MAX_BACKTRACKS):
-        u_trial = state.u + alpha * d
-        f_trial = state.smooth + alpha * (slope + 0.5 * alpha * curvature)
+        u_trial = point.u + alpha * d
+        f_trial = point.smooth + alpha * (slope + 0.5 * alpha * curvature)
         penalized = f_trial + float(np.abs(u_trial).sum())
         if penalized <= reference + SIGMA_LS * alpha * delta:
-            trial = TrialPoint(
-                u_trial, state.shift + alpha * e, state.kshift + alpha * ke, f_trial, penalized
-            )
-            return alpha, trial
+            shift, kshift = point.shift + alpha * e, point.kshift + alpha * ke
+            return alpha, Point(u_trial, shift, kshift, f_trial, penalized)
         alpha *= ETA
     raise LineSearchError(f"no acceptable steplength within {MAX_BACKTRACKS} backtracks")
 
@@ -294,80 +257,74 @@ def solve_subproblem(
 ) -> SubsolverResult:
     """Run the nonmonotone spectral gradient method from warm start u0.
 
-    Stops when the termination metric drops below ``tol_sub`` (positive, as
+    ``obj.r0`` is the residual at u0.  Stops when the termination metric
+    drops below ``tol_sub`` (positive, as
     :meth:`~dantzig_adm.adm.AdmConfig.inner_tolerance` gives it), when the
     predicted decrease vanishes or the accepted step leaves u unchanged in
     floating point (a fixed point either way, status stationary), or at
-    MAX_INNER_ITER, where only the first is tested.  On line-search failure or cap exhaustion the
-    best iterate seen (by penalized objective) is returned with a flagged
-    status; the caller decides whether to accept it.  Only a final iterate
-    comes with its residual and gradient.
+    MAX_INNER_ITER, where only the first is tested.  On line-search failure
+    or cap exhaustion the best iterate seen (by penalized objective) is
+    returned with a flagged status; the caller decides whether to accept
+    it.  Only a final iterate comes with its residual and gradient.
 
-    Start-up costs q0 and the gradient, plus one Gram product for r0 unless
-    ``obj.gram_u0`` holds X^T X u0.  Each iteration then costs the
+    Start-up costs q0 and the gradient.  Each iteration then costs the
     direction's products and one for the new gradient, and a final iterate
     its residual: X r0 and X^T q0, X d, K (X d) and X^T, and X^T E in
     n-space; G r0, G d and G (q0 + K E), and nothing in the Gram space.
     """
     u = np.array(u0, dtype=np.float64)
-    start = WarmStart.at(obj, u)
-    origin = np.zeros_like(start.q0)
-    smooth = 0.5 * obj.mu * float(start.r0 @ start.r0)
-    penalized = smooth + float(np.abs(u).sum())
-
-    state = InnerState(
-        u=u, shift=origin, kshift=origin, smooth=smooth, bar_alpha=1.0,
-        window=deque([penalized], maxlen=MEMORY + 1), grad=start.gradient(origin),
-    )
-    best_u, best_penalized = u, penalized
+    origin = np.zeros_like(obj.q0)
+    smooth = 0.5 * obj.mu * float(obj.r0 @ obj.r0)
+    point = best = Point(u, origin, origin, smooth, smooth + float(np.abs(u).sum()))
+    grad, bar_alpha, iteration = obj.gradient(origin), 1.0, 0
+    window = deque([point.penalized], maxlen=MEMORY + 1)  # last MEMORY+1 penalized values
     status = "max_iter"
 
     while True:
-        if inner_termination_metric(state.u, state.grad, penalized) <= tol_sub:
-            return _finish(start, state, "converged")
-        if state.iteration == MAX_INNER_ITER:
+        if inner_termination_metric(point.u, grad, point.penalized) <= tol_sub:
+            return _finish(obj, point, grad, iteration, "converged")
+        if iteration == MAX_INNER_ITER:
             break
-        d, delta = search_direction(state.u, state.bar_alpha, state.grad)
-        if delta > -STATIONARY_RTOL * max(1.0, penalized):
-            return _finish(start, state, "stationary")
-        window_max = max(state.window)
+        d, delta = search_direction(point.u, bar_alpha, grad)
+        if delta > -STATIONARY_RTOL * max(1.0, point.penalized):
+            return _finish(obj, point, grad, iteration, "stationary")
+        window_max = max(window)
         e, ke = obj.design.direction_products(d)
         try:
-            alpha, trial = line_search(start, state, d, delta, e, ke)
+            alpha, trial = line_search(obj, point, window_max, d, delta, e, ke)
         except LineSearchError:
             status = "line_search_failure"
             break
-        if np.array_equal(trial.u, state.u):  # the step is lost to rounding: u is a fixed point
-            return _finish(start, state, "stationary")
-        g_new = start.gradient(trial.kshift)
-        bar_alpha_next = bb_step(trial.u - state.u, g_new - state.grad)
-        state.u, state.shift, state.kshift = trial.u, trial.shift, trial.kshift
-        state.smooth, state.grad = trial.smooth, g_new
-        state.iteration += 1
-        state.window.append(trial.penalized)
-        penalized = trial.penalized
+        if np.array_equal(trial.u, point.u):  # the step is lost to rounding: u is a fixed point
+            return _finish(obj, point, grad, iteration, "stationary")
+        g_new = obj.gradient(trial.kshift)
+        bar_alpha_next = bb_step(trial.u - point.u, g_new - grad)
+        point, grad = trial, g_new
+        iteration += 1
+        window.append(point.penalized)
         if callback is not None:
             callback(
                 InnerIterationRecord(
-                    iteration=state.iteration,
-                    u=trial.u.copy(),
+                    iteration=iteration,
+                    u=point.u.copy(),
                     delta=delta,
                     alpha=alpha,
-                    bar_alpha=state.bar_alpha,
+                    bar_alpha=bar_alpha,
                     bar_alpha_next=bar_alpha_next,
-                    penalized=trial.penalized,
+                    penalized=point.penalized,
                     window_max=window_max,
                 )
             )
-        state.bar_alpha = bar_alpha_next
-        if trial.penalized < best_penalized:
-            best_u, best_penalized = trial.u, trial.penalized
+        bar_alpha = bar_alpha_next
+        if point.penalized < best.penalized:
+            best = point
 
-    return SubsolverResult(best_u, state.iteration, status)
+    return SubsolverResult(best.u, iteration, status)
 
 
-def _finish(start: WarmStart, state: InnerState, status: str) -> SubsolverResult:
+def _finish(
+    obj: SubproblemObjective, point: Point, grad: np.ndarray, iteration: int, status: str
+) -> SubsolverResult:
     """The final iterate with its residual r0 + X^T E (or r0 + E) and gradient."""
-    return SubsolverResult(
-        state.u, state.iteration, status, start.residual(state.shift), state.grad
-    )
+    residual = obj.r0 + obj.design.residual_product(point.shift)
+    return SubsolverResult(point.u, iteration, status, residual, grad)

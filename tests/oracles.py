@@ -4,7 +4,8 @@ Everything here deliberately avoids the library's own code paths: dense Gram
 matrices are formed explicitly, prox/projection values come from scalar
 minimization, and optima of tiny problems come from exhaustive enumeration of
 basic solutions of the equivalent linear programs, and at larger sizes from
-scipy's HiGHS.
+scipy's HiGHS.  The one exception is :func:`inner_problem`, which builds an
+inner problem the way only tests do, from a fresh Gram product.
 """
 
 from __future__ import annotations
@@ -313,3 +314,18 @@ def instance_one_draw(spec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     truth = gen_signal(spec)
     y = X @ truth.beta_true + truth.noise
     return X, y, np.linalg.norm(np.ascontiguousarray(X), axis=0)
+
+
+def inner_problem(inst, z, lam, mu, u0, design=None):
+    """The SubproblemObjective of (z, lambda, mu) warm-started at u0, its r0 from a fresh Gram product.
+
+    r0 = X^T X u0 - (X^T y + z - lambda/mu).  The outer loop forms r0 in its
+    z update instead (``adm.update_z``).  ``design`` defaults to a new
+    operator on inst.X.
+    """
+    from dantzig_adm.core import DesignOperator, apply_gram
+    from dantzig_adm.subsolver import SubproblemObjective
+
+    r0 = apply_gram(inst, u0) - (inst.xty + z - lam / mu)
+    design = DesignOperator(inst.X) if design is None else design
+    return SubproblemObjective(inst, z, lam, mu, r0, design)

@@ -12,11 +12,12 @@ from dantzig_adm.adm import AdmConfig, solve
 from dantzig_adm.core import Instance, soft_thresh
 from dantzig_adm.datagen import GenSpec, make_instance, mu_rule, tol_rule
 from dantzig_adm.evaluation import evaluate_solution
-from dantzig_adm.subsolver import ALPHA_LO, SIGMA_LS, SubproblemObjective, WarmStart, solve_subproblem
+from dantzig_adm.subsolver import ALPHA_LO, SIGMA_LS, solve_subproblem
 
 from oracles import (
     certificate_dense,
     dense_gram,
+    inner_problem,
     ista_reference,
     lp_optimum,
     lp_primal_enumeration,
@@ -213,7 +214,7 @@ class TestSubsolverOracle:
             y = rng.standard_normal(n)
             z = rng.standard_normal(p)
             lam = rng.standard_normal(p)
-            obj = SubproblemObjective(Instance(X=X, y=y, delta=1.0), z, lam, mu)
+            obj = inner_problem(Instance(X=X, y=y, delta=1.0), z, lam, mu, np.zeros(p))
             result = solve_subproblem(obj, np.zeros(p), 1e-10)
             value = penalized_value_dense(X, y, z, lam, mu, result.u)
             _, reference, converged = ista_reference(X, y, z, lam, mu, np.zeros(p))
@@ -228,7 +229,7 @@ class TestSubsolverOracle:
             z = rng_id.standard_normal(n)
             lam = rng_id.standard_normal(n)
             mu = float(rng_id.uniform(1.0, 4.0))
-            obj = SubproblemObjective(inst, z, lam, mu)
+            obj = inner_problem(inst, z, lam, mu, np.zeros(n))
             result = solve_subproblem(obj, np.zeros(n), 1e-12)
             closed_form = soft_thresh(inst.y + z - lam / mu, 1.0 / mu)
             worst_identity = max(worst_identity, float(np.abs(result.u - closed_form).max()))
@@ -256,11 +257,11 @@ class TestGradientCheck:
             z = rng.standard_normal(p)
             lam = rng.standard_normal(p)
             mu = float(rng.uniform(0.5, 3.0))
-            obj = SubproblemObjective(Instance(X=X, y=y, delta=1.0), z, lam, mu)
             u = rng.standard_normal(p)
-            # the inner solver's gradient mu X^T (q0 + K E), at E = 0; E lives
-            # in the operator's space, of length n, or p when p < n
-            start = WarmStart.at(obj, u)
+            # the inner solver's gradient mu X^T (q0 + K E), at E = 0 from a
+            # warm start at u; E lives in the operator's space, of length n,
+            # or p when p < n
+            start = inner_problem(Instance(X=X, y=y, delta=1.0), z, lam, mu, u)
             g = start.gradient(np.zeros_like(start.q0))
             for _ in range(20):
                 v = rng.standard_normal(p)
@@ -336,7 +337,8 @@ class TestInvariantSuite:
             # inner-loop invariants on one subproblem per trial
             z = rng.standard_normal(p)
             lam0 = rng.standard_normal(p)
-            obj = SubproblemObjective(inst, z, lam0, mu)
+            u0 = rng.standard_normal(p)
+            obj = inner_problem(inst, z, lam0, mu, u0)
 
             def inner_check(rec, obj=obj):
                 if rec.delta > 0.0:
@@ -353,7 +355,7 @@ class TestInvariantSuite:
                 if not (ALPHA_LO <= rec.bar_alpha_next <= 1.0):
                     violations.append(f"trial {trial}: next bar_alpha out of range")
 
-            solve_subproblem(obj, rng.standard_normal(p), 1e-8, callback=inner_check)
+            solve_subproblem(obj, u0, 1e-8, callback=inner_check)
 
         ok = not violations and weak_duality_checks >= 50
         _report(

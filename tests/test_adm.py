@@ -32,18 +32,14 @@ from dantzig_adm.core import (
 )
 from dantzig_adm.datagen import GenSpec, make_instance, mu_rule, tol_rule
 from dantzig_adm.evaluation import feasibility_report
-from dantzig_adm.subsolver import (
-    SubproblemObjective,
-    SubsolverResult,
-    WarmStart,
-    solve_subproblem,
-)
+from dantzig_adm.subsolver import SubproblemObjective, SubsolverResult, solve_subproblem
 
 from oracles import (
     augmented_lagrangian_dense,
     box_lagrangian_scalar,
     certificate_dense,
     dense_gram,
+    inner_problem,
     lp_dual_enumeration,
     lp_optimum,
     lp_primal_enumeration,
@@ -82,7 +78,7 @@ def _lagrangian(inst, z, beta, lam, mu):
     With r = X^T X beta - X^T y - z the inner residual is r0 = r + lam/mu, so
     ||beta||_1 + lam.r + (mu/2)||r||^2 = ||beta||_1 + (mu/2)||r0||^2 - ||lam||^2/(2 mu).
     """
-    r0 = WarmStart.at(SubproblemObjective(inst, z, lam, mu), beta).r0
+    r0 = inner_problem(inst, z, lam, mu, beta).r0
     return float(np.abs(beta).sum()) + 0.5 * mu * float(r0 @ r0) - float(lam @ lam) / (2 * mu)
 
 
@@ -126,7 +122,7 @@ class TestUpdateZ:
         d = np.linalg.norm(X, axis=0)
         delta = 1.1 * np.abs((X.T @ y) / d).max()
         inst = Instance(X=X, y=y, delta=delta)
-        z = update_z(inst, np.zeros(8), 1.0, np.zeros(8))  # beta = 0
+        z, _ = update_z(inst, np.zeros(8), 1.0, np.zeros(8))  # beta = 0
         assert np.allclose(z, -(X.T @ y), atol=1e-12)
 
     def test_huge_delta_leaves_target_unclipped(self):
@@ -136,7 +132,7 @@ class TestUpdateZ:
         beta = rng.standard_normal(8)
         lam = rng.standard_normal(8)
         mu = 2.0
-        z = update_z(inst, lam, mu, apply_gram(inst, beta))
+        z, _ = update_z(inst, lam, mu, apply_gram(inst, beta))
         expected = dense_gram(X) @ beta - X.T @ y + lam / mu
         assert np.allclose(z, expected, rtol=1e-10)
 
@@ -146,7 +142,7 @@ class TestUpdateZ:
         beta = rng.standard_normal(10)
         lam = rng.standard_normal(10)
         mu = 1.3
-        z = update_z(inst, lam, mu, apply_gram(inst, beta))
+        z, _ = update_z(inst, lam, mu, apply_gram(inst, beta))
         w = dense_gram(inst.X) @ beta - inst.X.T @ inst.y
         bound = inst.delta * inst.d
         expected = np.array(
@@ -163,7 +159,7 @@ class TestUpdateZ:
         beta = rng.standard_normal(8)
         lam = rng.standard_normal(8)
         mu = 0.8
-        z_star = update_z(inst, lam, mu, apply_gram(inst, beta))
+        z_star, _ = update_z(inst, lam, mu, apply_gram(inst, beta))
         dense = (inst.X, inst.y)
         base = augmented_lagrangian_dense(*dense, z_star, beta, lam, mu)
         bound = inst.delta * inst.d
@@ -174,8 +170,24 @@ class TestUpdateZ:
     def test_feasibility_of_output(self):
         rng = np.random.default_rng(8)
         inst = _instance(rng)
-        z = update_z(inst, rng.standard_normal(inst.p), 1.0, rng.standard_normal(inst.p))
+        z, _ = update_z(inst, rng.standard_normal(inst.p), 1.0, rng.standard_normal(inst.p))
         assert np.all(np.abs(z / inst.d) <= inst.delta * (1 + 1e-12))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_r0_is_the_inner_residual_at_beta(self, seed):
+        # r0 has the bytes of (G beta - X^T y + lambda/mu) - z, and is the
+        # inner problem's residual G beta - c at beta up to rounding
+        rng = np.random.default_rng(40 + seed)
+        inst = _instance(rng)
+        beta, lam, mu = rng.standard_normal(inst.p), rng.standard_normal(inst.p), 1.3
+        gram_beta = apply_gram(inst, beta)
+        z, r0 = update_z(inst, lam, mu, gram_beta)
+        expected = (gram_beta - inst.xty + lam / mu) - z
+        assert r0.tobytes() == expected.tobytes()
+        obj = SubproblemObjective(inst, z, lam, mu, r0, DesignOperator(inst.X))
+        fresh = obj.residual(beta)
+        assert np.abs(r0 - fresh).max() <= 1e-12 * max(1.0, np.abs(gram_beta).max(),
+                                                       np.abs(obj.c).max())
 
 
 class TestDualObjective:
@@ -337,8 +349,8 @@ class TestPrecomputedGram:
         _, _, report = solve(inst, config, beta0=beta, lambda0=lam, callback=records.append)
         (rec,) = records
         held, held_lam = apply_gram(inst, beta), apply_gram(inst, lam)
-        z = update_z(inst, lam, mu, held)
-        obj = SubproblemObjective(inst, z, lam, mu, gram_u0=held)
+        z, r0 = update_z(inst, lam, mu, held)
+        obj = SubproblemObjective(inst, z, lam, mu, r0, DesignOperator(inst.X))
         metric = report.stopping_metric_history[0]
         result = solve_subproblem(obj, beta, config.inner_tolerance(0, metric))
         assert result.residual is not None
@@ -372,19 +384,18 @@ class TestPrecomputedGram:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_warm_start_residual_vanishes_off_the_clamp(self, monkeypatch, seed):
-        # r0 = G beta - c, formed as (G beta - X^T y + lambda/mu) - z like the
-        # z update, is exactly 0 where that update's clamp left z = w
+        # the z update's r0 = w - z, the residual G beta - c that it hands the
+        # inner solve, is exactly 0 where its clamp left z = w
         inst, _ = make_instance(GenSpec(n=60, p=200, s=8, sigma_noise=0.05, seed=seed))
         starts = []
-        original = WarmStart.at.__func__
 
-        def recording(cls, obj, u0):
-            start = original(cls, obj, u0)
+        def recording(sub, lam, mu, gram_beta):
+            z, r0 = update_z(sub, lam, mu, gram_beta)
             # the box of the round's instance: z and r0 live on its columns W
-            starts.append((obj.z_fixed, start.r0, obj.inst.delta * obj.inst.d))
-            return start
+            starts.append((z, r0, sub.delta * sub.d))
+            return z, r0
 
-        monkeypatch.setattr(WarmStart, "at", classmethod(recording))
+        monkeypatch.setattr(adm_module, "update_z", recording)
         mu = mu_rule("unit_columns", inst.p, inst.delta)
         _, _, report = solve(inst, AdmConfig(mu=mu, tol=1e-3))
         assert report.outer_iterations == len(starts) > 1
@@ -532,7 +543,8 @@ class TestOuterCost:
 
         def first(obj, u0, tol_sub, callback=None):
             if not start:  # the counts before the first inner solve: the start-up
-                start.append((u0.copy(), obj.gram_u0.copy(), dict(products.calls),
+                # the G beta0 handed over, read back as r0 + c
+                start.append((u0.copy(), obj.r0 + obj.c, dict(products.calls),
                               products.x_products))
             return original(obj, u0, tol_sub, callback)
 
@@ -541,7 +553,7 @@ class TestOuterCost:
         config = AdmConfig(mu=mu_rule("unit_columns", inst.p, inst.delta), tol=1e-3,
                            max_outer_iter=1)
         _, _, report = solve(inst, config)
-        [(u0, gram_u0, calls, x_products)] = start
+        [(u0, gram_beta0, calls, x_products)] = start
         beta0 = adm_module.screened_start(inst)
         support = np.flatnonzero(beta0)
         # the first round runs on W = supp(beta0), and its first inner solve starts at beta0 there
@@ -556,7 +568,7 @@ class TestOuterCost:
         assert products.outside == 0
         # G beta0 = X^T y - X^T r, with X beta0 = y - r, read on W
         expected = (dense_gram(inst.X) @ beta0)[support]
-        assert np.abs(gram_u0 - expected).max() <= 1e-12 * np.abs(inst.xty).max()
+        assert np.abs(gram_beta0 - expected).max() <= 1e-12 * np.abs(inst.xty).max()
 
     def test_best_iterate_gets_fresh_products(self, monkeypatch, products, whole_problem):
         rng = np.random.default_rng(30)
@@ -653,7 +665,7 @@ class TestKernelPaths:
         lam = 0.1 * rng.standard_normal(p)
         runs = []
         for design in (DesignOperator(inst.X), _GramSpace(inst.X)):
-            obj = SubproblemObjective(inst, z, lam, 0.5, design=design)
+            obj = inner_problem(inst, z, lam, 0.5, np.zeros(inst.p), design)
             records = []
             result = solve_subproblem(obj, np.zeros(inst.p), 1e-6, callback=records.append)
             runs.append((result, records))
@@ -688,9 +700,9 @@ class TestKernelPaths:
 class TestHandedInnerProblems:
     """Each inner solve of the ADM loop takes the steps of a fresh one.
 
-    The loop hands every inner solve X^T X beta from the previous residual
-    (gram_u0) and the operator, with its K, kept across the solve.  Rerun
-    from its inputs with a fresh operator and a fresh Gram product, each
+    The loop hands every inner solve the r0 of its z update, formed from the
+    previous residual, and the operator, with its K, kept across the solve.
+    Rerun from its inputs with a fresh operator and a fresh Gram product, each
     inner solve takes the same number of iterations to the same iterate up
     to rounding: on all of X (the ``whole_problem`` fixture, which forms K)
     and on the rounds of solve, whose blocks have fewer than n columns.
@@ -708,8 +720,7 @@ class TestHandedInnerProblems:
 
         def recording(obj, u0, tol_sub, callback=None):
             result = original(obj, u0, tol_sub, callback)
-            assert obj.gram_u0 is not None
-            plain = SubproblemObjective(obj.inst, obj.z_fixed, obj.lambda_fixed, obj.mu)
+            plain = inner_problem(obj.inst, obj.z_fixed, obj.lambda_fixed, obj.mu, u0)
             pairs.append((result, original(plain, u0.copy(), tol_sub)))
             return result
 
@@ -1568,9 +1579,9 @@ class TestSolve:
         config = AdmConfig(mu=mu_rule("unit_columns", inst.p, inst.delta), tol=1e-9)
         lost, search = [], subsolver_module.line_search
 
-        def recording(start, state, *args):
-            alpha, trial = search(start, state, *args)
-            lost.append(np.array_equal(trial.u, state.u))
+        def recording(obj, point, *args):
+            alpha, trial = search(obj, point, *args)
+            lost.append(np.array_equal(trial.u, point.u))
             return alpha, trial
 
         monkeypatch.setattr(subsolver_module, "line_search", recording)

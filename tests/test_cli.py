@@ -498,6 +498,8 @@ class TestBench:
             (["--size", "1,2"], "--size expects N,P,S"),
             (["--size", "a,b,c"], "--size expects N,P,S"),
             (["--reps", "0"], "--reps must be positive"),
+            (["--workers", "0"], "--workers must be positive"),
+            (["--workers", "-3"], "--workers must be positive"),
             (["--mu", "inf"], "mu must be positive and finite"),
             (["--tol", "inf"], "tol must be positive and finite"),
         ],
@@ -622,6 +624,14 @@ class TestFigureData:
         csv_path = tmp_path / "figure.csv"
         assert cli.main(["figure-data", str(out), "--out", str(csv_path)]) == 0
         assert csv_path.read_text().splitlines()[0] == "index,beta_tilde,beta_hat"
+
+    def test_out_creates_its_parent_directory(self, tmp_path):
+        out = tmp_path / "inst"
+        assert cli.main(_gen_args(out)) == 0
+        assert cli.main(["solve", str(out)]) == 0
+        csv_path = tmp_path / "dir" / "new" / "fig.csv"
+        assert cli.main(["figure-data", str(out), "--out", str(csv_path)]) == 0
+        assert csv_path.read_text().splitlines()[0] == "index,beta_true,beta_tilde,beta_hat"
 
     def test_missing_solution_is_io_error(self, tmp_path):
         assert cli.main(["figure-data", str(tmp_path)]) == 2

@@ -1,4 +1,3 @@
-from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -7,15 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dantzig_adm.subsolver as subsolver_module
-from dantzig_adm.core import Instance, apply_gram, soft_thresh
+from dantzig_adm.core import DesignOperator, Instance, apply_gram, soft_thresh
 from dantzig_adm.subsolver import (
     ALPHA_LO,
     ETA,
     SIGMA_LS,
-    InnerState,
     LineSearchError,
+    Point,
     SubproblemObjective,
-    WarmStart,
     bb_step,
     inner_termination_metric,
     line_search,
@@ -25,6 +23,7 @@ from dantzig_adm.subsolver import (
 
 from oracles import (
     dense_gram,
+    inner_problem,
     ista_reference,
     penalized_value_dense,
     prox_l1_scalar,
@@ -34,16 +33,22 @@ from oracles import (
 
 
 def _objective(rng, n=6, p=10, mu=2.0):
+    """A random inner problem, warm-started at 0."""
     X, y, delta = random_instance_arrays(rng, n, p)
     inst = Instance(X=X, y=y, delta=delta)
     z = rng.standard_normal(p)
     lam = rng.standard_normal(p)
-    return SubproblemObjective(inst, z, lam, mu)
+    return inner_problem(inst, z, lam, mu, np.zeros(p))
+
+
+def _at(obj, u0):
+    """obj's inner problem warm-started at u0 instead, on obj's design operator."""
+    return inner_problem(obj.inst, obj.z_fixed, obj.lambda_fixed, obj.mu, u0, obj.design)
 
 
 def _gradient(obj, u):
     """grad f(u) as the inner solver forms it, from a warm start at u."""
-    start = WarmStart.at(obj, u)
+    start = _at(obj, u)
     return start.gradient(np.zeros_like(start.q0))
 
 
@@ -53,9 +58,9 @@ def _dense(obj):
 
 
 def _scalar_objective(x_entry=1.0, y_val=0.0, mu=1.0, z=0.0, lam=0.0):
-    """1-d problem: f(u) = (mu/2) (x^2 u - (x y + z - lam/mu))^2."""
+    """1-d problem: f(u) = (mu/2) (x^2 u - (x y + z - lam/mu))^2, warm-started at 0."""
     inst = Instance(X=np.array([[x_entry]]), y=np.array([y_val]), delta=1.0)
-    return SubproblemObjective(inst, np.array([z]), np.array([lam]), mu)
+    return inner_problem(inst, np.array([z]), np.array([lam]), mu, np.zeros(1))
 
 
 class TestObjective:
@@ -66,7 +71,7 @@ class TestObjective:
         rng = np.random.default_rng(seed)
         obj = _objective(rng)
         u = rng.standard_normal(obj.inst.p)
-        r0 = WarmStart.at(obj, u).r0
+        r0 = _at(obj, u).r0
         value = 0.5 * obj.mu * float(r0 @ r0)
         assert value >= 0.0
         dense = smooth_value_dense(*_dense(obj), u)
@@ -85,12 +90,12 @@ class TestGradFk:
         mu = 1.7
         # choose z so that the residual at u vanishes
         z = dense_gram(X) @ u - X.T @ y + lam / mu
-        obj = SubproblemObjective(inst, z, lam, mu)
+        obj = inner_problem(inst, z, lam, mu, u)
         assert np.allclose(_gradient(obj, u), 0.0, atol=1e-10)
 
     def test_identity_design_gradient_is_mu_u(self):
         inst = Instance(X=np.eye(6), y=np.zeros(6), delta=1.0)
-        obj = SubproblemObjective(inst, np.zeros(6), np.zeros(6), 3.5)
+        obj = inner_problem(inst, np.zeros(6), np.zeros(6), 3.5, np.zeros(6))
         u = np.linspace(-2, 2, 6)
         assert np.allclose(_gradient(obj, u), 3.5 * u, atol=1e-12)
 
@@ -130,7 +135,7 @@ class TestSearchDirection:
         lam = rng.standard_normal(8)
         mu = 2.0
         z = dense_gram(X) @ u - X.T @ y + lam / mu
-        obj = SubproblemObjective(inst, z, lam, mu)
+        obj = inner_problem(inst, z, lam, mu, u)
         bar_alpha = 0.5
         d, _ = search_direction(u, bar_alpha, _gradient(obj, u))
         assert np.allclose(d, -bar_alpha * np.sign(u), atol=1e-9)
@@ -199,36 +204,30 @@ def _steep_quadratic_case():
     raise AssertionError("no curvature with exactly two rejections found")
 
 
-def _watched(products, obj):
-    """obj rebuilt on a counted view of its X, so its design operator counts too."""
+def _watched(products, obj, u0):
+    """obj warm-started at u0, rebuilt on a counted view of its X, so its design
+    operator counts too; the counts start with the Gram product of its r0."""
     products.watch(obj.inst)
     products.reset()
-    return SubproblemObjective(obj.inst, obj.z_fixed, obj.lambda_fixed, obj.mu,
-                               gram_u0=obj.gram_u0)
+    return inner_problem(obj.inst, obj.z_fixed, obj.lambda_fixed, obj.mu, u0)
 
 
 def _line_search(obj, u, d, delta, window=None, u0=None):
     """line_search from u, with the solver seen from warm start u0 (default u).
 
-    The state at u holds its shift E and K E, the products of the direction
-    u - u0 in the operator's space, and its smooth value from the dense
-    oracle; ``window`` defaults to u's own penalized value.
+    The point at u holds its shift E and K E, the products of the direction
+    u - u0 in the operator's space, and its values from the dense oracle;
+    ``window`` defaults to u's own penalized value, and the search is handed
+    its maximum.
     """
     u0 = u if u0 is None else u0
     dense = _dense(obj)
     if window is None:
         window = [penalized_value_dense(*dense, u)]
     shift, kshift = obj.design.direction_products(u - u0)
-    state = InnerState(
-        u=u,
-        shift=shift,
-        kshift=kshift,
-        smooth=smooth_value_dense(*dense, u),
-        window=deque(window, maxlen=len(window)),
-    )
+    point = Point(u, shift, kshift, smooth_value_dense(*dense, u), penalized_value_dense(*dense, u))
     e, ke = obj.design.direction_products(d)
-    start = WarmStart.at(obj, u0)
-    return line_search(start, state, d, delta, e, ke)
+    return line_search(_at(obj, u0), point, max(window), d, delta, e, ke)
 
 
 class _RejectingReference:
@@ -300,18 +299,16 @@ class TestLineSearch:
             _line_search(obj, u, d, delta)
 
     def test_given_residuals_cost_no_gram_product(self, products):
-        # given the warm start's residual and X d, K X d, the search makes no product
+        # given the warm start's residual and q0, and X d, K X d, the search makes no product
         obj, u, d, delta = _steep_quadratic_case()
-        obj = _watched(products, obj)
+        obj = _watched(products, obj, u)
         dense = _dense(obj)
-        start = WarmStart.at(obj, u)
         e, ke = obj.design.direction_products(d)
-        state = InnerState(
-            u=u, shift=np.zeros(1), kshift=np.zeros(1), smooth=smooth_value_dense(*dense, u),
-            window=deque([penalized_value_dense(*dense, u)], maxlen=1),
-        )
+        origin = np.zeros_like(obj.q0)  # forms q0
+        penalized = penalized_value_dense(*dense, u)
+        point = Point(u, origin, origin, smooth_value_dense(*dense, u), penalized)
         calls, x_products = sum(products.calls.values()), products.x_products
-        alpha, _ = line_search(start, state, d, delta, e, ke)
+        alpha, _ = line_search(obj, point, penalized, d, delta, e, ke)
         assert alpha == pytest.approx(ETA**2)
         assert sum(products.calls.values()) == calls
         assert products.x_products == x_products
@@ -340,7 +337,8 @@ class TestLineSearch:
         alpha, trial = _line_search(obj, u, d, delta, u0=u0)
         assert alpha < 1.0
         fresh = obj.residual(trial.u)
-        residual = WarmStart.at(obj, u0).residual(trial.shift)
+        start = _at(obj, u0)
+        residual = start.r0 + start.design.residual_product(trial.shift)
         assert np.linalg.norm(residual - fresh) <= 1e-12 * np.linalg.norm(fresh)
         dense = penalized_value_dense(*_dense(obj), trial.u)
         assert trial.penalized == pytest.approx(dense, rel=1e-10, abs=1e-12)
@@ -390,7 +388,7 @@ class TestInnerTerminationMetric:
     def test_zero_in_small_gradient_dead_zone(self):
         # at u = 0 with every |grad component| <= 1 the thresholded step stays at 0
         inst = Instance(X=np.eye(4), y=np.full(4, 0.2), delta=1.0)
-        obj = SubproblemObjective(inst, np.zeros(4), np.zeros(4), 1.0)
+        obj = inner_problem(inst, np.zeros(4), np.zeros(4), 1.0, np.zeros(4))
         g = _gradient(obj, np.zeros(4))
         assert np.all(np.abs(g) <= 1.0)
         penalized = penalized_value_dense(*_dense(obj), np.zeros(4))
@@ -421,8 +419,10 @@ class TestGramCost:
     K (X d) and one X^T, whatever the backtracks, and a final iterate's
     residual one more X^T.  In the Gram space (p < n): start-up G r0, each
     iteration G d and one more product with G, and no product with X in the
-    loop.  Either way the kernel (K or G) is formed once, and r0 costs one
-    Gram product (X u0, X^T) unless gram_u0 is given.
+    loop.  Either way the kernel (K or G) is formed once.  An r0 formed
+    from a fresh Gram product (``oracles.inner_problem``) costs one more
+    (X u0, X^T), counted here as "cold"; the r0 that the z update hands over
+    costs none.
     """
 
     def _run(self, obj, u0, tol_sub):
@@ -456,7 +456,7 @@ class TestGramCost:
     def test_two_products_per_iteration_with_backtracks(self, monkeypatch, products):
         monkeypatch.setattr(subsolver_module, "MEMORY", 0)  # monotone, as the oracle of the case
         obj, u, _, _ = _steep_quadratic_case()
-        obj = _watched(products, obj)
+        obj = _watched(products, obj, u)
         result, alphas = self._run(obj, u, 1e-8)
         assert result.succeeded
         assert result.iterations >= 1
@@ -468,10 +468,13 @@ class TestGramCost:
         monkeypatch.setattr(subsolver_module, "MEMORY", 0)  # monotone, as the oracle of the case
         obj, u, _, _ = _steep_quadratic_case()
         products.reset()
-        cold, _ = self._run(obj, u, 1e-8)
+        cold, _ = self._run(_at(obj, u), u, 1e-8)
         assert products.calls == self._expected(cold.iterations)
+        # r0 formed from a held X^T X u, as the z update forms it
+        w = apply_gram(obj.inst, u) - obj.inst.xty + obj.lambda_fixed / obj.mu
         warm_obj = SubproblemObjective(
-            obj.inst, obj.z_fixed, obj.lambda_fixed, obj.mu, gram_u0=apply_gram(obj.inst, u)
+            obj.inst, obj.z_fixed, obj.lambda_fixed, obj.mu, w - obj.z_fixed,
+            DesignOperator(obj.inst.X),
         )
         products.reset()
         warm, _ = self._run(warm_obj, u, 1e-8)
@@ -482,7 +485,7 @@ class TestGramCost:
     def test_backtracks_cost_nothing_on_random_problem(self, monkeypatch, products):
         monkeypatch.setattr(subsolver_module, "MEMORY", 0)  # monotone: more steps backtrack
         rng = np.random.default_rng(17)
-        obj = _watched(products, _objective(rng, n=8, p=14, mu=6.0))
+        obj = _watched(products, _objective(rng, n=8, p=14, mu=6.0), np.zeros(14))
         result, alphas = self._run(obj, np.zeros(14), 1e-9)
         assert result.succeeded
         assert any(alpha < 1.0 for alpha in alphas)
@@ -493,7 +496,7 @@ class TestGramCost:
         # n > p: G = X^T X is formed once, and the loop makes two products with
         # it per iteration and none with X
         rng = np.random.default_rng(18)
-        obj = _watched(products, _objective(rng, n=14, p=8, mu=6.0))
+        obj = _watched(products, _objective(rng, n=14, p=8, mu=6.0), np.zeros(8))
         result, _ = self._run(obj, np.zeros(8), 1e-9)
         assert result.succeeded and result.iterations > 0
         assert obj.design.kernel.shape == (8, 8)
@@ -503,7 +506,7 @@ class TestGramCost:
 
 
 def _sparse_objective(seed, n=24, p=80, mu=None):
-    """A unit-column problem with a 3-sparse signal b, and b as its warm start."""
+    """A unit-column problem warm-started at a 3-sparse signal b, and b."""
     rng = np.random.default_rng(500 + seed)
     X = rng.standard_normal((n, p))
     X /= np.linalg.norm(X, axis=0)
@@ -513,7 +516,7 @@ def _sparse_objective(seed, n=24, p=80, mu=None):
     z = 0.05 * rng.standard_normal(p)
     lam = 0.05 * rng.standard_normal(p)
     mu = float(rng.uniform(0.3, 0.8)) if mu is None else mu
-    return SubproblemObjective(inst, z, lam, mu), b
+    return inner_problem(inst, z, lam, mu, b), b
 
 
 _TIGHT = 1e-10  # tol_sub of TestSparseWarmStart, which runs with MAX_INNER_ITER at 200000
@@ -562,7 +565,7 @@ class TestSparseWarmStart:
     @pytest.mark.parametrize("seed", range(4))
     def test_product_counts(self, products, seed):
         obj, b = _sparse_objective(seed)
-        obj = _watched(products, obj)
+        obj = _watched(products, obj, b)
         result = solve_subproblem(obj, b, _TIGHT)
         assert result.succeeded
         assert products.calls == TestGramCost._expected(result.iterations)
@@ -572,7 +575,7 @@ class TestSparseWarmStart:
         # the answer's support is not the start's: coordinates off supp(b)
         # leave zero, and the loop reaches them with the same products
         obj, b = _sparse_objective(0)
-        obj = _watched(products, obj)
+        obj = _watched(products, obj, b)
         result = solve_subproblem(obj, b, _TIGHT)
         assert result.succeeded
         assert np.setdiff1d(np.flatnonzero(result.u), np.flatnonzero(b)).size > 0
@@ -582,7 +585,7 @@ class TestSparseWarmStart:
 
     def test_from_zero(self, products):
         obj, _ = _sparse_objective(0)
-        obj = _watched(products, obj)
+        obj = _watched(products, obj, np.zeros(obj.inst.p))
         result = solve_subproblem(obj, np.zeros(obj.inst.p), _TIGHT)
         assert result.succeeded and result.iterations > 1
         assert products.calls == TestGramCost._expected(result.iterations)
@@ -592,15 +595,15 @@ class TestSparseWarmStart:
     @pytest.mark.parametrize("seed", range(4))
     def test_next_inner_problem(self, products, seed):
         # the next inner problem of an outer loop, with z moved a little and
-        # X^T X u0 handed over from the first solve's residual: no Gram
-        # product at the start, and the operator's K is reused
+        # its r0 formed, as the z update forms it, from the X^T X u0 of the
+        # first solve's residual: no Gram product at the start, and the
+        # operator's K is reused
         obj, b = _sparse_objective(seed)
         first = solve_subproblem(obj, b, _TIGHT)
         rng = np.random.default_rng(seed)
         z = obj.z_fixed + 1e-3 * rng.standard_normal(obj.inst.p)
-        gram_u = first.residual + obj.c
-        nxt = SubproblemObjective(obj.inst, z, obj.lambda_fixed, obj.mu, gram_u0=gram_u,
-                                  design=obj.design)
+        w = (first.residual + obj.c) - obj.inst.xty + obj.lambda_fixed / obj.mu
+        nxt = SubproblemObjective(obj.inst, z, obj.lambda_fixed, obj.mu, w - z, obj.design)
         products.reset()
         result = solve_subproblem(nxt, first.u, _TIGHT)
         assert result.succeeded and result.iterations > 0
@@ -608,7 +611,7 @@ class TestSparseWarmStart:
         self._assert_matches_reference(nxt, result, first.u)
         self._assert_exact(nxt, result)
         # a fresh operator and a fresh Gram product take the same steps
-        plain = SubproblemObjective(obj.inst, z, obj.lambda_fixed, obj.mu)
+        plain = inner_problem(obj.inst, z, obj.lambda_fixed, obj.mu, first.u)
         fresh = solve_subproblem(plain, first.u, _TIGHT)
         assert fresh.iterations == result.iterations
         assert np.abs(fresh.u - result.u).max() <= 1e-10 * max(1.0, np.abs(fresh.u).max())
@@ -623,7 +626,8 @@ class TestSparseWarmStart:
         b = np.zeros(p)
         b[:2] = 3.0
         inst = Instance(X=X, y=X @ b + 0.05 * rng.standard_normal(n), delta=1.0)
-        obj = _watched(products, SubproblemObjective(inst, np.zeros(p), np.zeros(p), 0.5))
+        obj = _watched(products, inner_problem(inst, np.zeros(p), np.zeros(p), 0.5, np.zeros(p)),
+                       np.zeros(p))
         result = solve_subproblem(obj, np.zeros(p), _TIGHT)
         assert result.succeeded and result.iterations > 0
         assert obj.design.kernel.shape == (p, p)
@@ -638,7 +642,7 @@ class TestSolveSubproblem:
         mu, c = 1.5, 4.0
         obj = _scalar_objective(x_entry=1.0, y_val=c, mu=mu)
         u_star = soft_thresh(np.array([c]), 1.0 / mu)
-        result = solve_subproblem(obj, u_star, 1e-8)
+        result = solve_subproblem(_at(obj, u_star), u_star, 1e-8)
         assert result.succeeded
         assert result.iterations <= 1
         assert np.allclose(result.u, u_star, atol=1e-10)
@@ -652,9 +656,9 @@ class TestSolveSubproblem:
             seen["bar_alpha"].append(bar_alpha)
             return search_direction(u, bar_alpha, grad)
 
-        def search(start, state, d, delta, e, ke):
+        def search(obj, point, reference, d, delta, e, ke):
             seen["delta"].append(delta)
-            return line_search(start, state, d, delta, e, ke)
+            return line_search(obj, point, reference, d, delta, e, ke)
 
         monkeypatch.setattr(subsolver_module, "search_direction", direction)
         monkeypatch.setattr(subsolver_module, "line_search", search)
@@ -671,7 +675,7 @@ class TestSolveSubproblem:
         z = rng.standard_normal(n)
         lam = rng.standard_normal(n)
         mu = 2.3
-        obj = SubproblemObjective(inst, z, lam, mu)
+        obj = inner_problem(inst, z, lam, mu, np.zeros(n))
         result = solve_subproblem(obj, np.zeros(n), 1e-12)
         c = inst.y + z - lam / mu
         closed_form = soft_thresh(c, 1.0 / mu)
@@ -686,7 +690,7 @@ class TestSolveSubproblem:
         lam = rng.standard_normal(50)
         mu = 1.2
         inst = Instance(X=X, y=y, delta=1.0)
-        obj = SubproblemObjective(inst, z, lam, mu)
+        obj = inner_problem(inst, z, lam, mu, np.zeros(50))
         monkeypatch.setattr(subsolver_module, "MAX_INNER_ITER", 100000)
         result = solve_subproblem(obj, np.zeros(50), 1e-10)
         got = penalized_value_dense(X, y, z, lam, mu, result.u)
@@ -700,8 +704,8 @@ class TestSolveSubproblem:
         rng = np.random.default_rng(140 + seed)
         n, p = 50, 20
         X, y, delta = random_instance_arrays(rng, n, p)
-        obj = SubproblemObjective(Instance(X=X, y=y, delta=delta), rng.standard_normal(p),
-                                  rng.standard_normal(p), float(rng.uniform(0.5, 2.0)))
+        obj = inner_problem(Instance(X=X, y=y, delta=delta), rng.standard_normal(p),
+                            rng.standard_normal(p), float(rng.uniform(0.5, 2.0)), np.zeros(p))
         assert obj.design.gram_space
         monkeypatch.setattr(subsolver_module, "MAX_INNER_ITER", 100000)
         result = solve_subproblem(obj, np.zeros(p), 1e-10)
@@ -758,8 +762,8 @@ class TestSolveSubproblem:
         signal = np.where(rng.random(30) < 0.2, rng.standard_normal(30), 0.0)
         inst = Instance(X=X, y=X @ signal + 0.05 * rng.standard_normal(12), delta=1.0)
         z, lam = 0.1 * rng.standard_normal(30), 0.1 * rng.standard_normal(30)
-        obj = SubproblemObjective(inst, z, lam, 0.5)
         u0 = np.zeros(30)
+        obj = inner_problem(inst, z, lam, 0.5, u0)
         free = solve_subproblem(obj, u0, 1e-6)
         assert free.status == "converged"
         monkeypatch.setattr(subsolver_module, "MAX_INNER_ITER", free.iterations)
@@ -803,11 +807,11 @@ class TestSolveSubproblem:
         obj = _objective(rng, n=8, p=14, mu=1.5)
         searches = []
 
-        def lost_fourth(start, state, *args):
+        def lost_fourth(obj, point, *args):
             searches.append(1)
-            alpha, trial = line_search(start, state, *args)
+            alpha, trial = line_search(obj, point, *args)
             if len(searches) == 4:
-                trial = replace(trial, u=state.u.copy())
+                trial = replace(trial, u=point.u.copy())
             return alpha, trial
 
         monkeypatch.setattr(subsolver_module, "line_search", lost_fourth)
