@@ -22,15 +22,18 @@ sigma 0.05, at (720, 2560, 80), each with its design's mu and tol rules:
   seeds; a tree's time is its fastest.
 
 Each solve records its time and status; its outer, inner and ``rounds``
-counts, the first inner solve's iterations and ``start_rounds`` (the last
-three 0 for a tree whose ``RunReport`` lacks them); the ``rho2`` and false
+counts, the first inner solve's iterations, ``start_rounds`` and
+``subsolver_failures`` (the last four 0 for a tree whose ``RunReport``
+lacks them); the ``rho2`` and false
 positives of the two-stage refit; the certificate's largest ratio over tol;
 the sha256 of beta and lambda; and the largest change of beta and lambda
 relative to the first tree's largest entry.  Each row's summary holds, per tree and against
 the first tree, the median paired time ratio and the seeds solved faster,
 the seeds with equal (outer, inner, rounds) and with equal bytes, and the
-largest relative changes; and the tree's median time, its means, and whether
-every answer was certified (converged, with every ratio at most tol).
+largest relative changes; and the tree's median time, its means, the solves
+with a subsolver failure (an inner solve that missed its tolerance; a claim
+of equal bytes names the rows that took that path), and whether every
+answer was certified (converged, with every ratio at most tol).
 
 ``--bench-seeds`` runs ``perfbench/run.py --trace 0`` of each workload of
 BENCHMARK.json on every tree for its ``run_seconds``: one run per tree and
@@ -153,6 +156,7 @@ def _record(checkout, inst, truth, sigma, tol, seconds, beta, lam, report) -> di
         "rounds": getattr(report, "rounds", 0),
         "first_inner": (getattr(report, "inner_iteration_history", None) or [0])[0],
         "start_rounds": getattr(report, "start_rounds", 0),
+        "subsolver_failures": getattr(report, "subsolver_failures", 0),
         "rho2": quality.rho2,
         "false_positives": quality.false_positives,
         "certificate_ratio": worst / tol,
@@ -210,6 +214,7 @@ def summary(runs: list[dict]) -> list[dict]:
             "max_lambda_change": max(solve["lambda_change"] for solve in tree),
             "median_solve_s": statistics.median(solve["solve_s"] for solve in tree),
             **{f"{key}_mean": statistics.fmean(solve[key] for solve in tree) for key in MEANS},
+            "solves_with_failures": sum(solve["subsolver_failures"] > 0 for solve in tree),
             "max_certificate_ratio": max(solve["certificate_ratio"] for solve in tree),
             "all_certified": all(solve["certified"] for solve in tree),
         })

@@ -45,11 +45,11 @@ product with X.  An outer iteration costs what its inner solve costs (see
 and two products with X per inner iteration, plus three products with X
 per inner solve.  When p < n the inner solve runs in the Gram space: two
 p x p products with G = X^T X per inner iteration, plus one per inner
-solve, and none with X.  When the inner solver returns its best earlier
-iterate instead of its final one, G beta and X^T X lambda are formed
-fresh, two more Gram products.  One design operator serves every inner
-solve of the loop, so its kernel, the n x n K = X X^T or the p x p G, is
-formed at most once (about min(n, p)^2 max(n, p) / 2 multiply-adds).
+solve, and none with X.  An inner solve that misses its tolerance returns
+its best iterate with its residual and gradient too, so the loop makes no
+product for it either.  One design operator serves every inner solve of
+the loop, so its kernel, the n x n K = X X^T or the p x p G, is formed at
+most once (about min(n, p)^2 max(n, p) / 2 multiply-adds).
 
 :func:`solve` runs this loop, :func:`_adm`, on the Dantzig selector of
 X[:, W] for a growing set of columns W, with its constraints on W only.
@@ -661,8 +661,9 @@ def _adm(
     its value when it last halved (first, the start's): a stalled run, which
     :func:`solve` tells from the cap by the count.  X^T X beta and
     X^T X lambda come from the inner solver's residual and gradient (see the
-    module docstring for the identities and the cost per iteration).  A
-    subsolver that misses its tolerance contributes its best iterate and is
+    module docstring for the identities and the cost per iteration), so the
+    loop makes no product of its own.  A subsolver that misses its tolerance
+    contributes its best iterate, with its residual and gradient, and is
     counted in the report.  Non-finite values end the run with status
     numerical_failure, returning the state at failure, and that iteration
     records no metric.  ``callback`` gets one :class:`OuterIterationRecord`
@@ -686,13 +687,10 @@ def _adm(
         report.inner_iteration_history.append(result.iterations)
         report.inner_iteration_total += result.iterations
         report.subsolver_failures += not result.succeeded
-        beta = result.u
-        if result.residual is None:  # the best earlier iterate: nothing held for it
-            gram_beta = apply_gram(inst, beta)
-        else:  # G beta = r + c; the multiplier step is mu r, so X^T X lambda = g
-            gram_beta = result.residual + objective.c
+        # G beta = r + c; the multiplier step is mu r, so X^T X lambda = g
+        beta, gram_beta = result.u, result.residual + objective.c
         lam = update_lambda(inst, lam, z, config.mu, gram_beta)
-        gram_lam = apply_gram(inst, lam) if result.residual is None else result.gradient
+        gram_lam = result.gradient
         report.outer_iterations += 1
         if not all(np.isfinite(v).all() for v in (beta, lam, z)):
             report.status = STATUS_NUMERICAL_FAILURE

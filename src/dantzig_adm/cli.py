@@ -17,7 +17,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -35,7 +34,6 @@ EXIT_IO = 2
 EXIT_SOLVER = 3
 EXIT_NOT_CONVERGED = 4
 
-WORKERS_ENV = "DANTZIG_ADM_WORKERS"
 BENCH_HEADER = "design,sigma,n,p,s,instances,iter_mean,cpu_mean_s,rho2_mean,rho2_orig_mean,failures"
 BASE_SIZE = (720, 2560, 80)  # multiplied by the --i grid factors
 
@@ -99,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--max-outer", type=int, default=AdmConfig.max_outer_iter,
                        help="outer iteration cap")
     bench.add_argument("--workers", type=int, default=1,
-                       help=f"parallel instance solves (capped by ${WORKERS_ENV})")
+                       help="parallel instance solves (at most --reps)")
     bench.add_argument("--out", default=None, help="CSV path (default: stdout)")
     bench.set_defaults(func=_cmd_bench)
 
@@ -284,18 +282,6 @@ def _bench_instance(task: dict) -> dict:
         return {"status": "error", "seed": task["seed"], "error": f"{type(exc).__name__}: {exc}"}
 
 
-def _one_blas_thread() -> None:
-    """Pool initializer: one thread for numpy's bundled OpenBLAS in this worker.
-
-    Forked workers keep OpenBLAS's default of one thread per core, so each
-    core would run one BLAS thread per worker.  Every product of a solve goes
-    through numpy's OpenBLAS (:func:`~dantzig_adm.core.set_blas_threads`);
-    no solve loads scipy.  Without that library, or without its thread-count
-    functions, nothing changes.
-    """
-    core.set_blas_threads(1)
-
-
 def ProcessPoolExecutor(*args, **kwargs):
     """concurrent.futures.ProcessPoolExecutor, imported when a pool is made.
 
@@ -306,22 +292,6 @@ def ProcessPoolExecutor(*args, **kwargs):
     from concurrent.futures import ProcessPoolExecutor as executor
 
     return executor(*args, **kwargs)
-
-
-def _pool(workers: int):
-    """The process pool of `bench`, one BLAS thread per worker."""
-    return ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread)
-
-
-def _resolve_workers(requested: int, reps: int) -> int:
-    cap = os.environ.get(WORKERS_ENV)
-    workers = requested
-    if cap is not None:
-        try:
-            workers = min(workers, max(1, int(cap)))
-        except ValueError:
-            raise ValueError(f"{WORKERS_ENV} must be an integer, got {cap!r}") from None
-    return min(workers, reps)
 
 
 def _parse_sizes(args) -> list[tuple[int, int, int]]:
@@ -356,12 +326,13 @@ def _cmd_bench(args) -> int:
         ]
         config = _config(args, design, p, default_delta(p, args.sigma))
         grid.append([{"seed": spec.seed, "spec": spec, "config": config} for spec in specs])
-    workers = _resolve_workers(args.workers, args.reps)
+    workers = min(args.workers, args.reps)
 
     lines = [BENCH_HEADER]
     for (n, p, s), tasks in zip(sizes, grid):
         if workers > 1:
-            with _pool(workers) as pool:
+            # a forked worker keeps OpenBLAS's one thread per core; each gets one
+            with ProcessPoolExecutor(workers, initializer=core.set_blas_threads, initargs=(1,)) as pool:
                 outcomes = list(pool.map(_bench_instance, tasks))
         else:
             outcomes = [_bench_instance(task) for task in tasks]
@@ -375,12 +346,17 @@ def _cmd_bench(args) -> int:
         row = [design, _fmt(args.sigma), *map(str, (n, p, s, args.reps)), *map(_fmt, means)]
         lines.append(",".join([*row, str(args.reps - len(completed))]))
 
+    return _write_text(args.out, lines)
+
+
+def _write_text(out: str | None, lines: list[str]) -> int:
+    """Write ``lines`` to the file ``out``, its directory made, or to stdout when None."""
     text = "\n".join(lines) + "\n"
-    if args.out is None:
+    if out is None:
         sys.stdout.write(text)
     else:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(text)
+        Path(out).parent.mkdir(parents=True, exist_ok=True)
+        Path(out).write_text(text)
     return EXIT_OK
 
 
@@ -399,22 +375,14 @@ def _cmd_figure_data(args) -> int:
             raise fileio.FileFormatError(
                 f"{sol / name}.mtx has {vec.size} entries, but beta_tilde.mtx has {p}"
             )
-    mask = np.zeros(p, dtype=bool)
-    for _, vec in columns:
-        mask |= vec != 0
+    mask = np.any([vec != 0 for _, vec in columns], axis=0)
     if args.background > 0:
         mask[:: max(1, p // args.background)] = True
 
     lines = ["index," + ",".join(name for name, _ in columns)]
     for j in np.flatnonzero(mask):
         lines.append(f"{j}," + ",".join(repr(float(vec[j])) for _, vec in columns))
-    text = "\n".join(lines) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(text)
-    return EXIT_OK
+    return _write_text(args.out, lines)
 
 
 def main(argv=None) -> int:

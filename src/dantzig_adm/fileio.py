@@ -74,7 +74,11 @@ def write_manifest(path, entries: dict) -> None:
 
 def read_manifest(path) -> dict[str, str]:
     entries: dict[str, str] = {}
-    for raw in Path(path).read_text().splitlines():
+    try:
+        lines = Path(path).read_text().splitlines()
+    except UnicodeDecodeError as exc:  # a ValueError, but not a usage error
+        raise FileFormatError(f"{path} is not a text file: {exc}") from None
+    for raw in lines:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

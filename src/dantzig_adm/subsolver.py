@@ -47,11 +47,12 @@ with G.  The outer loop runs each inner solve on the block X[:, W] of its
 round's columns (see :func:`~dantzig_adm.adm.solve`), so all of these are
 products with that block, or with its |W| x |W| Gram matrix when |W| < n.
 
-When the returned u is the final iterate, the result also carries
-r(u) = r0 + X^T E (one more X^T product in n-space, none in the Gram
-space) and the gradient mu G r(u), which the iteration already holds.  The
-outer loop reads G u = r + c, its multiplier step and the multiplier's Gram
-product off these, with no product of its own.
+The result carries the returned u with r(u) = r0 + X^T E (one more X^T
+product in n-space, none in the Gram space) and the gradient mu G r(u),
+which the iteration already holds, at every exit: the best earlier iterate
+of a failed solve is kept with its gradient.  The outer loop reads
+G u = r + c, its multiplier step and the multiplier's Gram product off
+these, with no product of its own.
 """
 
 from __future__ import annotations
@@ -155,19 +156,18 @@ class InnerIterationRecord:
 
 @dataclass(frozen=True, eq=False)
 class SubsolverResult:
-    """Returned iterate and how the run ended.
+    """Returned iterate, how the run ended, and the residual and gradient at u.
 
     ``residual`` is r(u) = X^T X u - c, formed once as r0 + X^T E (r0 + E
-    in the Gram space), and ``gradient`` is mu X^T X r(u), when u is its
-    final iterate; both are None when the best earlier iterate is returned
-    instead.
+    in the Gram space), and ``gradient`` is mu X^T X r(u), the one the
+    iteration held at u.
     """
 
     u: np.ndarray
     iterations: int
     status: str  # converged | stationary | max_iter | line_search_failure
-    residual: np.ndarray | None = field(default=None, repr=False)
-    gradient: np.ndarray | None = field(default=None, repr=False)
+    residual: np.ndarray = field(repr=False)
+    gradient: np.ndarray = field(repr=False)
 
     @property
     def succeeded(self) -> bool:
@@ -265,26 +265,26 @@ def solve_subproblem(
     MAX_INNER_ITER, where only the first is tested.  On line-search failure
     or cap exhaustion the best iterate seen (by penalized objective) is
     returned with a flagged status; the caller decides whether to accept
-    it.  Only a final iterate comes with its residual and gradient.
+    it.  Every returned u comes with its residual and gradient.
 
     Start-up costs q0 and the gradient.  Each iteration then costs the
-    direction's products and one for the new gradient, and a final iterate
-    its residual: X r0 and X^T q0, X d, K (X d) and X^T, and X^T E in
-    n-space; G r0, G d and G (q0 + K E), and nothing in the Gram space.
+    direction's products and one for the new gradient, and the returned
+    iterate its residual: X r0 and X^T q0, X d, K (X d) and X^T, and X^T E
+    in n-space; G r0, G d and G (q0 + K E), and nothing in the Gram space.
     """
     u = np.array(u0, dtype=np.float64)
     origin = np.zeros_like(obj.q0)
     smooth = 0.5 * obj.mu * float(obj.r0 @ obj.r0)
-    point = best = Point(u, origin, origin, smooth, smooth + float(np.abs(u).sum()))
+    point = Point(u, origin, origin, smooth, smooth + float(np.abs(u).sum()))
     grad, bar_alpha, iteration = obj.gradient(origin), 1.0, 0
+    best = point, grad  # the least penalized iterate so far, with its gradient
     window = deque([point.penalized], maxlen=MEMORY + 1)  # last MEMORY+1 penalized values
-    status = "max_iter"
 
     while True:
         if inner_termination_metric(point.u, grad, point.penalized) <= tol_sub:
             return _finish(obj, point, grad, iteration, "converged")
         if iteration == MAX_INNER_ITER:
-            break
+            return _finish(obj, *best, iteration, "max_iter")
         d, delta = search_direction(point.u, bar_alpha, grad)
         if delta > -STATIONARY_RTOL * max(1.0, point.penalized):
             return _finish(obj, point, grad, iteration, "stationary")
@@ -293,8 +293,7 @@ def solve_subproblem(
         try:
             alpha, trial = line_search(obj, point, window_max, d, delta, e, ke)
         except LineSearchError:
-            status = "line_search_failure"
-            break
+            return _finish(obj, *best, iteration, "line_search_failure")
         if np.array_equal(trial.u, point.u):  # the step is lost to rounding: u is a fixed point
             return _finish(obj, point, grad, iteration, "stationary")
         g_new = obj.gradient(trial.kshift)
@@ -316,15 +315,13 @@ def solve_subproblem(
                 )
             )
         bar_alpha = bar_alpha_next
-        if point.penalized < best.penalized:
-            best = point
-
-    return SubsolverResult(best.u, iteration, status)
+        if point.penalized < best[0].penalized:
+            best = point, grad
 
 
 def _finish(
     obj: SubproblemObjective, point: Point, grad: np.ndarray, iteration: int, status: str
 ) -> SubsolverResult:
-    """The final iterate with its residual r0 + X^T E (or r0 + E) and gradient."""
+    """The returned iterate with its residual r0 + X^T E (or r0 + E) and gradient."""
     residual = obj.r0 + obj.design.residual_product(point.shift)
     return SubsolverResult(point.u, iteration, status, residual, grad)

@@ -433,15 +433,13 @@ class TestOuterCost:
     with X.
     """
 
-    def _record_inner(self, monkeypatch, strip_first=False):
-        """Record inner results; optionally drop the first result's residual."""
+    def _record_inner(self, monkeypatch):
+        """Record inner results."""
         inner = []
         original = adm_module.solve_subproblem
 
         def recording(obj, u0, tol_sub, callback=None):
             result = original(obj, u0, tol_sub, callback)
-            if strip_first and not inner:
-                result = replace(result, residual=None, gradient=None)
             inner.append(result)
             return result
 
@@ -570,33 +568,54 @@ class TestOuterCost:
         expected = (dense_gram(inst.X) @ beta0)[support]
         assert np.abs(gram_beta0 - expected).max() <= 1e-12 * np.abs(inst.xty).max()
 
-    def test_best_iterate_gets_fresh_products(self, monkeypatch, products, whole_problem):
+    def test_failed_inner_solve_costs_what_a_converged_one_costs(
+        self, monkeypatch, products, whole_problem
+    ):
+        # the first inner solve stops at a cap of 2 iterations and returns its
+        # best iterate; it carries its residual and gradient as a converged
+        # one does, so the loop makes no product of its own for it
         rng = np.random.default_rng(30)
         inst = _instance(rng, n=8, p=20)
         inst.xty  # cache X^T y before counting
         products.watch(inst)
-        inner = self._record_inner(monkeypatch, strip_first=True)
-        seen = []
+        inner = []
+        original = adm_module.solve_subproblem
+
+        def capped_first(obj, u0, tol_sub, callback=None):
+            with pytest.MonkeyPatch.context() as patch:
+                if not inner:
+                    patch.setattr(subsolver_module, "MAX_INNER_ITER", 2)
+                inner.append(original(obj, u0, tol_sub, callback))
+            return inner[-1]
+
+        monkeypatch.setattr(adm_module, "solve_subproblem", capped_first)
+        mu, seen = 1.0, []
         _, _, report = whole_problem(
             inst,
-            AdmConfig(mu=1.0, tol=1e-5, max_outer_iter=5),
+            AdmConfig(mu=mu, tol=1e-5, max_outer_iter=5),
             callback=lambda rec: seen.append((dict(products.calls), rec)),
         )
         assert len(seen) == len(inner) > 2
+        assert [result.succeeded for result in inner] == [False] + [True] * (len(inner) - 1)
+        assert inner[0].status == "max_iter" and report.subsolver_failures == 1
         before = {}  # the zero start needs no product
-        for k, ((calls, rec), result) in enumerate(zip(seen, inner)):
-            fresh = 2 if k == 0 else 0  # G beta and G lambda, with no residual held
+        for (calls, _), result in zip(seen, inner):
             iters = result.iterations
             assert _step(calls, before) == {
-                "matvec": 1 + iters + fresh,
-                "rmatvec": 2 + iters + fresh,
+                "matvec": 1 + iters,
+                "rmatvec": 2 + iters,
                 "rmatvec_pair": 0,
                 "kernel_matvec": iters,
             }
             before = calls
         assert products.outside == 0
-        rec = seen[0][1]
-        assert rec.metric == _metric_at(inst, rec.beta, rec.lam)
+        # the step read off the failed solve's result, as TestOuterIdentity checks it
+        G, h = dense_gram(inst.X), inst.X.T @ inst.y
+        for _, rec in seen:
+            expected = rec.lam_prev + mu * (G @ rec.beta - h - rec.z)
+            scale = max(np.abs(expected).max(), np.abs(rec.lam_prev).max())
+            assert np.abs(rec.lam - expected).max() <= 1e-10 * scale
+            assert rec.metric == pytest.approx(_metric_at(inst, rec.beta, rec.lam), rel=1e-10)
 
 
 def _on_round(inst, rec):
@@ -1613,7 +1632,7 @@ class TestSolve:
 
         def exploding(obj, u0, tol_sub, callback=None):
             u = np.full_like(np.asarray(u0), np.nan)
-            return SubsolverResult(u=u, iterations=1, status="converged")
+            return SubsolverResult(u=u, iterations=1, status="converged", residual=u, gradient=u)
 
         monkeypatch.setattr(adm_module, "solve_subproblem", exploding)
         beta, lam, report = solve(inst, AdmConfig(mu=1.0, tol=1e-6))
@@ -1630,7 +1649,7 @@ class TestSolve:
             result = original(obj, u0, tol_sub, callback)
             calls["k"] += 1
             if calls["k"] == 1:
-                return SubsolverResult(u=result.u, iterations=result.iterations, status="max_iter")
+                return replace(result, status="max_iter")
             return result
 
         monkeypatch.setattr(adm_module, "solve_subproblem", flaky)

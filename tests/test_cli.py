@@ -1,3 +1,4 @@
+import concurrent.futures
 import ctypes
 import json
 import math
@@ -275,8 +276,9 @@ class TestSolve:
             (lambda out: _set_manifest(out, "design", "weird"), ["manifest.txt", "weird"]),
             (lambda out: _set_manifest(out, "delta", "-1.0"), ["manifest.txt", "delta"]),
             (_drop_last_row_of_y, ["y.mtx", "X.mtx"]),
+            (lambda out: (out / "manifest.txt").write_bytes(b"\xff\xfe"), ["manifest.txt"]),
         ],
-        ids=["sigma", "design", "delta", "rows"],
+        ids=["sigma", "design", "delta", "rows", "undecodable"],
     )
     def test_malformed_manifest_value_is_io_error(self, tmp_path, capsys, edit, named):
         out = tmp_path / "inst"
@@ -437,10 +439,9 @@ class TestBench:
         assert cli.main(base + ["--workers", "3", "--out", str(parallel)]) == 0
         assert _without_cpu(serial.read_text()) == _without_cpu(parallel.read_text())
 
-    def test_orthogonal_rows_do_not_depend_on_workers(self, tmp_path, monkeypatch):
+    def test_orthogonal_rows_do_not_depend_on_workers(self, tmp_path):
         # a worker runs one BLAS thread and this process may run more; the
         # QR of the orthogonal design runs on one thread in both
-        monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
         base = ["bench", "--design", "ortho", "--sigma", "0.05", "--size", "60,200,6", "--reps", "2"]
         rows = []
         for workers in ("1", "2"):
@@ -449,33 +450,43 @@ class TestBench:
             rows.append(_without_cpu(out.read_text()))
         assert rows[0] == rows[1]
 
-    def test_workers_run_one_blas_thread(self):
+    def test_workers_run_one_blas_thread(self, tmp_path, monkeypatch):
         parent = _numpy_blas_threads()
         if parent is None:
             pytest.skip("numpy links no bundled OpenBLAS here")
-        with cli._pool(2) as pool:
-            assert list(pool.map(_numpy_blas_threads, range(4))) == [1] * 4
+        made, seen = [], []
+
+        def probing(*args, **kwargs):  # bench's pool, asked for its workers' thread counts
+            made.append(kwargs)
+            pool = concurrent.futures.ProcessPoolExecutor(*args, **kwargs)
+            seen.extend(pool.map(_numpy_blas_threads, range(4)))
+            return pool
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", probing)
+        args = ["bench", "--sigma", "0.05", "--size", "30,90,4", "--reps", "2", "--workers", "2"]
+        assert cli.main([*args, "--out", str(tmp_path / "bench.csv")]) == 0
+        assert made == [{"initializer": core.set_blas_threads, "initargs": (1,)}]
+        assert seen == [1] * 4
         assert _numpy_blas_threads() == parent  # the calling process keeps its own
+
+    def test_workers_are_at_most_the_reps(self, tmp_path, monkeypatch):
+        made = []
+
+        def recording(workers, **kwargs):
+            made.append(workers)
+            return concurrent.futures.ProcessPoolExecutor(workers, **kwargs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", recording)
+        args = ["bench", "--sigma", "0.05", "--size", "30,90,4", "--reps", "2", "--workers", "8"]
+        assert cli.main([*args, "--out", str(tmp_path / "bench.csv")]) == 0
+        assert made == [2]
 
     def test_missing_thread_setter_does_nothing(self, monkeypatch):
         before = _numpy_blas_threads()
         for library in (None, object()):  # no bundled OpenBLAS, and one without the setter
             monkeypatch.setattr(core, "_openblas", lambda library=library: library)
-            cli._one_blas_thread()
+            assert core.set_blas_threads(1) is None  # as the pool's initializer calls it
             assert _numpy_blas_threads() == before
-
-    def test_worker_env_cap(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.WORKERS_ENV, "1")
-        assert cli._resolve_workers(8, 10) == 1
-        monkeypatch.delenv(cli.WORKERS_ENV)
-        assert cli._resolve_workers(8, 10) == 8
-        assert cli._resolve_workers(8, 3) == 3
-
-    def test_worker_env_not_an_integer_is_usage_error(self, monkeypatch, capsys):
-        monkeypatch.setenv(cli.WORKERS_ENV, "x")
-        args = ["bench", "--sigma", "0.05", "--size", "30,90,4", "--reps", "2"]
-        assert cli.main(args) == 1
-        assert cli.WORKERS_ENV in capsys.readouterr().err
 
     def test_needs_size_or_grid(self, tmp_path):
         assert cli.main(["bench", "--sigma", "0.05"]) == 1
@@ -707,7 +718,6 @@ class TestColdStart:
         )
         src = Path(cli.__file__).resolve().parent.parent
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-        env.pop(cli.WORKERS_ENV, None)
         csv_path = tmp_path / "bench.csv"
         run = subprocess.run(
             [sys.executable, "-c", script, str(csv_path)],

@@ -505,6 +505,17 @@ class TestGramCost:
         assert products.x_products == 2 + products.forming_kernel(obj.inst)  # r0 and G
 
 
+def _assert_exact(obj, result):
+    """The returned residual and gradient against a dense recomputation at u."""
+    G = dense_gram(obj.inst.X)
+    c = obj.inst.X.T @ obj.inst.y + obj.z_fixed - obj.lambda_fixed / obj.mu
+    r = G @ result.u - c
+    np.testing.assert_allclose(result.residual, r, rtol=0, atol=1e-10 * np.abs(c).max())
+    np.testing.assert_allclose(
+        result.gradient, obj.mu * (G @ r), rtol=0, atol=1e-10 * obj.mu * np.abs(G @ c).max()
+    )
+
+
 def _sparse_objective(seed, n=24, p=80, mu=None):
     """A unit-column problem warm-started at a 3-sparse signal b, and b."""
     rng = np.random.default_rng(500 + seed)
@@ -535,17 +546,6 @@ class TestSparseWarmStart:
         monkeypatch.setattr(subsolver_module, "MAX_INNER_ITER", 200000)
 
     @staticmethod
-    def _assert_exact(obj, result):
-        """The returned residual and gradient against a dense recomputation at u."""
-        G = dense_gram(obj.inst.X)
-        c = obj.inst.X.T @ obj.inst.y + obj.z_fixed - obj.lambda_fixed / obj.mu
-        r = G @ result.u - c
-        np.testing.assert_allclose(result.residual, r, rtol=0, atol=1e-10 * np.abs(c).max())
-        np.testing.assert_allclose(
-            result.gradient, obj.mu * (G @ r), rtol=0, atol=1e-10 * obj.mu * np.abs(G @ c).max()
-        )
-
-    @staticmethod
     def _assert_matches_reference(obj, result, u0):
         """The penalized value within 1e-6 of the independent reference (criterion 5's bound)."""
         dense = _dense(obj)
@@ -560,7 +560,7 @@ class TestSparseWarmStart:
         result = solve_subproblem(obj, b, _TIGHT)
         assert result.succeeded and result.iterations > 0
         self._assert_matches_reference(obj, result, b)
-        self._assert_exact(obj, result)
+        _assert_exact(obj, result)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_product_counts(self, products, seed):
@@ -581,7 +581,7 @@ class TestSparseWarmStart:
         assert np.setdiff1d(np.flatnonzero(result.u), np.flatnonzero(b)).size > 0
         assert products.calls == TestGramCost._expected(result.iterations)
         self._assert_matches_reference(obj, result, b)
-        self._assert_exact(obj, result)
+        _assert_exact(obj, result)
 
     def test_from_zero(self, products):
         obj, _ = _sparse_objective(0)
@@ -590,7 +590,7 @@ class TestSparseWarmStart:
         assert result.succeeded and result.iterations > 1
         assert products.calls == TestGramCost._expected(result.iterations)
         TestGramCost._x_products(products, obj.inst)
-        self._assert_exact(obj, result)
+        _assert_exact(obj, result)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_next_inner_problem(self, products, seed):
@@ -609,7 +609,7 @@ class TestSparseWarmStart:
         assert result.succeeded and result.iterations > 0
         assert products.calls == TestGramCost._expected(result.iterations, cold=False)
         self._assert_matches_reference(nxt, result, first.u)
-        self._assert_exact(nxt, result)
+        _assert_exact(nxt, result)
         # a fresh operator and a fresh Gram product take the same steps
         plain = inner_problem(obj.inst, z, obj.lambda_fixed, obj.mu, first.u)
         fresh = solve_subproblem(plain, first.u, _TIGHT)
@@ -634,7 +634,7 @@ class TestSparseWarmStart:
         assert products.calls == TestGramCost._expected(result.iterations, gram_space=True)
         TestGramCost._x_products(products, obj.inst)
         self._assert_matches_reference(obj, result, np.zeros(p))
-        self._assert_exact(obj, result)
+        _assert_exact(obj, result)
 
 
 class TestSolveSubproblem:
@@ -743,7 +743,20 @@ class TestSolveSubproblem:
         assert result.status == "max_iter"
         assert result.iterations == 3
         assert np.isfinite(result.u).all()
-        assert result.residual is None and result.gradient is None
+        _assert_exact(obj, result)  # the best iterate comes with its residual and gradient
+
+    def test_an_earlier_best_iterate_comes_with_its_own_residual_and_gradient(self, monkeypatch):
+        # the nonmonotone second step raises the penalized value, so the cap
+        # returns the first iterate, whose gradient the loop kept with it
+        rng = np.random.default_rng(16)
+        obj = _objective(rng, n=8, p=14, mu=1.5)
+        monkeypatch.setattr(subsolver_module, "MAX_INNER_ITER", 2)
+        records = []
+        result = solve_subproblem(obj, np.zeros(14), 1e-13, records.append)
+        assert result.status == "max_iter" and len(records) == 2
+        assert records[1].penalized > records[0].penalized
+        assert np.array_equal(result.u, records[0].u)
+        _assert_exact(obj, result)
 
     @staticmethod
     def _best(obj, u0, records):
@@ -777,8 +790,8 @@ class TestSolveSubproblem:
         short = solve_subproblem(obj, u0, 1e-6, callback=records.append)
         assert short.status == "max_iter" and not short.succeeded
         assert short.iterations == len(records) == free.iterations - 1
-        assert short.residual is None and short.gradient is None
         assert np.array_equal(short.u, self._best(obj, u0, records))
+        _assert_exact(obj, short)
 
     def test_line_search_failure_returns_the_best_iterate(self, monkeypatch):
         rng = np.random.default_rng(16)
@@ -797,8 +810,8 @@ class TestSolveSubproblem:
         result = solve_subproblem(obj, u0, 1e-13, records.append)
         assert result.status == "line_search_failure" and not result.succeeded
         assert result.iterations == len(records) == 3
-        assert result.residual is None and result.gradient is None
         assert np.array_equal(result.u, self._best(obj, u0, records))
+        _assert_exact(obj, result)
 
     def test_an_accepted_step_that_leaves_u_unchanged_is_stationary(self, monkeypatch):
         # a step alpha d below half an ulp of every entry of u: bb_step would
@@ -831,10 +844,4 @@ class TestSolveSubproblem:
         obj = _objective(rng, n=8, p=14, mu=1.5)
         result = solve_subproblem(obj, np.zeros(14), 1e-9)
         assert result.succeeded and result.iterations > 0
-        G = dense_gram(obj.inst.X)
-        c = obj.inst.X.T @ obj.inst.y + obj.z_fixed - obj.lambda_fixed / obj.mu
-        r = G @ result.u - c
-        np.testing.assert_allclose(result.residual, r, rtol=0, atol=1e-10 * np.abs(c).max())
-        np.testing.assert_allclose(
-            result.gradient, obj.mu * (G @ r), rtol=0, atol=1e-10 * obj.mu * np.abs(G @ c).max()
-        )
+        _assert_exact(obj, result)
