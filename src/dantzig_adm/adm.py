@@ -120,8 +120,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (ColumnBlock, DesignOperator, Instance, apply_gram, box_clamp, grown_kernel,
-                   least_squares)
+# apply_gram is imported only so that perfbench's TRACE_TARGETS can trace it here
+from .core import (ColumnBlock, DesignOperator, Instance, _as_vector, apply_gram, box_clamp,
+                   grown_kernel, least_squares)
 from .subsolver import SubproblemObjective, solve_subproblem
 
 STATUS_CONVERGED = "converged"
@@ -240,12 +241,12 @@ class RunReport:
     whole solve's, start included.
     """
 
-    outer_iterations: int
-    inner_iteration_total: int
-    stopping_metric_history: list[float]
-    dual_objective_history: list[float]
-    wall_time: float
-    status: str
+    outer_iterations: int = 0
+    inner_iteration_total: int = 0
+    stopping_metric_history: list[float] = field(default_factory=list)
+    dual_objective_history: list[float] = field(default_factory=list)
+    wall_time: float = 0.0
+    status: str = STATUS_CONVERGED
     subsolver_failures: int = 0
     inner_iteration_history: list[int] = field(default_factory=list)
     start_support: int = 0
@@ -534,15 +535,15 @@ def _start(
     Checks beta0 and lambda0 and fills in their defaults as :func:`solve`
     describes; the screened start makes its products with ``design`` and
     its fits in ``block``.  A zero vector's Gram product costs nothing
-    (X^T X 0 = 0), any other one apply_gram.  The report holds the start's
-    metric and dual objective as the first entries of its histories, the
-    start's fields, and status converged.
+    (X^T X 0 = 0), any other one X v and one X^T w through ``design``.  The
+    report holds the start's metric and dual objective as the first entries
+    of its histories and the start's fields; the rest keep their zero
+    defaults, status converged among them.
     """
     p = inst.p
-    beta = None if beta0 is None else np.array(beta0, dtype=np.float64)
-    lam = np.zeros(p) if lambda0 is None else np.array(lambda0, dtype=np.float64)
-    if (beta is not None and beta.shape != (p,)) or lam.shape != (p,):
-        raise ValueError(f"beta0 and lambda0 must have length {p}")
+    # copies: a solve that passes at its start returns them
+    beta = None if beta0 is None else _as_vector(beta0, p, "beta0").copy()
+    lam = np.zeros(p) if lambda0 is None else _as_vector(lambda0, p, "lambda0").copy()
     for name, v in (("beta0", beta), ("lambda0", lam)):
         if v is not None and not np.isfinite(v).all():
             raise ValueError(f"{name} must be finite")
@@ -550,16 +551,12 @@ def _start(
     if beta is None:
         beta, gram_beta, start_rounds = _screened_start(inst, design, config.tol, block)
     else:
-        gram_beta = apply_gram(inst, beta) if beta.any() else np.zeros(p)
-    gram_lam = apply_gram(inst, lam) if lam.any() else np.zeros(p)
+        gram_beta = design.rmatvec(design.matvec(beta)) if beta.any() else np.zeros(p)
+    gram_lam = design.rmatvec(design.matvec(lam)) if lam.any() else np.zeros(p)
     terms = _criterion_terms(inst, beta, lam, gram_beta, gram_lam)
     report = RunReport(
-        outer_iterations=0,
-        inner_iteration_total=0,
         stopping_metric_history=[max(_stopping_ratios(beta, lam, terms))],
         dual_objective_history=[terms[3]],
-        wall_time=0.0,
-        status=STATUS_CONVERGED,
         start_support=int(np.count_nonzero(beta)),
         start_rounds=start_rounds,
     )

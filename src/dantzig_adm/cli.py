@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__, adm, core, fileio, subsolver
 from .adm import AdmConfig
 from .core import Instance
-from .datagen import GenSpec, default_delta, make_instance, mu_rule, tol_rule
+from .datagen import DESIGN_KINDS, GenSpec, default_delta, make_instance, mu_rule, tol_rule
 from .evaluation import evaluate_solution, feasibility_report, two_stage
 
 EXIT_OK = 0
@@ -37,12 +37,7 @@ EXIT_NOT_CONVERGED = 4
 BENCH_HEADER = "design,sigma,n,p,s,instances,iter_mean,cpu_mean_s,rho2_mean,rho2_orig_mean,failures"
 BASE_SIZE = (720, 2560, 80)  # multiplied by the --i grid factors
 
-_DESIGNS = {
-    "unit": "unit_columns",
-    "ortho": "orthogonal_rows",
-    "unit_columns": "unit_columns",
-    "orthogonal_rows": "orthogonal_rows",
-}
+_DESIGNS = dict(zip(DESIGN_KINDS, DESIGN_KINDS), unit="unit_columns", ortho="orthogonal_rows")
 
 
 def _fmt(x: float) -> str:
@@ -60,6 +55,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="command")
+    settings = argparse.ArgumentParser(add_help=False)  # the solve settings (see _config)
+    settings.add_argument("--mu", type=float, help="penalty (default: design rule)")
+    settings.add_argument("--tol", type=float, help="outer tolerance (default: design rule)")
+    settings.add_argument("--max-outer", type=int, default=AdmConfig.max_outer_iter,
+                          help="outer iteration cap")
 
     gen = sub.add_parser("gen", help="generate a simulated instance directory")
     gen.add_argument("--n", type=int, required=True, help="number of rows of X")
@@ -73,17 +73,14 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True, help="output directory")
     gen.set_defaults(func=_cmd_gen)
 
-    solve = sub.add_parser("solve", help="solve an instance directory")
+    solve = sub.add_parser("solve", parents=[settings], help="solve an instance directory")
     solve.add_argument("instance_dir", help="directory holding X.mtx, y.mtx, manifest.txt")
-    solve.add_argument("--mu", type=float, default=None, help="penalty (default: design rule)")
-    solve.add_argument("--tol", type=float, default=None, help="outer tolerance (default: design rule)")
     solve.add_argument("--delta", type=float, default=None, help="override the manifest delta")
-    solve.add_argument("--max-outer", type=int, default=AdmConfig.max_outer_iter,
-                       help="outer iteration cap")
     solve.add_argument("--out", default=None, help="output directory (default: instance dir)")
     solve.set_defaults(func=_cmd_solve)
 
-    bench = sub.add_parser("bench", help="run a benchmark grid and emit one CSV row per size")
+    bench = sub.add_parser("bench", parents=[settings],
+                           help="run a benchmark grid and emit one CSV row per size")
     bench.add_argument("--design", choices=sorted(_DESIGNS), default="unit")
     bench.add_argument("--sigma", type=float, required=True)
     bench.add_argument("--i", type=int, action="append", default=None, metavar="I",
@@ -92,10 +89,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="explicit size triple (repeatable)")
     bench.add_argument("--reps", type=int, default=10, help="instances per grid point")
     bench.add_argument("--seed", type=int, default=0, help="seed of the first instance; rep r uses seed+r")
-    bench.add_argument("--mu", type=float, default=None, help="penalty override (default: design rule)")
-    bench.add_argument("--tol", type=float, default=None, help="tolerance override (default: design rule)")
-    bench.add_argument("--max-outer", type=int, default=AdmConfig.max_outer_iter,
-                       help="outer iteration cap")
     bench.add_argument("--workers", type=int, default=1,
                        help="parallel instance solves (at most --reps)")
     bench.add_argument("--out", default=None, help="CSV path (default: stdout)")
@@ -148,11 +141,11 @@ def _cmd_gen(args) -> int:
 def _load_instance(instance_dir: Path, delta_override: float | None):
     """The instance, design kind and noise level of an instance directory.
 
-    A manifest value that does not parse or is not a valid delta, X and y of
-    different row counts, and the file contents that :class:`Instance`
-    rejects (a non-finite entry, a zero column of X) are malformed input
-    files (FileFormatError, naming the file); a bad --delta stays a usage
-    error.
+    A manifest value that does not parse, a sigma that is negative or not
+    finite, a delta that is not valid, X and y of different row counts, and
+    the file contents that :class:`Instance` rejects (an empty X, a
+    non-finite entry, a zero column of X) are malformed input files
+    (FileFormatError, naming the file); a bad --delta stays a usage error.
     """
     manifest_path = instance_dir / "manifest.txt"
     x_path, y_path = instance_dir / "X.mtx", instance_dir / "y.mtx"
@@ -167,6 +160,8 @@ def _load_instance(instance_dir: Path, delta_override: float | None):
     if design is None:
         raise fileio.FileFormatError(f"{manifest_path}: unknown design kind {manifest['design']!r}")
     sigma = _manifest_float(manifest_path, "sigma", manifest.get("sigma", "0"))
+    if not 0 <= sigma < math.inf:
+        raise fileio.FileFormatError(f"{manifest_path}: sigma = {sigma} must be finite and >= 0")
     if delta_override is not None:
         delta = delta_override
     elif "delta" not in manifest:

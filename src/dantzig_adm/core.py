@@ -107,21 +107,6 @@ def column_sums_of_squares(tiles, p: int) -> np.ndarray:
     return total
 
 
-def _column_major(X: np.ndarray) -> np.ndarray:
-    """X in Fortran order, copied in blocks of 64 rows when it is not already.
-
-    A block reads 64 whole rows and writes 64 contiguous entries of each
-    column, so both sides stay in cache; np.asfortranarray copies in element
-    order and takes about twice as long on a large X.
-    """
-    if X.flags.f_contiguous:
-        return X
-    out = np.empty(X.shape[::-1])
-    for start in range(0, X.shape[0], 64):
-        out[:, start : start + 64] = X[start : start + 64].T
-    return out.T
-
-
 def _as_vector(v, length: int | None, name: str) -> np.ndarray:
     arr = np.asarray(v, dtype=np.float64)
     if arr.ndim != 1:
@@ -166,8 +151,8 @@ class Instance:
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=np.float64)
-        if X.ndim != 2:
-            raise ValueError(f"X must be a 2-d matrix, got shape {X.shape}")
+        if X.ndim != 2 or not X.size:
+            raise ValueError(f"X must be a nonempty 2-d matrix, got shape {X.shape}")
         y = _as_vector(self.y, X.shape[0], "y")
         delta = float(self.delta)
         # one pass over row tiles; a square is finite unless X_ij is not or
@@ -182,7 +167,7 @@ class Instance:
         d = np.sqrt(squares)
         if np.any(d <= 0):
             raise ValueError("X has a zero column; every column norm must be positive")
-        object.__setattr__(self, "X", _column_major(X))
+        object.__setattr__(self, "X", np.asfortranarray(X))
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "d", d)
@@ -563,9 +548,9 @@ def apply_gram(inst: Instance, v: np.ndarray) -> np.ndarray:
     """Apply the Gram operator v -> X^T (X v) as two matrix-vector products.
 
     X v takes the support-restricted path of :meth:`DesignOperator.matvec`
-    when at most half of v is nonzero.  The outer loop uses this for the
-    products the inner solver does not hand back, and the certificate of
-    :func:`~dantzig_adm.evaluation.feasibility_report` for all of its own.
+    when at most half of v is nonzero.  The certificate of
+    :func:`~dantzig_adm.evaluation.feasibility_report` makes all of its
+    products with it; a solve makes its own through its one operator.
     """
     design = DesignOperator(inst.X)
     return design.rmatvec(design.matvec(v))

@@ -52,9 +52,7 @@ def two_stage(beta_tilde: np.ndarray, inst: Instance, sigma_noise: float) -> np.
     """
     if not sigma_noise > 0:
         raise ValueError(f"sigma_noise must be positive, got {sigma_noise}")
-    beta_tilde = np.asarray(beta_tilde, dtype=np.float64)
-    if beta_tilde.shape != (inst.p,):
-        raise ValueError(f"beta_tilde must have length {inst.p}, got {beta_tilde.shape}")
+    beta_tilde = _as_vector(beta_tilde, inst.p, "beta_tilde")
     support = np.flatnonzero(np.abs(beta_tilde) > 2.0 * sigma_noise)
     return least_squares(inst.X, inst.y, support)
 

@@ -4,7 +4,7 @@ Matrices and vectors are stored in Matrix Market array format (real, general),
 vectors as single-column matrices.  Manifests are plain ``key = value`` text
 files; float values are written with repr so they read back bit-exactly.
 A file that exists but does not parse raises :class:`FileFormatError`.
-scipy.io is imported by the three Matrix Market functions when called, so a
+scipy.io is imported by the Matrix Market functions when called, so a
 process that reads and writes no ``.mtx`` file (a library solve, ``bench``)
 loads no scipy.  Imported with this module, it took a fresh
 ``import dantzig_adm.cli`` from 0.13 s to 0.22 s and added about 20 MiB of
@@ -51,9 +51,7 @@ def write_vector(path, v: np.ndarray) -> None:
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-d array, got shape {v.shape}")
-    from scipy import io as spio
-
-    spio.mmwrite(str(path), v.reshape(-1, 1))
+    write_matrix(path, v.reshape(-1, 1))
 
 
 def read_vector(path) -> np.ndarray:

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -1507,7 +1508,7 @@ class TestScreenedStart:
 
     def test_cases_without_a_refit_keep_the_round_zero_bytes(self):
         # the solve from the round-0 start passed as beta0 forms G beta0 with
-        # apply_gram, as the start before the refinement did
+        # one X v and one X^T w, as the start before the refinement did
         for name, inst, expected in self._no_refit_cases():
             assert np.array_equal(adm_module.screened_start(inst), expected), name
             beta, lam, report = self._solve(inst)
@@ -1580,13 +1581,36 @@ class TestSolve:
         solve(inst, AdmConfig(mu=1.0, tol=1e-4, max_outer_iter=3), beta0=beta0)
         assert seen and np.array_equal(seen[0], beta0)
 
-    @pytest.mark.parametrize("name, value", [("beta0", math.nan), ("lambda0", math.inf)])
-    def test_non_finite_start_rejected(self, name, value):
+    @pytest.mark.parametrize(
+        "name, start, message",
+        [("beta0", np.where(np.arange(8) == 3, math.nan, 0.0), "beta0 must be finite"),
+         ("lambda0", np.where(np.arange(8) == 3, math.inf, 0.0), "lambda0 must be finite"),
+         ("beta0", np.zeros(7), "beta0 must have length 8, got 7"),
+         ("lambda0", np.zeros(9), "lambda0 must have length 8, got 9"),
+         ("beta0", np.zeros((8, 1)), "beta0 must be one-dimensional, got shape (8, 1)"),
+         ("lambda0", np.zeros((1, 8)), "lambda0 must be one-dimensional, got shape (1, 8)")],
+        ids=["beta0-nan", "lambda0-inf", "beta0-short", "lambda0-long", "beta0-2d", "lambda0-2d"],
+    )
+    def test_non_finite_start_rejected(self, name, start, message):
         inst = _instance(np.random.default_rng(24), n=5, p=8)
-        start = np.zeros(8)
-        start[3] = value
-        with pytest.raises(ValueError, match=f"{name} must be finite"):
+        with pytest.raises(ValueError, match=re.escape(message)):
             solve(inst, AdmConfig(mu=1.0, tol=1e-4), **{name: start})
+
+    def test_a_given_start_builds_one_operator_on_x(self, monkeypatch):
+        # the start's Gram products go through the solve's own operator
+        rng = np.random.default_rng(25)
+        inst = _instance(rng, n=20, p=60)
+        built, init = [], DesignOperator.__init__
+
+        def spy(self, X):
+            built.append(X)
+            init(self, X)
+
+        monkeypatch.setattr(DesignOperator, "__init__", spy)
+        beta0, lambda0 = np.zeros(60), np.zeros(60)
+        beta0[[3, 17]], lambda0[[5, 40]] = rng.standard_normal(2), rng.standard_normal(2)
+        solve(inst, AdmConfig(mu=1.0, tol=1e-4, max_outer_iter=5), beta0=beta0, lambda0=lambda0)
+        assert sum(X is inst.X for X in built) == 1
 
     @pytest.mark.parametrize("beta0", [None, "zero"])
     def test_a_step_lost_to_rounding_ends_the_inner_solve(self, monkeypatch, beta0):

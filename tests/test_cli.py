@@ -200,6 +200,7 @@ class TestSolve:
         assert (max(ratios) <= tol) == (report["status"] == "converged")
 
     def test_zero_response_instance(self, tmp_path):
+        # a noiseless manifest (sigma = 0) is valid input
         out = tmp_path / "zero"
         assert cli.main(_gen_args(out, s=0, sigma=0.0, extra=("--delta", "0.5"))) == 0
         assert cli.main(["solve", str(out), "--tol", "1e-3"]) == 0
@@ -277,8 +278,12 @@ class TestSolve:
             (lambda out: _set_manifest(out, "delta", "-1.0"), ["manifest.txt", "delta"]),
             (_drop_last_row_of_y, ["y.mtx", "X.mtx"]),
             (lambda out: (out / "manifest.txt").write_bytes(b"\xff\xfe"), ["manifest.txt"]),
+            (lambda out: _set_manifest(out, "sigma", "inf"), ["manifest.txt", "sigma = inf"]),
+            (lambda out: _set_manifest(out, "sigma", "nan"), ["manifest.txt", "sigma = nan"]),
+            (lambda out: _set_manifest(out, "sigma", "-1"), ["manifest.txt", "sigma = -1.0"]),
         ],
-        ids=["sigma", "design", "delta", "rows", "undecodable"],
+        ids=["sigma", "design", "delta", "rows", "undecodable", "sigma-inf", "sigma-nan",
+             "sigma-negative"],
     )
     def test_malformed_manifest_value_is_io_error(self, tmp_path, capsys, edit, named):
         out = tmp_path / "inst"
@@ -287,6 +292,16 @@ class TestSolve:
         assert cli.main(["solve", str(out)]) == 2
         err = capsys.readouterr().err
         assert all(word in err for word in named) and "Traceback" not in err
+
+    @pytest.mark.parametrize("flags", [[], ["--mu", "1"]], ids=["mu-rule", "mu-given"])
+    def test_x_without_columns_is_io_error(self, tmp_path, capsys, flags):
+        out = tmp_path / "inst"
+        assert cli.main(_gen_args(out)) == 0
+        fileio.write_matrix(out / "X.mtx", np.zeros((30, 0)))
+        assert cli.main(["solve", str(out), *flags]) == 2
+        err = capsys.readouterr().err
+        assert f"{out / 'X.mtx'}: X must be a nonempty 2-d matrix, got shape (30, 0)" in err
+        assert "Traceback" not in err and not (out / "beta_tilde.mtx").exists()
 
     def test_nonpositive_delta_flag_is_usage_error(self, tmp_path):
         out = tmp_path / "inst"

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from contextlib import contextmanager
@@ -68,6 +69,13 @@ class TestInstance:
         X[:, 2] = 0.0
         with pytest.raises(ValueError):
             Instance(X=X, y=np.zeros(3), delta=1.0)
+
+    @pytest.mark.parametrize("shape", [(5, 0), (0, 0), (0, 5), (5,)])
+    def test_empty_or_non_matrix_x_rejected(self, shape):
+        # the message opens with X, which the CLI maps to X.mtx
+        message = f"X must be a nonempty 2-d matrix, got shape {shape}"
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            Instance(X=np.zeros(shape), y=np.zeros(shape[0]), delta=1.0)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
