@@ -151,11 +151,7 @@ def _load_instance(instance_dir: Path, delta_override: float | None):
     x_path, y_path = instance_dir / "X.mtx", instance_dir / "y.mtx"
     manifest = fileio.read_manifest(manifest_path)
     X = fileio.read_matrix(x_path)
-    y = fileio.read_vector(y_path)
-    if y.shape[0] != X.shape[0]:
-        raise fileio.FileFormatError(
-            f"{y_path} has {y.shape[0]} rows but {x_path} has {X.shape[0]}"
-        )
+    y = _read_vector(y_path, X.shape[0], f"{x_path} has {X.shape[0]} rows")
     design = _DESIGNS.get(manifest.get("design", "unit_columns"))
     if design is None:
         raise fileio.FileFormatError(f"{manifest_path}: unknown design kind {manifest['design']!r}")
@@ -176,6 +172,14 @@ def _load_instance(instance_dir: Path, delta_override: float | None):
             raise
         path = {"y": y_path, "delta": manifest_path}.get(name, x_path)
         raise fileio.FileFormatError(f"{path}: {exc}") from None
+
+
+def _read_vector(path: Path, length: int, against: str) -> np.ndarray:
+    """The vector in ``path``; FileFormatError, naming ``against``, unless it has ``length``."""
+    vec = fileio.read_vector(path)
+    if vec.shape[0] != length:
+        raise fileio.FileFormatError(f"{path} has {vec.shape[0]} entries, but {against}")
+    return vec
 
 
 def _manifest_float(path: Path, key: str, text: str) -> float:
@@ -201,11 +205,9 @@ def _cmd_solve(args) -> int:
     truth_path = instance_dir / "beta_true.mtx"
     beta_true = None
     if truth_path.exists() and sigma > 0:
-        beta_true = fileio.read_vector(truth_path)
-        if beta_true.shape != (inst.p,):
-            raise fileio.FileFormatError(
-                f"{truth_path} has {beta_true.size} entries, but X.mtx has {inst.p} columns"
-            )
+        beta_true = _read_vector(truth_path, inst.p, f"X.mtx has {inst.p} columns")
+        if not beta_true.any():  # a zero truth has no rho2 to rate against: no eval.json
+            beta_true = None
 
     beta_tilde, lam, report = adm.solve(inst, config)
 
@@ -315,6 +317,8 @@ def _cmd_bench(args) -> int:
             return EXIT_USAGE
     grid = []  # every size's tasks before any solve: what a worker would reject is a usage error
     for n, p, s in sizes:
+        if s < 1:
+            raise ValueError(f"bench needs s >= 1 (no rho2 for a zero truth), got s = {s}")
         specs = [
             GenSpec(n=n, p=p, s=s, sigma_noise=args.sigma, design_kind=design, seed=args.seed + rep)
             for rep in range(args.reps)
@@ -361,15 +365,14 @@ def _mean(values: list[float]) -> float:
 
 def _cmd_figure_data(args) -> int:
     sol = Path(args.solution_dir)
-    names = [name for name in ("beta_true", "beta_tilde", "beta_hat")
-             if name == "beta_tilde" or (sol / f"{name}.mtx").exists()]
-    columns = [(name, fileio.read_vector(sol / f"{name}.mtx")) for name in names]
-    p = dict(columns)["beta_tilde"].shape[0]
-    for name, vec in columns:
-        if vec.shape != (p,):
-            raise fileio.FileFormatError(
-                f"{sol / name}.mtx has {vec.size} entries, but beta_tilde.mtx has {p}"
-            )
+    beta_tilde = fileio.read_vector(sol / "beta_tilde.mtx")
+    p = beta_tilde.shape[0]
+    columns = [
+        (name, beta_tilde if name == "beta_tilde"
+         else _read_vector(sol / f"{name}.mtx", p, f"beta_tilde.mtx has {p}"))
+        for name in ("beta_true", "beta_tilde", "beta_hat")
+        if name == "beta_tilde" or (sol / f"{name}.mtx").exists()
+    ]
     mask = np.any([vec != 0 for _, vec in columns], axis=0)
     if args.background > 0:
         mask[:: max(1, p // args.background)] = True

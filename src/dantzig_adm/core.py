@@ -436,14 +436,12 @@ def least_squares(
     1.9-3.3 ms, and their answers differed by 3e-15 relative.  It runs on one
     BLAS thread (see :func:`one_blas_thread`), so its bytes do not depend on
     the thread count.  B is copied into ``block``, a :class:`ColumnBlock` of
-    X, when one is given, and into a new array otherwise.  For a
-    column-major X both copies are column-major, and the answer's bytes are
-    the same.
+    X, when one is given, and into a new one otherwise.
     """
     b = np.zeros(X.shape[1])
     if columns.size:
-        # a plain copy: its products are not with X
-        block = np.asarray(X[:, columns]) if block is None else block.take(columns)
+        # a copy: its products are not with X
+        block = (ColumnBlock(X) if block is None else block).take(columns)
         with one_blas_thread():
             fit = _normal_equations(block, y)
             if fit is None:

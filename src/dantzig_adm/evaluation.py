@@ -67,7 +67,7 @@ def rho_metrics(beta_est: np.ndarray, beta_true: np.ndarray, sigma_noise: float)
         )
     denom = float(np.minimum(beta_true**2, sigma_noise**2).sum())
     if denom == 0.0:
-        raise ValueError("ideal risk is zero (beta_true = 0 and sigma = 0)")
+        raise ValueError("ideal risk is zero (beta_true = 0 or sigma = 0)")
     return float(((beta_est - beta_true) ** 2).sum()) / denom
 
 
@@ -109,17 +109,15 @@ def evaluate_solution(
     """Bundle the raw and two-stage error ratios against the known truth."""
     if beta_hat is None:
         beta_hat = two_stage(beta_tilde, inst, sigma_noise)
-    beta_true = np.asarray(beta_true, dtype=np.float64)
+    beta_true = _as_vector(beta_true, inst.p, "beta_true")
     support_est = np.flatnonzero(np.abs(beta_tilde) > 2.0 * sigma_noise)
-    support_true = np.flatnonzero(beta_true)
-    true_set = set(support_true.tolist())
-    tp = sum(1 for j in support_est.tolist() if j in true_set)
+    true_positives = int(np.count_nonzero(beta_true[support_est]))
     return EvalResult(
         rho2_orig=rho_metrics(beta_tilde, beta_true, sigma_noise),
         rho2=rho_metrics(beta_hat, beta_true, sigma_noise),
         support_estimated=support_est,
-        support_true=support_true,
-        true_positives=tp,
-        false_positives=support_est.size - tp,
+        support_true=np.flatnonzero(beta_true),
+        true_positives=true_positives,
+        false_positives=support_est.size - true_positives,
         oversized_support=support_est.size > inst.n,
     )

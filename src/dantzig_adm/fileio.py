@@ -37,9 +37,12 @@ def read_matrix(path) -> np.ndarray:
     from scipy import io as spio
 
     try:
-        a = spio.mmread(str(path))
+        rows = spio.mminfo(str(path))[0]
+        a = spio.mmread(str(path)) if rows else None
     except ValueError as exc:
         raise FileFormatError(f"{path} is not a Matrix Market array file: {exc}") from exc
+    if not rows:  # scipy's mmread dies of SIGFPE on an array file with no rows
+        raise FileFormatError(f"{path} holds a matrix with no rows")
     if not isinstance(a, np.ndarray) or a.ndim != 2:  # a coordinate file reads as sparse
         raise FileFormatError(f"{path} does not hold a dense 2-d array")
     if np.iscomplexobj(a):

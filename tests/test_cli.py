@@ -207,6 +207,28 @@ class TestSolve:
         beta_tilde = fileio.read_vector(out / "beta_tilde.mtx")
         assert np.abs(beta_tilde).sum() <= 1e-3
 
+    def test_zero_truth_with_noise_is_solved_without_eval(self, tmp_path):
+        # rho2 of a zero truth divides by zero: such a truth counts as none
+        out = tmp_path / "inst"
+        assert cli.main(_gen_args(out, n=40, p=100, s=0, sigma=0.1)) == 0
+        assert cli.main(["solve", str(out)]) == 0
+        assert (out / "beta_hat.mtx").exists() and not (out / "eval.json").exists()
+
+    def test_y_without_rows_is_io_error(self, tmp_path):
+        # scipy's mmread dies of SIGFPE on such a file, so solve in a child process
+        out = tmp_path / "inst"
+        assert cli.main(_gen_args(out)) == 0
+        fileio.write_vector(out / "y.mtx", np.zeros(0))
+        src = Path(cli.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run(
+            [sys.executable, "-m", "dantzig_adm", "solve", str(out)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert run.returncode == 2, run.stderr
+        assert str(out / "y.mtx") in run.stderr and "Traceback" not in run.stderr
+        assert not (out / "beta_tilde.mtx").exists()
+
     def test_missing_instance_dir_is_io_error(self, tmp_path):
         assert cli.main(["solve", str(tmp_path / "missing")]) == 2
 
@@ -528,6 +550,7 @@ class TestBench:
             (["--workers", "-3"], "--workers must be positive"),
             (["--mu", "inf"], "mu must be positive and finite"),
             (["--tol", "inf"], "tol must be positive and finite"),
+            (["--size", "40,100,0"], "bench needs s >= 1"),
         ],
     )
     def test_bad_input_is_usage_error_before_any_solve(self, monkeypatch, capsys, flags, message):

@@ -649,8 +649,12 @@ class TestLeastSquares:
         for size in (20, 15, 20, 30):
             columns = np.sort(rng.choice(inst.p, size, replace=False))
             kept = core_module.least_squares(inst.X, inst.y, columns, block)
-            fresh = core_module.least_squares(inst.X, inst.y, columns)
+            with core_module.one_blas_thread():  # the fit on a plain copy, as least_squares runs it
+                fit = core_module._normal_equations(np.asarray(inst.X[:, columns]), inst.y)
+            fresh = np.zeros(inst.p)
+            fresh[columns] = fit
             assert kept.tobytes() == fresh.tobytes()
+            assert kept.tobytes() == core_module.least_squares(inst.X, inst.y, columns).tobytes()
             buffers.add(id(block._rows))
         assert len(buffers) == 1 and block._rows.shape == (40, inst.n)  # twice the first 20
 

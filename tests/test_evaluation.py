@@ -128,6 +128,10 @@ class TestRhoMetrics:
         with pytest.raises(ValueError):
             rho_metrics(np.ones(3), np.zeros(3), 0.0)
 
+    def test_zero_truth_with_noise_names_either_cause(self):
+        with pytest.raises(ValueError, match=r"beta_true = 0 or sigma = 0"):
+            rho_metrics(np.ones(3), np.zeros(3), 0.1)
+
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_permutation_invariance(self, seed):
@@ -217,6 +221,12 @@ class TestEvaluateSolution:
         assert result.false_positives == 1
         assert np.array_equal(result.support_true, [1, 4])
         assert np.array_equal(result.support_estimated, [1, 6])
+
+    @pytest.mark.parametrize("length", [9, 11])
+    def test_truth_of_another_length_is_rejected_by_name(self, length):
+        inst = _instance(np.random.default_rng(12), n=8, p=10)
+        with pytest.raises(ValueError, match=rf"beta_true must have length 10, got {length}"):
+            evaluate_solution(inst, np.zeros(10), np.ones(length), 0.1)
 
     def test_refit_improves_error_on_simulated_recoveries(self):
         rho2, rho2_orig = [], []

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,6 +48,28 @@ class TestMatrixRoundTrip:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             fileio.read_matrix(tmp_path / "nope.mtx")
+
+    @pytest.mark.parametrize("shape", [(0, 1), (0, 3), (0, 0)], ids=["0x1", "0x3", "0x0"])
+    def test_a_file_with_no_rows_is_a_format_error(self, tmp_path, shape):
+        # scipy's mmread dies of SIGFPE on such a file, so read it in a child process
+        path = tmp_path / "empty.mtx"
+        fileio.write_matrix(path, np.zeros(shape))
+        script = (
+            "import sys\n"
+            "from dantzig_adm import fileio\n"
+            "try:\n"
+            "    fileio.read_matrix(sys.argv[1])\n"
+            "except fileio.FileFormatError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = Path(fileio.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run(
+            [sys.executable, "-c", script, str(path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == f"{path} holds a matrix with no rows\n"
 
 
 class TestManifest:
