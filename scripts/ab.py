@@ -39,7 +39,13 @@ answer was certified (converged, with every ratio at most tol).
 BENCHMARK.json on every tree for its ``run_seconds``: one run per tree and
 seed, the trees in reverse order on odd pairs.  Each run is started from a
 small interpreter of its own (``LAUNCHER``), so that its ``peak_rss_mb`` is
-its own and not this driver's.
+its own and not that of this script.  A run that fails is kept with its
+exit code and the last line of its stderr, and the other runs are still
+written.  For each workload and each end-to-end metric of BENCHMARK.json,
+the file holds the rule for a claimed gain against the first tree
+(:func:`verdict`): each tree's median and quartiles, the pairs it won,
+whether its gain exceeds the first tree's quartile gap, and whether it is
+worse than the metric's bound; one line per workload prints it.
 
 Seeds are given as a range ``A-B`` (inclusive) or a list ``A,B,...``.  BLAS
 is pinned to one thread before numpy is imported, as perfbench pins it.  The
@@ -234,6 +240,89 @@ def compare(checkout, trees: list, seeds: list[int], reps: int, label: str) -> d
     return result
 
 
+def _bench_run(tree: Path, workload: str, seed: int, seconds: int) -> dict:
+    """One ``perfbench/run.py --trace 0`` run in ``tree``: its metrics, or how it failed.
+
+    A run that exits nonzero or whose last line of stdout is no JSON object
+    gives its exit code and the last line of its stderr instead.
+    """
+    run = subprocess.run(
+        [sys.executable, "-c", LAUNCHER, sys.executable, "perfbench/run.py",
+         "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True,
+    )
+    lines = run.stdout.splitlines()
+    try:
+        line = json.loads(lines[-1]) if run.returncode == 0 and lines else None
+    except json.JSONDecodeError:
+        line = None
+    if not isinstance(line, dict):
+        stderr = run.stderr.strip().splitlines()
+        return {"exit_code": run.returncode, "error": stderr[-1] if stderr else ""}
+    return {"correct": line["correct"], "failed": line["failed"],
+            **{key: value["value"] if isinstance(value, dict) else value
+               for key, value in line["metrics"].items()}}
+
+
+def verdict(pairs: list[dict], metrics: list[dict]) -> dict:
+    """The choosing-metrics rule for a claimed gain, per end-to-end metric and tree.
+
+    ``metrics`` are BENCHMARK.json's ``end_to_end`` entries.  Per tree, over
+    its runs that gave the metric: the median and quartiles; the pairs it won
+    against the first tree (ties and failed runs count for neither); the
+    gain, the first tree's median minus its own, signed so that a positive
+    gain is better; whether the gain exceeds the first tree's quartile gap;
+    whether it won nine tenths of the pairs with that gain (the claim); and
+    whether its median is worse than the first tree's by more than the
+    metric's bound, a fraction of the first tree's median.
+    """
+    out = {}
+    for metric in metrics:
+        name, sign = metric["name"], 1.0 if metric["better"] == "lower" else -1.0
+        values = [[run.get(name) for run in pair["runs"]] for pair in pairs]
+        trees = []
+        for i in range(len(pairs[0]["runs"])):
+            mine = [row[i] for row in values if row[i] is not None]
+            if not mine:
+                trees.append({"runs": 0})
+                continue
+            q1, median, q3 = (statistics.quantiles(mine, n=4, method="inclusive")
+                              if len(mine) > 1 else mine * 3)
+            trees.append({"runs": len(mine), "median": median, "quartiles": [q1, q3],
+                          "won": sum(row[0] is not None and row[i] is not None
+                                     and sign * (row[0] - row[i]) > 0 for row in values)})
+        first = trees[0]
+        for tree in trees:
+            if not tree["runs"] or not first["runs"]:
+                continue
+            gain = sign * (first["median"] - tree["median"])
+            iqr = first["quartiles"][1] - first["quartiles"][0]
+            tree.update(gain=gain, gain_exceeds_iqr=gain > iqr,
+                        claim_met=tree["won"] >= 0.9 * len(pairs) and gain > iqr,
+                        worse_than_bound=-gain > metric["bound"] * abs(first["median"]))
+        out[name] = trees
+    return out
+
+
+def _verdict_line(workload: str, result: dict, pairs: int) -> str:
+    """One line per workload: per metric, each later tree against the first."""
+    def spread(tree):
+        return f"{tree['median']:.4g} [{tree['quartiles'][0]:.4g}, {tree['quartiles'][1]:.4g}]"
+
+    cells = []
+    for name, trees in result.items():
+        for i, tree in enumerate(trees[1:], 1):
+            if "gain" not in tree:
+                cells.append(f"{name} tree{i}: no runs to compare")
+                continue
+            cells.append(
+                f"{name} tree{i} {spread(tree)} vs {spread(trees[0])}, won {tree['won']}/{pairs},"
+                f" gain {'>' if tree['gain_exceeds_iqr'] else '<='} iqr,"
+                f" claim {'met' if tree['claim_met'] else 'not met'}"
+                + (", WORSE by more than its bound" if tree["worse_than_bound"] else ""))
+    return f"perfbench {workload}: " + "; ".join(cells)
+
+
 def perfbench(trees: list[Path], seeds: list[int]) -> dict:
     """Paired end-to-end runs of every workload (see the module docstring)."""
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -243,27 +332,13 @@ def perfbench(trees: list[Path], seeds: list[int]) -> dict:
         for k, seed in enumerate(seeds):
             runs = [None] * len(trees)
             for i in _order(len(trees), k):
-                run = subprocess.run(
-                    [sys.executable, "-c", LAUNCHER, sys.executable, "perfbench/run.py",
-                     "--workload", workload, "--seed", str(seed),
-                     "--seconds", str(result["seconds"]), "--trace", "0"],
-                    cwd=trees[i], capture_output=True, text=True, check=True,
-                )
-                line = json.loads(run.stdout.splitlines()[-1])
-                runs[i] = {"correct": line["correct"], "failed": line["failed"],
-                           **{key: value["value"] if isinstance(value, dict) else value
-                              for key, value in line["metrics"].items()}}
+                runs[i] = _bench_run(trees[i], workload, seed, result["seconds"])
             pairs.append({"seed": seed, "runs": runs})
-            print(f"perfbench {workload} seed={seed}: "
-                  + " ".join(f"{run['solve_s_p50']:.4f}" for run in runs), flush=True)
-        result[workload] = {
-            "median_solve_s_p50": [statistics.median(pair["runs"][i]["solve_s_p50"]
-                                                     for pair in pairs)
-                                   for i in range(len(trees))],
-            "solve_s_p50_ratios": [[pair["runs"][i]["solve_s_p50"] / pair["runs"][0]["solve_s_p50"]
-                                    for pair in pairs] for i in range(len(trees))],
-            "pairs": pairs,
-        }
+            print(f"perfbench {workload} seed={seed}: " + " ".join(
+                f"{run['solve_s_p50']:.4f}" if "solve_s_p50" in run
+                else f"failed({run['exit_code']})" for run in runs), flush=True)
+        result[workload] = {"verdict": verdict(pairs, benchmark["end_to_end"]), "pairs": pairs}
+        print(_verdict_line(workload, result[workload]["verdict"], len(pairs)), flush=True)
     return result
 
 

@@ -292,8 +292,18 @@ def screened_start(inst: Instance, tol: float = 0.0) -> np.ndarray:
 
 
 def _top(scores: np.ndarray, k: int) -> np.ndarray:
-    """The k indices of largest score, ties to the lower index, in ascending order."""
-    return np.sort(np.argsort(-scores, kind="stable")[:k])
+    """The k indices of largest score, ties to the lower index, in ascending order.
+
+    Every index whose score exceeds the k-th largest, found by np.partition,
+    then the lowest indices that tie with it: the first k of a stable
+    argsort of -scores, without the sort.
+    """
+    if k == 0:
+        return np.arange(0)
+    kth = np.partition(scores, scores.size - k)[scores.size - k]
+    above = np.flatnonzero(scores > kth)
+    ties = np.flatnonzero(scores == kth)[: k - above.size]
+    return np.sort(np.concatenate((above, ties)))
 
 
 def _screened_start(
@@ -317,10 +327,10 @@ def _screened_start(
     if k == inst.p:
         return beta, design.rmatvec(design.matvec(beta)), 0
     residual = inst.y - design.matvec(beta)
-    refits = 0
+    refits, d2 = 0, inst.d**2
     while True:
         xtr = design.rmatvec(residual)
-        candidate = _top(np.abs(beta + xtr / inst.d**2), k)
+        candidate = _top(np.abs(beta + xtr / d2), k)
         if np.array_equal(candidate, top):
             break
         trial = least_squares(inst.X, inst.y, candidate, block)
@@ -333,7 +343,11 @@ def _screened_start(
 
 
 def update_z(
-    inst: Instance, lam: np.ndarray, mu: float, gram_beta: np.ndarray
+    inst: Instance,
+    lam: np.ndarray,
+    mu: float,
+    gram_beta: np.ndarray,
+    bound: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(z, r0): the exact minimizer z of the augmented Lagrangian over the box
     ||D^-1 z||_inf <= delta, and the next inner problem's residual at beta.
@@ -342,10 +356,10 @@ def update_z(
     w = X^T X beta - X^T y + lambda/mu to the box, and r0 = w - z is
     X^T X beta - c with c = X^T y + z - lambda/mu, the residual of the inner
     problem warm-started at beta; it is exactly 0 wherever the clamp left
-    z = w.
+    z = w.  ``bound`` is the box's delta * d when the caller holds it.
     """
     w = gram_beta - inst.xty + lam / mu
-    z = box_clamp(w, inst.delta * inst.d)
+    z = box_clamp(w, inst.delta * inst.d if bound is None else bound)
     return z, w - z
 
 
@@ -374,7 +388,7 @@ def _criterion_terms(
     """
     primal = float(np.abs((gram_beta - inst.xty) / inst.d).max()) - inst.delta
     dual = float(np.abs(gram_lam).max()) - 1.0
-    beta_l1 = float(np.abs(beta).sum())
+    beta_l1 = float(np.add.reduce(np.abs(beta)))
     dual_value = -float(inst.xty @ lam) - inst.delta * float(inst.d @ np.abs(lam))
     return primal, dual, beta_l1, dual_value
 
@@ -386,13 +400,14 @@ def _stopping_ratios(
 
     Returns the relative duality gap | ||beta||_1 - d(lambda) | / max(||beta||_1, 1)
     and the primal and dual excesses over max(||beta||_2, 1) and
-    max(||lambda||_2, 1).  The two excess ratios may be negative.
+    max(||lambda||_2, 1).  The two excess ratios may be negative.  A norm is
+    sqrt(v . v), as np.linalg.norm forms it for a vector.
     """
     primal, dual, beta_l1, dual_value = terms
     return (
         abs(beta_l1 - dual_value) / max(beta_l1, 1.0),
-        primal / max(float(np.linalg.norm(beta)), 1.0),
-        dual / max(float(np.linalg.norm(lam)), 1.0),
+        primal / max(math.sqrt(float(beta @ beta)), 1.0),
+        dual / max(math.sqrt(float(lam @ lam)), 1.0),
     )
 
 
@@ -672,11 +687,12 @@ def _adm(
     # outer iterations since the metric fell below half of level, its value when it
     # last did so (the start's at first): the round stalls at patience of them
     stalled, level = 0, metric
+    bound = inst.delta * inst.d  # the z update's box
     report.rounds += 1
     while (metric > config.tol and report.outer_iterations < config.max_outer_iter
            and stalled < patience):
         lam_prev = lam
-        z, r0 = update_z(inst, lam, config.mu, gram_beta)
+        z, r0 = update_z(inst, lam, config.mu, gram_beta, bound)
         objective = SubproblemObjective(inst, z, lam, config.mu, r0, design)
         tol_sub = config.inner_tolerance(report.outer_iterations, best_metric)
         result = solve_subproblem(objective, beta, tol_sub)
@@ -689,7 +705,7 @@ def _adm(
         lam = update_lambda(inst, lam, z, config.mu, gram_beta)
         gram_lam = result.gradient
         report.outer_iterations += 1
-        if not all(np.isfinite(v).all() for v in (beta, lam, z)):
+        if not (np.isfinite(beta).all() and np.isfinite(lam).all() and np.isfinite(z).all()):
             report.status = STATUS_NUMERICAL_FAILURE
             return beta, lam, metric
         terms = _criterion_terms(inst, beta, lam, gram_beta, gram_lam)

@@ -528,7 +528,9 @@ def grown_kernel(A: np.ndarray, kernel: np.ndarray, old: np.ndarray) -> np.ndarr
     sides, so G stays exactly symmetric.
     """
     m = A.shape[0]
-    new = np.flatnonzero(np.isin(np.arange(m), old, invert=True))
+    is_new = np.ones(m, dtype=bool)
+    is_new[old] = False
+    new = np.flatnonzero(is_new)
     G = np.empty((m, m))
     G[np.ix_(old, old)] = kernel
     rows, cols = np.empty((min(64, new.size), A.shape[1])), np.empty((m, min(64, new.size)))
@@ -557,9 +559,15 @@ def apply_gram(inst: Instance, v: np.ndarray) -> np.ndarray:
 def soft_thresh(v: np.ndarray, gamma: float) -> np.ndarray:
     """Entrywise sgn(v) * max(|v| - gamma, 0), the prox of gamma * ||.||_1.
 
-    Entries with |v_i| <= gamma map exactly to zero.
+    Entries with |v_i| <= gamma map exactly to zero.  Formed in one new
+    array, the factor sgn(v) last: a product commutes, so the bytes, signed
+    zeros included, are those of the formula.
     """
-    return np.sign(v) * np.maximum(np.abs(v) - gamma, 0.0)
+    out = np.abs(v)
+    out -= gamma
+    np.maximum(out, 0.0, out=out)
+    out *= np.sign(v)
+    return out
 
 
 def box_clamp(w: np.ndarray, bound: np.ndarray) -> np.ndarray:

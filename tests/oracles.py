@@ -27,6 +27,27 @@ def shrink(v: np.ndarray, gamma: float) -> np.ndarray:
     return np.maximum(0.0, v - gamma) + np.minimum(0.0, v + gamma)
 
 
+def soft_thresh_formula(v: np.ndarray, gamma: float) -> np.ndarray:
+    """sgn(v) * max(|v| - gamma, 0) as one expression: the form core.soft_thresh replaced."""
+    return np.sign(v) * np.maximum(np.abs(v) - gamma, 0.0)
+
+
+def top_by_argsort(scores: np.ndarray, k: int) -> np.ndarray:
+    """The first k of a stable argsort of -scores, ascending: the ranking adm._top replaced."""
+    return np.sort(np.argsort(-scores, kind="stable")[:k])
+
+
+def termination_metric_norm(u: np.ndarray, grad: np.ndarray, penalized: float) -> float:
+    """||SoftThresh(u - grad, 1) - u||_2 / max(penalized, 1) by np.linalg.norm and the formula."""
+    step = soft_thresh_formula(u - grad, 1.0) - u
+    return float(np.linalg.norm(step)) / max(penalized, 1.0)
+
+
+def scaled_trial(point, alpha: float, d: np.ndarray, e: np.ndarray, ke: np.ndarray):
+    """(u + alpha d, E + alpha e, K E + alpha K e), multiplied by alpha even at alpha = 1."""
+    return point.u + alpha * d, point.shift + alpha * e, point.kshift + alpha * ke
+
+
 def prox_l1_scalar(v: float, gamma: float) -> float:
     """argmin_w 0.5 (w - v)^2 + gamma |w| by grid search plus bounded refinement."""
     span = abs(v) + gamma + 1.0

@@ -45,6 +45,7 @@ from oracles import (
     lp_optimum,
     lp_primal_enumeration,
     random_instance_arrays,
+    top_by_argsort,
 )
 
 
@@ -284,6 +285,17 @@ class TestStoppingMetric:
         expected = max(gap, primal, dual)
         assert _metric_at(inst, beta, lam) == pytest.approx(expected, rel=1e-10)
 
+    def test_norms_are_those_of_np_linalg_norm(self):
+        # the ratios take ||v||_2 as sqrt(v . v), which is how norm forms it
+        rng = np.random.default_rng(19)
+        terms = (0.3, -0.2, 1.7, -0.4)
+        for _ in range(200):
+            beta, lam = (rng.standard_normal(rng.integers(1, 300)) * 10.0 ** rng.integers(-8, 8)
+                         for _ in range(2))
+            _, primal, dual = adm_module._stopping_ratios(beta, lam, terms)
+            assert primal == terms[0] / max(float(np.linalg.norm(beta)), 1.0)
+            assert dual == terms[1] / max(float(np.linalg.norm(lam)), 1.0)
+
     def test_nonnegative(self):
         rng = np.random.default_rng(18)
         inst = _instance(rng)
@@ -390,8 +402,8 @@ class TestPrecomputedGram:
         inst, _ = make_instance(GenSpec(n=60, p=200, s=8, sigma_noise=0.05, seed=seed))
         starts = []
 
-        def recording(sub, lam, mu, gram_beta):
-            z, r0 = update_z(sub, lam, mu, gram_beta)
+        def recording(sub, lam, mu, gram_beta, *bound):
+            z, r0 = update_z(sub, lam, mu, gram_beta, *bound)
             # the box of the round's instance: z and r0 live on its columns W
             starts.append((z, r0, sub.delta * sub.d))
             return z, r0
@@ -1337,6 +1349,17 @@ class TestScreenedStart:
     def _sparse(seed):
         inst, _ = make_instance(GenSpec(n=48, p=200, s=6, sigma_noise=0.05, seed=seed))
         return inst
+
+    def test_top_by_partition_equals_the_stable_argsort(self):
+        # random draws with many ties, signed zeros among them, and every k
+        rng = np.random.default_rng(35)
+        for draw in range(300):
+            p = int(rng.integers(1, 40))
+            scores = rng.integers(0, 4 if draw % 2 else 40, size=p) / 4.0
+            scores[rng.random(p) < 0.2] = -0.0
+            for k in range(p + 1):
+                got, expected = adm_module._top(scores, k), top_by_argsort(scores, k)
+                assert got.dtype == expected.dtype and np.array_equal(got, expected), (draw, k)
 
     @pytest.mark.parametrize("seed", range(2))
     def test_zero_response_gives_the_zero_start_and_no_product(self, products, seed):

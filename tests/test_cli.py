@@ -841,6 +841,66 @@ class TestScripts:
                            for value in second.values())
 
 
+# perfbench/run.py of a scratch tree: fixed metrics that scale with FACTOR and
+# the seed, and no result (exit 1, a line on stderr) for the seed FAIL
+FAKE_PERFBENCH = """import json, sys
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+if seed == {fail}:
+    sys.exit(f"perfbench: no result for seed {{seed}}")
+value = {factor} * (1 + seed / 100)
+metrics = dict(solve_s_p50=value, solves_per_s=1 / value, setup_s=1.0, peak_rss_mb=100.0,
+               rho2_mean=2.0)
+print(json.dumps(dict(correct=True, failed=0, metrics={{k: dict(value=v) for k, v in metrics.items()}})))
+"""
+
+
+class TestAbPerfbench:
+    SCRIPTS = TestScripts.SCRIPTS
+
+    def test_a_failed_run_is_recorded_and_the_rule_is_reported(self, tmp_path):
+        # two scratch trees on this checkout's src; the second is twice as fast
+        # and its run of seed 2 fails
+        root = self.SCRIPTS.parent.resolve()
+        trees = []
+        for name, factor, fail in (("parent", 0.02, None), ("change", 0.01, 2)):
+            tree = tmp_path / name
+            (tree / "perfbench").mkdir(parents=True)
+            (tree / "src").symlink_to(root / "src")
+            (tree / "perfbench" / "run.py").write_text(FAKE_PERFBENCH.format(factor=factor, fail=fail))
+            trees.append(str(tree))
+        script = (
+            "import sys\n"
+            "import ab\n"
+            "ab.SIZE = (48, 200, 5)\n"
+            "sys.exit(ab.main(['--trees', *sys.argv[1:3], '--seeds', '100', '--reps', '1',\n"
+            "                  '--bench-seeds', '1-4', '--out', sys.argv[3]]))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(self.SCRIPTS), str(root / "src")])}
+        out = tmp_path / "ab.json"
+        run = subprocess.run(
+            [sys.executable, "-c", script, *trees, str(out)],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
+        )
+        assert run.returncode == 0, run.stderr
+        bench = json.loads(out.read_text())["perfbench"]
+        lines = [line for line in run.stdout.splitlines() if line.startswith("perfbench ")]
+        for workload in ("unit-i1", "bench-pool"):
+            failed = bench[workload]["pairs"][1]["runs"][1]
+            assert failed == {"exit_code": 1, "error": "perfbench: no result for seed 2"}
+            verdict = bench[workload]["verdict"]
+            parent, change = verdict["solve_s_p50"]
+            assert (parent["runs"], change["runs"]) == (4, 3)
+            assert change["median"] == pytest.approx(0.01 * 1.03)
+            assert parent["quartiles"][0] < parent["median"] < parent["quartiles"][1]
+            # the failed pair counts for neither: 3 of 4 pairs won is short of nine tenths
+            assert change["won"] == 3 and change["gain_exceeds_iqr"]
+            assert not change["claim_met"] and not change["worse_than_bound"]
+            assert verdict["solves_per_s"][1]["won"] == 3  # higher is better
+            setup = verdict["setup_s"][1]
+            assert setup["won"] == 0 and setup["gain"] == 0 and not setup["gain_exceeds_iqr"]
+            assert sum(line.startswith(f"perfbench {workload}: ") for line in lines) == 1
+
+
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self):
         assert cli.main(["gen", "--bogus"]) == 1

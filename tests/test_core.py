@@ -25,7 +25,7 @@ from dantzig_adm.core import (
 )
 from dantzig_adm.datagen import GenSpec, make_instance
 
-from oracles import box_project_scalar, dense_gram, prox_l1_scalar
+from oracles import box_project_scalar, dense_gram, prox_l1_scalar, soft_thresh_formula
 
 
 def _random_instance(rng, n=5, p=8):
@@ -794,6 +794,25 @@ class TestSoftThresh:
         rng = np.random.default_rng(0)
         for _ in range(5):
             assert base <= prox_objective(out + 0.1 * rng.standard_normal(v.shape)) + 1e-12
+
+
+    @staticmethod
+    def _same_bytes(v, gamma):
+        out, expected = soft_thresh(v, gamma), soft_thresh_formula(v, gamma)
+        assert out.tobytes() == expected.tobytes()
+        assert np.array_equal(np.signbit(out), np.signbit(expected))
+
+    @settings(max_examples=100, deadline=None)
+    @given(v=finite_vectors, gamma=st.floats(0.0, 5))
+    def test_bytes_equal_the_formula(self, v, gamma):
+        # formed in place with the sign factor last: the same bytes as the formula
+        self._same_bytes(v, gamma)
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0, 1.5, 5e-324])
+    def test_signed_zeros_ties_and_extremes_equal_the_formula(self, gamma):
+        v = np.array([0.0, -0.0, 1.0, -1.0, 1.5, -1.5, 5e-324, -5e-324, 1e308, -1e308,
+                      np.inf, -np.inf])
+        self._same_bytes(v, gamma)
 
 
 class TestBoxClamp:

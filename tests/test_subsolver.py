@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +26,8 @@ from oracles import (
     penalized_value_dense,
     prox_l1_scalar,
     random_instance_arrays,
+    scaled_trial,
+    termination_metric_norm,
     smooth_value_dense,
 )
 
@@ -158,6 +158,21 @@ class TestSearchDirection:
             [prox_l1_scalar(float(ui - bar_alpha * gi), bar_alpha) for ui, gi in zip(u, g)]
         )
         assert np.allclose(target, expected, atol=1e-9)
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), bar_alpha=st.sampled_from([1.0, 0.5, 1e-3]))
+    def test_held_prox_step_and_l1_give_the_same_bytes(self, seed, bar_alpha):
+        # the loop hands over SoftThresh(u - grad, 1), its step and ||u||_1; at
+        # bar_alpha = 1 they are the direction, otherwise they are not used
+        rng = np.random.default_rng(seed)
+        obj = _objective(rng, n=4, p=6)
+        u = rng.standard_normal(6) * (rng.random(6) < 0.5)
+        g = _gradient(obj, u)
+        target = soft_thresh(u - g, 1.0)
+        d, delta = search_direction(u, bar_alpha, g, target, target - u, float(np.abs(u).sum()))
+        d_alone, delta_alone = search_direction(u, bar_alpha, g)
+        assert d.tobytes() == d_alone.tobytes() and delta == delta_alone
 
 
 def _armijo_accepts(obj, u, window_vals, d, delta, alpha):
@@ -298,6 +313,24 @@ class TestLineSearch:
         with pytest.raises(LineSearchError):
             _line_search(obj, u, d, delta)
 
+    @pytest.mark.parametrize("n, p", [(6, 10), (12, 5)])
+    def test_unit_step_bytes_equal_the_multiplying_path(self, n, p):
+        # n-space and the Gram space; an infinite reference accepts alpha = 1,
+        # from the warm start and from points away from it
+        obj = _objective(np.random.default_rng(n * p), n=n, p=p)
+        origin = np.zeros_like(obj.q0)
+        smooth = 0.5 * obj.mu * float(obj.r0 @ obj.r0)
+        point, grad = Point(np.zeros(p), origin, origin, smooth, smooth), obj.gradient(origin)
+        for _ in range(4):
+            d, delta = search_direction(point.u, 1.0, grad)
+            e, ke = obj.design.direction_products(d)
+            alpha, trial = line_search(obj, point, np.inf, d, delta, e, ke)
+            assert alpha == 1.0
+            for got, expected in zip(trial[:3], scaled_trial(point, alpha, d, e, ke)):
+                assert got.tobytes() == expected.tobytes()
+            assert trial.l1 == float(np.abs(trial.u).sum())
+            point, grad = trial, obj.gradient(trial.kshift)
+
     def test_given_residuals_cost_no_gram_product(self, products):
         # given the warm start's residual and q0, and X d, K X d, the search makes no product
         obj, u, d, delta = _steep_quadratic_case()
@@ -394,6 +427,20 @@ class TestInnerTerminationMetric:
         penalized = penalized_value_dense(*_dense(obj), np.zeros(4))
         assert penalized <= 1.0
         assert inner_termination_metric(np.zeros(4), g, penalized) == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_equals_the_norm_form_bit_for_bit(self, seed):
+        # sqrt(step . step) in place of np.linalg.norm, with or without the held step
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(1, 300))
+        u = rng.standard_normal(p) * 10.0 ** rng.integers(-6, 6) * (rng.random(p) < 0.5)
+        grad = rng.standard_normal(p) * 10.0 ** rng.integers(-6, 6)
+        penalized = float(rng.uniform(0.0, 3.0))
+        expected = termination_metric_norm(u, grad, penalized)
+        step = soft_thresh(u - grad, 1.0) - u
+        assert inner_termination_metric(u, grad, penalized) == expected
+        assert inner_termination_metric(u, grad, penalized, step) == expected
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -652,9 +699,9 @@ class TestSolveSubproblem:
         # search_direction and line_search take bar_alpha and delta unchecked
         seen = {"bar_alpha": [], "delta": []}
 
-        def direction(u, bar_alpha, grad):
+        def direction(u, bar_alpha, grad, *held):
             seen["bar_alpha"].append(bar_alpha)
-            return search_direction(u, bar_alpha, grad)
+            return search_direction(u, bar_alpha, grad, *held)
 
         def search(obj, point, reference, d, delta, e, ke):
             seen["delta"].append(delta)
@@ -824,7 +871,7 @@ class TestSolveSubproblem:
             searches.append(1)
             alpha, trial = line_search(obj, point, *args)
             if len(searches) == 4:
-                trial = replace(trial, u=point.u.copy())
+                trial = trial._replace(u=point.u.copy())
             return alpha, trial
 
         monkeypatch.setattr(subsolver_module, "line_search", lost_fourth)
