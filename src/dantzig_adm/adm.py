@@ -63,26 +63,40 @@ that n x |W| block; and one fused pass over all of X checks the
 constraints off W and gives X^T X_W b_W and X^T X_W l_W for the next
 round's warm start.  The start's least-squares fits copy into the same
 buffer.  At (720, 2560, 80) the 30 acceptance rows (unit columns at
-sigma 0.05 and 0.01, orthogonal rows at sigma 0.05, seeds 0-9) took 2-6
-rounds and ended with 92-196 columns in W.  While |W| < n a round's inner
+sigma 0.05 and 0.01, orthogonal rows at sigma 0.05, seeds 0-9) took 2-5
+rounds and ended with 92-274 columns in W.  While |W| < n a round's inner
 solves run in the Gram space of its block, on the |W| x |W| matrix
-X_W^T X_W, and no n x n K is formed: none of their 125 rounds formed one,
-nor any of 36 at (1440, 5120, 160), seeds 0-2.  The first such round forms
+X_W^T X_W, and no n x n K is formed: none of their 122 rounds formed one,
+nor any of 26 at (1440, 5120, 160), seeds 0-2.  The first such round forms
 its G_W; each later one grows the last round's by the products with its new
 columns alone (:func:`~dantzig_adm.core.grown_kernel`).  The rounds carry
 on from each other: the inner tolerance schedule counts the outer
 iterations of the whole solve, so a round does not reopen the loose early
 inner solves, and only the running least metric, a metric on W, starts
-afresh with each round.  Over the rounds the outer iterations sum to more
-than the loop on all of X makes (unit sigma 0.05: 98.5 against 47.8 on
-average; sigma 0.01: 14.9, where rounds that restarted the schedule made
-29.6), but each costs products with about a twentieth of X; a whole solve
-took about a third of the time.  A round ends when its metric on W passes,
-when the cap is reached, or when the metric has not halved for
-STALL_ITERATIONS outer iterations: at a tol near rounding the metric on W
-can hover above tol while columns off W still violate, and the check then
-adds them.  The column buffer holds at most p // 2 columns: W becomes all
-of X past that, and the round then runs on X itself.
+afresh with each round.
+
+A round on W need not reach tol, since its check grows W anyway: once it
+has made ROUND_FLOOR_ITERATIONS outer iterations it stops at the level
+max(tol, ROUND_LEVEL_FRACTION * m), m the full problem's metric at the last
+check (the start's for the first round), as working-set methods solve each
+subproblem to a fraction of the full gap (Blitz; Johnson & Guestrin, ICML
+2015).  A round on all of X runs to tol.  The floor keeps short rounds
+whole: stopping one early buys one more round, a pass over X and a
+restart, and pays only in a round's slow linear tail.  Each check adds
+every violator to W, and a check that finds none reruns the same W at
+the level of its new m, below the last round's.  A solve is still
+converged only when the full problem's metric is at most tol.  Over
+held-out seeds 100-129 the outer iterations per solve, summed over rounds,
+went 91.6 -> 54.2 on unit rows at sigma 0.05 (acceptance rows: 98.5 ->
+56.3, where the loop on all of X makes 47.8) and 362.8 -> 205.4 on
+orthogonal rows, where 50% and 78% of the rounds stopped at their level;
+at sigma 0.01 no round made the floor, and they went 16.9 -> 16.5.  Each outer iteration costs products with about a
+twentieth of X.  A round also ends when the cap is reached, or when the
+metric has not halved for STALL_ITERATIONS outer iterations: at a tol near
+rounding the metric on W can hover above its level while columns off W
+still violate, and the check then adds them.  The column buffer holds at
+most p // 2 columns: W becomes all of X past that, and the round then
+runs on X itself.
 
 The default start is not the paper's beta = 0 but a screened least-squares
 fit refined by hard-thresholding pursuit (:func:`screened_start`).  Round 0
@@ -138,17 +152,22 @@ SUB_TOL_FACTOR = 0.1
 # k = min(n // START_ROWS_PER_COLUMN, p) columns (see screened_start).
 START_ROWS_PER_COLUMN = 9
 # Column generation (see solve): a column off W whose excess ratio exceeds
-# VIOLATION_FRACTION * tol violates, and each round adds the
-# max(GROW_MIN, |W| // GROW_SHARE) largest violators to W.
+# VIOLATION_FRACTION * tol violates, and each check adds every violator to W.
 VIOLATION_FRACTION = 0.5
-GROW_MIN = 20
-GROW_SHARE = 4
 # A round on W ends, and is checked off W, once its stopping metric has not
 # halved for this many outer iterations (see solve).  At (720, 2560, 80),
 # seeds 0-9 and 100-129 with each design's tol rule, no round came near: the
 # longest such stretch was 303 outer iterations on orthogonal rows, 33 and 7
 # on unit rows at sigma 0.05 and 0.01.
 STALL_ITERATIONS = 500
+# A round on W stops at the level max(tol, ROUND_LEVEL_FRACTION * m), m the
+# full problem's metric after the last check (the start's for round 1), once
+# it has made ROUND_FLOOR_ITERATIONS outer iterations (see solve).  Its next
+# check grows W anyway, so a round in its slow linear tail need not reach
+# tol; a shorter round runs to tol, since stopping it early would buy one
+# more round (a pass over X and a restart).
+ROUND_LEVEL_FRACTION = 0.3
+ROUND_FLOOR_ITERATIONS = 10
 
 
 @dataclass
@@ -237,8 +256,9 @@ class RunReport:
     the number of nonzeros of the start beta0, given or screened, and
     ``start_rounds`` the least-squares refits the screened start made after
     its first fit (0 for a given beta0; see :func:`screened_start`).
-    ``working_columns`` is |W| in the last round, and ``wall_time`` the
-    whole solve's, start included.
+    ``working_columns`` is |W| in the last round, ``round_levels`` each
+    round's stopping level (tol, or ROUND_LEVEL_FRACTION * m above it; see
+    :func:`solve`), and ``wall_time`` the whole solve's, start included.
     """
 
     outer_iterations: int = 0
@@ -254,6 +274,7 @@ class RunReport:
     inner_tolerance_history: list[float] = field(default_factory=list)
     rounds: int = 0
     working_columns: int = 0
+    round_levels: list[float] = field(default_factory=list)
 
 
 def screened_start(inst: Instance, tol: float = 0.0) -> np.ndarray:
@@ -348,6 +369,8 @@ def update_z(
     mu: float,
     gram_beta: np.ndarray,
     bound: np.ndarray | None = None,
+    lower: np.ndarray | None = None,
+    scaled: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(z, r0): the exact minimizer z of the augmented Lagrangian over the box
     ||D^-1 z||_inf <= delta, and the next inner problem's residual at beta.
@@ -356,10 +379,11 @@ def update_z(
     w = X^T X beta - X^T y + lambda/mu to the box, and r0 = w - z is
     X^T X beta - c with c = X^T y + z - lambda/mu, the residual of the inner
     problem warm-started at beta; it is exactly 0 wherever the clamp left
-    z = w.  ``bound`` is the box's delta * d when the caller holds it.
+    z = w.  ``bound`` is the box's delta * d, ``lower`` its -bound and
+    ``scaled`` lambda/mu, each when the caller holds it.
     """
-    w = gram_beta - inst.xty + lam / mu
-    z = box_clamp(w, inst.delta * inst.d if bound is None else bound)
+    w = gram_beta - inst.xty + (lam / mu if scaled is None else scaled)
+    z = box_clamp(w, inst.delta * inst.d if bound is None else bound, lower)
     return z, w - z
 
 
@@ -452,7 +476,10 @@ def solve(
     ``max_outer_iter`` over all rounds; its inner tolerance schedule goes on
     from the outer iterations of the rounds before it, and its G_W is the
     last round's grown by the new columns (see the module docstring).  A
-    round on W also ends when its metric has not halved for
+    round on W stops at its level max(tol, ROUND_LEVEL_FRACTION * m), m the
+    full problem's metric at the last check (the start's for the first
+    round), once it has made ROUND_FLOOR_ITERATIONS outer iterations, and
+    at tol before that; it also ends when its metric has not halved for
     STALL_ITERATIONS outer iterations.  Its answer (b_W, l_W), padded with
     zeros, is then checked off W: one fused pass over X gives X^T X_W b_W
     and X^T X_W l_W, and each column j off W has the excess ratio
@@ -462,10 +489,11 @@ def solve(
     round's last metric and the largest of these ratios.  When that is at
     most tol (so the round converged), the solve has converged.  Otherwise
     every j off W whose ratio exceeds VIOLATION_FRACTION * tol is a
-    violator, and the max(GROW_MIN, |W| // GROW_SHARE) largest violators
-    join W; W becomes all columns once it would hold more than p // 2 of
-    them, and the round then runs on X itself and needs no check.  A round
-    that stalled with no violator runs again on the same W.
+    violator, and every violator joins W; W becomes all columns once it
+    would hold more than p // 2 of them, and the round then runs on X itself
+    to tol and needs no check.  A round that stopped at its level or
+    stalled, with no violator, runs again on the same W at the level of the
+    new m, which is lower.  ``report.round_levels`` holds each round's level.
 
     ``stopping_metric_history`` holds the start's metric, then each round's
     metrics after its outer iterations, and after a round on W its last
@@ -502,6 +530,7 @@ def solve(
         columns = _grow(columns, _excess(inst, beta, lam, gram_beta, gram_lam), config.tol, p)
 
     last = None  # the last round's W and operator
+    full = report.stopping_metric_history[0]  # the full problem's metric at the last check
     while columns is not None:
         whole = columns.size == p
         sub = inst if whole else inst.restricted(columns, block)
@@ -515,7 +544,8 @@ def solve(
         start = (v[columns] for v in (beta, lam, gram_beta, gram_lam))
         record = callback if callback is None or whole else _padded(callback, columns, p)
         patience = math.inf if whole else STALL_ITERATIONS
-        b, lam_w, metric = _adm(sub, config, sub_design, *start, report, record, patience)
+        level = config.tol if whole else max(config.tol, ROUND_LEVEL_FRACTION * full)
+        b, lam_w, metric = _adm(sub, config, sub_design, *start, report, record, patience, level)
         report.working_columns = columns.size
         beta, lam = _expand(b, columns, p), _expand(lam_w, columns, p)
         if whole:
@@ -525,7 +555,7 @@ def solve(
         gram_beta, gram_lam = design.rmatvec_pair(sub_design.matvec(b), sub_design.matvec(lam_w))
         excess = _excess(inst, beta, lam, gram_beta, gram_lam)
         excess[columns] = -np.inf
-        report.stopping_metric_history[-1] = full = max(metric, excess.max())
+        report.stopping_metric_history[-1] = full = max(metric, float(excess.max()))
         if report.status == STATUS_NUMERICAL_FAILURE or full <= config.tol:
             break
         if report.outer_iterations == config.max_outer_iter:
@@ -596,20 +626,17 @@ def _excess(
 
 
 def _grow(columns: np.ndarray, excess: np.ndarray, tol: float, p: int) -> np.ndarray:
-    """W with its largest violators added, sorted; W itself when no column violates.
+    """W with every violator added, sorted; W itself when no column violates.
 
     ``excess`` is -inf on W.  A violator's excess exceeds VIOLATION_FRACTION
-    * tol; max(GROW_MIN, |W| // GROW_SHARE) of them join, the largest first
-    (ties to the lower index).
+    * tol.
     """
     violators = np.flatnonzero(excess > VIOLATION_FRACTION * tol)
     if not violators.size:
         return columns
-    count = max(GROW_MIN, columns.size // GROW_SHARE)
-    chosen = violators[np.argsort(-excess[violators], kind="stable")[:count]]
     # W and the violators are disjoint, so sorting their concatenation unites
     # them; np.union1d would import numpy.ma on its first call
-    return _all_past_half(np.sort(np.concatenate((columns, chosen))), p)
+    return _all_past_half(np.sort(np.concatenate((columns, violators))), p)
 
 
 def _all_past_half(columns: np.ndarray, p: int) -> np.ndarray:
@@ -649,12 +676,14 @@ def _adm(
     report: RunReport,
     callback=None,
     patience: float = math.inf,
+    level: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Run the alternating direction method on ``inst`` from (beta, lam), into ``report``.
 
     ``gram_beta`` and ``gram_lam`` are X^T X beta and X^T X lambda, and
     ``design`` makes every product with X.  ``report`` is the solve's
-    (:class:`RunReport`): the run counts one round there, records each outer
+    (:class:`RunReport`): the run counts one round there, appends its
+    ``level`` (tol when None) to ``round_levels``, records each outer
     iteration after it ends, and sets the status.  Per iteration: closed-form
     z update, inner solve for beta warm-started at the previous beta and
     stopped at the iteration's tol_sub (see :class:`AdmConfig`; k is
@@ -668,13 +697,15 @@ def _adm(
     not, so neither is the metric.  The dual objective d is used as-is even
     when lambda is dual-infeasible.  The run stops with status converged
     once the metric, at the start too, is at most tol, and with max_iter
-    when ``report.outer_iterations`` reaches max_outer_iter or when
+    when ``report.outer_iterations`` reaches max_outer_iter, when the run
+    has made ROUND_FLOOR_ITERATIONS outer iterations and its metric is at
+    most ``level`` (an early stop, only when ``level`` exceeds tol), or when
     ``patience`` outer iterations in a row leave the metric above half of
-    its value when it last halved (first, the start's): a stalled run, which
-    :func:`solve` tells from the cap by the count.  X^T X beta and
-    X^T X lambda come from the inner solver's residual and gradient (see the
-    module docstring for the identities and the cost per iteration), so the
-    loop makes no product of its own.  A subsolver that misses its tolerance
+    its value when it last halved (first, the start's): a stalled run.
+    :func:`solve` tells the last two from the cap by the count.  X^T X beta
+    and X^T X lambda come from the inner solver's residual and gradient (see
+    the module docstring for the identities and the cost per iteration), so
+    the loop makes no product of its own.  A subsolver that misses its tolerance
     contributes its best iterate, with its residual and gradient, and is
     counted in the report.  Non-finite values end the run with status
     numerical_failure, returning the state at failure, and that iteration
@@ -684,16 +715,22 @@ def _adm(
     """
     terms = _criterion_terms(inst, beta, lam, gram_beta, gram_lam)
     metric = best_metric = max(_stopping_ratios(beta, lam, terms))
-    # outer iterations since the metric fell below half of level, its value when it
+    # outer iterations since the metric fell below half of halved, its value when it
     # last did so (the start's at first): the round stalls at patience of them
-    stalled, level = 0, metric
+    stalled, halved = 0, metric
+    level = config.tol if level is None else level
+    # the run stops at tol, and at level too once it has made ROUND_FLOOR_ITERATIONS
+    early = report.outer_iterations + ROUND_FLOOR_ITERATIONS
     bound = inst.delta * inst.d  # the z update's box
+    lower = -bound
     report.rounds += 1
-    while (metric > config.tol and report.outer_iterations < config.max_outer_iter
-           and stalled < patience):
+    report.round_levels.append(level)
+    while (metric > (config.tol if report.outer_iterations < early else level)
+           and report.outer_iterations < config.max_outer_iter and stalled < patience):
         lam_prev = lam
-        z, r0 = update_z(inst, lam, config.mu, gram_beta, bound)
-        objective = SubproblemObjective(inst, z, lam, config.mu, r0, design)
+        scaled = lam / config.mu
+        z, r0 = update_z(inst, lam, config.mu, gram_beta, bound, lower, scaled)
+        objective = SubproblemObjective(inst, z, lam, config.mu, r0, design, scaled)
         tol_sub = config.inner_tolerance(report.outer_iterations, best_metric)
         result = solve_subproblem(objective, beta, tol_sub)
         report.inner_tolerance_history.append(tol_sub)
@@ -710,7 +747,7 @@ def _adm(
             return beta, lam, metric
         terms = _criterion_terms(inst, beta, lam, gram_beta, gram_lam)
         metric = max(_stopping_ratios(beta, lam, terms))
-        stalled, level = (0, metric) if metric < level / 2 else (stalled + 1, level)
+        stalled, halved = (0, metric) if metric < halved / 2 else (stalled + 1, halved)
         best_metric = min(best_metric, metric)
         report.stopping_metric_history.append(metric)
         report.dual_objective_history.append(terms[3])

@@ -56,8 +56,9 @@ steplength the direction takes one more soft-threshold.  ||u||_1 comes with
 the iterate from the line search, which sums |u + alpha d| once per trial;
 at alpha = 1 the trial and its shifts are u + d, E + e and K E + K e, with
 no multiplication, and in the Gram space E and K E are one vector.  The
-gradient adds q0 + K E, and the spectral step takes two differences and two
-dot products.  At (720, 2560, 80), seeds 100-105, the steplength was 1 on
+accepted trial adds q0 + K E once, for its gradient and the next line
+search's slope, and the spectral step takes two differences and two dot
+products.  At (720, 2560, 80), seeds 100-105, the steplength was 1 on
 37% and 20% of the iterations of unit rows at sigma 0.05 and 0.01 and on
 all of those of orthogonal rows, and the line search accepted alpha = 1 on
 88%, 71% and 100%.
@@ -111,10 +112,11 @@ class SubproblemObjective:
     loop's z update forms it (:func:`~dantzig_adm.adm.update_z`), so the
     inner solve makes no Gram product for it.  ``design`` makes the inner
     solver's products; the outer loop shares one across the inner problems
-    of a solve, so its kernel is formed once.  q0 (X r0 in n-space, r0 in
-    the Gram space) is formed on first use.  z, lambda and r0 are float64
-    vectors of length p and mu is positive, as the outer loop hands them;
-    none is checked here.
+    of a solve, so its kernel is formed once.  ``scaled`` is lambda/mu when
+    the caller holds it (the outer loop forms it once for the z update and
+    for c).  q0 (X r0 in n-space, r0 in the Gram space) is formed on first
+    use.  z, lambda and r0 are float64 vectors of length p and mu is
+    positive, as the outer loop hands them; none is checked here.
     """
 
     inst: Instance
@@ -123,19 +125,24 @@ class SubproblemObjective:
     mu: float
     r0: np.ndarray = field(repr=False)
     design: DesignOperator = field(repr=False)
+    scaled: np.ndarray | None = field(default=None, repr=False)
     c: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "c", self.inst.xty + self.z_fixed - self.lambda_fixed / self.mu)
+        scaled = self.lambda_fixed / self.mu if self.scaled is None else self.scaled
+        object.__setattr__(self, "c", self.inst.xty + self.z_fixed - scaled)
 
     @cached_property
     def q0(self) -> np.ndarray:
         """X r0 in n-space (the operator's support-restricted product), r0 in the Gram space."""
         return self.design.start_product(self.r0)
 
-    def gradient(self, kshift: np.ndarray) -> np.ndarray:
-        """grad f(u) = mu X^T (q0 + K E), or mu G (q0 + K E); one product."""
-        return self.mu * self.design.gradient_product(self.q0 + kshift)
+    def gradient(self, kshift: np.ndarray, qk: np.ndarray | None = None) -> np.ndarray:
+        """grad f(u) = mu X^T (q0 + K E), or mu G (q0 + K E); one product.
+
+        ``qk`` is q0 + K E when the caller holds it.
+        """
+        return self.mu * self.design.gradient_product(self.q0 + kshift if qk is None else qk)
 
     def residual(self, u: np.ndarray) -> np.ndarray:
         """gram(u) - c formed afresh, one apply_gram call: the solver carries r(u) instead."""
@@ -149,7 +156,8 @@ class Point(NamedTuple):
     docstring for both spaces).  ``penalized`` is f(u) + ||u||_1, and ``l1``
     is ||u||_1 as it was summed for the penalized value (the line search
     sums it once per trial), so :func:`search_direction` does not sum |u|
-    again; None when not held.
+    again; None when not held.  ``qk`` is q0 + K E, formed once for both the
+    gradient at u and the next line search's slope; None when not held.
     """
 
     u: np.ndarray
@@ -158,6 +166,7 @@ class Point(NamedTuple):
     smooth: float
     penalized: float
     l1: float | None = None
+    qk: np.ndarray | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,15 +247,18 @@ def line_search(
     SIGMA_LS * alpha * delta.  ``e`` and ``ke`` are the direction's products
     (X d and K e, or G d twice in the Gram space).  The smooth value of a
     trial is the quadratic f(u) + alpha grad f(u).d + (alpha^2/2) mu e.K e,
-    with the slope grad f(u).d = mu (q0 + K E).e, so a trial makes no
-    product.  At alpha = 1 the trial is u + d, E + e and K E + K e, with no
-    multiplication by 1.0 (the same bytes); when ``ke`` is ``e`` and the
-    point's E is its K E (the Gram space), the accepted E serves as K E.
+    with the slope grad f(u).d = mu (q0 + K E).e, from the point's held
+    q0 + K E when it has one, so a trial makes no product.  The accepted
+    point holds its own q0 + K E.  At alpha = 1 the trial is u + d, E + e
+    and K E + K e, with no multiplication by 1.0 (the same bytes); when
+    ``ke`` is ``e`` and the point's E is its K E (the Gram space), the
+    accepted E serves as K E.
     ``delta`` is negative: :func:`solve_subproblem` stops at a fixed point
     before it searches.  Raises LineSearchError after MAX_BACKTRACKS
     rejected powers.
     """
-    slope = obj.mu * float((obj.q0 + point.kshift) @ e)
+    qk = obj.q0 + point.kshift if point.qk is None else point.qk
+    slope = obj.mu * float(qk @ e)
     curvature = obj.mu * float(e @ ke)
     alpha = 1.0
     for _ in range(MAX_BACKTRACKS):
@@ -258,7 +270,7 @@ def line_search(
             shift = _moved(point.shift, alpha, e)
             same = ke is e and point.kshift is point.shift
             kshift = shift if same else _moved(point.kshift, alpha, ke)
-            return alpha, Point(u_trial, shift, kshift, f_trial, penalized, l1)
+            return alpha, Point(u_trial, shift, kshift, f_trial, penalized, l1, obj.q0 + kshift)
         alpha *= ETA
     raise LineSearchError(f"no acceptable steplength within {MAX_BACKTRACKS} backtracks")
 
@@ -324,8 +336,8 @@ def solve_subproblem(
     origin = np.zeros_like(obj.q0)
     smooth = 0.5 * obj.mu * float(obj.r0 @ obj.r0)
     l1 = float(np.add.reduce(np.abs(u)))
-    point = Point(u, origin, origin, smooth, smooth + l1, l1)
-    grad, bar_alpha, iteration = obj.gradient(origin), 1.0, 0
+    point = Point(u, origin, origin, smooth, smooth + l1, l1, obj.q0 + origin)
+    grad, bar_alpha, iteration = obj.gradient(origin, point.qk), 1.0, 0
     best = point, grad  # the least penalized iterate so far, with its gradient
     window = deque([point.penalized], maxlen=MEMORY + 1)  # last MEMORY+1 penalized values
 
@@ -349,7 +361,7 @@ def solve_subproblem(
             return _finish(obj, *best, iteration, "line_search_failure")
         if (trial.u == point.u).all():  # the step is lost to rounding: u is a fixed point
             return _finish(obj, point, grad, iteration, "stationary")
-        g_new = obj.gradient(trial.kshift)
+        g_new = obj.gradient(trial.kshift, trial.qk)
         bar_alpha_next = bb_step(trial.u - point.u, g_new - grad)
         point, grad = trial, g_new
         iteration += 1

@@ -48,6 +48,33 @@ def scaled_trial(point, alpha: float, d: np.ndarray, e: np.ndarray, ke: np.ndarr
     return point.u + alpha * d, point.shift + alpha * e, point.kshift + alpha * ke
 
 
+def clip_formula(w: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """np.clip(w, -bound, bound): the form core.box_clamp replaced."""
+    return np.clip(w, -bound, bound)
+
+
+def z_update_formula(inst, lam: np.ndarray, mu: float, gram_beta: np.ndarray):
+    """(z, w - z) with w = G beta - X^T y + lambda/mu clipped: the form adm.update_z replaced."""
+    w = gram_beta - inst.xty + lam / mu
+    z = clip_formula(w, inst.delta * inst.d)
+    return z, w - z
+
+
+def constant_formula(inst, z: np.ndarray, lam: np.ndarray, mu: float) -> np.ndarray:
+    """c = X^T y + z - lambda/mu, dividing lambda by mu: the form SubproblemObjective replaced."""
+    return inst.xty + z - lam / mu
+
+
+def slope_formula(obj, point, e: np.ndarray) -> float:
+    """mu (q0 + K E).e with q0 + K E added afresh: the line search's slope before it was held."""
+    return obj.mu * float((obj.q0 + point.kshift) @ e)
+
+
+def gradient_formula(obj, kshift: np.ndarray) -> np.ndarray:
+    """mu X^T (q0 + K E), with q0 + K E added afresh: the gradient before it was held."""
+    return obj.mu * obj.design.gradient_product(obj.q0 + kshift)
+
+
 def prox_l1_scalar(v: float, gamma: float) -> float:
     """argmin_w 0.5 (w - v)^2 + gamma |w| by grid search plus bounded refinement."""
     span = abs(v) + gamma + 1.0

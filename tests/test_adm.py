@@ -39,6 +39,7 @@ from oracles import (
     augmented_lagrangian_dense,
     box_lagrangian_scalar,
     certificate_dense,
+    constant_formula,
     dense_gram,
     inner_problem,
     lp_dual_enumeration,
@@ -46,6 +47,7 @@ from oracles import (
     lp_primal_enumeration,
     random_instance_arrays,
     top_by_argsort,
+    z_update_formula,
 )
 
 
@@ -190,6 +192,46 @@ class TestUpdateZ:
         fresh = obj.residual(beta)
         assert np.abs(r0 - fresh).max() <= 1e-12 * max(1.0, np.abs(gram_beta).max(),
                                                        np.abs(obj.c).max())
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_held_bound_and_scaled_multiplier_give_the_formula_bytes(self, seed):
+        rng = np.random.default_rng(50 + seed)
+        inst = _instance(rng)
+        lam, mu = rng.standard_normal(inst.p), 1.3
+        lam[:3] = 0.0, -0.0, 1e-300
+        gram_beta = apply_gram(inst, rng.standard_normal(inst.p))
+        bound = inst.delta * inst.d
+        expected = z_update_formula(inst, lam, mu, gram_beta)
+        for held in ((), (bound,), (bound, -bound), (bound, -bound, lam / mu)):
+            z, r0 = update_z(inst, lam, mu, gram_beta, *held)
+            assert (z.tobytes(), r0.tobytes()) == tuple(v.tobytes() for v in expected)
+        obj = SubproblemObjective(inst, z, lam, mu, r0, DesignOperator(inst.X), lam / mu)
+        assert obj.c.tobytes() == constant_formula(inst, z, lam, mu).tobytes()
+
+    def test_a_solve_forms_each_iteration_as_the_formulas(self, monkeypatch):
+        # every outer iteration's z, r0 and c have the bytes of the formulas
+        # that divide lambda by mu and clip, over every round of a solve
+        inst, _ = make_instance(GenSpec(n=48, p=200, s=6, sigma_noise=0.05, seed=2))
+        config = AdmConfig(mu=mu_rule("unit_columns", inst.p, inst.delta), tol=1e-3)
+        update, objective, seen = adm_module.update_z, adm_module.SubproblemObjective, []
+
+        def checked_update(sub, lam, mu, gram_beta, *held):
+            z, r0 = update(sub, lam, mu, gram_beta, *held)
+            expected = z_update_formula(sub, lam, mu, gram_beta)
+            assert (z.tobytes(), r0.tobytes()) == tuple(v.tobytes() for v in expected)
+            return z, r0
+
+        def checked_objective(sub, z, lam, mu, *args):
+            obj = objective(sub, z, lam, mu, *args)
+            assert obj.c.tobytes() == constant_formula(sub, z, lam, mu).tobytes()
+            seen.append(obj.scaled is not None)
+            return obj
+
+        monkeypatch.setattr(adm_module, "update_z", checked_update)
+        monkeypatch.setattr(adm_module, "SubproblemObjective", checked_objective)
+        _, _, report = solve(inst, config)
+        assert report.status == "converged" and report.rounds >= 2
+        assert len(seen) == report.outer_iterations and all(seen)
 
 
 class TestDualObjective:
@@ -919,8 +961,8 @@ class TestColumnGeneration:
 
     @pytest.mark.parametrize("seed", [2, 3])
     def test_each_round_forms_its_gram_matrix_once(self, monkeypatch, seed):
-        # (48, 200): the rounds whose W stays below n = 48 form their G
-        inst, _ = make_instance(GenSpec(n=48, p=200, s=6, sigma_noise=0.05, seed=seed))
+        # (64, 200): the rounds whose W stays below n = 64 form their G
+        inst, _ = make_instance(GenSpec(n=64, p=200, s=6, sigma_noise=0.05, seed=seed))
         rounds = self._record_rounds(monkeypatch)
         beta, lam, report = self._solve(inst)
         self._certified(inst, beta, lam, report)
@@ -934,10 +976,10 @@ class TestColumnGeneration:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_rounds_form_k_once_w_reaches_n(self, monkeypatch, seed):
-        # (24, 400): W starts at the 2 columns of the screened start and grows
-        # past n = 24, where its rounds form their K in place of G, but stays
-        # below p / 2
-        inst, _ = make_instance(GenSpec(n=24, p=400, s=4, sigma_noise=0.05, seed=seed))
+        # (40, 1000) at sigma 0.01: W starts at the 4 columns of the screened
+        # start and grows past n = 40, where its rounds form their K in place
+        # of G, but stays below p / 2
+        inst, _ = make_instance(GenSpec(n=40, p=1000, s=4, sigma_noise=0.01, seed=seed))
         rounds = self._record_rounds(monkeypatch)
         capacity = []
         take = ColumnBlock.take
@@ -988,9 +1030,21 @@ class TestColumnGeneration:
         assert report.rounds >= 1 and beta.any()
         self._near_the_lp_optimum(inst, beta, lam)
 
-    def test_the_histories_span_every_round(self):
+    def test_the_histories_span_every_round(self, monkeypatch):
         inst, _ = make_instance(GenSpec(n=48, p=200, s=6, sigma_noise=0.05, seed=2))
         records = []
+        # a round may rerun the same W, so the boundaries come from the rounds'
+        # levels: the outer iterations made before each level was appended
+        starts, original = [], adm_module._adm
+
+        def noting(inst, config, design, beta, lam, gram_beta, gram_lam, report, *args):
+            levels, done = list(report.round_levels), report.outer_iterations
+            result = original(inst, config, design, beta, lam, gram_beta, gram_lam, report, *args)
+            assert report.round_levels[:-1] == levels
+            starts.append(done)
+            return result
+
+        monkeypatch.setattr(adm_module, "_adm", noting)
         config = AdmConfig(mu=mu_rule("unit_columns", inst.p, inst.delta), tol=self.TOL)
         beta, lam, report = solve(inst, config, callback=records.append)
         self._certified(inst, beta, lam, report)
@@ -999,9 +1053,7 @@ class TestColumnGeneration:
         assert len(report.dual_objective_history) == report.outer_iterations + 1
         assert len(report.inner_iteration_history) == report.outer_iterations == len(records)
         assert [rec.iteration for rec in records] == list(range(1, len(records) + 1))
-        starts = [k for k, rec in enumerate(records)
-                  if k == 0 or not np.array_equal(rec.columns, records[k - 1].columns)]
-        assert len(starts) == report.rounds
+        assert len(starts) == len(report.round_levels) == report.rounds
         # one schedule per solve: only the first round opens at SUB_TOL_START,
         # and the halving counts the outer iterations of every round
         tolerances = report.inner_tolerance_history
@@ -1013,12 +1065,12 @@ class TestColumnGeneration:
         assert records[-1].columns.size == report.working_columns
 
     def test_a_round_converged_at_its_start_replaces_the_last_entry(self):
-        # seed 18: the second round converges on W, and its check finds
-        # columns off W whose ratios exceed VIOLATION_FRACTION * tol but not
-        # tol.  The answer passes on the full problem, so the solve ends after
-        # 2 rounds rather than run a third that would start converged, and
-        # the full metric replaces the second round's last entry
-        inst, _ = make_instance(GenSpec(n=48, p=200, s=6, sigma_noise=0.05, seed=18))
+        # (40, 200), seed 19: the second round converges on W, and its check
+        # finds columns off W whose ratios exceed VIOLATION_FRACTION * tol but
+        # not tol.  The answer passes on the full problem, so the solve ends
+        # after 2 rounds rather than run a third that would start converged,
+        # and the full metric replaces the second round's last entry
+        inst, _ = make_instance(GenSpec(n=40, p=200, s=4, sigma_noise=0.05, seed=19))
         records = []
         config = AdmConfig(mu=mu_rule("unit_columns", inst.p, inst.delta), tol=self.TOL)
         beta, lam, report = solve(inst, config, callback=records.append)
@@ -1052,14 +1104,15 @@ class TestColumnGeneration:
             assert all(outer > 0 for *_, outer in rounds), seed
 
     def test_a_stalled_round_is_checked_off_w(self):
-        # at tol = 1e-9 from the zero start the first round's metric on its 20
-        # columns stops falling near 1e-7, while the full problem's is 0.15:
-        # the round ends once its metric has not halved for STALL_ITERATIONS
-        # outer iterations, and the columns off W join
-        inst, _ = make_instance(GenSpec(n=48, p=200, s=5, sigma_noise=0.05, seed=2))
-        config = AdmConfig(mu=mu_rule("unit_columns", inst.p, inst.delta), tol=1e-9)
+        # at 3000 times the mu rule the ADM's steps are short: after the first
+        # round stops at its level, the metric on its 5 columns does not halve
+        # for STALL_ITERATIONS outer iterations, twice.  Each stalled round
+        # ends and is checked off W; the first check finds no violator and
+        # reruns W, and after the second the columns off W join
+        inst, _ = make_instance(GenSpec(n=48, p=200, s=5, sigma_noise=0.05, seed=1))
+        config = AdmConfig(mu=3000 * mu_rule("unit_columns", inst.p, inst.delta), tol=1e-7)
         records = []
-        _, _, report = solve(inst, config, beta0=np.zeros(inst.p), callback=records.append)
+        _, _, report = solve(inst, config, callback=records.append)
         assert report.rounds >= 2
         first = next(k for k, rec in enumerate(records)
                      if not np.array_equal(rec.columns, records[0].columns))
@@ -1104,6 +1157,110 @@ class TestColumnGeneration:
         assert report.rounds == 1 and report.outer_iterations == first
         metric = report.stopping_metric_history[-1]
         assert report.status == ("converged" if metric <= self.TOL else "max_iter")
+
+
+class TestEarlyRounds:
+    """A round on W stops at max(tol, ROUND_LEVEL_FRACTION * m) once it has made
+    ROUND_FLOOR_ITERATIONS outer iterations, m the full metric at the last check."""
+
+    TOL = 1e-3
+
+    def _solve(self, inst, **kwargs):
+        config = AdmConfig(mu=mu_rule("unit_columns", inst.p, inst.delta), tol=self.TOL, **kwargs)
+        return solve(inst, config)
+
+    @staticmethod
+    def _record_rounds(monkeypatch):
+        """Per round: (W, outer iterations, the last metric on W, the round's level)."""
+        rounds, original = [], adm_module._adm
+
+        def recording(inst, config, design, beta, lam, gram_beta, gram_lam, report, *args):
+            done = report.outer_iterations
+            result = original(inst, config, design, beta, lam, gram_beta, gram_lam, report, *args)
+            rounds.append((inst.X, report.outer_iterations - done, result[2],
+                           report.round_levels[-1]))
+            return result
+
+        monkeypatch.setattr(adm_module, "_adm", recording)
+        return rounds
+
+    def test_a_round_that_stops_early_made_the_floor_and_reached_its_level(self, monkeypatch):
+        # (48, 200), seed 2: the second round stops at its level, above tol
+        inst, _ = make_instance(GenSpec(n=48, p=200, s=6, sigma_noise=0.05, seed=2))
+        rounds = self._record_rounds(monkeypatch)
+        _, _, report = self._solve(inst)
+        assert report.status == "converged"
+        early = [(outer, metric, level) for _, outer, metric, level in rounds
+                 if metric > self.TOL]
+        assert early
+        for outer, metric, level in early:
+            assert outer >= adm_module.ROUND_FLOOR_ITERATIONS
+            assert self.TOL < metric <= level
+
+    def test_rounds_within_the_floor_give_the_bytes_of_rounds_run_to_tol(self, monkeypatch):
+        # (64, 200), seed 0: each round converges on W within the floor, so the
+        # levels change nothing
+        inst, _ = make_instance(GenSpec(n=64, p=200, s=6, sigma_noise=0.05, seed=0))
+        with monkeypatch.context() as patched:
+            rounds = self._record_rounds(patched)
+            beta, lam, report = self._solve(inst)
+        assert report.rounds == len(rounds) >= 2
+        assert all(outer < adm_module.ROUND_FLOOR_ITERATIONS for _, outer, *_ in rounds)
+        assert any(level > self.TOL for level in report.round_levels)
+        monkeypatch.setattr(adm_module, "ROUND_LEVEL_FRACTION", 0.0)
+        beta_tol, lam_tol, report_tol = self._solve(inst)
+        assert report_tol.round_levels == [self.TOL] * report.rounds
+        assert beta.tobytes() == beta_tol.tobytes() and lam.tobytes() == lam_tol.tobytes()
+        assert report.stopping_metric_history == report_tol.stopping_metric_history
+        assert report.inner_iteration_history == report_tol.inner_iteration_history
+
+    def test_a_check_without_violators_reruns_w_at_a_tighter_level(self, monkeypatch):
+        # (48, 200), seed 2: the round that stops early leaves no column off W
+        # violating, and the next round runs on the same W to a lower level
+        inst, _ = make_instance(GenSpec(n=48, p=200, s=6, sigma_noise=0.05, seed=2))
+        rounds = self._record_rounds(monkeypatch)
+        _, _, report = self._solve(inst)
+        assert report.status == "converged"
+        reruns = [(level, after[3]) for (X, outer, metric, level), after in zip(rounds, rounds[1:])
+                  if metric > self.TOL and np.array_equal(X, after[0])]
+        assert reruns
+        for level, next_level in reruns:
+            assert self.TOL <= next_level < level
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_round_levels_hold_each_rounds_level(self, whole_problem, seed):
+        inst, _ = make_instance(GenSpec(n=48, p=200, s=6, sigma_noise=0.05, seed=seed))
+        _, _, report = self._solve(inst)
+        assert len(report.round_levels) == report.rounds >= 1
+        assert all(level >= self.TOL for level in report.round_levels)
+        # the first round's m is the start's metric
+        start = report.stopping_metric_history[0]
+        assert report.round_levels[0] == max(self.TOL, adm_module.ROUND_LEVEL_FRACTION * start)
+        # the loop on all of X runs one round, to tol
+        config = AdmConfig(mu=mu_rule("unit_columns", inst.p, inst.delta), tol=self.TOL)
+        _, _, whole = whole_problem(inst, config)
+        assert whole.round_levels == [self.TOL] and whole.rounds == 1
+
+    def test_converged_exactly_when_the_certificate_passes(self, monkeypatch):
+        # over (48, 200), seeds 0-19, each solve also runs with its cap at the
+        # end of its first round that stops early: that answer is not certified
+        capped = 0
+        for seed in range(20):
+            inst, _ = make_instance(GenSpec(n=48, p=200, s=6, sigma_noise=0.05, seed=seed))
+            with monkeypatch.context() as patched:
+                rounds = self._record_rounds(patched)
+                outcomes = [self._solve(inst)]
+            ends = np.cumsum([outer for _, outer, *_ in rounds])
+            early = [end for end, (_, _, metric, _) in zip(ends, rounds) if metric > self.TOL]
+            if early:
+                outcomes.append(self._solve(inst, max_outer_iter=int(early[0])))
+                capped += 1
+            for beta, lam, report in outcomes:
+                certificate = feasibility_report(inst, beta, lam)
+                worst = max(certificate.primal_ratio, certificate.dual_ratio, certificate.gap_ratio)
+                assert (report.status == "converged") == (worst <= self.TOL), seed
+                assert len(report.round_levels) == report.rounds
+        assert capped > 0
 
 
 class TestAdmConfig:
@@ -1635,13 +1792,13 @@ class TestSolve:
         solve(inst, AdmConfig(mu=1.0, tol=1e-4, max_outer_iter=5), beta0=beta0, lambda0=lambda0)
         assert sum(X is inst.X for X in built) == 1
 
-    @pytest.mark.parametrize("beta0", [None, "zero"])
-    def test_a_step_lost_to_rounding_ends_the_inner_solve(self, monkeypatch, beta0):
-        # at tol = 1e-9 an inner solve accepts a step of alpha about 2^-40
-        # along a direction of norm about 1e-7, and u + alpha d equals u: the
-        # inner solve ends stationary there instead of raising in bb_step, and
-        # the outer loop runs on, to convergence at seed 6 from both starts
-        inst, _ = make_instance(GenSpec(n=48, p=200, s=5, sigma_noise=0.05, seed=6))
+    @pytest.mark.parametrize("beta0, seed", [(None, 2), ("zero", 0)], ids=["None", "zero"])
+    def test_a_step_lost_to_rounding_ends_the_inner_solve(self, monkeypatch, beta0, seed):
+        # at tol = 1e-9 an inner solve accepts a step so short that u + alpha d
+        # equals u: the inner solve ends stationary there instead of raising
+        # in bb_step, and the outer loop runs on, to convergence at seed 2
+        # from the screened start and at seed 0 from the zero start
+        inst, _ = make_instance(GenSpec(n=48, p=200, s=5, sigma_noise=0.05, seed=seed))
         config = AdmConfig(mu=mu_rule("unit_columns", inst.p, inst.delta), tol=1e-9)
         lost, search = [], subsolver_module.line_search
 

@@ -164,7 +164,7 @@ class TestSolve:
             "outer_iterations", "inner_iteration_total", "stopping_metric_history",
             "dual_objective_history", "wall_time", "status", "subsolver_failures",
             "inner_iteration_history", "start_support", "start_rounds", "inner_tolerance_history",
-            "rounds", "working_columns", "certificate",
+            "rounds", "working_columns", "round_levels", "certificate",
         ]
         assert list(report["certificate"]) == [
             "primal_violation", "dual_violation", "gap", "primal_ratio", "dual_ratio", "gap_ratio",
@@ -264,9 +264,10 @@ class TestSolve:
         assert fileio.read_manifest(out / "run_manifest.txt")["status"] == "max_iter"
 
     def test_a_later_round_at_the_cap_exits_not_converged(self, tmp_path, capsys):
-        # the second round of the solve on a growing column set stops at the cap
+        # the second round of the solve on a growing column set stops at the
+        # cap; at seed 2 it runs on W, not on all columns
         out = tmp_path / "inst"
-        assert cli.main(_gen_args(out)) == 0
+        assert cli.main(_gen_args(out, seed=2)) == 0
         inst, design, _ = cli._load_instance(out, None)
         config = AdmConfig(mu=mu_rule(design, inst.p, inst.delta), tol=tol_rule(design))
         records = []

@@ -25,7 +25,8 @@ from dantzig_adm.core import (
 )
 from dantzig_adm.datagen import GenSpec, make_instance
 
-from oracles import box_project_scalar, dense_gram, prox_l1_scalar, soft_thresh_formula
+from oracles import (box_project_scalar, clip_formula, dense_gram, prox_l1_scalar,
+                     soft_thresh_formula)
 
 
 def _random_instance(rng, n=5, p=8):
@@ -832,6 +833,27 @@ class TestBoxClamp:
         bound = rng.uniform(0.1, 3, size=25)
         expected = np.array([box_project_scalar(wi, bi) for wi, bi in zip(w, bound)])
         assert np.allclose(box_clamp(w, bound), expected, atol=1e-10)
+
+    def test_bytes_equal_np_clip_at_nan_infinities_and_signed_zeros(self):
+        specials = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0, 2.5, -2.5,
+                             5e-324, -5e-324, np.finfo(float).max, -np.finfo(float).max])
+        bounds = np.array([0.0, -0.0, 1.0, 2.5, 5e-324, np.inf, np.nan])
+        w, bound = (a.ravel() for a in np.meshgrid(specials, bounds))
+        for lower in (None, -bound):
+            clamped = box_clamp(w, bound, lower)
+            assert clamped.tobytes() == clip_formula(w, bound).tobytes()
+            assert np.array_equal(np.signbit(clamped), np.signbit(clip_formula(w, bound)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 300))
+    def test_bytes_equal_np_clip(self, seed, size):
+        rng = np.random.default_rng(seed)
+        bound = rng.uniform(0.0, 3, size=size)
+        w = rng.uniform(-6, 6, size=size)
+        w[rng.random(size) < 0.1] = 0.0
+        w[rng.random(size) < 0.1] *= -0.0
+        assert box_clamp(w, bound).tobytes() == clip_formula(w, bound).tobytes()
+        assert box_clamp(w, bound, -bound).tobytes() == clip_formula(w, bound).tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 12))

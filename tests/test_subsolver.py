@@ -21,12 +21,14 @@ from dantzig_adm.subsolver import (
 
 from oracles import (
     dense_gram,
+    gradient_formula,
     inner_problem,
     ista_reference,
     penalized_value_dense,
     prox_l1_scalar,
     random_instance_arrays,
     scaled_trial,
+    slope_formula,
     termination_metric_norm,
     smooth_value_dense,
 )
@@ -330,6 +332,33 @@ class TestLineSearch:
                 assert got.tobytes() == expected.tobytes()
             assert trial.l1 == float(np.abs(trial.u).sum())
             point, grad = trial, obj.gradient(trial.kshift)
+
+    @pytest.mark.parametrize("n, p", [(6, 10), (12, 5)])
+    def test_held_q0_plus_kshift_gives_the_formula_bytes(self, monkeypatch, n, p):
+        # n-space and the Gram space: over a whole inner solve, each point's
+        # held q0 + K E is the sum formed afresh, the gradient from it has the
+        # formula's bytes, and a search from the held sum equals one without it
+        obj = _objective(np.random.default_rng(7 * n + p), n=n, p=p)
+        search, gradient, seen = subsolver_module.line_search, SubproblemObjective.gradient, []
+
+        def checked_search(obj, point, reference, d, delta, e, ke):
+            assert point.qk.tobytes() == (obj.q0 + point.kshift).tobytes()
+            alpha, trial = search(obj, point, reference, d, delta, e, ke)
+            again = search(obj, point._replace(qk=None), reference, d, delta, e, ke)
+            assert alpha == again[0] and trial.smooth == again[1].smooth
+            assert trial.qk.tobytes() == again[1].qk.tobytes() == (obj.q0 + trial.kshift).tobytes()
+            seen.append(slope_formula(obj, point, e))
+            return alpha, trial
+
+        def checked_gradient(obj, kshift, qk=None):
+            grad = gradient(obj, kshift, qk)
+            assert qk is not None and grad.tobytes() == gradient_formula(obj, kshift).tobytes()
+            return grad
+
+        monkeypatch.setattr(subsolver_module, "line_search", checked_search)
+        monkeypatch.setattr(SubproblemObjective, "gradient", checked_gradient)
+        result = solve_subproblem(obj, np.zeros(p), 1e-10)
+        assert result.succeeded and len(seen) >= result.iterations > 3
 
     def test_given_residuals_cost_no_gram_product(self, products):
         # given the warm start's residual and q0, and X d, K X d, the search makes no product
