@@ -41,15 +41,14 @@ dual stopping term; and the dual objective uses the cached X^T y.
 
 The z clamp, the multiplier step and the stopping test therefore make no
 product with X.  An outer iteration costs what its inner solve costs (see
-:mod:`~dantzig_adm.subsolver`).  When n <= p that is one kernel product
-and two products with X per inner iteration, plus three products with X
-per inner solve.  When p < n the inner solve runs in the Gram space: two
-p x p products with G = X^T X per inner iteration, plus one per inner
-solve, and none with X.  An inner solve that misses its tolerance returns
-its best iterate with its residual and gradient too, so the loop makes no
+:mod:`~dantzig_adm.subsolver`): two products with G = X^T X per inner
+iteration, plus one per inner solve.  When p < n they are p x p products
+with the formed G, and none with X; otherwise each is X^T (X v), two
+products with X.  An inner solve that misses its tolerance returns its
+best iterate with its residual and gradient too, so the loop makes no
 product for it either.  One design operator serves every inner solve of
-the loop, so its kernel, the n x n K = X X^T or the p x p G, is formed at
-most once (about min(n, p)^2 max(n, p) / 2 multiply-adds).
+the loop, so its G is formed at most once (about p^2 n / 2
+multiply-adds).
 
 :func:`solve` runs this loop, :func:`_adm`, on the Dantzig selector of
 X[:, W] for a growing set of columns W, with its constraints on W only.
@@ -65,11 +64,12 @@ round's warm start.  The start's least-squares fits copy into the same
 buffer.  At (720, 2560, 80) the 30 acceptance rows (unit columns at
 sigma 0.05 and 0.01, orthogonal rows at sigma 0.05, seeds 0-9) took 2-5
 rounds and ended with 92-274 columns in W.  While |W| < n a round's inner
-solves run in the Gram space of its block, on the |W| x |W| matrix
-X_W^T X_W, and no n x n K is formed: none of their 122 rounds formed one,
-nor any of 26 at (1440, 5120, 160), seeds 0-2.  The first such round forms
-its G_W; each later one grows the last round's by the products with its new
-columns alone (:func:`~dantzig_adm.core.grown_kernel`).  The rounds carry
+solves make their products with the |W| x |W| Gram matrix X_W^T X_W of
+its block, as every one of their 122 rounds did, and every one of 26 at
+(1440, 5120, 160), seeds 0-2.  The first such round forms its G_W; each
+later one grows the last round's by the products with its new columns
+alone (:func:`~dantzig_adm.core.grown_kernel`), and a rerun of the same W
+keeps the last round's block and G_W.  The rounds carry
 on from each other: the inner tolerance schedule counts the outer
 iterations of the whole solve, so a round does not reopen the loose early
 inner solves, and only the running least metric, a metric on W, starts
@@ -96,7 +96,7 @@ metric has not halved for STALL_ITERATIONS outer iterations: at a tol near
 rounding the metric on W can hover above its level while columns off W
 still violate, and the check then adds them.  The column buffer holds at
 most p // 2 columns: W becomes all of X past that, and the round then
-runs on X itself.
+runs on X itself, with each product with G as X^T (X v) when p >= n.
 
 The default start is not the paper's beta = 0 but a screened least-squares
 fit refined by hard-thresholding pursuit (:func:`screened_start`).  Round 0
@@ -123,6 +123,10 @@ max_j |x_j^T y| / d_j <= delta + tol, where beta = 0 passes the stopping
 test.
 The paper's zero start is ``beta0=np.zeros(p)``; it costs no product,
 since X^T X 0 = 0.  A given nonzero beta0 costs one X beta0 and one X^T.
+At (720, 2560, 80) the zero start's first check takes W past p // 2, so
+its one round runs on all of X with each product with G as X^T (X v): over
+seeds 100-102 of the three rows such a solve took 0.3-1.1 s (one BLAS
+thread), where the default start's took 22-34 ms in the median.
 """
 
 from __future__ import annotations
@@ -493,7 +497,8 @@ def solve(
     would hold more than p // 2 of them, and the round then runs on X itself
     to tol and needs no check.  A round that stopped at its level or
     stalled, with no violator, runs again on the same W at the level of the
-    new m, which is lower.  ``report.round_levels`` holds each round's level.
+    new m, which is lower, with the last round's block and operator.
+    ``report.round_levels`` holds each round's level.
 
     ``stopping_metric_history`` holds the start's metric, then each round's
     metrics after its outer iterations, and after a round on W its last
@@ -516,7 +521,7 @@ def solve(
     values returns numerical_failure.  Each returns the padded answer of
     that round.  The products go through one
     DesignOperator of X, and each round's through one of X[:, W], built here
-    and dropped on return.
+    (or kept for a rerun of the same W) and dropped on return.
     """
     t_start = time.perf_counter()
     design = DesignOperator(inst.X)
@@ -529,17 +534,20 @@ def solve(
     elif not columns.size:
         columns = _grow(columns, _excess(inst, beta, lam, gram_beta, gram_lam), config.tol, p)
 
-    last = None  # the last round's W and operator
+    last = None  # the last round's W, instance and operator
     full = report.stopping_metric_history[0]  # the full problem's metric at the last check
     while columns is not None:
         whole = columns.size == p
-        sub = inst if whole else inst.restricted(columns, block)
-        sub_design = design if whole else DesignOperator(sub.X)
-        # W only grows, so a round in the Gram space follows one in it too:
-        # grow that round's G_W, when it formed one
-        if sub_design.gram_space and last is not None and "kernel" in vars(last[1]):
-            old = np.searchsorted(columns, last[0])
-            sub_design.kernel = grown_kernel(sub.X.T, last[1].kernel, old)
+        if last is not None and np.array_equal(columns, last[0]):
+            _, sub, sub_design = last  # a rerun: the same block and G_W serve it
+        else:
+            sub = inst if whole else inst.restricted(columns, block)
+            sub_design = design if whole else DesignOperator(sub.X)
+            # W only grows, so the last round had fewer columns than rows
+            # too: grow its G_W, when it formed one
+            if sub_design.forms_gram and last is not None and "kernel" in vars(last[2]):
+                old = np.searchsorted(columns, last[0])
+                sub_design.kernel = grown_kernel(sub.X.T, last[2].kernel, old)
         last = None  # the last G_W is not kept through this round
         start = (v[columns] for v in (beta, lam, gram_beta, gram_lam))
         record = callback if callback is None or whole else _padded(callback, columns, p)
@@ -550,7 +558,7 @@ def solve(
         beta, lam = _expand(b, columns, p), _expand(lam_w, columns, p)
         if whole:
             break
-        last = columns, sub_design
+        last = columns, sub, sub_design
         # X^T X_W b_W and X^T X_W l_W on all columns, for the check and the next round
         gram_beta, gram_lam = design.rmatvec_pair(sub_design.matvec(b), sub_design.matvec(lam_w))
         excess = _excess(inst, beta, lam, gram_beta, gram_lam)

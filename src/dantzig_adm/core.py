@@ -4,9 +4,9 @@
 product with X that a solve needs: X v (from the nonzero columns of v alone
 when few are nonzero, copied 64 rows of X^T at a time into a scratch array
 the operator keeps), X^T w, two products X^T a and X^T b in one pass over
-X, and the inner solve's products with the kernel of X's smaller side:
-K = X X^T when n <= p, and G = X^T X, its Gram matrix, when p < n.  Every
-product runs on numpy alone; no solve imports scipy.  :class:`ColumnBlock`
+X, and the inner solve's products with G = X^T X, its Gram matrix: from
+the formed G when p < n, and as X^T (X v) otherwise.  Every product runs
+on numpy alone; no solve imports scipy.  :class:`ColumnBlock`
 copies columns of X into one kept buffer, for the least-squares fits of
 :func:`least_squares` and for :meth:`Instance.restricted`, the instance of a
 few columns on which a solve runs each round.  :func:`row_tiles` reads a column-major X in
@@ -131,15 +131,15 @@ class Instance:
 
     The p x p Gram matrix X^T X of a wide X is never formed (at n=7200,
     p=25600 it would need about 5 GB).  A solve makes its products through a
-    :class:`DesignOperator`, which may form the kernel of X's smaller side
-    (X X^T, or X^T X when p < n) and copy rows of X^T for that solve only;
-    nothing but X^T y is cached here.  One n x p matrix-vector product is
-    the solver's cost unit: an inner iteration costs at most 2 (X d, with d
-    sparse, and one X^T product) plus one n x n product, however many
-    line-search backtracks it takes (see :mod:`~dantzig_adm.subsolver`).  A
-    solve runs its inner iterations on the instance of a block of columns
+    :class:`DesignOperator`, which may form X^T X when p < n and copy rows of
+    X^T for that solve only; nothing but X^T y is cached here.  One n x p
+    matrix-vector product is the solver's cost unit: an inner iteration
+    makes two products with G = X^T X, however many line-search backtracks
+    it takes (see :mod:`~dantzig_adm.subsolver`), each of them two as
+    X^T (X v).  A solve runs its inner iterations on the instance of a block of columns
     (:meth:`restricted`), and on a block of |W| < n columns an iteration
-    makes two |W| x |W| products with the block's Gram matrix in their place.
+    makes two |W| x |W| products with the block's formed Gram matrix in
+    their place.
     Instances are immutable after construction and safe to share across
     concurrent solves.
     """
@@ -235,19 +235,13 @@ class DesignOperator:
     """The products with X that one solve makes, and those of its inner solves.
 
     Besides X v and X^T w, the inner solver (see :mod:`~dantzig_adm.subsolver`)
-    needs products with G = X^T X only, and it makes them in the space of X's
-    smaller side.  When n <= p that is n-space, with the n x n kernel
-    K = X X^T: an iteration makes X d, K (X d) and one X^T product.  When
-    p < n it is the Gram space, with G itself as the kernel: an iteration
-    makes G d and one more product with G, and none with X.  Either way the
-    kernel (:attr:`kernel`) takes min(n, p)^2 entries, no more than X, and is
-    formed once, on its first product, and kept for the life of the
-    operator.  The four inner-solve products (:meth:`start_product`,
-    :meth:`direction_products`, :meth:`gradient_product` and
-    :meth:`residual_product`) hold the one choice of space, so the inner
-    loop makes none.  An operator is built for one solve (or one round of
-    it) and dropped on return; it is not cached on the Instance, whose
-    memory stays that of X.
+    needs products with G = X^T X only, G v (:meth:`gram_matvec`).  When
+    p < n, G (:attr:`kernel`) takes fewer entries than X; it is formed once,
+    on its first product, and kept for the life of the operator, and G v
+    makes no product with X.  Otherwise G would take at least as many entries
+    as X, and G v is X^T (X v), two products with X.  An operator is built for one solve (or
+    one round of it) and dropped on return; it is not cached on the
+    Instance, whose memory stays that of X.
     """
 
     def __init__(self, X: np.ndarray):
@@ -317,54 +311,19 @@ class DesignOperator:
         return out[:, 0], out[:, 1]
 
     @property
-    def gram_space(self) -> bool:
-        """Whether the inner solve runs in the Gram space: X has fewer columns than rows."""
+    def forms_gram(self) -> bool:
+        """Whether :meth:`gram_matvec` uses the formed G: X has fewer columns than rows."""
         n, p = self.X.shape
         return p < n
 
     @cached_property
     def kernel(self) -> np.ndarray:
-        """The inner solve's kernel: G = X^T X in the Gram space, else K = X X^T.
+        """G = X^T X, formed by :func:`_kernel` on first use."""
+        return _kernel(self.X.T)
 
-        Formed by :func:`_kernel` on first use.
-        """
-        return _kernel(self.X.T if self.gram_space else self.X)
-
-    def kernel_matvec(self, w: np.ndarray) -> np.ndarray:
-        """K w, or G w in the Gram space."""
-        return self.kernel @ w
-
-    def start_product(self, r0: np.ndarray) -> np.ndarray:
-        """q0 of an inner solve whose warm start has the residual r0.
-
-        X r0 in n-space (support-restricted, see :meth:`matvec`), and r0
-        itself in the Gram space, at no cost.
-        """
-        return r0 if self.gram_space else self.matvec(r0)
-
-    def direction_products(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(e, K e) for a search direction d of the inner solve.
-
-        (X d, K X d) in n-space; in the Gram space e = G d and K e is e
-        itself, one product with G.
-        """
-        if self.gram_space:
-            e = self.kernel_matvec(d)
-            return e, e
-        e = self.matvec(d)
-        return e, self.kernel_matvec(e)
-
-    def gradient_product(self, v: np.ndarray) -> np.ndarray:
-        """X^T v in n-space, G v in the Gram space: the gradient over mu at v = q0 + K E."""
-        return self.kernel_matvec(v) if self.gram_space else self.rmatvec(v)
-
-    def residual_product(self, shift: np.ndarray) -> np.ndarray:
-        """G (u - u0) from the shift E of the inner solve.
-
-        X^T E in n-space, where E = X (u - u0); in the Gram space E is
-        G (u - u0) already, and no product is made.
-        """
-        return shift if self.gram_space else self.rmatvec(shift)
+    def gram_matvec(self, v: np.ndarray) -> np.ndarray:
+        """G v: from the formed G when p < n, else as X^T (X v) (X v as :meth:`matvec`)."""
+        return self.kernel @ v if self.forms_gram else self.rmatvec(self.matvec(v))
 
 
 @cache
@@ -483,31 +442,28 @@ def _normal_equations(block: np.ndarray, y: np.ndarray) -> np.ndarray | None:
 def _kernel(A: np.ndarray) -> np.ndarray:
     """A A^T, exactly symmetric, formed in blocks of 64 columns; a row-major array.
 
-    The kernel of :attr:`DesignOperator.kernel`: K = X X^T from A = X, and
-    G = X^T X from A = X^T.  Each block fills one column block of the lower
-    triangle, K[j:, j:j+64] = A[j:] A[j:j+64]^T, written by the product
-    straight into K (no temporary and no copy), and is mirrored into the
-    rows above, since each K w reads all of K.  K is written in A's own
-    order: K = X X^T of a column-major X at 720 x 2560 took 42 ms
-    column-major and 57 ms row-major, G = X^T X at 720 x 150 0.89 ms
-    row-major and 1.0 ms column-major (OpenBLAS 0.3.31, one thread), with
-    the same bytes.  A column-major K is returned as its transpose, which
-    equals K entry for entry.  Small blocks keep OpenBLAS's packing buffer
-    small: it grows with the width of the product and stays resident.  Over
-    a run of 720 x 2560 solves, one X @ X.T raised the peak resident size by
-    2.8%, blocks of 64 by 0.4%; a round's G left fewer pages resident
-    row-major than column-major (see README "Memory").
+    The Gram matrix of :attr:`DesignOperator.kernel`, G = X^T X from
+    A = X^T.  Each block fills one column block of the lower triangle,
+    G[j:, j:j+64] = A[j:] A[j:j+64]^T, written by the product straight into
+    G (no temporary and no copy), and is mirrored into the rows above, since
+    each G v reads all of G.  G is written in A's own order: at 720 x 150 it
+    took 0.89 ms row-major and 1.0 ms column-major (OpenBLAS 0.3.31, one
+    thread), with the same bytes.  A column-major G is returned as its
+    transpose, which equals G entry for entry.  Small blocks keep OpenBLAS's
+    packing buffer small: it grows with the width of the product and stays
+    resident.  A round's G left fewer pages resident row-major than
+    column-major (see README "Memory").
     """
     m = A.shape[0]
-    K = np.empty((m, m), order="F" if A.flags.f_contiguous else "C")
+    G = np.empty((m, m), order="F" if A.flags.f_contiguous else "C")
     for start in range(0, m, 64):
         stop = min(start + 64, m)
-        np.matmul(A[start:], A[start:stop].T, out=K[start:, start:stop])
-        K[start:stop, stop:] = K[stop:, start:stop].T
-        # the diagonal block keeps its lower triangle, so K is exactly symmetric
-        top = K[start:stop, start:stop]
-        K[start:stop, start:stop] = np.tril(top) + np.tril(top, -1).T
-    return K.T if K.flags.f_contiguous else K
+        np.matmul(A[start:], A[start:stop].T, out=G[start:, start:stop])
+        G[start:stop, stop:] = G[stop:, start:stop].T
+        # the diagonal block keeps its lower triangle, so G is exactly symmetric
+        top = G[start:stop, start:stop]
+        G[start:stop, start:stop] = np.tril(top) + np.tril(top, -1).T
+    return G.T if G.flags.f_contiguous else G
 
 
 def grown_kernel(A: np.ndarray, kernel: np.ndarray, old: np.ndarray) -> np.ndarray:

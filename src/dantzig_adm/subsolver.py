@@ -9,66 +9,56 @@ current spectral steplength, acceptance uses an Armijo test against the worst
 objective over a short memory window, and the steplength is a safeguarded
 Barzilai-Borwein update.
 
-The iteration runs in the space of X's smaller side, which the design
-operator picks (:class:`~dantzig_adm.core.DesignOperator`); the loop is the
-same in both.  Let r(u) = X^T X u - c be the residual, r0 = r(u0) at the
-warm start u0, and G = X^T X.  The outer loop's z update forms r0 and
-hands it over with the problem (:class:`SubproblemObjective`), so an inner
-solve makes no Gram product for it.
+Let G = X^T X, r(u) = G u - c the residual, and r0 = r(u0) at the warm
+start u0.  The outer loop's z update forms r0 and hands it over with the
+problem (:class:`SubproblemObjective`), so an inner solve makes no Gram
+product for it.  The iterate carries its shift E = G (u - u0), so
 
-In n-space (n <= p), with the n x n kernel K = X X^T, q0 = X r0 and the
-shift E = X (u - u0) of the iterate,
+    r(u) = r0 + E,    grad f(u) = mu G r(u),
 
-    r(u) = r0 + X^T E,    grad f(u) = mu X^T X r(u) = mu X^T (q0 + K E),
+and an iteration forms e = G d for the search direction d.  The smooth
+part f is quadratic, so along d
 
-and an iteration forms e = X d for the search direction d and then K e.
-In the Gram space (p < n) the kernel is G itself: q0 = r0, E = K E =
-G (u - u0), e = K e = G d, r(u) = r0 + E and grad f(u) = mu G (q0 + K E).
-Either way the smooth part f is quadratic, so along d
+    f(u + a d) = f(u) + a mu r(u).e + (a^2/2) mu e.e,
 
-    f(u + a d) = f(u) + a mu (q0 + K E).e + (a^2/2) mu e.K e,
-
-and each line-search trial costs O(n + p) operations.  f is carried from
+and each line-search trial costs O(p) operations.  f is carried from
 iterate to iterate this way, with an error relative to f itself.  Formed
 afresh as (mu/2) ||r(u)||^2 it would lose, to cancellation, every
 digit by which f has fallen below f(u0), and a tightly converged solve
 cannot afford that.
 
-So an iteration costs its direction's products and, after the line
-search, one more product for the gradient at the accepted point, however
-many backtracks it takes: X d, K e and X^T in n-space, G d and G (q0 + K E)
-in the Gram space.  In n-space the direction d is sparse (it is nonzero
-only where u or its prox step is), so X d is the support-restricted
-product of :meth:`~dantzig_adm.core.DesignOperator.matvec`, and so is the
-one product X r0 of every solve (r0 is zero wherever the outer loop's z
-clamp is inactive); the start-up gradient X^T q0 is one more product.  In
-the Gram space q0 costs nothing and the start-up gradient is one product
-with G.  The outer loop runs each inner solve on the block X[:, W] of its
-round's columns (see :func:`~dantzig_adm.adm.solve`), so all of these are
-products with that block, or with its |W| x |W| Gram matrix when |W| < n.
+So an iteration costs two products with G, e = G d and, after the line
+search, the gradient G r at the accepted point, however many backtracks it
+takes; the start-up gradient G r0 is one more, and the returned residual
+costs none.  The design operator
+(:class:`~dantzig_adm.core.DesignOperator`) makes each with the formed G
+when X has fewer columns than rows, and as X^T (X v) otherwise, where X d
+is the support-restricted product of
+:meth:`~dantzig_adm.core.DesignOperator.matvec` (d is nonzero only where u
+or its prox step is).  The outer loop runs each inner solve on the block
+X[:, W] of its round's columns (see :func:`~dantzig_adm.adm.solve`), so
+while |W| < n these are products with that block's |W| x |W| Gram matrix.
 
 Besides its products, an iteration makes a few passes over vectors of
-length n or p (|W| in a round), and forms each quantity once.  One
+length p (|W| in a round), and forms each quantity once.  One
 soft-threshold at steplength 1, SoftThresh(u - grad, 1), and its step
 serve the termination test and, when the spectral steplength is 1, the
 search direction too (u - 1.0 * grad is u - grad bit for bit); at any other
 steplength the direction takes one more soft-threshold.  ||u||_1 comes with
 the iterate from the line search, which sums |u + alpha d| once per trial;
-at alpha = 1 the trial and its shifts are u + d, E + e and K E + K e, with
-no multiplication, and in the Gram space E and K E are one vector.  The
-accepted trial adds q0 + K E once, for its gradient and the next line
-search's slope, and the spectral step takes two differences and two dot
-products.  At (720, 2560, 80), seeds 100-105, the steplength was 1 on
-37% and 20% of the iterations of unit rows at sigma 0.05 and 0.01 and on
-all of those of orthogonal rows, and the line search accepted alpha = 1 on
-88%, 71% and 100%.
+at alpha = 1 the trial and its shift are u + d and E + e, with no
+multiplication.  The accepted trial adds r0 + E once, for its gradient, the
+next line search's slope and the returned residual, and the spectral step
+takes two differences and two dot products.  At (720, 2560, 80), seeds
+100-105, the steplength was 1 on 37% and 20% of the iterations of unit
+rows at sigma 0.05 and 0.01 and on all of those of orthogonal rows, and
+the line search accepted alpha = 1 on 88%, 71% and 100%.
 
-The result carries the returned u with r(u) = r0 + X^T E (one more X^T
-product in n-space, none in the Gram space) and the gradient mu G r(u),
-which the iteration already holds, at every exit: the best earlier iterate
-of a failed solve is kept with its gradient.  The outer loop reads
-G u = r + c, its multiplier step and the multiplier's Gram product off
-these, with no product of its own.
+The result carries the returned u with r(u) = r0 + E and the gradient
+mu G r(u), which the iteration already holds, at every exit: the best
+earlier iterate of a failed solve is kept with its gradient.  The outer
+loop reads G u = r + c, its multiplier step and the multiplier's Gram
+product off these, with no product of its own.
 """
 
 from __future__ import annotations
@@ -76,7 +66,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -112,10 +101,9 @@ class SubproblemObjective:
     loop's z update forms it (:func:`~dantzig_adm.adm.update_z`), so the
     inner solve makes no Gram product for it.  ``design`` makes the inner
     solver's products; the outer loop shares one across the inner problems
-    of a solve, so its kernel is formed once.  ``scaled`` is lambda/mu when
+    of a solve, so its G is formed once.  ``scaled`` is lambda/mu when
     the caller holds it (the outer loop forms it once for the z update and
-    for c).  q0 (X r0 in n-space, r0 in the Gram space) is formed on first
-    use.  z, lambda and r0 are float64 vectors of length p and mu is
+    for c).  z, lambda and r0 are float64 vectors of length p and mu is
     positive, as the outer loop hands them; none is checked here.
     """
 
@@ -132,17 +120,9 @@ class SubproblemObjective:
         scaled = self.lambda_fixed / self.mu if self.scaled is None else self.scaled
         object.__setattr__(self, "c", self.inst.xty + self.z_fixed - scaled)
 
-    @cached_property
-    def q0(self) -> np.ndarray:
-        """X r0 in n-space (the operator's support-restricted product), r0 in the Gram space."""
-        return self.design.start_product(self.r0)
-
-    def gradient(self, kshift: np.ndarray, qk: np.ndarray | None = None) -> np.ndarray:
-        """grad f(u) = mu X^T (q0 + K E), or mu G (q0 + K E); one product.
-
-        ``qk`` is q0 + K E when the caller holds it.
-        """
-        return self.mu * self.design.gradient_product(self.q0 + kshift if qk is None else qk)
+    def gradient(self, residual: np.ndarray) -> np.ndarray:
+        """grad f(u) = mu G r(u) from the residual r(u); one product with G."""
+        return self.mu * self.design.gram_matvec(residual)
 
     def residual(self, u: np.ndarray) -> np.ndarray:
         """gram(u) - c formed afresh, one apply_gram call: the solver carries r(u) instead."""
@@ -150,23 +130,21 @@ class SubproblemObjective:
 
 
 class Point(NamedTuple):
-    """An iterate with its shift E, K E, smooth value f(u), penalized value and ||u||_1.
+    """An iterate with its shift E = G (u - u0), residual, f(u), penalized value and ||u||_1.
 
-    E is X (u - u0), or G (u - u0) in the Gram space (see the module
-    docstring for both spaces).  ``penalized`` is f(u) + ||u||_1, and ``l1``
-    is ||u||_1 as it was summed for the penalized value (the line search
-    sums it once per trial), so :func:`search_direction` does not sum |u|
-    again; None when not held.  ``qk`` is q0 + K E, formed once for both the
-    gradient at u and the next line search's slope; None when not held.
+    ``residual`` is r(u) = r0 + E, formed once for the gradient at u, the
+    next line search's slope and the returned residual.  ``penalized`` is
+    f(u) + ||u||_1, and ``l1`` is ||u||_1 as it was summed for the penalized
+    value (the line search sums it once per trial), so
+    :func:`search_direction` does not sum |u| again.
     """
 
     u: np.ndarray
     shift: np.ndarray
-    kshift: np.ndarray
+    residual: np.ndarray
     smooth: float
     penalized: float
-    l1: float | None = None
-    qk: np.ndarray | None = None
+    l1: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,9 +165,8 @@ class InnerIterationRecord:
 class SubsolverResult:
     """Returned iterate, how the run ended, and the residual and gradient at u.
 
-    ``residual`` is r(u) = X^T X u - c, formed once as r0 + X^T E (r0 + E
-    in the Gram space), and ``gradient`` is mu X^T X r(u), the one the
-    iteration held at u.
+    ``residual`` is r(u) = X^T X u - c, the iterate's held r0 + E, and
+    ``gradient`` is mu X^T X r(u), the one the iteration held at u.
     """
 
     u: np.ndarray
@@ -238,28 +215,23 @@ def line_search(
     d: np.ndarray,
     delta: float,
     e: np.ndarray,
-    ke: np.ndarray,
 ) -> tuple[float, Point]:
     """Largest alpha in {1, ETA, ETA^2, ...} passing the nonmonotone Armijo test.
 
     Acceptance compares the trial objective against ``reference``, the
     maximum penalized value over the memory window, plus
-    SIGMA_LS * alpha * delta.  ``e`` and ``ke`` are the direction's products
-    (X d and K e, or G d twice in the Gram space).  The smooth value of a
-    trial is the quadratic f(u) + alpha grad f(u).d + (alpha^2/2) mu e.K e,
-    with the slope grad f(u).d = mu (q0 + K E).e, from the point's held
-    q0 + K E when it has one, so a trial makes no product.  The accepted
-    point holds its own q0 + K E.  At alpha = 1 the trial is u + d, E + e
-    and K E + K e, with no multiplication by 1.0 (the same bytes); when
-    ``ke`` is ``e`` and the point's E is its K E (the Gram space), the
-    accepted E serves as K E.
-    ``delta`` is negative: :func:`solve_subproblem` stops at a fixed point
-    before it searches.  Raises LineSearchError after MAX_BACKTRACKS
-    rejected powers.
+    SIGMA_LS * alpha * delta.  ``e`` is the direction's product G d.  The
+    smooth value of a trial is the quadratic
+    f(u) + alpha grad f(u).d + (alpha^2/2) mu e.e, with the slope
+    grad f(u).d = mu r(u).e from the point's held residual, so a trial makes
+    no product.  The accepted point holds its own residual r0 + E.  At
+    alpha = 1 the trial is u + d and E + e, with no multiplication by 1.0
+    (the same bytes).  ``delta`` is negative: :func:`solve_subproblem`
+    stops at a fixed point before it searches.  Raises LineSearchError
+    after MAX_BACKTRACKS rejected powers.
     """
-    qk = obj.q0 + point.kshift if point.qk is None else point.qk
-    slope = obj.mu * float(qk @ e)
-    curvature = obj.mu * float(e @ ke)
+    slope = obj.mu * float(point.residual @ e)
+    curvature = obj.mu * float(e @ e)
     alpha = 1.0
     for _ in range(MAX_BACKTRACKS):
         u_trial = _moved(point.u, alpha, d)
@@ -268,9 +240,7 @@ def line_search(
         penalized = f_trial + l1
         if penalized <= reference + SIGMA_LS * alpha * delta:
             shift = _moved(point.shift, alpha, e)
-            same = ke is e and point.kshift is point.shift
-            kshift = shift if same else _moved(point.kshift, alpha, ke)
-            return alpha, Point(u_trial, shift, kshift, f_trial, penalized, l1, obj.q0 + kshift)
+            return alpha, Point(u_trial, shift, obj.r0 + shift, f_trial, penalized, l1)
         alpha *= ETA
     raise LineSearchError(f"no acceptable steplength within {MAX_BACKTRACKS} backtracks")
 
@@ -327,17 +297,15 @@ def solve_subproblem(
     returned with a flagged status; the caller decides whether to accept
     it.  Every returned u comes with its residual and gradient.
 
-    Start-up costs q0 and the gradient.  Each iteration then costs the
-    direction's products and one for the new gradient, and the returned
-    iterate its residual: X r0 and X^T q0, X d, K (X d) and X^T, and X^T E
-    in n-space; G r0, G d and G (q0 + K E), and nothing in the Gram space.
+    Start-up costs the gradient G r0, and each iteration G d and the new
+    gradient; the returned residual costs no product.
     """
     u = np.array(u0, dtype=np.float64)
-    origin = np.zeros_like(obj.q0)
+    origin = np.zeros_like(obj.r0)
     smooth = 0.5 * obj.mu * float(obj.r0 @ obj.r0)
     l1 = float(np.add.reduce(np.abs(u)))
-    point = Point(u, origin, origin, smooth, smooth + l1, l1, obj.q0 + origin)
-    grad, bar_alpha, iteration = obj.gradient(origin, point.qk), 1.0, 0
+    point = Point(u, origin, obj.r0 + origin, smooth, smooth + l1, l1)
+    grad, bar_alpha, iteration = obj.gradient(point.residual), 1.0, 0
     best = point, grad  # the least penalized iterate so far, with its gradient
     window = deque([point.penalized], maxlen=MEMORY + 1)  # last MEMORY+1 penalized values
 
@@ -347,21 +315,21 @@ def solve_subproblem(
         target = soft_thresh(point.u - grad, 1.0)
         step = target - point.u
         if inner_termination_metric(point.u, grad, point.penalized, step) <= tol_sub:
-            return _finish(obj, point, grad, iteration, "converged")
+            return _finish(point, grad, iteration, "converged")
         if iteration == MAX_INNER_ITER:
-            return _finish(obj, *best, iteration, "max_iter")
+            return _finish(*best, iteration, "max_iter")
         d, delta = search_direction(point.u, bar_alpha, grad, target, step, point.l1)
         if delta > -STATIONARY_RTOL * max(1.0, point.penalized):
-            return _finish(obj, point, grad, iteration, "stationary")
+            return _finish(point, grad, iteration, "stationary")
         window_max = max(window)
-        e, ke = obj.design.direction_products(d)
+        e = obj.design.gram_matvec(d)
         try:
-            alpha, trial = line_search(obj, point, window_max, d, delta, e, ke)
+            alpha, trial = line_search(obj, point, window_max, d, delta, e)
         except LineSearchError:
-            return _finish(obj, *best, iteration, "line_search_failure")
+            return _finish(*best, iteration, "line_search_failure")
         if (trial.u == point.u).all():  # the step is lost to rounding: u is a fixed point
-            return _finish(obj, point, grad, iteration, "stationary")
-        g_new = obj.gradient(trial.kshift, trial.qk)
+            return _finish(point, grad, iteration, "stationary")
+        g_new = obj.gradient(trial.residual)
         bar_alpha_next = bb_step(trial.u - point.u, g_new - grad)
         point, grad = trial, g_new
         iteration += 1
@@ -384,9 +352,6 @@ def solve_subproblem(
             best = point, grad
 
 
-def _finish(
-    obj: SubproblemObjective, point: Point, grad: np.ndarray, iteration: int, status: str
-) -> SubsolverResult:
-    """The returned iterate with its residual r0 + X^T E (or r0 + E) and gradient."""
-    residual = obj.r0 + obj.design.residual_product(point.shift)
-    return SubsolverResult(point.u, iteration, status, residual, grad)
+def _finish(point: Point, grad: np.ndarray, iteration: int, status: str) -> SubsolverResult:
+    """The returned iterate with its held residual r0 + E and gradient."""
+    return SubsolverResult(point.u, iteration, status, point.residual, grad)

@@ -11,10 +11,11 @@ from dantzig_adm.core import DesignOperator
 class ProductCounts:
     """Calls to each DesignOperator product, and the matmuls made with a watched X.
 
-    ``calls`` counts matvec, rmatvec, rmatvec_pair and kernel_matvec by name
-    (apply_gram goes through matvec and rmatvec; one rmatvec_pair is one
-    fused pass over X).  ``x_products`` counts every matmul with a watched
-    X, and ``outside`` those made outside the operator's methods.
+    ``calls`` counts matvec, rmatvec, rmatvec_pair and gram_matvec by name
+    (apply_gram goes through matvec and rmatvec, and so does a gram_matvec
+    that forms no G; one rmatvec_pair is one fused pass over X).
+    ``x_products`` counts every matmul with a watched X, and ``outside``
+    those made outside the operator's methods.
     """
 
     def __init__(self):
@@ -29,12 +30,12 @@ class ProductCounts:
 
     @staticmethod
     def forming_kernel(inst) -> int:
-        """The matmuls with X that one operator on inst.X made to form its kernel.
+        """The matmuls with X that one operator on inst.X made to form its G.
 
-        core._kernel makes one matmul per 64 rows of the kernel: n rows of
-        K = X X^T when n <= p, p rows of G = X^T X when p < n.
+        core._kernel makes one matmul per 64 rows of G = X^T X, which is
+        formed only when p < n.
         """
-        return -(-min(inst.n, inst.p) // 64)
+        return -(-inst.p // 64) if inst.p < inst.n else 0
 
     def watch(self, inst):
         view = inst.X.view(_CountedX)
@@ -74,7 +75,7 @@ def products(monkeypatch):
 
         return method
 
-    for name in ("matvec", "rmatvec", "rmatvec_pair", "kernel_matvec"):
+    for name in ("matvec", "rmatvec", "rmatvec_pair", "gram_matvec"):
         monkeypatch.setattr(DesignOperator, name, counting(name, getattr(DesignOperator, name)))
     return counts
 

@@ -43,9 +43,10 @@ def termination_metric_norm(u: np.ndarray, grad: np.ndarray, penalized: float) -
     return float(np.linalg.norm(step)) / max(penalized, 1.0)
 
 
-def scaled_trial(point, alpha: float, d: np.ndarray, e: np.ndarray, ke: np.ndarray):
-    """(u + alpha d, E + alpha e, K E + alpha K e), multiplied by alpha even at alpha = 1."""
-    return point.u + alpha * d, point.shift + alpha * e, point.kshift + alpha * ke
+def scaled_trial(obj, point, alpha: float, d: np.ndarray, e: np.ndarray):
+    """(u + alpha d, E + alpha e, r0 + E + alpha e), multiplied by alpha even at alpha = 1."""
+    shift = point.shift + alpha * e
+    return point.u + alpha * d, shift, obj.r0 + shift
 
 
 def clip_formula(w: np.ndarray, bound: np.ndarray) -> np.ndarray:
@@ -66,13 +67,13 @@ def constant_formula(inst, z: np.ndarray, lam: np.ndarray, mu: float) -> np.ndar
 
 
 def slope_formula(obj, point, e: np.ndarray) -> float:
-    """mu (q0 + K E).e with q0 + K E added afresh: the line search's slope before it was held."""
-    return obj.mu * float((obj.q0 + point.kshift) @ e)
+    """mu (r0 + E).e with r0 + E added afresh: the line search's slope before it was held."""
+    return obj.mu * float((obj.r0 + point.shift) @ e)
 
 
-def gradient_formula(obj, kshift: np.ndarray) -> np.ndarray:
-    """mu X^T (q0 + K E), with q0 + K E added afresh: the gradient before it was held."""
-    return obj.mu * obj.design.gradient_product(obj.q0 + kshift)
+def gradient_formula(obj, shift: np.ndarray) -> np.ndarray:
+    """mu G (r0 + E), with r0 + E added afresh: the gradient before it was held."""
+    return obj.mu * obj.design.gram_matvec(obj.r0 + shift)
 
 
 def prox_l1_scalar(v: float, gamma: float) -> float:

@@ -258,11 +258,9 @@ class TestGradientCheck:
             lam = rng.standard_normal(p)
             mu = float(rng.uniform(0.5, 3.0))
             u = rng.standard_normal(p)
-            # the inner solver's gradient mu X^T (q0 + K E), at E = 0 from a
-            # warm start at u; E lives in the operator's space, of length n,
-            # or p when p < n
+            # the inner solver's gradient mu G r(u), from a warm start at u
             start = inner_problem(Instance(X=X, y=y, delta=1.0), z, lam, mu, u)
-            g = start.gradient(np.zeros_like(start.q0))
+            g = start.gradient(start.r0)
             for _ in range(20):
                 v = rng.standard_normal(p)
                 v /= np.linalg.norm(v)

@@ -466,7 +466,7 @@ class TestPrecomputedGram:
             adm_module._criterion_terms(inst, beta, lam, bad, bad)
 
 
-_PRODUCTS = ("matvec", "rmatvec", "rmatvec_pair", "kernel_matvec")
+_PRODUCTS = ("matvec", "rmatvec", "rmatvec_pair", "gram_matvec")
 
 
 def _step(calls, before):
@@ -480,12 +480,11 @@ class TestOuterCost:
     The full method is the ADM loop on all of X (the ``whole_problem``
     fixture); solve runs it on each round's columns.
 
-    An outer iteration costs its inner solve.  When n <= p that is X r0 and
-    X^T q0, plus X d, K (X d) and X^T per inner iteration, plus X^T E for
-    the final iterate's residual, every product with X.  When p < n it is
-    G r0 plus two products with G = X^T X per inner iteration, none with X.
-    The z clamp, the multiplier step and the stopping test make no product
-    with X.
+    An outer iteration costs its inner solve: G r0 plus two products with
+    G = X^T X per inner iteration.  When n <= p each is X^T (X v), one X
+    product and one X^T; when p < n each is a product with the formed G, and
+    none is with X.  The z clamp, the multiplier step and the stopping test
+    make no product with X.
     """
 
     def _record_inner(self, monkeypatch):
@@ -516,7 +515,7 @@ class TestOuterCost:
         return inst, rng.standard_normal(p), AdmConfig(mu=1.0, tol=1e-5, max_outer_iter=40)
 
     @pytest.mark.parametrize("n, p", sorted(_SIZES, reverse=True))
-    def test_three_products_plus_three_per_inner_iteration(
+    def test_two_products_plus_four_per_inner_iteration(
         self, monkeypatch, products, whole_problem, n, p
     ):
         inst, beta0, config = self._case(n, p)
@@ -536,27 +535,20 @@ class TestOuterCost:
         before, x_before = {}, 0
         if beta0.any():
             before, x_before = {"matvec": 1, "rmatvec": 1}, 2
-        kernel_x = products.forming_kernel(inst)  # one X product per 64 rows
         for (calls, x_products), result in zip(seen, inner):
-            iters = result.iterations
+            gram = 1 + 2 * result.iterations  # each X^T (X v)
             step = _step(calls, before)
-            assert step == {
-                "matvec": 1 + iters,
-                "rmatvec": 2 + iters,
-                "rmatvec_pair": 0,
-                "kernel_matvec": iters,
-            }
-            assert x_products - x_before == step["matvec"] + step["rmatvec"] + kernel_x
-            kernel_x = 0
+            assert step == {"matvec": gram, "rmatvec": gram, "rmatvec_pair": 0, "gram_matvec": gram}
+            assert x_products - x_before == 2 * gram
             before, x_before = calls, x_products
         assert products.outside == 0
 
-    def test_gram_space_one_product_plus_two_per_inner_iteration(
+    def test_formed_gram_one_product_plus_two_per_inner_iteration(
         self, monkeypatch, products, whole_problem
     ):
-        # n > p: the loop on all of X runs in the Gram space.  G = X^T X is
-        # formed once, by the first inner solve; each inner solve then makes
-        # G r0 and two products with G per iteration, and none with X
+        # n > p: the loop on all of X forms G = X^T X once, in the first
+        # inner solve; each inner solve then makes G r0 and two products
+        # with G per iteration, and none with X
         inst, beta0, config = self._case(30, 12)
         inst.xty  # cache X^T y before counting
         products.watch(inst)
@@ -578,7 +570,7 @@ class TestOuterCost:
                 "matvec": 0,
                 "rmatvec": 0,
                 "rmatvec_pair": 0,
-                "kernel_matvec": 1 + 2 * result.iterations,
+                "gram_matvec": 1 + 2 * result.iterations,
             }
             assert x_products - x_before == kernel_x
             kernel_x = 0
@@ -655,13 +647,9 @@ class TestOuterCost:
         assert inner[0].status == "max_iter" and report.subsolver_failures == 1
         before = {}  # the zero start needs no product
         for (calls, _), result in zip(seen, inner):
-            iters = result.iterations
+            gram = 1 + 2 * result.iterations  # each X^T (X v)
             assert _step(calls, before) == {
-                "matvec": 1 + iters,
-                "rmatvec": 2 + iters,
-                "rmatvec_pair": 0,
-                "kernel_matvec": iters,
-            }
+                "matvec": gram, "rmatvec": gram, "rmatvec_pair": 0, "gram_matvec": gram}
             before = calls
         assert products.outside == 0
         # the step read off the failed solve's result, as TestOuterIdentity checks it
@@ -716,14 +704,14 @@ class TestOuterIdentity:
             assert rec.metric == pytest.approx(_metric_at(sub, beta, lam), rel=1e-10)
 
 
-class _GramSpace(DesignOperator):
-    """A design operator whose inner solves run in the Gram space at any shape."""
+class _FormedGram(DesignOperator):
+    """A design operator that forms G = X^T X at any shape."""
 
-    gram_space = True
+    forms_gram = True
 
 
 class TestKernelPaths:
-    """The n-space (K = X X^T) and the Gram space (G = X^T X) give the same inner solve."""
+    """G v as X^T (X v) and from the formed G give the same inner solve."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_same_iterations_and_iterates(self, seed):
@@ -738,7 +726,7 @@ class TestKernelPaths:
         z = 0.1 * rng.standard_normal(p)
         lam = 0.1 * rng.standard_normal(p)
         runs = []
-        for design in (DesignOperator(inst.X), _GramSpace(inst.X)):
+        for design in (DesignOperator(inst.X), _FormedGram(inst.X)):
             obj = inner_problem(inst, z, lam, 0.5, np.zeros(inst.p), design)
             records = []
             result = solve_subproblem(obj, np.zeros(inst.p), 1e-6, callback=records.append)
@@ -751,19 +739,21 @@ class TestKernelPaths:
         assert np.abs(result.u - result_nk.u).max() <= 1e-10 * max(1.0, np.abs(result.u).max())
 
     def test_whole_solve_counts_agree_on_both_paths(self):
-        # the ADM loop on all of X from the zero start, which forms K in
-        # n-space and G in the Gram space.  An inner solve that stops near its
-        # tolerance may take one more iteration on one path than the other,
-        # so the counts agree only where rounding decides none
+        # the ADM loop on all of X from the zero start, which makes its
+        # products as X^T (X v) or with the formed p x p G.  An inner solve
+        # that stops near its tolerance may take one more iteration on one
+        # path than the other, so the counts agree only where rounding
+        # decides none
         inst, _ = make_instance(GenSpec(n=48, p=200, s=6, sigma_noise=0.05, seed=2))
         config = AdmConfig(mu=mu_rule("unit_columns", inst.p, inst.delta), tol=1e-3)
         zero = np.zeros(inst.p)
         runs = []
-        for design, side in ((DesignOperator(inst.X), inst.n), (_GramSpace(inst.X), inst.p)):
+        for design, shape in ((DesignOperator(inst.X), None), (_FormedGram(inst.X), (200, 200))):
             report = adm_module._start(inst, config, design, zero)[-1]
             beta, _, _ = adm_module._adm(inst, config, design, zero, zero, zero, zero, report)
             runs.append((beta, report))
-            assert design.__dict__["kernel"].shape == (side, side)
+            held = design.__dict__.get("kernel")
+            assert (None if held is None else held.shape) == shape
         (beta, report), (beta_nk, report_nk) = runs
         assert report.status == report_nk.status == "converged"
         assert report.outer_iterations == report_nk.outer_iterations > 0
@@ -775,11 +765,12 @@ class TestHandedInnerProblems:
     """Each inner solve of the ADM loop takes the steps of a fresh one.
 
     The loop hands every inner solve the r0 of its z update, formed from the
-    previous residual, and the operator, with its K, kept across the solve.
+    previous residual, and the operator kept across the solve (or round).
     Rerun from its inputs with a fresh operator and a fresh Gram product, each
     inner solve takes the same number of iterations to the same iterate up
-    to rounding: on all of X (the ``whole_problem`` fixture, which forms K)
-    and on the rounds of solve, whose blocks have fewer than n columns.
+    to rounding: on all of X (the ``whole_problem`` fixture, whose products
+    are X^T (X v)) and on the rounds of solve, whose blocks have fewer than
+    n columns (a formed G_W) or, at (48, 200), more.
     """
 
     @staticmethod
@@ -918,8 +909,8 @@ class TestColumnGeneration:
 
     @staticmethod
     def _record_rounds(monkeypatch):
-        """Per round: (columns of the round's X, the shape of the kernel it holds
-        or None, the kernels formed afresh and grown for it, outer iterations).
+        """Per round: (columns of the round's X, the shape of the G it holds
+        or None, the G formed afresh and grown for it, outer iterations).
 
         A grown G_W is made before the round starts, so the growth that
         precedes a round's run counts toward that round."""
@@ -943,21 +934,23 @@ class TestColumnGeneration:
 
     @staticmethod
     def _each_round_forms_one_kernel(inst, rounds):
-        """A round that iterates holds one kernel: G while |W| < n, else K.
+        """A round with |W| < n that iterates holds one G; one with |W| >= n holds none.
 
         The first round with |W| < n forms its G afresh; each later round
-        grows the G of the round before it (W only grows, so that round ran
-        in the Gram space too), when that round formed one.  K, of a round
-        with |W| >= n, is formed afresh and never grown."""
-        previous = None  # the kernel shape the last round held
+        grows the G of the round before it (W only grows, so that round had
+        |W| < n too), when that round formed one, and a rerun of the same W
+        keeps it.  A round with |W| >= n makes its products as X^T (X v)."""
+        previous = None, None  # |W| and the G shape of the last round
         for p, shape, formed, grown, outer in rounds:
-            side = min(p, inst.n)
-            grows = p < inst.n and previous is not None
-            if grows:
-                assert (shape, formed, grown) == ((side, side), 0, 1)
+            if p == previous[0] and previous[1] is not None:  # a rerun keeps the last G
+                assert (shape, formed, grown) == (previous[1], 0, 0)
+            elif p >= inst.n:
+                assert (shape, formed, grown) == (None, 0, 0)
+            elif previous[1] is not None:
+                assert (shape, formed, grown) == ((p, p), 0, 1)
             else:
-                assert (shape, formed, grown) == (((side, side), 1, 0) if outer else (None, 0, 0))
-            previous = shape
+                assert (shape, formed, grown) == (((p, p), 1, 0) if outer else (None, 0, 0))
+            previous = p, shape
 
     @pytest.mark.parametrize("seed", [2, 3])
     def test_each_round_forms_its_gram_matrix_once(self, monkeypatch, seed):
@@ -969,16 +962,17 @@ class TestColumnGeneration:
         assert report.rounds == len(rounds) >= 2
         assert any(p < inst.n and outer for p, *_, outer in rounds)
         self._each_round_forms_one_kernel(inst, rounds)
-        # the rounds after the first grow their G while |W| < n
+        # the rounds after the first grow their G while |W| < n, and a rerun
+        # of the same W keeps it
         assert [grown for *_, grown, _ in rounds] == [
-            int(k > 0 and p < inst.n) for k, (p, *_) in enumerate(rounds)]
+            int(k > 0 and p < inst.n and p != rounds[k - 1][0]) for k, (p, *_) in enumerate(rounds)]
         assert rounds[1][3] == 1
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_rounds_form_k_once_w_reaches_n(self, monkeypatch, seed):
+    def test_rounds_form_no_kernel_once_w_reaches_n(self, monkeypatch, seed):
         # (40, 1000) at sigma 0.01: W starts at the 4 columns of the screened
-        # start and grows past n = 40, where its rounds form their K in place
-        # of G, but stays below p / 2
+        # start and grows past n = 40, where its rounds make their products
+        # as X^T (X v) in place of G, but stays below p / 2
         inst, _ = make_instance(GenSpec(n=40, p=1000, s=4, sigma_noise=0.01, seed=seed))
         rounds = self._record_rounds(monkeypatch)
         capacity = []
@@ -998,10 +992,26 @@ class TestColumnGeneration:
         self._each_round_forms_one_kernel(inst, rounds)
         iterating = [p for p, *_, outer in rounds if outer]
         assert min(iterating) < inst.n <= max(iterating)
-        # a G was grown below n, and no K past it
+        # a G was grown below n, and none past it
         assert any(grown for p, *_, grown, _ in rounds if p < inst.n)
         # one buffer for the start's fits and every round, never n x p
         assert max(capacity) <= 2 * report.working_columns < inst.p
+
+    def test_the_zero_start_on_all_of_x_is_certified(self, monkeypatch):
+        # (48, 200), seed 2: from the paper's zero start the first check takes
+        # W past p // 2, so the one round runs on all of X; G would be larger
+        # than X, so its products are X^T (X v) and no kernel is formed
+        inst, _ = make_instance(GenSpec(n=48, p=200, s=6, sigma_noise=0.05, seed=2))
+        formed, kernel = [], core_module._kernel
+        monkeypatch.setattr(core_module, "_kernel", lambda A: formed.append(A.shape) or kernel(A))
+        config = AdmConfig(mu=mu_rule("unit_columns", inst.p, inst.delta), tol=self.TOL)
+        beta, lam, report = solve(inst, config, beta0=np.zeros(inst.p))
+        assert report.status == "converged"
+        assert report.rounds == 1 and report.working_columns == inst.p
+        assert formed == []
+        certificate = feasibility_report(inst, beta, lam)
+        ratios = (certificate.primal_ratio, certificate.dual_ratio, certificate.gap_ratio)
+        assert max(ratios) <= self.TOL
 
     @pytest.mark.parametrize("seed", range(3))
     def test_duplicate_columns(self, seed):
@@ -1226,6 +1236,35 @@ class TestEarlyRounds:
         assert reruns
         for level, next_level in reruns:
             assert self.TOL <= next_level < level
+
+    def test_a_rerun_keeps_the_last_rounds_block_and_operator(self, monkeypatch):
+        # (48, 200), seed 2: the rerun of the same W copies no column and grows
+        # no G; it runs on the last round's instance and operator
+        inst, _ = make_instance(GenSpec(n=48, p=200, s=6, sigma_noise=0.05, seed=2))
+        calls, rounds = [], []  # rounds: (instance, operator, calls before the round)
+        take, grow, original = ColumnBlock.take, adm_module.grown_kernel, adm_module._adm
+
+        def recording(inst, config, design, *args):
+            rounds.append((inst, design, list(calls)))
+            calls.clear()
+            return original(inst, config, design, *args)
+
+        monkeypatch.setattr(ColumnBlock, "take", lambda *args: calls.append("take") or take(*args))
+        monkeypatch.setattr(adm_module, "grown_kernel",
+                            lambda *args: calls.append("grow") or grow(*args))
+        monkeypatch.setattr(adm_module, "_adm", recording)
+        _, _, report = self._solve(inst)
+        assert report.status == "converged" and report.rounds == len(rounds)
+        # W only grows, so a round on as many columns as the last reruns its W
+        reruns = [k for k in range(1, len(rounds)) if rounds[k][0].p == rounds[k - 1][0].p]
+        assert reruns
+        for k in range(1, len(rounds)):
+            sub, design, before = rounds[k]
+            if k in reruns:
+                assert before == []
+                assert sub is rounds[k - 1][0] and design is rounds[k - 1][1]
+            else:
+                assert "take" in before and design is not rounds[k - 1][1]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_round_levels_hold_each_rounds_level(self, whole_problem, seed):
@@ -1792,12 +1831,12 @@ class TestSolve:
         solve(inst, AdmConfig(mu=1.0, tol=1e-4, max_outer_iter=5), beta0=beta0, lambda0=lambda0)
         assert sum(X is inst.X for X in built) == 1
 
-    @pytest.mark.parametrize("beta0, seed", [(None, 2), ("zero", 0)], ids=["None", "zero"])
+    @pytest.mark.parametrize("beta0, seed", [(None, 2), ("zero", 4)], ids=["None", "zero"])
     def test_a_step_lost_to_rounding_ends_the_inner_solve(self, monkeypatch, beta0, seed):
         # at tol = 1e-9 an inner solve accepts a step so short that u + alpha d
         # equals u: the inner solve ends stationary there instead of raising
         # in bb_step, and the outer loop runs on, to convergence at seed 2
-        # from the screened start and at seed 0 from the zero start
+        # from the screened start and at seed 4 from the zero start
         inst, _ = make_instance(GenSpec(n=48, p=200, s=5, sigma_noise=0.05, seed=seed))
         config = AdmConfig(mu=mu_rule("unit_columns", inst.p, inst.delta), tol=1e-9)
         lost, search = [], subsolver_module.line_search

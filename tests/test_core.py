@@ -286,26 +286,15 @@ class TestRestrictedChunks:
 
 
 class TestDesignOperator:
-    @pytest.mark.parametrize("n, p", [(1, 5), (64, 64), (65, 90), (150, 200)])
-    def test_kernel_is_x_xt_and_exactly_symmetric(self, n, p):
-        # 65 and 150 rows leave a partial last block of 64
-        rng = np.random.default_rng(n)
-        X = rng.standard_normal((n, p))
-        expected = X @ X.T
-        bound = 1e-13 * np.abs(expected).max()
-        design = DesignOperator(Instance(X=X, y=np.zeros(n), delta=1.0).X)
-        K = design.kernel
-        assert np.abs(K - expected).max() <= bound
-        assert np.array_equal(K, K.T)
-
     @pytest.mark.parametrize("n, p", [(5, 1), (90, 64), (200, 65), (720, 150)])
     def test_gram_kernel_is_xt_x_and_exactly_symmetric(self, n, p):
-        # p < n: the kernel is G = X^T X, p x p, in blocks of 64 of its columns
+        # p < n: the kernel is G = X^T X, p x p, in blocks of 64 of its
+        # columns; 65 and 150 columns leave a partial last block
         rng = np.random.default_rng(n + p)
         X = rng.standard_normal((n, p))
         expected = X.T @ X
         design = DesignOperator(Instance(X=X, y=np.zeros(n), delta=1.0).X)
-        assert design.gram_space
+        assert design.forms_gram
         G = design.kernel
         assert G.shape == (p, p) and G.flags.c_contiguous
         assert np.abs(G - expected).max() <= 1e-12 * np.abs(expected).max()
@@ -313,9 +302,9 @@ class TestDesignOperator:
 
     def test_kernel_is_formed_once(self):
         rng = np.random.default_rng(3)
-        design = DesignOperator(rng.standard_normal((5, 9)))
+        design = DesignOperator(rng.standard_normal((9, 5)))
         first = design.kernel
-        design.kernel_matvec(np.ones(5))
+        design.gram_matvec(np.ones(5))
         assert design.kernel is first
 
     @pytest.mark.parametrize("n, p", [(6, 10), (10, 10), (14, 6)])
@@ -327,36 +316,27 @@ class TestDesignOperator:
         w = rng.standard_normal(n)
         np.testing.assert_allclose(design.matvec(v), X @ v, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(design.rmatvec(w), X.T @ w, rtol=1e-12, atol=1e-12)
-        if n <= p:
-            np.testing.assert_allclose(
-                design.kernel_matvec(w), X @ (X.T @ w), rtol=1e-12, atol=1e-12
-            )
-        else:
-            np.testing.assert_allclose(
-                design.kernel_matvec(v), X.T @ (X @ v), rtol=1e-12, atol=1e-12
-            )
-        assert design.kernel.shape == (min(n, p), min(n, p))
+        np.testing.assert_allclose(design.gram_matvec(v), X.T @ (X @ v), rtol=1e-12, atol=1e-12)
+        # G is formed only when it is smaller than X
+        assert ("kernel" in vars(design)) == (p < n)
 
     @pytest.mark.parametrize("n, p", [(6, 10), (10, 10), (14, 6)])
     def test_inner_products_give_the_gram_identities(self, n, p):
-        # in either space, with r = r0 + G s: the gradient product of q0 + K E
-        # is G r, the residual product of E is G s, the slope (q0 + K E).e is
-        # r.G d and the curvature e.K e is ||G d||^2
+        # with a formed G and as X^T (X v), with r = r0 + E and E = G s: the
+        # gradient product of r is G r, the slope r.e is r.G d and the
+        # curvature e.e is ||G d||^2, e = G d
         rng = np.random.default_rng(90 + n + p)
         X = rng.standard_normal((n, p))
         G = X.T @ X
         design = DesignOperator(Instance(X=X, y=np.zeros(n), delta=1.0).X)
-        assert design.gram_space == (p < n)
         r0, step, d = (rng.standard_normal(p) for _ in range(3))
-        q0 = design.start_product(r0)
-        shift, kshift = design.direction_products(step)
-        e, ke = design.direction_products(d)
+        shift, e = design.gram_matvec(step), design.gram_matvec(d)
         r = r0 + G @ step
         close = dict(rtol=1e-12, atol=1e-12 * np.abs(G).max() ** 2)
-        np.testing.assert_allclose(design.gradient_product(q0 + kshift), G @ r, **close)
-        np.testing.assert_allclose(design.residual_product(shift), G @ step, **close)
-        assert float((q0 + kshift) @ e) == pytest.approx(float(r @ (G @ d)), rel=1e-12)
-        assert float(e @ ke) == pytest.approx(float(np.sum((G @ d) ** 2)), rel=1e-12)
+        np.testing.assert_allclose(shift, G @ step, **close)
+        np.testing.assert_allclose(design.gram_matvec(r0 + shift), G @ r, **close)
+        assert float((r0 + shift) @ e) == pytest.approx(float(r @ (G @ d)), rel=1e-12)
+        assert float(e @ e) == pytest.approx(float(np.sum((G @ d) ** 2)), rel=1e-12)
 
     def test_column_block_copies_columns_into_one_buffer(self):
         rng = np.random.default_rng(7)
@@ -444,7 +424,7 @@ class TestFusedPass:
 
 
 class TestSymmetricKernelProduct:
-    """K w from the formed K, with numpy's BLAS alone."""
+    """G v from the formed G, or as X^T (X v), with numpy's BLAS alone."""
 
     @staticmethod
     def _design(n, p):
@@ -452,29 +432,31 @@ class TestSymmetricKernelProduct:
         X = rng.standard_normal((n, p))
         return X, DesignOperator(Instance(X=X, y=np.zeros(n), delta=1.0).X), rng
 
-    @pytest.mark.parametrize("n, p", [(64, 64), (65, 90), (150, 200)])
-    def test_matches_x_xt(self, n, p):
+    @pytest.mark.parametrize("n, p", [(64, 64), (65, 90), (150, 200), (90, 65), (200, 150)])
+    def test_matches_xt_x(self, n, p):
         X, design, rng = self._design(n, p)
-        wide = rng.standard_normal((3 * n, 2))
-        for w in (rng.standard_normal(n), wide[::3, 1], wide[::-3, 0]):  # strided views
-            expected = X @ (X.T @ w)
-            got = design.kernel_matvec(w)
+        wide = rng.standard_normal((3 * p, 2))
+        for v in (rng.standard_normal(p), wide[::3, 1], wide[::-3, 0]):  # strided views
+            expected = X.T @ (X @ v)
+            got = design.gram_matvec(v)
             assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
     @pytest.mark.parametrize("n, p", [(64, 64), (65, 90), (150, 200)])
-    def test_is_k_times_w(self, n, p):
+    def test_is_two_products_when_g_would_not_be_smaller_than_x(self, n, p):
+        # p >= n: G would take at least X's entries, so it is not formed
         _, design, rng = self._design(n, p)
-        w = rng.standard_normal(n)
-        assert np.array_equal(design.kernel_matvec(w), design.kernel @ w)
+        v = rng.standard_normal(p)
+        assert np.array_equal(design.gram_matvec(v), design.rmatvec(design.matvec(v)))
+        assert "kernel" not in vars(design)
 
     @pytest.mark.parametrize("n, p", [(90, 65), (200, 150)])
     def test_more_rows_than_columns_is_g_times_v(self, n, p):
-        # p < n: the kernel is G = X^T X, and no product with X is made
+        # p < n: G = X^T X is formed, and no product with X is made
         X, design, rng = self._design(n, p)
         v = rng.standard_normal(p)
         expected = X.T @ (X @ v)
-        assert np.abs(design.kernel_matvec(v) - expected).max() <= 1e-12 * np.abs(expected).max()
-        assert np.array_equal(design.kernel_matvec(v), design.kernel @ v)
+        assert np.abs(design.gram_matvec(v) - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert np.array_equal(design.gram_matvec(v), design.kernel @ v)
         assert design.kernel.shape == (p, p)
 
     def test_a_solve_loads_no_second_blas(self):
@@ -484,14 +466,14 @@ class TestSymmetricKernelProduct:
             "import numpy as np\n"
             "import dantzig_adm\n"
             "from dantzig_adm import core\n"
-            "spec = dantzig_adm.GenSpec(n=30, p=90, s=4, sigma_noise=0.05)\n"
+            "spec = dantzig_adm.GenSpec(n=90, p=30, s=4, sigma_noise=0.05)\n"
             "inst, _ = dantzig_adm.make_instance(spec)\n"
             "mu = dantzig_adm.mu_rule('unit_columns', inst.p, inst.delta)\n"
             "config = dantzig_adm.AdmConfig(mu=mu, tol=1e-3)\n"
             "formed = []\n"
             "kernel = core._kernel\n"
             "core._kernel = lambda X: formed.append(X.shape) or kernel(X)\n"
-            "# a dense beta0 puts every column in W, so the round runs on X and forms K\n"
+            "# a dense beta0 puts every column in W, so the round runs on X and forms G\n"
             "dantzig_adm.solve(inst, config, beta0=np.ones(inst.p))\n"
             "print(len(formed), 'scipy.linalg' in sys.modules)\n"
         )
@@ -501,7 +483,7 @@ class TestSymmetricKernelProduct:
             [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
         )
         assert run.returncode == 0, run.stderr
-        assert run.stdout.split() == ["1", "False"]  # K was formed, without scipy.linalg
+        assert run.stdout.split() == ["1", "False"]  # G was formed, without scipy.linalg
 
 
 class TestGrownKernel:

@@ -51,7 +51,7 @@ def _at(obj, u0):
 def _gradient(obj, u):
     """grad f(u) as the inner solver forms it, from a warm start at u."""
     start = _at(obj, u)
-    return start.gradient(np.zeros_like(start.q0))
+    return start.gradient(start.r0)
 
 
 def _dense(obj):
@@ -81,7 +81,7 @@ class TestObjective:
 
 
 class TestGradFk:
-    """The gradient mu X^T (q0 + K E) of the inner solver, at E = 0."""
+    """The gradient mu G r(u) of the inner solver, at its warm start u."""
 
     def test_zero_residual_gives_zero_gradient(self):
         rng = np.random.default_rng(10)
@@ -232,19 +232,19 @@ def _watched(products, obj, u0):
 def _line_search(obj, u, d, delta, window=None, u0=None):
     """line_search from u, with the solver seen from warm start u0 (default u).
 
-    The point at u holds its shift E and K E, the products of the direction
-    u - u0 in the operator's space, and its values from the dense oracle;
-    ``window`` defaults to u's own penalized value, and the search is handed
-    its maximum.
+    The point at u holds its shift E = G (u - u0), its residual r0 + E and
+    its values from the dense oracle; ``window`` defaults to u's own
+    penalized value, and the search is handed its maximum.
     """
     u0 = u if u0 is None else u0
     dense = _dense(obj)
     if window is None:
         window = [penalized_value_dense(*dense, u)]
-    shift, kshift = obj.design.direction_products(u - u0)
-    point = Point(u, shift, kshift, smooth_value_dense(*dense, u), penalized_value_dense(*dense, u))
-    e, ke = obj.design.direction_products(d)
-    return line_search(_at(obj, u0), point, max(window), d, delta, e, ke)
+    start = _at(obj, u0)
+    shift = obj.design.gram_matvec(u - u0)
+    point = Point(u, shift, start.r0 + shift, smooth_value_dense(*dense, u),
+                  penalized_value_dense(*dense, u), float(np.abs(u).sum()))
+    return line_search(start, point, max(window), d, delta, obj.design.gram_matvec(d))
 
 
 class _RejectingReference:
@@ -317,60 +317,64 @@ class TestLineSearch:
 
     @pytest.mark.parametrize("n, p", [(6, 10), (12, 5)])
     def test_unit_step_bytes_equal_the_multiplying_path(self, n, p):
-        # n-space and the Gram space; an infinite reference accepts alpha = 1,
-        # from the warm start and from points away from it
+        # G v as X^T (X v) and from the formed G; an infinite reference
+        # accepts alpha = 1, from the warm start and from points away from it
         obj = _objective(np.random.default_rng(n * p), n=n, p=p)
-        origin = np.zeros_like(obj.q0)
+        origin = np.zeros_like(obj.r0)
         smooth = 0.5 * obj.mu * float(obj.r0 @ obj.r0)
-        point, grad = Point(np.zeros(p), origin, origin, smooth, smooth), obj.gradient(origin)
+        point = Point(np.zeros(p), origin, obj.r0 + origin, smooth, smooth, 0.0)
+        grad = obj.gradient(point.residual)
         for _ in range(4):
             d, delta = search_direction(point.u, 1.0, grad)
-            e, ke = obj.design.direction_products(d)
-            alpha, trial = line_search(obj, point, np.inf, d, delta, e, ke)
+            e = obj.design.gram_matvec(d)
+            alpha, trial = line_search(obj, point, np.inf, d, delta, e)
             assert alpha == 1.0
-            for got, expected in zip(trial[:3], scaled_trial(point, alpha, d, e, ke)):
+            for got, expected in zip(trial[:3], scaled_trial(obj, point, alpha, d, e)):
                 assert got.tobytes() == expected.tobytes()
             assert trial.l1 == float(np.abs(trial.u).sum())
-            point, grad = trial, obj.gradient(trial.kshift)
+            point, grad = trial, obj.gradient(trial.residual)
 
     @pytest.mark.parametrize("n, p", [(6, 10), (12, 5)])
-    def test_held_q0_plus_kshift_gives_the_formula_bytes(self, monkeypatch, n, p):
-        # n-space and the Gram space: over a whole inner solve, each point's
-        # held q0 + K E is the sum formed afresh, the gradient from it has the
-        # formula's bytes, and a search from the held sum equals one without it
+    def test_held_residual_gives_the_formula_bytes(self, monkeypatch, n, p):
+        # G v as X^T (X v) and from the formed G: over a whole inner solve,
+        # each point's held residual is r0 + E formed afresh, and the trial's
+        # value and the gradient from it have the formulas' bytes
         obj = _objective(np.random.default_rng(7 * n + p), n=n, p=p)
-        search, gradient, seen = subsolver_module.line_search, SubproblemObjective.gradient, []
+        search, gradient = subsolver_module.line_search, SubproblemObjective.gradient
+        shifts = [np.zeros(p)]  # the start's E, then each accepted trial's
 
-        def checked_search(obj, point, reference, d, delta, e, ke):
-            assert point.qk.tobytes() == (obj.q0 + point.kshift).tobytes()
-            alpha, trial = search(obj, point, reference, d, delta, e, ke)
-            again = search(obj, point._replace(qk=None), reference, d, delta, e, ke)
-            assert alpha == again[0] and trial.smooth == again[1].smooth
-            assert trial.qk.tobytes() == again[1].qk.tobytes() == (obj.q0 + trial.kshift).tobytes()
-            seen.append(slope_formula(obj, point, e))
+        def checked_search(obj, point, reference, d, delta, e):
+            assert point.residual.tobytes() == (obj.r0 + point.shift).tobytes()
+            alpha, trial = search(obj, point, reference, d, delta, e)
+            curvature = obj.mu * float(e @ e)
+            slope = slope_formula(obj, point, e)
+            assert trial.smooth == point.smooth + alpha * (slope + 0.5 * alpha * curvature)
+            assert trial.residual.tobytes() == (obj.r0 + trial.shift).tobytes()
+            shifts.append(trial.shift)
             return alpha, trial
 
-        def checked_gradient(obj, kshift, qk=None):
-            grad = gradient(obj, kshift, qk)
-            assert qk is not None and grad.tobytes() == gradient_formula(obj, kshift).tobytes()
+        def checked_gradient(obj, residual):
+            grad = gradient(obj, residual)
+            assert grad.tobytes() == gradient_formula(obj, shifts[-1]).tobytes()
             return grad
 
         monkeypatch.setattr(subsolver_module, "line_search", checked_search)
         monkeypatch.setattr(SubproblemObjective, "gradient", checked_gradient)
         result = solve_subproblem(obj, np.zeros(p), 1e-10)
-        assert result.succeeded and len(seen) >= result.iterations > 3
+        assert result.succeeded and len(shifts) - 1 >= result.iterations > 3
 
     def test_given_residuals_cost_no_gram_product(self, products):
-        # given the warm start's residual and q0, and X d, K X d, the search makes no product
+        # given the warm start's residual and G d, the search makes no product
         obj, u, d, delta = _steep_quadratic_case()
         obj = _watched(products, obj, u)
         dense = _dense(obj)
-        e, ke = obj.design.direction_products(d)
-        origin = np.zeros_like(obj.q0)  # forms q0
+        e = obj.design.gram_matvec(d)
+        origin = np.zeros_like(obj.r0)
         penalized = penalized_value_dense(*dense, u)
-        point = Point(u, origin, origin, smooth_value_dense(*dense, u), penalized)
+        point = Point(u, origin, obj.r0 + origin, smooth_value_dense(*dense, u), penalized,
+                      float(np.abs(u).sum()))
         calls, x_products = sum(products.calls.values()), products.x_products
-        alpha, _ = line_search(obj, point, penalized, d, delta, e, ke)
+        alpha, _ = line_search(obj, point, penalized, d, delta, e)
         assert alpha == pytest.approx(ETA**2)
         assert sum(products.calls.values()) == calls
         assert products.x_products == x_products
@@ -399,9 +403,7 @@ class TestLineSearch:
         alpha, trial = _line_search(obj, u, d, delta, u0=u0)
         assert alpha < 1.0
         fresh = obj.residual(trial.u)
-        start = _at(obj, u0)
-        residual = start.r0 + start.design.residual_product(trial.shift)
-        assert np.linalg.norm(residual - fresh) <= 1e-12 * np.linalg.norm(fresh)
+        assert np.linalg.norm(trial.residual - fresh) <= 1e-12 * np.linalg.norm(fresh)
         dense = penalized_value_dense(*_dense(obj), trial.u)
         assert trial.penalized == pytest.approx(dense, rel=1e-10, abs=1e-12)
 
@@ -491,14 +493,12 @@ class TestInnerTerminationMetric:
 class TestGramCost:
     """Cost model, counted through a counting view of X.
 
-    In n-space (n <= p): start-up X r0 and X^T q0, each iteration X d,
-    K (X d) and one X^T, whatever the backtracks, and a final iterate's
-    residual one more X^T.  In the Gram space (p < n): start-up G r0, each
-    iteration G d and one more product with G, and no product with X in the
-    loop.  Either way the kernel (K or G) is formed once.  An r0 formed
-    from a fresh Gram product (``oracles.inner_problem``) costs one more
-    (X u0, X^T), counted here as "cold"; the r0 that the z update hands over
-    costs none.
+    Start-up G r0, each iteration G d and one more product with G, whatever
+    the backtracks, and the final iterate's residual none.  When p < n each
+    is a product with G, formed once, and none with X; otherwise each is
+    X^T (X v), one matvec and one rmatvec.  An r0 formed from a fresh Gram
+    product (``oracles.inner_problem``) costs one more (X u0, X^T), counted
+    here as "cold"; the r0 that the z update hands over costs none.
     """
 
     def _run(self, obj, u0, tol_sub):
@@ -507,23 +507,17 @@ class TestGramCost:
         return result, alphas
 
     @staticmethod
-    def _expected(iterations, cold=True, gram_space=False):
+    def _expected(iterations, cold=True, formed=False):
         """The calls of a solve that returns its final iterate."""
-        gram = 1 if cold else 0
-        if gram_space:
-            expected = {"matvec": gram, "rmatvec": gram, "kernel_matvec": 1 + 2 * iterations}
-        else:
-            expected = {
-                "matvec": gram + 1 + iterations,
-                "rmatvec": gram + 2 + iterations,
-                "kernel_matvec": iterations,
-            }
+        gram = 1 + 2 * iterations
+        x = (1 if cold else 0) + (0 if formed else gram)
+        expected = {"matvec": x, "rmatvec": x, "gram_matvec": gram}
         return {name: count for name, count in expected.items() if count}
 
     @staticmethod
     def _x_products(counts, inst):
-        """Every X product is a counted call, or forms the kernel (once: one
-        product per 64 of its rows)."""
+        """Every X product is a counted call, or forms G (once: one product
+        per 64 of its rows)."""
         assert counts.outside == 0
         assert counts.x_products == (
             counts.calls["matvec"] + counts.calls["rmatvec"] + counts.forming_kernel(inst)
@@ -576,7 +570,7 @@ class TestGramCost:
         result, _ = self._run(obj, np.zeros(8), 1e-9)
         assert result.succeeded and result.iterations > 0
         assert obj.design.kernel.shape == (8, 8)
-        assert products.calls == self._expected(result.iterations, gram_space=True)
+        assert products.calls == self._expected(result.iterations, formed=True)
         self._x_products(products, obj.inst)
         assert products.x_products == 2 + products.forming_kernel(obj.inst)  # r0 and G
 
@@ -673,7 +667,7 @@ class TestSparseWarmStart:
         # the next inner problem of an outer loop, with z moved a little and
         # its r0 formed, as the z update forms it, from the X^T X u0 of the
         # first solve's residual: no Gram product at the start, and the
-        # operator's K is reused
+        # operator is reused
         obj, b = _sparse_objective(seed)
         first = solve_subproblem(obj, b, _TIGHT)
         rng = np.random.default_rng(seed)
@@ -707,7 +701,7 @@ class TestSparseWarmStart:
         result = solve_subproblem(obj, np.zeros(p), _TIGHT)
         assert result.succeeded and result.iterations > 0
         assert obj.design.kernel.shape == (p, p)
-        assert products.calls == TestGramCost._expected(result.iterations, gram_space=True)
+        assert products.calls == TestGramCost._expected(result.iterations, formed=True)
         TestGramCost._x_products(products, obj.inst)
         self._assert_matches_reference(obj, result, np.zeros(p))
         _assert_exact(obj, result)
@@ -732,9 +726,9 @@ class TestSolveSubproblem:
             seen["bar_alpha"].append(bar_alpha)
             return search_direction(u, bar_alpha, grad, *held)
 
-        def search(obj, point, reference, d, delta, e, ke):
+        def search(obj, point, reference, d, delta, e):
             seen["delta"].append(delta)
-            return line_search(obj, point, reference, d, delta, e, ke)
+            return line_search(obj, point, reference, d, delta, e)
 
         monkeypatch.setattr(subsolver_module, "search_direction", direction)
         monkeypatch.setattr(subsolver_module, "line_search", search)
@@ -782,7 +776,7 @@ class TestSolveSubproblem:
         X, y, delta = random_instance_arrays(rng, n, p)
         obj = inner_problem(Instance(X=X, y=y, delta=delta), rng.standard_normal(p),
                             rng.standard_normal(p), float(rng.uniform(0.5, 2.0)), np.zeros(p))
-        assert obj.design.gram_space
+        assert obj.design.forms_gram
         monkeypatch.setattr(subsolver_module, "MAX_INNER_ITER", 100000)
         result = solve_subproblem(obj, np.zeros(p), 1e-10)
         assert result.succeeded and result.iterations > 0
