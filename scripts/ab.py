@@ -14,7 +14,10 @@ tree, built from the instance's arrays outside the timed region, so that no
 tree runs another's methods and every solve computes its own X^T y.
 
 The rows are unit columns at sigma 0.05 and 0.01 and orthogonal rows at
-sigma 0.05, at (720, 2560, 80), each with its design's mu and tol rules:
+sigma 0.05, at (720, 2560, 80).  Each tree solves with its own
+``datagen.mu_rule`` and ``datagen.tol_rule`` for the design, so a change to
+a rule shows as a change of counts, and each answer is certified at its
+tree's tol:
 
 - ``acceptance``: seeds 0-9, one solve per tree;
 - ``held_out``: the seeds of ``--seeds``, each instance solved ``--reps``
@@ -174,22 +177,26 @@ def _record(checkout, inst, truth, sigma, tol, seconds, beta, lam, report) -> di
 
 def paired_row(checkout, trees: list, design: str, sigma: float, seed: int,
                reps: int) -> dict:
-    """Every tree on one instance, interleaved, each timed by its fastest of ``reps``."""
+    """Every tree on one instance, interleaved, each timed by its fastest of ``reps``.
+
+    Each tree takes mu and tol from its own rules, and its answer is
+    certified at its own tol.
+    """
     n, p, s = SIZE
     spec = checkout.datagen.GenSpec(n=n, p=p, s=s, sigma_noise=sigma, design_kind=design,
                                     seed=seed)
     inst, truth = checkout.datagen.make_instance(spec)
-    tol = checkout.datagen.tol_rule(design)
-    settings = dict(mu=checkout.datagen.mu_rule(design, p, inst.delta), tol=tol)
+    tols = [tree.datagen.tol_rule(design) for tree in trees]
+    mus = [tree.datagen.mu_rule(design, p, inst.delta) for tree in trees]
     seconds, answers = [math.inf] * len(trees), [None] * len(trees)
     for _ in range(reps):
         for i in _order(len(trees), seed):
             own = trees[i].core.Instance(inst.X, inst.y, inst.delta)
             t0 = time.perf_counter()
-            answers[i] = trees[i].adm.solve(own, trees[i].adm.AdmConfig(**settings))
+            answers[i] = trees[i].adm.solve(own, trees[i].adm.AdmConfig(mu=mus[i], tol=tols[i]))
             seconds[i] = min(seconds[i], time.perf_counter() - t0)
     solves = []
-    for elapsed, (beta, lam, report) in zip(seconds, answers):
+    for tol, elapsed, (beta, lam, report) in zip(tols, seconds, answers):
         solves.append({**_record(checkout, inst, truth, sigma, tol, elapsed, beta, lam, report),
                        "beta_change": _change(beta, answers[0][0]),
                        "lambda_change": _change(lam, answers[0][1])})

@@ -99,7 +99,7 @@ most p // 2 columns: W becomes all of X past that, and the round then
 runs on X itself, with each product with G as X^T (X v) when p >= n.
 
 The default start is not the paper's beta = 0 but a screened least-squares
-fit refined by hard-thresholding pursuit (:func:`screened_start`).  Round 0
+fit refined by hard-thresholding pursuit (:func:`_screened_start`).  Round 0
 fits y by least squares, as the Gauss-Dantzig step does (Candes & Tao, Ann.
 Statist. 2007), on the k = min(n // START_ROWS_PER_COLUMN, p) columns of
 largest |x_j^T y| / d_j, ranked from the cached X^T y as sure independence
@@ -153,7 +153,7 @@ SUB_TOL_START = 2e-2
 # The floor's fraction of tol, and of the least outer metric after the halving.
 SUB_TOL_FACTOR = 0.1
 # Rows of X per column of the default start's least-squares fits: each fits
-# k = min(n // START_ROWS_PER_COLUMN, p) columns (see screened_start).
+# k = min(n // START_ROWS_PER_COLUMN, p) columns (see _screened_start).
 START_ROWS_PER_COLUMN = 9
 # Column generation (see solve): a column off W whose excess ratio exceeds
 # VIOLATION_FRACTION * tol violates, and each check adds every violator to W.
@@ -259,7 +259,7 @@ class RunReport:
     entry is the full problem's (see :func:`solve`).  ``start_support`` is
     the number of nonzeros of the start beta0, given or screened, and
     ``start_rounds`` the least-squares refits the screened start made after
-    its first fit (0 for a given beta0; see :func:`screened_start`).
+    its first fit (0 for a given beta0; see :func:`_screened_start`).
     ``working_columns`` is |W| in the last round, ``round_levels`` each
     round's stopping level (tol, or ROUND_LEVEL_FRACTION * m above it; see
     :func:`solve`), and ``wall_time`` the whole solve's, start included.
@@ -281,41 +281,6 @@ class RunReport:
     round_levels: list[float] = field(default_factory=list)
 
 
-def screened_start(inst: Instance, tol: float = 0.0) -> np.ndarray:
-    """The default beta0: a least-squares fit on screened columns, refined by HTP.
-
-    With k = min(n // START_ROWS_PER_COLUMN, p), round 0 is
-    :func:`~dantzig_adm.core.least_squares` on the support T of the k
-    columns of largest |x_j^T y| / d_j, read off the cached X^T y, and zero
-    off them.  Each later round is one step of hard-thresholding pursuit
-    (Foucart, SIAM J. Numer. Anal. 2011): with r = y - X beta, T' holds the
-    k columns of largest |beta_j + x_j^T r / d_j^2|.  The loop stops when
-    T' = T, and otherwise refits on T'; when the refit does not lower
-    ||y - X beta||_2 it keeps beta and stops.  Both rankings break ties
-    toward the lower index and sort T ascending, so the columns chosen among
-    duplicates do not depend on the sort algorithm.  A strictly falling
-    residual cannot return to a support (each fit has the least residual on
-    its support), so the loop ends without a cap; without the residual rule
-    the steps can cycle (they did at (128, 2048), seed 3).  X beta is
-    ``design.matvec`` (from the k columns alone on a large X) and X^T r is
-    ``design.rmatvec``; since X beta0 = y - r, the last X^T r gives
-    G beta0 = X^T y - X^T r (G = X^T X), and no further product is made.
-    :func:`solve` uses that G beta0 and the operator of the solve; called
-    alone, the start makes its products with an operator of its own.  At
-    (720, 2560, 80) a fit took 0.4-0.7 ms and the whole start about 5.5 ms
-    (the median over held-out seeds; 11.5 ms with LAPACK's SVD fits).
-
-    It is beta = 0 with G beta0 = 0 when k = 0 or when max_j |x_j^T y| / d_j
-    <= delta + tol.  At tol = 0 beta = 0 is then feasible, and so optimal;
-    :func:`solve` passes its tol, at which beta = 0 with lambda = 0 passes
-    the stopping test (its metric is the primal excess).  So a delta that
-    equals the largest score up to rounding, where beta = 0 is optimal, does
-    not start a solve from a fit far from it.  When k = p no other support
-    exists: the round-0 fit is returned with G beta0 = X^T (X beta0).
-    """
-    return _screened_start(inst, DesignOperator(inst.X), tol)[0]
-
-
 def _top(scores: np.ndarray, k: int) -> np.ndarray:
     """The k indices of largest score, ties to the lower index, in ascending order.
 
@@ -332,22 +297,45 @@ def _top(scores: np.ndarray, k: int) -> np.ndarray:
 
 
 def _screened_start(
-    inst: Instance,
-    design: DesignOperator,
-    tol: float = 0.0,
-    block: ColumnBlock | None = None,
+    inst: Instance, design: DesignOperator, tol: float, block: ColumnBlock
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """(beta0, G beta0, refits) of :func:`screened_start`, G = X^T X.
+    """(beta0, G beta0, refits): the default start, a least-squares fit on
+    screened columns refined by HTP, with G beta0 (G = X^T X) and the refits
+    after the first fit.
 
-    Its products are made with ``design``, the solve's operator, and its
-    fits copy their columns into ``block`` (a new one when None).
+    With k = min(n // START_ROWS_PER_COLUMN, p), round 0 is
+    :func:`~dantzig_adm.core.least_squares` on the support T of the k
+    columns of largest |x_j^T y| / d_j, read off the cached X^T y, and zero
+    off them.  Each later round is one step of hard-thresholding pursuit
+    (Foucart, SIAM J. Numer. Anal. 2011): with r = y - X beta, T' holds the
+    k columns of largest |beta_j + x_j^T r / d_j^2|.  The loop stops when
+    T' = T, and otherwise refits on T'; when the refit does not lower
+    ||y - X beta||_2 it keeps beta and stops.  Both rankings break ties
+    toward the lower index and sort T ascending, so the columns chosen among
+    duplicates do not depend on the sort algorithm.  A strictly falling
+    residual cannot return to a support (each fit has the least residual on
+    its support), so the loop ends without a cap; without the residual rule
+    the steps can cycle (they did at (128, 2048), seed 3).  The fits copy
+    their columns into ``block``; X beta is ``design.matvec`` (from the k
+    columns alone on a large X) and X^T r is ``design.rmatvec``, with the
+    solve's operator.  Since X beta0 = y - r, the last X^T r gives
+    G beta0 = X^T y - X^T r, and no further product is made.  At
+    (720, 2560, 80) a fit took 0.4-0.7 ms and the whole start about 5.5 ms
+    (the median over held-out seeds; 11.5 ms with LAPACK's SVD fits).
+
+    It is beta = 0 with G beta0 = 0 when k = 0 or when max_j |x_j^T y| / d_j
+    <= delta + tol.  At tol = 0 beta = 0 is then feasible, and so optimal;
+    :func:`solve` passes its tol, at which beta = 0 with lambda = 0 passes
+    the stopping test (its metric is the primal excess).  So a delta that
+    equals the largest score up to rounding, where beta = 0 is optimal, does
+    not start a solve from a fit far from it.  When k = p no other support
+    exists: the round-0 fit is returned with G beta0 = X^T (X beta0).
     """
     k = min(inst.n // START_ROWS_PER_COLUMN, inst.p)
     scores = np.abs(inst.xty) / inst.d
     if k == 0 or not scores.max() > inst.delta + tol:
         return np.zeros(inst.p), np.zeros(inst.p), 0
     top = _top(scores, k)
-    block = ColumnBlock(inst.X) if block is None else block
     beta = least_squares(inst.X, inst.y, top, block)
     if k == inst.p:
         return beta, design.rmatvec(design.matvec(beta)), 0
@@ -368,26 +356,20 @@ def _screened_start(
 
 
 def update_z(
-    inst: Instance,
-    lam: np.ndarray,
-    mu: float,
-    gram_beta: np.ndarray,
-    bound: np.ndarray | None = None,
-    lower: np.ndarray | None = None,
-    scaled: np.ndarray | None = None,
+    inst: Instance, gram_beta: np.ndarray, scaled: np.ndarray, bound: np.ndarray, lower: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(z, r0): the exact minimizer z of the augmented Lagrangian over the box
     ||D^-1 z||_inf <= delta, and the next inner problem's residual at beta.
 
-    ``gram_beta`` is X^T X beta at the current beta.  z clamps
-    w = X^T X beta - X^T y + lambda/mu to the box, and r0 = w - z is
-    X^T X beta - c with c = X^T y + z - lambda/mu, the residual of the inner
-    problem warm-started at beta; it is exactly 0 wherever the clamp left
-    z = w.  ``bound`` is the box's delta * d, ``lower`` its -bound and
-    ``scaled`` lambda/mu, each when the caller holds it.
+    ``gram_beta`` is X^T X beta at the current beta, ``scaled`` is
+    lambda/mu, and ``bound`` and ``lower`` are the box's delta * d and
+    -bound.  z clamps w = X^T X beta - X^T y + lambda/mu to the box, and
+    r0 = w - z is X^T X beta - c with c = X^T y + z - lambda/mu, the
+    residual of the inner problem warm-started at beta; it is exactly 0
+    wherever the clamp left z = w.
     """
-    w = gram_beta - inst.xty + (lam / mu if scaled is None else scaled)
-    z = box_clamp(w, inst.delta * inst.d if bound is None else bound, lower)
+    w = gram_beta - inst.xty + scaled
+    z = box_clamp(w, bound, lower)
     return z, w - z
 
 
@@ -462,7 +444,7 @@ def solve(
 ) -> tuple[np.ndarray, np.ndarray, RunReport]:
     """Solve the Dantzig selector on a growing set of columns W, from (beta0, lambda0).
 
-    beta0 defaults to :func:`screened_start`, formed inside the timed solve
+    beta0 defaults to :func:`_screened_start`, formed inside the timed solve
     with the solve's design operator, and lambda0 to zeros;
     ``beta0=np.zeros(p)`` gives the paper's zero start.  A given beta0 or
     lambda0 must have length p and finite entries (ValueError otherwise).
@@ -579,9 +561,9 @@ def _start(
     inst: Instance,
     config: AdmConfig,
     design: DesignOperator,
-    beta0: np.ndarray | None = None,
-    lambda0: np.ndarray | None = None,
-    block: ColumnBlock | None = None,
+    beta0: np.ndarray | None,
+    lambda0: np.ndarray | None,
+    block: ColumnBlock,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, RunReport]:
     """(beta0, lambda0, X^T X beta0, X^T X lambda0, report) at the start of a solve.
 
@@ -682,16 +664,16 @@ def _adm(
     gram_beta: np.ndarray,
     gram_lam: np.ndarray,
     report: RunReport,
-    callback=None,
-    patience: float = math.inf,
-    level: float | None = None,
+    callback,
+    patience: float,
+    level: float,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Run the alternating direction method on ``inst`` from (beta, lam), into ``report``.
 
     ``gram_beta`` and ``gram_lam`` are X^T X beta and X^T X lambda, and
     ``design`` makes every product with X.  ``report`` is the solve's
     (:class:`RunReport`): the run counts one round there, appends its
-    ``level`` (tol when None) to ``round_levels``, records each outer
+    ``level`` (at least tol) to ``round_levels``, records each outer
     iteration after it ends, and sets the status.  Per iteration: closed-form
     z update, inner solve for beta warm-started at the previous beta and
     stopped at the iteration's tol_sub (see :class:`AdmConfig`; k is
@@ -717,16 +699,17 @@ def _adm(
     contributes its best iterate, with its residual and gradient, and is
     counted in the report.  Non-finite values end the run with status
     numerical_failure, returning the state at failure, and that iteration
-    records no metric.  ``callback`` gets one :class:`OuterIterationRecord`
-    per recorded iteration, numbered by ``report.outer_iterations``, with
-    ``columns`` None.  Returns (beta, lambda, the last metric computed).
+    records no metric.  ``callback``, when not None, gets one
+    :class:`OuterIterationRecord` per recorded iteration, numbered by
+    ``report.outer_iterations``, with ``columns`` None.  A run with neither
+    an early stop nor a stall test takes ``patience`` inf and ``level`` tol.
+    Returns (beta, lambda, the last metric computed).
     """
     terms = _criterion_terms(inst, beta, lam, gram_beta, gram_lam)
     metric = best_metric = max(_stopping_ratios(beta, lam, terms))
     # outer iterations since the metric fell below half of halved, its value when it
     # last did so (the start's at first): the round stalls at patience of them
     stalled, halved = 0, metric
-    level = config.tol if level is None else level
     # the run stops at tol, and at level too once it has made ROUND_FLOOR_ITERATIONS
     early = report.outer_iterations + ROUND_FLOOR_ITERATIONS
     bound = inst.delta * inst.d  # the z update's box
@@ -737,7 +720,7 @@ def _adm(
            and report.outer_iterations < config.max_outer_iter and stalled < patience):
         lam_prev = lam
         scaled = lam / config.mu
-        z, r0 = update_z(inst, lam, config.mu, gram_beta, bound, lower, scaled)
+        z, r0 = update_z(inst, gram_beta, scaled, bound, lower)
         objective = SubproblemObjective(inst, z, lam, config.mu, r0, design, scaled)
         tol_sub = config.inner_tolerance(report.outer_iterations, best_metric)
         result = solve_subproblem(objective, beta, tol_sub)

@@ -526,10 +526,10 @@ def soft_thresh(v: np.ndarray, gamma: float) -> np.ndarray:
     return out
 
 
-def box_clamp(w: np.ndarray, bound: np.ndarray, lower: np.ndarray | None = None) -> np.ndarray:
-    """Entrywise clamp of w onto the box [-bound_j, bound_j].
+def box_clamp(w: np.ndarray, bound: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """Entrywise clamp of w onto the box [lower_j, bound_j], lower = -bound.
 
-    ``lower`` is -bound when the caller holds it.  The bytes are those of
-    np.clip(w, -bound, bound), NaN, infinities and signed zeros included.
+    The bytes are those of np.clip(w, -bound, bound), NaN, infinities and
+    signed zeros included.
     """
-    return np.minimum(np.maximum(w, -bound if lower is None else lower), bound)
+    return np.minimum(np.maximum(w, lower), bound)

@@ -87,10 +87,6 @@ MAX_INNER_ITER = 20000
 MAX_BACKTRACKS = 60
 
 
-class LineSearchError(RuntimeError):
-    """No steplength in {1, ETA, ETA^2, ...} passed the acceptance test."""
-
-
 @dataclass(frozen=True, eq=False)
 class SubproblemObjective:
     """One inner problem, with (z, lambda, mu) frozen, seen from its warm start u0.
@@ -101,10 +97,10 @@ class SubproblemObjective:
     loop's z update forms it (:func:`~dantzig_adm.adm.update_z`), so the
     inner solve makes no Gram product for it.  ``design`` makes the inner
     solver's products; the outer loop shares one across the inner problems
-    of a solve, so its G is formed once.  ``scaled`` is lambda/mu when
-    the caller holds it (the outer loop forms it once for the z update and
-    for c).  z, lambda and r0 are float64 vectors of length p and mu is
-    positive, as the outer loop hands them; none is checked here.
+    of a solve, so its G is formed once.  ``scaled`` is lambda/mu, which
+    the outer loop forms once for the z update and for c.  z, lambda, r0
+    and ``scaled`` are float64 vectors of length p and mu is positive, as
+    the outer loop hands them; none is checked here.
     """
 
     inst: Instance
@@ -113,12 +109,11 @@ class SubproblemObjective:
     mu: float
     r0: np.ndarray = field(repr=False)
     design: DesignOperator = field(repr=False)
-    scaled: np.ndarray | None = field(default=None, repr=False)
+    scaled: np.ndarray = field(repr=False)
     c: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        scaled = self.lambda_fixed / self.mu if self.scaled is None else self.scaled
-        object.__setattr__(self, "c", self.inst.xty + self.z_fixed - scaled)
+        object.__setattr__(self, "c", self.inst.xty + self.z_fixed - self.scaled)
 
     def gradient(self, residual: np.ndarray) -> np.ndarray:
         """grad f(u) = mu G r(u) from the residual r(u); one product with G."""
@@ -182,28 +177,26 @@ class SubsolverResult:
 
 def search_direction(
     u: np.ndarray,
+    u_l1: float,
     bar_alpha: float,
     grad: np.ndarray,
-    target: np.ndarray | None = None,
-    step: np.ndarray | None = None,
-    u_l1: float | None = None,
+    target: np.ndarray,
+    step: np.ndarray,
 ) -> tuple[np.ndarray, float]:
     """Prox-gradient direction d and its predicted decrease Delta.
 
     With ``grad`` = grad f(u), d = SoftThresh(u - bar_alpha * grad, bar_alpha) - u
     and Delta = grad . d + ||u + d||_1 - ||u||_1; Delta <= 0 always, with
-    equality only at a minimizer of the penalized objective.  ``bar_alpha``
-    lies in (0, 1], as :func:`bb_step` keeps it.  ``target`` and ``step``
-    are SoftThresh(u - grad, 1) and ``target - u``, the termination test's;
-    when given and bar_alpha == 1.0 they are the prox point and d, since
-    u - 1.0 * grad equals u - grad bit for bit.  ``u_l1`` is ||u||_1 when
-    the caller holds it.  Without them the same values are formed here.
+    equality only at a minimizer of the penalized objective.  ``u_l1`` is
+    ||u||_1, and ``bar_alpha`` lies in (0, 1], as :func:`bb_step` keeps it.
+    ``target`` and ``step`` are SoftThresh(u - grad, 1) and ``target - u``,
+    the termination test's; at bar_alpha == 1.0 they are the prox point and
+    d, since u - 1.0 * grad equals u - grad bit for bit, and at any other
+    steplength both are formed here.
     """
-    if target is None or step is None or bar_alpha != 1.0:
+    if bar_alpha != 1.0:
         target = soft_thresh(u - bar_alpha * grad, bar_alpha)
         step = target - u
-    if u_l1 is None:
-        u_l1 = float(np.add.reduce(np.abs(u)))
     delta = float(grad @ step) + float(np.add.reduce(np.abs(target))) - u_l1
     return step, delta
 
@@ -215,7 +208,7 @@ def line_search(
     d: np.ndarray,
     delta: float,
     e: np.ndarray,
-) -> tuple[float, Point]:
+) -> tuple[float, Point] | None:
     """Largest alpha in {1, ETA, ETA^2, ...} passing the nonmonotone Armijo test.
 
     Acceptance compares the trial objective against ``reference``, the
@@ -227,8 +220,8 @@ def line_search(
     no product.  The accepted point holds its own residual r0 + E.  At
     alpha = 1 the trial is u + d and E + e, with no multiplication by 1.0
     (the same bytes).  ``delta`` is negative: :func:`solve_subproblem`
-    stops at a fixed point before it searches.  Raises LineSearchError
-    after MAX_BACKTRACKS rejected powers.
+    stops at a fixed point before it searches.  Returns None after
+    MAX_BACKTRACKS rejected powers.
     """
     slope = obj.mu * float(point.residual @ e)
     curvature = obj.mu * float(e @ e)
@@ -242,7 +235,7 @@ def line_search(
             shift = _moved(point.shift, alpha, e)
             return alpha, Point(u_trial, shift, obj.r0 + shift, f_trial, penalized, l1)
         alpha *= ETA
-    raise LineSearchError(f"no acceptable steplength within {MAX_BACKTRACKS} backtracks")
+    return None
 
 
 def _moved(v: np.ndarray, alpha: float, w: np.ndarray) -> np.ndarray:
@@ -265,17 +258,13 @@ def bb_step(s: np.ndarray, g: np.ndarray) -> float:
     return min(max(ss / curvature, ALPHA_LO), 1.0)
 
 
-def inner_termination_metric(
-    u: np.ndarray, grad: np.ndarray, penalized: float, step: np.ndarray | None = None
-) -> float:
+def inner_termination_metric(step: np.ndarray, penalized: float) -> float:
     """||SoftThresh(u - grad, 1) - u||_2 / max(penalized, 1).
 
-    ``grad`` is grad f(u) and ``penalized`` is f(u) + ||u||_1.  ``step`` is
-    SoftThresh(u - grad, 1) - u when the caller holds it.  The norm is
-    sqrt(step . step), as np.linalg.norm forms it for a vector.
+    ``step`` is SoftThresh(u - grad, 1) - u with grad = grad f(u), and
+    ``penalized`` is f(u) + ||u||_1.  The norm is sqrt(step . step), as
+    np.linalg.norm forms it for a vector.
     """
-    if step is None:
-        step = soft_thresh(u - grad, 1.0) - u
     return math.sqrt(float(step @ step)) / max(penalized, 1.0)
 
 
@@ -314,19 +303,19 @@ def solve_subproblem(
         # direction's when bar_alpha is 1
         target = soft_thresh(point.u - grad, 1.0)
         step = target - point.u
-        if inner_termination_metric(point.u, grad, point.penalized, step) <= tol_sub:
+        if inner_termination_metric(step, point.penalized) <= tol_sub:
             return _finish(point, grad, iteration, "converged")
         if iteration == MAX_INNER_ITER:
             return _finish(*best, iteration, "max_iter")
-        d, delta = search_direction(point.u, bar_alpha, grad, target, step, point.l1)
+        d, delta = search_direction(point.u, point.l1, bar_alpha, grad, target, step)
         if delta > -STATIONARY_RTOL * max(1.0, point.penalized):
             return _finish(point, grad, iteration, "stationary")
         window_max = max(window)
         e = obj.design.gram_matvec(d)
-        try:
-            alpha, trial = line_search(obj, point, window_max, d, delta, e)
-        except LineSearchError:
+        found = line_search(obj, point, window_max, d, delta, e)
+        if found is None:
             return _finish(*best, iteration, "line_search_failure")
+        alpha, trial = found
         if (trial.u == point.u).all():  # the step is lost to rounding: u is a fixed point
             return _finish(point, grad, iteration, "stationary")
         g_new = obj.gradient(trial.residual)

@@ -4,8 +4,10 @@ Everything here deliberately avoids the library's own code paths: dense Gram
 matrices are formed explicitly, prox/projection values come from scalar
 minimization, and optima of tiny problems come from exhaustive enumeration of
 basic solutions of the equivalent linear programs, and at larger sizes from
-scipy's HiGHS.  The one exception is :func:`inner_problem`, which builds an
-inner problem the way only tests do, from a fresh Gram product.
+scipy's HiGHS.  The exceptions are :func:`inner_problem`, which builds an
+inner problem the way only tests do, from a fresh Gram product, and
+:func:`screened_start`, the library's default start on an operator and a
+column buffer of its own.
 """
 
 from __future__ import annotations
@@ -41,6 +43,14 @@ def termination_metric_norm(u: np.ndarray, grad: np.ndarray, penalized: float) -
     """||SoftThresh(u - grad, 1) - u||_2 / max(penalized, 1) by np.linalg.norm and the formula."""
     step = soft_thresh_formula(u - grad, 1.0) - u
     return float(np.linalg.norm(step)) / max(penalized, 1.0)
+
+
+def direction_formula(u: np.ndarray, bar_alpha: float, grad: np.ndarray):
+    """(d, Delta) with d = SoftThresh(u - bar_alpha grad, bar_alpha) - u formed at every
+    steplength and ||u||_1 summed afresh: the form subsolver.search_direction replaced."""
+    target = soft_thresh_formula(u - bar_alpha * grad, bar_alpha)
+    d = target - u
+    return d, float(grad @ d) + float(np.abs(target).sum()) - float(np.abs(u).sum())
 
 
 def scaled_trial(obj, point, alpha: float, d: np.ndarray, e: np.ndarray):
@@ -377,4 +387,12 @@ def inner_problem(inst, z, lam, mu, u0, design=None):
 
     r0 = apply_gram(inst, u0) - (inst.xty + z - lam / mu)
     design = DesignOperator(inst.X) if design is None else design
-    return SubproblemObjective(inst, z, lam, mu, r0, design)
+    return SubproblemObjective(inst, z, lam, mu, r0, design, lam / mu)
+
+
+def screened_start(inst, tol=0.0):
+    """The beta0 of adm._screened_start, made with an operator and a column buffer of its own."""
+    from dantzig_adm.adm import _screened_start
+    from dantzig_adm.core import ColumnBlock, DesignOperator
+
+    return _screened_start(inst, DesignOperator(inst.X), tol, ColumnBlock(inst.X))[0]

@@ -46,6 +46,7 @@ from oracles import (
     lp_optimum,
     lp_primal_enumeration,
     random_instance_arrays,
+    screened_start,
     top_by_argsort,
     z_update_formula,
 )
@@ -54,6 +55,12 @@ from oracles import (
 def _instance(rng, n=6, p=10, delta_scale=0.5):
     X, y, delta = random_instance_arrays(rng, n, p, delta_scale)
     return Instance(X=X, y=y, delta=delta)
+
+
+def _update_z(inst, lam, mu, gram_beta):
+    """update_z handed lambda/mu and the box's bounds, formed as the ADM loop forms them."""
+    bound = inst.delta * inst.d
+    return update_z(inst, gram_beta, lam / mu, bound, -bound)
 
 
 def _terms(inst, beta, lam):
@@ -126,7 +133,7 @@ class TestUpdateZ:
         d = np.linalg.norm(X, axis=0)
         delta = 1.1 * np.abs((X.T @ y) / d).max()
         inst = Instance(X=X, y=y, delta=delta)
-        z, _ = update_z(inst, np.zeros(8), 1.0, np.zeros(8))  # beta = 0
+        z, _ = _update_z(inst, np.zeros(8), 1.0, np.zeros(8))  # beta = 0
         assert np.allclose(z, -(X.T @ y), atol=1e-12)
 
     def test_huge_delta_leaves_target_unclipped(self):
@@ -136,7 +143,7 @@ class TestUpdateZ:
         beta = rng.standard_normal(8)
         lam = rng.standard_normal(8)
         mu = 2.0
-        z, _ = update_z(inst, lam, mu, apply_gram(inst, beta))
+        z, _ = _update_z(inst, lam, mu, apply_gram(inst, beta))
         expected = dense_gram(X) @ beta - X.T @ y + lam / mu
         assert np.allclose(z, expected, rtol=1e-10)
 
@@ -146,7 +153,7 @@ class TestUpdateZ:
         beta = rng.standard_normal(10)
         lam = rng.standard_normal(10)
         mu = 1.3
-        z, _ = update_z(inst, lam, mu, apply_gram(inst, beta))
+        z, _ = _update_z(inst, lam, mu, apply_gram(inst, beta))
         w = dense_gram(inst.X) @ beta - inst.X.T @ inst.y
         bound = inst.delta * inst.d
         expected = np.array(
@@ -163,7 +170,7 @@ class TestUpdateZ:
         beta = rng.standard_normal(8)
         lam = rng.standard_normal(8)
         mu = 0.8
-        z_star, _ = update_z(inst, lam, mu, apply_gram(inst, beta))
+        z_star, _ = _update_z(inst, lam, mu, apply_gram(inst, beta))
         dense = (inst.X, inst.y)
         base = augmented_lagrangian_dense(*dense, z_star, beta, lam, mu)
         bound = inst.delta * inst.d
@@ -174,7 +181,7 @@ class TestUpdateZ:
     def test_feasibility_of_output(self):
         rng = np.random.default_rng(8)
         inst = _instance(rng)
-        z, _ = update_z(inst, rng.standard_normal(inst.p), 1.0, rng.standard_normal(inst.p))
+        z, _ = _update_z(inst, rng.standard_normal(inst.p), 1.0, rng.standard_normal(inst.p))
         assert np.all(np.abs(z / inst.d) <= inst.delta * (1 + 1e-12))
 
     @pytest.mark.parametrize("seed", range(4))
@@ -185,10 +192,10 @@ class TestUpdateZ:
         inst = _instance(rng)
         beta, lam, mu = rng.standard_normal(inst.p), rng.standard_normal(inst.p), 1.3
         gram_beta = apply_gram(inst, beta)
-        z, r0 = update_z(inst, lam, mu, gram_beta)
+        z, r0 = _update_z(inst, lam, mu, gram_beta)
         expected = (gram_beta - inst.xty + lam / mu) - z
         assert r0.tobytes() == expected.tobytes()
-        obj = SubproblemObjective(inst, z, lam, mu, r0, DesignOperator(inst.X))
+        obj = SubproblemObjective(inst, z, lam, mu, r0, DesignOperator(inst.X), lam / mu)
         fresh = obj.residual(beta)
         assert np.abs(r0 - fresh).max() <= 1e-12 * max(1.0, np.abs(gram_beta).max(),
                                                        np.abs(obj.c).max())
@@ -201,10 +208,9 @@ class TestUpdateZ:
         lam[:3] = 0.0, -0.0, 1e-300
         gram_beta = apply_gram(inst, rng.standard_normal(inst.p))
         bound = inst.delta * inst.d
+        z, r0 = update_z(inst, gram_beta, lam / mu, bound, -bound)
         expected = z_update_formula(inst, lam, mu, gram_beta)
-        for held in ((), (bound,), (bound, -bound), (bound, -bound, lam / mu)):
-            z, r0 = update_z(inst, lam, mu, gram_beta, *held)
-            assert (z.tobytes(), r0.tobytes()) == tuple(v.tobytes() for v in expected)
+        assert (z.tobytes(), r0.tobytes()) == tuple(v.tobytes() for v in expected)
         obj = SubproblemObjective(inst, z, lam, mu, r0, DesignOperator(inst.X), lam / mu)
         assert obj.c.tobytes() == constant_formula(inst, z, lam, mu).tobytes()
 
@@ -215,23 +221,23 @@ class TestUpdateZ:
         config = AdmConfig(mu=mu_rule("unit_columns", inst.p, inst.delta), tol=1e-3)
         update, objective, seen = adm_module.update_z, adm_module.SubproblemObjective, []
 
-        def checked_update(sub, lam, mu, gram_beta, *held):
-            z, r0 = update(sub, lam, mu, gram_beta, *held)
-            expected = z_update_formula(sub, lam, mu, gram_beta)
-            assert (z.tobytes(), r0.tobytes()) == tuple(v.tobytes() for v in expected)
+        def checked_update(sub, gram_beta, scaled, bound, lower):
+            z, r0 = update(sub, gram_beta, scaled, bound, lower)
+            seen.append(gram_beta)
             return z, r0
 
-        def checked_objective(sub, z, lam, mu, *args):
-            obj = objective(sub, z, lam, mu, *args)
+        def checked_objective(sub, z, lam, mu, r0, *args):
+            expected = z_update_formula(sub, lam, mu, seen[-1])
+            assert (z.tobytes(), r0.tobytes()) == tuple(v.tobytes() for v in expected)
+            obj = objective(sub, z, lam, mu, r0, *args)
             assert obj.c.tobytes() == constant_formula(sub, z, lam, mu).tobytes()
-            seen.append(obj.scaled is not None)
             return obj
 
         monkeypatch.setattr(adm_module, "update_z", checked_update)
         monkeypatch.setattr(adm_module, "SubproblemObjective", checked_objective)
         _, _, report = solve(inst, config)
         assert report.status == "converged" and report.rounds >= 2
-        assert len(seen) == report.outer_iterations and all(seen)
+        assert len(seen) == report.outer_iterations
 
 
 class TestDualObjective:
@@ -404,8 +410,8 @@ class TestPrecomputedGram:
         _, _, report = solve(inst, config, beta0=beta, lambda0=lam, callback=records.append)
         (rec,) = records
         held, held_lam = apply_gram(inst, beta), apply_gram(inst, lam)
-        z, r0 = update_z(inst, lam, mu, held)
-        obj = SubproblemObjective(inst, z, lam, mu, r0, DesignOperator(inst.X))
+        z, r0 = _update_z(inst, lam, mu, held)
+        obj = SubproblemObjective(inst, z, lam, mu, r0, DesignOperator(inst.X), lam / mu)
         metric = report.stopping_metric_history[0]
         result = solve_subproblem(obj, beta, config.inner_tolerance(0, metric))
         assert result.residual is not None
@@ -424,7 +430,7 @@ class TestPrecomputedGram:
         dense, dense_lam = dense_gram(inst.X) @ beta, dense_gram(inst.X) @ lam
         held, held_lam = apply_gram(inst, beta), apply_gram(inst, lam)
         np.testing.assert_allclose(
-            update_z(inst, lam, 1.3, dense), update_z(inst, lam, 1.3, held),
+            _update_z(inst, lam, 1.3, dense), _update_z(inst, lam, 1.3, held),
             rtol=1e-10, atol=1e-12,
         )
         np.testing.assert_allclose(
@@ -444,8 +450,8 @@ class TestPrecomputedGram:
         inst, _ = make_instance(GenSpec(n=60, p=200, s=8, sigma_noise=0.05, seed=seed))
         starts = []
 
-        def recording(sub, lam, mu, gram_beta, *bound):
-            z, r0 = update_z(sub, lam, mu, gram_beta, *bound)
+        def recording(sub, gram_beta, scaled, bound, lower):
+            z, r0 = update_z(sub, gram_beta, scaled, bound, lower)
             # the box of the round's instance: z and r0 live on its columns W
             starts.append((z, r0, sub.delta * sub.d))
             return z, r0
@@ -599,7 +605,7 @@ class TestOuterCost:
                            max_outer_iter=1)
         _, _, report = solve(inst, config)
         [(u0, gram_beta0, calls, x_products)] = start
-        beta0 = adm_module.screened_start(inst)
+        beta0 = screened_start(inst)
         support = np.flatnonzero(beta0)
         # the first round runs on W = supp(beta0), and its first inner solve starts at beta0 there
         assert np.array_equal(u0, beta0[support])
@@ -749,8 +755,9 @@ class TestKernelPaths:
         zero = np.zeros(inst.p)
         runs = []
         for design, shape in ((DesignOperator(inst.X), None), (_FormedGram(inst.X), (200, 200))):
-            report = adm_module._start(inst, config, design, zero)[-1]
-            beta, _, _ = adm_module._adm(inst, config, design, zero, zero, zero, zero, report)
+            report = adm_module._start(inst, config, design, zero, zero, ColumnBlock(inst.X))[-1]
+            beta, _, _ = adm_module._adm(inst, config, design, zero, zero, zero, zero, report,
+                                         None, math.inf, config.tol)
             runs.append((beta, report))
             held = design.__dict__.get("kernel")
             assert (None if held is None else held.shape) == shape
@@ -1563,7 +1570,7 @@ class TestScreenedStart:
         inst = Instance(X=X, y=np.zeros(X.shape[0]), delta=0.1)
         inst.xty  # cache X^T y before counting
         products.watch(inst)
-        assert not adm_module.screened_start(inst).any()
+        assert not screened_start(inst).any()
         beta, _, report = self._solve(inst)
         assert report.start_support == 0 and report.outer_iterations == 0
         assert not beta.any()
@@ -1575,7 +1582,7 @@ class TestScreenedStart:
         inst = self._sparse(seed)
         level = float((np.abs(inst.xty) / inst.d).max())
         inst = Instance(X=inst.X, y=inst.y, delta=factor * level)
-        assert not adm_module.screened_start(inst).any()
+        assert not screened_start(inst).any()
         beta, _, report = self._solve(inst)
         assert report.start_support == 0 and report.outer_iterations == 0
         assert not beta.any()
@@ -1587,8 +1594,8 @@ class TestScreenedStart:
         inst = self._sparse(seed)
         level = float((np.abs(inst.xty) / inst.d).max())
         inst = Instance(X=inst.X, y=inst.y, delta=level - 1e-6)
-        assert adm_module.screened_start(inst).any()
-        assert not adm_module.screened_start(inst, tol=self.TOL).any()
+        assert screened_start(inst).any()
+        assert not screened_start(inst, tol=self.TOL).any()
         beta, _, report = self._solve(inst)
         assert report.start_support == 0 and report.outer_iterations == 0
         assert not beta.any()
@@ -1602,7 +1609,7 @@ class TestScreenedStart:
         twin = (best + 1) % inst.p
         X[:, twin] = X[:, best]  # the twin ties with the best-ranked column
         inst = Instance(X=X, y=inst.y, delta=inst.delta)
-        start = adm_module.screened_start(inst)
+        start = screened_start(inst)
         k = inst.n // START_ROWS_PER_COLUMN
         support = np.flatnonzero(start)
         assert support.size == k and (best in support or twin in support)
@@ -1626,7 +1633,7 @@ class TestScreenedStart:
         y = X @ rng.standard_normal(p) + 0.05 * rng.standard_normal(n)
         inst = Instance(X=X, y=y, delta=0.05 * np.sqrt(2 * np.log(p)))
         assert n // START_ROWS_PER_COLUMN > p
-        start = adm_module.screened_start(inst)  # k = p: least squares on all of X
+        start = screened_start(inst)  # k = p: least squares on all of X
         expected, *_ = np.linalg.lstsq(X, y, rcond=None)
         assert np.abs(start - expected).max() <= 1e-10 * np.abs(expected).max()
         _, _, report = self._solve(inst)
@@ -1637,7 +1644,7 @@ class TestScreenedStart:
         rng = np.random.default_rng(91 + n)
         inst = _instance(rng, n=n, p=12)
         assert n // START_ROWS_PER_COLUMN == 0
-        assert not adm_module.screened_start(inst).any()
+        assert not screened_start(inst).any()
         beta, lam, report = self._solve(inst)
         beta_zero, lam_zero, _ = self._solve(inst, beta0=np.zeros(inst.p))
         assert report.start_support == 0
@@ -1667,7 +1674,7 @@ class TestScreenedStart:
         self, n, p, s, sigma, seed
     ):
         inst, _ = make_instance(GenSpec(n=n, p=p, s=s, sigma_noise=sigma, seed=seed))
-        start = adm_module.screened_start(inst)
+        start = screened_start(inst)
         support, candidate, fit = self._htp_step(inst, start)
         assert support.size == inst.n // START_ROWS_PER_COLUMN
         expected = np.linalg.pinv(np.asarray(inst.X)[:, support]) @ inst.y
@@ -1690,13 +1697,14 @@ class TestScreenedStart:
         y[0] = 1.0
         inst = Instance(X=X, y=y, delta=0.1)
         inst.xty  # cache X^T y before counting
-        start = adm_module.screened_start(inst)
+        start = screened_start(inst)
         support, candidate, fit = self._htp_step(inst, start)
         assert list(support) == [0] and list(candidate) == [1]
         assert start[0] == pytest.approx(0.6, rel=1e-12)
         assert np.linalg.norm(y - X @ fit) == pytest.approx(math.sqrt(0.75), rel=1e-12)
         products.reset()
-        beta0, gram_beta0, refits = adm_module._screened_start(inst, DesignOperator(inst.X))
+        beta0, gram_beta0, refits = adm_module._screened_start(
+            inst, DesignOperator(inst.X), 0.0, ColumnBlock(inst.X))
         assert refits == 1 and np.array_equal(beta0, start)
         # two X beta (the kept fit and the rejected refit), one X^T r
         assert products.calls == {"matvec": 2, "rmatvec": 1}
@@ -1729,7 +1737,7 @@ class TestScreenedStart:
         # the solve from the round-0 start passed as beta0 forms G beta0 with
         # one X v and one X^T w, as the start before the refinement did
         for name, inst, expected in self._no_refit_cases():
-            assert np.array_equal(adm_module.screened_start(inst), expected), name
+            assert np.array_equal(screened_start(inst), expected), name
             beta, lam, report = self._solve(inst)
             beta_given, lam_given, _ = self._solve(inst, beta0=expected)
             assert report.start_rounds == 0, name
@@ -1739,11 +1747,13 @@ class TestScreenedStart:
     def test_the_start_does_not_depend_on_the_blas_thread_count(self):
         script = (
             "import hashlib\n"
-            "from dantzig_adm.adm import screened_start\n"
+            "from dantzig_adm.adm import _screened_start\n"
+            "from dantzig_adm.core import ColumnBlock, DesignOperator\n"
             "from dantzig_adm.datagen import GenSpec, make_instance\n"
             "spec = GenSpec(n=720, p=2560, s=80, sigma_noise=0.01, seed=0)\n"
             "inst, _ = make_instance(spec)\n"
-            "for v in (inst.X, inst.y, inst.xty, screened_start(inst)):\n"
+            "start = _screened_start(inst, DesignOperator(inst.X), 0.0, ColumnBlock(inst.X))[0]\n"
+            "for v in (inst.X, inst.y, inst.xty, start):\n"
             "    print(hashlib.sha256(v.tobytes()).hexdigest())\n"
         )
         src = Path(adm_module.__file__).resolve().parent.parent

@@ -132,7 +132,8 @@ class TestSolve:
         # the refits of the start, as the library counts them on the same files
         inst, *_ = cli._load_instance(out, None)
         tol = float(fileio.read_manifest(out / "run_manifest.txt")["tol"])
-        _, _, refits = adm._screened_start(inst, core.DesignOperator(inst.X), tol=tol)
+        _, _, refits = adm._screened_start(inst, core.DesignOperator(inst.X), tol,
+                                           core.ColumnBlock(inst.X))
         assert report["start_rounds"] == refits >= 1
         assert (out / "beta_hat.mtx").exists()
         evaluation = json.loads((out / "eval.json").read_text())
@@ -841,6 +842,38 @@ class TestScripts:
                 assert all(isinstance(value, (int, float)) and math.isfinite(value)
                            for value in second.values())
 
+
+    def test_ab_solves_each_tree_with_its_own_rules(self, tmp_path):
+        # three loads of this checkout: the second's mu_rule is doubled and the
+        # third's tol_rule is ten times larger, in its process only; each
+        # tree's counts move with its own rules, and each answer is certified
+        # at its own tol
+        root = self.SCRIPTS.parent.resolve()
+        script = (
+            "import json\n"
+            "import ab\n"
+            "ab.SIZE = (48, 200, 5)\n"
+            "checkout = ab.load(ab.ROOT, 'ab_checkout')\n"
+            "trees = [ab.load(ab.ROOT, f'ab_tree{i}') for i in range(3)]\n"
+            "mu_rule, tol_rule = trees[1].datagen.mu_rule, trees[2].datagen.tol_rule\n"
+            "trees[1].datagen.mu_rule = lambda *args: 2 * mu_rule(*args)\n"
+            "trees[2].datagen.tol_rule = lambda design: 10 * tol_rule(design)\n"
+            "row = ab.paired_row(checkout, trees, 'unit_columns', 0.05, 100, 1)\n"
+            "print(json.dumps(row['solves']))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(self.SCRIPTS), str(root / "src")])}
+        run = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env,
+            cwd=tmp_path, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        same, doubled_mu, loose = json.loads(run.stdout.splitlines()[-1])
+        assert all(solve["certified"] for solve in (same, doubled_mu, loose))
+        counts = [(solve["outer"], solve["inner"]) for solve in (same, doubled_mu, loose)]
+        assert counts[1] != counts[0] and counts[2] != counts[0]
+        assert loose["outer"] < same["outer"]
+        # the third answer is certified at its own tol, ten times the first's
+        assert loose["certificate_ratio"] <= 1 < 10 * loose["certificate_ratio"]
 
 # perfbench/run.py of a scratch tree: fixed metrics that scale with FACTOR and
 # the seed, and no result (exit 1, a line on stderr) for the seed FAIL

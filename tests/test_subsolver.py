@@ -9,7 +9,6 @@ from dantzig_adm.subsolver import (
     ALPHA_LO,
     ETA,
     SIGMA_LS,
-    LineSearchError,
     Point,
     SubproblemObjective,
     bb_step,
@@ -21,6 +20,7 @@ from dantzig_adm.subsolver import (
 
 from oracles import (
     dense_gram,
+    direction_formula,
     gradient_formula,
     inner_problem,
     ista_reference,
@@ -52,6 +52,18 @@ def _gradient(obj, u):
     """grad f(u) as the inner solver forms it, from a warm start at u."""
     start = _at(obj, u)
     return start.gradient(start.r0)
+
+
+def _direction(u, bar_alpha, grad):
+    """search_direction at u, handed ||u||_1 and the prox step at steplength 1 as the loop holds them."""
+    target = soft_thresh(u - grad, 1.0)
+    return search_direction(u, float(np.add.reduce(np.abs(u))), bar_alpha, grad, target,
+                            target - u)
+
+
+def _metric(u, grad, penalized):
+    """inner_termination_metric at u, handed the prox step as the loop forms it."""
+    return inner_termination_metric(soft_thresh(u - grad, 1.0) - u, penalized)
 
 
 def _dense(obj):
@@ -124,7 +136,7 @@ class TestSearchDirection:
         mu, c = 1.0, 5.0
         obj = _scalar_objective(x_entry=1.0, y_val=c, mu=mu)
         u_star = soft_thresh(np.array([c]), 1.0 / mu)
-        d, delta = search_direction(u_star, 1.0, _gradient(obj, u_star))
+        d, delta = _direction(u_star, 1.0, _gradient(obj, u_star))
         assert np.allclose(d, 0.0, atol=1e-12)
         assert delta == pytest.approx(0.0, abs=1e-12)
 
@@ -139,7 +151,7 @@ class TestSearchDirection:
         z = dense_gram(X) @ u - X.T @ y + lam / mu
         obj = inner_problem(inst, z, lam, mu, u)
         bar_alpha = 0.5
-        d, _ = search_direction(u, bar_alpha, _gradient(obj, u))
+        d, _ = _direction(u, bar_alpha, _gradient(obj, u))
         assert np.allclose(d, -bar_alpha * np.sign(u), atol=1e-9)
 
     @settings(max_examples=40, deadline=None)
@@ -149,7 +161,7 @@ class TestSearchDirection:
         obj = _objective(rng, n=4, p=6)
         u = rng.standard_normal(6)
         g = _gradient(obj, u)
-        d, delta = search_direction(u, bar_alpha, g)
+        d, delta = _direction(u, bar_alpha, g)
         assert delta <= 1e-12
         # independent evaluation of the definition
         target = u + d
@@ -164,17 +176,18 @@ class TestSearchDirection:
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), bar_alpha=st.sampled_from([1.0, 0.5, 1e-3]))
-    def test_held_prox_step_and_l1_give_the_same_bytes(self, seed, bar_alpha):
+    def test_held_prox_step_and_l1_give_the_formula_bytes(self, seed, bar_alpha):
         # the loop hands over SoftThresh(u - grad, 1), its step and ||u||_1; at
-        # bar_alpha = 1 they are the direction, otherwise they are not used
+        # bar_alpha = 1 they are the direction, otherwise it forms its own, and
+        # either way d and Delta have the bytes of the formula
         rng = np.random.default_rng(seed)
         obj = _objective(rng, n=4, p=6)
         u = rng.standard_normal(6) * (rng.random(6) < 0.5)
         g = _gradient(obj, u)
         target = soft_thresh(u - g, 1.0)
-        d, delta = search_direction(u, bar_alpha, g, target, target - u, float(np.abs(u).sum()))
-        d_alone, delta_alone = search_direction(u, bar_alpha, g)
-        assert d.tobytes() == d_alone.tobytes() and delta == delta_alone
+        d, delta = search_direction(u, float(np.abs(u).sum()), bar_alpha, g, target, target - u)
+        d_formula, delta_formula = direction_formula(u, bar_alpha, g)
+        assert d.tobytes() == d_formula.tobytes() and delta == delta_formula
 
 
 def _armijo_accepts(obj, u, window_vals, d, delta, alpha):
@@ -188,7 +201,7 @@ def _curvature_rejections(mu):
     """How many powers of eta an independent Armijo check rejects at curvature mu."""
     obj = _scalar_objective(x_entry=1.0, y_val=1.0, mu=mu)
     u = np.array([1.5])
-    d, delta = search_direction(u, 1.0, _gradient(obj, u))
+    d, delta = _direction(u, 1.0, _gradient(obj, u))
     window = [penalized_value_dense(*_dense(obj), u)]
     rejections = 0
     alpha = 1.0
@@ -291,7 +304,7 @@ class TestLineSearch:
         for mu in np.linspace(2.0, 600.0, 400):
             obj = _scalar_objective(x_entry=1.0, y_val=1.0, mu=mu)
             u = np.array([1.5])
-            d, delta = search_direction(u, 1.0, _gradient(obj, u))
+            d, delta = _direction(u, 1.0, _gradient(obj, u))
             if delta >= 0:
                 continue
             current = penalized_value_dense(*_dense(obj), u)
@@ -308,12 +321,11 @@ class TestLineSearch:
             break
         assert found, "no curvature exhibiting nonmonotone acceptance found"
 
-    def test_backtrack_budget_exhaustion_raises(self, monkeypatch):
+    def test_backtrack_budget_exhaustion_returns_none(self, monkeypatch):
         rejections, (obj, u, d, delta) = _curvature_rejections(4096.0)
         assert rejections > 3
         monkeypatch.setattr(subsolver_module, "MAX_BACKTRACKS", 3)
-        with pytest.raises(LineSearchError):
-            _line_search(obj, u, d, delta)
+        assert _line_search(obj, u, d, delta) is None
 
     @pytest.mark.parametrize("n, p", [(6, 10), (12, 5)])
     def test_unit_step_bytes_equal_the_multiplying_path(self, n, p):
@@ -325,7 +337,7 @@ class TestLineSearch:
         point = Point(np.zeros(p), origin, obj.r0 + origin, smooth, smooth, 0.0)
         grad = obj.gradient(point.residual)
         for _ in range(4):
-            d, delta = search_direction(point.u, 1.0, grad)
+            d, delta = _direction(point.u, 1.0, grad)
             e = obj.design.gram_matvec(d)
             alpha, trial = line_search(obj, point, np.inf, d, delta, e)
             assert alpha == 1.0
@@ -387,11 +399,10 @@ class TestLineSearch:
         obj = _objective(rng, n=6, p=10, mu=float(rng.uniform(0.5, 20.0)))
         u0 = rng.standard_normal(10)
         u = u0 + rng.standard_normal(10)
-        d, delta = search_direction(u, 1.0, _gradient(obj, u))
+        d, delta = _direction(u, 1.0, _gradient(obj, u))
         monkeypatch.setattr(subsolver_module, "MAX_BACKTRACKS", 12)
         reference = _RejectingReference()
-        with pytest.raises(LineSearchError):
-            _line_search(obj, u, d, delta, window=[reference], u0=u0)
+        assert _line_search(obj, u, d, delta, window=[reference], u0=u0) is None
         assert len(reference.seen) == 12
         for k, value in enumerate(reference.seen):
             dense = penalized_value_dense(*_dense(obj), u + ETA**k * d)
@@ -447,7 +458,7 @@ class TestInnerTerminationMetric:
         obj = _scalar_objective(x_entry=1.0, y_val=c, mu=mu)
         u_star = soft_thresh(np.array([c]), 1.0 / mu)
         penalized = penalized_value_dense(*_dense(obj), u_star)
-        assert inner_termination_metric(u_star, _gradient(obj, u_star), penalized) <= 1e-12
+        assert _metric(u_star, _gradient(obj, u_star), penalized) <= 1e-12
 
     def test_zero_in_small_gradient_dead_zone(self):
         # at u = 0 with every |grad component| <= 1 the thresholded step stays at 0
@@ -457,12 +468,12 @@ class TestInnerTerminationMetric:
         assert np.all(np.abs(g) <= 1.0)
         penalized = penalized_value_dense(*_dense(obj), np.zeros(4))
         assert penalized <= 1.0
-        assert inner_termination_metric(np.zeros(4), g, penalized) == 0.0
+        assert _metric(np.zeros(4), g, penalized) == 0.0
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_equals_the_norm_form_bit_for_bit(self, seed):
-        # sqrt(step . step) in place of np.linalg.norm, with or without the held step
+        # sqrt(step . step) of the held step in place of np.linalg.norm
         rng = np.random.default_rng(seed)
         p = int(rng.integers(1, 300))
         u = rng.standard_normal(p) * 10.0 ** rng.integers(-6, 6) * (rng.random(p) < 0.5)
@@ -470,8 +481,7 @@ class TestInnerTerminationMetric:
         penalized = float(rng.uniform(0.0, 3.0))
         expected = termination_metric_norm(u, grad, penalized)
         step = soft_thresh(u - grad, 1.0) - u
-        assert inner_termination_metric(u, grad, penalized) == expected
-        assert inner_termination_metric(u, grad, penalized, step) == expected
+        assert inner_termination_metric(step, penalized) == expected
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -480,7 +490,7 @@ class TestInnerTerminationMetric:
         obj = _objective(rng, n=4, p=6)
         u = rng.standard_normal(6)
         penalized = penalized_value_dense(*_dense(obj), u)
-        got = inner_termination_metric(u, _gradient(obj, u), penalized)
+        got = _metric(u, _gradient(obj, u), penalized)
         G = dense_gram(obj.inst.X)
         c = obj.inst.X.T @ obj.inst.y + obj.z_fixed - obj.lambda_fixed / obj.mu
         grad = obj.mu * (G @ (G @ u - c))
@@ -544,7 +554,7 @@ class TestGramCost:
         w = apply_gram(obj.inst, u) - obj.inst.xty + obj.lambda_fixed / obj.mu
         warm_obj = SubproblemObjective(
             obj.inst, obj.z_fixed, obj.lambda_fixed, obj.mu, w - obj.z_fixed,
-            DesignOperator(obj.inst.X),
+            DesignOperator(obj.inst.X), obj.lambda_fixed / obj.mu,
         )
         products.reset()
         warm, _ = self._run(warm_obj, u, 1e-8)
@@ -673,7 +683,8 @@ class TestSparseWarmStart:
         rng = np.random.default_rng(seed)
         z = obj.z_fixed + 1e-3 * rng.standard_normal(obj.inst.p)
         w = (first.residual + obj.c) - obj.inst.xty + obj.lambda_fixed / obj.mu
-        nxt = SubproblemObjective(obj.inst, z, obj.lambda_fixed, obj.mu, w - z, obj.design)
+        nxt = SubproblemObjective(obj.inst, z, obj.lambda_fixed, obj.mu, w - z, obj.design,
+                                  obj.lambda_fixed / obj.mu)
         products.reset()
         result = solve_subproblem(nxt, first.u, _TIGHT)
         assert result.succeeded and result.iterations > 0
@@ -722,9 +733,9 @@ class TestSolveSubproblem:
         # search_direction and line_search take bar_alpha and delta unchecked
         seen = {"bar_alpha": [], "delta": []}
 
-        def direction(u, bar_alpha, grad, *held):
+        def direction(u, u_l1, bar_alpha, grad, *held):
             seen["bar_alpha"].append(bar_alpha)
-            return search_direction(u, bar_alpha, grad, *held)
+            return search_direction(u, u_l1, bar_alpha, grad, *held)
 
         def search(obj, point, reference, d, delta, e):
             seen["delta"].append(delta)
@@ -872,7 +883,7 @@ class TestSolveSubproblem:
         def failing_fourth(*args):
             searches.append(1)
             if len(searches) == 4:
-                raise LineSearchError("no acceptable steplength")
+                return None  # no steplength passed
             return line_search(*args)
 
         monkeypatch.setattr(subsolver_module, "line_search", failing_fourth)
