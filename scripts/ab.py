@@ -38,6 +38,15 @@ with a subsolver failure (an inner solve that missed its tolerance; a claim
 of equal bytes names the rows that took that path), and whether every
 answer was certified (converged, with every ratio at most tol).
 
+A cost model prices the counts (:func:`cost_model`).  For each tree, a
+least-squares fit of its held-out solve times on (1, outer, inner,
+``rounds``, ``start_rounds``) over every row gives its unit costs and R^2,
+overall and per row.  For each row, each tree's count-predicted ratio is
+the median over seeds of its counts priced at the first tree's unit costs
+over the first tree's counts priced the same, so equal counts read 1
+exactly.  A change of counts then reads as a predicted ratio, and a change
+of unit cost with equal counts as lower unit costs.
+
 ``--bench-seeds`` runs ``perfbench/run.py --trace 0`` of each workload of
 BENCHMARK.json on every tree for its ``run_seconds``: one run per tree and
 seed, the trees in reverse order on odd pairs.  Each run is started from a
@@ -81,6 +90,8 @@ SIZE = (720, 2560, 80)
 ROWS = [("unit_columns", 0.05), ("unit_columns", 0.01), ("orthogonal_rows", 0.05)]
 ACCEPTANCE_SEEDS = range(10)
 MEANS = ("outer", "inner", "rounds", "first_inner", "start_rounds", "rho2", "false_positives")
+# the counts that the cost model prices, beside a fixed cost per solve
+PRICED = ("outer", "inner", "rounds", "start_rounds")
 # runs its arguments as a command and exits with its code.  perfbench reads
 # its peak resident size from ru_maxrss, and a process started by exec keeps
 # the peak of the process it replaced: run straight from a driver that had
@@ -247,6 +258,65 @@ def compare(checkout, trees: list, seeds: list[int], reps: int, label: str) -> d
     return result
 
 
+def _priced(solves: list[dict]) -> np.ndarray:
+    """One row (1, outer, inner, rounds, start_rounds) per solve."""
+    return np.array([[1.0, *(solve[key] for key in PRICED)] for solve in solves])
+
+
+def _r2(features: np.ndarray, seconds: np.ndarray, costs: np.ndarray) -> float | None:
+    """1 - SS_res / SS_tot of the priced times; None when the times do not vary."""
+    total = float(((seconds - seconds.mean()) ** 2).sum())
+    residual = float(((seconds - features @ costs) ** 2).sum())
+    return 1.0 - residual / total if total > 0 else None
+
+
+def cost_model(held_out: dict) -> dict:
+    """Each tree's unit costs and R^2, and each row's count-predicted ratios.
+
+    See the module docstring.  The unit costs are seconds per solve, per
+    outer and inner iteration, per round and per refit of the start.
+    """
+    names = (f"{design} sigma={sigma}" for design, sigma in ROWS)
+    rows = {name: [run["solves"] for run in held_out[name]["runs"]] for name in names}
+    count = len(next(iter(rows.values()))[0])
+    trees = []
+    for i in range(count):
+        mine = {name: [solves[i] for solves in runs] for name, runs in rows.items()}
+        every = [solve for solves in mine.values() for solve in solves]
+        features, seconds = _priced(every), np.array([solve["solve_s"] for solve in every])
+        costs = np.linalg.lstsq(features, seconds, rcond=None)[0]
+        trees.append({
+            "unit_costs": dict(zip(("solve", *PRICED), costs.tolist())),
+            "r2": _r2(features, seconds, costs),
+            "r2_by_row": {name: _r2(_priced(solves), np.array([s["solve_s"] for s in solves]),
+                                    costs) for name, solves in mine.items()},
+        })
+    base = np.array(list(trees[0]["unit_costs"].values()))
+    predicted = {}
+    for name, runs in rows.items():
+        first = _priced([solves[0] for solves in runs]) @ base
+        predicted[name] = [float(statistics.median((_priced([solves[i] for solves in runs]) @ base)
+                                                   / first)) for i in range(count)]
+    return {"trees": trees, "predicted_ratio": predicted}
+
+
+def _cost_lines(model: dict) -> list[str]:
+    """Per tree, its unit costs and R^2; per later tree, its count-predicted ratios."""
+    def r2(value):
+        return "n/a" if value is None else f"{value:.3f}"
+
+    lines = []
+    for i, tree in enumerate(model["trees"]):
+        costs = " + ".join(f"{1e6 * cost:.1f} us/{key}" for key, cost in tree["unit_costs"].items())
+        rows = ", ".join(r2(value) for value in tree["r2_by_row"].values())
+        lines.append(f"cost model tree{i}: {costs}; R^2 {r2(tree['r2'])} (rows {rows})")
+    for i in range(1, len(model["trees"])):
+        ratios = ", ".join(f"{name} {ratios[i]:.4f}"
+                           for name, ratios in model["predicted_ratio"].items())
+        lines.append(f"count-predicted ratio tree{i}: {ratios}")
+    return lines
+
+
 def _bench_run(tree: Path, workload: str, seed: int, seconds: int) -> dict:
     """One ``perfbench/run.py --trace 0`` run in ``tree``: its metrics, or how it failed.
 
@@ -369,6 +439,8 @@ def main(argv=None) -> int:
             "trees": [describe(path) for path in paths],
             "acceptance": compare(checkout, trees, list(ACCEPTANCE_SEEDS), 1, "acceptance"),
             "held_out": compare(checkout, trees, args.seeds, args.reps, "held_out")}
+    data["cost_model"] = cost_model(data["held_out"])
+    print("\n".join(_cost_lines(data["cost_model"])), flush=True)
     if args.bench_seeds:
         data["perfbench"] = perfbench(paths, args.bench_seeds)
     args.out.write_text(json.dumps(data, indent=1) + "\n")

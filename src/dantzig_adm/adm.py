@@ -55,21 +55,26 @@ X[:, W] for a growing set of columns W, with its constraints on W only.
 Its answer, padded with zeros, solves the full problem when the
 constraints off W hold for it too: this is column and constraint generation
 for the LP (Dantzig & Wolfe, Oper. Res. 1960), as in the working-set
-method of Johnson & Guestrin (ICML 2015).  Each round copies the columns of
-W once into one kept buffer (:class:`~dantzig_adm.core.ColumnBlock`) and
-reads d and X^T y on W off the instance, so the loop's every product is with
-that n x |W| block; and one fused pass over all of X checks the
-constraints off W and gives X^T X_W b_W and X^T X_W l_W for the next
-round's warm start.  The start's least-squares fits copy into the same
-buffer.  At (720, 2560, 80) the 30 acceptance rows (unit columns at
-sigma 0.05 and 0.01, orthogonal rows at sigma 0.05, seeds 0-9) took 2-5
-rounds and ended with 92-274 columns in W.  While |W| < n a round's inner
-solves make their products with the |W| x |W| Gram matrix X_W^T X_W of
-its block, as every one of their 122 rounds did, and every one of 26 at
-(1440, 5120, 160), seeds 0-2.  The first such round forms its G_W; each
+method of Johnson & Guestrin (ICML 2015).  Each round runs on the operator
+that the solve's design operator makes for W
+(:meth:`~dantzig_adm.core.DesignOperator.restricted`), which copies the
+columns of W once into the buffer it keeps, and reads d and X^T y on W off
+the instance, so the loop's every product is with that n x |W| block; and
+one fused pass over all of X checks the constraints off W and gives
+X^T X_W b_W and X^T X_W l_W for the next round's warm start.  The start's
+least-squares fits copy into the same buffer.  At (720, 2560, 80) the 30
+acceptance rows (unit columns at sigma 0.05 and 0.01, orthogonal rows at
+sigma 0.05, seeds 0-9) took 2-5 rounds and ended with 92-274 columns in W.
+While |W| < n a round's inner solves make their products with the
+|W| x |W| Gram matrix X_W^T X_W of its block, as every one of their 122
+rounds did, and every one of 26 at (1440, 5120, 160), seeds 0-2.  The first such round forms its G_W; each
 later one grows the last round's by the products with its new columns
 alone (:func:`~dantzig_adm.core.grown_kernel`), and a rerun of the same W
-keeps the last round's block and G_W.  The rounds carry
+keeps the last round's block and G_W.  A round whose operator forms its
+G, and the growth of that G, run on one BLAS thread
+(:func:`~dantzig_adm.core.one_blas_thread`): a product with a formed G
+sums in another order on two threads than on one, and the pin keeps a
+solve's bytes the same at every thread count.  The rounds carry
 on from each other: the inner tolerance schedule counts the outer
 iterations of the whole solve, so a round does not reopen the loose early
 inner solves, and only the running least metric, a metric on W, starts
@@ -134,13 +139,14 @@ from __future__ import annotations
 import math
 import numbers
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
 # apply_gram is imported only so that perfbench's TRACE_TARGETS can trace it here
-from .core import (ColumnBlock, DesignOperator, Instance, _as_vector, apply_gram, box_clamp,
-                   grown_kernel, least_squares)
+from .core import (DesignOperator, Instance, _as_vector, apply_gram, box_clamp, least_squares,
+                   one_blas_thread)
 from .subsolver import SubproblemObjective, solve_subproblem
 
 STATUS_CONVERGED = "converged"
@@ -297,7 +303,7 @@ def _top(scores: np.ndarray, k: int) -> np.ndarray:
 
 
 def _screened_start(
-    inst: Instance, design: DesignOperator, tol: float, block: ColumnBlock
+    inst: Instance, design: DesignOperator, tol: float
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """(beta0, G beta0, refits): the default start, a least-squares fit on
     screened columns refined by HTP, with G beta0 (G = X^T X) and the refits
@@ -316,9 +322,10 @@ def _screened_start(
     residual cannot return to a support (each fit has the least residual on
     its support), so the loop ends without a cap; without the residual rule
     the steps can cycle (they did at (128, 2048), seed 3).  The fits copy
-    their columns into ``block``; X beta is ``design.matvec`` (from the k
-    columns alone on a large X) and X^T r is ``design.rmatvec``, with the
-    solve's operator.  Since X beta0 = y - r, the last X^T r gives
+    their columns into the buffer of ``design``
+    (:meth:`~dantzig_adm.core.DesignOperator.take`); X beta is
+    ``design.matvec`` (from the k columns alone on a large X) and X^T r is
+    ``design.rmatvec``, with the solve's operator.  Since X beta0 = y - r, the last X^T r gives
     G beta0 = X^T y - X^T r, and no further product is made.  At
     (720, 2560, 80) a fit took 0.4-0.7 ms and the whole start about 5.5 ms
     (the median over held-out seeds; 11.5 ms with LAPACK's SVD fits).
@@ -336,7 +343,7 @@ def _screened_start(
     if k == 0 or not scores.max() > inst.delta + tol:
         return np.zeros(inst.p), np.zeros(inst.p), 0
     top = _top(scores, k)
-    beta = least_squares(inst.X, inst.y, top, block)
+    beta = least_squares(design, inst.y, top)
     if k == inst.p:
         return beta, design.rmatvec(design.matvec(beta)), 0
     residual = inst.y - design.matvec(beta)
@@ -346,7 +353,7 @@ def _screened_start(
         candidate = _top(np.abs(beta + xtr / d2), k)
         if np.array_equal(candidate, top):
             break
-        trial = least_squares(inst.X, inst.y, candidate, block)
+        trial = least_squares(design, inst.y, candidate)
         refits += 1
         trial_residual = inst.y - design.matvec(trial)
         if not np.linalg.norm(trial_residual) < np.linalg.norm(residual):
@@ -379,46 +386,40 @@ def _criterion_terms(
     lam: np.ndarray,
     gram_beta: np.ndarray,
     gram_lam: np.ndarray,
-) -> tuple[float, float, float, float]:
-    """The unnormalised stopping and certificate terms at (beta, lambda).
+) -> tuple[float, float, float, float, float, float, float, float]:
+    """The stopping and certificate terms at (beta, lambda).
 
     With G = X^T X, ``gram_beta`` = G beta and ``gram_lam`` = G lambda,
-    returns
+    returns (metric, dual objective, primal, dual, gap, primal ratio, dual
+    ratio, gap ratio):
 
     - the primal excess max_j |(G beta - X^T y)_j| / d_j - delta,
     - the dual excess ||G lambda||_inf - 1,
-    - ||beta||_1,
-    - the dual objective -y^T X lambda - delta * sum_j d_j |lambda_j|, from the
-      cached X^T y.
+    - the gap | ||beta||_1 - d(lambda) |, with the dual objective
+      d(lambda) = -y^T X lambda - delta * sum_j d_j |lambda_j| from the
+      cached X^T y,
+    - each over its scale, max(||beta||_2, 1), max(||lambda||_2, 1) and
+      max(||beta||_1, 1), and the metric, the largest of the three ratios.
 
-    Both excesses are negative when their constraint holds strictly.  The
-    stopping test of :func:`solve` divides them into ratios, and
-    :func:`~dantzig_adm.evaluation.feasibility_report` takes their positive
-    parts; neither makes a product of its own here.
+    Both excesses are negative when their constraint holds strictly, and so
+    are their ratios; the gap is not, so neither is the metric.  The metric
+    is max(gap, primal, dual) over the ratios in that order, so a NaN ratio
+    gives what Python's max gives it there.  A norm is sqrt(v . v), as
+    np.linalg.norm forms it for a vector.  The stopping test of
+    :func:`solve` reads the metric, and
+    :func:`~dantzig_adm.evaluation.feasibility_report` takes the positive
+    parts of the terms and ratios; no product is made here.
     """
     primal = float(np.abs((gram_beta - inst.xty) / inst.d).max()) - inst.delta
     dual = float(np.abs(gram_lam).max()) - 1.0
     beta_l1 = float(np.add.reduce(np.abs(beta)))
     dual_value = -float(inst.xty @ lam) - inst.delta * float(inst.d @ np.abs(lam))
-    return primal, dual, beta_l1, dual_value
-
-
-def _stopping_ratios(
-    beta: np.ndarray, lam: np.ndarray, terms: tuple[float, float, float, float]
-) -> tuple[float, float, float]:
-    """The stopping test's ratios from the terms of :func:`_criterion_terms`.
-
-    Returns the relative duality gap | ||beta||_1 - d(lambda) | / max(||beta||_1, 1)
-    and the primal and dual excesses over max(||beta||_2, 1) and
-    max(||lambda||_2, 1).  The two excess ratios may be negative.  A norm is
-    sqrt(v . v), as np.linalg.norm forms it for a vector.
-    """
-    primal, dual, beta_l1, dual_value = terms
-    return (
-        abs(beta_l1 - dual_value) / max(beta_l1, 1.0),
-        primal / max(math.sqrt(float(beta @ beta)), 1.0),
-        dual / max(math.sqrt(float(lam @ lam)), 1.0),
-    )
+    gap = abs(beta_l1 - dual_value)
+    primal_ratio = primal / max(math.sqrt(float(beta @ beta)), 1.0)
+    dual_ratio = dual / max(math.sqrt(float(lam @ lam)), 1.0)
+    gap_ratio = gap / max(beta_l1, 1.0)
+    metric = max(gap_ratio, primal_ratio, dual_ratio)
+    return metric, dual_value, primal, dual, gap, primal_ratio, dual_ratio, gap_ratio
 
 
 def update_lambda(
@@ -502,13 +503,14 @@ def solve(
     last entry of the history is at most tol.  A round with non-finite
     values returns numerical_failure.  Each returns the padded answer of
     that round.  The products go through one
-    DesignOperator of X, and each round's through one of X[:, W], built here
-    (or kept for a rerun of the same W) and dropped on return.
+    DesignOperator of X, and each round's through the one of X[:, W] that it
+    makes (:meth:`~dantzig_adm.core.DesignOperator.restricted`, which keeps
+    it for a rerun of the same W), dropped on return.  A round whose
+    operator forms its G runs on one BLAS thread.
     """
     t_start = time.perf_counter()
     design = DesignOperator(inst.X)
-    block = ColumnBlock(inst.X)
-    beta, lam, gram_beta, gram_lam, report = _start(inst, config, design, beta0, lambda0, block)
+    beta, lam, gram_beta, gram_lam, report = _start(inst, config, design, beta0, lambda0)
     p = inst.p
     columns = _all_past_half(np.flatnonzero((beta != 0) | (lam != 0)), p)
     if report.stopping_metric_history[0] <= config.tol:
@@ -516,31 +518,22 @@ def solve(
     elif not columns.size:
         columns = _grow(columns, _excess(inst, beta, lam, gram_beta, gram_lam), config.tol, p)
 
-    last = None  # the last round's W, instance and operator
     full = report.stopping_metric_history[0]  # the full problem's metric at the last check
     while columns is not None:
-        whole = columns.size == p
-        if last is not None and np.array_equal(columns, last[0]):
-            _, sub, sub_design = last  # a rerun: the same block and G_W serve it
-        else:
-            sub = inst if whole else inst.restricted(columns, block)
-            sub_design = design if whole else DesignOperator(sub.X)
-            # W only grows, so the last round had fewer columns than rows
-            # too: grow its G_W, when it formed one
-            if sub_design.forms_gram and last is not None and "kernel" in vars(last[2]):
-                old = np.searchsorted(columns, last[0])
-                sub_design.kernel = grown_kernel(sub.X.T, last[2].kernel, old)
-        last = None  # the last G_W is not kept through this round
+        sub_design = design.restricted(columns)
+        whole = sub_design is design
+        sub = inst if whole else inst.restricted(columns, sub_design.X)
         start = (v[columns] for v in (beta, lam, gram_beta, gram_lam))
         record = callback if callback is None or whole else _padded(callback, columns, p)
         patience = math.inf if whole else STALL_ITERATIONS
         level = config.tol if whole else max(config.tol, ROUND_LEVEL_FRACTION * full)
-        b, lam_w, metric = _adm(sub, config, sub_design, *start, report, record, patience, level)
+        with one_blas_thread() if sub_design.forms_gram else nullcontext():
+            b, lam_w, metric = _adm(sub, config, sub_design, *start, report, record, patience,
+                                    level)
         report.working_columns = columns.size
         beta, lam = _expand(b, columns, p), _expand(lam_w, columns, p)
         if whole:
             break
-        last = columns, sub, sub_design
         # X^T X_W b_W and X^T X_W l_W on all columns, for the check and the next round
         gram_beta, gram_lam = design.rmatvec_pair(sub_design.matvec(b), sub_design.matvec(lam_w))
         excess = _excess(inst, beta, lam, gram_beta, gram_lam)
@@ -563,13 +556,12 @@ def _start(
     design: DesignOperator,
     beta0: np.ndarray | None,
     lambda0: np.ndarray | None,
-    block: ColumnBlock,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, RunReport]:
     """(beta0, lambda0, X^T X beta0, X^T X lambda0, report) at the start of a solve.
 
     Checks beta0 and lambda0 and fills in their defaults as :func:`solve`
     describes; the screened start makes its products with ``design`` and
-    its fits in ``block``.  A zero vector's Gram product costs nothing
+    its fits in its buffer.  A zero vector's Gram product costs nothing
     (X^T X 0 = 0), any other one X v and one X^T w through ``design``.  The
     report holds the start's metric and dual objective as the first entries
     of its histories and the start's fields; the rest keep their zero
@@ -584,14 +576,14 @@ def _start(
             raise ValueError(f"{name} must be finite")
     start_rounds = 0
     if beta is None:
-        beta, gram_beta, start_rounds = _screened_start(inst, design, config.tol, block)
+        beta, gram_beta, start_rounds = _screened_start(inst, design, config.tol)
     else:
         gram_beta = design.rmatvec(design.matvec(beta)) if beta.any() else np.zeros(p)
     gram_lam = design.rmatvec(design.matvec(lam)) if lam.any() else np.zeros(p)
-    terms = _criterion_terms(inst, beta, lam, gram_beta, gram_lam)
+    metric, dual_value, *_ = _criterion_terms(inst, beta, lam, gram_beta, gram_lam)
     report = RunReport(
-        stopping_metric_history=[max(_stopping_ratios(beta, lam, terms))],
-        dual_objective_history=[terms[3]],
+        stopping_metric_history=[metric],
+        dual_objective_history=[dual_value],
         start_support=int(np.count_nonzero(beta)),
         start_rounds=start_rounds,
     )
@@ -605,8 +597,8 @@ def _excess(
 
     (|(G beta - X^T y)_j| / d_j - delta) / max(||beta||_2, 1) and
     (|(G lambda)_j| - 1) / max(||lambda||_2, 1), G = X^T X: the terms of
-    :func:`_criterion_terms` column by column, scaled as
-    :func:`_stopping_ratios` scales their maxima.  A new array.
+    :func:`_criterion_terms` column by column, scaled as it scales their
+    maxima.  A new array.
     """
     primal = np.abs(gram_beta - inst.xty) / inst.d - inst.delta
     primal /= max(float(np.linalg.norm(beta)), 1.0)
@@ -680,12 +672,12 @@ def _adm(
     ``report.outer_iterations``, which counts the iterations of every round
     of the solve, and the least stopping metric so far is this run's, the
     start's included), multiplier step, then the stopping test.  Its metric
-    is the max of the ratios of :func:`_stopping_ratios`: the relative duality gap
+    is that of :func:`_criterion_terms`, the max of the relative duality gap
     | ||beta||_1 - d(lambda) | / max(||beta||_1, 1) and the primal and dual
-    excesses of :func:`_criterion_terms` over max(||beta||_2, 1) and
-    max(||lambda||_2, 1).  The two excess ratios may be negative; the gap is
-    not, so neither is the metric.  The dual objective d is used as-is even
-    when lambda is dual-infeasible.  The run stops with status converged
+    excesses over max(||beta||_2, 1) and max(||lambda||_2, 1).  The two
+    excess ratios may be negative; the gap is not, so neither is the
+    metric.  The dual objective d is used as-is even when lambda is
+    dual-infeasible.  The run stops with status converged
     once the metric, at the start too, is at most tol, and with max_iter
     when ``report.outer_iterations`` reaches max_outer_iter, when the run
     has made ROUND_FLOOR_ITERATIONS outer iterations and its metric is at
@@ -705,8 +697,7 @@ def _adm(
     an early stop nor a stall test takes ``patience`` inf and ``level`` tol.
     Returns (beta, lambda, the last metric computed).
     """
-    terms = _criterion_terms(inst, beta, lam, gram_beta, gram_lam)
-    metric = best_metric = max(_stopping_ratios(beta, lam, terms))
+    metric = best_metric = _criterion_terms(inst, beta, lam, gram_beta, gram_lam)[0]
     # outer iterations since the metric fell below half of halved, its value when it
     # last did so (the start's at first): the round stalls at patience of them
     stalled, halved = 0, metric
@@ -736,12 +727,11 @@ def _adm(
         if not (np.isfinite(beta).all() and np.isfinite(lam).all() and np.isfinite(z).all()):
             report.status = STATUS_NUMERICAL_FAILURE
             return beta, lam, metric
-        terms = _criterion_terms(inst, beta, lam, gram_beta, gram_lam)
-        metric = max(_stopping_ratios(beta, lam, terms))
+        metric, dual_value, *_ = _criterion_terms(inst, beta, lam, gram_beta, gram_lam)
         stalled, halved = (0, metric) if metric < halved / 2 else (stalled + 1, halved)
         best_metric = min(best_metric, metric)
         report.stopping_metric_history.append(metric)
-        report.dual_objective_history.append(terms[3])
+        report.dual_objective_history.append(dual_value)
         if callback is not None:
             copies = (z.copy(), beta.copy(), lam.copy(), lam_prev.copy())
             callback(OuterIterationRecord(report.outer_iterations, *copies, metric))

@@ -6,12 +6,13 @@ when few are nonzero, copied 64 rows of X^T at a time into a scratch array
 the operator keeps), X^T w, two products X^T a and X^T b in one pass over
 X, and the inner solve's products with G = X^T X, its Gram matrix: from
 the formed G when p < n, and as X^T (X v) otherwise.  Every product runs
-on numpy alone; no solve imports scipy.  :class:`ColumnBlock`
-copies columns of X into one kept buffer, for the least-squares fits of
-:func:`least_squares` and for :meth:`Instance.restricted`, the instance of a
-few columns on which a solve runs each round.  :func:`row_tiles` reads a column-major X in
-row-major tiles, from which an Instance sums ``d`` and a generated instance
-forms ``y``.
+on numpy alone; no solve imports scipy.  The operator also copies columns
+of X into one buffer it keeps (:meth:`DesignOperator.take`), for the
+least-squares fits of :func:`least_squares`, and makes the operator of the
+few columns on which a solve runs each round
+(:meth:`DesignOperator.restricted`), with its Gram matrix grown from the
+last round's.  :func:`row_tiles` reads a column-major X in row-major tiles,
+from which an Instance sums ``d`` and a generated instance forms ``y``.
 """
 
 from __future__ import annotations
@@ -185,50 +186,21 @@ class Instance:
         """Cached X^T y, reused by every outer iteration."""
         return self.X.T @ self.y
 
-    def restricted(self, columns: np.ndarray, block: "ColumnBlock") -> "Instance":
+    def restricted(self, columns: np.ndarray, X_W: np.ndarray) -> "Instance":
         """The instance of X[:, columns] with the same y and delta.
 
-        Its X is ``block.take(columns)``, a column-major view of the block's
-        buffer, valid until the block's next copy.  Its d and X^T y are those
-        of this instance on ``columns``, read off and not recomputed, and the
-        copy is not checked again: no pass over X is made.
+        Its X is ``X_W``, the copy of X[:, columns] that
+        :meth:`DesignOperator.restricted` made, held as given.  Its d and
+        X^T y are those of this instance on ``columns``, read off and not
+        recomputed, and the copy is not checked again: no pass over X is
+        made.
         """
         sub = object.__new__(Instance)
-        for name, value in (("X", block.take(columns)), ("y", self.y), ("delta", self.delta),
+        for name, value in (("X", X_W), ("y", self.y), ("delta", self.delta),
                             ("d", self.d[columns])):
             object.__setattr__(sub, name, value)
         sub.__dict__["xty"] = self.xty[columns]
         return sub
-
-
-class ColumnBlock:
-    """Copies of X[:, columns] in one buffer that grows with the columns and is kept.
-
-    The buffer holds rows of X^T, so each copy is one np.take and the block
-    it gives is column-major.  It is allocated for twice the columns first
-    asked for, and again for twice as many when a copy needs more, but for
-    no more than max(p // 2, columns) columns; so a solve whose column set
-    grows by a quarter per round copies into the same pages for a few
-    rounds, and a block of at most p // 2 columns never allocates X's size.
-    A buffer allocated per copy is mapped and faulted in afresh each time:
-    113 minor faults per 720 x 80 least-squares block (glibc maps blocks
-    past its 128 KiB threshold).  Only the pages a copy writes become
-    resident.
-    """
-
-    def __init__(self, X: np.ndarray):
-        self.X = X
-        self._rows: np.ndarray | None = None
-
-    def take(self, columns: np.ndarray) -> np.ndarray:
-        """X[:, columns], n x |columns| and column-major; valid until the next call."""
-        n, p = self.X.shape
-        if self._rows is None or self._rows.shape[0] < columns.size:
-            self._rows = np.empty((min(2 * columns.size, max(p // 2, columns.size)), n))
-        rows = self._rows[: columns.size]
-        # mode="clip" skips the bounds pass that makes "raise" copy via a temporary
-        np.take(self.X.T, columns, axis=0, out=rows, mode="clip")
-        return rows.T
 
 
 class DesignOperator:
@@ -242,11 +214,67 @@ class DesignOperator:
     as X, and G v is X^T (X v), two products with X.  An operator is built for one solve (or
     one round of it) and dropped on return; it is not cached on the
     Instance, whose memory stays that of X.
+
+    The operator also copies columns of X into one buffer it keeps
+    (:meth:`take`), and makes the operator of a solve's round on a block of
+    columns (:meth:`restricted`) on such a copy.
     """
 
     def __init__(self, X: np.ndarray):
         self.X = X
         self._scratch: np.ndarray | None = None  # RESTRICTED_ROWS rows of X^T
+        self._rows: np.ndarray | None = None  # the column buffer of take
+        self._last: tuple[np.ndarray, DesignOperator] | None = None  # of restricted
+
+    def take(self, columns: np.ndarray) -> np.ndarray:
+        """X[:, columns], n x |columns| and column-major; valid until the next call.
+
+        The buffer holds rows of X^T, so each copy is one np.take and the
+        block it gives is column-major.  It is allocated for twice the
+        columns first asked for, and again for twice as many when a copy
+        needs more, but for no more than max(p // 2, columns) columns; so a
+        solve whose column set grows by a quarter per round copies into the
+        same pages for a few rounds, and a block of at most p // 2 columns
+        never allocates X's size.  A buffer allocated per copy is mapped and
+        faulted in afresh each time: 113 minor faults per 720 x 80
+        least-squares block (glibc maps blocks past its 128 KiB threshold).
+        Only the pages a copy writes become resident.
+        """
+        n, p = self.X.shape
+        if self._rows is None or self._rows.shape[0] < columns.size:
+            self._rows = np.empty((min(2 * columns.size, max(p // 2, columns.size)), n))
+        rows = self._rows[: columns.size]
+        # mode="clip" skips the bounds pass that makes "raise" copy via a temporary
+        np.take(self.X.T, columns, axis=0, out=rows, mode="clip")
+        return rows.T
+
+    def restricted(self, columns: np.ndarray) -> DesignOperator:
+        """The operator of X[:, columns] (ascending), on a copy made by :meth:`take`.
+
+        On all p columns it is this operator, and on the columns of the last
+        call (a rerun) the operator that call returned, with no copy.
+        Otherwise it is a new operator on a new copy, valid until the next
+        copy; when it forms its G and the last one had formed its own, its
+        G is the last one's grown by the products with the new columns
+        alone (:func:`grown_kernel`, on one BLAS thread, as a round forms
+        its G; see :func:`one_blas_thread`).  The columns only grow from
+        call to call in a solve, so the last one had fewer columns than rows
+        too.  Only the operator returned last is kept, so the G of a round
+        before it is dropped.
+        """
+        if columns.size == self.X.shape[1]:
+            self._last = None
+            return self
+        if self._last is not None and np.array_equal(columns, self._last[0]):
+            return self._last[1]
+        last, self._last = self._last, None
+        sub = DesignOperator(self.take(columns))
+        if sub.forms_gram and last is not None and "kernel" in vars(last[1]):
+            with one_blas_thread():
+                sub.kernel = grown_kernel(sub.X.T, last[1].kernel,
+                                          np.searchsorted(columns, last[0]))
+        self._last = columns, sub
+        return sub
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """X v; from the nonzero columns only when they are at most half of v.
@@ -370,8 +398,11 @@ def set_blas_threads(count: int) -> int | None:
 def one_blas_thread():
     """numpy's OpenBLAS on one thread inside the block, its previous count after.
 
-    LAPACK's blocked routines split their work by the thread count, so a
-    factorization run under one thread gives the same bytes in every process.
+    LAPACK's blocked routines split their work by the thread count, and so
+    do OpenBLAS's products with a small matrix such as a round's G (its
+    matrix-vector products with X, and with a block of X, do not).  So a
+    factorization or a product with G run under one thread gives the same
+    bytes whatever the process's count.
     """
     previous = set_blas_threads(1)
     try:
@@ -381,26 +412,24 @@ def one_blas_thread():
             set_blas_threads(previous)
 
 
-def least_squares(
-    X: np.ndarray, y: np.ndarray, columns: np.ndarray, block: ColumnBlock | None = None
-) -> np.ndarray:
+def least_squares(design: DesignOperator, y: np.ndarray, columns: np.ndarray) -> np.ndarray:
     """The p-vector b that minimizes ||y - X b||_2 with b zero off ``columns``.
 
-    On the columns, with B = X[:, columns], it solves the normal equations
-    B^T B b = B^T y by the Cholesky factor of B^T B when
-    :func:`_normal_equations` finds B well-conditioned, and is LAPACK's
+    X is ``design.X``.  On the columns, with B = X[:, columns], it solves
+    the normal equations B^T B b = B^T y by the Cholesky factor of B^T B
+    when :func:`_normal_equations` finds B well-conditioned, and is LAPACK's
     minimum-norm least-squares answer (np.linalg.lstsq, an SVD) otherwise,
     also when B is rank-deficient or has more columns than rows.  At
     720 x 80 (one thread) the normal equations took 0.4-0.7 ms and lstsq
     1.9-3.3 ms, and their answers differed by 3e-15 relative.  It runs on one
     BLAS thread (see :func:`one_blas_thread`), so its bytes do not depend on
-    the thread count.  B is copied into ``block``, a :class:`ColumnBlock` of
-    X, when one is given, and into a new one otherwise.
+    the thread count.  B is copied into the operator's column buffer
+    (:meth:`DesignOperator.take`).
     """
-    b = np.zeros(X.shape[1])
+    b = np.zeros(design.X.shape[1])
     if columns.size:
         # a copy: its products are not with X
-        block = (ColumnBlock(X) if block is None else block).take(columns)
+        block = design.take(columns)
         with one_blas_thread():
             fit = _normal_equations(block, y)
             if fit is None:

@@ -7,8 +7,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Instance, _as_vector, apply_gram, least_squares
-from .adm import _criterion_terms, _stopping_ratios
+from .core import DesignOperator, Instance, _as_vector, apply_gram, least_squares
+from .adm import _criterion_terms
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,7 +54,7 @@ def two_stage(beta_tilde: np.ndarray, inst: Instance, sigma_noise: float) -> np.
         raise ValueError(f"sigma_noise must be positive, got {sigma_noise}")
     beta_tilde = _as_vector(beta_tilde, inst.p, "beta_tilde")
     support = np.flatnonzero(np.abs(beta_tilde) > 2.0 * sigma_noise)
-    return least_squares(inst.X, inst.y, support)
+    return least_squares(DesignOperator(inst.X), inst.y, support)
 
 
 def rho_metrics(beta_est: np.ndarray, beta_true: np.ndarray, sigma_noise: float) -> float:
@@ -86,17 +86,9 @@ def feasibility_report(inst: Instance, beta: np.ndarray, lam: np.ndarray) -> Fea
     """
     beta = _as_vector(beta, inst.p, "beta")
     lam = _as_vector(lam, inst.p, "lambda")
-    terms = _criterion_terms(inst, beta, lam, apply_gram(inst, beta), apply_gram(inst, lam))
-    gap_ratio, primal_ratio, dual_ratio = _stopping_ratios(beta, lam, terms)
-    primal, dual, beta_l1, dual_value = terms
-    return FeasibilityReport(
-        primal_violation=max(primal, 0.0),
-        dual_violation=max(dual, 0.0),
-        gap=abs(beta_l1 - dual_value),
-        primal_ratio=max(primal_ratio, 0.0),
-        dual_ratio=max(dual_ratio, 0.0),
-        gap_ratio=gap_ratio,
-    )
+    _, _, *terms = _criterion_terms(inst, beta, lam, apply_gram(inst, beta), apply_gram(inst, lam))
+    # the gap and its ratio are not negative, so their positive parts are themselves
+    return FeasibilityReport(*(max(term, 0.0) for term in terms))
 
 
 def evaluate_solution(

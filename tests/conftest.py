@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dantzig_adm import adm
-from dantzig_adm.core import ColumnBlock, DesignOperator
+from dantzig_adm.core import DesignOperator
 
 
 class ProductCounts:
@@ -113,9 +113,7 @@ def _whole_problem(inst, config, beta0=None, lambda0=None, callback=None):
     wall_time is left at 0.
     """
     design = DesignOperator(inst.X)
-    block = ColumnBlock(inst.X)
-    beta, lam, gram_beta, gram_lam, report = adm._start(inst, config, design, beta0, lambda0,
-                                                        block)
+    beta, lam, gram_beta, gram_lam, report = adm._start(inst, config, design, beta0, lambda0)
     beta, lam, _ = adm._adm(inst, config, design, beta, lam, gram_beta, gram_lam, report, callback,
                             math.inf, config.tol)
     return beta, lam, report

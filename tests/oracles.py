@@ -391,8 +391,8 @@ def inner_problem(inst, z, lam, mu, u0, design=None):
 
 
 def screened_start(inst, tol=0.0):
-    """The beta0 of adm._screened_start, made with an operator and a column buffer of its own."""
+    """The beta0 of adm._screened_start, made with an operator of its own."""
     from dantzig_adm.adm import _screened_start
-    from dantzig_adm.core import ColumnBlock, DesignOperator
+    from dantzig_adm.core import DesignOperator
 
-    return _screened_start(inst, DesignOperator(inst.X), tol, ColumnBlock(inst.X))[0]
+    return _screened_start(inst, DesignOperator(inst.X), tol)[0]

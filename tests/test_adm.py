@@ -25,7 +25,6 @@ from dantzig_adm.adm import (
 )
 from dantzig_adm.core import (
     RESTRICTED_MIN_ENTRIES,
-    ColumnBlock,
     DesignOperator,
     Instance,
     apply_gram,
@@ -64,7 +63,8 @@ def _update_z(inst, lam, mu, gram_beta):
 
 
 def _terms(inst, beta, lam):
-    """(primal excess, dual excess, ||beta||_1, dual objective) from fresh Gram products."""
+    """_criterion_terms from fresh Gram products: (metric, dual objective, primal
+    excess, dual excess, gap, primal ratio, dual ratio, gap ratio)."""
     return adm_module._criterion_terms(
         inst, beta, lam, apply_gram(inst, beta), apply_gram(inst, lam)
     )
@@ -246,7 +246,7 @@ class TestDualObjective:
     def test_zero_multiplier(self):
         rng = np.random.default_rng(9)
         inst = _instance(rng)
-        assert _terms(inst, np.zeros(inst.p), np.zeros(inst.p))[3] == 0.0
+        assert _terms(inst, np.zeros(inst.p), np.zeros(inst.p))[1] == 0.0
 
     def test_delta_term_separates(self):
         # subtracting the delta term must leave exactly -y^T X lambda
@@ -254,7 +254,7 @@ class TestDualObjective:
         inst = _instance(rng)
         lam = rng.standard_normal(inst.p)
         linear = -float(inst.y @ (inst.X @ lam))
-        value = _terms(inst, np.zeros(inst.p), lam)[3]
+        value = _terms(inst, np.zeros(inst.p), lam)[1]
         assert value + inst.delta * float(inst.d @ np.abs(lam)) == pytest.approx(
             linear, rel=1e-12, abs=1e-12
         )
@@ -265,7 +265,7 @@ class TestDualObjective:
         lam = rng.standard_normal(inst.p)
         D = np.diag(np.linalg.norm(inst.X, axis=0))
         expected = -inst.y @ inst.X @ lam - inst.delta * np.abs(D @ lam).sum()
-        value = _terms(inst, np.zeros(inst.p), lam)[3]
+        value = _terms(inst, np.zeros(inst.p), lam)[1]
         assert value == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
     def test_dimension_mismatch(self):
@@ -281,21 +281,21 @@ class TestDualInfeasibility:
     def test_zero_multiplier(self):
         rng = np.random.default_rng(13)
         inst = _instance(rng)
-        assert _terms(inst, np.zeros(inst.p), np.zeros(inst.p))[1] == -1.0
+        assert _terms(inst, np.zeros(inst.p), np.zeros(inst.p))[3] == -1.0
 
     def test_orthogonal_square_design(self):
         q, _ = np.linalg.qr(np.random.default_rng(14).standard_normal((5, 5)))
         inst = Instance(X=q, y=np.zeros(5), delta=1.0)
         e1 = np.zeros(5)
         e1[0] = 1.0
-        assert _terms(inst, np.zeros(5), e1)[1] == pytest.approx(0.0, abs=1e-12)
+        assert _terms(inst, np.zeros(5), e1)[3] == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_dense_gram(self):
         rng = np.random.default_rng(15)
         inst = _instance(rng)
         lam = rng.standard_normal(inst.p)
         expected = np.abs(dense_gram(inst.X) @ lam).max() - 1.0
-        assert _terms(inst, np.zeros(inst.p), lam)[1] == pytest.approx(expected, rel=1e-10)
+        assert _terms(inst, np.zeros(inst.p), lam)[3] == pytest.approx(expected, rel=1e-10)
 
 
 class TestStoppingMetric:
@@ -336,13 +336,15 @@ class TestStoppingMetric:
     def test_norms_are_those_of_np_linalg_norm(self):
         # the ratios take ||v||_2 as sqrt(v . v), which is how norm forms it
         rng = np.random.default_rng(19)
-        terms = (0.3, -0.2, 1.7, -0.4)
         for _ in range(200):
-            beta, lam = (rng.standard_normal(rng.integers(1, 300)) * 10.0 ** rng.integers(-8, 8)
-                         for _ in range(2))
-            _, primal, dual = adm_module._stopping_ratios(beta, lam, terms)
-            assert primal == terms[0] / max(float(np.linalg.norm(beta)), 1.0)
-            assert dual == terms[1] / max(float(np.linalg.norm(lam)), 1.0)
+            p = int(rng.integers(1, 300))
+            inst = Instance(X=rng.standard_normal((2, p)), y=rng.standard_normal(2), delta=0.5)
+            beta, lam, gram_beta, gram_lam = (rng.standard_normal(p) * 10.0 ** rng.integers(-8, 8)
+                                              for _ in range(4))
+            terms = adm_module._criterion_terms(inst, beta, lam, gram_beta, gram_lam)
+            _, _, primal, dual, _, primal_ratio, dual_ratio, _ = terms
+            assert primal_ratio == primal / max(float(np.linalg.norm(beta)), 1.0)
+            assert dual_ratio == dual / max(float(np.linalg.norm(lam)), 1.0)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(18)
@@ -422,7 +424,7 @@ class TestPrecomputedGram:
         assert np.array_equal(rec.lam, lam_next)
         first = adm_module._criterion_terms(inst, beta, lam, held, held_lam)
         step = adm_module._criterion_terms(inst, result.u, lam_next, gram_beta, result.gradient)
-        assert report.dual_objective_history == [first[3], step[3]]
+        assert report.dual_objective_history == [first[1], step[1]]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_dense_gram_product_agrees(self, seed):
@@ -755,7 +757,7 @@ class TestKernelPaths:
         zero = np.zeros(inst.p)
         runs = []
         for design, shape in ((DesignOperator(inst.X), None), (_FormedGram(inst.X), (200, 200))):
-            report = adm_module._start(inst, config, design, zero, zero, ColumnBlock(inst.X))[-1]
+            report = adm_module._start(inst, config, design, zero, zero)[-1]
             beta, _, _ = adm_module._adm(inst, config, design, zero, zero, zero, zero, report,
                                          None, math.inf, config.tol)
             runs.append((beta, report))
@@ -922,7 +924,7 @@ class TestColumnGeneration:
         A grown G_W is made before the round starts, so the growth that
         precedes a round's run counts toward that round."""
         rounds, formed, grown = [], [], []
-        original, kernel, grow = adm_module._adm, core_module._kernel, adm_module.grown_kernel
+        original, kernel, grow = adm_module._adm, core_module._kernel, core_module.grown_kernel
 
         def recording(inst, config, design, beta, lam, gram_beta, gram_lam, report, *args):
             before, done = len(formed), report.outer_iterations
@@ -935,7 +937,7 @@ class TestColumnGeneration:
 
         monkeypatch.setattr(adm_module, "_adm", recording)
         monkeypatch.setattr(core_module, "_kernel", lambda A: formed.append(A.shape) or kernel(A))
-        monkeypatch.setattr(adm_module, "grown_kernel",
+        monkeypatch.setattr(core_module, "grown_kernel",
                             lambda A, *args: grown.append(A.shape) or grow(A, *args))
         return rounds
 
@@ -983,14 +985,14 @@ class TestColumnGeneration:
         inst, _ = make_instance(GenSpec(n=40, p=1000, s=4, sigma_noise=0.01, seed=seed))
         rounds = self._record_rounds(monkeypatch)
         capacity = []
-        take = ColumnBlock.take
+        take = DesignOperator.take
 
-        def recording(block, columns):
-            view = take(block, columns)
-            capacity.append(block._rows.shape[0])
+        def recording(design, columns):
+            view = take(design, columns)
+            capacity.append(design._rows.shape[0])
             return view
 
-        monkeypatch.setattr(ColumnBlock, "take", recording)
+        monkeypatch.setattr(DesignOperator, "take", recording)
         beta, lam, report = self._solve(inst)
         self._certified(inst, beta, lam, report)
         assert report.rounds == len(rounds) >= 3
@@ -1246,18 +1248,19 @@ class TestEarlyRounds:
 
     def test_a_rerun_keeps_the_last_rounds_block_and_operator(self, monkeypatch):
         # (48, 200), seed 2: the rerun of the same W copies no column and grows
-        # no G; it runs on the last round's instance and operator
+        # no G; it runs on the last round's block and operator
         inst, _ = make_instance(GenSpec(n=48, p=200, s=6, sigma_noise=0.05, seed=2))
         calls, rounds = [], []  # rounds: (instance, operator, calls before the round)
-        take, grow, original = ColumnBlock.take, adm_module.grown_kernel, adm_module._adm
+        take, grow, original = DesignOperator.take, core_module.grown_kernel, adm_module._adm
 
         def recording(inst, config, design, *args):
             rounds.append((inst, design, list(calls)))
             calls.clear()
             return original(inst, config, design, *args)
 
-        monkeypatch.setattr(ColumnBlock, "take", lambda *args: calls.append("take") or take(*args))
-        monkeypatch.setattr(adm_module, "grown_kernel",
+        monkeypatch.setattr(DesignOperator, "take",
+                            lambda *args: calls.append("take") or take(*args))
+        monkeypatch.setattr(core_module, "grown_kernel",
                             lambda *args: calls.append("grow") or grow(*args))
         monkeypatch.setattr(adm_module, "_adm", recording)
         _, _, report = self._solve(inst)
@@ -1269,7 +1272,7 @@ class TestEarlyRounds:
             sub, design, before = rounds[k]
             if k in reruns:
                 assert before == []
-                assert sub is rounds[k - 1][0] and design is rounds[k - 1][1]
+                assert sub.X is rounds[k - 1][0].X and design is rounds[k - 1][1]
             else:
                 assert "take" in before and design is not rounds[k - 1][1]
 
@@ -1703,8 +1706,7 @@ class TestScreenedStart:
         assert start[0] == pytest.approx(0.6, rel=1e-12)
         assert np.linalg.norm(y - X @ fit) == pytest.approx(math.sqrt(0.75), rel=1e-12)
         products.reset()
-        beta0, gram_beta0, refits = adm_module._screened_start(
-            inst, DesignOperator(inst.X), 0.0, ColumnBlock(inst.X))
+        beta0, gram_beta0, refits = adm_module._screened_start(inst, DesignOperator(inst.X), 0.0)
         assert refits == 1 and np.array_equal(beta0, start)
         # two X beta (the kept fit and the rejected refit), one X^T r
         assert products.calls == {"matvec": 2, "rmatvec": 1}
@@ -1730,7 +1732,7 @@ class TestScreenedStart:
             ("k = 0", few, np.zeros(few.p)),
             ("y = 0", zero_y, np.zeros(zero_y.p)),
             ("delta at the threshold", at_level, np.zeros(at_level.p)),
-            ("n > p", tall, least_squares(tall.X, tall.y, np.arange(p))),
+            ("n > p", tall, least_squares(DesignOperator(tall.X), tall.y, np.arange(p))),
         ]
 
     def test_cases_without_a_refit_keep_the_round_zero_bytes(self):
@@ -1748,11 +1750,11 @@ class TestScreenedStart:
         script = (
             "import hashlib\n"
             "from dantzig_adm.adm import _screened_start\n"
-            "from dantzig_adm.core import ColumnBlock, DesignOperator\n"
+            "from dantzig_adm.core import DesignOperator\n"
             "from dantzig_adm.datagen import GenSpec, make_instance\n"
             "spec = GenSpec(n=720, p=2560, s=80, sigma_noise=0.01, seed=0)\n"
             "inst, _ = make_instance(spec)\n"
-            "start = _screened_start(inst, DesignOperator(inst.X), 0.0, ColumnBlock(inst.X))[0]\n"
+            "start = _screened_start(inst, DesignOperator(inst.X), 0.0)[0]\n"
             "for v in (inst.X, inst.y, inst.xty, start):\n"
             "    print(hashlib.sha256(v.tobytes()).hexdigest())\n"
         )
@@ -1772,6 +1774,38 @@ class TestScreenedStart:
             runs.append(run.stdout.split())
         assert len(runs[0]) == 4
         assert runs[0] == runs[1]  # X, y, X^T y and the start
+
+
+
+class TestBlasThreads:
+    """A solve's bytes do not depend on the BLAS thread count."""
+
+    def test_a_solve_gives_the_same_bytes_on_one_and_two_threads(self):
+        # unit columns at (720, 2560, 80), sigma 0.05, seed 100: the rounds
+        # make their products with a formed G_W, which OpenBLAS sums in
+        # another order on two threads than on one; smaller instances kept
+        # their bytes unpinned
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("fewer than 2 CPUs")
+        previous = core_module.set_blas_threads(1)
+        if previous is None:
+            pytest.skip("numpy bundles no OpenBLAS with a thread-count setter here")
+        try:
+            inst, _ = make_instance(GenSpec(n=720, p=2560, s=80, sigma_noise=0.05, seed=100))
+            config = AdmConfig(mu=mu_rule("unit_columns", inst.p, inst.delta),
+                               tol=tol_rule("unit_columns"))
+            answers = []
+            for threads in (1, 2):
+                core_module.set_blas_threads(threads)
+                beta, lam, report = solve(inst, config)
+                answers.append((beta.tobytes(), lam.tobytes(), report.status,
+                                report.outer_iterations, report.inner_iteration_total))
+                # the solve puts back the count it was called with
+                assert core_module.set_blas_threads(threads) == threads
+        finally:
+            core_module.set_blas_threads(previous)
+        assert answers[0][2] == "converged"
+        assert answers[0] == answers[1]
 
 
 class TestSolve:

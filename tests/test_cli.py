@@ -132,8 +132,7 @@ class TestSolve:
         # the refits of the start, as the library counts them on the same files
         inst, *_ = cli._load_instance(out, None)
         tol = float(fileio.read_manifest(out / "run_manifest.txt")["tol"])
-        _, _, refits = adm._screened_start(inst, core.DesignOperator(inst.X), tol,
-                                           core.ColumnBlock(inst.X))
+        _, _, refits = adm._screened_start(inst, core.DesignOperator(inst.X), tol)
         assert report["start_rounds"] == refits >= 1
         assert (out / "beta_hat.mtx").exists()
         evaluation = json.loads((out / "eval.json").read_text())
@@ -841,6 +840,40 @@ class TestScripts:
                 assert second["median_paired_ratio"] > 0 and second["outer_mean"] > 0
                 assert all(isinstance(value, (int, float)) and math.isfinite(value)
                            for value in second.values())
+
+    def test_ab_cost_model_predicts_a_ratio_of_one_for_equal_counts(self, tmp_path):
+        # two loads of this checkout solve with the same counts, so their
+        # counts priced at the first tree's unit costs give a ratio of 1 exactly
+        root = self.SCRIPTS.parent.resolve()
+        script = (
+            "import json\n"
+            "import ab\n"
+            "ab.SIZE = (48, 200, 5)\n"
+            "checkout = ab.load(ab.ROOT, 'ab_checkout')\n"
+            "trees = [ab.load(ab.ROOT, f'ab_tree{i}') for i in range(2)]\n"
+            "held_out = ab.compare(checkout, trees, [100, 101], 1, 'held_out')\n"
+            "model = ab.cost_model(held_out)\n"
+            "print('\\n'.join(ab._cost_lines(model)))\n"
+            "print(json.dumps(model))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(self.SCRIPTS), str(root / "src")])}
+        run = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env,
+            cwd=tmp_path, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        *printed, last = run.stdout.splitlines()
+        model = json.loads(last)
+        assert len(model["trees"]) == 2
+        for tree in model["trees"]:
+            assert list(tree["unit_costs"]) == ["solve", "outer", "inner", "rounds",
+                                                "start_rounds"]
+            assert all(math.isfinite(cost) for cost in tree["unit_costs"].values())
+            assert list(tree["r2_by_row"]) == list(self.ROWS)
+        assert list(model["predicted_ratio"]) == list(self.ROWS)
+        assert all(ratios == [1.0, 1.0] for ratios in model["predicted_ratio"].values())
+        assert printed[-3].startswith("cost model tree0: ")
+        assert printed[-1].startswith("count-predicted ratio tree1: unit_columns sigma=0.05 1.0000")
 
 
     def test_ab_solves_each_tree_with_its_own_rules(self, tmp_path):

@@ -15,7 +15,6 @@ from hypothesis.extra import numpy as hnp
 import dantzig_adm.core as core_module
 from dantzig_adm.core import (
     FUSED_ROWS,
-    ColumnBlock,
     DesignOperator,
     Instance,
     apply_gram,
@@ -267,7 +266,7 @@ class TestRestrictedChunks:
         X = rng.standard_normal((450, 2400))
         design = DesignOperator(Instance(X=X, y=np.zeros(450), delta=1.0).X)
         columns = np.sort(rng.choice(2400, size=600, replace=False))
-        restricted = DesignOperator(ColumnBlock(design.X).take(columns))
+        restricted = design.restricted(columns)
         assert restricted.X.size >= core_module.RESTRICTED_MIN_ENTRIES
         with _restricted_products() as made:
             _assert_matvec_matches_dense(restricted, X[:, columns], _support_vector(rng, 600, k))
@@ -338,10 +337,10 @@ class TestDesignOperator:
         assert float((r0 + shift) @ e) == pytest.approx(float(r @ (G @ d)), rel=1e-12)
         assert float(e @ e) == pytest.approx(float(np.sum((G @ d) ** 2)), rel=1e-12)
 
-    def test_column_block_copies_columns_into_one_buffer(self):
+    def test_take_copies_columns_into_one_buffer(self):
         rng = np.random.default_rng(7)
         X = rng.standard_normal((9, 40))
-        block = ColumnBlock(Instance(X=X, y=np.zeros(9), delta=1.0).X)
+        block = DesignOperator(Instance(X=X, y=np.zeros(9), delta=1.0).X)
         columns = np.array([1, 5, 7, 30])
         first = block.take(columns)
         np.testing.assert_array_equal(first, X[:, columns])
@@ -363,12 +362,81 @@ class TestDesignOperator:
         X, y = rng.standard_normal((9, 40)), rng.standard_normal(9)
         inst = Instance(X=X, y=y, delta=0.7)
         columns = np.array([0, 3, 17, 39])
-        sub = inst.restricted(columns, ColumnBlock(inst.X))
+        sub = inst.restricted(columns, DesignOperator(inst.X).take(columns))
         np.testing.assert_array_equal(sub.X, X[:, columns])
         assert sub.y is inst.y and sub.delta == inst.delta
         assert np.array_equal(sub.d, inst.d[columns])
         assert np.array_equal(sub.xty, inst.xty[columns])
         assert (sub.n, sub.p) == (9, 4)
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """The calls of DesignOperator.take (its column count) and core.grown_kernel
+        (the BLAS thread count it ran on, or None when numpy bundles no OpenBLAS)."""
+        taken, grown = [], []
+        take, grow = DesignOperator.take, core_module.grown_kernel
+
+        def growing(*args):
+            grown.append(core_module.set_blas_threads(1))  # the count it ran on
+            return grow(*args)
+
+        monkeypatch.setattr(DesignOperator, "take",
+                            lambda self, columns: taken.append(columns.size) or take(self, columns))
+        monkeypatch.setattr(core_module, "grown_kernel", growing)
+        return taken, grown
+
+    def test_a_rerun_of_restricted_keeps_its_operator_and_copies_nothing(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        X = rng.standard_normal((30, 80))
+        design = DesignOperator(Instance(X=X, y=np.zeros(30), delta=1.0).X)
+        taken, grown = self._spy(monkeypatch)
+        columns = np.array([2, 9, 40, 77])
+        sub = design.restricted(columns)
+        np.testing.assert_array_equal(sub.X, X[:, columns])
+        assert sub.X.flags.f_contiguous and taken == [4]
+        sub.gram_matvec(np.ones(4))  # forms its G
+        assert design.restricted(columns.copy()) is sub
+        assert taken == [4] and grown == []
+        # on all columns it is the operator itself, with no copy
+        assert design.restricted(np.arange(80)) is design and taken == [4]
+
+    def test_restricted_grows_the_last_gram_matrix(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        X = rng.standard_normal((120, 400))
+        design = DesignOperator(Instance(X=X, y=np.zeros(120), delta=1.0).X)
+        taken, grown = self._spy(monkeypatch)
+        previous = core_module.set_blas_threads(2)
+        try:
+            old = np.sort(rng.choice(400, 40, replace=False))
+            design.restricted(old).gram_matvec(np.ones(40))  # forms its G
+            columns = np.union1d(old, rng.choice(400, 40, replace=False))
+            sub = design.restricted(columns)
+        finally:
+            if previous is not None:
+                core_module.set_blas_threads(previous)
+        assert taken == [40, columns.size] and grown == [None if previous is None else 1]
+        G = vars(sub)["kernel"]
+        expected = core_module._kernel(np.ascontiguousarray(X[:, columns].T))
+        assert np.abs(G - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert np.array_equal(G, G.T) and G.flags.c_contiguous
+        # an operator that formed no G hands none on: the next forms its own
+        fresh = DesignOperator(design.X)
+        fresh.restricted(old)
+        assert "kernel" not in vars(fresh.restricted(columns))
+        assert len(grown) == 1
+
+    def test_a_block_of_as_many_columns_as_rows_forms_no_gram_matrix(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        X = rng.standard_normal((30, 100))
+        design = DesignOperator(Instance(X=X, y=np.zeros(30), delta=1.0).X)
+        taken, grown = self._spy(monkeypatch)
+        design.restricted(np.arange(20)).gram_matvec(np.ones(20))  # forms its G
+        wide = design.restricted(np.arange(30))
+        v = rng.standard_normal(30)
+        np.testing.assert_allclose(wide.gram_matvec(v), X[:, :30].T @ (X[:, :30] @ v),
+                                   rtol=1e-12, atol=1e-12)
+        assert not wide.forms_gram and "kernel" not in vars(wide)
+        assert taken == [20, 30] and grown == []
 
 
 class TestFusedPass:
@@ -401,7 +469,7 @@ class TestFusedPass:
     def test_matches_on_a_restricted_operator(self, p):
         inst, a, b = self._case(p, seed=1)
         columns = np.sort(np.random.default_rng(p).choice(p, p // 4, replace=False))
-        restricted = DesignOperator(ColumnBlock(inst.X).take(columns))
+        restricted = DesignOperator(inst.X).restricted(columns)
         self._check(np.array(inst.X)[:, columns], a, b, restricted.rmatvec_pair(a, b))
 
     @pytest.mark.parametrize("p", [1, FUSED_ROWS, FUSED_ROWS + 1, 300, 2560])
@@ -617,27 +685,30 @@ class TestLeastSquares:
         X, y = rng.standard_normal((6, 10)), rng.standard_normal(6)
         X[:, 7] = X[:, 2]  # rank-deficient on the columns
         columns = np.array([1, 2, 7])
-        b = core_module.least_squares(X, y, columns)
+        b = core_module.least_squares(DesignOperator(X), y, columns)
         assert not np.delete(b, columns).any()
         assert np.abs(b[columns] - np.linalg.pinv(X[:, columns]) @ y).max() <= 1e-12
-        assert not core_module.least_squares(X, y, np.array([], dtype=int)).any()
+        assert not core_module.least_squares(DesignOperator(X), y, np.array([], dtype=int)).any()
 
     def test_a_kept_block_gives_the_same_bytes_in_one_buffer(self):
-        # the default start copies every fit's columns into one ColumnBlock;
-        # its block is column-major like X[:, columns], so the fit is the same
+        # the default start copies every fit's columns into the solve
+        # operator's one buffer; its block is column-major like
+        # X[:, columns], so the fit is the same
         inst, _ = make_instance(GenSpec(n=180, p=600, s=10, sigma_noise=0.05, seed=4))
         rng = np.random.default_rng(96)
-        block = core_module.ColumnBlock(inst.X)
+        block = DesignOperator(inst.X)
         buffers = set()
         for size in (20, 15, 20, 30):
             columns = np.sort(rng.choice(inst.p, size, replace=False))
-            kept = core_module.least_squares(inst.X, inst.y, columns, block)
+            kept = core_module.least_squares(block, inst.y, columns)
             with core_module.one_blas_thread():  # the fit on a plain copy, as least_squares runs it
                 fit = core_module._normal_equations(np.asarray(inst.X[:, columns]), inst.y)
             fresh = np.zeros(inst.p)
             fresh[columns] = fit
             assert kept.tobytes() == fresh.tobytes()
-            assert kept.tobytes() == core_module.least_squares(inst.X, inst.y, columns).tobytes()
+            fresh_operator = DesignOperator(inst.X)
+            assert kept.tobytes() == core_module.least_squares(fresh_operator, inst.y,
+                                                               columns).tobytes()
             buffers.add(id(block._rows))
         assert len(buffers) == 1 and block._rows.shape == (40, inst.n)  # twice the first 20
 
@@ -664,7 +735,7 @@ class TestLeastSquares:
         X, y = rng.standard_normal((200, 60)), rng.standard_normal(200)
         columns = np.sort(rng.choice(60, 30, replace=False))
         with self._paths() as calls:
-            b = core_module.least_squares(X, y, columns)
+            b = core_module.least_squares(DesignOperator(X), y, columns)
         assert calls == ["cholesky"]
         expected, *_ = np.linalg.lstsq(X[:, columns], y, rcond=None)
         assert not np.delete(b, columns).any()
@@ -678,7 +749,7 @@ class TestLeastSquares:
         X[:, 7] = X[:, 2] + 1e-9 * rng.standard_normal(40)
         columns = np.array([1, 2, 5, 7])
         with self._paths() as calls:
-            b = core_module.least_squares(X, y, columns)
+            b = core_module.least_squares(DesignOperator(X), y, columns)
         assert calls == ["cholesky", "lstsq"]
         expected = np.linalg.pinv(X[:, columns]) @ y
         assert np.abs(b[columns] - expected).max() <= 1e-12 * np.abs(expected).max()
@@ -696,7 +767,7 @@ class TestLeastSquares:
         assert diagonal.min() / diagonal.max() > 0.1
         assert np.linalg.cond(X) > 1e5
         with self._paths() as calls:
-            b = core_module.least_squares(X, y, np.arange(k))
+            b = core_module.least_squares(DesignOperator(X), y, np.arange(k))
         assert calls == ["cholesky", "lstsq"]
         with core_module.one_blas_thread():  # as least_squares runs it
             expected, *_ = np.linalg.lstsq(X, y, rcond=None)
@@ -707,7 +778,7 @@ class TestLeastSquares:
         X, y = rng.standard_normal((6, 12)), rng.standard_normal(6)
         columns = np.array([0, 2, 3, 5, 8, 9, 11])
         with self._paths() as calls:
-            b = core_module.least_squares(X, y, columns)
+            b = core_module.least_squares(DesignOperator(X), y, columns)
         assert calls == ["lstsq"]  # no Gram matrix is formed
         assert not np.delete(b, columns).any()
         assert np.abs(X @ b - y).max() <= 1e-12  # an exact fit
@@ -734,7 +805,7 @@ class TestLeastSquares:
                 # 3 columns of 8 rows take the Cholesky path, 5 columns of 4 rows lstsq
                 for rows, columns in ((8, 3), (4, 5)):
                     core_module.least_squares(
-                        rng.standard_normal((rows, 5)), rng.standard_normal(rows),
+                        DesignOperator(rng.standard_normal((rows, 5))), rng.standard_normal(rows),
                         np.arange(columns),
                     )
             assert seen == [("cholesky", 1), ("lstsq", 1)]
