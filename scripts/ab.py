@@ -11,7 +11,10 @@ solve in this process and each tree's modules come from its own files.  The
 instances, the certificate (``feasibility_report``) and ``evaluate_solution``
 come from this checkout.  Each solve gets a fresh ``Instance`` of its own
 tree, built from the instance's arrays outside the timed region, so that no
-tree runs another's methods and every solve computes its own X^T y.
+tree runs another's methods.  A tree whose ``Instance`` forms X^T y in its
+construction, as perfbench's instances do, makes no X^T y product inside
+the timed solve, where an older tree makes one; its paired ratio credits
+that saved pass over X.
 
 The rows are unit columns at sigma 0.05 and 0.01 and orthogonal rows at
 sigma 0.05, at (720, 2560, 80).  Each tree solves with its own
@@ -27,11 +30,12 @@ tree's tol:
 Each solve records its time and status; its outer, inner and ``rounds``
 counts, the first inner solve's iterations, ``start_rounds`` and
 ``subsolver_failures`` (the last four 0 for a tree whose ``RunReport``
-lacks them); the ``rho2`` and false
-positives of the two-stage refit; the certificate's largest ratio over tol;
-the sha256 of beta and lambda; and the largest change of beta and lambda
-relative to the first tree's largest entry.  Each row's summary holds, per tree and against
-the first tree, the median paired time ratio and the seeds solved faster,
+lacks them); each round's |W| (``round_columns``, empty for such a tree);
+the ``rho2`` and false positives of the two-stage refit; the certificate's
+largest ratio over tol; the sha256 of beta and lambda; and the largest
+change of beta and lambda relative to the first tree's largest entry.
+Each row's summary holds, per tree and against the first tree, the median
+paired time ratio and the seeds solved faster,
 the seeds with equal (outer, inner, rounds) and with equal bytes, and the
 largest relative changes; and the tree's median time, its means, the solves
 with a subsolver failure (an inner solve that missed its tolerance; a claim
@@ -40,8 +44,8 @@ answer was certified (converged, with every ratio at most tol).
 
 A cost model prices the counts (:func:`cost_model`).  For each tree, a
 least-squares fit of its held-out solve times on (1, outer, inner,
-``rounds``, ``start_rounds``) over every row gives its unit costs and R^2,
-overall and per row.  For each row, each tree's count-predicted ratio is
+``rounds``, ``start_rounds``, the sum of |W| over the rounds) over every
+row gives its unit costs and R^2, overall and per row.  For each row, each tree's count-predicted ratio is
 the median over seeds of its counts priced at the first tree's unit costs
 over the first tree's counts priced the same, so equal counts read 1
 exactly.  A change of counts then reads as a predicted ratio, and a change
@@ -90,8 +94,10 @@ SIZE = (720, 2560, 80)
 ROWS = [("unit_columns", 0.05), ("unit_columns", 0.01), ("orthogonal_rows", 0.05)]
 ACCEPTANCE_SEEDS = range(10)
 MEANS = ("outer", "inner", "rounds", "first_inner", "start_rounds", "rho2", "false_positives")
-# the counts that the cost model prices, beside a fixed cost per solve
-PRICED = ("outer", "inner", "rounds", "start_rounds")
+# the counts that the cost model prices, beside a fixed cost per solve; a
+# round's fixed cost grows with |W| (its copy and G_W), so the last is the
+# sum of round_columns, 0 for a tree whose records lack it
+PRICED = ("outer", "inner", "rounds", "start_rounds", "round_columns")
 # runs its arguments as a command and exits with its code.  perfbench reads
 # its peak resident size from ru_maxrss, and a process started by exec keeps
 # the peak of the process it replaced: run straight from a driver that had
@@ -177,6 +183,7 @@ def _record(checkout, inst, truth, sigma, tol, seconds, beta, lam, report) -> di
         "first_inner": (getattr(report, "inner_iteration_history", None) or [0])[0],
         "start_rounds": getattr(report, "start_rounds", 0),
         "subsolver_failures": getattr(report, "subsolver_failures", 0),
+        "round_columns": list(getattr(report, "round_columns", [])),
         "rho2": quality.rho2,
         "false_positives": quality.false_positives,
         "certificate_ratio": worst / tol,
@@ -259,8 +266,9 @@ def compare(checkout, trees: list, seeds: list[int], reps: int, label: str) -> d
 
 
 def _priced(solves: list[dict]) -> np.ndarray:
-    """One row (1, outer, inner, rounds, start_rounds) per solve."""
-    return np.array([[1.0, *(solve[key] for key in PRICED)] for solve in solves])
+    """One row (1, outer, inner, rounds, start_rounds, sum of round_columns) per solve."""
+    return np.array([[1.0, *(solve[key] for key in PRICED[:-1]), sum(solve[PRICED[-1]])]
+                     for solve in solves])
 
 
 def _r2(features: np.ndarray, seconds: np.ndarray, costs: np.ndarray) -> float | None:
@@ -274,7 +282,8 @@ def cost_model(held_out: dict) -> dict:
     """Each tree's unit costs and R^2, and each row's count-predicted ratios.
 
     See the module docstring.  The unit costs are seconds per solve, per
-    outer and inner iteration, per round and per refit of the start.
+    outer and inner iteration, per round, per refit of the start and per
+    column of W per round.
     """
     names = (f"{design} sigma={sigma}" for design, sigma in ROWS)
     rows = {name: [run["solves"] for run in held_out[name]["runs"]] for name in names}

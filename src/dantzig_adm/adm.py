@@ -24,10 +24,11 @@ tolerance tied to the metric from k = 0 can stop the first inner solve at
 once and leave beta at 0 while the metric holds still (at sigma = 0.01 it
 stopped the first inner solve after 5 iterations, and outer iterations
 rose 11.3 -> 13.9).  The current metric in place of the running minimum
-lets the two feed each other: on 9 of 10 orthogonal acceptance rows the
-metric grew to 4-34, the inner solves made almost no iterations, and the
-solve ran to max_outer_iter.  The final stopping test does not depend on
-tol_sub.
+lets the two feed each other: at the mu rule before its factor 4 (see
+:func:`~dantzig_adm.datagen.mu_rule`), on 9 of 10 orthogonal acceptance
+rows the metric grew to 4-34, the inner solves made almost no iterations,
+and the solve ran to max_outer_iter.  The final stopping test does not
+depend on tol_sub.
 
 The outer step is read off the inner solver.  With G = X^T X and
 c = X^T y + z - lambda/mu, the inner solver returns beta together with the
@@ -37,7 +38,7 @@ mu r, and X^T X lambda_next = g.  G beta serves the multiplier step, the
 primal stopping term and the next z update, which clamps
 w = G beta - X^T y + lambda/mu to z and hands the next inner solve its
 residual r0 = w - z at the warm start beta (:func:`update_z`); g serves the
-dual stopping term; and the dual objective uses the cached X^T y.
+dual stopping term; and the dual objective uses the instance's X^T y.
 
 The z clamp, the multiplier step and the stopping test therefore make no
 product with X.  An outer iteration costs what its inner solve costs (see
@@ -67,7 +68,9 @@ acceptance rows (unit columns at sigma 0.05 and 0.01, orthogonal rows at
 sigma 0.05, seeds 0-9) took 2-5 rounds and ended with 92-274 columns in W.
 While |W| < n a round's inner solves make their products with the
 |W| x |W| Gram matrix X_W^T X_W of its block, as every one of their 122
-rounds did, and every one of 26 at (1440, 5120, 160), seeds 0-2.  The first such round forms its G_W; each
+rounds did, and every one of 26 at (1440, 5120, 160), seeds 0-2.  The
+first such round takes the B^T B of the start's last fit as its G_W, or
+forms one when W holds other columns (see the last paragraph); each
 later one grows the last round's by the products with its new columns
 alone (:func:`~dantzig_adm.core.grown_kernel`), and a rerun of the same W
 keeps the last round's block and G_W.  A round whose operator forms its
@@ -107,15 +110,15 @@ The default start is not the paper's beta = 0 but a screened least-squares
 fit refined by hard-thresholding pursuit (:func:`_screened_start`).  Round 0
 fits y by least squares, as the Gauss-Dantzig step does (Candes & Tao, Ann.
 Statist. 2007), on the k = min(n // START_ROWS_PER_COLUMN, p) columns of
-largest |x_j^T y| / d_j, ranked from the cached X^T y as sure independence
-screening does (Fan & Lv, JRSS-B 2008).  Each later round moves the k
-columns to those of largest |beta_j + x_j^T r / d_j^2|, r = y - X beta, and
-refits (HTP; Foucart, SIAM J. Numer. Anal. 2011), until the columns repeat
-or a refit would not lower ||y - X beta||_2; it took 2-3 refits at
-(720, 2560, 80).  From beta = 0 the first inner solves make almost every
-coordinate nonzero; from the plain fit, which still misses true columns at
-sigma = 0.01, the first inner solve of the loop on all of X still ran about
-35 iterations, and from the refined fit about 3.  A round costs one n x k
+largest |x_j^T y| / d_j, ranked from the instance's X^T y as sure
+independence screening does (Fan & Lv, JRSS-B 2008).  Each later round
+moves the k columns to those of largest |beta_j + x_j^T r / d_j^2|,
+r = y - X beta, and refits (HTP; Foucart, SIAM J. Numer. Anal. 2011),
+until the columns repeat or a refit would not lower ||y - X beta||_2; it
+took 2-3 refits at (720, 2560, 80).  From beta = 0 the first inner solves
+make almost every coordinate nonzero; from the plain fit, which still
+misses true columns at sigma = 0.01, the first inner solve of the loop on
+all of X still ran about 35 iterations, and from the refined fit about 3.  A round costs one n x k
 least-squares solve (from the Cholesky factor of the k x k Gram
 matrix of the columns, see :func:`~dantzig_adm.core.least_squares`; 0.4-0.7
 ms at (720, 2560, 80), where LAPACK's SVD took 2-3 ms), one X beta (from the
@@ -132,6 +135,16 @@ At (720, 2560, 80) the zero start's first check takes W past p // 2, so
 its one round runs on all of X with each product with G as X^T (X v): over
 seeds 100-102 of the three rows such a solve took 0.3-1.1 s (one BLAS
 thread), where the default start's took 22-34 ms in the median.
+
+A solve makes no X^T y product: the instance forms X^T y with d in its one
+pass over X (:class:`~dantzig_adm.core.Instance`).  So the default start
+reads all of X once per fit it keeps, for its X^T r (3.0-3.1 times at
+(720, 2560, 80)), each check of a round on W reads it once in its fused
+pass, and no other product reads all of X.  From a kept last fit and
+lambda0 = 0, the first round's W holds that fit's columns, and its G_W is
+the B^T B the fit formed (:meth:`~dantzig_adm.core.DesignOperator.restricted`);
+so a solve forms a G_W afresh only after a rejected last refit or from a
+given start.
 """
 
 from __future__ import annotations
@@ -196,9 +209,9 @@ class AdmConfig:
     outer residual so far down to the floor.  Within a round it never rises
     after the switch, although at the switch itself it may lie above the
     last halved value; m_k starts afresh at each round's start metric, so
-    tol_sub_k may rise when a round starts.  Neither
-    shortcut works: the current metric in place of
-    m_k diverged on 9 of 10 orthogonal acceptance rows, and a metric rule
+    tol_sub_k may rise when a round starts.  Neither shortcut works: the
+    current metric in place of m_k diverged on 9 of 10 orthogonal
+    acceptance rows at the mu rule before its factor 4, and a metric rule
     from k = 0 stopped the first inner solve at sigma = 0.01 after 5
     iterations (see the module docstring).
     """
@@ -268,7 +281,8 @@ class RunReport:
     its first fit (0 for a given beta0; see :func:`_screened_start`).
     ``working_columns`` is |W| in the last round, ``round_levels`` each
     round's stopping level (tol, or ROUND_LEVEL_FRACTION * m above it; see
-    :func:`solve`), and ``wall_time`` the whole solve's, start included.
+    :func:`solve`), ``round_columns`` each round's |W|, and ``wall_time``
+    the whole solve's, start included.
     """
 
     outer_iterations: int = 0
@@ -285,6 +299,7 @@ class RunReport:
     rounds: int = 0
     working_columns: int = 0
     round_levels: list[float] = field(default_factory=list)
+    round_columns: list[int] = field(default_factory=list)
 
 
 def _top(scores: np.ndarray, k: int) -> np.ndarray:
@@ -311,7 +326,7 @@ def _screened_start(
 
     With k = min(n // START_ROWS_PER_COLUMN, p), round 0 is
     :func:`~dantzig_adm.core.least_squares` on the support T of the k
-    columns of largest |x_j^T y| / d_j, read off the cached X^T y, and zero
+    columns of largest |x_j^T y| / d_j, read off the instance's X^T y, and zero
     off them.  Each later round is one step of hard-thresholding pursuit
     (Foucart, SIAM J. Numer. Anal. 2011): with r = y - X beta, T' holds the
     k columns of largest |beta_j + x_j^T r / d_j^2|.  The loop stops when
@@ -397,7 +412,7 @@ def _criterion_terms(
     - the dual excess ||G lambda||_inf - 1,
     - the gap | ||beta||_1 - d(lambda) |, with the dual objective
       d(lambda) = -y^T X lambda - delta * sum_j d_j |lambda_j| from the
-      cached X^T y,
+      instance's X^T y,
     - each over its scale, max(||beta||_2, 1), max(||lambda||_2, 1) and
       max(||beta||_1, 1), and the metric, the largest of the three ratios.
 
@@ -665,10 +680,11 @@ def _adm(
     ``gram_beta`` and ``gram_lam`` are X^T X beta and X^T X lambda, and
     ``design`` makes every product with X.  ``report`` is the solve's
     (:class:`RunReport`): the run counts one round there, appends its
-    ``level`` (at least tol) to ``round_levels``, records each outer
-    iteration after it ends, and sets the status.  Per iteration: closed-form
-    z update, inner solve for beta warm-started at the previous beta and
-    stopped at the iteration's tol_sub (see :class:`AdmConfig`; k is
+    ``level`` (at least tol) to ``round_levels`` and the columns of ``inst``
+    to ``round_columns``, records each outer iteration after it ends, and
+    sets the status.  Per iteration: closed-form z update, inner solve for
+    beta warm-started at the previous beta and stopped at the iteration's
+    tol_sub (see :class:`AdmConfig`; k is
     ``report.outer_iterations``, which counts the iterations of every round
     of the solve, and the least stopping metric so far is this run's, the
     start's included), multiplier step, then the stopping test.  Its metric
@@ -707,6 +723,7 @@ def _adm(
     lower = -bound
     report.rounds += 1
     report.round_levels.append(level)
+    report.round_columns.append(inst.p)
     while (metric > (config.tol if report.outer_iterations < early else level)
            and report.outer_iterations < config.max_outer_iter and stalled < patience):
         lam_prev = lam

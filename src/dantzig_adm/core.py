@@ -125,16 +125,17 @@ class Instance:
     stored.  ``X`` is held in column-major (Fortran) order, so each column is
     contiguous and ``X.T`` is a C-contiguous p x n array.  A column-major
     input is kept as given, not copied; any other is converted once, and no
-    second copy is kept.  ``d`` and the finiteness check come from one pass
-    over row tiles of the input (see :func:`row_tiles`), which needs no copy
-    of X either: ``d`` is summed in row-major order whatever the layout, so
-    it does not depend on it.
+    second copy is kept.  ``d``, the finiteness check and ``xty`` = X^T y
+    come from one pass over row tiles of the input (see :func:`row_tiles`),
+    which needs no copy of X either: ``d`` and ``xty`` are summed in
+    row-major order whatever the layout, so they do not depend on it.  A
+    solve reads ``xty`` and makes no X^T y product of its own.
 
     The p x p Gram matrix X^T X of a wide X is never formed (at n=7200,
     p=25600 it would need about 5 GB).  A solve makes its products through a
     :class:`DesignOperator`, which may form X^T X when p < n and copy rows of
-    X^T for that solve only; nothing but X^T y is cached here.  One n x p
-    matrix-vector product is the solver's cost unit: an inner iteration
+    X^T for that solve only; nothing but ``d`` and X^T y is kept here.  One
+    n x p matrix-vector product is the solver's cost unit: an inner iteration
     makes two products with G = X^T X, however many line-search backtracks
     it takes (see :mod:`~dantzig_adm.subsolver`), each of them two as
     X^T (X v).  A solve runs its inner iterations on the instance of a block of columns
@@ -149,6 +150,7 @@ class Instance:
     y: np.ndarray
     delta: float
     d: np.ndarray = field(init=False, repr=False)
+    xty: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=np.float64)
@@ -156,9 +158,19 @@ class Instance:
             raise ValueError(f"X must be a nonempty 2-d matrix, got shape {X.shape}")
         y = _as_vector(self.y, X.shape[0], "y")
         delta = float(self.delta)
+        xty = np.zeros(X.shape[1])
+
+        def tiles():
+            for start, tile in row_tiles(X):
+                np.add(xty, tile.T @ y[start : start + tile.shape[0]], out=xty)
+                yield tile
+
         # one pass over row tiles; a square is finite unless X_ij is not or
-        # overflows, and only then is X itself checked
-        squares = column_sums_of_squares((tile for _, tile in row_tiles(X)), X.shape[1])
+        # overflows, and only then is X itself checked.  An infinite X_ij
+        # times a zero y_i makes a NaN in xty, which must not warn before
+        # the check raises.
+        with np.errstate(invalid="ignore"):
+            squares = column_sums_of_squares(tiles(), X.shape[1])
         if not np.isfinite(squares).all() and not np.isfinite(X).all():
             raise ValueError("X contains non-finite entries")
         if not np.isfinite(y).all():
@@ -172,6 +184,7 @@ class Instance:
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "d", d)
+        object.__setattr__(self, "xty", xty)
 
     @property
     def n(self) -> int:
@@ -180,11 +193,6 @@ class Instance:
     @property
     def p(self) -> int:
         return self.X.shape[1]
-
-    @cached_property
-    def xty(self) -> np.ndarray:
-        """Cached X^T y, reused by every outer iteration."""
-        return self.X.T @ self.y
 
     def restricted(self, columns: np.ndarray, X_W: np.ndarray) -> "Instance":
         """The instance of X[:, columns] with the same y and delta.
@@ -197,9 +205,8 @@ class Instance:
         """
         sub = object.__new__(Instance)
         for name, value in (("X", X_W), ("y", self.y), ("delta", self.delta),
-                            ("d", self.d[columns])):
+                            ("d", self.d[columns]), ("xty", self.xty[columns])):
             object.__setattr__(sub, name, value)
-        sub.__dict__["xty"] = self.xty[columns]
         return sub
 
 
@@ -225,6 +232,8 @@ class DesignOperator:
         self._scratch: np.ndarray | None = None  # RESTRICTED_ROWS rows of X^T
         self._rows: np.ndarray | None = None  # the column buffer of take
         self._last: tuple[np.ndarray, DesignOperator] | None = None  # of restricted
+        # the columns and B^T B of the last fit of least_squares, for restricted
+        self._fit: tuple[np.ndarray, np.ndarray] | None = None
 
     def take(self, columns: np.ndarray) -> np.ndarray:
         """X[:, columns], n x |columns| and column-major; valid until the next call.
@@ -254,14 +263,21 @@ class DesignOperator:
         On all p columns it is this operator, and on the columns of the last
         call (a rerun) the operator that call returned, with no copy.
         Otherwise it is a new operator on a new copy, valid until the next
-        copy; when it forms its G and the last one had formed its own, its
+        copy.  When it forms its G and the last one had formed its own, its
         G is the last one's grown by the products with the new columns
         alone (:func:`grown_kernel`, on one BLAS thread, as a round forms
         its G; see :func:`one_blas_thread`).  The columns only grow from
         call to call in a solve, so the last one had fewer columns than rows
-        too.  Only the operator returned last is kept, so the G of a round
-        before it is dropped.
+        too.  When it forms its G, no operator of an earlier call is kept,
+        and the last fit of :func:`least_squares` since the last call was on
+        the same columns, its G is the B^T B that fit formed (on one BLAS
+        thread and exactly symmetric, as :func:`_kernel` forms it; the two
+        differ by rounding): a solve's first round runs on the columns of
+        the start's last fit, unless that fit was rejected.  Only the
+        operator returned last is kept, so the G of a round before it is
+        dropped.
         """
+        fit, self._fit = self._fit, None  # for this call only
         if columns.size == self.X.shape[1]:
             self._last = None
             return self
@@ -273,6 +289,9 @@ class DesignOperator:
             with one_blas_thread():
                 sub.kernel = grown_kernel(sub.X.T, last[1].kernel,
                                           np.searchsorted(columns, last[0]))
+        elif (sub.forms_gram and last is None and fit is not None
+              and np.array_equal(columns, fit[0])):
+            sub.kernel = fit[1]
         self._last = columns, sub
         return sub
 
@@ -424,27 +443,34 @@ def least_squares(design: DesignOperator, y: np.ndarray, columns: np.ndarray) ->
     1.9-3.3 ms, and their answers differed by 3e-15 relative.  It runs on one
     BLAS thread (see :func:`one_blas_thread`), so its bytes do not depend on
     the thread count.  B is copied into the operator's column buffer
-    (:meth:`DesignOperator.take`).
+    (:meth:`DesignOperator.take`), and the operator keeps the columns and
+    B^T B, when formed, for its next :meth:`~DesignOperator.restricted`.
+    numpy forms B^T B by one symmetric rank-k update (syrk), so it is
+    exactly symmetric and row-major.
     """
     b = np.zeros(design.X.shape[1])
     if columns.size:
         # a copy: its products are not with X
         block = design.take(columns)
         with one_blas_thread():
-            fit = _normal_equations(block, y)
+            fit = None
+            if columns.size <= block.shape[0]:
+                gram = block.T @ block
+                design._fit = columns, gram
+                fit = _normal_equations(block, gram, y)
             if fit is None:
                 fit, *_ = np.linalg.lstsq(block, y, rcond=None)
             b[columns] = fit
     return b
 
 
-def _normal_equations(block: np.ndarray, y: np.ndarray) -> np.ndarray | None:
-    """argmin ||y - block b||_2 from the Cholesky factor L of block^T block; None if unsafe.
+def _normal_equations(block: np.ndarray, gram: np.ndarray, y: np.ndarray) -> np.ndarray | None:
+    """argmin ||y - block b||_2 from the Cholesky factor L of gram = block^T block, or None.
 
-    The normal equations' answer carries a relative error of about
-    cond(block)^2 u, u = 2^-53 (Bjorck, Numerical Methods for Least Squares
-    Problems, SIAM 1996, 2.2).  So it is None when the block has more columns
-    than rows, when np.linalg.cholesky fails, or when kappa =
+    The block has no more columns than rows.  The normal equations' answer
+    carries a relative error of about cond(block)^2 u, u = 2^-53 (Bjorck,
+    Numerical Methods for Least Squares Problems, SIAM 1996, 2.2).  So it is
+    None when np.linalg.cholesky fails, or when kappa =
     ||L||_F ||L^-1||_F exceeds NORMAL_EQUATIONS_MAX_CONDITION = 1e4, which
     keeps that error below about 1e8 u = 1.1e-8.  kappa bounds
     cond_2(block) = cond_2(L) from above, up to the rounding of
@@ -455,9 +481,6 @@ def _normal_equations(block: np.ndarray, y: np.ndarray) -> np.ndarray | None:
     of 3e7).  L^-1 costs about as much as two triangular solves, and
     b = L^-T (L^-1 block^T y).
     """
-    if block.shape[1] > block.shape[0]:
-        return None
-    gram = block.T @ block
     try:
         factor = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:

@@ -164,7 +164,7 @@ class TestSolve:
             "outer_iterations", "inner_iteration_total", "stopping_metric_history",
             "dual_objective_history", "wall_time", "status", "subsolver_failures",
             "inner_iteration_history", "start_support", "start_rounds", "inner_tolerance_history",
-            "rounds", "working_columns", "round_levels", "certificate",
+            "rounds", "working_columns", "round_levels", "round_columns", "certificate",
         ]
         assert list(report["certificate"]) == [
             "primal_violation", "dual_violation", "gap", "primal_ratio", "dual_ratio", "gap_ratio",
@@ -281,6 +281,7 @@ class TestSolve:
         assert report["outer_iterations"] == first + 1
         assert report["stopping_metric_history"][-1] > config.tol
         assert report["working_columns"] == records[first].columns.size
+        assert report["round_columns"] == [records[0].columns.size, records[first].columns.size]
 
     def test_manifest_without_delta_is_io_error(self, tmp_path, capsys):
         out = tmp_path / "inst"
@@ -853,6 +854,13 @@ class TestScripts:
             "trees = [ab.load(ab.ROOT, f'ab_tree{i}') for i in range(2)]\n"
             "held_out = ab.compare(checkout, trees, [100, 101], 1, 'held_out')\n"
             "model = ab.cost_model(held_out)\n"
+            "solves = [s for run in held_out['unit_columns sigma=0.05']['runs']\n"
+            "          for s in run['solves']]\n"
+            "print(all(s['round_columns'] and s['rounds'] == len(s['round_columns'])\n"
+            "          for s in solves))\n"
+            "older = {**solves[0], 'round_columns': []}  # a tree without the field\n"
+            "print(ab._priced([solves[0], older])[:, -1].tolist()\n"
+            "      == [sum(solves[0]['round_columns']), 0])\n"
             "print('\\n'.join(ab._cost_lines(model)))\n"
             "print(json.dumps(model))\n"
         )
@@ -864,10 +872,12 @@ class TestScripts:
         assert run.returncode == 0, run.stderr
         *printed, last = run.stdout.splitlines()
         model = json.loads(last)
+        # each record carries every round's |W|, priced as their sum
+        assert printed[-5:-3] == ["True", "True"]
         assert len(model["trees"]) == 2
         for tree in model["trees"]:
             assert list(tree["unit_costs"]) == ["solve", "outer", "inner", "rounds",
-                                                "start_rounds"]
+                                                "start_rounds", "round_columns"]
             assert all(math.isfinite(cost) for cost in tree["unit_costs"].values())
             assert list(tree["r2_by_row"]) == list(self.ROWS)
         assert list(model["predicted_ratio"]) == list(self.ROWS)

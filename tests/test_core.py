@@ -369,6 +369,17 @@ class TestDesignOperator:
         assert np.array_equal(sub.xty, inst.xty[columns])
         assert (sub.n, sub.p) == (9, 4)
 
+    def test_restricted_instance_makes_no_product_with_x(self, products):
+        # X^T y came with the instance, so the restricted one reads it off
+        rng = np.random.default_rng(9)
+        inst = Instance(X=rng.standard_normal((9, 40)), y=rng.standard_normal(9), delta=0.7)
+        columns = np.array([1, 5, 30])
+        block = DesignOperator(inst.X).take(columns)
+        products.watch(inst)
+        sub = inst.restricted(columns, block)
+        assert np.array_equal(sub.xty, inst.xty[columns]) and sub.X is block
+        assert products.x_products == 0
+
     @staticmethod
     def _spy(monkeypatch):
         """The calls of DesignOperator.take (its column count) and core.grown_kernel
@@ -437,6 +448,52 @@ class TestDesignOperator:
                                    rtol=1e-12, atol=1e-12)
         assert not wide.forms_gram and "kernel" not in vars(wide)
         assert taken == [20, 30] and grown == []
+
+    def test_the_first_restricted_takes_the_gram_matrix_of_the_last_fit(self, monkeypatch):
+        # least_squares keeps the columns and B^T B of its fit; the operator
+        # of the first restricted call on those columns takes that matrix as
+        # its G, and forms none
+        rng = np.random.default_rng(14)
+        X = rng.standard_normal((120, 400))
+        y = rng.standard_normal(120)
+        design = DesignOperator(Instance(X=X, y=y, delta=1.0).X)
+        columns = np.sort(rng.choice(400, 40, replace=False))
+        previous = core_module.set_blas_threads(2)
+        try:
+            core_module.least_squares(design, y, columns)
+        finally:
+            if previous is not None:
+                core_module.set_blas_threads(previous)
+        fit = design._fit[1]
+        formed, kernel = [], core_module._kernel
+        monkeypatch.setattr(core_module, "_kernel", lambda A: formed.append(A.shape) or kernel(A))
+        sub = design.restricted(columns.copy())
+        G = vars(sub)["kernel"]
+        assert G is fit and formed == []
+        assert np.array_equal(G, G.T) and G.flags.c_contiguous
+        expected = kernel(np.ascontiguousarray(X[:, columns].T))
+        assert np.abs(G - expected).max() <= 1e-15 * np.abs(expected).max()
+        # the fit serves the first call only: a later operator forms or grows its own
+        assert design._fit is None
+
+    @pytest.mark.parametrize("case", ["other columns", "a round came first", "wide"])
+    def test_a_fit_on_other_columns_hands_no_gram_matrix(self, case):
+        rng = np.random.default_rng(15)
+        X = rng.standard_normal((60, 300))
+        y = rng.standard_normal(60)
+        design = DesignOperator(Instance(X=X, y=y, delta=1.0).X)
+        columns = np.sort(rng.choice(300, 20, replace=False))
+        if case == "a round came first":
+            design.restricted(np.arange(10))
+        core_module.least_squares(design, y, columns)
+        if case == "wide":  # more columns than rows: the operator forms no G
+            columns = np.arange(60)
+            core_module.least_squares(design, y, columns)
+        asked = columns[1:] if case == "other columns" else columns
+        sub = design.restricted(asked)
+        assert "kernel" not in vars(sub)
+        if sub.forms_gram:
+            assert np.array_equal(sub.kernel, core_module._kernel(sub.X.T))
 
 
 class TestFusedPass:
@@ -621,6 +678,19 @@ class TestStorageOrder:
         assert Instance(X=X, y=np.zeros(6), delta=1.0).X is X
 
     @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("design", ["unit_columns", "orthogonal_rows"])
+    def test_xty_from_the_pass_that_gives_d(self, order, design):
+        # X^T y is summed tile by tile in row-major order: X.T @ y up to
+        # rounding, and the same bytes from either layout
+        spec = GenSpec(n=203, p=900, s=12, sigma_noise=0.05, design_kind=design, seed=6)
+        made, _ = make_instance(spec)
+        X = np.array(made.X, order=order)
+        inst = Instance(X=X, y=made.y, delta=made.delta)
+        expected = X.T @ made.y
+        assert np.abs(inst.xty - expected).max() <= 1e-14 * np.abs(expected).max()
+        assert inst.xty.tobytes() == made.xty.tobytes()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_entries_rejected_in_either_layout(self, order, bad):
         X = np.array(np.random.default_rng(47).standard_normal((70, 5)), order=order)
@@ -701,8 +771,9 @@ class TestLeastSquares:
         for size in (20, 15, 20, 30):
             columns = np.sort(rng.choice(inst.p, size, replace=False))
             kept = core_module.least_squares(block, inst.y, columns)
+            copy = np.asarray(inst.X[:, columns])
             with core_module.one_blas_thread():  # the fit on a plain copy, as least_squares runs it
-                fit = core_module._normal_equations(np.asarray(inst.X[:, columns]), inst.y)
+                fit = core_module._normal_equations(copy, copy.T @ copy, inst.y)
             fresh = np.zeros(inst.p)
             fresh[columns] = fit
             assert kept.tobytes() == fresh.tobytes()

@@ -201,10 +201,10 @@ class TestDefaultRules:
 
     def test_mu_rule_unit_columns(self):
         delta = default_delta(2560, 0.01)
-        assert mu_rule("unit_columns", 2560, delta) == pytest.approx(4.988754043573468, rel=1e-12)
+        assert mu_rule("unit_columns", 2560, delta) == pytest.approx(19.95501617429387, rel=1e-12)
 
     def test_mu_rule_orthogonal_rows(self):
-        assert mu_rule("orthogonal_rows", 2560, 0.1) == pytest.approx(10.0, rel=1e-12)
+        assert mu_rule("orthogonal_rows", 2560, 0.1) == pytest.approx(40.0, rel=1e-12)
 
     @pytest.mark.parametrize("design", ["unit_columns", "orthogonal_rows"])
     def test_mu_scales_inversely_with_delta(self, design):
