@@ -43,13 +43,14 @@ of equal bytes names the rows that took that path), and whether every
 answer was certified (converged, with every ratio at most tol).
 
 A cost model prices the counts (:func:`cost_model`).  For each tree, a
-least-squares fit of its held-out solve times on (1, outer, inner,
-``rounds``, ``start_rounds``, the sum of |W| over the rounds) over every
-row gives its unit costs and R^2, overall and per row.  For each row, each tree's count-predicted ratio is
-the median over seeds of its counts priced at the first tree's unit costs
-over the first tree's counts priced the same, so equal counts read 1
-exactly.  A change of counts then reads as a predicted ratio, and a change
-of unit cost with equal counts as lower unit costs.
+nonnegative least-squares fit of its held-out solve times on (1, outer,
+inner, ``rounds``, ``start_rounds``, the sum of |W| over the rounds) over
+every row gives its unit costs and R^2, overall and per row.  For each
+row, each tree's count-predicted ratio is the median over seeds of its
+counts priced at the first tree's unit costs over the first tree's counts
+priced the same, so equal counts read 1 exactly.  A change of counts then
+reads as a predicted ratio, and a change of unit cost with equal counts as
+lower unit costs.
 
 ``--bench-seeds`` runs ``perfbench/run.py --trace 0`` of each workload of
 BENCHMARK.json on every tree for its ``run_seconds``: one run per tree and
@@ -283,8 +284,13 @@ def cost_model(held_out: dict) -> dict:
 
     See the module docstring.  The unit costs are seconds per solve, per
     outer and inner iteration, per round, per refit of the start and per
-    column of W per round.
+    column of W per round.  They are fitted nonnegative (scipy's nnls): an
+    unconstrained fit priced a round at -1791 us on one tree, since within
+    one tree the rounds and the sum of |W| move together and the times'
+    noise dominates, and a negative unit cost is no cost.
     """
+    from scipy.optimize import nnls
+
     names = (f"{design} sigma={sigma}" for design, sigma in ROWS)
     rows = {name: [run["solves"] for run in held_out[name]["runs"]] for name in names}
     count = len(next(iter(rows.values()))[0])
@@ -293,7 +299,7 @@ def cost_model(held_out: dict) -> dict:
         mine = {name: [solves[i] for solves in runs] for name, runs in rows.items()}
         every = [solve for solves in mine.values() for solve in solves]
         features, seconds = _priced(every), np.array([solve["solve_s"] for solve in every])
-        costs = np.linalg.lstsq(features, seconds, rcond=None)[0]
+        costs = nnls(features, seconds)[0]
         trees.append({
             "unit_costs": dict(zip(("solve", *PRICED), costs.tolist())),
             "r2": _r2(features, seconds, costs),

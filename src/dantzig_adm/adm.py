@@ -58,27 +58,28 @@ constraints off W hold for it too: this is column and constraint generation
 for the LP (Dantzig & Wolfe, Oper. Res. 1960), as in the working-set
 method of Johnson & Guestrin (ICML 2015).  Each round runs on the operator
 that the solve's design operator makes for W
-(:meth:`~dantzig_adm.core.DesignOperator.restricted`), which copies the
-columns of W once into the buffer it keeps, and reads d and X^T y on W off
-the instance, so the loop's every product is with that n x |W| block; and
-one fused pass over all of X checks the constraints off W and gives
-X^T X_W b_W and X^T X_W l_W for the next round's warm start.  The start's
-least-squares fits copy into the same buffer.  At (720, 2560, 80) the 30
-acceptance rows (unit columns at sigma 0.05 and 0.01, orthogonal rows at
-sigma 0.05, seeds 0-9) took 2-5 rounds and ended with 92-274 columns in W.
-While |W| < n a round's inner solves make their products with the
-|W| x |W| Gram matrix X_W^T X_W of its block, as every one of their 122
-rounds did, and every one of 26 at (1440, 5120, 160), seeds 0-2.  The
-first such round takes the B^T B of the start's last fit as its G_W, or
-forms one when W holds other columns (see the last paragraph); each
-later one grows the last round's by the products with its new columns
-alone (:func:`~dantzig_adm.core.grown_kernel`), and a rerun of the same W
-keeps the last round's block and G_W.  A round whose operator forms its
-G, and the growth of that G, run on one BLAS thread
-(:func:`~dantzig_adm.core.one_blas_thread`): a product with a formed G
-sums in another order on two threads than on one, and the pin keeps a
-solve's bytes the same at every thread count.  The rounds carry
-on from each other: the inner tolerance schedule counts the outer
+(:meth:`~dantzig_adm.core.DesignOperator.restricted`), which copies into
+the buffer it keeps only the columns that joined W since the last round
+(W keeps the order its columns joined, so they are appended), and reads d
+and X^T y on W off the instance, so the loop's every product is with that
+n x |W| block; and one fused pass over all of X checks the constraints
+off W and gives X^T X_W b_W and X^T X_W l_W for the next round's warm
+start.  The start's least-squares fits copy into the same buffer.  At
+(720, 2560, 80) the 30 acceptance rows (unit columns at sigma 0.05 and
+0.01, orthogonal rows at sigma 0.05, seeds 0-9) took 2-5 rounds and ended
+with 92-274 columns in W.  While |W| < n a round's inner solves make their
+products with the |W| x |W| Gram matrix X_W^T X_W of its block, as every
+one of their 122 rounds did, and every one of 26 at (1440, 5120, 160),
+seeds 0-2.  The first such round runs on the operator of the start's last
+fit, block and G_W, or forms one when W holds other columns (see the last
+paragraph); each later one appends to the last round's G_W the products
+with its new columns alone (:func:`~dantzig_adm.core._kernel`, the one
+routine that forms a G), and a rerun of the same W keeps the last round's
+block and G_W.  A round whose operator forms its G, and that G, run on
+one BLAS thread (:func:`~dantzig_adm.core.one_blas_thread`): a product
+with a formed G sums in another order on two threads than on one, and the
+pin keeps a solve's bytes the same at every thread count.  The rounds
+carry on from each other: the inner tolerance schedule counts the outer
 iterations of the whole solve, so a round does not reopen the loose early
 inner solves, and only the running least metric, a metric on W, starts
 afresh with each round.
@@ -141,9 +142,10 @@ pass over X (:class:`~dantzig_adm.core.Instance`).  So the default start
 reads all of X once per fit it keeps, for its X^T r (3.0-3.1 times at
 (720, 2560, 80)), each check of a round on W reads it once in its fused
 pass, and no other product reads all of X.  From a kept last fit and
-lambda0 = 0, the first round's W holds that fit's columns, and its G_W is
-the B^T B the fit formed (:meth:`~dantzig_adm.core.DesignOperator.restricted`);
-so a solve forms a G_W afresh only after a rejected last refit or from a
+lambda0 = 0, the first round's W holds that fit's columns, and it runs on
+the operator the fit ran on, with its block and G_W
+(:meth:`~dantzig_adm.core.DesignOperator.restricted`); so a solve copies
+a block and forms a G_W afresh only after a rejected last refit or from a
 given start.
 """
 
@@ -351,7 +353,8 @@ def _screened_start(
     the stopping test (its metric is the primal excess).  So a delta that
     equals the largest score up to rounding, where beta = 0 is optimal, does
     not start a solve from a fit far from it.  When k = p no other support
-    exists: the round-0 fit is returned with G beta0 = X^T (X beta0).
+    exists: T' = T after the round-0 fit, and that fit is returned with
+    the same two products.
     """
     k = min(inst.n // START_ROWS_PER_COLUMN, inst.p)
     scores = np.abs(inst.xty) / inst.d
@@ -359,8 +362,6 @@ def _screened_start(
         return np.zeros(inst.p), np.zeros(inst.p), 0
     top = _top(scores, k)
     beta = least_squares(design, inst.y, top)
-    if k == inst.p:
-        return beta, design.rmatvec(design.matvec(beta)), 0
     residual = inst.y - design.matvec(beta)
     refits, d2 = 0, inst.d**2
     while True:
@@ -476,13 +477,14 @@ def solve(
     only; :meth:`~dantzig_adm.core.Instance.restricted`) from the previous
     answer, with the caller's mu and tol and what is left of
     ``max_outer_iter`` over all rounds; its inner tolerance schedule goes on
-    from the outer iterations of the rounds before it, and its G_W is the
-    last round's grown by the new columns (see the module docstring).  A
-    round on W stops at its level max(tol, ROUND_LEVEL_FRACTION * m), m the
-    full problem's metric at the last check (the start's for the first
-    round), once it has made ROUND_FLOOR_ITERATIONS outer iterations, and
-    at tol before that; it also ends when its metric has not halved for
-    STALL_ITERATIONS outer iterations.  Its answer (b_W, l_W), padded with
+    from the outer iterations of the rounds before it, and its block and
+    G_W are the last round's with the new columns appended (see the module
+    docstring).  A round on W stops at its level
+    max(tol, ROUND_LEVEL_FRACTION * m), m the full problem's metric at the
+    last check (the start's for the first round), once it has made
+    ROUND_FLOOR_ITERATIONS outer iterations, and at tol before that; it
+    also ends when its metric has not halved for STALL_ITERATIONS outer
+    iterations.  Its answer (b_W, l_W), padded with
     zeros, is then checked off W: one fused pass over X gives X^T X_W b_W
     and X^T X_W l_W, and each column j off W has the excess ratio
     max(|x_j^T (X_W b_W - y)| / d_j - delta, |x_j^T X_W l_W| - 1), each term
@@ -491,11 +493,12 @@ def solve(
     round's last metric and the largest of these ratios.  When that is at
     most tol (so the round converged), the solve has converged.  Otherwise
     every j off W whose ratio exceeds VIOLATION_FRACTION * tol is a
-    violator, and every violator joins W; W becomes all columns once it
-    would hold more than p // 2 of them, and the round then runs on X itself
-    to tol and needs no check.  A round that stopped at its level or
-    stalled, with no violator, runs again on the same W at the level of the
-    new m, which is lower, with the last round's block and operator.
+    violator, and the violators join W at its end, ascending among
+    themselves; W becomes all columns once it would hold more than p // 2
+    of them, and the round then runs on X itself to tol and needs no
+    check.  A round that stopped at its level or stalled, with no violator,
+    runs again on the same W at the level of the new m, which is lower,
+    with the last round's block and operator.
     ``report.round_levels`` holds each round's level.
 
     ``stopping_metric_history`` holds the start's metric, then each round's
@@ -623,17 +626,16 @@ def _excess(
 
 
 def _grow(columns: np.ndarray, excess: np.ndarray, tol: float, p: int) -> np.ndarray:
-    """W with every violator added, sorted; W itself when no column violates.
+    """A new W: W with every violator appended, ascending among themselves.
 
     ``excess`` is -inf on W.  A violator's excess exceeds VIOLATION_FRACTION
-    * tol.
+    * tol.  W keeps the order its columns joined, so the next round's block
+    and G_W append to the last round's (see
+    :meth:`~dantzig_adm.core.DesignOperator.restricted`), and with no
+    violator it holds the same columns in the same order.
     """
     violators = np.flatnonzero(excess > VIOLATION_FRACTION * tol)
-    if not violators.size:
-        return columns
-    # W and the violators are disjoint, so sorting their concatenation unites
-    # them; np.union1d would import numpy.ma on its first call
-    return _all_past_half(np.sort(np.concatenate((columns, violators))), p)
+    return _all_past_half(np.concatenate((columns, violators)), p)
 
 
 def _all_past_half(columns: np.ndarray, p: int) -> np.ndarray:

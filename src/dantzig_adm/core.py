@@ -10,8 +10,9 @@ on numpy alone; no solve imports scipy.  The operator also copies columns
 of X into one buffer it keeps (:meth:`DesignOperator.take`), for the
 least-squares fits of :func:`least_squares`, and makes the operator of the
 few columns on which a solve runs each round
-(:meth:`DesignOperator.restricted`), with its Gram matrix grown from the
-last round's.  :func:`row_tiles` reads a column-major X in row-major tiles,
+(:meth:`DesignOperator.restricted`), whose block and Gram matrix append
+the new columns to the last round's.  :func:`_kernel` forms every Gram
+matrix.  :func:`row_tiles` reads a column-major X in row-major tiles,
 from which an Instance sums ``d`` and a generated instance forms ``y``.
 """
 
@@ -216,9 +217,10 @@ class DesignOperator:
     Besides X v and X^T w, the inner solver (see :mod:`~dantzig_adm.subsolver`)
     needs products with G = X^T X only, G v (:meth:`gram_matvec`).  When
     p < n, G (:attr:`kernel`) takes fewer entries than X; it is formed once,
-    on its first product, and kept for the life of the operator, and G v
-    makes no product with X.  Otherwise G would take at least as many entries
-    as X, and G v is X^T (X v), two products with X.  An operator is built for one solve (or
+    on its first use (by :meth:`restricted`, for an operator it makes), and
+    kept for the life of the operator, and G v makes no product with X.
+    Otherwise G would take at least as many entries as X, and G v is
+    X^T (X v), two products with X.  An operator is built for one solve (or
     one round of it) and dropped on return; it is not cached on the
     Instance, whose memory stays that of X.
 
@@ -232,66 +234,63 @@ class DesignOperator:
         self._scratch: np.ndarray | None = None  # RESTRICTED_ROWS rows of X^T
         self._rows: np.ndarray | None = None  # the column buffer of take
         self._last: tuple[np.ndarray, DesignOperator] | None = None  # of restricted
-        # the columns and B^T B of the last fit of least_squares, for restricted
-        self._fit: tuple[np.ndarray, np.ndarray] | None = None
 
-    def take(self, columns: np.ndarray) -> np.ndarray:
+    def take(self, columns: np.ndarray, kept: int = 0) -> np.ndarray:
         """X[:, columns], n x |columns| and column-major; valid until the next call.
 
         The buffer holds rows of X^T, so each copy is one np.take and the
-        block it gives is column-major.  It is allocated for twice the
-        columns first asked for, and again for twice as many when a copy
-        needs more, but for no more than max(p // 2, columns) columns; so a
-        solve whose column set grows by a quarter per round copies into the
-        same pages for a few rounds, and a block of at most p // 2 columns
-        never allocates X's size.  A buffer allocated per copy is mapped and
-        faulted in afresh each time: 113 minor faults per 720 x 80
-        least-squares block (glibc maps blocks past its 128 KiB threshold).
-        Only the pages a copy writes become resident.
+        block it gives is column-major.  The first ``kept`` columns are those
+        the last call copied first, left in place: only ``columns[kept:]``
+        are copied, into the rows after them, so a block that grows by
+        appended columns copies the new ones alone.  The buffer is allocated
+        for twice the columns first asked for, and again for twice as many
+        (then copying all of them) when a copy needs more, but for no more
+        than max(p // 2, columns) columns; so a solve whose column set grows
+        by a quarter per round copies into the same pages for a few rounds,
+        and a block of at most p // 2 columns never allocates X's size.  A
+        buffer allocated per copy is mapped and faulted in afresh each time:
+        113 minor faults per 720 x 80 least-squares block (glibc maps blocks
+        past its 128 KiB threshold).  Only the pages a copy writes become
+        resident.
         """
         n, p = self.X.shape
         if self._rows is None or self._rows.shape[0] < columns.size:
             self._rows = np.empty((min(2 * columns.size, max(p // 2, columns.size)), n))
+            kept = 0
         rows = self._rows[: columns.size]
         # mode="clip" skips the bounds pass that makes "raise" copy via a temporary
-        np.take(self.X.T, columns, axis=0, out=rows, mode="clip")
+        np.take(self.X.T, columns[kept:], axis=0, out=rows[kept:], mode="clip")
         return rows.T
 
     def restricted(self, columns: np.ndarray) -> DesignOperator:
-        """The operator of X[:, columns] (ascending), on a copy made by :meth:`take`.
+        """The operator of X[:, columns], in their order, on a copy made by :meth:`take`.
 
-        On all p columns it is this operator, and on the columns of the last
-        call (a rerun) the operator that call returned, with no copy.
-        Otherwise it is a new operator on a new copy, valid until the next
-        copy.  When it forms its G and the last one had formed its own, its
-        G is the last one's grown by the products with the new columns
-        alone (:func:`grown_kernel`, on one BLAS thread, as a round forms
-        its G; see :func:`one_blas_thread`).  The columns only grow from
-        call to call in a solve, so the last one had fewer columns than rows
-        too.  When it forms its G, no operator of an earlier call is kept,
-        and the last fit of :func:`least_squares` since the last call was on
-        the same columns, its G is the B^T B that fit formed (on one BLAS
-        thread and exactly symmetric, as :func:`_kernel` forms it; the two
-        differ by rounding): a solve's first round runs on the columns of
-        the start's last fit, unless that fit was rejected.  Only the
-        operator returned last is kept, so the G of a round before it is
-        dropped.
+        On all p columns (0, 1, ..., p - 1) it is this operator, and on the
+        columns of the last call (a rerun) the operator that call returned,
+        with no copy.  Otherwise it is a new operator on a copy, valid until
+        the next copy.  When the last call's columns are its first ones, the
+        copy appends the others to the last block (:meth:`take`), and a
+        formed G is the last G grown by the products with the new columns
+        alone (:func:`_kernel` from that G); else both are made afresh.  An
+        operator with fewer columns than rows forms its G here, on one BLAS
+        thread (see :func:`one_blas_thread`); the last one had fewer columns
+        still, so it formed its own.  A solve keeps W in the order its
+        columns joined, so each of its rounds appends to the last; and
+        :func:`least_squares` fits on this operator, so a solve's first
+        round on the columns of the start's last fit reruns that fit's
+        operator.  Only the operator returned last is kept.
         """
-        fit, self._fit = self._fit, None  # for this call only
         if columns.size == self.X.shape[1]:
             self._last = None
             return self
-        if self._last is not None and np.array_equal(columns, self._last[0]):
-            return self._last[1]
-        last, self._last = self._last, None
-        sub = DesignOperator(self.take(columns))
-        if sub.forms_gram and last is not None and "kernel" in vars(last[1]):
+        last = self._last
+        if last is not None and np.array_equal(columns, last[0]):
+            return last[1]
+        grows = last is not None and np.array_equal(columns[: last[0].size], last[0])
+        sub = DesignOperator(self.take(columns, last[0].size if grows else 0))
+        if sub.forms_gram:
             with one_blas_thread():
-                sub.kernel = grown_kernel(sub.X.T, last[1].kernel,
-                                          np.searchsorted(columns, last[0]))
-        elif (sub.forms_gram and last is None and fit is not None
-              and np.array_equal(columns, fit[0])):
-            sub.kernel = fit[1]
+                sub.kernel = _kernel(sub.X.T, last[1].kernel if grows else None)
         self._last = columns, sub
         return sub
 
@@ -442,24 +441,21 @@ def least_squares(design: DesignOperator, y: np.ndarray, columns: np.ndarray) ->
     720 x 80 (one thread) the normal equations took 0.4-0.7 ms and lstsq
     1.9-3.3 ms, and their answers differed by 3e-15 relative.  It runs on one
     BLAS thread (see :func:`one_blas_thread`), so its bytes do not depend on
-    the thread count.  B is copied into the operator's column buffer
-    (:meth:`DesignOperator.take`), and the operator keeps the columns and
-    B^T B, when formed, for its next :meth:`~DesignOperator.restricted`.
-    numpy forms B^T B by one symmetric rank-k update (syrk), so it is
-    exactly symmetric and row-major.
+    the thread count.  B and B^T B are those of the operator that
+    :meth:`DesignOperator.restricted` makes for the columns, which ``design``
+    keeps for its next call: a solve's first round on the same columns
+    copies nothing and forms no G.  A square B, which forms no G for its
+    products, forms it here (:attr:`DesignOperator.kernel`).
     """
     b = np.zeros(design.X.shape[1])
     if columns.size:
-        # a copy: its products are not with X
-        block = design.take(columns)
+        sub = design.restricted(columns)  # a copy, or X itself on all p columns
         with one_blas_thread():
             fit = None
-            if columns.size <= block.shape[0]:
-                gram = block.T @ block
-                design._fit = columns, gram
-                fit = _normal_equations(block, gram, y)
+            if columns.size <= sub.X.shape[0]:
+                fit = _normal_equations(sub.X, sub.kernel, y)
             if fit is None:
-                fit, *_ = np.linalg.lstsq(block, y, rcond=None)
+                fit, *_ = np.linalg.lstsq(sub.X, y, rcond=None)
             b[columns] = fit
     return b
 
@@ -491,13 +487,18 @@ def _normal_equations(block: np.ndarray, gram: np.ndarray, y: np.ndarray) -> np.
     return inverse.T @ (inverse @ (block.T @ y))
 
 
-def _kernel(A: np.ndarray) -> np.ndarray:
+def _kernel(A: np.ndarray, known: np.ndarray | None = None) -> np.ndarray:
     """A A^T, exactly symmetric, formed in blocks of 64 columns; a row-major array.
 
     The Gram matrix of :attr:`DesignOperator.kernel`, G = X^T X from
-    A = X^T.  Each block fills one column block of the lower triangle,
-    G[j:, j:j+64] = A[j:] A[j:j+64]^T, written by the product straight into
-    G (no temporary and no copy), and is mirrored into the rows above, since
+    A = X^T, and the one routine that forms one.  ``known``, when given, is
+    A[:k] A[:k]^T, its leading k x k block, copied and not formed again: a
+    round of :func:`~dantzig_adm.adm.solve` whose W appends k' columns to
+    the last round's k makes about k' (k + k' / 2) n multiply-adds, against
+    (k + k')^2 n / 2 afresh.  Each block of 64 columns past k fills its
+    column of the lower triangle, G[j:, j:j+64] = A[j:] A[j:j+64]^T, and
+    above it G[:k, j:j+64] = A[:k] A[j:j+64]^T, each written by the product
+    straight into G (no temporary and no copy), and both are mirrored, since
     each G v reads all of G.  G is written in A's own order: at 720 x 150 it
     took 0.89 ms row-major and 1.0 ms column-major (OpenBLAS 0.3.31, one
     thread), with the same bytes.  A column-major G is returned as its
@@ -507,49 +508,21 @@ def _kernel(A: np.ndarray) -> np.ndarray:
     column-major (see README "Memory").
     """
     m = A.shape[0]
+    k = 0 if known is None else known.shape[0]
     G = np.empty((m, m), order="F" if A.flags.f_contiguous else "C")
-    for start in range(0, m, 64):
+    if k:
+        G[:k, :k] = known
+    for start in range(k, m, 64):
         stop = min(start + 64, m)
+        if k:
+            np.matmul(A[:k], A[start:stop].T, out=G[:k, start:stop])
+            G[start:stop, :k] = G[:k, start:stop].T
         np.matmul(A[start:], A[start:stop].T, out=G[start:, start:stop])
         G[start:stop, stop:] = G[stop:, start:stop].T
         # the diagonal block keeps its lower triangle, so G is exactly symmetric
         top = G[start:stop, start:stop]
         G[start:stop, start:stop] = np.tril(top) + np.tril(top, -1).T
     return G.T if G.flags.f_contiguous else G
-
-
-def grown_kernel(A: np.ndarray, kernel: np.ndarray, old: np.ndarray) -> np.ndarray:
-    """A A^T, exactly symmetric and row-major, from ``kernel`` = A[old] A[old]^T.
-
-    ``old`` holds the rows of A that ``kernel`` covers, ascending; only the
-    products with the other rows are made.  A round of :func:`~dantzig_adm.adm.solve`
-    grows its block's G = X_W^T X_W (A = X_W^T) from the last round's: with
-    k columns added to W, that is k |W| n multiply-adds against about
-    |W|^2 n / 2 for :func:`_kernel`.  The new rows are copied 64 at a time
-    into a scratch B, and each block's G[:, new] = A B^T is written by the
-    product into one m x 64 array kept for the call, a product of the width
-    of :func:`_kernel`'s blocks, so OpenBLAS's packing buffer stays as
-    small; new rows lie between old ones, so G[:, new] is no view to write
-    into.  The block's square on its own rows keeps its lower triangle, and
-    the block is copied into G's columns and, transposed, its rows; a later
-    block overwrites the entries it shares with an earlier one on both
-    sides, so G stays exactly symmetric.
-    """
-    m = A.shape[0]
-    is_new = np.ones(m, dtype=bool)
-    is_new[old] = False
-    new = np.flatnonzero(is_new)
-    G = np.empty((m, m))
-    G[np.ix_(old, old)] = kernel
-    rows, cols = np.empty((min(64, new.size), A.shape[1])), np.empty((m, min(64, new.size)))
-    for start in range(0, new.size, 64):
-        chunk = new[start : start + 64]
-        B, block = rows[: chunk.size], cols[:, : chunk.size]
-        np.matmul(A, np.take(A, chunk, axis=0, out=B, mode="clip").T, out=block)
-        block[chunk] = np.tril(block[chunk]) + np.tril(block[chunk], -1).T
-        G[:, chunk] = block
-        G[chunk] = block.T
-    return G
 
 
 def apply_gram(inst: Instance, v: np.ndarray) -> np.ndarray:

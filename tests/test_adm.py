@@ -925,62 +925,86 @@ class TestColumnGeneration:
 
     @staticmethod
     def _record_rounds(monkeypatch):
-        """Per round: (columns of the round's X, the shape of the G it holds
-        or None, whether that G is the B^T B of the start's last fit, the G
-        formed afresh and grown for it, outer iterations).
+        """Per round: (|W|, the shape of the G its operator holds or None,
+        whether that operator is the one the start's last fit ran on, the
+        columns copied for it, whether that copy took a new buffer, the G
+        formed for it as (rows, rows of the known block or None), outer
+        iterations).
 
-        A grown G_W is made before the round starts, so the growth that
-        precedes a round's run counts toward that round."""
-        rounds, formed, grown, fits = [], [], [], []
-        original, kernel, grow = adm_module._adm, core_module._kernel, core_module.grown_kernel
-        restricted = DesignOperator.restricted
+        A round's operator is made, with its copy and its G, by the
+        restricted call before the round runs, and those count toward that
+        round; what the start's fits copy and form does not count."""
+        rounds, log, fits = [], [], []
+        original, kernel, take = adm_module._adm, core_module._kernel, DesignOperator.take
+        least_squares = adm_module.least_squares
+
+        def taking(design, columns, kept=0):
+            buffer = design._rows
+            view = take(design, columns, kept)
+            grew = design._rows is not buffer
+            log.append(("take", columns.size if grew else columns.size - kept, grew))
+            return view
+
+        def forming(A, known=None):
+            log.append(("kernel", A.shape[0], None if known is None else known.shape[0]))
+            return kernel(A, known)
+
+        def fitting(design, y, columns):
+            before = len(log)
+            b = least_squares(design, y, columns)
+            del log[before:]
+            fits.append(None if design._last is None else design._last[1])
+            return b
 
         def recording(inst, config, design, beta, lam, gram_beta, gram_lam, report, *args):
-            before, done = len(formed), report.outer_iterations
+            done = report.outer_iterations
             result = original(inst, config, design, beta, lam, gram_beta, gram_lam, report, *args)
             held = design.__dict__.get("kernel")
+            takes = [entry[1:] for entry in log if entry[0] == "take"]
             rounds.append((inst.p, None if held is None else held.shape,
-                           held is not None and any(held is fit for fit in fits),
-                           len(formed) - before, len(grown) - sum(r[4] for r in rounds),
+                           bool(fits) and design is fits[-1],
+                           sum(copied for copied, _ in takes), any(grew for _, grew in takes),
+                           [entry[1:] for entry in log if entry[0] == "kernel"],
                            report.outer_iterations - done))
+            log.clear()
             return result
 
-        def keeping_fits(design, columns):
-            if design._fit is not None:
-                fits.append(design._fit[1])
-            return restricted(design, columns)
-
         monkeypatch.setattr(adm_module, "_adm", recording)
-        monkeypatch.setattr(core_module, "_kernel", lambda A: formed.append(A.shape) or kernel(A))
-        monkeypatch.setattr(core_module, "grown_kernel",
-                            lambda A, *args: grown.append(A.shape) or grow(A, *args))
-        monkeypatch.setattr(DesignOperator, "restricted", keeping_fits)
+        monkeypatch.setattr(adm_module, "least_squares", fitting)
+        monkeypatch.setattr(core_module, "_kernel", forming)
+        monkeypatch.setattr(DesignOperator, "take", taking)
         return rounds
 
     @staticmethod
     def _each_round_forms_one_kernel(inst, rounds):
-        """A round with |W| < n that iterates holds one G; one with |W| >= n holds none.
+        """A round with |W| < n holds one G; one with |W| >= n holds none.
 
-        The first round with |W| < n takes the B^T B of the start's last fit
-        as its G when it is the first round, so that W holds the fit's
-        columns, and forms its G afresh otherwise; each later round grows
-        the G of the round before it (W only grows, so that round had
-        |W| < n too), when that round formed one, and a rerun of the same W
-        keeps it.  A round with |W| >= n makes its products as X^T (X v)."""
-        previous = None, None, False  # |W|, the G shape and whether it was the start's
-        for k, (p, shape, handed, formed, grown, outer) in enumerate(rounds):
-            if p == previous[0] and previous[1] is not None:  # a rerun keeps the last G
-                assert (shape, handed, formed, grown) == (previous[1], previous[2], 0, 0)
-            elif p >= inst.n:
-                assert (shape, handed, formed, grown) == (None, False, 0, 0)
-            elif previous[1] is not None:
-                assert (shape, handed, formed, grown) == ((p, p), False, 0, 1)
-            elif k == 0 and handed:  # the start's B^T B
-                assert (shape, formed, grown) == ((p, p), 0, 0)
+        W keeps the order its columns joined, so each round after the first
+        appends its new columns to the last round's block, copying only
+        them (all of them when the copy takes a new buffer), and appends
+        their products to the last round's G; a rerun of the same W keeps
+        both.  The first round runs on the operator of the start's last
+        fit, with its block and G, when W holds that fit's columns, and
+        copies its block and forms its G afresh otherwise.  A round with
+        |W| >= n makes its products as X^T (X v), and a round on all of X
+        forms its G, when p < n, on its first product."""
+        previous = None  # the last round's |W| and G shape
+        for k, (p, shape, handed, copied, grew, formed, outer) in enumerate(rounds):
+            held = (p, p) if p < inst.n else None
+            if previous is not None and p == previous[0]:  # a rerun keeps the last G
+                assert (shape, copied, formed) == (previous[1], 0, [])
+            elif p == inst.p:  # all of X: no copy
+                assert (shape, copied) == (held if outer else None, 0)
+                assert formed == ([(p, None)] if held and outer else [])
+            elif k == 0 and handed:  # the operator of the start's last fit
+                assert (shape, copied, formed) == (held, 0, [])
+            elif k == 0:
+                assert (shape, copied, formed) == (held, p, [(p, None)] if held else [])
             else:
-                assert (shape, handed, formed, grown) == (
-                    ((p, p), False, 1, 0) if outer else (None, False, 0, 0))
-            previous = p, shape, handed
+                assert not handed and shape == held
+                assert copied == (p if grew else p - previous[0])
+                assert formed == ([(p, previous[0])] if held else [])
+            previous = p, shape
 
     @pytest.mark.parametrize("seed", [2, 3])
     def test_each_round_forms_its_gram_matrix_once(self, monkeypatch, seed):
@@ -991,17 +1015,18 @@ class TestColumnGeneration:
         self._certified(inst, beta, lam, report)
         assert report.rounds == len(rounds) >= 2
         assert any(p < inst.n and outer for p, *_, outer in rounds)
-        # the first round's W holds the columns of the start's last fit, and
-        # takes its B^T B as G: no G is formed afresh
         self._each_round_forms_one_kernel(inst, rounds)
-        assert rounds[0][2] and not any(formed for *_, formed, _, _ in rounds)
-        # the rounds after the first grow their G while |W| < n, and a rerun
-        # of the same W keeps it
-        assert [grown for *_, grown, _ in rounds] == [
+        # the first round's W holds the columns of the start's last fit, and
+        # it runs on that fit's operator: no column is copied and no G formed
+        p, shape, handed, copied, _, formed, _ = rounds[0]
+        assert handed and shape == (p, p) and copied == 0 and formed == []
+        # the rounds after the first grow the last G while |W| < n, and a
+        # rerun of the same W keeps it
+        assert [len(formed) for *_, formed, _ in rounds] == [
             int(k > 0 and p < inst.n and p != rounds[k - 1][0]) for k, (p, *_) in enumerate(rounds)]
-        assert rounds[1][4] == 1
+        assert rounds[1][5] == [(rounds[1][0], rounds[0][0])]
 
-    @pytest.mark.parametrize("seed", [1, 10, 50])
+    @pytest.mark.parametrize("seed", [10, 33, 50])
     def test_rounds_form_no_kernel_once_w_reaches_n(self, monkeypatch, seed):
         # (40, 1000) at sigma 0.01: W starts at the 4 columns of the screened
         # start and grows past n = 40, where its rounds make their products
@@ -1011,8 +1036,8 @@ class TestColumnGeneration:
         capacity = []
         take = DesignOperator.take
 
-        def recording(design, columns):
-            view = take(design, columns)
+        def recording(design, columns, kept=0):
+            view = take(design, columns, kept)
             capacity.append(design._rows.shape[0])
             return view
 
@@ -1026,9 +1051,77 @@ class TestColumnGeneration:
         iterating = [p for p, *_, outer in rounds if outer]
         assert min(iterating) < inst.n <= max(iterating)
         # a G was grown below n, and none past it
-        assert any(grown for p, *_, grown, _ in rounds if p < inst.n)
+        assert any(known for p, *_, formed, _ in rounds if p < inst.n for _, known in formed)
         # one buffer for the start's fits and every round, never n x p
         assert max(capacity) <= 2 * report.working_columns < inst.p
+
+    def test_round_one_runs_on_the_operator_of_the_accepted_last_fit(self, monkeypatch):
+        # (64, 200), seed 3: the start keeps its last fit, and the first
+        # round's W holds that fit's columns
+        inst, _ = make_instance(GenSpec(n=64, p=200, s=6, sigma_noise=0.05, seed=3))
+        rounds = self._record_rounds(monkeypatch)
+        self._solve(inst)
+        p, shape, handed, copied, _, formed, outer = rounds[0]
+        assert handed and outer and p < inst.n
+        assert (shape, copied, formed) == ((p, p), 0, [])
+
+    def test_each_later_round_copies_only_its_new_columns(self, monkeypatch):
+        # (64, 200), seed 3: W grows 7 -> 14 -> 17 -> 18; the copies of 7
+        # and 1 columns fit the buffer, and the one of 17 takes a new one
+        inst, _ = make_instance(GenSpec(n=64, p=200, s=6, sigma_noise=0.05, seed=3))
+        rounds = self._record_rounds(monkeypatch)
+        self._solve(inst)
+        self._each_round_forms_one_kernel(inst, rounds)
+        later = [(p - before[0], copied, grew)
+                 for before, (p, _, _, copied, grew, _, _) in zip(rounds, rounds[1:])]
+        assert any(not grew and 0 < copied for _, copied, grew in later)
+        for added, copied, grew in later:
+            assert grew or copied == added
+
+    def test_a_round_after_a_rejected_refit_forms_its_g_afresh(self, monkeypatch):
+        # (128, 2048), seed 3: the start's third refit raised the residual and
+        # was rejected, so the first round's W is not the last fit's columns
+        inst, _ = make_instance(GenSpec(n=128, p=2048, s=8, sigma_noise=0.01, seed=3))
+        rounds = self._record_rounds(monkeypatch)
+        _, _, report = self._solve(inst)
+        assert report.start_rounds == 3
+        p, shape, handed, copied, _, formed, _ = rounds[0]
+        assert not handed and p < inst.n
+        assert (shape, copied, formed) == ((p, p), p, [(p, None)])
+        self._each_round_forms_one_kernel(inst, rounds)
+
+    @pytest.mark.parametrize("seed", [1, 33])
+    def test_w_is_the_last_rounds_w_followed_by_the_violators(self, monkeypatch, seed):
+        # (40, 1000) at sigma 0.01: W grows over 5 and 7 rounds, past n at
+        # seed 33, where a check without violators reruns W.  Each round's W is the last round's in the same order,
+        # then the violators of its check, ascending
+        inst, _ = make_instance(GenSpec(n=40, p=1000, s=4, sigma_noise=0.01, seed=seed))
+        grown, starts, records = [], [], []
+        grow, original = adm_module._grow, adm_module._adm
+
+        def growing(columns, excess, tol, p):
+            violators = np.flatnonzero(excess > adm_module.VIOLATION_FRACTION * tol)
+            grown.append((columns.copy(), violators))
+            return grow(columns, excess, tol, p)
+
+        def noting(inst, config, design, beta, lam, gram_beta, gram_lam, report, *args):
+            starts.append(report.outer_iterations)
+            return original(inst, config, design, beta, lam, gram_beta, gram_lam, report, *args)
+
+        monkeypatch.setattr(adm_module, "_grow", growing)
+        monkeypatch.setattr(adm_module, "_adm", noting)
+        config = AdmConfig(mu=mu_rule("unit_columns", inst.p, inst.delta), tol=self.TOL)
+        _, _, report = solve(inst, config, callback=records.append)
+        assert report.status == "converged" and report.rounds == len(starts) >= 3
+        # every round iterates, so its first record carries its W
+        assert len(set(starts)) == len(starts) and starts[-1] < report.outer_iterations
+        rounds = [records[k].columns for k in starts]
+        assert len(grown) == len(rounds) - 1
+        for last, (columns, violators), now in zip(rounds, grown, rounds[1:]):
+            assert np.array_equal(columns, last)
+            assert np.array_equal(now, np.concatenate((last, violators)))
+            assert np.all(np.diff(violators) > 0) and not np.isin(violators, last).any()
+        assert any(not np.array_equal(np.sort(w), w) for w in rounds)
 
     def test_the_zero_start_on_all_of_x_is_certified(self, monkeypatch):
         # (48, 200), seed 2: from the paper's zero start the first check takes
@@ -1271,11 +1364,11 @@ class TestEarlyRounds:
             assert self.TOL <= next_level < level
 
     def test_a_rerun_keeps_the_last_rounds_block_and_operator(self, monkeypatch):
-        # (48, 200), seed 2: the rerun of the same W copies no column and grows
+        # (48, 200), seed 2: the rerun of the same W copies no column and forms
         # no G; it runs on the last round's block and operator
         inst, _ = make_instance(GenSpec(n=48, p=200, s=6, sigma_noise=0.05, seed=2))
         calls, rounds = [], []  # rounds: (instance, operator, calls before the round)
-        take, grow, original = DesignOperator.take, core_module.grown_kernel, adm_module._adm
+        take, kernel, original = DesignOperator.take, core_module._kernel, adm_module._adm
 
         def recording(inst, config, design, *args):
             rounds.append((inst, design, list(calls)))
@@ -1284,8 +1377,8 @@ class TestEarlyRounds:
 
         monkeypatch.setattr(DesignOperator, "take",
                             lambda *args: calls.append("take") or take(*args))
-        monkeypatch.setattr(core_module, "grown_kernel",
-                            lambda *args: calls.append("grow") or grow(*args))
+        monkeypatch.setattr(core_module, "_kernel",
+                            lambda *args: calls.append("kernel") or kernel(*args))
         monkeypatch.setattr(adm_module, "_adm", recording)
         _, _, report = self._solve(inst)
         assert report.status == "converged" and report.rounds == len(rounds)
@@ -1761,15 +1854,37 @@ class TestScreenedStart:
         ]
 
     def test_cases_without_a_refit_keep_the_round_zero_bytes(self):
-        # the solve from the round-0 start passed as beta0 forms G beta0 with
-        # one X v and one X^T w, as the start before the refinement did
+        # from a zero start the solve from the round-0 start passed as beta0
+        # makes the same products.  With k = p the start reads G beta0 off
+        # its X^T r and the given beta0 forms it as X^T (X beta0): the two
+        # differ by rounding, and the solves keep their counts
         for name, inst, expected in self._no_refit_cases():
             assert np.array_equal(screened_start(inst), expected), name
             beta, lam, report = self._solve(inst)
-            beta_given, lam_given, _ = self._solve(inst, beta0=expected)
+            beta_given, lam_given, given = self._solve(inst, beta0=expected)
             assert report.start_rounds == 0, name
-            assert beta.tobytes() == beta_given.tobytes(), name
-            assert lam.tobytes() == lam_given.tobytes(), name
+            if expected.any():
+                assert (report.outer_iterations, report.inner_iteration_total) == (
+                    given.outer_iterations, given.inner_iteration_total), name
+                for v, w in ((beta, beta_given), (lam, lam_given)):
+                    assert np.abs(v - w).max() <= 1e-12 * max(np.abs(w).max(), 1.0), name
+            else:
+                assert beta.tobytes() == beta_given.tobytes(), name
+                assert lam.tobytes() == lam_given.tobytes(), name
+
+    def test_all_columns_take_one_fit_and_read_g_beta0_off_its_x_t_r(self, products):
+        # n >= 9p, so k = p: the fit on all columns is the only support, its
+        # HTP step returns it, and the loop stops with one X b and one X^T r
+        rng = np.random.default_rng(94)
+        n, p = 9 * 12, 12
+        inst = _instance(rng, n=n, p=p)
+        X = np.asarray(inst.X)
+        products.watch(inst)
+        beta0, gram_beta0, refits = adm_module._screened_start(inst, DesignOperator(inst.X), 0.0)
+        assert refits == 0 and np.count_nonzero(beta0) == p
+        assert products.calls == {"matvec": 1, "rmatvec": 1}
+        expected = X.T @ (X @ beta0)
+        assert np.abs(gram_beta0 - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_the_start_does_not_depend_on_the_blas_thread_count(self):
         script = (

@@ -886,6 +886,41 @@ class TestScripts:
         assert printed[-1].startswith("count-predicted ratio tree1: unit_columns sigma=0.05 1.0000")
 
 
+    def test_ab_cost_model_gives_nonnegative_unit_costs(self, tmp_path):
+        # times that fall with the rounds while every other count rises: an
+        # unconstrained least-squares fit prices a round below zero, and the
+        # model's fit prices every count at zero or more
+        script = (
+            "import json\n"
+            "import numpy as np\n"
+            "import ab\n"
+            "rng = np.random.default_rng(5)\n"
+            "def solve(k):\n"
+            "    outer, rounds = 20 + 2 * k, 2 + k % 3\n"
+            "    return {'outer': outer, 'inner': 10 * outer, 'rounds': rounds,\n"
+            "            'start_rounds': k % 2, 'round_columns': [40] * rounds,\n"
+            "            'solve_s': 1e-2 + 1e-4 * outer - 2e-3 * rounds\n"
+            "                       + 1e-5 * rng.standard_normal()}\n"
+            "held_out = {f'{design} sigma={sigma}': {'runs': [\n"
+            "    {'solves': [solve(k), solve(k)]} for k in range(12)]}\n"
+            "    for design, sigma in ab.ROWS}\n"
+            "solves = [run['solves'][0] for row in held_out.values() for run in row['runs']]\n"
+            "free = np.linalg.lstsq(ab._priced(solves), [s['solve_s'] for s in solves],\n"
+            "                       rcond=None)[0]\n"
+            "print(json.dumps({'free': free.tolist(), 'model': ab.cost_model(held_out)}))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(self.SCRIPTS)}
+        run = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env,
+            cwd=tmp_path, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        out = json.loads(run.stdout.splitlines()[-1])
+        assert min(out["free"]) < 0
+        for tree in out["model"]["trees"]:
+            assert all(cost >= 0 for cost in tree["unit_costs"].values())
+            assert any(cost > 0 for cost in tree["unit_costs"].values())
+
     def test_ab_solves_each_tree_with_its_own_rules(self, tmp_path):
         # three loads of this checkout: the second's mu_rule is doubled and the
         # third's tol_rule is ten times larger, in its process only; each

@@ -19,7 +19,6 @@ from dantzig_adm.core import (
     Instance,
     apply_gram,
     box_clamp,
-    grown_kernel,
     soft_thresh,
 )
 from dantzig_adm.datagen import GenSpec, make_instance
@@ -380,104 +379,144 @@ class TestDesignOperator:
         assert np.array_equal(sub.xty, inst.xty[columns]) and sub.X is block
         assert products.x_products == 0
 
+    def test_take_copies_only_the_columns_after_the_kept_ones(self):
+        # the kept columns are left in the buffer; after a reallocation all
+        # columns are copied
+        rng = np.random.default_rng(10)
+        X = rng.standard_normal((9, 40))
+        design = DesignOperator(Instance(X=X, y=np.zeros(9), delta=1.0).X)
+        first = design.take(np.array([3, 1, 30]))
+        design._rows[:2] = np.nan  # rows a kept copy must not touch again
+        grown = design.take(np.array([3, 1, 30, 7, 2]), kept=3)
+        assert np.shares_memory(first, grown)
+        assert np.isnan(grown[:, :2]).all()
+        np.testing.assert_array_equal(grown[:, 2:], X[:, [30, 7, 2]])
+        wide = design.take(np.arange(20), kept=5)  # past the buffer: a new one, copied whole
+        assert not np.shares_memory(grown, wide)
+        np.testing.assert_array_equal(wide, X[:, :20])
+
     @staticmethod
     def _spy(monkeypatch):
-        """The calls of DesignOperator.take (its column count) and core.grown_kernel
-        (the BLAS thread count it ran on, or None when numpy bundles no OpenBLAS)."""
-        taken, grown = [], []
-        take, grow = DesignOperator.take, core_module.grown_kernel
+        """The calls of DesignOperator.take, as (columns, kept), and of
+        core._kernel, as (rows of G, rows of its known block or None, the
+        BLAS thread count it ran on or None when numpy bundles no OpenBLAS)."""
+        taken, formed = [], []
+        take, kernel = DesignOperator.take, core_module._kernel
 
-        def growing(*args):
-            grown.append(core_module.set_blas_threads(1))  # the count it ran on
-            return grow(*args)
+        def taking(self, columns, kept=0):
+            taken.append((columns.size, kept))
+            return take(self, columns, kept)
 
-        monkeypatch.setattr(DesignOperator, "take",
-                            lambda self, columns: taken.append(columns.size) or take(self, columns))
-        monkeypatch.setattr(core_module, "grown_kernel", growing)
-        return taken, grown
+        def forming(A, known=None):
+            threads = core_module.set_blas_threads(1)  # the count it ran on
+            formed.append((A.shape[0], None if known is None else known.shape[0], threads))
+            return kernel(A, known)
+
+        monkeypatch.setattr(DesignOperator, "take", taking)
+        monkeypatch.setattr(core_module, "_kernel", forming)
+        return taken, formed
+
+    @staticmethod
+    def _two_threads():
+        """The BLAS thread count to set for a call made on 2 threads, and what
+        the spy reads as the count of a call pinned to one."""
+        previous = core_module.set_blas_threads(2)
+        return previous, None if previous is None else 1
 
     def test_a_rerun_of_restricted_keeps_its_operator_and_copies_nothing(self, monkeypatch):
         rng = np.random.default_rng(11)
         X = rng.standard_normal((30, 80))
         design = DesignOperator(Instance(X=X, y=np.zeros(30), delta=1.0).X)
-        taken, grown = self._spy(monkeypatch)
+        taken, formed = self._spy(monkeypatch)
         columns = np.array([2, 9, 40, 77])
         sub = design.restricted(columns)
         np.testing.assert_array_equal(sub.X, X[:, columns])
-        assert sub.X.flags.f_contiguous and taken == [4]
-        sub.gram_matvec(np.ones(4))  # forms its G
+        assert sub.X.flags.f_contiguous and taken == [(4, 0)]
+        assert [shape[:2] for shape in formed] == [(4, None)]  # its G, formed afresh
         assert design.restricted(columns.copy()) is sub
-        assert taken == [4] and grown == []
+        assert taken == [(4, 0)] and len(formed) == 1
         # on all columns it is the operator itself, with no copy
-        assert design.restricted(np.arange(80)) is design and taken == [4]
+        assert design.restricted(np.arange(80)) is design and taken == [(4, 0)]
 
-    def test_restricted_grows_the_last_gram_matrix(self, monkeypatch):
+    def test_restricted_appends_to_the_last_block_and_gram_matrix(self, monkeypatch):
         rng = np.random.default_rng(12)
         X = rng.standard_normal((120, 400))
         design = DesignOperator(Instance(X=X, y=np.zeros(120), delta=1.0).X)
-        taken, grown = self._spy(monkeypatch)
-        previous = core_module.set_blas_threads(2)
+        taken, formed = self._spy(monkeypatch)
+        previous, pinned = self._two_threads()
         try:
-            old = np.sort(rng.choice(400, 40, replace=False))
-            design.restricted(old).gram_matvec(np.ones(40))  # forms its G
-            columns = np.union1d(old, rng.choice(400, 40, replace=False))
+            old = rng.choice(400, 40, replace=False)  # in no particular order
+            last = design.restricted(old)
+            new = np.setdiff1d(rng.choice(400, 40, replace=False), old)
+            columns = np.concatenate((old, new))
             sub = design.restricted(columns)
         finally:
             if previous is not None:
                 core_module.set_blas_threads(previous)
-        assert taken == [40, columns.size] and grown == [None if previous is None else 1]
+        # only the new columns are copied, after the old ones in the same buffer
+        assert taken == [(40, 0), (columns.size, 40)]
+        assert np.shares_memory(last.X, sub.X)
+        np.testing.assert_array_equal(sub.X, X[:, columns])
+        # the one routine grows the last G by the new columns, on one BLAS thread
+        assert formed == [(40, None, pinned), (columns.size, 40, pinned)]
         G = vars(sub)["kernel"]
         expected = core_module._kernel(np.ascontiguousarray(X[:, columns].T))
         assert np.abs(G - expected).max() <= 1e-12 * np.abs(expected).max()
         assert np.array_equal(G, G.T) and G.flags.c_contiguous
-        # an operator that formed no G hands none on: the next forms its own
-        fresh = DesignOperator(design.X)
-        fresh.restricted(old)
-        assert "kernel" not in vars(fresh.restricted(columns))
-        assert len(grown) == 1
+        assert np.array_equal(G[:40, :40], vars(last)["kernel"])
+        # columns that do not start with the last call's make a fresh copy and G
+        other = design.restricted(columns[1:])
+        assert taken[-1] == (columns.size - 1, 0) and formed[-1][:2] == (columns.size - 1, None)
+        np.testing.assert_array_equal(other.X, X[:, columns[1:]])
 
     def test_a_block_of_as_many_columns_as_rows_forms_no_gram_matrix(self, monkeypatch):
         rng = np.random.default_rng(13)
         X = rng.standard_normal((30, 100))
         design = DesignOperator(Instance(X=X, y=np.zeros(30), delta=1.0).X)
-        taken, grown = self._spy(monkeypatch)
-        design.restricted(np.arange(20)).gram_matvec(np.ones(20))  # forms its G
+        taken, formed = self._spy(monkeypatch)
+        design.restricted(np.arange(20))  # forms its G
         wide = design.restricted(np.arange(30))
         v = rng.standard_normal(30)
         np.testing.assert_allclose(wide.gram_matvec(v), X[:, :30].T @ (X[:, :30] @ v),
                                    rtol=1e-12, atol=1e-12)
         assert not wide.forms_gram and "kernel" not in vars(wide)
-        assert taken == [20, 30] and grown == []
+        assert taken == [(20, 0), (30, 20)] and [shape[:2] for shape in formed] == [(20, None)]
 
-    def test_the_first_restricted_takes_the_gram_matrix_of_the_last_fit(self, monkeypatch):
-        # least_squares keeps the columns and B^T B of its fit; the operator
-        # of the first restricted call on those columns takes that matrix as
-        # its G, and forms none
+    def test_the_first_restricted_on_the_columns_of_the_last_fit_is_its_operator(
+        self, monkeypatch
+    ):
+        # least_squares fits on the operator that restricted makes for its
+        # columns, with that operator's G; the next restricted call on those
+        # columns returns that operator, and copies and forms nothing
         rng = np.random.default_rng(14)
         X = rng.standard_normal((120, 400))
         y = rng.standard_normal(120)
         design = DesignOperator(Instance(X=X, y=y, delta=1.0).X)
         columns = np.sort(rng.choice(400, 40, replace=False))
-        previous = core_module.set_blas_threads(2)
+        taken, formed = self._spy(monkeypatch)
+        previous, pinned = self._two_threads()
         try:
             core_module.least_squares(design, y, columns)
         finally:
             if previous is not None:
                 core_module.set_blas_threads(previous)
-        fit = design._fit[1]
-        formed, kernel = [], core_module._kernel
-        monkeypatch.setattr(core_module, "_kernel", lambda A: formed.append(A.shape) or kernel(A))
+        assert taken == [(40, 0)] and formed == [(40, None, pinned)]
         sub = design.restricted(columns.copy())
+        assert taken == [(40, 0)] and len(formed) == 1
         G = vars(sub)["kernel"]
-        assert G is fit and formed == []
         assert np.array_equal(G, G.T) and G.flags.c_contiguous
-        expected = kernel(np.ascontiguousarray(X[:, columns].T))
-        assert np.abs(G - expected).max() <= 1e-15 * np.abs(expected).max()
-        # the fit serves the first call only: a later operator forms or grows its own
-        assert design._fit is None
+        expected = X[:, columns].T @ X[:, columns]
+        assert np.abs(G - expected).max() <= 1e-12 * np.abs(expected).max()
+        with core_module.one_blas_thread():
+            fresh = core_module._kernel(np.ascontiguousarray(X[:, columns].T))
+        assert np.abs(G - fresh).max() <= 1e-15 * np.abs(fresh).max()
 
-    @pytest.mark.parametrize("case", ["other columns", "a round came first", "wide"])
-    def test_a_fit_on_other_columns_hands_no_gram_matrix(self, case):
+    @pytest.mark.parametrize("case", ["other columns", "a round came first", "appended columns",
+                                      "square"])
+    def test_a_call_after_a_fit_follows_the_rule_of_the_last_call(self, monkeypatch, case):
+        # a fit is a call of restricted like any other: the next call reruns
+        # its operator on its columns, appends to it when it extends them,
+        # and copies and forms afresh otherwise
         rng = np.random.default_rng(15)
         X = rng.standard_normal((60, 300))
         y = rng.standard_normal(60)
@@ -485,15 +524,25 @@ class TestDesignOperator:
         columns = np.sort(rng.choice(300, 20, replace=False))
         if case == "a round came first":
             design.restricted(np.arange(10))
-        core_module.least_squares(design, y, columns)
-        if case == "wide":  # more columns than rows: the operator forms no G
+        if case == "square":  # as many columns as rows: the fit forms the G it needs itself
             columns = np.arange(60)
-            core_module.least_squares(design, y, columns)
-        asked = columns[1:] if case == "other columns" else columns
+        core_module.least_squares(design, y, columns)
+        fit = design._last[1]
+        taken, formed = self._spy(monkeypatch)
+        extra = np.setdiff1d(np.arange(300), columns)[-1:]
+        asked = {"other columns": columns[1:], "appended columns": np.concatenate((columns, extra))
+                 }.get(case, columns)
         sub = design.restricted(asked)
-        assert "kernel" not in vars(sub)
-        if sub.forms_gram:
+        np.testing.assert_array_equal(sub.X, X[:, asked])
+        if case == "other columns":
+            assert taken == [(19, 0)] and [shape[:2] for shape in formed] == [(19, None)]
             assert np.array_equal(sub.kernel, core_module._kernel(sub.X.T))
+        elif case == "appended columns":
+            assert taken == [(21, 20)] and [shape[:2] for shape in formed] == [(21, 20)]
+            assert np.array_equal(sub.kernel[:20, :20], fit.kernel)
+        else:
+            assert sub is fit and taken == formed == []
+            assert "kernel" in vars(sub) and sub.forms_gram == (case != "square")
 
 
 class TestFusedPass:
@@ -611,41 +660,47 @@ class TestSymmetricKernelProduct:
         assert run.stdout.split() == ["1", "False"]  # G was formed, without scipy.linalg
 
 
-class TestGrownKernel:
-    """A grown G_W against the G_W that core._kernel forms afresh."""
+class TestKernelFromAKnownBlock:
+    """_kernel(A, known): the G of rows appended to A, from the G of the first ones."""
 
     @staticmethod
-    def _check(X, old_columns, columns):
-        A = np.ascontiguousarray(X[:, columns].T)
-        kernel = core_module._kernel(np.ascontiguousarray(X[:, old_columns].T))
-        G = grown_kernel(A, kernel, np.searchsorted(columns, old_columns))
+    def _check(X, old, new):
+        """G of X[:, old + new] from a known G of X[:, old], against a fresh _kernel."""
+        A = np.ascontiguousarray(X[:, np.concatenate((old, new)).astype(np.intp)].T)
+        k = len(old)
+        known = None
+        if k:
+            # a copied block stays as given: one ulp of the largest entry is
+            # added on the diagonal, which a recomputed block would not hold
+            known = core_module._kernel(np.ascontiguousarray(A[:k]))
+            known[np.diag_indices(k)] += np.spacing(np.abs(known).max())
+        G = core_module._kernel(A, known)
         expected = core_module._kernel(A)
         assert np.abs(G - expected).max() <= 1e-12 * np.abs(expected).max()
         assert np.array_equal(G, G.T) and G.flags.c_contiguous
         # the products with the old columns are not made again
-        old = np.searchsorted(columns, old_columns)
-        assert np.array_equal(G[np.ix_(old, old)], kernel)
+        assert known is None or np.array_equal(G[:k, :k], known)
+        return G, expected
 
     @pytest.mark.parametrize("added", [1, 20, 64, 65, 150])
-    def test_new_columns_between_old_ones(self, added):
-        # W is sorted, so the new columns fall between the old ones; more
-        # than 64 of them take several blocks
+    def test_new_columns_after_the_old_ones(self, added):
+        # W keeps the order its columns joined, so the new columns come last;
+        # more than 64 of them take several blocks
         rng = np.random.default_rng(added)
         X = rng.standard_normal((90, 400))
-        columns = np.sort(rng.choice(400, 60 + added, replace=False))
-        old_columns = np.sort(rng.choice(columns, 60, replace=False))
-        self._check(X, old_columns, columns)
+        columns = rng.choice(400, 60 + added, replace=False)
+        self._check(X, columns[:60], columns[60:])
 
     def test_no_new_column_copies_the_kernel(self):
         rng = np.random.default_rng(3)
         X = rng.standard_normal((50, 80))
-        columns = np.sort(rng.choice(80, 30, replace=False))
-        self._check(X, columns, columns)
+        self._check(X, rng.choice(80, 30, replace=False), [])
 
     def test_from_no_old_column_forms_it_all(self):
         rng = np.random.default_rng(4)
         X = rng.standard_normal((50, 200))
-        self._check(X, np.array([], dtype=np.intp), np.arange(0, 200, 2))
+        G, expected = self._check(X, [], np.arange(0, 200, 2))
+        assert np.array_equal(G, expected)
 
 
 class TestStorageOrder:
