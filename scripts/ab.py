@@ -10,11 +10,13 @@ included, is imported by path under a package name of its own, so all trees
 solve in this process and each tree's modules come from its own files.  The
 instances, the certificate (``feasibility_report``) and ``evaluate_solution``
 come from this checkout.  Each solve gets a fresh ``Instance`` of its own
-tree, built from the instance's arrays outside the timed region, so that no
-tree runs another's methods.  A tree whose ``Instance`` forms X^T y in its
-construction, as perfbench's instances do, makes no X^T y product inside
-the timed solve, where an older tree makes one; its paired ratio credits
-that saved pass over X.
+tree, built from the instance's arrays (column-major, as ``make_instance``
+gives them) and timed apart from the solve, so that no tree runs another's
+methods and a change to the build shows in its own time.  A tree whose
+``Instance`` forms X^T y in its construction, as perfbench's instances do,
+makes no X^T y product inside the timed solve, where an older tree makes
+one; its paired solve ratio credits that saved pass over X, and its build
+ratio charges it.
 
 The rows are unit columns at sigma 0.05 and 0.01 and orthogonal rows at
 sigma 0.05, at (720, 2560, 80).  Each tree solves with its own
@@ -23,21 +25,22 @@ a rule shows as a change of counts, and each answer is certified at its
 tree's tol:
 
 - ``acceptance``: seeds 0-9, one solve per tree;
-- ``held_out``: the seeds of ``--seeds``, each instance solved ``--reps``
-  times by each tree, the trees interleaved and in reverse order on odd
-  seeds; a tree's time is its fastest.
+- ``held_out``: the seeds of ``--seeds``, each instance built and solved
+  ``--reps`` times by each tree, the trees interleaved and in reverse order
+  on odd seeds; a tree's solve and build times are its fastest.
 
-Each solve records its time and status; its outer, inner and ``rounds``
-counts, the first inner solve's iterations, ``start_rounds`` and
-``subsolver_failures`` (the last four 0 for a tree whose ``RunReport``
-lacks them); each round's |W| (``round_columns``, empty for such a tree);
+Each solve records its time, its tree's build time (``build_s``) and its
+status; its outer, inner and ``rounds`` counts, the first inner solve's
+iterations, ``start_rounds`` and ``subsolver_failures`` (the last four 0
+for a tree whose ``RunReport`` lacks them); each round's |W| (``round_columns``, empty for such a tree);
 the ``rho2`` and false positives of the two-stage refit; the certificate's
 largest ratio over tol; the sha256 of beta and lambda; and the largest
 change of beta and lambda relative to the first tree's largest entry.
 Each row's summary holds, per tree and against the first tree, the median
-paired time ratio and the seeds solved faster,
-the seeds with equal (outer, inner, rounds) and with equal bytes, and the
-largest relative changes; and the tree's median time, its means, the solves
+paired time ratio and the seeds solved faster, the median paired build
+ratio (printed beside the time ratio once the row is done), the seeds with
+equal (outer, inner, rounds) and with equal bytes, and the largest
+relative changes; and the tree's median time, its means, the solves
 with a subsolver failure (an inner solve that missed its tolerance; a claim
 of equal bytes names the rows that took that path), and whether every
 answer was certified (converged, with every ratio at most tol).
@@ -198,7 +201,8 @@ def paired_row(checkout, trees: list, design: str, sigma: float, seed: int,
                reps: int) -> dict:
     """Every tree on one instance, interleaved, each timed by its fastest of ``reps``.
 
-    Each tree takes mu and tol from its own rules, and its answer is
+    Each tree builds its own Instance on every rep, timed apart from its
+    solve.  Each tree takes mu and tol from its own rules, and its answer is
     certified at its own tol.
     """
     n, p, s = SIZE
@@ -207,16 +211,20 @@ def paired_row(checkout, trees: list, design: str, sigma: float, seed: int,
     inst, truth = checkout.datagen.make_instance(spec)
     tols = [tree.datagen.tol_rule(design) for tree in trees]
     mus = [tree.datagen.mu_rule(design, p, inst.delta) for tree in trees]
-    seconds, answers = [math.inf] * len(trees), [None] * len(trees)
+    seconds, builds = [math.inf] * len(trees), [math.inf] * len(trees)
+    answers = [None] * len(trees)
     for _ in range(reps):
         for i in _order(len(trees), seed):
-            own = trees[i].core.Instance(inst.X, inst.y, inst.delta)
             t0 = time.perf_counter()
+            own = trees[i].core.Instance(inst.X, inst.y, inst.delta)
+            t1 = time.perf_counter()
             answers[i] = trees[i].adm.solve(own, trees[i].adm.AdmConfig(mu=mus[i], tol=tols[i]))
-            seconds[i] = min(seconds[i], time.perf_counter() - t0)
+            seconds[i] = min(seconds[i], time.perf_counter() - t1)
+            builds[i] = min(builds[i], t1 - t0)
     solves = []
-    for tol, elapsed, (beta, lam, report) in zip(tols, seconds, answers):
+    for tol, elapsed, build, (beta, lam, report) in zip(tols, seconds, builds, answers):
         solves.append({**_record(checkout, inst, truth, sigma, tol, elapsed, beta, lam, report),
+                       "build_s": round(build, 6),
                        "beta_change": _change(beta, answers[0][0]),
                        "lambda_change": _change(lam, answers[0][1])})
     return {"seed": seed, "solves": solves}
@@ -240,6 +248,8 @@ def summary(runs: list[dict]) -> list[dict]:
         out.append({
             "median_paired_ratio": statistics.median(ratios),
             "faster": sum(ratio < 1 for ratio in ratios),
+            "median_paired_build_ratio": statistics.median(
+                mine["build_s"] / base["build_s"] for mine, base in zip(tree, first)),
             "same_counts": sum(_counts(a) == _counts(b) for a, b in zip(tree, first)),
             "same_bytes": sum(_bytes(a) == _bytes(b) for a, b in zip(tree, first)),
             "max_beta_change": max(solve["beta_change"] for solve in tree),
@@ -262,7 +272,11 @@ def compare(checkout, trees: list, seeds: list[int], reps: int, label: str) -> d
             print(f"{label} {design} sigma={sigma} seed={seed}: " + " ".join(
                 f"{solve['solve_s']:.3f}/{solve['outer']}/{solve['inner']}"
                 for solve in runs[-1]["solves"]), flush=True)
-        result[f"{design} sigma={sigma}"] = {"summary": summary(runs), "runs": runs}
+        row = result[f"{design} sigma={sigma}"] = {"summary": summary(runs), "runs": runs}
+        print(f"{label} {design} sigma={sigma}: " + ", ".join(
+            f"tree{i} solve ratio {tree['median_paired_ratio']:.4f}"
+            f" build ratio {tree['median_paired_build_ratio']:.4f}"
+            for i, tree in enumerate(row["summary"][1:], 1)), flush=True)
     return result
 
 

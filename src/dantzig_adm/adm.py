@@ -66,15 +66,16 @@ n x |W| block; and one fused pass over all of X checks the constraints
 off W and gives X^T X_W b_W and X^T X_W l_W for the next round's warm
 start.  The start's least-squares fits copy into the same buffer.  At
 (720, 2560, 80) the 30 acceptance rows (unit columns at sigma 0.05 and
-0.01, orthogonal rows at sigma 0.05, seeds 0-9) took 2-5 rounds and ended
-with 92-274 columns in W.  While |W| < n a round's inner solves make their
-products with the |W| x |W| Gram matrix X_W^T X_W of its block, as every
-one of their 122 rounds did, and every one of 26 at (1440, 5120, 160),
-seeds 0-2.  The first such round runs on the operator of the start's last
-fit, block and G_W, or forms one when W holds other columns (see the last
-paragraph); each later one appends to the last round's G_W the products
-with its new columns alone (:func:`~dantzig_adm.core._kernel`, the one
-routine that forms a G), and a rerun of the same W keeps the last round's
+0.01, orthogonal rows at sigma 0.05, seeds 0-9) took 2-6 rounds and ended
+with 92-211 columns in W (BENCH_build.json).  While |W| < n a round's
+inner solves make their products with the |W| x |W| Gram matrix
+X_W^T X_W of its block, as every one of their 118 rounds did, and every
+one of 39 at (1440, 5120, 160), seeds 0-2 of the same three rows.  The
+first such round runs on the operator of the start's last fit, block and
+G_W, or forms one when W holds other columns (see the last paragraph);
+each later one appends to the last round's G_W the products with its new
+columns alone (:func:`~dantzig_adm.core._kernel`, the one routine that
+forms a G), and a rerun of the same W keeps the last round's
 block and G_W.  A round whose operator forms its G, and that G, run on
 one BLAS thread (:func:`~dantzig_adm.core.one_blas_thread`): a product
 with a formed G sums in another order on two threads than on one, and the
@@ -94,12 +95,16 @@ whole: stopping one early buys one more round, a pass over X and a
 restart, and pays only in a round's slow linear tail.  Each check adds
 every violator to W, and a check that finds none reruns the same W at
 the level of its new m, below the last round's.  A solve is still
-converged only when the full problem's metric is at most tol.  Over
-held-out seeds 100-129 the outer iterations per solve, summed over rounds,
-went 91.6 -> 54.2 on unit rows at sigma 0.05 (acceptance rows: 98.5 ->
-56.3, where the loop on all of X makes 47.8) and 362.8 -> 205.4 on
-orthogonal rows, where 50% and 78% of the rounds stopped at their level;
-at sigma 0.01 no round made the floor, and they went 16.9 -> 16.5.  Each outer iteration costs products with about a
+converged only when the full problem's metric is at most tol.  Under the
+penalty rule of its time, a quarter of today's ``mu_rule``, the level took
+the outer iterations per solve, summed over rounds, over held-out seeds
+100-129 from 91.6 to 54.2 on unit rows at sigma 0.05 (acceptance rows:
+98.5 -> 56.3, where the loop on all of X made 47.8) and from 362.8 to
+205.4 on orthogonal rows, where 50% and 78% of the rounds stopped at
+their level; at sigma 0.01 no round made the floor, and they went 16.9 ->
+16.5.  At today's rule those rows take 30.5, 14.1 (unit columns at sigma
+0.05 and 0.01) and 77.9 (orthogonal rows) outer iterations per solve
+(BENCH_build.json).  Each outer iteration costs products with about a
 twentieth of X.  A round also ends when the cap is reached, or when the
 metric has not halved for STALL_ITERATIONS outer iterations: at a tol near
 rounding the metric on W can hover above its level while columns off W
@@ -134,11 +139,12 @@ The paper's zero start is ``beta0=np.zeros(p)``; it costs no product,
 since X^T X 0 = 0.  A given nonzero beta0 costs one X beta0 and one X^T.
 At (720, 2560, 80) the zero start's first check takes W past p // 2, so
 its one round runs on all of X with each product with G as X^T (X v): over
-seeds 100-102 of the three rows such a solve took 0.3-1.1 s (one BLAS
-thread), where the default start's took 22-34 ms in the median.
+seeds 100-102 of the three rows such a solve took 0.49-1.90 s in two runs
+(one BLAS thread; the host's speed moved between them), where the default
+start's took 11-52 ms in the median of 5 (BENCH_build.json).
 
-A solve makes no X^T y product: the instance forms X^T y with d in its one
-pass over X (:class:`~dantzig_adm.core.Instance`).  So the default start
+A solve makes no X^T y product: the instance forms X^T y when it is
+built (:class:`~dantzig_adm.core.Instance`).  So the default start
 reads all of X once per fit it keeps, for its X^T r (3.0-3.1 times at
 (720, 2560, 80)), each check of a round on W reads it once in its fused
 pass, and no other product reads all of X.  From a kept last fit and

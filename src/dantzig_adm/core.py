@@ -12,8 +12,9 @@ least-squares fits of :func:`least_squares`, and makes the operator of the
 few columns on which a solve runs each round
 (:meth:`DesignOperator.restricted`), whose block and Gram matrix append
 the new columns to the last round's.  :func:`_kernel` forms every Gram
-matrix.  :func:`row_tiles` reads a column-major X in row-major tiles,
-from which an Instance sums ``d`` and a generated instance forms ``y``.
+matrix.  An Instance takes ``d`` and X^T y from its column-major X
+(:func:`_column_norms`), and :func:`row_tiles` reads some columns of such
+an X in row-major tiles, from which a generated instance forms ``y``.
 """
 
 from __future__ import annotations
@@ -43,15 +44,12 @@ FUSED_ROWS = 128
 # file pattern in <site-packages>/<package>.libs.
 NUMPY_OPENBLAS = ("numpy", "libscipy_openblas64_*.so")
 # Rows of X per tile of row_tiles and per draw of datagen.gen_design: 16
-# rows of 2560 entries take 0.31 MiB.  The build of an instance holds X and
-# two such tiles, and it sets the peak resident size of a run of solves (see
-# README "Memory"); 64-row tiles held 2.6 MB there and took the same time.
+# rows of 2560 entries take 0.31 MiB.  The build of a generated instance
+# holds X and at most two such tiles at once (then Instance's 0.35 MiB
+# scratch of _column_norms), and it sets the peak resident size of a run of
+# solves (see README "Memory"); 64-row tiles held 2.6 MB there and took the
+# same time.
 ROW_TILE = 16
-# Columns per copy into a tile of row_tiles.  A row of a column-major X
-# spans all of X, so a whole-row copy reads each entry from another page:
-# at 720 x 2560 (2-core Xeon, numpy 2.4) copying all tiles took 12 ms, and
-# 3.6 ms in pieces of 256 columns.
-TILE_COLUMNS = 256
 # The largest bound ||L||_F ||L^-1||_F on cond(X[:, columns]) at which
 # least_squares solves the normal equations by the Cholesky factor L of the
 # block's Gram matrix (see _normal_equations).  The start's Gaussian blocks
@@ -59,37 +57,32 @@ TILE_COLUMNS = 256
 NORMAL_EQUATIONS_MAX_CONDITION = 1e4
 
 
-def row_tiles(X: np.ndarray, columns: np.ndarray | None = None):
+def row_tiles(X: np.ndarray, columns: np.ndarray):
     """Yield (start, tile): rows start, start + 1, ... of X as a C-contiguous array.
 
-    Tiles hold ROW_TILE rows (the last may hold fewer).  Each is copied into
-    one scratch of ROW_TILE rows that the next tile overwrites, so a tile is
-    valid until the next one; a scratch allocated per tile would be mapped
-    and faulted in again each time (glibc maps blocks past its mmap
-    threshold).  With ``columns``, only those columns are copied and the
-    others of each tile are zero.
+    Tiles hold ROW_TILE rows (the last may hold fewer), of which only
+    ``columns`` are copied; the others of each tile are zero.  Each is
+    copied into one scratch of ROW_TILE rows that the next tile overwrites,
+    so a tile is valid until the next one; a scratch allocated per tile
+    would be mapped and faulted in again each time (glibc maps blocks past
+    its mmap threshold).
 
-    A product or a sum over a tile takes the path it takes on a row-major X:
+    A product over a tile takes the path it takes on a row-major X:
     ``tile @ v`` gives the entries of ``np.ascontiguousarray(X) @ v`` bit for
-    bit.  That holds also when only the columns where v is nonzero were
-    copied: in a dot product a zero term changes no nonzero partial sum, and
-    BLAS adds the result to a zeroed output, so a zero comes out as +0
-    either way.
+    bit when ``columns`` holds every column where v is nonzero: in a dot
+    product a zero term changes no nonzero partial sum, and BLAS adds the
+    result to a zeroed output, so a zero comes out as +0 either way.
     """
     n, p = X.shape
     scratch = np.zeros((min(ROW_TILE, n), p))
     for start in range(0, n, ROW_TILE):
-        tile, rows = scratch[: min(ROW_TILE, n - start)], X[start : start + ROW_TILE]
-        if columns is None:
-            for col in range(0, p, TILE_COLUMNS):
-                tile[:, col : col + TILE_COLUMNS] = rows[:, col : col + TILE_COLUMNS]
-        else:
-            tile[:, columns] = rows[:, columns]
+        tile = scratch[: min(ROW_TILE, n - start)]
+        tile[:, columns] = X[start : start + ROW_TILE, columns]
         yield start, tile
 
 
 def column_sums_of_squares(tiles, p: int) -> np.ndarray:
-    """sum_i X_ij^2 for each column j, from the row tiles of X in order.
+    """sum_i X_ij^2 for each column j, from row-major tiles of X's rows in order.
 
     Each tile is squared below a row that holds the running sum, and that
     stack is summed down its columns by np.add.reduce, which on a row-major
@@ -109,6 +102,26 @@ def column_sums_of_squares(tiles, p: int) -> np.ndarray:
     return total
 
 
+def _column_norms(X: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(X, axis=0)`` of a column-major X bit for bit, without its temporary X * X.
+
+    The squares of 64 columns at a time are written into one column-major
+    scratch, allocated once, and each column of it is summed by
+    np.add.reduce as numpy's norm sums the columns of its full-size square:
+    along the contiguous axis, pairwise.  At 720 x 2560 (OpenBLAS 0.3.31,
+    one thread) the scratch takes 0.35 MiB; one allocated per block would be
+    mapped and faulted in afresh each time (glibc maps blocks past its mmap
+    threshold).
+    """
+    n, p = X.shape
+    scratch, norms = np.empty((min(64, p), n)).T, np.empty(p)
+    for start in range(0, p, 64):
+        block = X[:, start : start + 64]
+        squares = np.multiply(block, block, out=scratch[:, : block.shape[1]])
+        np.add.reduce(squares, axis=0, out=norms[start : start + 64])
+    return np.sqrt(norms, out=norms)
+
+
 def _as_vector(v, length: int | None, name: str) -> np.ndarray:
     arr = np.asarray(v, dtype=np.float64)
     if arr.ndim != 1:
@@ -125,12 +138,13 @@ class Instance:
     D is the diagonal matrix of column norms of X; only its diagonal ``d`` is
     stored.  ``X`` is held in column-major (Fortran) order, so each column is
     contiguous and ``X.T`` is a C-contiguous p x n array.  A column-major
-    input is kept as given, not copied; any other is converted once, and no
-    second copy is kept.  ``d``, the finiteness check and ``xty`` = X^T y
-    come from one pass over row tiles of the input (see :func:`row_tiles`),
-    which needs no copy of X either: ``d`` and ``xty`` are summed in
-    row-major order whatever the layout, so they do not depend on it.  A
-    solve reads ``xty`` and makes no X^T y product of its own.
+    input is kept as given, not copied; any other is converted first, once,
+    and no second copy is kept.  ``d`` and ``xty`` = X^T y are taken from
+    the column-major X, so they do not depend on the input's layout: ``d``
+    from its columns' sums of squares (:func:`_column_norms`, the bytes of
+    ``np.linalg.norm(X, axis=0)``, which also serve the finiteness check),
+    and ``xty`` as one matrix-vector product ``X.T @ y``.  A solve reads
+    ``xty`` and makes no X^T y product of its own.
 
     The p x p Gram matrix X^T X of a wide X is never formed (at n=7200,
     p=25600 it would need about 5 GB).  A solve makes its products through a
@@ -157,35 +171,25 @@ class Instance:
         X = np.asarray(self.X, dtype=np.float64)
         if X.ndim != 2 or not X.size:
             raise ValueError(f"X must be a nonempty 2-d matrix, got shape {X.shape}")
+        X = np.asfortranarray(X)
         y = _as_vector(self.y, X.shape[0], "y")
         delta = float(self.delta)
-        xty = np.zeros(X.shape[1])
-
-        def tiles():
-            for start, tile in row_tiles(X):
-                np.add(xty, tile.T @ y[start : start + tile.shape[0]], out=xty)
-                yield tile
-
-        # one pass over row tiles; a square is finite unless X_ij is not or
-        # overflows, and only then is X itself checked.  An infinite X_ij
-        # times a zero y_i makes a NaN in xty, which must not warn before
-        # the check raises.
-        with np.errstate(invalid="ignore"):
-            squares = column_sums_of_squares(tiles(), X.shape[1])
-        if not np.isfinite(squares).all() and not np.isfinite(X).all():
+        # a norm is finite unless some X_ij is not or the squares overflow,
+        # and only then is X itself checked
+        d = _column_norms(X)
+        if not np.isfinite(d).all() and not np.isfinite(X).all():
             raise ValueError("X contains non-finite entries")
         if not np.isfinite(y).all():
             raise ValueError("y contains non-finite entries")
         if not np.isfinite(delta) or delta <= 0:
             raise ValueError(f"delta must be a positive finite scalar, got {delta}")
-        d = np.sqrt(squares)
         if np.any(d <= 0):
             raise ValueError("X has a zero column; every column norm must be positive")
-        object.__setattr__(self, "X", np.asfortranarray(X))
+        object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "xty", xty)
+        object.__setattr__(self, "xty", X.T @ y)
 
     @property
     def n(self) -> int:
@@ -232,7 +236,7 @@ class DesignOperator:
     def __init__(self, X: np.ndarray):
         self.X = X
         self._scratch: np.ndarray | None = None  # RESTRICTED_ROWS rows of X^T
-        self._rows: np.ndarray | None = None  # the column buffer of take
+        self._rows = np.empty((0, X.shape[0]))  # the column buffer of take
         self._last: tuple[np.ndarray, DesignOperator] | None = None  # of restricted
 
     def take(self, columns: np.ndarray, kept: int = 0) -> np.ndarray:
@@ -244,8 +248,9 @@ class DesignOperator:
         are copied, into the rows after them, so a block that grows by
         appended columns copies the new ones alone.  The buffer is allocated
         for twice the columns first asked for, and again for twice as many
-        (then copying all of them) when a copy needs more, but for no more
-        than max(p // 2, columns) columns; so a solve whose column set grows
+        when a copy needs more (the kept columns then copied from the old
+        buffer, and only the others from X), but for no more than
+        max(p // 2, columns) columns; so a solve whose column set grows
         by a quarter per round copies into the same pages for a few rounds,
         and a block of at most p // 2 columns never allocates X's size.  A
         buffer allocated per copy is mapped and faulted in afresh each time:
@@ -254,9 +259,10 @@ class DesignOperator:
         resident.
         """
         n, p = self.X.shape
-        if self._rows is None or self._rows.shape[0] < columns.size:
+        old = self._rows
+        if old.shape[0] < columns.size:
             self._rows = np.empty((min(2 * columns.size, max(p // 2, columns.size)), n))
-            kept = 0
+            self._rows[:kept] = old[:kept]
         rows = self._rows[: columns.size]
         # mode="clip" skips the bounds pass that makes "raise" copy via a temporary
         np.take(self.X.T, columns[kept:], axis=0, out=rows[kept:], mode="clip")

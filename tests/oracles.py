@@ -357,8 +357,9 @@ def instance_one_draw(spec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     The design is one ``standard_normal((n, p))`` draw of the design stream,
     divided by ``norm(axis=0)`` (unit columns) or replaced by the orthonormal
     basis of its row space; y is the row-major product ``X @ beta + noise``
-    and d is ``norm(ascontiguousarray(X), axis=0)``.  Every full-size step
-    makes a full-size array.
+    and d is ``norm(asfortranarray(X), axis=0)``, the norm of X in the
+    column-major order an Instance holds it in.  Every full-size step makes
+    a full-size array.
     """
     from dantzig_adm.core import one_blas_thread
     from dantzig_adm.datagen import _stream, gen_signal
@@ -372,7 +373,7 @@ def instance_one_draw(spec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         X = np.ascontiguousarray(q.T[: spec.n])
     truth = gen_signal(spec)
     y = X @ truth.beta_true + truth.noise
-    return X, y, np.linalg.norm(np.ascontiguousarray(X), axis=0)
+    return X, y, np.linalg.norm(np.asfortranarray(X), axis=0)
 
 
 def inner_problem(inst, z, lam, mu, u0, design=None):

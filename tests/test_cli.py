@@ -921,6 +921,46 @@ class TestScripts:
             assert all(cost >= 0 for cost in tree["unit_costs"].values())
             assert any(cost > 0 for cost in tree["unit_costs"].values())
 
+    def test_ab_times_each_trees_build_apart_from_its_solve(self, tmp_path):
+        # two loads of this checkout, the second's Instance made 20 ms slower
+        # to build in its process only: its build ratio shows it, and its
+        # solves, which run on the same data, are timed without it
+        root = self.SCRIPTS.parent.resolve()
+        script = (
+            "import json, time\n"
+            "import ab\n"
+            "ab.SIZE = (48, 200, 5)\n"
+            "checkout = ab.load(ab.ROOT, 'ab_checkout')\n"
+            "trees = [ab.load(ab.ROOT, f'ab_tree{i}') for i in range(2)]\n"
+            "class Slow(trees[1].core.Instance):\n"
+            "    def __post_init__(self):\n"
+            "        super().__post_init__()\n"
+            "        time.sleep(0.02)\n"
+            "trees[1].core.Instance = Slow\n"
+            "result = ab.compare(checkout, trees, [100, 101], 2, 'held_out')\n"
+            "print(json.dumps(result))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(self.SCRIPTS), str(root / "src")])}
+        run = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env,
+            cwd=tmp_path, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        *printed, last = run.stdout.splitlines()
+        result = json.loads(last)
+        for design in self.ROWS:
+            row = result[design]
+            assert all(0 < solve["build_s"] for run in row["runs"] for solve in run["solves"])
+            assert all(solve["build_s"] >= 0.02 for run in row["runs"] for solve in run["solves"][1:])
+            first, second = row["summary"]
+            assert first["median_paired_build_ratio"] == 1
+            assert second["median_paired_build_ratio"] > 10
+            assert second["same_counts"] == second["same_bytes"] == 2
+            ratio = f"{second['median_paired_build_ratio']:.4f}"
+            line = f"held_out {design}: tree1 solve ratio "
+            assert sum(text.startswith(line) and text.endswith(f" build ratio {ratio}")
+                       for text in printed) == 1
+
     def test_ab_solves_each_tree_with_its_own_rules(self, tmp_path):
         # three loads of this checkout: the second's mu_rule is doubled and the
         # third's tol_rule is ten times larger, in its process only; each

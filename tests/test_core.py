@@ -380,8 +380,8 @@ class TestDesignOperator:
         assert products.x_products == 0
 
     def test_take_copies_only_the_columns_after_the_kept_ones(self):
-        # the kept columns are left in the buffer; after a reallocation all
-        # columns are copied
+        # the kept columns are left in the buffer, and carried over to a
+        # larger one
         rng = np.random.default_rng(10)
         X = rng.standard_normal((9, 40))
         design = DesignOperator(Instance(X=X, y=np.zeros(9), delta=1.0).X)
@@ -391,9 +391,13 @@ class TestDesignOperator:
         assert np.shares_memory(first, grown)
         assert np.isnan(grown[:, :2]).all()
         np.testing.assert_array_equal(grown[:, 2:], X[:, [30, 7, 2]])
-        wide = design.take(np.arange(20), kept=5)  # past the buffer: a new one, copied whole
+        # past the buffer: a new one, into which the kept columns are copied
+        # from the old buffer (its NaNs show it) and only the others from X
+        columns = np.r_[[3, 1, 30, 7, 2], np.arange(8, 23)]
+        wide = design.take(columns, kept=5)
         assert not np.shares_memory(grown, wide)
-        np.testing.assert_array_equal(wide, X[:, :20])
+        assert np.isnan(wide[:, :2]).all()
+        np.testing.assert_array_equal(wide[:, 2:], X[:, columns[2:]])
 
     @staticmethod
     def _spy(monkeypatch):
@@ -716,7 +720,7 @@ class TestStorageOrder:
         assert np.array_equal(from_c.X, from_f.X)
         assert np.array_equal(from_c.X, X)
         assert np.array_equal(from_c.d, from_f.d)
-        assert np.array_equal(from_c.d, np.linalg.norm(X, axis=0))
+        assert np.array_equal(from_c.d, np.linalg.norm(np.asfortranarray(X), axis=0))
 
     def test_strided_input(self):
         rng = np.random.default_rng(46)
@@ -725,7 +729,7 @@ class TestStorageOrder:
         inst = Instance(X=view, y=np.zeros(75), delta=1.0)
         assert inst.X.flags.f_contiguous
         assert np.array_equal(inst.X, view)
-        assert np.array_equal(inst.d, np.linalg.norm(np.ascontiguousarray(view), axis=0))
+        assert np.array_equal(inst.d, np.linalg.norm(np.asfortranarray(view), axis=0))
 
     def test_fortran_input_is_not_copied(self):
         rng = np.random.default_rng(43)
@@ -734,8 +738,8 @@ class TestStorageOrder:
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("design", ["unit_columns", "orthogonal_rows"])
-    def test_xty_from_the_pass_that_gives_d(self, order, design):
-        # X^T y is summed tile by tile in row-major order: X.T @ y up to
+    def test_xty_is_that_of_the_generated_instance_from_either_layout(self, order, design):
+        # X^T y is taken from the column-major X: X.T @ y of the input up to
         # rounding, and the same bytes from either layout
         spec = GenSpec(n=203, p=900, s=12, sigma_noise=0.05, design_kind=design, seed=6)
         made, _ = make_instance(spec)
@@ -745,11 +749,50 @@ class TestStorageOrder:
         assert np.abs(inst.xty - expected).max() <= 1e-14 * np.abs(expected).max()
         assert inst.xty.tobytes() == made.xty.tobytes()
 
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_d_and_xty_are_those_of_the_column_major_copy(self, layout):
+        # long columns: the order of a sum shows in the last bits, and the
+        # row-major sums differ from these
+        rng = np.random.default_rng(49)
+        X = rng.standard_normal((600, 180))
+        X = {"C": X, "F": np.asfortranarray(X), "strided": X[::2, ::2]}[layout]
+        y = rng.standard_normal(X.shape[0])
+        inst = Instance(X=X, y=y, delta=1.0)
+        F = np.asfortranarray(X)
+        assert inst.d.tobytes() == np.linalg.norm(F, axis=0).tobytes()
+        assert inst.xty.tobytes() == (F.T @ y).tobytes()
+        assert inst.d.tobytes() != np.linalg.norm(np.ascontiguousarray(X), axis=0).tobytes()
+
+    def test_d_and_xty_bytes_at_one_and_two_blas_threads(self):
+        # X^T y is one matrix-vector product, which OpenBLAS splits by its
+        # outputs: each entry is one dot product whatever the thread count
+        script = (
+            "import hashlib\n"
+            "import numpy as np\n"
+            "from dantzig_adm.datagen import GenSpec, make_instance\n"
+            "inst, _ = make_instance(GenSpec(n=720, p=2560, s=80, sigma_noise=0.05, seed=7))\n"
+            "print(inst.d.tobytes() == np.linalg.norm(inst.X, axis=0).tobytes())\n"
+            "for a in (inst.d, inst.xty):\n"
+            "    print(hashlib.sha256(a.tobytes()).hexdigest())\n"
+        )
+        src = Path(core_module.__file__).resolve().parent.parent
+        path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+        printed = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+            run = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+            )
+            assert run.returncode == 0, run.stderr
+            printed.append(run.stdout.split())
+        assert len(printed[0]) == 3 and printed[0][0] == "True"
+        assert printed[0] == printed[1]
+
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_entries_rejected_in_either_layout(self, order, bad):
         X = np.array(np.random.default_rng(47).standard_normal((70, 5)), order=order)
-        X[66, 3] = bad  # in the second tile
+        X[66, 3] = bad
         with pytest.raises(ValueError, match="non-finite"):
             Instance(X=X, y=np.zeros(70), delta=1.0)
 
@@ -762,7 +805,9 @@ class TestStorageOrder:
 
 
 class TestRowTiles:
-    """row_tiles and column_sums_of_squares read a column-major X as a row-major one."""
+    """row_tiles and column_sums_of_squares read a column-major X as a row-major one.
+
+    A test that reads whole rows passes all columns to row_tiles."""
 
     @staticmethod
     def _layouts(X):
@@ -771,10 +816,12 @@ class TestRowTiles:
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
     def test_tiles_are_the_rows(self, n):
         X = np.random.default_rng(n).standard_normal((n, 300))
+        every = np.arange(300)
         for layout in self._layouts(X):
-            tiles = [(start, tile.copy()) for start, tile in core_module.row_tiles(layout)]
+            tiles = [(start, tile.copy()) for start, tile in core_module.row_tiles(layout, every)]
             assert [start for start, _ in tiles] == list(range(0, n, core_module.ROW_TILE))
-            assert all(tile.flags.c_contiguous for _, tile in core_module.row_tiles(layout))
+            assert all(tile.flags.c_contiguous
+                       for _, tile in core_module.row_tiles(layout, every))
             assert np.array_equal(np.vstack([tile for _, tile in tiles]), X)
 
     def test_product_from_support_columns_is_the_row_major_product(self):
@@ -797,7 +844,7 @@ class TestRowTiles:
         # long columns: the order of the sum shows in the last bits
         X = np.random.default_rng(n).standard_normal((n, 40))
         for layout in self._layouts(X):
-            tiles = (tile for _, tile in core_module.row_tiles(layout))
+            tiles = (tile for _, tile in core_module.row_tiles(layout, np.arange(40)))
             sums = core_module.column_sums_of_squares(tiles, 40)
             assert np.sqrt(sums).tobytes() == np.linalg.norm(X, axis=0).tobytes()
 
