@@ -26,8 +26,9 @@ tree's tol:
 
 - ``acceptance``: seeds 0-9, one solve per tree;
 - ``held_out``: the seeds of ``--seeds``, each instance built and solved
-  ``--reps`` times by each tree, the trees interleaved and in reverse order
-  on odd seeds; a tree's solve and build times are its fastest.
+  ``--reps`` times by each tree, the trees interleaved in an order that
+  rotates with the seed (:func:`_order`); a tree's solve and build times
+  are its fastest.
 
 Each solve records its time, its tree's build time (``build_s``) and its
 status; its outer, inner and ``rounds`` counts, the first inner solve's
@@ -57,15 +58,16 @@ lower unit costs.
 
 ``--bench-seeds`` runs ``perfbench/run.py --trace 0`` of each workload of
 BENCHMARK.json on every tree for its ``run_seconds``: one run per tree and
-seed, the trees in reverse order on odd pairs.  Each run is started from a
-small interpreter of its own (``LAUNCHER``), so that its ``peak_rss_mb`` is
-its own and not that of this script.  A run that fails is kept with its
-exit code and the last line of its stderr, and the other runs are still
-written.  For each workload and each end-to-end metric of BENCHMARK.json,
-the file holds the rule for a claimed gain against the first tree
-(:func:`verdict`): each tree's median and quartiles, the pairs it won,
-whether its gain exceeds the first tree's quartile gap, and whether it is
-worse than the metric's bound; one line per workload prints it.
+seed, the trees in an order that rotates with the pair (:func:`_order`).
+Each run is started from a small interpreter of its own (``LAUNCHER``), so
+that its ``peak_rss_mb`` is its own and not that of this script.  A run
+that fails is kept with its exit code and the last line of its stderr, and
+the other runs are still written.  For each workload and each end-to-end
+metric of BENCHMARK.json, the file holds the rule for a claimed gain
+against the first tree (:func:`verdict`): each tree's median and
+quartiles, the pairs it won, whether its gain exceeds the first tree's
+quartile gap, and whether it is worse than the metric's bound; one line per
+workload prints it.
 
 Seeds are given as a range ``A-B`` (inclusive) or a list ``A,B,...``.  BLAS
 is pinned to one thread before numpy is imported, as perfbench pins it.  The
@@ -163,8 +165,13 @@ def seed_list(text: str) -> list[int]:
 
 
 def _order(count: int, k: int) -> list[int]:
-    """Tree indices, in reverse order when ``k`` is odd."""
-    return list(range(count))[:: -1 if k % 2 else 1]
+    """Tree indices rotated by ``k % count``, reversed when ``k // count`` is odd.
+
+    Over any ``2 * count`` consecutive values of ``k`` each tree takes each
+    slot equally often.
+    """
+    order = [(i + k) % count for i in range(count)]
+    return order[:: -1 if k // count % 2 else 1]
 
 
 def _change(value: np.ndarray, reference: np.ndarray) -> float:

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Print the code lines of each module of src/dantzig_adm and their total.
+"""Print the code and docstring lines of each module of src/dantzig_adm and their totals.
 
 A code line is a line that is not blank, not a full-line comment and not
 part of a docstring (the leading string of a module, class or function).
+A docstring line is any line a docstring spans, blank ones included.
 
     python3 scripts/code_lines.py [PACKAGE_DIR]
 """
@@ -29,22 +30,26 @@ def docstring_lines(tree: ast.Module) -> set[int]:
     return lines
 
 
-def code_lines(path: Path) -> int:
+def line_counts(path: Path) -> tuple[int, int]:
+    """(code lines, docstring lines) of one module."""
     text = path.read_text()
     skip = docstring_lines(ast.parse(text))
-    return sum(
+    code = sum(
         1
         for number, line in enumerate(text.splitlines(), start=1)
         if number not in skip and line.strip() and not line.lstrip().startswith("#")
     )
+    return code, len(skip)
 
 
 def main(argv: list[str]) -> int:
     package = Path(argv[0]) if argv else PACKAGE
-    counts = {path.name: code_lines(path) for path in sorted(package.glob("*.py"))}
-    for name, count in counts.items():
-        print(f"{name:16s} {count:5d}")
-    print(f"{'total':16s} {sum(counts.values()):5d}")
+    counts = {path.name: line_counts(path) for path in sorted(package.glob("*.py"))}
+    print(f"{'module':16s} {'code':>5s} {'docstring':>9s}")
+    for name, (code, docs) in counts.items():
+        print(f"{name:16s} {code:5d} {docs:9d}")
+    code, docs = (sum(column) for column in zip(*counts.values()))
+    print(f"{'total':16s} {code:5d} {docs:9d}")
     return 0
 
 

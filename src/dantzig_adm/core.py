@@ -13,8 +13,7 @@ few columns on which a solve runs each round
 (:meth:`DesignOperator.restricted`), whose block and Gram matrix append
 the new columns to the last round's.  :func:`_kernel` forms every Gram
 matrix.  An Instance takes ``d`` and X^T y from its column-major X
-(:func:`_column_norms`), and :func:`row_tiles` reads some columns of such
-an X in row-major tiles, from which a generated instance forms ``y``.
+(:func:`_column_norms`).
 """
 
 from __future__ import annotations
@@ -43,63 +42,11 @@ FUSED_ROWS = 128
 # numpy's bundled OpenBLAS (64-bit integers): the package and the library's
 # file pattern in <site-packages>/<package>.libs.
 NUMPY_OPENBLAS = ("numpy", "libscipy_openblas64_*.so")
-# Rows of X per tile of row_tiles and per draw of datagen.gen_design: 16
-# rows of 2560 entries take 0.31 MiB.  The build of a generated instance
-# holds X and at most two such tiles at once (then Instance's 0.35 MiB
-# scratch of _column_norms), and it sets the peak resident size of a run of
-# solves (see README "Memory"); 64-row tiles held 2.6 MB there and took the
-# same time.
-ROW_TILE = 16
 # The largest bound ||L||_F ||L^-1||_F on cond(X[:, columns]) at which
 # least_squares solves the normal equations by the Cholesky factor L of the
 # block's Gram matrix (see _normal_equations).  The start's Gaussian blocks
 # of 80 columns and 720 rows gave about 85, the two-stage refits up to 107.
 NORMAL_EQUATIONS_MAX_CONDITION = 1e4
-
-
-def row_tiles(X: np.ndarray, columns: np.ndarray):
-    """Yield (start, tile): rows start, start + 1, ... of X as a C-contiguous array.
-
-    Tiles hold ROW_TILE rows (the last may hold fewer), of which only
-    ``columns`` are copied; the others of each tile are zero.  Each is
-    copied into one scratch of ROW_TILE rows that the next tile overwrites,
-    so a tile is valid until the next one; a scratch allocated per tile
-    would be mapped and faulted in again each time (glibc maps blocks past
-    its mmap threshold).
-
-    A product over a tile takes the path it takes on a row-major X:
-    ``tile @ v`` gives the entries of ``np.ascontiguousarray(X) @ v`` bit for
-    bit when ``columns`` holds every column where v is nonzero: in a dot
-    product a zero term changes no nonzero partial sum, and BLAS adds the
-    result to a zeroed output, so a zero comes out as +0 either way.
-    """
-    n, p = X.shape
-    scratch = np.zeros((min(ROW_TILE, n), p))
-    for start in range(0, n, ROW_TILE):
-        tile = scratch[: min(ROW_TILE, n - start)]
-        tile[:, columns] = X[start : start + ROW_TILE, columns]
-        yield start, tile
-
-
-def column_sums_of_squares(tiles, p: int) -> np.ndarray:
-    """sum_i X_ij^2 for each column j, from row-major tiles of X's rows in order.
-
-    Each tile is squared below a row that holds the running sum, and that
-    stack is summed down its columns by np.add.reduce, which on a row-major
-    array adds one row at a time.  So the sums equal those of
-    ``np.linalg.norm(X, axis=0) ** 2`` on a row-major X bit for bit, without
-    its full-size temporary ``X * X``.
-    """
-    total = np.zeros(p)
-    stack = None
-    for tile in tiles:
-        k = tile.shape[0]
-        if stack is None:  # the first tile is the largest
-            stack = np.empty((k + 1, p))
-        stack[0] = total
-        np.multiply(tile, tile, out=stack[1 : k + 1])
-        np.add.reduce(stack[: k + 1], axis=0, out=total)
-    return total
 
 
 def _column_norms(X: np.ndarray) -> np.ndarray:

@@ -8,6 +8,14 @@ the design, support, signs, amplitudes, and noise are independently
 reproducible from one seed.  A design is returned in column-major order,
 the order in which an Instance holds it, so building an instance copies no
 X; for unit columns X is the only full-size array the build makes.
+
+The one draw: whatever n and p, X and y have the bytes of the plain
+construction from one row-major draw ``g = standard_normal((n, p))`` of the
+design stream: X is ``g / np.linalg.norm(g, axis=0)`` (unit columns) or Q^T
+of the QR of g^T (orthogonal rows), and y is ``X @ beta + noise`` on the
+row-major X.  The loops that reach them go ROW_TILE rows at a time
+(:func:`_tiles`) and make no full-size array but X.  ``tests/oracles.py``
+builds the plain construction, and a test compares the bytes.
 """
 
 from __future__ import annotations
@@ -17,13 +25,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ROW_TILE, Instance, column_sums_of_squares, one_blas_thread, row_tiles
+from .core import Instance, one_blas_thread
 
 DESIGN_KINDS = ("unit_columns", "orthogonal_rows")
 
 # Sub-stream order for SeedSequence(seed).spawn(); fixed so that e.g. the same
 # design can be paired with different noise draws.
 _STREAMS = ("design", "support", "signs", "amplitudes", "noise")
+# Rows of X per tile of the generator's row-major loops (_tiles): 16 rows
+# of 2560 entries take 0.31 MiB.  A build holds X and one loop's scratch
+# of at most ROW_TILE + 2 rows at a time (then Instance's 0.35 MiB scratch
+# of core._column_norms), and it sets the peak resident size of a run of
+# solves (see README "Memory"); 64-row tiles held 2.6 MB there and took
+# the same time.  Each loop allocates its scratch once: one per tile would
+# be mapped and faulted in again each time (glibc maps blocks past its mmap
+# threshold).
+ROW_TILE = 16
 
 
 @dataclass(frozen=True)
@@ -83,27 +100,39 @@ def _orthonormal_rows(g: np.ndarray) -> np.ndarray:
     return np.asfortranarray(q.T)
 
 
-def _unit_columns(rng: np.random.Generator, n: int, p: int) -> np.ndarray:
-    """Gaussian n x p matrix with unit columns, column-major, as from one (n, p) draw.
+def _tiles(n: int):
+    """(start, stop) of each ROW_TILE-row tile of n rows; a last tile of one row joins the one before.
 
-    The draw is made ROW_TILE rows at a time into one scratch, which gives
-    the stream of ``rng.standard_normal((n, p))``, and each block is written
-    into X.  The column norms are summed row by row as the blocks are drawn
-    (see :func:`~dantzig_adm.core.column_sums_of_squares`), and X is divided
-    in place.  So X equals the normalized row-major draw bit for bit, and
-    no full-size array but X is made.
+    numpy makes a 1 x p product as a dot product, whose sums run in another
+    order than that row's of an n x p product, so no tile has one row
+    unless X has.
+    """
+    starts = range(0, max(n - 1, 1), ROW_TILE)
+    return zip(starts, [*starts[1:], n])
+
+
+def _unit_columns(rng: np.random.Generator, n: int, p: int) -> np.ndarray:
+    """Gaussian n x p matrix with unit columns, column-major: X of the one draw (see the module).
+
+    Each tile is drawn into the rows of one stack below a row that holds
+    the running column sums of squares, which gives the stream of
+    ``rng.standard_normal((n, p))``.  The tile is written into X and
+    squared in place, and the stack is summed down its columns by
+    np.add.reduce, which on a row-major array adds one row at a time, as
+    ``np.linalg.norm(g, axis=0)`` sums a row-major g.  One column is
+    contiguous in both orders and that norm sums it pairwise, so then X's
+    own norm divides it.
     """
     X = np.empty((p, n)).T
-    scratch = np.empty((min(ROW_TILE, n), p))
-
-    def blocks():
-        for start in range(0, n, ROW_TILE):
-            block = scratch[: min(ROW_TILE, n - start)]
-            rng.standard_normal(out=block)
-            X[start : start + ROW_TILE] = block
-            yield block
-
-    X /= np.sqrt(column_sums_of_squares(blocks(), p))
+    sums, stack = np.zeros(p), np.empty((min(ROW_TILE + 1, n) + 1, p))
+    for start, stop in _tiles(n):
+        stack[0] = sums
+        tile = stack[1 : stop - start + 1]
+        rng.standard_normal(out=tile)
+        X[start:stop] = tile
+        np.multiply(tile, tile, out=tile)
+        np.add.reduce(stack[: len(tile) + 1], axis=0, out=sums)
+    X /= np.linalg.norm(X, axis=0) if p == 1 else np.sqrt(sums)
     return X
 
 
@@ -173,23 +202,30 @@ def tol_rule(design_kind: str) -> float:
 
 
 def _row_major_product(X: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``np.ascontiguousarray(X) @ v`` bit for bit, from row tiles of X.
+    """``np.ascontiguousarray(X) @ v`` bit for bit, from row-major tiles of X.
 
-    Only the columns where v is nonzero are copied into the tiles (see
-    :func:`~dantzig_adm.core.row_tiles`), so a sparse v reads few of X.
+    Only the columns where v is nonzero are copied, into one zeroed scratch
+    that every tile reuses, so a sparse v reads few of X.  A product over a
+    tile takes the path it takes on a row-major X: in a dot product a zero
+    term changes no nonzero partial sum, and BLAS adds the result to a
+    zeroed output, so a zero comes out as +0 either way.
     """
-    out = np.empty(X.shape[0])
-    for start, tile in row_tiles(X, np.flatnonzero(v)):
-        np.matmul(tile, v, out=out[start : start + tile.shape[0]])
+    n, p = X.shape
+    columns, out = np.flatnonzero(v), np.empty(n)
+    scratch = np.zeros((min(ROW_TILE + 1, n), p))
+    for start, stop in _tiles(n):
+        tile = scratch[: stop - start]
+        tile[:, columns] = X[start:stop, columns]
+        np.matmul(tile, v, out=out[start:stop])
     return out
 
 
 def make_instance(spec: GenSpec, delta: float | None = None) -> tuple[Instance, GroundTruth]:
     """Generate (design, signal, noise) and assemble the solver instance.
 
-    y is the row-major product ``np.ascontiguousarray(X) @ beta_true`` plus
-    the noise, formed from row tiles of the column-major X, and X is not
-    copied.
+    X and y are those of the one draw (see the module): y is the row-major
+    product ``np.ascontiguousarray(X) @ beta_true`` plus the noise, formed
+    from row tiles of the column-major X, and X is not copied.
 
     delta defaults to the sqrt(2 ln p) * sigma rule, which requires a positive
     noise level; pass delta explicitly for noiseless instances.

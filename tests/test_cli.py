@@ -788,6 +788,54 @@ class TestScripts:
     def test_reproduce_tables_runs_from_a_checkout(self, tmp_path):
         assert "--reps" in self._help("reproduce_tables.py", tmp_path)
 
+    def test_ab_gives_each_tree_each_slot_equally_often(self, tmp_path):
+        # ab.py pins BLAS threads in os.environ when imported, so it runs in a
+        # process of its own; over 2 * count consecutive k, from 0 and from 100
+        # (the first held-out seed), each tree takes each slot twice
+        script = (
+            "import json\n"
+            "import ab\n"
+            "print(json.dumps({count: [ab._order(count, k) for k in range(200)]\n"
+            "                  for count in (2, 3, 4)}))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(self.SCRIPTS)}
+        run = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env,
+            cwd=tmp_path, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        for count, orders in json.loads(run.stdout.splitlines()[-1]).items():
+            trees = list(range(int(count)))
+            assert all(sorted(order) == trees for order in orders)
+            for first in (0, 100):
+                window = orders[first : first + 2 * len(trees)]
+                for slot in trees:
+                    assert sorted(order[slot] for order in window) == sorted(2 * trees)
+
+    def test_code_lines_counts_code_and_docstring_lines(self, tmp_path):
+        package = tmp_path / "package"
+        package.mkdir()
+        (package / "a.py").write_text(
+            '"""Module docstring\n\nof three lines."""\n'
+            "\n"
+            "# a comment\n"
+            "def f():\n"
+            '    """One line."""\n'
+            "    return 1  # code with a comment\n"
+        )
+        (package / "b.py").write_text("class C:\n    x = 'not a docstring'\n")
+        run = subprocess.run(
+            [sys.executable, str(self.SCRIPTS / "code_lines.py"), str(package)],
+            capture_output=True, text=True, cwd=tmp_path, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        assert [line.split() for line in run.stdout.splitlines()] == [
+            ["module", "code", "docstring"],
+            ["a.py", "2", "4"],
+            ["b.py", "2", "0"],
+            ["total", "4", "4"],
+        ]
+
     def test_ab_runs_from_a_checkout_with_five_options(self, tmp_path):
         options = set(re.findall(r"--[a-z-]+", self._help("ab.py", tmp_path)))
         assert options == {"--help", "--trees", "--seeds", "--reps", "--bench-seeds", "--out"}

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dantzig_adm import core
+from dantzig_adm import core, datagen
 from dantzig_adm.core import Instance
 from dantzig_adm.datagen import (
     GenSpec,
@@ -259,21 +259,25 @@ class TestInstanceBytes:
         [
             ("unit_columns", 720, 2560, 80),
             ("unit_columns", 101, 333, 7),  # n and p not multiples of a tile or a SIMD width
-            ("unit_columns", 64, 700, 5),  # one whole tile
-            ("unit_columns", 65, 700, 5),  # a last tile of one row
+            ("unit_columns", 64, 700, 5),  # whole tiles
+            ("unit_columns", 65, 700, 5),  # a last row that joins the tile before
             ("unit_columns", 15, 200, 3),  # fewer rows than a tile
             ("unit_columns", 16, 200, 3),  # one whole 16-row tile
-            ("unit_columns", 17, 200, 3),  # a last tile of one row
-            ("unit_columns", 33, 200, 3),  # two whole tiles and one row
+            ("unit_columns", 17, 200, 3),  # one 17-row tile
+            ("unit_columns", 33, 200, 3),  # a whole tile and one of 17 rows
+            ("unit_columns", 49, 8, 3),  # few columns, and a tile of 17 rows
+            ("unit_columns", 300, 1, 1),  # one column, normed pairwise as numpy norms it
+            ("unit_columns", 1, 7, 1),  # one row: a 1 x p product, as the oracle makes it
             ("unit_columns", 300, 100, 5),  # n > p
             ("orthogonal_rows", 200, 1000, 20),
         ],
     )
     def test_equal_to_one_draw(self, design, n, p, s):
-        spec = GenSpec(n=n, p=p, s=s, sigma_noise=0.05, design_kind=design, seed=3)
-        inst, _ = make_instance(spec)
-        for got, expected in zip((inst.X, inst.y, inst.d), instance_one_draw(spec)):
-            assert got.tobytes() == expected.tobytes()  # bit for bit, signs of zeros too
+        for seed in range(8):
+            spec = GenSpec(n=n, p=p, s=s, sigma_noise=0.05, design_kind=design, seed=seed)
+            inst, _ = make_instance(spec, delta=0.5)  # p = 1 has no default delta
+            for got, expected in zip((inst.X, inst.y, inst.d), instance_one_draw(spec)):
+                assert got.tobytes() == expected.tobytes(), seed  # signs of zeros too
 
     def test_no_signal_and_no_noise(self):
         # y is a product with zeros only: no tile column is copied
@@ -282,6 +286,27 @@ class TestInstanceBytes:
         _, y, _ = instance_one_draw(spec)
         assert inst.y.tobytes() == y.tobytes()
 
+    def test_tiles_cover_the_rows_and_only_a_one_row_x_has_a_one_row_tile(self):
+        for n in range(1, 100):
+            bounds = list(datagen._tiles(n))
+            assert [start for start, _ in bounds] == [0] + [stop for _, stop in bounds[:-1]]
+            assert bounds[-1][1] == n
+            sizes = [stop - start for start, stop in bounds]
+            assert all(2 <= size <= datagen.ROW_TILE + 1 for size in sizes) or sizes == [1]
+
+    @pytest.mark.parametrize("n", [1, 49, 150])
+    def test_product_reads_only_the_support_columns(self, n):
+        # NaN off the support would reach every entry of y if a tile read it
+        rng = np.random.default_rng(48)
+        X = rng.standard_normal((n, 333))
+        v = np.zeros(333)
+        support = rng.choice(333, size=9, replace=False)
+        v[support] = rng.standard_normal(9)
+        poisoned = X.copy(order="F")
+        poisoned[:, np.flatnonzero(v == 0)] = np.nan
+        y = datagen._row_major_product(poisoned, v)
+        assert y.tobytes() == (np.ascontiguousarray(X) @ v).tobytes()
+
 
 class TestBuildMemory:
     """X is the only full-size array of a build (tracemalloc sees numpy's buffers)."""
@@ -289,7 +314,7 @@ class TestBuildMemory:
     SPEC = GenSpec(n=720, p=2560, s=80, sigma_noise=0.05, seed=5)
 
     def test_make_instance_holds_one_copy_of_x(self, traced_peak):
-        # X, and 16-row tiles: 0.31 MiB of scratch at p = 2560
+        # X, and one tile's scratch of at most 18 rows: 0.35 MiB at p = 2560
         (inst, _), peak = traced_peak(make_instance, self.SPEC)
         assert peak <= 1.08 * inst.X.nbytes
 
